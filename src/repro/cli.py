@@ -56,7 +56,7 @@ from repro.harness.reporting import format_table
 from repro.kernels import build as build_workload, kernel_names
 from repro.kernels.base import WorkloadError
 from repro.lab import ResultCache, Runner, Sweep, use_runner
-from repro.lab.runner import RunTimeout, TransientRunError
+from repro.lab.core import RunTimeout, TransientRunError
 from repro.sim.config import GPUConfig
 from repro.sim.progress import SimulationHang
 

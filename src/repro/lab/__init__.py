@@ -33,9 +33,9 @@ from repro.lab.journal import (JournalError, JournalState, SweepJournal,
                                load_journal)
 from repro.lab.locking import FileLock, LockTimeout
 from repro.lab.results import LabError, RunFailure, RunResult
-from repro.lab.runner import (BatchReport, RunInterrupted, Runner,
-                              RunTimeout, TransientRunError,
-                              decorrelated_jitter, execute_run)
+from repro.lab.core import (RunInterrupted, RunTimeout, TransientRunError,
+                            decorrelated_jitter)
+from repro.lab.runner import BatchReport, Runner, execute_run
 from repro.lab.spec import RunSpec, config_from_dict, config_to_dict
 from repro.lab.sweep import (Sweep, SweepResult, experiment_spec,
                              resume_sweep)

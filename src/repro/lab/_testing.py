@@ -16,7 +16,7 @@ import signal
 import time
 
 from repro.lab.results import RunResult
-from repro.lab.runner import TransientRunError
+from repro.lab.core import TransientRunError
 from repro.lab.spec import RunSpec
 from repro.metrics.stats import SimStats
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
@@ -42,6 +43,7 @@ class SweepJournal:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._handle = open(self.path, "a", encoding="utf-8")
+        self._lock = threading.Lock()
         self._spec_hashes = set()
         if resume and self.path.stat().st_size:
             for record in _read_records(self.path):
@@ -52,9 +54,12 @@ class SweepJournal:
 
     def _append(self, record: Dict[str, Any]) -> None:
         line = json.dumps(record, default=_json_default)
-        self._handle.write(line + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        # One writer at a time: the serve daemon journals from its
+        # client threads and its dispatcher through one handle.
+        with self._lock:
+            self._handle.write(line + "\n")
+            self._handle.flush()
+            os.fsync(self._handle.fileno())
 
     def record_spec(self, spec: RunSpec) -> None:
         """Journal the spec itself (idempotent across resumes)."""
@@ -86,6 +91,16 @@ class SweepJournal:
             "error_type": error_type,
             "transient": bool(transient),
         })
+
+    def record_outcome(self, outcome) -> None:
+        """Journal a terminal record: a ``RunResult`` as ``done``, a
+        ``RunFailure`` as ``failed``."""
+        if outcome.ok:
+            self.record_done(outcome.spec_hash, outcome.from_cache,
+                             outcome.cycles)
+        else:
+            self.record_failed(outcome.spec_hash, outcome.error_type,
+                               outcome.transient)
 
     def record_note(self, note: str, **detail: Any) -> None:
         self._append({"type": "note", "note": note, **detail})

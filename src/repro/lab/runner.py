@@ -3,120 +3,54 @@
 The :class:`Runner` takes a batch of independent :class:`RunSpec`\\ s and
 drives each one to a :class:`RunResult` or a structured
 :class:`RunFailure` — a crashed or hung simulation never tears down the
-rest of the sweep.  Three execution modes share one retry/timeout
-policy:
+rest of the sweep.  ``run_many`` is the shared
+:class:`~repro.lab.core.ExecutionCore` pumped on the caller's thread
+over a FIFO: retry, worker-loss, straggler and drain policy live there
+(one copy, also under ``repro serve``).  The runner adds the batch
+shape — results in spec order, a :class:`BatchReport`, the
+SIGINT/SIGTERM handlers that start a drain — and three pool modes:
 
 * ``process`` (default when ``workers > 1``) — a
   ``ProcessPoolExecutor``; each worker builds its workload, simulates,
   validates, and ships back only the light-weight result record.
 * ``thread`` — a ``ThreadPoolExecutor``; no isolation, but the injected
   ``run_fn`` shares memory with the caller (used by tests).
-* ``serial`` — in-process loop (default when ``workers == 1``).
+* ``serial`` — runs on the calling thread (default when
+  ``workers == 1``).
 
 Per-run wall-clock timeouts are enforced *inside* the executing process
 via ``SIGALRM`` (each pool worker's main thread), so a hung run
-surfaces as an ordinary exception and the pool stays healthy.  Failures
-classified transient (OS errors, timeouts, a broken pool, or the
-explicit :class:`TransientRunError`) are retried up to ``retries``
-times with exponential backoff and decorrelated jitter; deterministic
-simulation errors (deadlock, validation failure, bad parameters) fail
-fast.
-
-Resilience (see ``docs/robustness.md`` for the full recovery matrix):
-
-* **Worker loss** — a SIGKILLed/OOMed pool worker breaks the pool; the
-  runner rebuilds it and re-queues each in-flight spec exactly once
-  *without* consuming its retry budget (a worker death says nothing
-  about the spec).  A second loss on the same spec counts as an
-  ordinary transient failure.
-* **Straggler detection** — in pooled modes the runner polls in-flight
-  futures and flags any run exceeding ``straggler_factor ×
-  timeout_s`` (the in-worker alarm should have fired; if it could not,
-  the poll at least makes the stall visible).
-* **Graceful draining** — the first SIGINT/SIGTERM stops new
-  submissions and retries, lets in-flight runs finish (their periodic
-  checkpoints are already on disk when ``checkpoint_dir`` is set), and
-  records everything unstarted as interrupted transient failures; a
-  second signal aborts immediately.  Handlers are saved and restored.
-* **Checkpoint/resume** — with ``checkpoint_dir`` set, each run
-  autocheckpoints every ``checkpoint_every`` cycles (default: the
-  config's ``progress_epoch``) to ``<dir>/<spec_hash>.ckpt``; a rerun
-  of the same spec resumes from that file instead of cycle 0, and the
-  file is removed when the run completes.
+surfaces as an ordinary exception and the pool stays healthy.  With
+``checkpoint_dir`` set, each run autocheckpoints once per
+``progress_epoch`` to ``<dir>/<spec_hash>.ckpt``; a rerun of the same
+spec resumes from that file instead of cycle 0, and the file is removed
+when the run completes.
 """
 
 from __future__ import annotations
 
-import random
 import signal
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Executor, wait
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.lab.cache import ResultCache
+from repro.lab.core import (BACKOFF_BASE_S, ExecutionCore, FifoQueue,
+                            RunTimeout, Task)
 from repro.lab.results import LabError, RunFailure, RunResult
 from repro.lab.spec import RunSpec
-from repro.sim.progress import SimulationHang
-
-
-class RunTimeout(RuntimeError):
-    """The run exceeded the runner's per-run wall-clock budget."""
-
-
-class TransientRunError(RuntimeError):
-    """An explicitly-transient failure: always worth retrying."""
-
-
-class RunInterrupted(RuntimeError):
-    """The batch was drained by SIGINT/SIGTERM before this spec ran."""
-
-
-#: Exception types retried (bounded) instead of failing the run.
-TRANSIENT_EXCEPTIONS = (OSError, RunTimeout, TransientRunError,
-                        BrokenProcessPool, RunInterrupted)
-
-#: Exception types NEVER retried, even if a subclass ever matched the
-#: transient tuple: simulated hangs (deadlock/livelock/cycle-cap
-#: timeout) are deterministic functions of the spec, so a retry would
-#: burn a worker on the exact same hang.
-PERMANENT_EXCEPTIONS = (SimulationHang,)
-
-
-def _is_transient(exc: BaseException) -> bool:
-    if isinstance(exc, PERMANENT_EXCEPTIONS):
-        return False
-    return isinstance(exc, TRANSIENT_EXCEPTIONS)
-
-
-def decorrelated_jitter(previous_s: float, base_s: float, cap_s: float,
-                        rng: random.Random) -> float:
-    """One step of capped exponential backoff with decorrelated jitter.
-
-    ``sleep = min(cap, uniform(base, previous * 3))`` — each delay is
-    drawn relative to the *previous* delay rather than the attempt
-    number, which decorrelates retry storms across workers while still
-    growing geometrically in expectation.
-    """
-    if base_s <= 0:
-        return 0.0
-    upper = max(base_s, previous_s * 3.0)
-    return min(cap_s, rng.uniform(base_s, upper))
 
 
 def execute_run(spec: RunSpec, checkpoint_dir=None,
-                checkpoint_every=None, obs=None) -> RunResult:
+                obs=None) -> RunResult:
     """Build, simulate, validate, and score one spec (worker entry).
 
     With ``checkpoint_dir``, the simulation autocheckpoints its complete
-    machine state to ``<dir>/<spec_hash>.ckpt`` every
-    ``checkpoint_every`` cycles (``None`` → the config's
-    ``progress_epoch``); if that file already exists — a previous
+    machine state to ``<dir>/<spec_hash>.ckpt`` once per
+    ``progress_epoch``; if that file already exists — a previous
     attempt was killed or timed out — the run *resumes* from it instead
     of restarting, and a corrupt checkpoint falls back to a fresh run.
     The file is deleted once the run completes.
@@ -141,8 +75,6 @@ def execute_run(spec: RunSpec, checkpoint_dir=None,
     if checkpoint_dir is not None:
         from repro.sim.checkpoint import CheckpointError, SimCheckpoint
 
-        if checkpoint_every is None:
-            checkpoint_every = True
         ckpt_path = Path(checkpoint_dir) / f"{spec_hash}.ckpt"
         if ckpt_path.is_file():
             try:
@@ -167,9 +99,7 @@ def execute_run(spec: RunSpec, checkpoint_dir=None,
             bus.publish(RunResumed(
                 cycle=live.now, path=str(ckpt_path), spec_hash=spec_hash,
             ))
-        sim = live.run(
-            checkpoint_every=checkpoint_every, checkpoint_path=ckpt_path,
-        )
+        sim = live.run(checkpoint_every=True, checkpoint_path=ckpt_path)
         # The workload build is deterministic in (kernel, params, seed),
         # so the fresh build's validator checks the resumed run exactly
         # as api.simulate would have checked an uninterrupted one.
@@ -186,7 +116,7 @@ def execute_run(spec: RunSpec, checkpoint_dir=None,
         sim = simulate(
             workload, config=spec.config, validate=spec.validate,
             engine=spec.engine, obs=obs, sanitize=sanitizer,
-            checkpoint_every=checkpoint_every if ckpt_path else None,
+            checkpoint_every=True if ckpt_path else None,
             checkpoint_path=ckpt_path,
         )
     simulated = time.perf_counter()
@@ -273,20 +203,6 @@ def _run_with_timeout(run_fn: Callable[[RunSpec], RunResult],
                 max(prev_remaining - elapsed, 1e-6),
                 prev_interval,
             )
-
-
-def _pool_entry(spec: RunSpec, timeout_s: Optional[float],
-                run_fn: Optional[Callable],
-                checkpoint_dir=None, checkpoint_every=None) -> RunResult:
-    """Module-level (hence picklable) pool-worker entry point."""
-    if run_fn is not None:
-        return _run_with_timeout(run_fn, spec, timeout_s)
-
-    def entry(s: RunSpec) -> RunResult:
-        return execute_run(s, checkpoint_dir=checkpoint_dir,
-                           checkpoint_every=checkpoint_every)
-
-    return _run_with_timeout(entry, spec, timeout_s)
 
 
 @dataclass
@@ -384,13 +300,6 @@ class BatchReport:
         }
 
 
-class _DrainState:
-    """Shared flag set by the first SIGINT/SIGTERM of a batch."""
-
-    def __init__(self) -> None:
-        self.requested = False
-
-
 class Runner:
     """Executes batches of RunSpecs with caching, retries, and timeouts."""
 
@@ -405,10 +314,7 @@ class Runner:
         progress: Optional[Callable[[str], None]] = None,
         bus=None,
         checkpoint_dir=None,
-        checkpoint_every=None,
-        backoff_base_s: float = 0.05,
-        backoff_cap_s: float = 2.0,
-        straggler_factor: float = 1.5,
+        backoff_base_s: float = BACKOFF_BASE_S,
         grace_s: float = 30.0,
     ) -> None:
         if workers < 1:
@@ -432,18 +338,10 @@ class Runner:
         self.bus = bus
         if self.bus is not None and self.cache is not None:
             self.cache.bus = self.bus
-        self.checkpoint_dir = (
-            Path(checkpoint_dir) if checkpoint_dir is not None else None
-        )
-        self.checkpoint_every = checkpoint_every
+        self.checkpoint_dir = checkpoint_dir
         self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
-        self.straggler_factor = straggler_factor
         self.grace_s = grace_s
         self.last_report: Optional[BatchReport] = None
-        self._backoff_rng = random.Random(0x5EED)
-        self._drain = _DrainState()
-        self._journal = None
 
     # ------------------------------------------------------------------
 
@@ -458,42 +356,43 @@ class Runner:
         """
         specs = list(specs)
         start = time.perf_counter()
-        results: List[Optional[Union[RunResult, RunFailure]]] = (
-            [None] * len(specs)
-        )
-        report = BatchReport(results=results)  # filled in below
-        self._journal = journal
+        report = BatchReport(results=[None] * len(specs))
         if journal is not None:
             for spec in specs:
                 journal.record_spec(spec)
+        slots: Dict[Task, int] = {}
+        core = ExecutionCore(
+            FifoQueue(), self._pool_call,
+            partial(self._on_event, report, slots), self._note,
+            workers=self.workers, mode=self.mode, cache=self.cache,
+            journal=journal, timeout_s=self.timeout_s,
+            retries=self.retries, backoff_base_s=self.backoff_base_s,
+        )
+        for index, spec in enumerate(specs):
+            task = Task(spec, client="batch")
+            slots[task] = index
+            core.submit(task)
+
+        def on_signal(repeat: bool) -> None:
+            if repeat:
+                raise KeyboardInterrupt
+            report.interrupted = True
+            self._note("signal received: draining in-flight runs "
+                       "(repeat to abort immediately)")
 
         try:
-            with self._drain_signals(report):
-                pending: List[int] = []
-                for i, spec in enumerate(specs):
-                    cached = (self.cache.get(spec)
-                              if self.cache is not None else None)
-                    if cached is not None:
-                        results[i] = cached
-                        self._journal_done(cached)
-                        self._note(
-                            f"[{i + 1}/{len(specs)}] {spec.display}: cached"
-                        )
-                    else:
-                        pending.append(i)
-
-                if pending:
-                    if self.mode == "serial":
-                        self._drive_serial(specs, pending, results, report)
-                    else:
-                        self._drive_pooled(specs, pending, results, report)
+            with core.drain_on_signal(self.grace_s, on_signal):
+                while not core.idle:
+                    core.pump()
         finally:
-            self._journal = None
+            core.close()
+            report.retried = core.retried
+            report.worker_losses = core.worker_losses
+            report.stragglers = core.stragglers
 
         if report.interrupted and journal is not None:
             journal.record_note("interrupted",
-                                completed=sum(1 for r in results
-                                              if r is not None and r.ok))
+                                completed=sum(r.ok for r in report.results))
         report.elapsed_s = time.perf_counter() - start
         self.last_report = report
         return report
@@ -513,269 +412,19 @@ class Runner:
         if self.progress is not None:
             self.progress(message)
 
-    def _journal_done(self, result: RunResult) -> None:
-        if self._journal is not None:
-            self._journal.record_done(
-                result.spec_hash, from_cache=result.from_cache,
-                cycles=result.cycles,
-            )
+    def _pool_call(self, task: Task) -> tuple:
+        run_fn = self.run_fn or partial(execute_run,
+                                        checkpoint_dir=self.checkpoint_dir)
+        return (_run_with_timeout, run_fn, task.spec, self.timeout_s)
 
-    def _journal_failed(self, failure: RunFailure) -> None:
-        if self._journal is not None:
-            self._journal.record_failed(
-                failure.spec_hash, error_type=failure.error_type,
-                transient=failure.transient,
-            )
-
-    def _max_attempts(self) -> int:
-        return self.retries + 1
-
-    @contextmanager
-    def _drain_signals(self, report: BatchReport):
-        """Install the two-stage SIGINT/SIGTERM drain for one batch.
-
-        First signal: stop submitting/retrying, let in-flight runs
-        finish (bounded by ``grace_s`` in pooled modes), mark the rest
-        interrupted.  Second signal: abort via KeyboardInterrupt.
-        Handlers are installed only on the main thread and always
-        restored.
-        """
-        if threading.current_thread() is not threading.main_thread():
-            yield
-            return
-        drain = self._drain
-        drain.requested = False
-
-        def _on_signal(signum, _frame):
-            if drain.requested:
-                raise KeyboardInterrupt
-            drain.requested = True
-            report.interrupted = True
-            self._note("signal received: draining in-flight runs "
-                       "(repeat to abort immediately)")
-
-        previous: Dict[int, Any] = {}
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                previous[sig] = signal.signal(sig, _on_signal)
-            except (ValueError, OSError):  # pragma: no cover - exotic host
-                pass
-        try:
-            yield
-        finally:
-            for sig, handler in previous.items():
-                signal.signal(sig, handler)
-
-    def _backoff(self, previous_s: float) -> float:
-        """Sleep one decorrelated-jitter step; returns the delay used."""
-        delay = decorrelated_jitter(
-            previous_s, self.backoff_base_s, self.backoff_cap_s,
-            self._backoff_rng,
-        )
-        if delay > 0:
-            time.sleep(delay)
-        return delay
-
-    def _record_outcome(self, results, report, specs, index, attempts,
-                        outcome: Union[RunResult, BaseException],
-                        elapsed: float) -> bool:
-        """Store a result/failure; returns True if the run should retry."""
-        spec = specs[index]
-        if isinstance(outcome, RunResult):
-            outcome.attempts = attempts
-            outcome.label = spec.label
-            results[index] = outcome
-            # Persist immediately (not at batch end): if this process is
-            # SIGKILLed later in the batch, the completed work survives
-            # and a resumed sweep serves it as a cache hit.
-            if self.cache is not None:
-                self.cache.put(spec, outcome)
-            self._journal_done(outcome)
-            self._note(f"{spec.display}: ok "
-                       f"({outcome.cycles} cycles, {elapsed:.1f}s)")
-            return False
-        transient = _is_transient(outcome)
-        if (transient and attempts < self._max_attempts()
-                and not self._drain.requested
-                and not isinstance(outcome, RunInterrupted)):
-            report.retried += 1
-            self._note(f"{spec.display}: transient "
-                       f"{type(outcome).__name__}, retrying")
-            return True
-        hang_report = getattr(outcome, "report", None)
-        failure = RunFailure(
-            spec=spec,
-            spec_hash=spec.content_hash(),
-            error_type=type(outcome).__name__,
-            message=str(outcome),
-            attempts=attempts,
-            elapsed_s=elapsed,
-            transient=transient,
-            hang=hang_report.to_dict() if hang_report is not None else None,
-        )
-        results[index] = failure
-        self._journal_failed(failure)
-        self._note(f"{spec.display}: FAILED ({type(outcome).__name__})")
-        return False
-
-    def _record_interrupted(self, results, report, specs, index,
-                            attempts: int) -> None:
-        self._record_outcome(
-            results, report, specs, index, max(attempts, 1),
-            RunInterrupted("batch drained before this spec completed"),
-            0.0,
-        )
-
-    def _worker_lost(self, report, spec: RunSpec, requeued: bool) -> None:
-        report.worker_losses += 1
-        if self.bus is not None:
+    def _on_event(self, report: BatchReport, slots: Dict[Task, int],
+                  kind: str, task: Task, detail: Any) -> None:
+        if kind == "settled":
+            report.results[slots[task]] = detail
+        elif kind == "worker_lost" and self.bus is not None:
             from repro.obs.events import WorkerLost
 
             self.bus.publish(WorkerLost(
-                cycle=0, spec_hash=spec.content_hash(), requeued=requeued,
+                cycle=0, spec_hash=task.spec.content_hash(),
+                requeued=detail,
             ))
-        self._note(f"{spec.display}: worker died"
-                   + (", re-queued (free)" if requeued else ""))
-
-    def _drive_serial(self, specs, pending, results, report) -> None:
-        for i in pending:
-            if self._drain.requested:
-                self._record_interrupted(results, report, specs, i, 0)
-                continue
-            attempts = 0
-            delay = 0.0
-            while True:
-                attempts += 1
-                t0 = time.perf_counter()
-                try:
-                    outcome: Union[RunResult, BaseException] = _pool_entry(
-                        specs[i], self.timeout_s, self.run_fn,
-                        self.checkpoint_dir, self.checkpoint_every,
-                    )
-                except Exception as exc:  # noqa: BLE001 - recorded below
-                    outcome = exc
-                if not self._record_outcome(
-                    results, report, specs, i, attempts, outcome,
-                    time.perf_counter() - t0,
-                ):
-                    break
-                delay = self._backoff(delay)
-
-    def _make_executor(self) -> Executor:
-        if self.mode == "thread":
-            return ThreadPoolExecutor(max_workers=self.workers)
-        return ProcessPoolExecutor(max_workers=self.workers)
-
-    def _drive_pooled(self, specs, pending, results, report) -> None:
-        queue = [(i, 0) for i in pending]
-        #: Specs already granted their one free re-queue after a worker
-        #: death; a second loss costs an ordinary (budgeted) retry.
-        free_requeued: Set[int] = set()
-        #: Futures already flagged as stragglers (count each run once).
-        pass_delay = 0.0
-        while queue:
-            if self._drain.requested:
-                for i, prior_attempts in queue:
-                    self._record_interrupted(
-                        results, report, specs, i, prior_attempts
-                    )
-                return
-            retrying = any(a > 0 for _, a in queue)
-            if retrying:
-                pass_delay = self._backoff(pass_delay)
-            executor = self._make_executor()
-            try:
-                futures = {}
-                started = {}
-                for i, prior_attempts in queue:
-                    future = executor.submit(
-                        _pool_entry, specs[i], self.timeout_s, self.run_fn,
-                        self.checkpoint_dir, self.checkpoint_every,
-                    )
-                    futures[future] = (i, prior_attempts + 1)
-                    started[future] = time.perf_counter()
-                queue = []
-                not_done = set(futures)
-                flagged: Set[Any] = set()
-                pool_broken = False
-                drain_deadline: Optional[float] = None
-                while not_done:
-                    done, not_done = wait(
-                        not_done, timeout=0.5, return_when=FIRST_COMPLETED
-                    )
-                    now = time.monotonic()
-                    if self._drain.requested and drain_deadline is None:
-                        drain_deadline = now + self.grace_s
-                    if drain_deadline is not None and now >= drain_deadline:
-                        # Grace expired: give up on the stuck futures.
-                        for future in not_done:
-                            i, attempts = futures[future]
-                            self._record_interrupted(
-                                results, report, specs, i, attempts
-                            )
-                        not_done = set()
-                    if self.timeout_s is not None:
-                        budget = self.straggler_factor * self.timeout_s
-                        for future in not_done - flagged:
-                            overdue = time.perf_counter() - started[future]
-                            if overdue > budget:
-                                flagged.add(future)
-                                report.stragglers += 1
-                                i, _ = futures[future]
-                                self._note(
-                                    f"{specs[i].display}: straggler "
-                                    f"({overdue:.1f}s > {budget:.1f}s "
-                                    "budget; in-worker alarm missing?)"
-                                )
-                    for future in done:
-                        i, attempts = futures[future]
-                        elapsed = time.perf_counter() - started[future]
-                        try:
-                            outcome: Union[RunResult, BaseException] = (
-                                future.result()
-                            )
-                        except Exception as exc:  # noqa: BLE001
-                            outcome = exc
-                            pool_broken = pool_broken or isinstance(
-                                exc, BrokenProcessPool
-                            )
-                        if (isinstance(outcome, BrokenProcessPool)
-                                and i not in free_requeued
-                                and not self._drain.requested):
-                            # The worker died under this spec; that says
-                            # nothing about the spec itself.  One free
-                            # re-queue, not charged against retries.
-                            free_requeued.add(i)
-                            queue.append((i, attempts - 1))
-                            self._worker_lost(report, specs[i],
-                                              requeued=True)
-                            continue
-                        if isinstance(outcome, BrokenProcessPool):
-                            self._worker_lost(report, specs[i],
-                                              requeued=False)
-                        if self._record_outcome(
-                            results, report, specs, i, attempts, outcome,
-                            elapsed,
-                        ):
-                            queue.append((i, attempts))
-                    if pool_broken:
-                        # Every remaining future is doomed; re-queue the
-                        # innocents (free, once) and rebuild the pool.
-                        for future in not_done:
-                            i, attempts = futures[future]
-                            if (i not in free_requeued
-                                    and not self._drain.requested):
-                                free_requeued.add(i)
-                                queue.append((i, attempts - 1))
-                                self._worker_lost(report, specs[i],
-                                                  requeued=True)
-                                continue
-                            if self._record_outcome(
-                                results, report, specs, i, attempts,
-                                BrokenProcessPool("process pool died"),
-                                time.perf_counter() - started[future],
-                            ):
-                                queue.append((i, attempts))
-                        break
-            finally:
-                executor.shutdown(wait=False, cancel_futures=True)

@@ -133,7 +133,8 @@ class ServeClient:
         self._stream = protocol.MessageStream(
             protocol.connect(address, timeout_s=connect_timeout_s)
         )
-        self._rpc_lock = threading.Lock()
+        #: Re-entrant: submit() holds it around its own _rpc().
+        self._rpc_lock = threading.RLock()
         self._replies: "queue.Queue" = queue.Queue()
         #: job_id -> every handle watching it.  A list, not a single
         #: handle: resubmitting a spec this client already has in
@@ -143,6 +144,11 @@ class ServeClient:
         #: Broadcasts that arrived before submit() registered the handle
         #: (the cached-path result can beat the accepted bookkeeping).
         self._orphans: Dict[str, List[Dict[str, Any]]] = {}
+        #: While a submit is in progress: job_id -> terminal message
+        #: seen since the request went out.  A result can overtake the
+        #: ``accepted`` reply of a resubmission that attached to its
+        #: job; the late handle finds it here.  ``None`` between submits.
+        self._terminal: Optional[Dict[str, Dict[str, Any]]] = None
         self._route_lock = threading.Lock()
         self._closed = False
         # Handshake happens synchronously so a version mismatch raises
@@ -175,9 +181,11 @@ class ServeClient:
                     and job_id is not None:
                 with self._route_lock:
                     handles = list(self._handles.get(job_id, ()))
-                    if not handles:
+                    if message["type"] != "progress":
+                        if self._terminal is not None:
+                            self._terminal[job_id] = message
+                    elif not handles:
                         self._orphans.setdefault(job_id, []).append(message)
-                        continue
                 for handle in handles:
                     try:
                         handle._deliver(message)
@@ -219,22 +227,31 @@ class ServeClient:
         ``stream=False`` still delivers the terminal result/failure but
         skips per-run progress traffic (cheaper for large sweeps).
         """
-        reply = self._rpc({
-            "type": "submit",
-            "spec": spec.to_dict(),
-            "label": spec.label,
-            "stream": stream,
-            "priority": priority,
-        })
-        if reply.get("type") != "accepted":
-            raise ServeError(
-                f"expected 'accepted', daemon sent {reply.get('type')!r}"
-            )
-        handle = ServeHandle(self, reply["job_id"], reply["spec_hash"],
-                             reply["status"], spec=spec)
-        with self._route_lock:
-            self._handles.setdefault(handle.job_id, []).append(handle)
-            backlog = self._orphans.pop(handle.job_id, [])
+        with self._rpc_lock:
+            with self._route_lock:
+                self._terminal = {}
+            try:
+                reply = self._rpc({
+                    "type": "submit",
+                    "spec": spec.to_dict(),
+                    "label": spec.label,
+                    "stream": stream,
+                    "priority": priority,
+                })
+                if reply.get("type") != "accepted":
+                    raise ServeError("expected 'accepted', daemon sent "
+                                     f"{reply.get('type')!r}")
+                job_id = reply["job_id"]
+                handle = ServeHandle(self, job_id, reply["spec_hash"],
+                                     reply["status"], spec=spec)
+                with self._route_lock:
+                    self._handles.setdefault(job_id, []).append(handle)
+                    backlog = self._orphans.pop(job_id, [])
+                    if job_id in self._terminal:
+                        backlog.append(self._terminal[job_id])
+            finally:
+                with self._route_lock:
+                    self._terminal = None
         for message in backlog:
             try:
                 handle._deliver(message)

@@ -23,36 +23,33 @@ Lifecycle of a submission (see ``docs/serve.md``):
 5. The result lands in the cache and journal, then fans out to all
    subscribers as a versioned wire message.
 
-Crash safety mirrors the lab runner's: transient failures retry with
-the same classification, a died pool worker gets its in-flight jobs
-re-queued once for free, and the first SIGTERM/SIGINT *drains* — new
-submissions are refused, in-flight runs get ``grace_s`` to finish (and
-their results still reach cache, journal, and clients), queued jobs are
-journaled as interrupted-transient so a resubmitted sweep completes
-from cache hits.  A second signal aborts immediately.
+Steps 3 and 5 are the shared :class:`~repro.lab.core.ExecutionCore`
+pumped on the ``serve-dispatch`` thread — the very code a direct
+``lab.Runner`` runs, so retry, worker-loss re-queue and settle-once
+policy cannot differ between the two roads.  The first SIGTERM/SIGINT
+*drains*: new submissions are refused, queued jobs are journaled as
+interrupted-transient (a resubmitted sweep completes them from cache
+hits), in-flight runs get ``grace_s`` to finish and still reach cache,
+journal, and clients.  A second signal aborts immediately.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
-import signal
 import tempfile
 import threading
 import time
-from concurrent.futures import (CancelledError, Executor,
-                                ProcessPoolExecutor, ThreadPoolExecutor)
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Any, Dict, Optional
 
 from repro.lab.cache import ResultCache
+from repro.lab.core import ExecutionCore
 from repro.lab.journal import SweepJournal
-from repro.lab.results import RunFailure, RunResult
-from repro.lab.runner import _is_transient
 from repro.lab.spec import RunSpec
 from repro.serve import protocol, wire
-from repro.serve.jobstore import QUEUED, Job, JobStore
+from repro.serve.jobstore import Job, JobStore
 from repro.serve.scheduler import FairScheduler
 from repro.serve.worker import serve_entry
 
@@ -144,9 +141,6 @@ class ServeDaemon:
             self.cache = ResultCache(cache)
         self._journal_path = journal
         self._journal: Optional[SweepJournal] = None
-        self._journal_lock = threading.Lock()
-        self.timeout_s = timeout_s
-        self.retries = retries
         self.grace_s = grace_s
         self.checkpoint_dir = checkpoint_dir
         self._owns_spool = spool_dir is None
@@ -156,26 +150,21 @@ class ServeDaemon:
 
         self.store = JobStore(cache=self.cache)
         self.scheduler = FairScheduler(max_inflight_per_client)
+        self.core = ExecutionCore(
+            self.scheduler, self._pool_call, self._on_event, self._note,
+            workers=self.workers, mode=self.mode, cache=self.cache,
+            timeout_s=timeout_s, retries=retries,
+        )
         self.counters: Dict[str, int] = {n: 0 for n in COUNTER_NAMES}
         self._counters_lock = threading.Lock()
 
-        self._cond = threading.Condition()
-        self._draining = False
         self._abort = False
         self._stopping = False
         self._started = False
         self._stopped = threading.Event()
         self._listener = None
-        self._threads = []
         self._conns = set()
         self._conns_lock = threading.Lock()
-        self._executor: Optional[Executor] = None
-        self._executor_broken = False
-        self._executor_lock = threading.Lock()
-        self._running: Dict[Job, Any] = {}
-        self._running_lock = threading.Lock()
-        self._free_requeued = set()
-        self._spool_lock = threading.Lock()
         self._started_at = time.monotonic()
 
     # -- lifecycle -----------------------------------------------------
@@ -192,18 +181,16 @@ class ServeDaemon:
         else:
             self.spool_dir.mkdir(parents=True, exist_ok=True)
         if self._journal_path is not None:
-            self._journal = SweepJournal(self._journal_path, resume=True)
-            self._journal_note("serve_start", address=self.address,
-                              workers=self.workers, mode=self.mode)
+            self._journal = self.core.journal = SweepJournal(
+                self._journal_path, resume=True)
+            self._journal.record_note("serve_start", address=self.address,
+                                      workers=self.workers, mode=self.mode)
         self._listener = protocol.create_listener(self.address)
         for name, target in (
             ("serve-accept", self._accept_loop),
             ("serve-dispatch", self._dispatch_loop),
-            ("serve-tail", self._tail_loop),
         ):
-            thread = threading.Thread(target=target, name=name, daemon=True)
-            thread.start()
-            self._threads.append(thread)
+            threading.Thread(target=target, name=name, daemon=True).start()
         self._note(f"serving on {self.address} "
                    f"({self.workers} {self.mode} workers)")
         return self
@@ -214,37 +201,22 @@ class ServeDaemon:
         Returns 0 after a clean drain, 130 after a two-signal abort.
         """
         self.start()
-        on_main = threading.current_thread() is threading.main_thread()
-        previous: Dict[int, Any] = {}
 
-        def _on_signal(_signum, _frame):
-            if self._draining:
-                self.request_shutdown(drain=False)
-            else:
+        def on_signal(repeat: bool) -> None:
+            self._abort = self._abort or repeat
+            if not repeat:
                 self._note("signal received: draining "
                            "(repeat to abort immediately)")
-                self.request_shutdown(drain=True)
 
-        if on_main:
-            for sig in (signal.SIGINT, signal.SIGTERM):
-                try:
-                    previous[sig] = signal.signal(sig, _on_signal)
-                except (ValueError, OSError):  # pragma: no cover
-                    pass
-        try:
+        with self.core.drain_on_signal(self.grace_s, on_signal):
             self._stopped.wait()
-        finally:
-            for sig, handler in previous.items():
-                signal.signal(sig, handler)
         return 130 if self._abort else 0
 
     def request_shutdown(self, drain: bool = True) -> None:
         """Ask the daemon to stop (thread- and signal-safe)."""
-        with self._cond:
-            if not drain:
-                self._abort = True
-            self._draining = True
-            self._cond.notify_all()
+        if not drain:
+            self._abort = True
+        self.core.begin_drain(self.grace_s if drain else 0.0)
 
     def join(self, timeout: Optional[float] = None) -> bool:
         return self._stopped.wait(timeout)
@@ -258,7 +230,8 @@ class ServeDaemon:
 
     def status(self) -> Dict[str, Any]:
         with self._counters_lock:
-            counters = dict(self.counters)
+            counters = dict(self.counters, retried=self.core.retried,
+                            worker_losses=self.core.worker_losses)
         return {
             "address": self.address,
             "protocol": protocol.PROTOCOL_VERSION,
@@ -267,7 +240,7 @@ class ServeDaemon:
             "mode": self.mode,
             "cache_dir": str(self.cache.directory) if self.cache else None,
             "uptime_s": round(time.monotonic() - self._started_at, 1),
-            "draining": self._draining,
+            "draining": self.core.draining,
             "counters": counters,
             "jobs": self.store.counts(),
             "pending_by_client": self.scheduler.pending_by_client(),
@@ -279,37 +252,9 @@ class ServeDaemon:
         if self.progress is not None:
             self.progress(f"[serve] {message}")
 
-    def _count(self, name: str, delta: int = 1) -> None:
+    def _count(self, name: str) -> None:
         with self._counters_lock:
-            self.counters[name] += delta
-
-    def _journal_note(self, note: str, **detail: Any) -> None:
-        if self._journal is None:
-            return
-        with self._journal_lock:
-            self._journal.record_note(note, **detail)
-
-    def _journal_spec(self, spec: RunSpec) -> None:
-        if self._journal is None:
-            return
-        with self._journal_lock:
-            self._journal.record_spec(spec)
-
-    def _journal_done(self, spec_hash: str, from_cache: bool,
-                      cycles: int) -> None:
-        if self._journal is None:
-            return
-        with self._journal_lock:
-            self._journal.record_done(spec_hash, from_cache=from_cache,
-                                      cycles=cycles)
-
-    def _journal_failed(self, spec_hash: str, error_type: str,
-                        transient: bool) -> None:
-        if self._journal is None:
-            return
-        with self._journal_lock:
-            self._journal.record_failed(spec_hash, error_type=error_type,
-                                        transient=transient)
+            self.counters[name] += 1
 
     # -- accept / client loops ----------------------------------------
 
@@ -386,7 +331,7 @@ class ServeDaemon:
 
     def _handle_submit(self, conn: _ClientConn,
                        message: Dict[str, Any]) -> None:
-        if self._draining:
+        if self.core.draining:
             conn.send({"type": "error",
                        "message": "daemon is draining; "
                                   "resubmit to a fresh daemon"})
@@ -406,67 +351,47 @@ class ServeDaemon:
             priority=int(message.get("priority", 0)),
         )
         self._count("submitted")
-        self._journal_spec(spec)
+        if self._journal is not None:
+            self._journal.record_spec(spec)
         conn.send({"type": "accepted", "job_id": job.id,
                    "spec_hash": job.spec_hash, "status": status})
         if status == "cached":
+            # Answered here, on the client's thread: a cache hit never
+            # enters the core.
             self._count("cache_hits")
-            self._journal_done(job.spec_hash, from_cache=True,
-                              cycles=job.result.cycles)
+            if self._journal is not None:
+                self._journal.record_outcome(job.result)
             conn.send({"type": "result", "job_id": job.id,
                        "result": wire.result_to_wire(job.result)})
         elif status == "attached":
             self._count("attached")
         else:
-            self.scheduler.push(job)
-            with self._cond:
-                self._cond.notify_all()
+            self.core.submit(job)
         self._note(f"{spec.display}: {status} as {job.id} "
                    f"(client {conn.name})")
 
-    # -- dispatch ------------------------------------------------------
-
-    def _ensure_executor(self) -> Executor:
-        with self._executor_lock:
-            if self._executor is not None and self._executor_broken:
-                self._executor.shutdown(wait=False, cancel_futures=True)
-                self._executor = None
-                self._executor_broken = False
-            if self._executor is None:
-                if self.mode == "thread":
-                    self._executor = ThreadPoolExecutor(
-                        max_workers=self.workers,
-                        thread_name_prefix="serve-worker",
-                    )
-                else:
-                    self._executor = ProcessPoolExecutor(
-                        max_workers=self.workers
-                    )
-            return self._executor
+    # -- execution (all on the serve-dispatch thread) -----------------
 
     def _dispatch_loop(self) -> None:
-        while True:
-            with self._cond:
-                if self._draining:
-                    break
-                job = self.scheduler.pop()
-                if job is None:
-                    self._cond.wait(0.5)
-                    continue
-            self._dispatch(job)
-        self._drain_and_stop()
+        core = self.core
+        try:
+            while not core.draining:
+                self._turn()
+            if self._journal is not None:
+                self._journal.record_note("drain", running=len(core.running),
+                                          queued=len(self.scheduler))
+            while not core.idle:
+                self._turn()
+        finally:
+            self._stop()
 
-    def _dispatch(self, job: Job) -> None:
-        # The cache may have gained this entry since submission (another
-        # daemon or a direct Runner sharing the directory): late dedup
-        # still skips the worker.
-        cached = (self.cache.get(job.spec)
-                  if self.cache is not None else None)
-        if cached is not None:
-            self.scheduler.job_finished(job.client)
-            self._count("cache_hits")
-            self._complete(job, cached, from_cache=True)
-            return
+    def _turn(self) -> None:
+        self.core.pump(self.poll_interval_s)
+        for job in self.core.running:
+            self._drain_spool(job)
+
+    def _pool_call(self, job: Job) -> tuple:
+        """The core is about to start an attempt of ``job``."""
         self.store.mark_running(job)
         job.progress_path = str(self.spool_dir / f"{job.id}.progress.jsonl")
         self._count("dispatched")
@@ -475,121 +400,31 @@ class ServeDaemon:
                        "data": {"kind": "lifecycle", "phase": "dispatched",
                                 "attempt": job.attempts}},
                       stream_only=True)
-        try:
-            executor = self._ensure_executor()
-            future = executor.submit(
-                serve_entry, job.spec, job.progress_path, self.timeout_s,
-                self.checkpoint_dir, None,
-            )
-        except (RuntimeError, BrokenProcessPool) as exc:
-            self.scheduler.job_finished(job.client)
-            self._job_outcome(job, exc)
-            return
-        with self._running_lock:
-            self._running[job] = future
-        future.add_done_callback(
-            lambda f, j=job: self._on_future_done(j, f)
-        )
+        # Looked up at call time: tests substitute the worker entry.
+        return (serve_entry, job.spec, job.progress_path,
+                self.core.timeout_s, self.checkpoint_dir)
 
-    def _on_future_done(self, job: Job, future) -> None:
-        try:
-            outcome: Any = future.result()
-        except CancelledError:
-            outcome = RunFailure(
-                spec=job.spec, spec_hash=job.spec_hash,
-                error_type="RunInterrupted",
-                message="daemon drained before this job completed",
-                attempts=job.attempts, transient=True,
-            )
-        except BaseException as exc:  # noqa: BLE001 - classified below
-            outcome = exc
-        with self._running_lock:
-            self._running.pop(job, None)
-        self.scheduler.job_finished(job.client)
-        self._job_outcome(job, outcome)
-        with self._cond:
-            self._cond.notify_all()
-
-    def _job_outcome(self, job: Job, outcome: Any) -> None:
-        if isinstance(outcome, RunResult):
-            self._complete(job, outcome, from_cache=False)
-            return
-        if isinstance(outcome, RunFailure):
-            self._fail(job, outcome)
-            return
-        exc = outcome
-        if isinstance(exc, BrokenProcessPool):
-            with self._executor_lock:
-                self._executor_broken = True
-            if job.id not in self._free_requeued and not self._draining:
-                # The worker died under this job; that says nothing
-                # about the job.  One free re-queue, like the Runner.
-                self._free_requeued.add(job.id)
-                self._count("worker_losses")
-                self._note(f"{job.spec.display}: worker died, re-queued")
-                self.store.mark_requeued(job)
-                self.scheduler.push(job)
-                with self._cond:
-                    self._cond.notify_all()
-                return
-        transient = _is_transient(exc)
-        if (transient and job.attempts < self.retries + 1
-                and not self._draining):
-            self._count("retried")
-            self._note(f"{job.spec.display}: transient "
-                       f"{type(exc).__name__}, retrying")
-            self.store.mark_requeued(job)
-            self.scheduler.push(job)
-            with self._cond:
-                self._cond.notify_all()
-            return
-        hang_report = getattr(exc, "report", None)
-        self._fail(job, RunFailure(
-            spec=job.spec, spec_hash=job.spec_hash,
-            error_type=type(exc).__name__, message=str(exc),
-            attempts=max(job.attempts, 1), transient=transient,
-            hang=hang_report.to_dict() if hang_report is not None else None,
-        ))
-
-    def _complete(self, job: Job, result: RunResult,
-                  from_cache: bool) -> None:
-        result.label = job.spec.label
-        if not from_cache:
-            result.attempts = max(job.attempts, 1)
-            if self.cache is not None:
-                self.cache.put(job.spec, result)
-        self._drain_spool(job, final=True)
-        self._journal_done(job.spec_hash, from_cache=from_cache,
-                           cycles=result.cycles)
-        self.store.finish(job, result)
-        # Count before broadcasting: a client that queries status right
-        # after receiving its result must see this completion.
-        self._count("completed")
-        job.broadcast({"type": "result", "job_id": job.id,
-                       "result": wire.result_to_wire(result)})
-        self._note(f"{job.spec.display}: "
-                   f"{'cached' if from_cache else 'done'} "
-                   f"({result.cycles} cycles)")
-
-    def _fail(self, job: Job, failure: RunFailure) -> None:
-        self._drain_spool(job, final=True)
-        self._journal_failed(job.spec_hash, failure.error_type,
-                             failure.transient)
-        self.store.finish(job, failure)
-        self._count("failed")
-        job.broadcast({"type": "failure", "job_id": job.id,
-                       "failure": wire.failure_to_wire(failure)})
-        self._note(f"{job.spec.display}: FAILED ({failure.error_type})")
+    def _on_event(self, kind: str, job: Job, detail: Any) -> None:
+        """The core's listener: job states, counters, result fan-out."""
+        if kind == "settled":
+            self._drain_spool(job, final=True)
+            self.store.finish(job, detail)
+            # Count before broadcasting: a client that queries status
+            # right after receiving its result must see this outcome.
+            if detail.ok:
+                if detail.from_cache:  # the dispatch-time re-check hit
+                    self._count("cache_hits")
+                self._count("completed")
+                job.broadcast({"type": "result", "job_id": job.id,
+                               "result": wire.result_to_wire(detail)})
+            else:
+                self._count("failed")
+                job.broadcast({"type": "failure", "job_id": job.id,
+                               "failure": wire.failure_to_wire(detail)})
+        elif kind == "retry" or (kind == "worker_lost" and detail):
+            self.store.mark_requeued(job)  # back in the queue: poppable
 
     # -- progress streaming -------------------------------------------
-
-    def _tail_loop(self) -> None:
-        while not self._stopped.is_set():
-            time.sleep(self.poll_interval_s)
-            with self._running_lock:
-                running = list(self._running)
-            for job in running:
-                self._drain_spool(job)
 
     def _drain_spool(self, job: Job, final: bool = False) -> None:
         """Forward new spool lines to subscribers (ordered vs result:
@@ -597,30 +432,21 @@ class ServeDaemon:
         path = job.progress_path
         if path is None:
             return
-        with self._spool_lock:
+        try:
+            with open(path, "rb") as handle:
+                handle.seek(job.progress_offset)
+                chunk = handle.read()
+        except OSError:
+            return
+        lines = chunk.split(b"\n")
+        # A torn final line stays buffered for the next poll.
+        remainder = lines.pop()
+        job.progress_offset += len(chunk) - len(remainder)
+        for line in lines:
             try:
-                with open(path, "rb") as handle:
-                    handle.seek(job.progress_offset)
-                    chunk = handle.read()
-            except OSError:
-                return
-            if chunk:
-                lines = chunk.split(b"\n")
-                # A torn final line stays buffered for the next poll.
-                remainder = lines.pop()
-                job.progress_offset += len(chunk) - len(remainder)
-                records = []
-                for line in lines:
-                    if not line.strip():
-                        continue
-                    try:
-                        import json
-                        records.append(json.loads(line))
-                    except ValueError:
-                        continue
-            else:
-                records = []
-        for record in records:
+                record = json.loads(line)
+            except ValueError:
+                continue
             job.broadcast({"type": "progress", "job_id": job.id,
                            "spec_hash": job.spec_hash,
                            "kind": record.get("kind", "unknown"),
@@ -635,45 +461,8 @@ class ServeDaemon:
 
     # -- shutdown ------------------------------------------------------
 
-    def _drain_and_stop(self) -> None:
-        """Runs on the dispatcher thread once draining is requested."""
-        self._journal_note("drain",
-                           running=len(self._running),
-                           queued=len(self.scheduler))
-        deadline = time.monotonic() + (0.0 if self._abort else self.grace_s)
-        while time.monotonic() < deadline and not self._abort:
-            with self._running_lock:
-                if not self._running:
-                    break
-            time.sleep(0.05)
-        # Queued jobs never ran: journal them interrupted-transient so a
-        # resubmitted sweep (or `repro sweep --resume` on this journal)
-        # completes them, and tell their subscribers.
-        interrupted = 0
-        while True:
-            job = self.scheduler.pop()
-            if job is None:
-                break
-            self.scheduler.job_finished(job.client)
-            self._fail(job, RunFailure(
-                spec=job.spec, spec_hash=job.spec_hash,
-                error_type="RunInterrupted",
-                message="daemon drained before this job started",
-                attempts=0, transient=True,
-            ))
-            interrupted += 1
-        with self._running_lock:
-            still_running = list(self._running)
-        for job in still_running:
-            # Grace expired (or abort): journal as interrupted; the
-            # worker may still finish, but we no longer wait for it.
-            self._fail(job, RunFailure(
-                spec=job.spec, spec_hash=job.spec_hash,
-                error_type="RunInterrupted",
-                message="daemon stopped before this job completed",
-                attempts=job.attempts, transient=True,
-            ))
-            interrupted += 1
+    def _stop(self) -> None:
+        """Tear down once the core has settled every job."""
         self._stopping = True
         if self._listener is not None:
             try:
@@ -686,18 +475,15 @@ class ServeDaemon:
                     os.unlink(target)
                 except OSError:
                     pass
-        with self._executor_lock:
-            if self._executor is not None:
-                self._executor.shutdown(wait=False, cancel_futures=True)
+        self.core.close()
         with self._conns_lock:
             conns = list(self._conns)
         for conn in conns:
             conn.close()
-        self._journal_note("serve_exit", interrupted=interrupted,
-                           abort=self._abort)
         if self._journal is not None:
-            with self._journal_lock:
-                self._journal.close()
+            self._journal.record_note("serve_exit", abort=self._abort,
+                                      interrupted=self.core.interrupted)
+            self._journal.close()
         if self._owns_spool and self.spool_dir is not None:
             shutil.rmtree(self.spool_dir, ignore_errors=True)
         self._note("stopped" + (" (abort)" if self._abort else ""))

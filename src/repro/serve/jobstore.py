@@ -29,6 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.lab.core import Task
 from repro.lab.results import RunFailure, RunResult
 from repro.lab.spec import RunSpec
 
@@ -44,21 +45,18 @@ ACTIVE_STATES = (QUEUED, RUNNING)
 
 
 @dataclass(eq=False)  # identity semantics: jobs are mutable registry rows
-class Job:
-    """One unit of daemon work: a spec plus everyone waiting on it."""
+class Job(Task):
+    """One unit of daemon work: the execution core's task (``spec``,
+    ``client``, ``attempts``) plus everyone waiting on it."""
 
     id: str
-    spec: RunSpec
     spec_hash: str
-    client: str
     priority: int = 0
     state: str = QUEUED
     subscribers: List[Any] = field(default_factory=list)
     result: Optional[RunResult] = None
     failure: Optional[RunFailure] = None
-    attempts: int = 0
     submitted_at: float = field(default_factory=time.monotonic)
-    started_at: Optional[float] = None
     finished_at: Optional[float] = None
     #: Progress spool the worker writes and the tailer reads.
     progress_path: Optional[str] = None
@@ -78,15 +76,19 @@ class Job:
         job or its other subscribers.
         """
         delivered = 0
-        survivors = []
-        for sub in self.subscribers:
+        # Iterate a snapshot and remove only the dead: ``JobStore.submit``
+        # may attach a subscriber on another thread while a send blocks,
+        # and rewriting the list here would drop it.
+        for sub in list(self.subscribers):
             if stream_only and not getattr(sub, "wants_stream", True):
-                survivors.append(sub)
                 continue
             if sub.send(message):
-                survivors.append(sub)
                 delivered += 1
-        self.subscribers[:] = survivors
+            else:
+                try:
+                    self.subscribers.remove(sub)
+                except ValueError:
+                    pass  # a concurrent broadcast dropped it first
         return delivered
 
 
@@ -139,9 +141,6 @@ class JobStore:
     def mark_running(self, job: Job) -> None:
         with self._lock:
             job.state = RUNNING
-            job.attempts += 1
-            if job.started_at is None:
-                job.started_at = time.monotonic()
 
     def mark_requeued(self, job: Job) -> None:
         with self._lock:
@@ -183,13 +182,6 @@ class JobStore:
         if state is not None:
             jobs = [j for j in jobs if j.state == state]
         return jobs
-
-    def drop_subscriber(self, subscriber: Any) -> None:
-        """Remove a disconnected client from every job it watched."""
-        with self._lock:
-            for job in self._jobs.values():
-                if subscriber in job.subscribers:
-                    job.subscribers.remove(subscriber)
 
     def counts(self) -> Dict[str, int]:
         with self._lock:

@@ -14,8 +14,8 @@ any client's jobs may occupy workers at once:
 * a client at its inflight budget is skipped until one of its runs
   completes, capping the damage of a single client with long jobs.
 
-The scheduler is pure data structure — no threads, no clock.  The
-daemon's dispatcher drives it under its own condition variable.
+The scheduler is pure data structure — no threads, no clock: the queue
+of the daemon's execution core (client threads push, its pump pops).
 """
 
 from __future__ import annotations

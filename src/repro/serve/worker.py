@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import os
+from functools import partial
 from typing import Any, Dict, Optional
 
 from repro.lab.results import RunResult
@@ -140,41 +141,31 @@ class StreamingObservability(Observability):
                                "event": event_to_dict(event)})
 
 
-def serve_entry(spec: RunSpec, progress_path: Optional[str],
+def serve_entry(spec: RunSpec, progress_path: str,
                 timeout_s: Optional[float] = None,
-                checkpoint_dir=None,
-                checkpoint_every=None) -> RunResult:
+                checkpoint_dir=None) -> RunResult:
     """Execute one job, spooling progress to ``progress_path``.
 
     Runs in a pool worker (process or thread).  Exceptions propagate to
-    the daemon exactly as they do to the lab Runner — the daemon owns
-    retry/failure classification.
+    the execution core, which owns retry/failure classification.
     """
-    writer = ProgressWriter(progress_path) if progress_path else None
-    obs_override = None
-    if writer is not None:
-        writer.lifecycle("started", pid=os.getpid(),
-                         spec_hash=spec.content_hash())
-        if spec.obs is not None:
-            obs_override = StreamingObservability(spec.obs, writer)
-
-    def entry(s: RunSpec) -> RunResult:
-        return execute_run(s, checkpoint_dir=checkpoint_dir,
-                           checkpoint_every=checkpoint_every,
-                           obs=obs_override)
-
+    writer = ProgressWriter(progress_path)
+    writer.lifecycle("started", pid=os.getpid(),
+                     spec_hash=spec.content_hash())
+    obs = (StreamingObservability(spec.obs, writer)
+           if spec.obs is not None else None)
+    run_fn = partial(execute_run, checkpoint_dir=checkpoint_dir, obs=obs)
     try:
-        result = _run_with_timeout(entry, spec, timeout_s)
+        result = _run_with_timeout(run_fn, spec, timeout_s)
     except BaseException as exc:
-        if writer is not None:
-            writer.lifecycle("failed", error=type(exc).__name__)
-            writer.close()
+        writer.lifecycle("failed", error=type(exc).__name__)
         raise
-    if writer is not None:
+    else:
         writer.lifecycle("finished", cycles=result.cycles,
                          elapsed_s=round(result.elapsed_s, 3))
+        return result
+    finally:
         writer.close()
-    return result
 
 
 __all__ = [

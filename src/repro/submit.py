@@ -182,15 +182,23 @@ class SubmitBatch:
         """The batch as a :class:`~repro.lab.runner.BatchReport` — the
         shape sweep/bench/fuzz reporting already consumes.  Blocks
         until every handle is terminal."""
-        if self._report is None:
-            start = time.perf_counter()
-            results = self.outcomes()
-            self._report = BatchReport(
-                results=results, elapsed_s=time.perf_counter() - start,
-            )
-            if self._owned_client is not None:
-                self._owned_client.close()
-                self._owned_client = None
+        return self._resolve() if self._report is None else self._report
+
+    def _resolve(self, journal=None) -> BatchReport:
+        """Wait for every outcome (mirroring each into ``journal`` the
+        moment it arrives), build the report, release the client."""
+        start = time.perf_counter()
+        results = []
+        for handle in self.handles:
+            results.append(handle.outcome())
+            if journal is not None:
+                journal.record_outcome(results[-1])
+        self._report = BatchReport(
+            results=results, elapsed_s=time.perf_counter() - start,
+        )
+        if self._owned_client is not None:
+            self._owned_client.close()
+            self._owned_client = None
         return self._report
 
 
@@ -317,29 +325,11 @@ def submit_many(
                                          priority=priority)
             handles.append(RunHandle(spec, "server",
                                      serve_handle=serve_handle))
+        batch = SubmitBatch(handles, "server",
+                            owned_client=client if owned else None)
         if journal is not None:
-            start = time.perf_counter()
-            results = []
-            for handle in handles:
-                outcome = handle.outcome()
-                results.append(outcome)
-                if isinstance(outcome, RunResult):
-                    journal.record_done(outcome.spec_hash,
-                                        from_cache=outcome.from_cache,
-                                        cycles=outcome.cycles)
-                else:
-                    journal.record_failed(outcome.spec_hash,
-                                          error_type=outcome.error_type,
-                                          transient=outcome.transient)
-            batch = SubmitBatch(handles, "server")
-            batch._report = BatchReport(
-                results=results, elapsed_s=time.perf_counter() - start,
-            )
-            if owned:
-                client.close()
-            return batch
-        return SubmitBatch(handles, "server",
-                           owned_client=client if owned else None)
+            batch._resolve(journal)
+        return batch
     except Exception:
         if owned:
             client.close()

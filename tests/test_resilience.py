@@ -2,7 +2,9 @@
 losing the disk.
 
 Covers the recovery matrix of ``docs/robustness.md``: a SIGKILLed pool
-worker (re-queued exactly once, for free), a SIGKILLed *parent* (sweep
+worker (re-queued exactly once, for free — and the fault-parity litmus:
+the same fault sequence ends the same way through ``Runner`` and
+through ``repro serve``), a SIGKILLed *parent* (sweep
 completed from its journal without recomputing finished specs), a torn
 cache write (quarantined, then recomputed), concurrent Runners sharing
 one cache directory, graceful SIGINT draining, and the SIGALRM
@@ -11,17 +13,23 @@ save/restore contract of the per-run timeout.
 
 from __future__ import annotations
 
+import functools
 import json
+import logging
 import os
 import random
+import shutil
 import signal
 import subprocess
 import sys
+import tempfile
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
+import repro.serve.daemon as daemon_mod
 from repro.harness.runner import make_config
 from repro.lab import (FileLock, LockTimeout, ResultCache, Runner, RunSpec,
                        decorrelated_jitter, load_journal, resume_sweep)
@@ -29,6 +37,8 @@ from repro.lab import _testing
 from repro.lab.journal import JournalError, SweepJournal
 from repro.lab.runner import _run_with_timeout
 from repro.obs import EventBus
+from repro.serve import ServeClient, ServeDaemon
+from repro.sim.progress import SimulationDeadlock
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -261,6 +271,113 @@ def test_repeated_worker_loss_consumes_the_retry_budget(
     # One free re-queue + the budgeted attempts: 1 original + 1 retry.
     assert failure.attempts == 2
     assert report.worker_losses == 3
+
+
+# Fault-parity litmus: one fault sequence, two roads, one outcome.  Small
+# tests with outcomes known a priori, run against every front end of the
+# execution core (process-mode pools: only those can lose a worker).
+
+
+def _kill_then_flake(spec):
+    _testing.kill_worker_once(spec)      # SIGKILLs the first worker here,
+    return _testing.flaky_then_ok(spec)  # then one transient error, then ok
+
+
+def _hangs(spec):
+    raise SimulationDeadlock("wedged")
+
+
+def _outlives_grace(spec):
+    time.sleep(1.0)
+    return _testing.fabricate_result(spec)
+
+
+def _entry_without_spool(run_fn, spec, *_serve_entry_args):
+    """``serve_entry`` stand-in running an injector (module-level, so a
+    ``functools.partial`` of it pickles into the daemon's process pool)."""
+    return run_fn(spec)
+
+
+@pytest.fixture(params=["runner", "served"])
+def travel(request, tmp_path, monkeypatch):
+    """``travel(run_fn, retries, drain_after_s=None)`` sends one spec
+    down one road and returns ``(outcome, counters, journal_path)``.
+    ``drain_after_s`` starts a drain (``grace_s=0.2``) that long after
+    submission: SIGINT for the Runner, ``request_shutdown`` served."""
+    monkeypatch.setenv(_testing.SENTINEL_ENV, str(tmp_path / "sentinel"))
+    journal_path = tmp_path / "journal.jsonl"
+
+    def by_runner(run_fn, retries, drain_after_s=None):
+        runner = Runner(workers=1, mode="process", run_fn=run_fn,
+                        retries=retries, grace_s=0.2)
+        if drain_after_s is not None:
+            threading.Timer(drain_after_s, os.kill,
+                            (os.getpid(), signal.SIGINT)).start()
+        with SweepJournal(journal_path) as journal:
+            report = runner.run_many([_spec(0)], journal=journal)
+        return report.results[0], report.manifest(), journal_path
+
+    def served(run_fn, retries, drain_after_s=None):
+        monkeypatch.setattr(daemon_mod, "serve_entry",
+                            functools.partial(_entry_without_spool, run_fn))
+        sock_dir = tempfile.mkdtemp(prefix="repro-litmus-")  # short path
+        daemon = ServeDaemon(os.path.join(sock_dir, "s.sock"), workers=1,
+                             mode="process", cache=False,
+                             journal=journal_path, retries=retries,
+                             grace_s=0.2, poll_interval_s=0.01).start()
+        try:
+            with ServeClient(daemon.address, name="litmus") as client:
+                handle = client.submit(_spec(0))
+                if drain_after_s is not None:
+                    time.sleep(drain_after_s)
+                    daemon.request_shutdown(drain=True)
+                outcome = handle.outcome(timeout=60)
+            return outcome, daemon.status()["counters"], journal_path
+        finally:
+            daemon.close()
+            shutil.rmtree(sock_dir, ignore_errors=True)
+
+    return by_runner if request.param == "runner" else served
+
+
+@pytest.mark.parametrize(
+    "run_fn, retries, ok, error_type, attempts, retried, worker_losses", [
+        # (a) a worker loss is free: not an attempt, not a retry.
+        (_testing.kill_worker_once, 1, True, None, 1, 0, 1),
+        # (b) the free re-queue leaves the whole retry budget intact.
+        (_kill_then_flake, 1, True, None, 2, 1, 1),
+        # (c) only the first loss is free; the rest are budgeted attempts.
+        (_testing.kill_always, 1, False, "BrokenProcessPool", 2, 1, 3),
+        # (d) a hang is a property of the spec: never retried.
+        (_hangs, 3, False, "SimulationDeadlock", 1, 0, 0),
+    ], ids=["kill-once", "kill-then-flake", "kill-always", "hang"])
+def test_fault_sequence_ends_the_same_on_every_road(
+        travel, run_fn, retries, ok, error_type, attempts, retried,
+        worker_losses):
+    outcome, counters, _ = travel(run_fn, retries)
+    assert outcome.ok is ok
+    assert getattr(outcome, "error_type", None) == error_type
+    assert outcome.attempts == attempts
+    assert counters["retried"] == retried
+    assert counters["worker_losses"] == worker_losses
+
+
+def test_run_outliving_the_grace_period_is_settled_exactly_once(
+        travel, caplog):
+    """(e) The drain deadline settles the run as interrupted; when its
+    worker lands anyway, nothing is journaled or raised a second time."""
+    with caplog.at_level(logging.ERROR, logger="concurrent.futures"):
+        outcome, _, journal_path = travel(_outlives_grace, 1,
+                                          drain_after_s=0.3)
+        time.sleep(1.2)  # the abandoned worker finishes its sleep
+    assert not outcome.ok and outcome.error_type == "RunInterrupted"
+    assert outcome.transient and outcome.attempts == 1
+    records = [json.loads(line)
+               for line in journal_path.read_text().splitlines()]
+    terminal = [r for r in records if r["type"] in ("done", "failed")
+                and r["hash"] == _spec(0).content_hash()]
+    assert [r["type"] for r in terminal] == ["failed"]
+    assert not caplog.records  # e.g. "exception calling callback for ..."
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,15 @@ Covered guarantees (see ``docs/serve.md``):
 * concurrent duplicate submissions trigger **exactly one** simulation;
 * a cached spec is answered with **no dispatch**;
 * a client disconnecting **mid-stream** never disturbs the job or its
-  other subscribers;
+  other subscribers, and a subscriber attaching **mid-broadcast** (or a
+  second handle registering after the result overtook its ``accepted``
+  reply) still gets the result;
 * SIGTERM **drains to the journal** (subprocess test).
 """
 
 import json
 import os
+import queue
 import shutil
 import signal
 import subprocess
@@ -36,7 +39,8 @@ from repro.lab.results import RunResult
 from repro.lab.runner import execute_run
 from repro.lab.spec import RunSpec
 from repro.obs import ObsConfig
-from repro.serve import ServeClient, ServeDaemon, ServeError
+from repro.serve import ServeClient, ServeDaemon, ServeError, protocol, wire
+from repro.serve.jobstore import JobStore
 
 VECADD = dict(n_threads=64, per_thread=2, block_dim=32)
 HT = dict(n_threads=64, n_buckets=8, items_per_thread=1, block_dim=64)
@@ -244,6 +248,82 @@ def test_connection_loss_fails_outstanding_handles(daemon, gated_worker):
         handle.outcome()
 
 
+def test_subscriber_attached_during_a_broadcast_is_kept():
+    """``Job.broadcast`` must not drop a subscriber that
+    ``JobStore.submit`` attaches while one of its sends is blocked."""
+    entered, release = threading.Event(), threading.Event()
+
+    class Subscriber:
+        wants_stream = True
+
+        def __init__(self, blocks=False):
+            self.blocks, self.got = blocks, []
+
+        def send(self, message):
+            if self.blocks and message["type"] == "progress":
+                entered.set()
+                assert release.wait(10)
+            self.got.append(message["type"])
+            return True
+
+    store = JobStore(cache=None)
+    slow, late = Subscriber(blocks=True), Subscriber()
+    job, _ = store.submit(_spec(), client="a", subscriber=slow)
+    sender = threading.Thread(target=job.broadcast,
+                              args=({"type": "progress"},), daemon=True)
+    sender.start()
+    assert entered.wait(10)
+    _, status = store.submit(_spec(), client="b", subscriber=late)
+    assert status == "attached"
+    release.set()
+    sender.join(10)
+    assert not sender.is_alive()
+    job.broadcast({"type": "result"})
+    assert slow.got == ["progress", "result"]
+    assert late.got == ["result"]
+
+
+def test_result_overtaking_accepted_reaches_the_second_handle(monkeypatch):
+    """The daemon's result broadcast and a resubmission's ``accepted``
+    reply race on the socket; scripted here in the losing order: the
+    second handle registers after the reader already routed the result
+    to the first, and must still resolve."""
+    spec = _spec(label="twice")
+    result = wire.result_to_wire(execute_run(spec))
+    accepted = {"type": "accepted", "job_id": "j1",
+                "spec_hash": spec.content_hash()}
+    replies = iter([
+        [{**accepted, "status": "queued"}],
+        [{"type": "result", "job_id": "j1", "result": result},
+         {**accepted, "status": "attached"}],
+    ])
+
+    class ScriptedStream:
+        def __init__(self, _sock):
+            self.inbox = queue.Queue()
+
+        def send(self, message):
+            for reply in ([{"type": "hello_ack",
+                            "protocol": protocol.PROTOCOL_VERSION}]
+                          if message["type"] == "hello" else next(replies)):
+                self.inbox.put(reply)
+
+        def recv(self):
+            return self.inbox.get()
+
+        def close(self):
+            self.inbox.put(None)
+
+    monkeypatch.setattr(protocol, "connect", lambda *a, **kw: None)
+    monkeypatch.setattr(protocol, "MessageStream", ScriptedStream)
+    with ServeClient("scripted") as client:
+        first = client.submit(spec)
+        second = client.submit(spec)
+        assert second.status == "attached"
+        assert first.wait(10) and second.wait(10)
+        assert second.outcome().cycles == first.outcome().cycles
+
+
 # ----------------------------------------------------------- protocol
 
 
@@ -286,6 +366,55 @@ def test_submit_refused_while_draining(daemon, gated_worker):
         gated_worker.set()
         # The in-flight run still finishes and reaches its subscriber.
         assert isinstance(running.outcome(timeout=60), RunResult)
+
+
+# ------------------------------------------------- concurrent clients
+
+
+def test_concurrent_clients_every_submission_settles_once(
+        daemon, monkeypatch):
+    """More client threads than cores push into the core's queue while
+    its one pump thread dispatches and settles: every handle resolves,
+    every distinct spec is simulated and completed exactly once."""
+    from repro.lab._testing import fabricate_result
+
+    monkeypatch.setattr(daemon_mod, "serve_entry",
+                        lambda spec, *_args: fabricate_result(spec))
+    n_clients, n_specs = 8, 12
+    specs = [_spec(seed=i, label=f"s{i}") for i in range(n_specs)]
+    resolved, errors = [], []
+
+    def client_loop(offset):
+        try:
+            with _client(daemon, f"storm-{offset}") as client:
+                order = specs[offset:] + specs[:offset]  # overlap + dedup
+                handles = [client.submit(spec, stream=False)
+                           for spec in order]
+                resolved.extend(h.outcome(timeout=30).spec_hash
+                                for h in handles)
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=client_loop, args=(i,),
+                                    daemon=True) for i in range(n_clients)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    assert sorted(resolved) == sorted(
+        [spec.content_hash() for spec in specs] * n_clients)
+    counters = daemon.status()["counters"]
+    assert counters["dispatched"] == counters["completed"] == n_specs
+    assert counters["failed"] == 0
+    assert (counters["attached"] + counters["cache_hits"]
+            == n_clients * n_specs - n_specs)
 
 
 # ------------------------------------------------------- process mode
