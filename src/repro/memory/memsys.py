@@ -20,7 +20,7 @@ Coherence model (Fermi-faithful, Section II of the paper):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -65,7 +65,9 @@ class GlobalMemory:
 
     def _index(self, byte_addrs: np.ndarray) -> np.ndarray:
         idx = np.asarray(byte_addrs, dtype=np.int64) // WORD_BYTES
-        if (idx < 0).any() or (idx >= self.words.size).any():
+        # One comparison for both bounds: reinterpreted as unsigned, a
+        # negative index is larger than any array size.
+        if np.count_nonzero(idx.view(np.uint64) >= self.words.size):
             raise IndexError("global memory access out of bounds")
         return idx
 
@@ -82,7 +84,7 @@ class GlobalMemory:
     # Convenience scalar/stage helpers for workload setup and validation.
 
     def read_word(self, byte_addr: int) -> int:
-        return int(self.words[byte_addr // WORD_BYTES])
+        return self.words.item(byte_addr // WORD_BYTES)
 
     def write_word(self, byte_addr: int, value: int) -> None:
         self.words[byte_addr // WORD_BYTES] = value
@@ -164,11 +166,14 @@ class MemorySubsystem:
                     service: Optional[int] = None) -> int:
         """Completion cycle of an L2 access arriving at ``now``."""
         cfg = self.config
-        bank = (line_addr // cfg.l2.line_bytes) % cfg.num_l2_banks
-        start = max(now, self._bank_free[bank])
+        bank_free = self._bank_free
+        bank = (line_addr // cfg.l2.line_bytes) % len(bank_free)
+        start = bank_free[bank]
+        if start < now:
+            start = now
         if service is None:
             service = cfg.l2_service_interval
-        self._bank_free[bank] = start + service
+        bank_free[bank] = start + service
         jitter = (
             self._jitter_rng.randrange(self._jitter + 1)
             if self._jitter_rng is not None else 0
@@ -227,20 +232,28 @@ class MemorySubsystem:
         self._classify(n_tx, sync)
         return MemoryAccessResult(completion, n_tx)
 
-    def atomic(self, sm_id: int, addresses: np.ndarray, now: int,
-               sync: bool = True) -> MemoryAccessResult:
-        """Atomic RMW: bypasses L1, serialized per unique address at L2."""
+    def atomic(self, sm_id: int, addresses: Union[np.ndarray, List[int]],
+               now: int, sync: bool = True) -> MemoryAccessResult:
+        """Atomic RMW: bypasses L1, serialized per unique address at L2.
+
+        ``addresses`` is the active lanes' byte addresses, as an array
+        or as the list of Python ints the issue path already holds.
+        """
         cfg = self.config
-        unique = sorted(set(np.asarray(addresses, dtype=np.int64).tolist()))
+        if isinstance(addresses, np.ndarray):
+            addresses = addresses.tolist()
+        unique = sorted(set(addresses))
         completion = now
         l1 = self.l1[sm_id]
+        line_bytes = cfg.l1d.line_bytes
         for addr in unique:
-            line = addr // cfg.l1d.line_bytes * cfg.l1d.line_bytes
+            line = addr // line_bytes * line_bytes
             l1.invalidate(line)
             done = self._l2_latency(
                 line, now, service=cfg.atomic_service_interval
             ) + cfg.atomic_latency
-            completion = max(completion, done)
+            if done > completion:
+                completion = done
         n_tx = len(unique)
         self.stats.atomic_transactions += n_tx
         self._classify(n_tx, sync)

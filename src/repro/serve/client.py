@@ -136,10 +136,12 @@ class ServeClient:
         #: Re-entrant: submit() holds it around its own _rpc().
         self._rpc_lock = threading.RLock()
         self._replies: "queue.Queue" = queue.Queue()
-        #: job_id -> every handle watching it.  A list, not a single
-        #: handle: resubmitting a spec this client already has in
+        #: job_id -> every handle still waiting on it.  A list, not a
+        #: single handle: resubmitting a spec this client already has in
         #: flight attaches to the same daemon job (same job_id), and
-        #: both handles must resolve.
+        #: both handles must resolve.  The entry goes when the job's
+        #: terminal message is routed, so a long-lived client holds only
+        #: its outstanding handles.
         self._handles: Dict[str, List[ServeHandle]] = {}
         #: Broadcasts that arrived before submit() registered the handle
         #: (the cached-path result can beat the accepted bookkeeping).
@@ -180,12 +182,15 @@ class ServeClient:
             if message.get("type") in ("progress", "result", "failure") \
                     and job_id is not None:
                 with self._route_lock:
-                    handles = list(self._handles.get(job_id, ()))
                     if message["type"] != "progress":
+                        handles = self._handles.pop(job_id, [])
                         if self._terminal is not None:
                             self._terminal[job_id] = message
-                    elif not handles:
-                        self._orphans.setdefault(job_id, []).append(message)
+                    else:
+                        handles = list(self._handles.get(job_id, ()))
+                        if not handles:
+                            self._orphans.setdefault(job_id, []).append(
+                                message)
                 for handle in handles:
                     try:
                         handle._deliver(message)
@@ -245,10 +250,13 @@ class ServeClient:
                 handle = ServeHandle(self, job_id, reply["spec_hash"],
                                      reply["status"], spec=spec)
                 with self._route_lock:
-                    self._handles.setdefault(job_id, []).append(handle)
                     backlog = self._orphans.pop(job_id, [])
                     if job_id in self._terminal:
+                        # Settled before it could be registered: nothing
+                        # further will be routed to this handle.
                         backlog.append(self._terminal[job_id])
+                    else:
+                        self._handles.setdefault(job_id, []).append(handle)
             finally:
                 with self._route_lock:
                     self._terminal = None

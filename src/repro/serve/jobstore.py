@@ -19,6 +19,12 @@ bool`` method (False = peer is gone) and a ``wants_stream`` attribute.
 A dead subscriber is dropped from the job; the job itself always runs
 to completion — its result still lands in the cache and journal for
 the next asker (client disconnect never cancels shared work).
+
+The store keeps a row only while a job is **active**: a terminal job
+(done, failed, cancelled — cached submissions are born terminal) is
+forgotten at once, its result living on in the cache and with its
+subscribers, so a resident daemon's memory does not grow with the jobs
+it has served.  ``status`` reads per-state tallies instead.
 """
 
 from __future__ import annotations
@@ -100,8 +106,13 @@ class JobStore:
         #: submission (and re-checked at dispatch by the daemon).
         self.cache = cache
         self._lock = threading.Lock()
+        #: Active (queued or running) jobs by id.
         self._jobs: Dict[str, Job] = {}
         self._active_by_hash: Dict[str, Job] = {}
+        #: state -> jobs now in it, terminal states included.
+        self._tally: Dict[str, int] = dict.fromkeys(
+            (QUEUED, RUNNING, DONE, FAILED, CANCELLED), 0
+        )
         self._ids = itertools.count(1)
 
     def submit(self, spec: RunSpec, client: str, subscriber: Any = None,
@@ -129,36 +140,47 @@ class JobStore:
             )
             if subscriber is not None:
                 job.subscribers.append(subscriber)
-            self._jobs[job.id] = job
             if cached is not None:
                 job.state = DONE
                 job.result = cached
                 job.finished_at = time.monotonic()
+                self._tally[DONE] += 1
                 return job, "cached"
+            self._jobs[job.id] = job
             self._active_by_hash[spec_hash] = job
+            self._tally[QUEUED] += 1
             return job, "queued"
+
+    def _move(self, job: Job, state: str) -> None:
+        """Change ``job``'s state (lock held); a terminal state also
+        forgets the row and releases the spec hash."""
+        self._tally[job.state] -= 1
+        self._tally[state] += 1
+        job.state = state
+        if state not in ACTIVE_STATES:
+            job.finished_at = time.monotonic()
+            self._jobs.pop(job.id, None)
+            if self._active_by_hash.get(job.spec_hash) is job:
+                del self._active_by_hash[job.spec_hash]
 
     def mark_running(self, job: Job) -> None:
         with self._lock:
-            job.state = RUNNING
+            self._move(job, RUNNING)
 
     def mark_requeued(self, job: Job) -> None:
         with self._lock:
-            job.state = QUEUED
+            self._move(job, QUEUED)
 
     def finish(self, job: Job,
                outcome: "RunResult | RunFailure") -> None:
         """Record the terminal outcome and release the spec hash."""
         with self._lock:
             if isinstance(outcome, RunResult):
-                job.state = DONE
                 job.result = outcome
+                self._move(job, DONE)
             else:
-                job.state = FAILED
                 job.failure = outcome
-            job.finished_at = time.monotonic()
-            if self._active_by_hash.get(job.spec_hash) is job:
-                del self._active_by_hash[job.spec_hash]
+                self._move(job, FAILED)
 
     def cancel(self, job_id: str) -> Optional[Job]:
         """Cancel a *queued* job (running jobs finish for the cache)."""
@@ -166,29 +188,13 @@ class JobStore:
             job = self._jobs.get(job_id)
             if job is None or job.state != QUEUED:
                 return None
-            job.state = CANCELLED
-            job.finished_at = time.monotonic()
-            if self._active_by_hash.get(job.spec_hash) is job:
-                del self._active_by_hash[job.spec_hash]
+            self._move(job, CANCELLED)
             return job
 
-    def get(self, job_id: str) -> Optional[Job]:
-        with self._lock:
-            return self._jobs.get(job_id)
-
-    def jobs(self, state: Optional[str] = None) -> List[Job]:
-        with self._lock:
-            jobs = list(self._jobs.values())
-        if state is not None:
-            jobs = [j for j in jobs if j.state == state]
-        return jobs
-
     def counts(self) -> Dict[str, int]:
+        """Jobs per state since the daemon started (empty states omitted)."""
         with self._lock:
-            counts: Dict[str, int] = {}
-            for job in self._jobs.values():
-                counts[job.state] = counts.get(job.state, 0) + 1
-            return counts
+            return {state: n for state, n in self._tally.items() if n}
 
 
 __all__ = [

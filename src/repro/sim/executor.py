@@ -8,15 +8,16 @@ The module also hosts the fast engine's instruction format: a
 (program, machine, params) combination into a :class:`DecodedOp` — a
 record of closure-bound operand readers and a specialized execute
 handler — so the per-issue hot path never touches ``isinstance``
-dispatch or opcode if-chains.  Handlers replicate the reference
-execution paths in :class:`repro.sim.sm.SM` statement for statement;
+dispatch or opcode if-chains.  Handlers replicate the effects of the
+reference execution paths in :class:`repro.sim.sm.SM` in the same order;
 the golden-equivalence suite (``tests/test_golden_equivalence.py``)
-asserts the two engines produce bitwise-identical statistics.
+asserts the two engines produce bitwise-identical statistics and
+``tests/test_golden_fixtures.py`` holds both to committed answers.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -91,21 +92,24 @@ def eval_alu(opcode: Opcode, srcs: Sequence[np.ndarray]) -> np.ndarray:
     return wrap_i32(np.asarray(result, dtype=np.int64))
 
 
+#: ``setp`` comparison -> the ufunc that evaluates it over lane vectors.
+_CMP_OPS = {
+    "eq": np.equal,
+    "ne": np.not_equal,
+    "lt": np.less,
+    "le": np.less_equal,
+    "gt": np.greater,
+    "ge": np.greater_equal,
+}
+
+
 def eval_cmp(cmp: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Evaluate a ``setp`` comparison, producing a boolean lane vector."""
-    if cmp == "eq":
-        return a == b
-    if cmp == "ne":
-        return a != b
-    if cmp == "lt":
-        return a < b
-    if cmp == "le":
-        return a <= b
-    if cmp == "gt":
-        return a > b
-    if cmp == "ge":
-        return a >= b
-    raise ValueError(f"unknown comparison {cmp!r}")
+    try:
+        cmp_op = _CMP_OPS[cmp]
+    except KeyError:
+        raise ValueError(f"unknown comparison {cmp!r}") from None
+    return cmp_op(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -147,45 +151,40 @@ def _make_reader(operand: Operand, warp_size: int,
     raise TypeError(f"cannot read operand {operand!r}")
 
 
-def _make_mask_fn(instr) -> OperandReader:
-    """Closure-bound equivalent of :meth:`Warp.exec_mask`."""
-    if instr.guard is None:
-        return lambda warp: warp.stack.active_mask.copy()
-    name = instr.guard.name
-    if instr.guard_negated:
-        return lambda warp: np.logical_and(
-            warp.stack.active_mask, ~warp.regs.read_pred(name)
-        )
-    return lambda warp: np.logical_and(
-        warp.stack.active_mask, warp.regs.read_pred(name)
-    )
-
-
 class DecodedOp:
     """One instruction decoded for the fast engine.
 
-    Everything the issue path needs is precomputed: the exec-mask
-    closure, scoreboard keys, instruction-class flags, and a
-    specialized ``handler(sm, warp, dop, exec_mask, now)`` that
-    replicates the reference ``SM._execute_*`` path for this opcode.
+    Everything the issue path needs is precomputed: the guard
+    predicate, scoreboard keys, instruction-class flags, and a
+    specialized ``handler(sm, warp, dop, exec_mask, n_exec, now)``
+    (``n_exec`` = lanes set in ``exec_mask``, counted once by the issue
+    prologue) that replicates the reference ``SM._execute_*`` path for
+    this opcode.
+
+    ``exec_mask`` is ``guard_op(active, pred)`` for a guarded
+    instruction and the TOS mask *itself*, not a copy, for an unguarded
+    one: no handler mutates its ``exec_mask`` and :class:`SIMTStack`
+    replaces masks rather than updating them in place
+    (``tests/test_exec_semantics.py`` holds both to it).
     """
 
     __slots__ = (
-        "instr", "index", "opcode", "mask_fn", "handler",
-        "hazard_keys", "dst_keys", "is_branch", "is_sync", "is_store",
-        "static_sib",
+        "instr", "index", "guard", "guard_op", "handler", "hazard_keys",
+        "is_branch", "is_sync", "is_store", "static_sib",
     )
 
-    def __init__(self, instr, mask_fn, handler, static_sib: bool) -> None:
+    def __init__(self, instr, handler, static_sib: bool) -> None:
         self.instr = instr
         self.index = instr.index
-        self.opcode = instr.opcode
-        self.mask_fn = mask_fn
+        #: Guard predicate name (None = unguarded) and the ufunc that
+        #: combines the active mask with it: over booleans
+        #: ``active > pred`` is ``active AND NOT pred`` in one call.
+        self.guard = instr.guard.name if instr.guard is not None else None
+        self.guard_op = (
+            np.greater if instr.guard_negated else np.logical_and
+        )
         self.handler = handler
         self.hazard_keys = instr.hazard_keys
-        self.dst_keys: Tuple[str, ...] = (
-            (instr.dst_key,) if instr.dst_key is not None else ()
-        )
         self.is_branch = instr.is_branch
         self.is_sync = instr.has_role("sync")
         self.is_store = instr.opcode is Opcode.ST_GLOBAL
@@ -204,6 +203,12 @@ def _rem(srcs):
     return np.where(srcs[1] == 0, srcs[0], srcs[0] - quotient * divisor)
 
 
+def _shift_amount(amount):
+    # clip(amount, 0, 31) as two ufunc calls: ``np.clip`` itself spends
+    # ten times the arithmetic in its Python wrapper on a 32-lane vector.
+    return np.minimum(np.maximum(amount, 0), 31)
+
+
 #: Raw (pre-wrap) lane-vector computation per ALU opcode — each entry is
 #: the matching :func:`eval_alu` branch, bound at decode time so the hot
 #: path skips the opcode if-chain.
@@ -219,8 +224,8 @@ _ALU_OPS = {
     Opcode.OR: lambda s: np.bitwise_or(s[0], s[1]),
     Opcode.XOR: lambda s: np.bitwise_xor(s[0], s[1]),
     Opcode.NOT: lambda s: np.bitwise_not(s[0]),
-    Opcode.SHL: lambda s: np.left_shift(s[0], np.clip(s[1], 0, 31)),
-    Opcode.SHR: lambda s: np.right_shift(s[0], np.clip(s[1], 0, 31)),
+    Opcode.SHL: lambda s: np.left_shift(s[0], _shift_amount(s[1])),
+    Opcode.SHR: lambda s: np.right_shift(s[0], _shift_amount(s[1])),
     Opcode.MIN: lambda s: np.minimum(s[0], s[1]),
     Opcode.MAX: lambda s: np.maximum(s[0], s[1]),
 }
@@ -236,7 +241,7 @@ def _make_alu_handler(instr, warp_size, params, alu_latency, sfu_latency):
         read_b = _make_reader(instr.srcs[1], warp_size, params)
         pred_name = instr.srcs[2].name
 
-        def handler(sm, warp, dop, exec_mask, now):
+        def handler(sm, warp, dop, exec_mask, n_exec, now):
             a = read_a(warp)
             b = read_b(warp)
             pred = warp.regs.read_pred(pred_name)
@@ -255,12 +260,12 @@ def _make_alu_handler(instr, warp_size, params, alu_latency, sfu_latency):
     except KeyError:
         raise ValueError(f"not an ALU opcode: {opcode}") from None
 
-    def handler(sm, warp, dop, exec_mask, now):
-        result = wrap_i32(
-            np.asarray(alu_op([read(warp) for read in readers]),
-                       dtype=np.int64)
+    def handler(sm, warp, dop, exec_mask, n_exec, now):
+        # RegisterFile.write wraps to 32 bits (and copies, so MOV may
+        # hand it the source vector itself).
+        warp.regs.write(
+            dst_name, alu_op([read(warp) for read in readers]), exec_mask
         )
-        warp.regs.write(dst_name, result, exec_mask)
         warp.scoreboard.reserve(dst_keys, now + latency)
         warp.stack.advance()
 
@@ -270,21 +275,20 @@ def _make_alu_handler(instr, warp_size, params, alu_latency, sfu_latency):
 def _make_setp_handler(instr, warp_size, params, alu_latency):
     read_a = _make_reader(instr.srcs[0], warp_size, params)
     read_b = _make_reader(instr.srcs[1], warp_size, params)
-    cmp = instr.cmp
+    cmp_op = _CMP_OPS[instr.cmp]
     dst_name = instr.dst.name
     dst_keys = (instr.dst_key,)
 
-    def handler(sm, warp, dop, exec_mask, now):
+    def handler(sm, warp, dop, exec_mask, n_exec, now):
         a = read_a(warp)
         b = read_b(warp)
-        result = eval_cmp(cmp, a, b)
-        warp.regs.write_pred(dst_name, result, exec_mask)
+        warp.regs.write_pred(dst_name, cmp_op(a, b), exec_mask)
         warp.scoreboard.reserve(dst_keys, now + alu_latency)
         # DDOS profiles one fixed thread per warp (the first live lane).
         lane = warp.profiled_lane
         ddos = sm.ddos
-        if ddos is not None and lane >= 0 and exec_mask[lane]:
-            ddos.on_setp(warp.warp_slot, instr, int(a[lane]), int(b[lane]),
+        if ddos is not None and lane >= 0 and exec_mask.item(lane):
+            ddos.on_setp(warp.warp_slot, instr, a.item(lane), b.item(lane),
                          now)
         warp.stack.advance()
 
@@ -294,40 +298,46 @@ def _make_setp_handler(instr, warp_size, params, alu_latency):
 def _make_branch_handler(instr, program: Program):
     target = instr.target_index
     assert target is not None
-    guard_name = instr.guard.name if instr.guard is not None else None
-    negated = instr.guard_negated
-    rpc = (program.reconvergence_point(instr.index)
-           if instr.guard is not None else None)
+    guarded = instr.guard is not None
+    rpc = program.reconvergence_point(instr.index) if guarded else None
     wait_branch = instr.has_role("wait_branch")
     is_backward = instr.is_backward_branch
 
-    def handler(sm, warp, dop, exec_mask, now):
-        active = warp.stack.active_mask
-        if guard_name is None:
-            taken_mask = active.copy()
-            warp.stack.uniform_jump(target)
+    def handler(sm, warp, dop, exec_mask, n_exec, now):
+        # A branch's exec mask (active AND guard) *is* its taken mask,
+        # so the issue prologue's ``n_exec`` already decides uniform
+        # taken / uniform fall-through / divergent for the stack.
+        stack = warp.stack
+        n_not_taken = 0
+        if not guarded:
+            stack.uniform_jump(target)
         else:
-            guard = warp.regs.read_pred(guard_name)
-            if negated:
-                guard = ~guard
-            taken_mask = np.logical_and(guard, active)
-            warp.stack.branch(guard, target, rpc)
-        n_taken = int(np.count_nonzero(taken_mask))
-        taken_any = n_taken > 0
-        n_not_taken = int(np.count_nonzero(active)) - n_taken
+            n_not_taken = int(np.count_nonzero(stack.active_mask)) - n_exec
+            if n_exec == 0:
+                stack.advance()
+            elif n_not_taken == 0:
+                stack.uniform_jump(target)
+            else:
+                # exec_mask is a fresh array here (guarded), so the
+                # stack may keep it as the taken entry's mask.
+                stack.diverge(exec_mask, target, rpc)
+        taken_any = n_exec > 0
 
         if wait_branch:
-            sm.stats.locks.wait_exit_fail += n_taken
-            sm.stats.locks.wait_exit_success += n_not_taken
+            # Backward branch of a wait/signal loop: lanes that take it
+            # failed to observe the signal this iteration.
+            locks = sm.stats.locks
+            locks.wait_exit_fail += n_exec
+            locks.wait_exit_success += n_not_taken
 
-        if sm.ddos is not None and is_backward:
+        if is_backward and sm.ddos is not None:
             sm.ddos.on_backward_branch(warp.warp_slot, instr, taken_any, now)
         if sm.cawa is not None:
             sm.cawa.on_branch(warp, instr, taken_any)
         # Re-query SIB status: the backward-branch hook above may have
         # just trained DDOS past its confidence threshold (the reference
         # path has the same read-after-train ordering).
-        if sm.bows is not None and taken_any and sm._is_sib(instr):
+        if taken_any and sm.bows is not None and sm._is_sib(instr):
             sm.bows.on_sib_executed(warp, now)
 
     return handler
@@ -336,8 +346,8 @@ def _make_branch_handler(instr, program: Program):
 def _make_exit_handler(instr):
     index = instr.index
 
-    def handler(sm, warp, dop, exec_mask, now):
-        if exec_mask.any():
+    def handler(sm, warp, dop, exec_mask, n_exec, now):
+        if n_exec:
             warp.stack.exit_lanes(exec_mask)
             warp.refresh_profiled_lane()
         if not warp.finished and warp.stack.pc == index:
@@ -347,7 +357,7 @@ def _make_exit_handler(instr):
     return handler
 
 
-def _bar_handler(sm, warp, dop, exec_mask, now):
+def _bar_handler(sm, warp, dop, exec_mask, n_exec, now):
     warp.stack.advance()
     warp.at_barrier = True
     sm.stats.barrier_waits += 1
@@ -363,12 +373,12 @@ def _bar_handler(sm, warp, dop, exec_mask, now):
     sm._barrier_arrive(warp.cta_id, now=now, skip_slot=warp.warp_slot)
 
 
-def _membar_handler(sm, warp, dop, exec_mask, now):
+def _membar_handler(sm, warp, dop, exec_mask, n_exec, now):
     warp.membar_until = max(now + 1, warp.last_store_completion)
     warp.stack.advance()
 
 
-def _nop_handler(sm, warp, dop, exec_mask, now):
+def _nop_handler(sm, warp, dop, exec_mask, n_exec, now):
     warp.stack.advance()
 
 
@@ -376,7 +386,7 @@ def _make_clock_handler(instr, warp_size, alu_latency):
     dst_name = instr.dst.name
     dst_keys = (instr.dst_key,)
 
-    def handler(sm, warp, dop, exec_mask, now):
+    def handler(sm, warp, dop, exec_mask, n_exec, now):
         values = np.full(warp_size, now, dtype=np.int64)
         warp.regs.write(dst_name, values, exec_mask)
         warp.scoreboard.reserve(dst_keys, now + alu_latency)
@@ -391,7 +401,7 @@ def _make_ld_param_handler(instr, warp_size, params, alu_latency):
     dst_name = instr.dst.name
     dst_keys = (instr.dst_key,)
 
-    def handler(sm, warp, dop, exec_mask, now):
+    def handler(sm, warp, dop, exec_mask, n_exec, now):
         warp.regs.write(dst_name, values, exec_mask)
         warp.scoreboard.reserve(dst_keys, now + alu_latency)
         warp.stack.advance()
@@ -409,11 +419,11 @@ def _make_load_handler(instr, warp_size):
     sync = instr.has_role("sync")
     index = instr.index
 
-    def handler(sm, warp, dop, exec_mask, now):
+    def handler(sm, warp, dop, exec_mask, n_exec, now):
         addrs = warp.regs.read(base_name) + offset
         active_addrs = addrs[exec_mask]
         values = np.zeros(warp_size, dtype=np.int64)
-        if active_addrs.size:
+        if n_exec:
             values[exec_mask] = sm.memory.read(active_addrs)
         warp.regs.write(dst_name, values, exec_mask)
         if sm.san is not None:
@@ -438,11 +448,11 @@ def _make_store_handler(instr, warp_size, params):
     lock_release = instr.has_role("lock_release")
     index = instr.index
 
-    def handler(sm, warp, dop, exec_mask, now):
+    def handler(sm, warp, dop, exec_mask, n_exec, now):
         addrs = warp.regs.read(base_name) + offset
         values = read_src(warp)
         active_addrs = addrs[exec_mask]
-        if active_addrs.size:
+        if n_exec:
             sm.memory.write(active_addrs, values[exec_mask])
         if sm.san is not None:
             sm.san.note_store(
@@ -451,12 +461,12 @@ def _make_store_handler(instr, warp_size, params):
                 release=lock_release,
             )
         result = sm.memsys.store(sm.sm_id, active_addrs, now, sync=sync)
-        warp.last_store_completion = max(
-            warp.last_store_completion, result.completion
-        )
+        if result.completion > warp.last_store_completion:
+            warp.last_store_completion = result.completion
         if lock_release:
-            for addr in active_addrs:
-                sm.lock_table.pop(int(addr), None)
+            lock_table = sm.lock_table
+            for addr in active_addrs.tolist():
+                lock_table.pop(addr, None)
         warp.stack.advance()
 
     return handler
@@ -470,6 +480,7 @@ def _make_atomic_handler(instr, warp_size, params):
         _make_reader(src, warp_size, params) for src in instr.srcs[1:]
     )
     op = instr.opcode
+    is_cas = op is Opcode.ATOM_CAS
     is_lock_try = instr.has_role("lock_try")
     lock_release = instr.has_role("lock_release")
     sync = instr.has_role("sync") or is_lock_try
@@ -477,63 +488,65 @@ def _make_atomic_handler(instr, warp_size, params):
     dst_name = instr.dst.name if instr.dst is not None else None
     dst_keys = (instr.dst_key,) if instr.dst_key is not None else ()
 
-    def handler(sm, warp, dop, exec_mask, now):
-        addrs = warp.regs.read(base_name) + offset
-        operands = [read(warp) for read in readers]
-        old_values = np.zeros(warp_size, dtype=np.int64)
+    def handler(sm, warp, dop, exec_mask, n_exec, now):
+        # One ``tolist()`` per lane vector, then plain Python ints: a
+        # per-lane ``int(vector[lane])`` costs more than the whole list.
+        lanes = exec_mask.nonzero()[0].tolist()
+        addrs = (warp.regs.read(base_name) + offset).tolist()
+        operands = [read(warp).tolist() for read in readers]
+        first = operands[0]
+        old_values = [0] * warp_size
+        active_addrs = []
         warp_key = (warp.cta_id, warp.warp_in_cta)
         magic = sm.config.magic_locks and is_lock_try
         memory = sm.memory
-        for lane in np.nonzero(exec_mask)[0]:
-            addr = int(addrs[lane])
+        san = sm.san
+        for lane in lanes:
+            addr = addrs[lane]
+            active_addrs.append(addr)
             old = memory.read_word(addr)
-            if op is Opcode.ATOM_CAS:
-                compare = int(operands[0][lane])
-                new = int(operands[1][lane])
+            if is_cas:
+                compare = first[lane]
                 if magic:
                     # Ideal-blocking proxy: every acquire succeeds at
                     # once and the lock is never observed held.
                     old = compare
                 elif old == compare:
-                    memory.write_word(addr, new)
+                    memory.write_word(addr, operands[1][lane])
+                if is_lock_try:
+                    sm._record_lock_attempt(
+                        addr, old == compare, warp, warp_key, lane, now,
+                    )
             elif op is Opcode.ATOM_EXCH:
-                memory.write_word(addr, int(operands[0][lane]))
+                memory.write_word(addr, first[lane])
             elif op is Opcode.ATOM_ADD:
-                memory.write_word(addr, old + int(operands[0][lane]))
+                memory.write_word(addr, old + first[lane])
             elif op is Opcode.ATOM_MIN:
-                memory.write_word(addr, min(old, int(operands[0][lane])))
+                memory.write_word(addr, min(old, first[lane]))
             elif op is Opcode.ATOM_MAX:
-                memory.write_word(addr, max(old, int(operands[0][lane])))
+                memory.write_word(addr, max(old, first[lane]))
             else:  # pragma: no cover - enum is exhaustive
                 raise ValueError(f"unhandled atomic {op}")
             old_values[lane] = old
 
-            if is_lock_try and op is Opcode.ATOM_CAS:
-                sm._record_lock_attempt(
-                    addr, old == int(operands[0][lane]) or magic,
-                    warp, warp_key, int(lane), now,
-                )
             if lock_release:
                 sm.lock_table.pop(addr, None)
-            if sm.san is not None:
+            if san is not None:
                 # magic mode already forced ``old = compare`` above, so
                 # the CAS-success test below covers it too.
-                cas_hit = (op is Opcode.ATOM_CAS
-                           and old == int(operands[0][lane]))
-                sm.san.note_atomic(
-                    sm.sm_id, warp.cta_id, warp.warp_in_cta, int(lane),
+                cas_hit = is_cas and old == compare
+                san.note_atomic(
+                    sm.sm_id, warp.cta_id, warp.warp_in_cta, lane,
                     addr, index, now,
                     lock_try=is_lock_try,
-                    success=is_lock_try
-                    and (cas_hit or op is not Opcode.ATOM_CAS),
+                    success=is_lock_try and (cas_hit or not is_cas),
                     release=lock_release,
-                    wrote=op is not Opcode.ATOM_CAS
-                    or (cas_hit and not magic),
+                    wrote=not is_cas or (cas_hit and not magic),
                 )
 
         if dst_name is not None:
             warp.regs.write(dst_name, old_values, exec_mask)
-        result = sm.memsys.atomic(sm.sm_id, addrs[exec_mask], now, sync=sync)
+        result = sm.memsys.atomic(sm.sm_id, active_addrs, now, sync=sync)
         if dst_keys:
             warp.scoreboard.reserve(dst_keys, result.completion)
         warp.stack.advance()
@@ -573,7 +586,7 @@ def _decode_one(instr, program: Program, warp_size: int,
         handler = _make_alu_handler(instr, warp_size, params, alu_latency,
                                     sfu_latency)
     return DecodedOp(
-        instr, _make_mask_fn(instr), handler,
+        instr, handler,
         static_sib=instr.index in static_sibs,
     )
 

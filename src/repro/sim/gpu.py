@@ -255,18 +255,20 @@ class Simulation:
         if self.finished:
             return True
         config = self.config
-        launch = self.launch
+        grid_dim = self.launch.grid_dim
         sms = self.sms
         monitor = self.monitor
         sampler = self.sampler
-        bus = self.obs.bus if self.obs is not None else None
         stats = self.stats
+        fast = self.engine == "fast"
         now = self.now
         # Bound methods hoisted out of the cycle loop (locals only —
         # rebuilt on every call, never part of checkpointed state).
         steps = [sm.step for sm in sms]
         next_events = [sm.next_event for sm in sms]
-        occupancies = [sm.accumulate_occupancy for sm in sms]
+        # One comparison per cycle covers the three rare checks; it is
+        # recomputed whenever one of them has run.
+        watch = 0
         try:
             while True:
                 if stop_cycle is not None and now >= stop_cycle:
@@ -274,55 +276,81 @@ class Simulation:
                 issued = 0
                 for step in steps:
                     issued += step(now)
-                if self.next_cta < launch.grid_dim:
-                    self._dispatch()  # refill any SM that freed CTA slots
-                if (self.next_cta >= launch.grid_dim
-                        and all(sm.idle for sm in sms)):
-                    break
-                if sampler is not None and now >= sampler.next_sample:
-                    sampler.sample(now)  # before the monitor, which can raise
-                if monitor is not None and now >= monitor.next_sample:
-                    monitor.sample(now)  # raises on a classified hang
-                if now >= config.max_cycles:
-                    report = None
-                    if monitor is not None:
-                        report = monitor.timeout_report(now)
-                    else:
-                        report = build_hang_report(
-                            "timeout", now, sms, memory=self.memory,
-                            stats=stats, tracer=self.tracer,
-                            reason="exceeded max_cycles (watchdog disabled)",
-                            bus=bus,
-                        )
-                    raise SimulationTimeout(
-                        f"kernel {launch.program.name!r} exceeded "
-                        f"{config.max_cycles} cycles\n" + report.describe(),
-                        report,
-                    )
+                # CTA slots free up, and the last warp retires, only on
+                # a cycle that issued.
                 if issued:
-                    next_now = now + 1
+                    if self.next_cta < grid_dim:
+                        self._dispatch()  # refill SMs that freed CTA slots
+                    if self.next_cta >= grid_dim:
+                        for sm in sms:
+                            if sm.warps:
+                                break
+                        else:
+                            break
+                if now >= watch:
+                    if sampler is not None and now >= sampler.next_sample:
+                        sampler.sample(now)  # before the monitor, which can raise
+                    if monitor is not None and now >= monitor.next_sample:
+                        monitor.sample(now)  # raises on a classified hang
+                    if now >= config.max_cycles:
+                        self._raise_timeout(now)
+                    watch = config.max_cycles
+                    if sampler is not None and sampler.next_sample < watch:
+                        watch = sampler.next_sample
+                    if monitor is not None and monitor.next_sample < watch:
+                        watch = monitor.next_sample
+                if issued:
+                    dt = 1
                 else:
-                    events = [
-                        e for e in (ne(now) for ne in next_events)
-                        if e is not None
-                    ]
-                    if not events:
+                    next_now = None
+                    for next_event in next_events:
+                        event = next_event(now)
+                        if event is not None and (
+                                next_now is None or event < next_now):
+                            next_now = event
+                    if next_now is None:
                         report = build_hang_report(
                             "deadlock", now, sms, memory=self.memory,
                             stats=stats, tracer=self.tracer,
                             reason="no warp can ever become ready again",
-                            bus=bus,
+                            bus=self._bus(),
                         )
                         raise SimulationDeadlock(report.describe(), report)
-                    next_now = min(events)
-                dt = next_now - now
-                for occupancy in occupancies:
-                    occupancy(dt)
-                now = next_now
+                    dt = next_now - now
+                if fast:
+                    live = backed = 0
+                    for sm in sms:
+                        live += sm._n_live
+                        backed += sm._n_backed
+                    stats.resident_warp_cycles += dt * live
+                    stats.backed_off_warp_cycles += dt * backed
+                else:
+                    for sm in sms:
+                        sm.accumulate_occupancy(dt)
+                now += dt
         finally:
             self.now = now
         self._finish()
         return True
+
+    def _bus(self):
+        return self.obs.bus if self.obs is not None else None
+
+    def _raise_timeout(self, now: int) -> None:
+        if self.monitor is not None:
+            report = self.monitor.timeout_report(now)
+        else:
+            report = build_hang_report(
+                "timeout", now, self.sms, memory=self.memory,
+                stats=self.stats, tracer=self.tracer,
+                reason="exceeded max_cycles (watchdog disabled)",
+                bus=self._bus(),
+            )
+        raise SimulationTimeout(
+            f"kernel {self.launch.program.name!r} exceeded "
+            f"{self.config.max_cycles} cycles\n" + report.describe(),
+            report,
+        )
 
     def _finish(self) -> SimResult:
         stats = self.stats
@@ -402,7 +430,7 @@ class Simulation:
         """Capture + atomically write a checkpoint, emitting
         :class:`~repro.obs.events.CheckpointSaved` when a bus is attached."""
         saved = self.checkpoint().save(path)
-        bus = self.obs.bus if self.obs is not None else None
+        bus = self._bus()
         if bus is not None:
             from repro.obs.events import CheckpointSaved
 
@@ -425,7 +453,7 @@ class Simulation:
         Runs once, after the *entire* object graph has been restored, so
         no hook ever touches a partially-restored peer.
         """
-        bus = self.obs.bus if self.obs is not None else None
+        bus = self._bus()
         for sm in self.sms:
             sm._rebind_events(bus)
         if self.monitor is not None:

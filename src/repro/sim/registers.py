@@ -11,20 +11,12 @@ from typing import Dict, Iterable
 
 import numpy as np
 
-_INT32_MASK = np.int64(0xFFFFFFFF)
-_SIGN_BIT = np.int64(0x80000000)
-
 
 def wrap_i32(values: np.ndarray) -> np.ndarray:
     """Wrap int64 lane values to signed 32-bit two's complement."""
-    # Sign-extend bits 0..31: (v & MASK) is in [0, 2**32); XOR-ing the
-    # sign bit then subtracting it maps [2**31, 2**32) onto the negative
-    # range, bit-identical to the obvious where() formulation but with
-    # fewer temporaries.
-    wrapped = np.bitwise_and(values, _INT32_MASK)
-    np.bitwise_xor(wrapped, _SIGN_BIT, out=wrapped)
-    np.subtract(wrapped, _SIGN_BIT, out=wrapped)
-    return wrapped
+    # The narrowing cast keeps bits 0..31 and the widening cast
+    # sign-extends them: two C-level calls, no temporaries to mask.
+    return values.astype(np.int32).astype(np.int64)
 
 
 class RegisterFile:
@@ -46,16 +38,21 @@ class RegisterFile:
 
     def write(self, name: str, values: np.ndarray, mask: np.ndarray) -> None:
         """Write ``values`` into lanes selected by ``mask``."""
-        reg = self._regs[name]
-        reg[mask] = wrap_i32(np.asarray(values, dtype=np.int64))[mask]
+        # In place, wrapped exactly once: the int32 cast is the wrap
+        # and ``copyto`` widens it back.  The cast also makes a copy, so
+        # ``values`` may alias the destination (``mov r1, r1``).
+        np.copyto(
+            self._regs[name],
+            np.asarray(values, dtype=np.int64).astype(np.int32),
+            where=mask,
+        )
 
     def read_pred(self, name: str) -> np.ndarray:
         return self._preds[name]
 
     def write_pred(self, name: str, values: np.ndarray,
                    mask: np.ndarray) -> None:
-        pred = self._preds[name]
-        pred[mask] = np.asarray(values, dtype=bool)[mask]
+        np.copyto(self._preds[name], values, where=mask, casting="unsafe")
 
     def register_names(self) -> Iterable[str]:
         return self._regs.keys()

@@ -119,7 +119,14 @@ class GTOScheduler(WarpScheduler):
             n = len(rank)
             period = self.config.gto_rotation_period
             rotation = (now // period) % n if period > 0 else 0
-            return min(ready, key=lambda s: (rank[s] - rotation) % n)
+            best = None
+            best_rank = n
+            for slot in ready:
+                rotated = (rank[slot] - rotation) % n
+                if rotated < best_rank:
+                    best_rank = rotated
+                    best = slot
+            return best
         order = self.priority_order(warps, now)
         for slot in order:
             if slot in ready:

@@ -88,8 +88,10 @@ class SIMTStack:
     def advance(self) -> None:
         """Move the TOS past a non-branch instruction (pc += 1)."""
         top = self._stack[-1]
-        top.pc += 1
-        self._maybe_pop()
+        pc = top.pc + 1
+        top.pc = pc
+        if pc == top.rpc:
+            self._maybe_pop()
 
     def branch(self, taken_mask: np.ndarray, target: int, rpc: int) -> bool:
         """Apply a (possibly divergent) conditional branch at the TOS.
@@ -103,24 +105,30 @@ class SIMTStack:
         Returns:
             True when the branch diverged (both paths non-empty).
         """
-        top = self._stack[-1]
-        active = top.mask
+        active = self._stack[-1].mask
         taken = np.logical_and(taken_mask, active)
-        fall = np.logical_and(~taken_mask, active)
-        n_taken = int(taken.sum())
-        n_fall = int(fall.sum())
+        n_taken = int(np.count_nonzero(taken))
+        if n_taken == 0:
+            self.advance()
+            return False
+        if n_taken == int(np.count_nonzero(active)):
+            self.uniform_jump(target)
+            return False
+        self.diverge(taken, target, rpc)
+        return True
+
+    def diverge(self, taken: np.ndarray, target: int, rpc: int) -> None:
+        """Split the TOS: ``taken`` lanes go to ``target``, the rest fall
+        through, and the TOS becomes their reconvergence entry.
+
+        ``taken`` must be a non-empty proper subset of the TOS mask —
+        the caller has already counted the lanes (:meth:`branch` does it
+        for callers that have not); uniform outcomes go through
+        :meth:`uniform_jump` / :meth:`advance`.
+        """
+        top = self._stack[-1]
+        fall = np.logical_and(top.mask, ~taken)
         fall_pc = top.pc + 1
-
-        if n_taken and not n_fall:
-            top.pc = target
-            self._maybe_pop()
-            return False
-        if n_fall and not n_taken:
-            top.pc = fall_pc
-            self._maybe_pop()
-            return False
-
-        # Divergence: TOS becomes the reconvergence entry.
         if rpc == RECONVERGE_AT_EXIT:
             # Paths only meet at exit; model as reconverging "nowhere":
             # the reconvergence entry keeps the full mask but is only
@@ -137,37 +145,43 @@ class SIMTStack:
         if reconv_pc == _NO_RPC or target != reconv_pc:
             self._stack.append(StackEntry(target, reconv_pc, taken))
         self._maybe_pop()
-        return True
 
     def uniform_jump(self, target: int) -> None:
         """Unconditional branch of the whole TOS entry."""
-        self._stack[-1].pc = target
-        self._maybe_pop()
+        top = self._stack[-1]
+        top.pc = target
+        if target == top.rpc:
+            self._maybe_pop()
 
     def exit_lanes(self, mask: np.ndarray) -> None:
         """Retire ``mask`` lanes (an ``exit`` executed under that mask)."""
+        keep = ~mask
         for entry in self._stack:
-            entry.mask = np.logical_and(entry.mask, ~mask)
-        self._stack = [e for e in self._stack if e.mask.any()]
+            # A new array, never an in-place update: an unguarded
+            # instruction's exec mask aliases the TOS mask.
+            entry.mask = np.logical_and(entry.mask, keep)
+        self._stack = [e for e in self._stack if np.count_nonzero(e.mask)]
         self._maybe_pop()
 
     # ------------------------------------------------------------------
 
     def _maybe_pop(self) -> None:
-        """Pop entries whose PC reached their reconvergence point."""
-        while self._stack:
-            top = self._stack[-1]
-            if top.rpc != _NO_RPC and top.pc == top.rpc:
-                self._stack.pop()
-                continue
-            if not top.mask.any():
-                self._stack.pop()
-                continue
-            break
+        """Pop entries whose PC reached their reconvergence point.
+
+        Every entry on the stack has a non-empty mask (a divergent
+        branch pushes two non-empty halves, :meth:`exit_lanes` drops the
+        entries it empties), so the PC test is the only one needed.
+        """
+        stack = self._stack
+        while stack:
+            top = stack[-1]
+            if top.rpc == _NO_RPC or top.pc != top.rpc:
+                break
+            stack.pop()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         parts = [
-            f"(pc={e.pc}, rpc={e.rpc}, n={int(e.mask.sum())})"
+            f"(pc={e.pc}, rpc={e.rpc}, n={np.count_nonzero(e.mask)})"
             for e in self._stack
         ]
         return f"SIMTStack[{' '.join(parts)}]"

@@ -76,10 +76,6 @@ WarpKey = Tuple[int, int]  # (cta_id, warp_in_cta)
 ENGINES = ("fast", "reference")
 
 
-def _noop_trace(cycle, warp, instr, active_lanes) -> None:
-    """Pre-bound sink used when no tracer is attached (hot path)."""
-
-
 class SM:
     """One streaming multiprocessor."""
 
@@ -162,10 +158,9 @@ class SM:
 
         self.engine = engine
         self._fast = engine == "fast"
-        #: Pre-bound tracer sink: no per-issue branch on ``tracer``.
-        self._trace = tracer.record if tracer is not None else _noop_trace
         if self._fast:
-            self._decoded_prog = decode_program(program, config, params)
+            #: Pre-decoded program, indexed by PC.
+            self._ops = decode_program(program, config, params).ops
             #: Per-scheduler sets of slots ready to issue right now,
             #: split by BOWS state so the reference loop's per-cycle
             #: "normal" subset is available without recomputation.
@@ -187,6 +182,11 @@ class SM:
             self._n_backed = 0
             for scheduler in self.schedulers:
                 scheduler.enable_order_cache()
+            #: One row per scheduler for the issue loop: the scheduler
+            #: and *its* two ready sets (the same objects as above).
+            self._rows = list(zip(
+                self.schedulers, self._ready_normal, self._ready_backed
+            ))
             # Skip the per-SM dispatch wrapper frames on the hot path.
             self.step = self._step_fast
             self.next_event = self._next_event_fast
@@ -197,8 +197,9 @@ class SM:
     def __getstate__(self):
         """Drop the closures (emitters, decoded program) for pickling.
 
-        Everything else — warps, schedulers, ready sets, wait heap,
-        BOWS/DDOS units — pickles as-is with shared identity preserved;
+        Everything else — warps, schedulers, ready sets (and the
+        per-scheduler rows that share them), wait heap, BOWS/DDOS
+        units — pickles as-is with shared identity preserved;
         :meth:`repro.sim.gpu.Simulation._rebind` calls
         :meth:`_rebind_events` after the whole graph is restored.
         """
@@ -208,7 +209,7 @@ class SM:
         state["_emit_bar_arrive"] = None
         state["_emit_bar_release"] = None
         if self._fast:
-            state["_decoded_prog"] = None
+            state["_ops"] = None
         return state
 
     def _rebind_events(self, bus) -> None:
@@ -230,12 +231,10 @@ class SM:
         if self._fast:
             # Re-decode deterministically; each live warp's cached op is
             # re-derived from its restored PC.  The pickled _sb_max /
-            # _ready_from ints are kept verbatim (recomputing them could
-            # observe a differently-pruned scoreboard).
-            self._decoded_prog = decode_program(
+            # _ready_from ints are part of the state and ride along.
+            ops = self._ops = decode_program(
                 self.program, self.config, self.params
-            )
-            ops = self._decoded_prog.ops
+            ).ops
             for warp in self.warps.values():
                 # Finished warps never issue again (the live engine stops
                 # refreshing them, and their PC may sit past the program
@@ -273,9 +272,10 @@ class SM:
                 self.bows.on_warp_reset(slot)
             if self._fast:
                 # Fresh warps are always immediately issuable (empty
-                # scoreboard, no fence): straight to the ready set.
+                # scoreboard, no fence — ``_ready_from`` is 0): straight
+                # to the ready set.
                 warp = self.warps[slot]
-                self._refresh(warp)
+                warp._decoded = self._ops[warp.stack.pc]
                 self._ready_normal[self._sched_of[slot]].add(slot)
                 self._n_live += 1
         for scheduler in self.schedulers:
@@ -339,34 +339,41 @@ class SM:
         whose wake-up cycle arrived are drained from the wait heap into
         their scheduler's ready set, and issuing warps are re-registered
         with a freshly cached ``_ready_from``.
+
+        This is the one frame of the issue path: drain, select, the
+        issue prologue (the reference :meth:`_issue` field for field),
+        the op's handler, then the refresh of the issuing warp's cache
+        (its PC, scoreboard and fence can change nowhere else) and its
+        re-registration (:meth:`_register`, inlined).
         """
         if self.cawa is not None:
             self._charge_cawa(now)
-        heap = self._wait_heap
-        waiting = self._waiting
         warps = self.warps
-        while heap and heap[0][0] <= now:
-            t, slot = heappop(heap)
-            if waiting.get(slot) == t:
-                del waiting[slot]
-                sets = (
-                    self._ready_backed
-                    if warps[slot].backed_off else self._ready_normal
-                )
-                sets[self._sched_of[slot]].add(slot)
-        issued = 0
+        heap = self._wait_heap
+        if heap and heap[0][0] <= now:
+            waiting = self._waiting
+            sched_of = self._sched_of
+            while heap and heap[0][0] <= now:
+                t, slot = heappop(heap)
+                if waiting.get(slot) == t:
+                    del waiting[slot]
+                    sets = (
+                        self._ready_backed
+                        if warps[slot].backed_off else self._ready_normal
+                    )
+                    sets[sched_of[slot]].add(slot)
         stats = self.stats
         bows = self.bows
-        for i, scheduler in enumerate(self.schedulers):
-            stats.issue_slots += 1
-            normal = self._ready_normal[i]
-            backed = self._ready_backed[i]
-            if not normal and not backed:
-                continue
-            slot = scheduler.select(normal, warps, now)
+        rows = self._rows
+        stats.issue_slots += len(rows)
+        issued = 0
+        for scheduler, normal, backed in rows:
+            # Every policy answers None for an empty set (and draws no
+            # random number), so the call is skipped.
+            slot = scheduler.select(normal, warps, now) if normal else None
             if slot is not None:
                 normal.discard(slot)
-            elif bows is not None:
+            elif backed:
                 slot = bows.select_backed_off(backed, now, warps)
                 if slot is None:
                     continue
@@ -375,45 +382,84 @@ class SM:
                 continue
             warp = warps[slot]
             was_backed = warp.backed_off
-            self._issue_fast(warp, now)
+
+            # -- issue prologue ------------------------------------------
+            dop = warp._decoded
+            exec_mask = warp.stack.active_mask
+            if dop.guard is not None:
+                exec_mask = dop.guard_op(
+                    exec_mask, warp.regs.read_pred(dop.guard)
+                )
+            n_exec = int(np.count_nonzero(exec_mask))
+            if dop.is_branch:
+                if self.ddos is not None:
+                    is_sib = self.ddos.is_sib(dop.index)
+                else:
+                    is_sib = dop.static_sib if bows is not None else False
+            else:
+                is_sib = False
+            if self.tracer is not None:
+                self.tracer.record(now, warp, dop.instr, n_exec)
+
+            stats.warp_instructions += 1
+            stats.thread_instructions += n_exec
+            stats.active_lane_sum += n_exec
+            if dop.is_sync:
+                stats.sync_thread_instructions += n_exec
+            else:
+                stats.useful_thread_instructions += n_exec
+            if is_sib:
+                stats.sib_warp_instructions += 1
+                stats.sib_thread_instructions += n_exec
+            warp.issued_instructions += 1
+            warp.thread_instructions += n_exec
+            if self.cawa is not None:
+                self.cawa.on_issue(warp, dop.instr, now)
+            if bows is not None:
+                bows.on_issue(warp, now, is_sib, is_store=dop.is_store)
+
+            dop.handler(self, warp, dop, exec_mask, n_exec, now)
+
+            # -- epilogue ------------------------------------------------
             if warp.backed_off != was_backed:
                 self._n_backed += 1 if warp.backed_off else -1
             scheduler.notify_issue(slot, now)
             stats.issued_slots += 1
             issued += 1
-            if warp.finished:
+            if warp.stack.finished:
                 self._n_live -= 1
                 # A finished warp never blocks its CTA's barrier: its
                 # exit may release warp-mates already waiting there.
                 self._barrier_arrive(warp.cta_id, now=now, skip_slot=slot)
                 self._retire_if_cta_done(warp.cta_id, now=now)
+                continue
+            # Refresh: re-cache the decoded op and earliest issue cycle.
+            dop = self._ops[warp.stack.pc]
+            warp._decoded = dop
+            pending = warp.scoreboard._pending
+            t = 0
+            if pending:
+                for key in dop.hazard_keys:
+                    release = pending.get(key)
+                    if release is not None and release > t:
+                        t = release
+            warp._sb_max = t
+            if warp.membar_until > t:
+                t = warp.membar_until
+            warp._ready_from = t
+            # _register(warp, now), unless it waits at a barrier.
+            if warp.at_barrier:
+                continue
+            if t <= now:
+                (backed if warp.backed_off else normal).add(slot)
             else:
-                self._refresh(warp)
-                if not warp.at_barrier:
-                    self._register(warp, now)
+                heappush(heap, (t, slot))
+                self._waiting[slot] = t
         return issued
 
-    def _refresh(self, warp: Warp) -> None:
-        """Re-cache the warp's decoded op and earliest issue cycle.
-
-        Called after every issue by ``warp`` (and at launch) — the only
-        points where its PC, scoreboard, or memory fence can change.
-        """
-        dop = self._decoded_prog.ops[warp.stack.pc]
-        warp._decoded = dop
-        pending = warp.scoreboard._pending
-        sb_max = 0
-        if pending:
-            for key in dop.hazard_keys:
-                release = pending.get(key)
-                if release is not None and release > sb_max:
-                    sb_max = release
-        warp._sb_max = sb_max
-        membar = warp.membar_until
-        warp._ready_from = membar if membar > sb_max else sb_max
-
     def _register(self, warp: Warp, now: int) -> None:
-        """File the warp under ready-now or the wait heap."""
+        """File a warp released from a barrier under ready-now or the
+        wait heap (:meth:`_step_fast` inlines this for the issuer)."""
         t = warp._ready_from
         slot = warp.warp_slot
         if t <= now:
@@ -505,11 +551,13 @@ class SM:
         return best
 
     def accumulate_occupancy(self, dt: float) -> None:
-        """Weight the current backed-off/live warp counts by ``dt`` cycles."""
-        if self._fast:
-            self.stats.resident_warp_cycles += dt * self._n_live
-            self.stats.backed_off_warp_cycles += dt * self._n_backed
-            return
+        """Weight the current backed-off/live warp counts by ``dt`` cycles.
+
+        Reference engine only: the fast engine keeps both counts current
+        in ``_n_live`` / ``_n_backed`` and the cycle loop
+        (:meth:`repro.sim.gpu.Simulation._advance`) integrates those for
+        all SMs at once.
+        """
         live = sum(1 for w in self.warps.values() if not w.finished)
         backed = sum(
             1 for w in self.warps.values()
@@ -597,45 +645,6 @@ class SM:
             warp.stack.advance()
         else:
             self._execute_alu(warp, instr, exec_mask, now)
-
-    def _issue_fast(self, warp: Warp, now: int) -> None:
-        """Fast-engine :meth:`_issue`: pre-decoded record, no dispatch.
-
-        Mirrors the reference prologue field for field, then jumps
-        straight to the op's specialized handler.
-        """
-        dop = warp._decoded
-        exec_mask = dop.mask_fn(warp)
-        n_exec = int(np.count_nonzero(exec_mask))
-        ddos = self.ddos
-        if dop.is_branch:
-            if ddos is not None:
-                is_sib = ddos.is_sib(dop.index)
-            else:
-                is_sib = dop.static_sib if self.bows is not None else False
-        else:
-            is_sib = False
-        self._trace(now, warp, dop.instr, n_exec)
-
-        stats = self.stats
-        stats.warp_instructions += 1
-        stats.thread_instructions += n_exec
-        stats.active_lane_sum += n_exec
-        if dop.is_sync:
-            stats.sync_thread_instructions += n_exec
-        else:
-            stats.useful_thread_instructions += n_exec
-        if is_sib:
-            stats.sib_warp_instructions += 1
-            stats.sib_thread_instructions += n_exec
-        warp.issued_instructions += 1
-        warp.thread_instructions += n_exec
-        if self.cawa is not None:
-            self.cawa.on_issue(warp, dop.instr, now)
-        if self.bows is not None:
-            self.bows.on_issue(warp, now, is_sib, is_store=dop.is_store)
-
-        dop.handler(self, warp, dop, exec_mask, now)
 
     # -- straight-line ops ---------------------------------------------
 
@@ -847,10 +856,11 @@ class SM:
             locks.lock_success += 1
             self.lock_table[addr] = (warp_key, lane)
             warp.lock_fail_addr = None
-            self._emit_lock_ok(
-                cycle=now, sm_id=self.sm_id, warp_slot=warp.warp_slot,
-                addr=addr, lane=lane,
-            )
+            if self._emit_lock_ok is not null_emitter:
+                self._emit_lock_ok(
+                    cycle=now, sm_id=self.sm_id, warp_slot=warp.warp_slot,
+                    addr=addr, lane=lane,
+                )
         else:
             holder = self.lock_table.get(addr)
             if holder is not None and holder[0] == warp_key:
@@ -862,10 +872,11 @@ class SM:
             # Hang forensics: remember which lock this warp is stuck on.
             warp.lock_fail_addr = addr
             warp.lock_fails += 1
-            self._emit_lock_fail(
-                cycle=now, sm_id=self.sm_id, warp_slot=warp.warp_slot,
-                addr=addr, lane=lane, conflict=conflict,
-            )
+            if self._emit_lock_fail is not null_emitter:
+                self._emit_lock_fail(
+                    cycle=now, sm_id=self.sm_id, warp_slot=warp.warp_slot,
+                    addr=addr, lane=lane, conflict=conflict,
+                )
 
     # ------------------------------------------------------------------
     # Helpers

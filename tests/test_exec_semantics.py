@@ -461,3 +461,39 @@ def test_multi_cta_dispatch(dual_sm_config):
     got = memory.load_array(out, n)
     expected = np.repeat(np.arange(64), 32)
     assert (got == expected).all()
+
+
+@pytest.mark.parametrize("kernel", ["ht", "st", "reduction"])
+def test_no_handler_mutates_or_outlives_its_exec_mask(kernel):
+    """The fast engine hands an unguarded instruction the SIMT stack's
+    TOS mask itself, not a copy.  That is sound only while nobody writes
+    a mask in place, so freeze every mask a handler sees — for good: a
+    later in-place write by a handler, the stack, the register file or
+    an observer (obs and the sanitizer are attached) raises."""
+    from repro.harness.params import QUICK_PARAMS, QUICK_SYNC_FREE
+    from repro.harness.runner import make_config
+    from repro.kernels import build
+    from repro.sim.gpu import GPU
+
+    aliased = 0
+
+    def frozen(handler):
+        def checked(sm, warp, dop, exec_mask, n_exec, now):
+            nonlocal aliased
+            aliased += exec_mask is warp.stack.active_mask
+            exec_mask.flags.writeable = False
+            before = exec_mask.copy()
+            handler(sm, warp, dop, exec_mask, n_exec, now)
+            assert (exec_mask == before).all(), dop.instr
+        return checked
+
+    params = QUICK_PARAMS.get(kernel) or QUICK_SYNC_FREE[kernel]
+    workload = build(kernel, **params)
+    gpu = GPU(make_config("gto", bows="adaptive", ddos=True),
+              memory=workload.memory, obs=True, sanitizer=True)
+    sim = gpu.begin(workload.launch)
+    for dop in sim.sms[0]._ops:  # one decoded program, shared by the SMs
+        dop.handler = frozen(dop.handler)
+    result = sim.run()
+    workload.validate(result.memory)
+    assert aliased > 0

@@ -128,6 +128,13 @@ def test_checkpoint_resume_is_bitwise_identical(kernel, preset_kwargs,
         assert not sim.finished, mode
         restored = checkpoint_bytes_roundtrip(sim)
         assert restored is not sim
+        if engine == "fast":
+            # The issue loop's per-scheduler rows must still be the
+            # restored schedulers and ready sets, not copies of them.
+            for sm in restored.sms:
+                assert [tuple(map(id, row)) for row in sm._rows] == [
+                    tuple(map(id, row)) for row in zip(
+                        sm.schedulers, sm._ready_normal, sm._ready_backed)]
         result = restored.run()
         assert result.stats.summary() == baseline.stats.summary(), mode
         assert result.cycles == baseline.cycles, mode

@@ -156,6 +156,25 @@ def test_atomic_dedupes_same_address_lanes(memsys):
     assert result.transactions == 2  # two unique addresses
 
 
+def test_atomic_takes_an_array_or_the_equal_list():
+    """The issue path hands ``atomic`` the Python list it already holds;
+    the timing model must not care which form the addresses come in."""
+    addrs = [256, 0, 4, 0, 4096, 256, 132]
+    outcomes = []
+    for form in (np.array(addrs, dtype=np.int64), list(addrs)):
+        memsys = MemorySubsystem(fermi_config(num_sms=2))
+        memsys.load(0, np.array([0, 128, 4096]), now=0)  # lines to evict
+        result = memsys.atomic(0, form, now=50)
+        outcomes.append((
+            result.completion, result.transactions, vars(memsys.stats),
+            [memsys.l1[0].probe(line) for line in (0, 128, 4096)],
+            [memsys.l2.probe(line) for line in (0, 128, 256, 4096)],
+            list(memsys._bank_free), memsys._dram_free,
+        ))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] == 5  # unique addresses
+
+
 def test_atomics_serialize_at_the_bank(memsys):
     """Back-to-back atomics to one (L2-resident) line queue up."""
     addrs = np.array([0])

@@ -122,6 +122,28 @@ def test_cache_hit_answers_without_dispatch(daemon):
     assert status["counters"]["cache_hits"] == 1
 
 
+def test_settled_jobs_are_forgotten_by_client_and_store(daemon):
+    """A resident client and daemon hold state only for outstanding
+    work: once N cached + M novel submissions have settled on one
+    connection neither keeps a handle, a job row or a result, and
+    ``status`` still tallies every one of them."""
+    novel = [_spec(params=dict(VECADD, per_thread=n)) for n in (2, 3, 4)]
+    with _client(daemon) as client:
+        handles = client.submit_many(novel, stream=False)
+        for handle in handles:
+            assert isinstance(handle.outcome(timeout=60), RunResult)
+        handles += client.submit_many(novel + novel[:2], stream=False)
+        assert [h.status for h in handles[3:]] == ["cached"] * 5
+        for handle in handles:
+            assert isinstance(handle.outcome(timeout=60), RunResult)
+        assert client._handles == {}
+        assert client._orphans == {}
+        status = client.status()
+    assert daemon.store._jobs == {}
+    assert daemon.store._active_by_hash == {}
+    assert status["jobs"] == {"done": 3 + 5}
+
+
 def test_prewarmed_cache_never_dispatches(serve_dir):
     """A spec simulated by a *direct* Runner lands in the shared cache;
     the daemon answers it instantly with zero dispatches."""
@@ -322,6 +344,9 @@ def test_result_overtaking_accepted_reaches_the_second_handle(monkeypatch):
         assert second.status == "attached"
         assert first.wait(10) and second.wait(10)
         assert second.outcome().cycles == first.outcome().cycles
+        # The late handle was settled from the seen-terminal record and
+        # must not stay registered for a message that will never come.
+        assert client._handles == {}
 
 
 # ----------------------------------------------------------- protocol

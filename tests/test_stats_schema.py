@@ -10,6 +10,8 @@ loud.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.api import simulate
 from repro.metrics.stats import (SUMMARY_KEYS, SUMMARY_SCHEMA_VERSION,
                                  SimStats)
@@ -44,3 +46,27 @@ def test_summary_values_are_json_plain():
 
     summary = SimStats().summary()
     assert json.loads(json.dumps(summary)) == summary
+
+
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+@pytest.mark.parametrize("kernel, params", [
+    # Wait/signal kernel: the wait_exit_* counters are fed by lane
+    # counts, which NumPy reductions return as NumPy scalars.
+    ("st", dict(n_threads=128, n_cells=256, cell_work=4, block_dim=64)),
+    ("reduction", dict(n_threads=128, block_dim=64)),
+])
+def test_summary_leaves_are_exact_python_types(kernel, params, engine):
+    """``json.dumps`` is too lenient a check: ``numpy.float64`` passes
+    it (a float subclass) and ``numpy.int64`` compares equal after a
+    round trip.  Every leaf must be *exactly* a plain Python type."""
+    result = simulate(
+        kernel,
+        config=GPUConfig.preset("fermi", bows="adaptive", ddos=True),
+        params=params, engine=engine,
+    )
+    summary = result.stats.summary()
+    if kernel == "st":
+        assert summary["wait_exit_fail"] > 0
+    plain = (int, float, str, bool, type(None))
+    assert {k: type(v) for k, v in summary.items()
+            if type(v) not in plain} == {}
