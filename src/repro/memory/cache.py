@@ -41,7 +41,11 @@ class Cache:
 
         On a miss with ``allocate``, the line is filled (evicting LRU).
         """
-        cache_set, tag = self._locate(line_addr)
+        # _locate, inline here and in invalidate: both run once per
+        # memory transaction.
+        line_index = line_addr // self._line_bytes
+        cache_set = self._sets[line_index % self._num_sets]
+        tag = line_index // self._num_sets
         if tag in cache_set:
             cache_set.move_to_end(tag)
             self.hits += 1
@@ -60,7 +64,9 @@ class Cache:
 
     def invalidate(self, line_addr: int) -> bool:
         """Drop ``line_addr`` if present; returns True if it was cached."""
-        cache_set, tag = self._locate(line_addr)
+        line_index = line_addr // self._line_bytes
+        cache_set = self._sets[line_index % self._num_sets]
+        tag = line_index // self._num_sets
         if tag in cache_set:
             del cache_set[tag]
             return True

@@ -31,6 +31,9 @@ from repro.sim.config import GPUConfig
 #: Bytes per memory word (all accesses are 32-bit).
 WORD_BYTES = 4
 
+#: Message of the ``IndexError`` every functional access path raises.
+OUT_OF_BOUNDS = "global memory access out of bounds"
+
 
 class GlobalMemory:
     """Flat, word-addressed functional memory with a bump allocator."""
@@ -68,7 +71,7 @@ class GlobalMemory:
         # One comparison for both bounds: reinterpreted as unsigned, a
         # negative index is larger than any array size.
         if np.count_nonzero(idx.view(np.uint64) >= self.words.size):
-            raise IndexError("global memory access out of bounds")
+            raise IndexError(OUT_OF_BOUNDS)
         return idx
 
     def read(self, byte_addrs: np.ndarray) -> np.ndarray:
@@ -83,11 +86,18 @@ class GlobalMemory:
 
     # Convenience scalar/stage helpers for workload setup and validation.
 
+    def _word_index(self, byte_addr: int) -> int:
+        # A negative index would wrap to the end of ``words``.
+        index = byte_addr // WORD_BYTES
+        if not 0 <= index < self.words.size:
+            raise IndexError(OUT_OF_BOUNDS)
+        return index
+
     def read_word(self, byte_addr: int) -> int:
-        return self.words.item(byte_addr // WORD_BYTES)
+        return self.words.item(self._word_index(byte_addr))
 
     def write_word(self, byte_addr: int, value: int) -> None:
-        self.words[byte_addr // WORD_BYTES] = value
+        self.words[self._word_index(byte_addr)] = value
         self.version += 1
         if self.write_hook is not None:
             self.write_hook(1)
@@ -147,6 +157,11 @@ class MemorySubsystem:
         self.l2 = Cache(config.l2)
         self._bank_free = [0] * config.num_l2_banks
         self._dram_free = 0
+        # Frozen geometry the per-address paths would otherwise re-read
+        # through two attribute hops (or a ``len``) per transaction.
+        self._l1_line_bytes = config.l1d.line_bytes
+        self._l2_line_bytes = config.l2.line_bytes
+        self._n_banks = config.num_l2_banks
         self.stats = MemoryStats()
         # Seeded memory-latency spread (schedule-perturbation fuzzing):
         # the RNG sequence is a deterministic function of the seed and
@@ -167,7 +182,7 @@ class MemorySubsystem:
         """Completion cycle of an L2 access arriving at ``now``."""
         cfg = self.config
         bank_free = self._bank_free
-        bank = (line_addr // cfg.l2.line_bytes) % len(bank_free)
+        bank = (line_addr // self._l2_line_bytes) % self._n_banks
         start = bank_free[bank]
         if start < now:
             start = now
@@ -178,13 +193,16 @@ class MemorySubsystem:
             self._jitter_rng.randrange(self._jitter + 1)
             if self._jitter_rng is not None else 0
         )
+        stats = self.stats
         if self.l2.access(line_addr):
-            self.stats.l2_hits += 1
+            stats.l2_hits += 1
             return start + cfg.l2_hit_latency + jitter
-        self.stats.l2_misses += 1
-        dram_start = max(start + cfg.l2_hit_latency, self._dram_free)
+        stats.l2_misses += 1
+        dram_start = start + cfg.l2_hit_latency
+        if dram_start < self._dram_free:
+            dram_start = self._dram_free
         self._dram_free = dram_start + cfg.dram_service_interval
-        self.stats.dram_accesses += 1
+        stats.dram_accesses += 1
         return dram_start + cfg.dram_latency + jitter
 
     def _classify(self, n_tx: int, sync: bool) -> None:
@@ -198,35 +216,37 @@ class MemorySubsystem:
     def load(self, sm_id: int, addresses: np.ndarray, now: int,
              bypass_l1: bool = False, sync: bool = False) -> MemoryAccessResult:
         """A warp-level load of the given active-lane byte addresses."""
-        cfg = self.config
-        lines = coalesce(addresses, cfg.l1d.line_bytes)
+        lines = coalesce(addresses, self._l1_line_bytes)
         completion = now
         l1 = self.l1[sm_id]
+        stats = self.stats
+        l1_done = now + self.config.l1_hit_latency
         for line in lines:
             if not bypass_l1 and l1.access(line):
-                self.stats.l1_hits += 1
-                done = now + cfg.l1_hit_latency
+                stats.l1_hits += 1
+                done = l1_done
             else:
                 if not bypass_l1:
-                    self.stats.l1_misses += 1
-                done = self._l2_latency(line, now + cfg.l1_hit_latency)
-            completion = max(completion, done)
+                    stats.l1_misses += 1
+                done = self._l2_latency(line, l1_done)
+            if done > completion:
+                completion = done
         n_tx = len(lines)
-        self.stats.load_transactions += n_tx
+        stats.load_transactions += n_tx
         self._classify(n_tx, sync)
         return MemoryAccessResult(completion, n_tx)
 
     def store(self, sm_id: int, addresses: np.ndarray, now: int,
               sync: bool = False) -> MemoryAccessResult:
         """Write-through, no-allocate store; evicts the local L1 lines."""
-        cfg = self.config
-        lines = coalesce(addresses, cfg.l1d.line_bytes)
+        lines = coalesce(addresses, self._l1_line_bytes)
         completion = now
         l1 = self.l1[sm_id]
         for line in lines:
             l1.invalidate(line)
             done = self._l2_latency(line, now)
-            completion = max(completion, done)
+            if done > completion:
+                completion = done
         n_tx = len(lines)
         self.stats.store_transactions += n_tx
         self._classify(n_tx, sync)
@@ -244,14 +264,15 @@ class MemorySubsystem:
             addresses = addresses.tolist()
         unique = sorted(set(addresses))
         completion = now
-        l1 = self.l1[sm_id]
-        line_bytes = cfg.l1d.line_bytes
+        invalidate = self.l1[sm_id].invalidate
+        l2_latency = self._l2_latency
+        line_bytes = self._l1_line_bytes
+        service = cfg.atomic_service_interval
+        latency = cfg.atomic_latency
         for addr in unique:
             line = addr // line_bytes * line_bytes
-            l1.invalidate(line)
-            done = self._l2_latency(
-                line, now, service=cfg.atomic_service_interval
-            ) + cfg.atomic_latency
+            invalidate(line)
+            done = l2_latency(line, now, service) + latency
             if done > completion:
                 completion = done
         n_tx = len(unique)

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.isa.instructions import Imm, Mem, Opcode, Operand, Param, Pred, Reg, Sreg
 from repro.isa.program import Program
+from repro.memory.memsys import OUT_OF_BOUNDS, WORD_BYTES
 from repro.sim.config import GPUConfig
 from repro.sim.registers import wrap_i32
 from repro.sim.warp import Warp
@@ -49,46 +50,56 @@ def effective_addresses(warp: Warp, mem: Mem) -> np.ndarray:
     return warp.regs.read(mem.base.name) + np.int64(mem.offset)
 
 
+def _div(a, b):
+    divisor = np.where(b == 0, 1, b)
+    return np.where(b == 0, 0, np.fix(a / divisor).astype(np.int64))
+
+
+def _rem(a, b):
+    divisor = np.where(b == 0, 1, b)
+    quotient = np.fix(a / divisor).astype(np.int64)
+    return np.where(b == 0, a, a - quotient * divisor)
+
+
+def _shift_amount(amount):
+    # clip(amount, 0, 31) as two ufunc calls: ``np.clip`` itself spends
+    # ten times the arithmetic in its Python wrapper on a 32-lane vector.
+    return np.minimum(np.maximum(amount, 0), 31)
+
+
+#: Raw (pre-wrap) lane-vector computation per ALU opcode, taking the
+#: source vectors positionally — the one statement of every opcode's
+#: arithmetic: :func:`eval_alu` looks it up per call, the fast engine
+#: binds it at decode time.
+_ALU_OPS = {
+    Opcode.MOV: lambda a: a,
+    Opcode.ADD: np.add,
+    Opcode.SUB: np.subtract,
+    Opcode.MUL: np.multiply,
+    Opcode.MAD: lambda a, b, c: a * b + c,
+    Opcode.DIV: _div,
+    Opcode.REM: _rem,
+    Opcode.AND: np.bitwise_and,
+    Opcode.OR: np.bitwise_or,
+    Opcode.XOR: np.bitwise_xor,
+    Opcode.NOT: np.bitwise_not,
+    Opcode.SHL: lambda a, b: np.left_shift(a, _shift_amount(b)),
+    Opcode.SHR: lambda a, b: np.right_shift(a, _shift_amount(b)),
+    Opcode.MIN: np.minimum,
+    Opcode.MAX: np.maximum,
+}
+
+
+def _alu_op(opcode: Opcode):
+    try:
+        return _ALU_OPS[opcode]
+    except KeyError:
+        raise ValueError(f"not an ALU opcode: {opcode}") from None
+
+
 def eval_alu(opcode: Opcode, srcs: Sequence[np.ndarray]) -> np.ndarray:
     """Evaluate an ALU opcode over lane vectors (32-bit wrapped)."""
-    if opcode is Opcode.MOV:
-        result = srcs[0]
-    elif opcode is Opcode.ADD:
-        result = srcs[0] + srcs[1]
-    elif opcode is Opcode.SUB:
-        result = srcs[0] - srcs[1]
-    elif opcode is Opcode.MUL:
-        result = srcs[0] * srcs[1]
-    elif opcode is Opcode.MAD:
-        result = srcs[0] * srcs[1] + srcs[2]
-    elif opcode is Opcode.DIV:
-        divisor = np.where(srcs[1] == 0, 1, srcs[1])
-        result = np.where(srcs[1] == 0, 0,
-                          np.fix(srcs[0] / divisor).astype(np.int64))
-    elif opcode is Opcode.REM:
-        divisor = np.where(srcs[1] == 0, 1, srcs[1])
-        quotient = np.fix(srcs[0] / divisor).astype(np.int64)
-        result = np.where(srcs[1] == 0, srcs[0], srcs[0] - quotient * divisor)
-    elif opcode is Opcode.AND:
-        result = np.bitwise_and(srcs[0], srcs[1])
-    elif opcode is Opcode.OR:
-        result = np.bitwise_or(srcs[0], srcs[1])
-    elif opcode is Opcode.XOR:
-        result = np.bitwise_xor(srcs[0], srcs[1])
-    elif opcode is Opcode.NOT:
-        result = np.bitwise_not(srcs[0])
-    elif opcode is Opcode.SHL:
-        shift = np.clip(srcs[1], 0, 31)
-        result = np.left_shift(srcs[0], shift)
-    elif opcode is Opcode.SHR:
-        shift = np.clip(srcs[1], 0, 31)
-        result = np.right_shift(srcs[0], shift)
-    elif opcode is Opcode.MIN:
-        result = np.minimum(srcs[0], srcs[1])
-    elif opcode is Opcode.MAX:
-        result = np.maximum(srcs[0], srcs[1])
-    else:
-        raise ValueError(f"not an ALU opcode: {opcode}")
+    result = _alu_op(opcode)(*srcs)
     return wrap_i32(np.asarray(result, dtype=np.int64))
 
 
@@ -133,7 +144,7 @@ def _make_reader(operand: Operand, warp_size: int,
     """Closure-bound equivalent of :func:`read_operand` for one operand."""
     if isinstance(operand, Reg):
         name = operand.name
-        return lambda warp: warp.regs.read(name)
+        return lambda warp: warp.regs.values[name]
     if isinstance(operand, Imm):
         vector = _frozen(np.full(warp_size, operand.value, dtype=np.int64))
         return lambda warp: vector
@@ -142,7 +153,7 @@ def _make_reader(operand: Operand, warp_size: int,
         return lambda warp: warp.sregs[name]
     if isinstance(operand, Pred):
         name = operand.name
-        return lambda warp: warp.regs.read_pred(name).astype(np.int64)
+        return lambda warp: warp.regs.pred_values[name].astype(np.int64)
     if isinstance(operand, Param):
         vector = _frozen(
             np.full(warp_size, params[operand.name], dtype=np.int64)
@@ -191,50 +202,33 @@ class DecodedOp:
         self.static_sib = static_sib
 
 
-def _div(srcs):
-    divisor = np.where(srcs[1] == 0, 1, srcs[1])
-    return np.where(srcs[1] == 0, 0,
-                    np.fix(srcs[0] / divisor).astype(np.int64))
+def _retire(warp, dst_key, release) -> None:
+    """The tail every register-writing handler ends in.
 
+    ``Scoreboard.reserve`` of the one destination key, then
+    ``SIMTStack.advance``, both inline: a handler that has written its
+    result straight into the warp's register arrays finishes the
+    instruction with this one call.
 
-def _rem(srcs):
-    divisor = np.where(srcs[1] == 0, 1, srcs[1])
-    quotient = np.fix(srcs[0] / divisor).astype(np.int64)
-    return np.where(srcs[1] == 0, srcs[0], srcs[0] - quotient * divisor)
-
-
-def _shift_amount(amount):
-    # clip(amount, 0, 31) as two ufunc calls: ``np.clip`` itself spends
-    # ten times the arithmetic in its Python wrapper on a 32-lane vector.
-    return np.minimum(np.maximum(amount, 0), 31)
-
-
-#: Raw (pre-wrap) lane-vector computation per ALU opcode — each entry is
-#: the matching :func:`eval_alu` branch, bound at decode time so the hot
-#: path skips the opcode if-chain.
-_ALU_OPS = {
-    Opcode.MOV: lambda s: s[0],
-    Opcode.ADD: lambda s: s[0] + s[1],
-    Opcode.SUB: lambda s: s[0] - s[1],
-    Opcode.MUL: lambda s: s[0] * s[1],
-    Opcode.MAD: lambda s: s[0] * s[1] + s[2],
-    Opcode.DIV: _div,
-    Opcode.REM: _rem,
-    Opcode.AND: lambda s: np.bitwise_and(s[0], s[1]),
-    Opcode.OR: lambda s: np.bitwise_or(s[0], s[1]),
-    Opcode.XOR: lambda s: np.bitwise_xor(s[0], s[1]),
-    Opcode.NOT: lambda s: np.bitwise_not(s[0]),
-    Opcode.SHL: lambda s: np.left_shift(s[0], _shift_amount(s[1])),
-    Opcode.SHR: lambda s: np.right_shift(s[0], _shift_amount(s[1])),
-    Opcode.MIN: lambda s: np.minimum(s[0], s[1]),
-    Opcode.MAX: lambda s: np.maximum(s[0], s[1]),
-}
+    Handlers write the way ``RegisterFile.write`` does — in place,
+    ``np.copyto(dst, values.astype(np.int32), where=exec_mask)``: the
+    int32 cast is the one 32-bit wrap and it copies, so ``values`` may
+    alias the destination (``mov r1, r1``).
+    """
+    pending = warp.scoreboard.pending
+    if release > pending.get(dst_key, 0):
+        pending[dst_key] = release
+    top = warp.stack.frames[-1]
+    pc = top.pc + 1
+    top.pc = pc
+    if pc == top.rpc:
+        warp.stack.pop_reconverged()
 
 
 def _make_alu_handler(instr, warp_size, params, alu_latency, sfu_latency):
     opcode = instr.opcode
     dst_name = instr.dst.name
-    dst_keys = (instr.dst_key,)
+    dst_key = instr.dst_key
     latency = sfu_latency if opcode in _SFU_OPCODES else alu_latency
     if opcode is Opcode.SELP:
         read_a = _make_reader(instr.srcs[0], warp_size, params)
@@ -242,32 +236,26 @@ def _make_alu_handler(instr, warp_size, params, alu_latency, sfu_latency):
         pred_name = instr.srcs[2].name
 
         def handler(sm, warp, dop, exec_mask, n_exec, now):
-            a = read_a(warp)
-            b = read_b(warp)
-            pred = warp.regs.read_pred(pred_name)
-            result = np.where(pred, a, b)
-            warp.regs.write(dst_name, result, exec_mask)
-            warp.scoreboard.reserve(dst_keys, now + latency)
-            warp.stack.advance()
+            regs = warp.regs
+            result = np.where(
+                regs.pred_values[pred_name], read_a(warp), read_b(warp)
+            )
+            np.copyto(regs.values[dst_name], result.astype(np.int32),
+                      where=exec_mask)
+            _retire(warp, dst_key, now + latency)
 
         return handler
 
     readers = tuple(
         _make_reader(src, warp_size, params) for src in instr.srcs
     )
-    try:
-        alu_op = _ALU_OPS[opcode]
-    except KeyError:
-        raise ValueError(f"not an ALU opcode: {opcode}") from None
+    alu_op = _alu_op(opcode)
 
     def handler(sm, warp, dop, exec_mask, n_exec, now):
-        # RegisterFile.write wraps to 32 bits (and copies, so MOV may
-        # hand it the source vector itself).
-        warp.regs.write(
-            dst_name, alu_op([read(warp) for read in readers]), exec_mask
-        )
-        warp.scoreboard.reserve(dst_keys, now + latency)
-        warp.stack.advance()
+        result = alu_op(*[read(warp) for read in readers])
+        np.copyto(warp.regs.values[dst_name], result.astype(np.int32),
+                  where=exec_mask)
+        _retire(warp, dst_key, now + latency)
 
     return handler
 
@@ -277,20 +265,20 @@ def _make_setp_handler(instr, warp_size, params, alu_latency):
     read_b = _make_reader(instr.srcs[1], warp_size, params)
     cmp_op = _CMP_OPS[instr.cmp]
     dst_name = instr.dst.name
-    dst_keys = (instr.dst_key,)
+    dst_key = instr.dst_key
 
     def handler(sm, warp, dop, exec_mask, n_exec, now):
         a = read_a(warp)
         b = read_b(warp)
-        warp.regs.write_pred(dst_name, cmp_op(a, b), exec_mask)
-        warp.scoreboard.reserve(dst_keys, now + alu_latency)
+        np.copyto(warp.regs.pred_values[dst_name], cmp_op(a, b),
+                  where=exec_mask)
         # DDOS profiles one fixed thread per warp (the first live lane).
         lane = warp.profiled_lane
         ddos = sm.ddos
         if ddos is not None and lane >= 0 and exec_mask.item(lane):
             ddos.on_setp(warp.warp_slot, instr, a.item(lane), b.item(lane),
                          now)
-        warp.stack.advance()
+        _retire(warp, dst_key, now + alu_latency)
 
     return handler
 
@@ -302,17 +290,19 @@ def _make_branch_handler(instr, program: Program):
     rpc = program.reconvergence_point(instr.index) if guarded else None
     wait_branch = instr.has_role("wait_branch")
     is_backward = instr.is_backward_branch
+    index = instr.index
 
     def handler(sm, warp, dop, exec_mask, n_exec, now):
         # A branch's exec mask (active AND guard) *is* its taken mask,
-        # so the issue prologue's ``n_exec`` already decides uniform
-        # taken / uniform fall-through / divergent for the stack.
+        # so the issue prologue's ``n_exec`` and the TOS entry's lane
+        # count already decide uniform taken / uniform fall-through /
+        # divergent for the stack.
         stack = warp.stack
         n_not_taken = 0
         if not guarded:
             stack.uniform_jump(target)
         else:
-            n_not_taken = int(np.count_nonzero(stack.active_mask)) - n_exec
+            n_not_taken = stack.frames[-1].n - n_exec
             if n_exec == 0:
                 stack.advance()
             elif n_not_taken == 0:
@@ -320,7 +310,7 @@ def _make_branch_handler(instr, program: Program):
             else:
                 # exec_mask is a fresh array here (guarded), so the
                 # stack may keep it as the taken entry's mask.
-                stack.diverge(exec_mask, target, rpc)
+                stack.diverge(exec_mask, n_exec, target, rpc)
         taken_any = n_exec > 0
 
         if wait_branch:
@@ -330,14 +320,18 @@ def _make_branch_handler(instr, program: Program):
             locks.wait_exit_fail += n_exec
             locks.wait_exit_success += n_not_taken
 
-        if is_backward and sm.ddos is not None:
-            sm.ddos.on_backward_branch(warp.warp_slot, instr, taken_any, now)
+        ddos = sm.ddos
+        if is_backward and ddos is not None:
+            ddos.on_backward_branch(warp.warp_slot, instr, taken_any, now)
         if sm.cawa is not None:
             sm.cawa.on_branch(warp, instr, taken_any)
-        # Re-query SIB status: the backward-branch hook above may have
-        # just trained DDOS past its confidence threshold (the reference
-        # path has the same read-after-train ordering).
-        if taken_any and sm.bows is not None and sm._is_sib(instr):
+        # Re-query SIB status (``SM._is_sib`` for a branch): the
+        # backward-branch hook above may have just trained DDOS past its
+        # confidence threshold (the reference path has the same
+        # read-after-train ordering).
+        if taken_any and sm.bows is not None and (
+                ddos.is_sib(index) if ddos is not None
+                else dop.static_sib):
             sm.bows.on_sib_executed(warp, now)
 
     return handler
@@ -347,12 +341,14 @@ def _make_exit_handler(instr):
     index = instr.index
 
     def handler(sm, warp, dop, exec_mask, n_exec, now):
+        stack = warp.stack
         if n_exec:
-            warp.stack.exit_lanes(exec_mask)
+            stack.exit_lanes(exec_mask)
             warp.refresh_profiled_lane()
-        if not warp.finished and warp.stack.pc == index:
+        frames = stack.frames
+        if frames and frames[-1].pc == index:
             # Guarded exit: surviving lanes continue past it.
-            warp.stack.advance()
+            stack.advance()
 
     return handler
 
@@ -384,48 +380,49 @@ def _nop_handler(sm, warp, dop, exec_mask, n_exec, now):
 
 def _make_clock_handler(instr, warp_size, alu_latency):
     dst_name = instr.dst.name
-    dst_keys = (instr.dst_key,)
+    dst_key = instr.dst_key
 
     def handler(sm, warp, dop, exec_mask, n_exec, now):
         values = np.full(warp_size, now, dtype=np.int64)
-        warp.regs.write(dst_name, values, exec_mask)
-        warp.scoreboard.reserve(dst_keys, now + alu_latency)
-        warp.stack.advance()
+        np.copyto(warp.regs.values[dst_name], values.astype(np.int32),
+                  where=exec_mask)
+        _retire(warp, dst_key, now + alu_latency)
 
     return handler
 
 
 def _make_ld_param_handler(instr, warp_size, params, alu_latency):
-    value = params[instr.srcs[0].name]
-    values = _frozen(np.full(warp_size, value, dtype=np.int64))
+    # Wrapped once, at decode time.
+    values = _frozen(np.full(
+        warp_size, params[instr.srcs[0].name], dtype=np.int64
+    ).astype(np.int32))
     dst_name = instr.dst.name
-    dst_keys = (instr.dst_key,)
+    dst_key = instr.dst_key
 
     def handler(sm, warp, dop, exec_mask, n_exec, now):
-        warp.regs.write(dst_name, values, exec_mask)
-        warp.scoreboard.reserve(dst_keys, now + alu_latency)
-        warp.stack.advance()
+        np.copyto(warp.regs.values[dst_name], values, where=exec_mask)
+        _retire(warp, dst_key, now + alu_latency)
 
     return handler
 
 
-def _make_load_handler(instr, warp_size):
+def _make_load_handler(instr):
     mem_op = instr.srcs[0]
     base_name = mem_op.base.name
     offset = np.int64(mem_op.offset)
     dst_name = instr.dst.name
-    dst_keys = (instr.dst_key,)
+    dst_key = instr.dst_key
     bypass = instr.opcode is Opcode.LD_GLOBAL_CG
     sync = instr.has_role("sync")
     index = instr.index
 
     def handler(sm, warp, dop, exec_mask, n_exec, now):
-        addrs = warp.regs.read(base_name) + offset
-        active_addrs = addrs[exec_mask]
-        values = np.zeros(warp_size, dtype=np.int64)
+        values = warp.regs.values
+        active_addrs = (values[base_name] + offset)[exec_mask]
         if n_exec:
-            values[exec_mask] = sm.memory.read(active_addrs)
-        warp.regs.write(dst_name, values, exec_mask)
+            values[dst_name][exec_mask] = (
+                sm.memory.read(active_addrs).astype(np.int32)
+            )
         if sm.san is not None:
             sm.san.note_load(
                 sm.sm_id, warp.cta_id, warp.warp_in_cta,
@@ -433,8 +430,7 @@ def _make_load_handler(instr, warp_size):
             )
         result = sm.memsys.load(sm.sm_id, active_addrs, now,
                                 bypass_l1=bypass, sync=sync)
-        warp.scoreboard.reserve(dst_keys, result.completion)
-        warp.stack.advance()
+        _retire(warp, dst_key, result.completion)
 
     return handler
 
@@ -449,11 +445,9 @@ def _make_store_handler(instr, warp_size, params):
     index = instr.index
 
     def handler(sm, warp, dop, exec_mask, n_exec, now):
-        addrs = warp.regs.read(base_name) + offset
-        values = read_src(warp)
-        active_addrs = addrs[exec_mask]
+        active_addrs = (warp.regs.values[base_name] + offset)[exec_mask]
         if n_exec:
-            sm.memory.write(active_addrs, values[exec_mask])
+            sm.memory.write(active_addrs, read_src(warp)[exec_mask])
         if sm.san is not None:
             sm.san.note_store(
                 sm.sm_id, warp.cta_id, warp.warp_in_cta,
@@ -472,39 +466,59 @@ def _make_store_handler(instr, warp_size, params):
     return handler
 
 
+#: One lane's 32-bit wrap on a Python int — what the int32 cast does to
+#: a whole vector.
+_I32_BIAS = 1 << 31
+_U32_MASK = 0xFFFFFFFF
+
+
 def _make_atomic_handler(instr, warp_size, params):
     mem_op = instr.srcs[0]
     base_name = mem_op.base.name
     offset = np.int64(mem_op.offset)
-    readers = tuple(
-        _make_reader(src, warp_size, params) for src in instr.srcs[1:]
-    )
     op = instr.opcode
     is_cas = op is Opcode.ATOM_CAS
+    # ``first``: the operand of exch/add/min/max, the compare value of
+    # cas; ``second``: the value a successful cas stores.
+    read_first = _make_reader(instr.srcs[1], warp_size, params)
+    read_second = (
+        _make_reader(instr.srcs[2], warp_size, params) if is_cas else None
+    )
     is_lock_try = instr.has_role("lock_try")
     lock_release = instr.has_role("lock_release")
     sync = instr.has_role("sync") or is_lock_try
     index = instr.index
     dst_name = instr.dst.name if instr.dst is not None else None
-    dst_keys = (instr.dst_key,) if instr.dst_key is not None else ()
+    dst_key = instr.dst_key
 
     def handler(sm, warp, dop, exec_mask, n_exec, now):
         # One ``tolist()`` per lane vector, then plain Python ints: a
         # per-lane ``int(vector[lane])`` costs more than the whole list.
+        # The lists are snapshots, so the destination register may be
+        # the base or an operand register.
+        values = warp.regs.values
         lanes = exec_mask.nonzero()[0].tolist()
-        addrs = (warp.regs.read(base_name) + offset).tolist()
-        operands = [read(warp).tolist() for read in readers]
-        first = operands[0]
-        old_values = [0] * warp_size
-        active_addrs = []
+        addrs = (values[base_name] + offset).tolist()
+        active_addrs = [addrs[lane] for lane in lanes]
+        first = read_first(warp).tolist()
+        second = read_second(warp).tolist() if is_cas else None
+        dst = values[dst_name] if dst_name is not None else None
         warp_key = (warp.cta_id, warp.warp_in_cta)
         magic = sm.config.magic_locks and is_lock_try
         memory = sm.memory
+        words = memory.words
+        read_word = words.item
+        n_words = words.size
+        write_word = memory.write_word
+        record_lock_attempt = sm._record_lock_attempt
         san = sm.san
-        for lane in lanes:
-            addr = addrs[lane]
-            active_addrs.append(addr)
-            old = memory.read_word(addr)
+        for lane, addr in zip(lanes, active_addrs):
+            # GlobalMemory.read_word, inline (its bounds check too: a
+            # negative index would wrap to the end of memory).
+            word = addr // WORD_BYTES
+            if not 0 <= word < n_words:
+                raise IndexError(OUT_OF_BOUNDS)
+            old = read_word(word)
             if is_cas:
                 compare = first[lane]
                 if magic:
@@ -512,22 +526,23 @@ def _make_atomic_handler(instr, warp_size, params):
                     # once and the lock is never observed held.
                     old = compare
                 elif old == compare:
-                    memory.write_word(addr, operands[1][lane])
+                    write_word(addr, second[lane])
                 if is_lock_try:
-                    sm._record_lock_attempt(
+                    record_lock_attempt(
                         addr, old == compare, warp, warp_key, lane, now,
                     )
             elif op is Opcode.ATOM_EXCH:
-                memory.write_word(addr, first[lane])
+                write_word(addr, first[lane])
             elif op is Opcode.ATOM_ADD:
-                memory.write_word(addr, old + first[lane])
+                write_word(addr, old + first[lane])
             elif op is Opcode.ATOM_MIN:
-                memory.write_word(addr, min(old, first[lane]))
+                write_word(addr, min(old, first[lane]))
             elif op is Opcode.ATOM_MAX:
-                memory.write_word(addr, max(old, first[lane]))
+                write_word(addr, max(old, first[lane]))
             else:  # pragma: no cover - enum is exhaustive
                 raise ValueError(f"unhandled atomic {op}")
-            old_values[lane] = old
+            if dst is not None:
+                dst[lane] = ((old + _I32_BIAS) & _U32_MASK) - _I32_BIAS
 
             if lock_release:
                 sm.lock_table.pop(addr, None)
@@ -544,13 +559,12 @@ def _make_atomic_handler(instr, warp_size, params):
                     wrote=not is_cas or (cas_hit and not magic),
                 )
 
-        if dst_name is not None:
-            warp.regs.write(dst_name, old_values, exec_mask)
         result = sm.memsys.atomic(sm.sm_id, active_addrs, now, sync=sync)
-        if dst_keys:
-            warp.scoreboard.reserve(dst_keys, result.completion)
-        warp.stack.advance()
         sm.stats.atomic_warp_instructions += 1
+        if dst is None:
+            warp.stack.advance()
+        else:
+            _retire(warp, dst_key, result.completion)
 
     return handler
 
@@ -575,7 +589,7 @@ def _decode_one(instr, program: Program, warp_size: int,
         handler = _make_ld_param_handler(instr, warp_size, params,
                                          alu_latency)
     elif op in (Opcode.LD_GLOBAL, Opcode.LD_GLOBAL_CG):
-        handler = _make_load_handler(instr, warp_size)
+        handler = _make_load_handler(instr)
     elif op is Opcode.ST_GLOBAL:
         handler = _make_store_handler(instr, warp_size, params)
     elif instr.is_atomic:

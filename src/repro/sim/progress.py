@@ -262,7 +262,7 @@ def _warp_snapshot(sm, slot: int, warp,
         "issued_in_window": issued_in_window,
         "pc_footprint": sorted(footprint) if footprint else [],
         "simt_stack": stack,
-        "scoreboard": dict(warp.scoreboard._pending),
+        "scoreboard": dict(warp.scoreboard.pending),
         "lock_fail_addr": warp.lock_fail_addr,
         "lock_fails": warp.lock_fails,
     }
@@ -598,9 +598,9 @@ class InvariantChecker:
       predicate the program declares, and the entry count is bounded;
     * SIMT-stack depth bounds — 1 <= depth <= warp_size + 1 (each
       divergence splits lanes, so leaf groups cannot exceed lanes);
-    * reconvergence sanity — entry masks are non-empty, PCs and RPCs
-      are within program bounds, and live lanes are a subset of the
-      warp's initially-valid lanes.
+    * reconvergence sanity — entry masks are non-empty and match their
+      cached lane counts, PCs and RPCs are within program bounds, and
+      live lanes are a subset of the warp's initially-valid lanes.
     """
 
     def __init__(self, config) -> None:
@@ -627,7 +627,7 @@ class InvariantChecker:
         )
 
     def _check_scoreboard(self, now, sm, slot, warp, known) -> None:
-        pending = warp.scoreboard._pending
+        pending = warp.scoreboard.pending
         if len(pending) > len(known):
             self._fail(now, sm, slot,
                        f"scoreboard holds {len(pending)} entries for "
@@ -653,6 +653,11 @@ class InvariantChecker:
         for entry in entries:
             if not entry.mask.any():
                 self._fail(now, sm, slot, "empty SIMT-stack entry mask")
+            lanes = int(entry.mask.sum())
+            if entry.n != lanes:
+                self._fail(now, sm, slot,
+                           f"SIMT-stack entry counts {entry.n} lanes, its "
+                           f"mask holds {lanes}")
             if (entry.mask & ~valid).any():
                 self._fail(now, sm, slot,
                            "SIMT-stack entry activates an invalid lane")

@@ -25,16 +25,21 @@ class RegisterFile:
     def __init__(self, warp_size: int, reg_names: Iterable[str],
                  pred_names: Iterable[str]) -> None:
         self.warp_size = warp_size
-        self._regs: Dict[str, np.ndarray] = {
+        #: name -> int64 lane vector / bool lane vector.  Part of the
+        #: contract: both dicts and every array in them are updated in
+        #: place, never rebound, so the fast engine's handlers read and
+        #: write them directly (a write there must wrap through int32
+        #: exactly as :meth:`write` does).
+        self.values: Dict[str, np.ndarray] = {
             name: np.zeros(warp_size, dtype=np.int64) for name in reg_names
         }
-        self._preds: Dict[str, np.ndarray] = {
+        self.pred_values: Dict[str, np.ndarray] = {
             name: np.zeros(warp_size, dtype=bool) for name in pred_names
         }
 
     def read(self, name: str) -> np.ndarray:
         """Lane vector for register ``name`` (do not mutate)."""
-        return self._regs[name]
+        return self.values[name]
 
     def write(self, name: str, values: np.ndarray, mask: np.ndarray) -> None:
         """Write ``values`` into lanes selected by ``mask``."""
@@ -42,17 +47,18 @@ class RegisterFile:
         # and ``copyto`` widens it back.  The cast also makes a copy, so
         # ``values`` may alias the destination (``mov r1, r1``).
         np.copyto(
-            self._regs[name],
+            self.values[name],
             np.asarray(values, dtype=np.int64).astype(np.int32),
             where=mask,
         )
 
     def read_pred(self, name: str) -> np.ndarray:
-        return self._preds[name]
+        return self.pred_values[name]
 
     def write_pred(self, name: str, values: np.ndarray,
                    mask: np.ndarray) -> None:
-        np.copyto(self._preds[name], values, where=mask, casting="unsafe")
+        np.copyto(self.pred_values[name], values, where=mask,
+                  casting="unsafe")
 
     def register_names(self) -> Iterable[str]:
-        return self._regs.keys()
+        return self.values.keys()

@@ -16,11 +16,14 @@ class Scoreboard:
     """Tracks pending register writebacks for one warp."""
 
     def __init__(self) -> None:
-        self._pending: Dict[str, int] = {}
+        #: register key -> release cycle of its pending write.  Part of
+        #: the contract: updated in place, never rebound (the fast
+        #: engine's issue path reads it, its handler tail reserves in it).
+        self.pending: Dict[str, int] = {}
 
     def ready(self, names: Iterable[str], now: int) -> bool:
         """True when none of ``names`` has a write completing after ``now``."""
-        pending = self._pending
+        pending = self.pending
         if not pending:
             return True
         for name in names:
@@ -32,16 +35,16 @@ class Scoreboard:
     def reserve(self, names: Iterable[str], release_cycle: int) -> None:
         """Mark ``names`` as written back at ``release_cycle``."""
         for name in names:
-            current = self._pending.get(name, 0)
+            current = self.pending.get(name, 0)
             if release_cycle > current:
-                self._pending[name] = release_cycle
+                self.pending[name] = release_cycle
 
     def next_release(self, names: Iterable[str], now: int) -> Optional[int]:
         """Earliest cycle > now when all of ``names`` become available."""
         latest = now
         found = False
         for name in names:
-            release = self._pending.get(name)
+            release = self.pending.get(name)
             if release is not None and release > latest:
                 latest = release
                 found = True
@@ -49,8 +52,6 @@ class Scoreboard:
 
     def flush_before(self, now: int) -> None:
         """Drop entries already released (bounds memory in long runs)."""
-        self._pending = {
-            name: release
-            for name, release in self._pending.items()
-            if release > now
-        }
+        pending = self.pending
+        for name in [n for n, release in pending.items() if release <= now]:
+            del pending[name]

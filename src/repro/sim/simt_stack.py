@@ -27,14 +27,27 @@ from repro.isa.program import RECONVERGE_AT_EXIT
 _NO_RPC = -1
 
 
+def _count(mask: np.ndarray) -> int:
+    """Lanes set in ``mask`` as a plain ``int`` (it reaches ``SimStats``)."""
+    return int(np.count_nonzero(mask))
+
+
 @dataclass
 class StackEntry:
+    """One reconvergence-stack entry.
+
+    ``mask`` is replaced, never updated in place (an unguarded
+    instruction's exec mask aliases it), and ``n`` — its lane count —
+    is set with it, so nobody re-counts a mask that has not changed.
+    """
+
     pc: int
     rpc: int
     mask: np.ndarray  # bool[warp_size]
+    n: int  # == count_nonzero(mask)
 
     def clone(self) -> "StackEntry":
-        return StackEntry(self.pc, self.rpc, self.mask.copy())
+        return StackEntry(self.pc, self.rpc, self.mask.copy(), self.n)
 
 
 class SIMTStack:
@@ -47,8 +60,12 @@ class SIMTStack:
             initial_mask = np.ones(warp_size, dtype=bool)
         else:
             initial_mask = np.asarray(initial_mask, dtype=bool).copy()
-        self._stack: List[StackEntry] = [
-            StackEntry(start_pc, _NO_RPC, initial_mask)
+        #: The entries, bottom first.  Part of the contract: the list is
+        #: mutated in place and never rebound, so the issue path reads
+        #: ``frames[-1]`` (the TOS entry) directly.  Every entry pushed
+        #: or kept by an update has a non-empty mask.
+        self.frames: List[StackEntry] = [
+            StackEntry(start_pc, _NO_RPC, initial_mask, _count(initial_mask))
         ]
 
     # ------------------------------------------------------------------
@@ -56,42 +73,42 @@ class SIMTStack:
 
     @property
     def finished(self) -> bool:
-        return not self._stack
+        return not self.frames
 
     @property
     def pc(self) -> int:
-        return self._stack[-1].pc
+        return self.frames[-1].pc
 
     @property
     def active_mask(self) -> np.ndarray:
         """Boolean lane mask of the TOS entry (do not mutate)."""
-        return self._stack[-1].mask
+        return self.frames[-1].mask
 
     @property
     def depth(self) -> int:
-        return len(self._stack)
+        return len(self.frames)
 
     def live_mask(self) -> np.ndarray:
         """Union of all entries' masks: lanes that have not exited."""
         live = np.zeros(self.warp_size, dtype=bool)
-        for entry in self._stack:
+        for entry in self.frames:
             np.logical_or(live, entry.mask, out=live)
         return live
 
     def entries(self) -> List[StackEntry]:
         """Copy of the stack, bottom first (for inspection/tests)."""
-        return [e.clone() for e in self._stack]
+        return [e.clone() for e in self.frames]
 
     # ------------------------------------------------------------------
     # Updates
 
     def advance(self) -> None:
         """Move the TOS past a non-branch instruction (pc += 1)."""
-        top = self._stack[-1]
+        top = self.frames[-1]
         pc = top.pc + 1
         top.pc = pc
         if pc == top.rpc:
-            self._maybe_pop()
+            self.pop_reconverged()
 
     def branch(self, taken_mask: np.ndarray, target: int, rpc: int) -> bool:
         """Apply a (possibly divergent) conditional branch at the TOS.
@@ -105,28 +122,29 @@ class SIMTStack:
         Returns:
             True when the branch diverged (both paths non-empty).
         """
-        active = self._stack[-1].mask
-        taken = np.logical_and(taken_mask, active)
-        n_taken = int(np.count_nonzero(taken))
+        top = self.frames[-1]
+        taken = np.logical_and(taken_mask, top.mask)
+        n_taken = _count(taken)
         if n_taken == 0:
             self.advance()
             return False
-        if n_taken == int(np.count_nonzero(active)):
+        if n_taken == top.n:
             self.uniform_jump(target)
             return False
-        self.diverge(taken, target, rpc)
+        self.diverge(taken, n_taken, target, rpc)
         return True
 
-    def diverge(self, taken: np.ndarray, target: int, rpc: int) -> None:
+    def diverge(self, taken: np.ndarray, n_taken: int, target: int,
+                rpc: int) -> None:
         """Split the TOS: ``taken`` lanes go to ``target``, the rest fall
         through, and the TOS becomes their reconvergence entry.
 
-        ``taken`` must be a non-empty proper subset of the TOS mask —
-        the caller has already counted the lanes (:meth:`branch` does it
-        for callers that have not); uniform outcomes go through
-        :meth:`uniform_jump` / :meth:`advance`.
+        ``taken`` must be a non-empty proper subset of the TOS mask and
+        ``n_taken`` its lane count — the caller has already counted
+        (:meth:`branch` does it for callers that have not); uniform
+        outcomes go through :meth:`uniform_jump` / :meth:`advance`.
         """
-        top = self._stack[-1]
+        top = self.frames[-1]
         fall = np.logical_and(top.mask, ~taken)
         fall_pc = top.pc + 1
         if rpc == RECONVERGE_AT_EXIT:
@@ -141,38 +159,46 @@ class SIMTStack:
         # Lane groups already sitting at the reconvergence point are not
         # pushed; they simply wait in the reconvergence entry.
         if reconv_pc == _NO_RPC or fall_pc != reconv_pc:
-            self._stack.append(StackEntry(fall_pc, reconv_pc, fall))
+            self.frames.append(
+                StackEntry(fall_pc, reconv_pc, fall, top.n - n_taken)
+            )
         if reconv_pc == _NO_RPC or target != reconv_pc:
-            self._stack.append(StackEntry(target, reconv_pc, taken))
-        self._maybe_pop()
+            self.frames.append(StackEntry(target, reconv_pc, taken, n_taken))
+        self.pop_reconverged()
 
     def uniform_jump(self, target: int) -> None:
         """Unconditional branch of the whole TOS entry."""
-        top = self._stack[-1]
+        top = self.frames[-1]
         top.pc = target
         if target == top.rpc:
-            self._maybe_pop()
+            self.pop_reconverged()
 
     def exit_lanes(self, mask: np.ndarray) -> None:
         """Retire ``mask`` lanes (an ``exit`` executed under that mask)."""
         keep = ~mask
-        for entry in self._stack:
+        frames = self.frames
+        for entry in frames:
             # A new array, never an in-place update: an unguarded
             # instruction's exec mask aliases the TOS mask.
             entry.mask = np.logical_and(entry.mask, keep)
-        self._stack = [e for e in self._stack if np.count_nonzero(e.mask)]
-        self._maybe_pop()
+            entry.n = _count(entry.mask)
+        frames[:] = [e for e in frames if e.n]
+        self.pop_reconverged()
 
     # ------------------------------------------------------------------
 
-    def _maybe_pop(self) -> None:
+    def pop_reconverged(self) -> None:
         """Pop entries whose PC reached their reconvergence point.
+
+        Every update that can move a PC onto its RPC ends here; the
+        fast engine's handler tail, which advances the TOS itself, calls
+        it when ``pc == rpc``.
 
         Every entry on the stack has a non-empty mask (a divergent
         branch pushes two non-empty halves, :meth:`exit_lanes` drops the
         entries it empties), so the PC test is the only one needed.
         """
-        stack = self._stack
+        stack = self.frames
         while stack:
             top = stack[-1]
             if top.rpc == _NO_RPC or top.pc != top.rpc:
@@ -181,7 +207,7 @@ class SIMTStack:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         parts = [
-            f"(pc={e.pc}, rpc={e.rpc}, n={np.count_nonzero(e.mask)})"
-            for e in self._stack
+            f"(pc={e.pc}, rpc={e.rpc}, n={e.n})"
+            for e in self.frames
         ]
         return f"SIMTStack[{' '.join(parts)}]"

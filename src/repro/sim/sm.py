@@ -27,8 +27,8 @@ Two engines share this class and produce bitwise-identical statistics:
 * ``engine="fast"`` (what :class:`repro.sim.gpu.GPU` uses by default) —
   warps are pre-decoded once per program
   (:func:`repro.sim.executor.decode_program`) and tracked in
-  per-scheduler ready sets plus a ready-event heap keyed by each warp's
-  next possible issue cycle, so idle warps cost no per-cycle host work.
+  per-scheduler ready sets plus a wait heap keyed by each warp's
+  next-event cycle, so idle warps cost no per-cycle host work.
   A warp's readiness inputs (scoreboard, memory fence) only change when
   the warp itself issues, so its cached ``_ready_from`` is refreshed
   exactly there; barrier releases re-register freed warps immediately
@@ -170,10 +170,9 @@ class SM:
             self._ready_backed: List[Set[int]] = [
                 set() for _ in self.schedulers
             ]
-            #: (ready_from, slot) heap of warps waiting on a known cycle.
+            #: (next-event cycle, slot) heap of the warps waiting on a
+            #: known cycle, one entry each (see :meth:`_register`).
             self._wait_heap: List[Tuple[int, int]] = []
-            #: slot -> its live heap key (guards against stale entries).
-            self._waiting: Dict[int, int] = {}
             self._sched_of = [
                 slot % n_sched for slot in range(config.max_warps_per_sm)
             ]
@@ -230,8 +229,8 @@ class SM:
             self.ddos._rebind_events(bus)
         if self._fast:
             # Re-decode deterministically; each live warp's cached op is
-            # re-derived from its restored PC.  The pickled _sb_max /
-            # _ready_from ints are part of the state and ride along.
+            # re-derived from its restored PC.  The pickled _ready_from
+            # ints and wait-heap keys are part of the state and ride along.
             ops = self._ops = decode_program(
                 self.program, self.config, self.params
             ).ops
@@ -351,17 +350,21 @@ class SM:
         warps = self.warps
         heap = self._wait_heap
         if heap and heap[0][0] <= now:
-            waiting = self._waiting
             sched_of = self._sched_of
             while heap and heap[0][0] <= now:
-                t, slot = heappop(heap)
-                if waiting.get(slot) == t:
-                    del waiting[slot]
-                    sets = (
-                        self._ready_backed
-                        if warps[slot].backed_off else self._ready_normal
-                    )
-                    sets[sched_of[slot]].add(slot)
+                slot = heappop(heap)[1]
+                warp = warps[slot]
+                t = warp._ready_from
+                if t > now:
+                    # The fence it was filed under has expired before its
+                    # scoreboard release: wait on under the release.
+                    heappush(heap, (t, slot))
+                    continue
+                sets = (
+                    self._ready_backed
+                    if warp.backed_off else self._ready_normal
+                )
+                sets[sched_of[slot]].add(slot)
         stats = self.stats
         bows = self.bows
         rows = self._rows
@@ -385,12 +388,16 @@ class SM:
 
             # -- issue prologue ------------------------------------------
             dop = warp._decoded
-            exec_mask = warp.stack.active_mask
-            if dop.guard is not None:
+            frames = warp.stack.frames
+            top = frames[-1]
+            exec_mask = top.mask
+            if dop.guard is None:
+                n_exec = top.n
+            else:
                 exec_mask = dop.guard_op(
-                    exec_mask, warp.regs.read_pred(dop.guard)
+                    exec_mask, warp.regs.pred_values[dop.guard]
                 )
-            n_exec = int(np.count_nonzero(exec_mask))
+                n_exec = int(np.count_nonzero(exec_mask))
             if dop.is_branch:
                 if self.ddos is not None:
                     is_sib = self.ddos.is_sib(dop.index)
@@ -426,7 +433,7 @@ class SM:
             scheduler.notify_issue(slot, now)
             stats.issued_slots += 1
             issued += 1
-            if warp.stack.finished:
+            if not frames:
                 self._n_live -= 1
                 # A finished warp never blocks its CTA's barrier: its
                 # exit may release warp-mates already waiting there.
@@ -434,18 +441,18 @@ class SM:
                 self._retire_if_cta_done(warp.cta_id, now=now)
                 continue
             # Refresh: re-cache the decoded op and earliest issue cycle.
-            dop = self._ops[warp.stack.pc]
+            dop = self._ops[frames[-1].pc]
             warp._decoded = dop
-            pending = warp.scoreboard._pending
+            pending = warp.scoreboard.pending
             t = 0
             if pending:
                 for key in dop.hazard_keys:
                     release = pending.get(key)
                     if release is not None and release > t:
                         t = release
-            warp._sb_max = t
-            if warp.membar_until > t:
-                t = warp.membar_until
+            membar = warp.membar_until
+            if membar > t:
+                t = membar
             warp._ready_from = t
             # _register(warp, now), unless it waits at a barrier.
             if warp.at_barrier:
@@ -453,13 +460,24 @@ class SM:
             if t <= now:
                 (backed if warp.backed_off else normal).add(slot)
             else:
-                heappush(heap, (t, slot))
-                self._waiting[slot] = t
+                heappush(heap, (membar if membar > now else t, slot))
         return issued
 
     def _register(self, warp: Warp, now: int) -> None:
         """File a warp released from a barrier under ready-now or the
-        wait heap (:meth:`_step_fast` inlines this for the issuer)."""
+        wait heap (:meth:`_step_fast` inlines this for the issuer).
+
+        The heap key is the warp's *next-event* time, the cycle the
+        reference :meth:`next_event` would report for it:
+        ``membar_until`` while fenced — even when a scoreboard release
+        lands later — else the release.  A waiting warp's inputs cannot
+        change (only its own issue moves them) and a fence in the future
+        stays in the future for every earlier query, so a key is exact
+        from here until it is popped; :meth:`_step_fast` re-files a warp
+        whose fence expired first.  Each waiting warp has exactly one
+        entry: it is filed only here, not ready and not at a barrier,
+        and leaves the heap before it can issue again.
+        """
         t = warp._ready_from
         slot = warp.warp_slot
         if t <= now:
@@ -469,8 +487,9 @@ class SM:
             )
             sets[self._sched_of[slot]].add(slot)
         else:
-            heappush(self._wait_heap, (t, slot))
-            self._waiting[slot] = t
+            membar = warp.membar_until
+            heappush(self._wait_heap,
+                     (membar if membar > now else t, slot))
 
     def _ready(self, warp: Warp, now: int) -> bool:
         if warp.finished or warp.at_barrier:
@@ -516,7 +535,7 @@ class SM:
 
         Requires :meth:`_step_fast` to have drained the wait heap at
         ``now`` (the GPU loop always steps before asking).  The ready
-        sets and the waiting map then partition exactly the warps the
+        sets and the wait heap then partition exactly the warps the
         reference scan would visit (non-finished, non-barrier), so no
         per-warp state checks are needed:
 
@@ -524,30 +543,24 @@ class SM:
           smallest candidate any warp can contribute, so return it;
         * a ready backed-off warp contributes its pending delay (or
           ``now + 1`` once expired);
-        * a waiting warp replicates the reference chain's fence-first
-          quirk: ``membar_until`` if fenced — even when a scoreboard
-          release lands later — else the scoreboard release.  The heap
-          keys (``max`` of the two) must not be used here.
+        * the waiting warps contribute the heap top: every key is its
+          warp's next-event time (see :meth:`_register`), fence-first
+          quirk of the reference chain included, and after the drain
+          every key is ``> now``.
         """
         for ready in self._ready_normal:
             if ready:
                 return now + 1
-        best: Optional[int] = None
+        heap = self._wait_heap
+        best: Optional[int] = heap[0][0] if heap else None
         warps = self.warps
         for ready in self._ready_backed:
             for slot in ready:
-                warp = warps[slot]
-                t = warp.pending_delay_until
+                t = warps[slot].pending_delay_until
                 if t <= now:
                     return now + 1
                 if best is None or t < best:
                     best = t
-        for slot in self._waiting:
-            warp = warps[slot]
-            membar = warp.membar_until
-            t = membar if membar > now else warp._sb_max
-            if best is None or t < best:
-                best = t
         return best
 
     def accumulate_occupancy(self, dt: float) -> None:

@@ -96,19 +96,18 @@ class Warp:
         # the SM after each of this warp's issues — the only time its
         # readiness inputs can change:
         #   _decoded    — DecodedOp for the current PC;
-        #   _sb_max     — max pending scoreboard release over the current
-        #                 instruction's hazard keys (0 = none pending);
-        #   _ready_from — first cycle the warp can issue,
-        #                 max(membar_until, _sb_max).
-        # The reference engine ignores all three.
+        #   _ready_from — first cycle the warp can issue: the max of
+        #                 membar_until and the pending scoreboard
+        #                 releases over the current instruction's hazard
+        #                 keys (0 = nothing pending).
+        # The reference engine ignores both.
         self._decoded = None
-        self._sb_max = 0
         self._ready_from = 0
 
     def __getstate__(self):
         """Checkpointing: drop the cached DecodedOp (closure-bound); the
         SM re-derives it from the restored PC in ``_rebind_events``.
-        ``_sb_max`` / ``_ready_from`` are plain ints and ride along."""
+        ``_ready_from`` is a plain int and rides along."""
         state = self.__dict__.copy()
         state["_decoded"] = None
         return state

@@ -61,3 +61,53 @@ def run_program(source: str, config: GPUConfig, *, grid_dim: int = 1,
         KernelLaunch(program, grid_dim, block_dim, params or {})
     )
     return result, memory
+
+
+def fence_first_workload():
+    """A directed kernel that parks warps with ``now < membar_until <``
+    their scoreboard release: a long-miss ``ld`` into ``%r_v``, then a
+    store that hits in L2, a ``membar`` behind it, and an ``add`` that
+    needs ``%r_v``.  The reference ``next_event`` reports the fence for
+    such a warp although nothing can issue when it expires."""
+    import numpy as np
+
+    from repro.isa import assemble
+    from repro.kernels.base import Workload, require
+    from repro.memory.memsys import GlobalMemory
+    from repro.sim.gpu import KernelLaunch
+
+    n_threads = 64  # two warps, one CTA
+    memory = GlobalMemory(1 << 12)
+    src = memory.alloc(n_threads)
+    flags = memory.alloc(n_threads)
+    out = memory.alloc(n_threads)
+    memory.store_array(src, range(100, 100 + n_threads))
+    memory.store_array(flags, range(n_threads))
+    program = assemble("""
+        ld.param %r_src, [src]
+        ld.param %r_flags, [flags]
+        ld.param %r_out, [out]
+        shl %r_off, %gtid, 2
+        add %r_src, %r_src, %r_off
+        add %r_flags, %r_flags, %r_off
+        add %r_out, %r_out, %r_off
+        ld.global.cg %r_f, [%r_flags]   // brings the flags line into L2
+        add %r_f, %r_f, 1               // ... and waits for it
+        ld.global %r_v, [%r_src]        // long miss: L1, L2, DRAM
+        st.global [%r_flags], %r_f      // short: hits in L2
+        membar                          // fenced until that store lands
+        add %r_w, %r_v, 1               // blocked on the ld well past it
+        st.global [%r_out], %r_w
+        exit
+        """, name="fence_first")
+
+    def validate(mem):
+        lanes = np.arange(n_threads)
+        require((mem.load_array(out, n_threads) == lanes + 101).all(),
+                "fence_first: out[i] != src[i] + 1")
+        require((mem.load_array(flags, n_threads) == lanes + 1).all(),
+                "fence_first: flags[i] != i + 1")
+
+    launch = KernelLaunch(program, 1, n_threads,
+                          {"src": src, "flags": flags, "out": out})
+    return Workload("fence_first", launch, memory, validate)

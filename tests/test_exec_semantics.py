@@ -267,6 +267,31 @@ def test_atom_add_accumulates(tiny_config):
     assert memory.read_word(counter) == 64
 
 
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+@pytest.mark.parametrize("addr", [-4, (1 << 10) * 4],
+                         ids=["negative", "past-the-end"])
+@pytest.mark.parametrize("atomic", [
+    "atom.add %r_old, [%r_a], 1", "atom.cas %r_old, [%r_a], 0, 1",
+], ids=["add", "cas"])
+def test_atomic_outside_memory_is_rejected(tiny_config, engine, addr, atomic):
+    """An atomic on a negative address used to read and write the *last*
+    word of memory; both engines must refuse it like a load would."""
+    from repro.isa import assemble
+    from repro.sim.gpu import GPU, KernelLaunch
+
+    memory = GlobalMemory(1 << 10)
+    program = assemble(f"""
+        ld.param %r_a, [addr]
+        {atomic}
+        exit
+        """, name="oob_atomic")
+    gpu = GPU(tiny_config, memory=memory, engine=engine)
+    with pytest.raises(IndexError, match="out of bounds"):
+        gpu.launch(KernelLaunch(program, 1, 32, {"addr": addr}))
+    assert not memory.words.any()
+    assert memory.version == 0
+
+
 def test_atom_cas_only_one_winner_per_address(tiny_config):
     memory = GlobalMemory(1 << 16)
     flag = memory.alloc(1)
@@ -463,13 +488,16 @@ def test_multi_cta_dispatch(dual_sm_config):
     assert (got == expected).all()
 
 
-@pytest.mark.parametrize("kernel", ["ht", "st", "reduction"])
+@pytest.mark.parametrize("kernel", ["ht", "st", "reduction", "nw1"])
 def test_no_handler_mutates_or_outlives_its_exec_mask(kernel):
     """The fast engine hands an unguarded instruction the SIMT stack's
     TOS mask itself, not a copy.  That is sound only while nobody writes
     a mask in place, so freeze every mask a handler sees — for good: a
     later in-place write by a handler, the stack, the register file or
-    an observer (obs and the sanitizer are attached) raises."""
+    an observer (obs and the sanitizer are attached) raises.  The lane
+    count the issue path reads beside the mask is held to the same
+    standard: after every issue, every stack entry's ``n`` is its
+    mask's count."""
     from repro.harness.params import QUICK_PARAMS, QUICK_SYNC_FREE
     from repro.harness.runner import make_config
     from repro.kernels import build
@@ -483,8 +511,12 @@ def test_no_handler_mutates_or_outlives_its_exec_mask(kernel):
             aliased += exec_mask is warp.stack.active_mask
             exec_mask.flags.writeable = False
             before = exec_mask.copy()
+            assert n_exec == np.count_nonzero(exec_mask), dop.instr
             handler(sm, warp, dop, exec_mask, n_exec, now)
             assert (exec_mask == before).all(), dop.instr
+            for entry in warp.stack.frames:
+                assert type(entry.n) is int, dop.instr
+                assert entry.n == np.count_nonzero(entry.mask) > 0, dop.instr
         return checked
 
     params = QUICK_PARAMS.get(kernel) or QUICK_SYNC_FREE[kernel]

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import fence_first_workload
 from repro.api import simulate
+from repro.kernels import build as build_workload
 from repro.sim.config import GPUConfig, PerturbConfig
 
 #: Small-but-representative workload shapes (a run stays well under a
@@ -50,12 +52,22 @@ CONFIGS = [
     pytest.param("atm", {"scheduler": "gto", "bows": "adaptive"},
                  id="atm-bows-adaptive"),
     pytest.param("reduction", {"scheduler": "gto"}, id="reduction-gto"),
+    pytest.param("fence_first", {"scheduler": "gto"}, id="fence-first-gto"),
+    pytest.param("fence_first", {"scheduler": "lrr", "bows": "adaptive"},
+                 id="fence-first-lrr-bows"),
 ]
 
 
+def _workload(kernel: str):
+    """A fresh build: a registered kernel at its ``PARAMS`` shape, or the
+    directed fence-first kernel (``conftest.fence_first_workload``)."""
+    if kernel == "fence_first":
+        return fence_first_workload()
+    return build_workload(kernel, **PARAMS[kernel])
+
+
 def _run(kernel: str, config: GPUConfig, engine: str):
-    return simulate(kernel, config=config, params=PARAMS[kernel],
-                    engine=engine)
+    return simulate(_workload(kernel), config=config, engine=engine)
 
 
 @pytest.mark.parametrize("kernel, preset_kwargs", CONFIGS)
@@ -94,10 +106,9 @@ def test_engines_identical_on_pascal_preset():
 def _begin(kernel: str, config: GPUConfig, engine: str,
            obs=None, sanitize=None):
     """A live mid-runnable Simulation over a fresh workload build."""
-    from repro.kernels import build as build_workload
     from repro.sim.gpu import GPU
 
-    workload = build_workload(kernel, **PARAMS[kernel])
+    workload = _workload(kernel)
     gpu = GPU(config, memory=workload.memory, engine=engine, obs=obs,
               sanitizer=sanitize)
     return workload, gpu.begin(workload.launch)
@@ -139,6 +150,56 @@ def test_checkpoint_resume_is_bitwise_identical(kernel, preset_kwargs,
         assert result.stats.summary() == baseline.stats.summary(), mode
         assert result.cycles == baseline.cycles, mode
         workload.validate(result.memory)
+
+
+def _fenced_before_release(sim):
+    """Warps the reference ``next_event`` would report their fence for
+    although a scoreboard release lands later: ``now < membar_until <
+    release``.  Read from architectural state, so it means the same on
+    both engines."""
+    now = sim.now
+    found = []
+    for sm in sim.sms:
+        for warp in sm.warps.values():
+            if warp.finished or warp.at_barrier:
+                continue
+            release = warp.scoreboard.next_release(
+                warp.current_instruction().hazard_keys, now)
+            if release is not None and now < warp.membar_until < release:
+                found.append(warp)
+    return found
+
+
+@pytest.mark.parametrize("engine", ["reference", "fast"])
+def test_fence_expiring_before_the_scoreboard_release(engine):
+    """The fence-first quirk, pinned: a fenced warp's next event is its
+    ``membar_until`` even when the instruction behind the fence waits on
+    a later scoreboard release, so the loop visits a cycle on which
+    nothing issues and charges its issue slots.  The fast engine's wait
+    heap is keyed by that next-event time; the kernels of the golden
+    matrix reach the case too rarely to notice a wrong key."""
+    from repro.sim.checkpoint import checkpoint_bytes_roundtrip
+
+    config = GPUConfig.preset("fermi", scheduler="gto")
+    oracle = _run("fence_first", config, "reference")
+    # Frozen: 602 cycles.  A heap keyed by the first *issuable* cycle
+    # skips the visit at each fence's expiry and charges fewer slots.
+    assert (oracle.cycles, oracle.stats.issue_slots) == (602, 136)
+
+    workload, sim = _begin("fence_first", config, engine)
+    in_window = 0
+    restored = None
+    while not sim.run_until(sim.now + 1):  # one visited cycle at a time
+        if _fenced_before_release(sim):
+            in_window += 1
+            if restored is None:
+                restored = checkpoint_bytes_roundtrip(sim)
+    assert in_window, "no warp ever sat fenced ahead of its release"
+    for result in (sim.result, restored.run()):
+        assert result.cycles == oracle.cycles
+        assert result.stats.issue_slots == oracle.stats.issue_slots
+        assert result.stats.summary() == oracle.stats.summary()
+    workload.validate(sim.result.memory)
 
 
 @pytest.mark.parametrize("kernel", ["ht", "nw1"])

@@ -84,6 +84,19 @@ def test_scalar_helpers():
     assert mem.load_array(16, 3).tolist() == [1, 2, 3]
 
 
+@pytest.mark.parametrize("byte_addr", [-4, -1, 16 * 4])
+def test_scalar_helpers_reject_what_the_vector_path_rejects(byte_addr):
+    """A negative word index must not wrap to the end of memory."""
+    mem = GlobalMemory(16)
+    mem.write_word(15 * 4, 7)
+    with pytest.raises(IndexError, match="out of bounds"):
+        mem.read_word(byte_addr)
+    with pytest.raises(IndexError, match="out of bounds"):
+        mem.write_word(byte_addr, 1)
+    assert mem.read_word(15 * 4) == 7
+    assert mem.version == 1  # the rejected writes wrote nothing
+
+
 # ------------------------------------------------------------ timing model
 
 

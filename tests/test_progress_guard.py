@@ -337,7 +337,7 @@ def test_invariant_catches_bogus_scoreboard_entry(tiny_config):
     checker.check(0, [sm])  # healthy
 
     warp = next(iter(sm.warps.values()))
-    warp.scoreboard._pending["%r_never_declared"] = 10
+    warp.scoreboard.pending["%r_never_declared"] = 10
     with pytest.raises(InvariantViolation):
         checker.check(1, [sm])
 
@@ -360,6 +360,6 @@ def test_invariant_catches_corrupt_stack_pc(tiny_config):
                   age_base=0)
     checker = InvariantChecker(config)
     warp = next(iter(sm.warps.values()))
-    warp.stack._stack[0].pc = 10_000  # way outside the program
+    warp.stack.frames[0].pc = 10_000  # way outside the program
     with pytest.raises(InvariantViolation):
         checker.check(0, [sm])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.isa.program import RECONVERGE_AT_EXIT
 from repro.sim.simt_stack import SIMTStack
 
 
@@ -193,3 +194,50 @@ def test_random_walks_never_corrupt_masks(data):
             assert stack.active_mask.any()
             # Each divergence adds at most two entries.
             assert stack.depth <= 64
+
+
+def assert_lane_counts(stack):
+    """Every entry's cached ``n`` is its mask's lane count, a plain int."""
+    for entry in stack.frames:
+        assert type(entry.n) is int
+        assert entry.n == np.count_nonzero(entry.mask) > 0
+
+
+@given(st.data())
+def test_lane_counts_never_drift(data):
+    """``StackEntry.n`` rides beside the mask through every update, a
+    copy and a pickle round-trip: the issue path reads it instead of
+    counting, so a drifted count is a wrong ``thread_instructions``."""
+    import pickle
+
+    stack = SIMTStack(8, start_pc=0)
+    assert_lane_counts(stack)
+    for _ in range(data.draw(st.integers(1, 40))):
+        if stack.finished:
+            break
+        active = np.flatnonzero(stack.active_mask).tolist()
+        lanes = data.draw(st.lists(st.sampled_from(active), unique=True))
+        pc = stack.pc
+        action = data.draw(st.sampled_from(
+            ["advance", "branch", "diverge", "uniform_jump", "exit_lanes"]))
+        if action == "advance":
+            stack.advance()
+        elif action == "branch":
+            # Lanes outside the TOS mask too: branch() intersects.
+            extra = data.draw(st.lists(st.integers(0, 7), max_size=8))
+            stack.branch(mask(*lanes, *extra), target=max(pc - 3, 0),
+                         rpc=pc + 4)
+        elif action == "diverge" and 0 < len(lanes) < len(active):
+            stack.diverge(mask(*lanes), len(lanes), target=pc + 2,
+                          rpc=data.draw(st.sampled_from(
+                              [pc + 4, RECONVERGE_AT_EXIT])))
+        elif action == "uniform_jump":
+            stack.uniform_jump(max(pc - 2, 0))
+        elif lanes:
+            stack.exit_lanes(mask(*lanes))
+        assert_lane_counts(stack)
+        counts = [e.n for e in stack.frames]
+        restored = pickle.loads(pickle.dumps(stack))
+        assert_lane_counts(restored)
+        assert [e.n for e in restored.frames] == counts
+        assert [e.clone().n for e in stack.frames] == counts
