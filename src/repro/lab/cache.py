@@ -14,9 +14,12 @@ Durability guarantees (see ``docs/robustness.md``):
   and multiple Runners can share one cache directory without ever
   exposing a half-written entry.
 * **Checksummed reads** — version-2 entries embed a SHA-256 over the
-  canonical JSON body; :meth:`ResultCache.get` verifies it and treats
-  any mismatch (torn write, bit rot, hand-editing) as a miss.  Never a
-  crash, never a silently wrong result.
+  canonical JSON body; :meth:`ResultCache.get` verifies it — once per
+  file version: a cache object remembers what it verified until the
+  file's ``(inode, size, mtime)`` changes — and treats any mismatch
+  (torn write, bit rot, hand-editing), and any entry filed under a hash
+  or code fingerprint that is not its own, as a miss.  Never a crash,
+  never a silently wrong result.
 * **Quarantine** — a corrupt entry is moved to
   ``<cache_dir>/quarantine/`` rather than deleted or overwritten in
   place, preserving the evidence; :meth:`ResultCache.verify` (surfaced
@@ -35,9 +38,10 @@ import json
 import os
 import shutil
 import tempfile
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.lab.locking import FileLock, LockTimeout
 from repro.lab.results import RunResult
@@ -55,6 +59,12 @@ ENTRY_VERSION = 2
 #: Subdirectory corrupt entries are moved into (never deleted).
 QUARANTINE_DIR = "quarantine"
 
+#: Bounds of a cache object's memo of verified entries: how many it
+#: holds (oldest dropped first) and the largest entry file it keeps —
+#: an obs-heavy result is simply verified on every read.
+MEMO_ENTRIES = 512
+MEMO_MAX_BYTES = 32 * 1024
+
 _fingerprint_memo: Optional[str] = None
 
 
@@ -67,6 +77,16 @@ def _canonical_body(body) -> bytes:
     return json.dumps(
         body, sort_keys=True, separators=(",", ":"), default=_json_default,
     ).encode("utf-8")
+
+
+class EntryDefect(Exception):
+    """A file in the store is not an intact entry for its slot."""
+
+
+def _signature(stat: os.stat_result) -> Tuple[int, int, int]:
+    """What identifies one version of an entry file: ``os.replace``
+    brings a new inode, an in-place rewrite a new size or mtime."""
+    return stat.st_ino, stat.st_size, stat.st_mtime_ns
 
 
 def default_cache_dir() -> Path:
@@ -180,6 +200,10 @@ class ResultCache:
         self.directory = Path(directory) if directory else default_cache_dir()
         self._fingerprint = fingerprint
         self.bus = bus
+        #: spec hash -> (file signature, ``result`` JSON text) of entries
+        #: this object has verified; see :meth:`get`.
+        self._verified: Dict[str, Tuple[tuple, str]] = {}
+        self._verified_lock = threading.Lock()
 
     @property
     def fingerprint(self) -> str:
@@ -188,7 +212,8 @@ class ResultCache:
         return self._fingerprint
 
     def _entry_path(self, spec_hash: str) -> Path:
-        return self.directory / self.fingerprint[:16] / f"{spec_hash}.json"
+        return self.directory.joinpath(self.fingerprint[:16],
+                                       f"{spec_hash}.json")
 
     def lock(self, timeout_s: float = 30.0) -> FileLock:
         """The store-wide advisory lock guarding multi-file mutations."""
@@ -213,6 +238,37 @@ class ResultCache:
         if actual != checksum:
             return "checksum mismatch (torn write or modified entry)"
         return None
+
+    def _load_entry(self, path: Path, spec_hash: str):
+        """The one decision "is this file an intact entry for this hash".
+
+        Returns ``(payload, result, fstat of the file read)``.  Raises
+        ``OSError`` when the file cannot be read and
+        :class:`EntryDefect` when what it holds is damaged or does not
+        belong at ``path`` — a checksum says a body is whole, not that
+        it answers the question asked.
+        """
+        with open(path, "rb") as handle:
+            stat = os.fstat(handle.fileno())
+            raw = handle.read()
+        try:
+            payload = json.loads(raw)
+        except ValueError as exc:
+            raise EntryDefect(f"entry is not valid JSON: {exc}") from None
+        defect = self._check_entry(payload)
+        if defect is not None:
+            raise EntryDefect(defect)
+        try:
+            result = RunResult.from_dict(payload["result"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise EntryDefect(f"result payload malformed: {exc}") from None
+        if result.spec_hash != spec_hash:
+            raise EntryDefect(
+                f"misfiled: holds the result of spec {result.spec_hash}")
+        if payload.get("fingerprint", self.fingerprint) != self.fingerprint:
+            raise EntryDefect(
+                "misfiled: written under another code fingerprint")
+        return payload, result, stat
 
     def _quarantine(self, path: Path, reason: str) -> Optional[Path]:
         """Move a corrupt entry aside (atomic; races resolve silently)."""
@@ -239,49 +295,65 @@ class ResultCache:
 
         A corrupt or unreadable entry counts as a miss — never a crash,
         never a silently wrong result.  Entries failing their content
-        checksum (or unparseable) are quarantined so the defect stays
-        diagnosable and the slot is free for the fresh recompute.
+        checksum (or unparseable, or misfiled) are quarantined so the
+        defect stays diagnosable and the slot is free for the fresh
+        recompute.
+
+        An entry is verified once per file version: the ``result`` text
+        of one that passed is kept with the file's signature, and while
+        a ``stat`` still shows that signature a hit is parsed from the
+        kept text.  A re-``put``, another process's ``os.replace``, a
+        quarantine or a ``clear`` changes or removes the file and so
+        falls back to the full verified read.  Every hit is a fresh
+        parse: callers share nothing with the memo or with each other.
         """
-        path = self._entry_path(spec.content_hash())
+        spec_hash = spec.content_hash()
+        path = self._entry_path(spec_hash)
+        with self._verified_lock:
+            memo = self._verified.get(spec_hash)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
+            if memo is not None and memo[0] == _signature(os.stat(path)):
+                result = RunResult.from_dict(json.loads(memo[1]))
+            else:
+                payload, result, stat = self._load_entry(path, spec_hash)
+                if stat.st_size <= MEMO_MAX_BYTES:
+                    self._remember(spec_hash, _signature(stat),
+                                   json.dumps(payload["result"]))
         except OSError:
             return None  # plain miss
-        except ValueError:
-            self._quarantine(path, "entry is not valid JSON")
-            return None
-        defect = self._check_entry(payload)
-        if defect is not None:
-            self._quarantine(path, defect)
-            return None
-        try:
-            result = RunResult.from_dict(payload["result"])
-        except (ValueError, KeyError, TypeError) as exc:
-            self._quarantine(path, f"result payload malformed: {exc}")
+        except EntryDefect as defect:
+            self._quarantine(path, str(defect))
             return None
         result.from_cache = True
         result.label = spec.label
         return result
+
+    def _remember(self, spec_hash: str, signature: tuple, text: str) -> None:
+        with self._verified_lock:
+            self._verified.pop(spec_hash, None)  # re-inserted as newest
+            while len(self._verified) >= MEMO_ENTRIES:
+                del self._verified[next(iter(self._verified))]
+            self._verified[spec_hash] = (signature, text)
 
     def put(self, spec: RunSpec, result: RunResult) -> Path:
         """Persist ``result`` under the spec's content hash (atomic,
         checksummed: readers verify the body byte-for-byte)."""
         path = self._entry_path(spec.content_hash())
         path.parent.mkdir(parents=True, exist_ok=True)
-        body = {
+        canonical = _canonical_body({
             "fingerprint": self.fingerprint,
             "spec": spec.to_dict(),
             "result": result.to_dict(),
-        }
-        canonical = _canonical_body(body)
-        payload = dict(json.loads(canonical))
-        payload["version"] = ENTRY_VERSION
-        payload["checksum"] = hashlib.sha256(canonical).hexdigest()
+        })
+        # The entry is the canonical body itself with the checksum and
+        # version spliced in front: one serialization, one write.
+        entry = b'{"checksum":"%s","version":%d,%s' % (
+            hashlib.sha256(canonical).hexdigest().encode("ascii"),
+            ENTRY_VERSION, canonical[1:])
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, default=_json_default)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(entry)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -314,12 +386,11 @@ class ResultCache:
                     size_bytes=size, status="stale",
                 ))
                 continue
+            defect = None
             try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-                defect = self._check_entry(payload)
-            except ValueError as exc:
-                defect = f"entry is not valid JSON: {exc}"
+                payload, _, _ = self._load_entry(path, spec_hash)
+            except EntryDefect as exc:
+                defect = str(exc)
             except OSError as exc:
                 defect = f"unreadable: {exc}"
             if defect is None:

@@ -16,14 +16,13 @@ of a single bad run; callers that need all results use
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.memory.memsys import MemoryStats
 from repro.metrics.stats import LockStats, SimStats
 
-from repro.lab.spec import RunSpec
+from repro.lab.spec import RunSpec, dataclass_to_dict
 
 
 class LabError(RuntimeError):
@@ -31,7 +30,7 @@ class LabError(RuntimeError):
 
 
 def stats_to_dict(stats: SimStats) -> Dict[str, Any]:
-    return dataclasses.asdict(stats)
+    return dataclass_to_dict(stats)
 
 
 def stats_from_dict(data: Dict[str, Any]) -> SimStats:

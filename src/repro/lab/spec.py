@@ -14,11 +14,13 @@ the hash; presentation-only fields (``label``) are excluded.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.analysis.sanitizer import SanitizerConfig
 from repro.obs import ObsConfig
@@ -26,9 +28,42 @@ from repro.sim.config import (BOWSConfig, CacheConfig, DDOSConfig, GPUConfig,
                               PerturbConfig)
 
 
+_SCALARS = frozenset((int, float, str, bool, type(None)))
+
+
+@functools.lru_cache(maxsize=None)
+def _field_names(cls: type) -> Tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def dataclass_to_dict(obj: Any) -> Dict[str, Any]:
+    """``dataclasses.asdict`` for a dataclass whose leaves are scalars or
+    such dataclasses: same keys, same order, same values.
+
+    ``asdict`` deep-copies every leaf, which on a per-request path costs
+    more than hashing the result; a scalar needs no copy.  A container
+    field would be *shared* by this shortcut, so it is refused rather
+    than aliased.
+    """
+    data = {}
+    for name in _field_names(type(obj)):
+        value = getattr(obj, name)
+        if type(value) in _SCALARS:
+            data[name] = value
+        elif dataclasses.is_dataclass(value):
+            data[name] = dataclass_to_dict(value)
+        elif isinstance(value, (list, tuple, dict, set)):
+            raise TypeError(
+                f"{type(obj).__name__}.{name} is a {type(value).__name__}: "
+                "dataclass_to_dict serializes scalar leaves only")
+        else:  # numpy scalars and the like: what asdict does with a leaf
+            data[name] = copy.deepcopy(value)
+    return data
+
+
 def config_to_dict(config: GPUConfig) -> Dict[str, Any]:
     """Serialize a :class:`GPUConfig` (and nested configs) to plain data."""
-    return dataclasses.asdict(config)
+    return dataclass_to_dict(config)
 
 
 def config_from_dict(data: Dict[str, Any]) -> GPUConfig:
@@ -128,10 +163,23 @@ class RunSpec:
         )
 
     def content_hash(self) -> str:
-        """Stable SHA-256 over everything that affects the simulation."""
-        return hashlib.sha256(
-            _canonical_json(self.to_dict()).encode("utf-8")
-        ).hexdigest()
+        """Stable SHA-256 over everything that affects the simulation.
+
+        Computed once per spec and kept on the instance, outside the
+        dataclass fields: ``replace``, ``==``, ``repr`` and ``from_dict``
+        never see it, a pickle carries it to the pool worker.  Every
+        field is frozen except the ``params`` dict, so the memo is kept
+        with the ``repr`` of the params it hashed and is only as good as
+        that still matching.
+        """
+        params = repr(self.params)
+        memo = self.__dict__.get("_hash_memo")
+        if memo is None or memo[0] != params:
+            memo = (params, hashlib.sha256(
+                _canonical_json(self.to_dict()).encode("utf-8")
+            ).hexdigest())
+            object.__setattr__(self, "_hash_memo", memo)
+        return memo[1]
 
     @property
     def display(self) -> str:

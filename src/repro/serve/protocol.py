@@ -124,12 +124,15 @@ class MessageStream:
         self._write_lock = threading.Lock()
         self._closed = False
 
-    def send(self, message: Dict[str, Any]) -> None:
-        """Write one message; raises ``OSError`` on a dead peer."""
-        line = json.dumps(message, separators=(",", ":"),
-                          default=_json_default).encode("utf-8") + b"\n"
+    def send(self, *messages: Dict[str, Any]) -> None:
+        """Write the messages, one line each, in one ``sendall``;
+        raises ``OSError`` on a dead peer."""
+        lines = b"".join(
+            json.dumps(message, separators=(",", ":"),
+                       default=_json_default).encode("utf-8") + b"\n"
+            for message in messages)
         with self._write_lock:
-            self._sock.sendall(line)
+            self._sock.sendall(lines)
 
     def recv(self) -> Optional[Dict[str, Any]]:
         """Read one message; ``None`` on EOF (peer closed cleanly)."""
