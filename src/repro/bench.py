@@ -126,16 +126,7 @@ def run_benchmark(
         matrix = QUICK_MATRIX if quick else FULL_MATRIX
     # Serial + uncached on purpose: the benchmark measures wall time, so
     # no parallel interference and no cache short-circuits.
-    runner = (None if server is not None
-              else Runner(workers=1, mode="serial", cache=None, retries=0))
-
-    def _run_reps(specs: List[RunSpec]) -> List[RunResult]:
-        if server is not None:
-            batch = submit_many(specs, backend="server", server=server,
-                                client_name="bench")
-        else:
-            batch = submit_many(specs, runner=runner)
-        return batch.results()
+    runner = Runner(workers=1, mode="serial", cache=None, retries=0)
 
     entries: List[Dict[str, Any]] = []
     speedups: List[float] = []
@@ -153,7 +144,9 @@ def run_benchmark(
                             label=f"{kernel}/{mode}/{engine}/{rep}")
                     for rep in range(reps)
                 ]
-                per_engine[engine] = _best(_run_reps(specs))
+                per_engine[engine] = _best(submit_many(
+                    specs, server=server, runner=runner,
+                    client_name="bench").results())
             fast, ref = per_engine["fast"], per_engine["reference"]
             if fast.stats.summary() != ref.stats.summary():
                 raise BenchError(

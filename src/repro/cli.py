@@ -25,10 +25,11 @@ Usage::
     python -m repro run ht --server /tmp/repro.sock
 
 Exit codes distinguish failure classes so CI and the fuzzer can react
-without parsing output: 0 success, 1 generic failure, 2 usage error,
-3 hang (deadlock/livelock/cycle-cap timeout), 4 validation mismatch,
-5 transient/infrastructure error (worth retrying), 130 interrupted
-(a drained SIGINT/SIGTERM; see docs/robustness.md).
+without parsing output: 0 success, 1 generic failure, 2 usage error
+(a bad flag value included), 3 hang (deadlock/livelock/cycle-cap
+timeout), 4 validation mismatch, 5 transient/infrastructure error
+(worth retrying; an unreachable ``--server`` daemon is one), 130
+interrupted (a drained SIGINT/SIGTERM; see docs/robustness.md).
 
 ``experiment`` and ``sweep`` execute through :mod:`repro.lab`: runs fan
 out over a process pool and completed simulations land in the on-disk
@@ -37,46 +38,231 @@ twice — or regenerating Figures 10-13, which share one delay sweep — is
 a cache hit instead of hours of re-simulation.
 
 ``serve`` starts the resident job daemon (:mod:`repro.serve`); ``run``,
-``sweep``, ``fuzz``, and ``bench`` all take ``--server ADDRESS`` to
-submit their work to it instead of simulating in-process — one shared
-worker pool, one shared cache, concurrent duplicate submissions deduped
-to a single simulation (see docs/serve.md).
+``sweep`` (``--resume`` included), ``fuzz``, and ``bench`` all take
+``--server ADDRESS`` to submit their work to it instead of simulating
+in-process — one shared worker pool, one shared cache, concurrent
+duplicate submissions deduped to a single simulation (see
+docs/serve.md).  ``run`` prints the same block either way, and each of
+the four answers a daemon that is not there with one ``daemon
+unreachable`` line and exit 5.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
 import time
 from typing import List, Optional
 
-from repro.api import simulate
+from repro.api import simulate, submit
 from repro.harness.experiments import ALL_EXPERIMENTS, run_delay_sweep
 from repro.harness.reporting import format_table
 from repro.kernels import build as build_workload, kernel_names
 from repro.kernels.base import WorkloadError
-from repro.lab import ResultCache, Runner, Sweep, use_runner
-from repro.lab.core import RunTimeout, TransientRunError
+from repro.lab import (JournalError, ResultCache, RunFailure, Runner, RunSpec,
+                       Sweep, load_journal, resume_sweep, use_runner)
+from repro.serve.client import ServeError
 from repro.sim.config import GPUConfig
 from repro.sim.progress import SimulationHang
 
 #: Exit codes for machine consumers (CI, the fuzzer's repro command).
 EXIT_OK = 0
 EXIT_FAILURE = 1
+EXIT_USAGE = 2
 EXIT_HANG = 3
 EXIT_VALIDATION = 4
 EXIT_TRANSIENT = 5
 EXIT_INTERRUPTED = 130
 
 
-def _parse_params(items: List[str]) -> dict:
+def _usage_error(message: str):
+    """A flag value that does not parse: the message, exit 2."""
+    print(f"repro: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
+def _parse_params(items: List[str], axes: bool = False) -> dict:
+    """``--param NAME=VALUE`` items as ``{name: value}``; ``axes`` (sweep's
+    ``NAME=VALUE[,VALUE...]`` spelling) keeps ``{name: [values]}``."""
     params = {}
     for item in items:
-        if "=" not in item:
-            raise SystemExit(f"--param expects name=value, got {item!r}")
-        name, value = item.split("=", 1)
-        params[name] = int(value)
+        name, equals, values = item.partition("=")
+        if not equals:
+            _usage_error(f"--param expects name=value[,value...], "
+                         f"got {item!r}")
+        try:
+            values = [int(v) for v in values.split(",")]
+        except ValueError:
+            _usage_error(f"--param {name} values must be integers, "
+                         f"got {values!r}")
+        if not axes and len(values) != 1:
+            _usage_error(f"--param {name} takes one value here (only "
+                         f"'repro sweep' takes a list), got {values}")
+        params[name] = values if axes else values[0]
     return params
+
+
+def _parse_bows(item: Optional[str]) -> object:
+    if item in (None, "none", "off", ""):
+        return None
+    if item == "adaptive":
+        return "adaptive"
+    try:
+        return int(item)
+    except ValueError:
+        _usage_error(f"--bows expects 'none', 'adaptive', or an integer "
+                     f"delay in cycles, got {item!r}")
+
+
+def _add_scale_option(parser, default: str) -> None:
+    parser.add_argument("--scale", choices=("full", "quick"),
+                        default=default)
+
+
+def _add_workers_option(parser, default: int = 0) -> None:
+    parser.add_argument("--workers", type=int, default=default,
+                        help=f"parallel worker processes "
+                             f"(default: {default or 'CPU count'})")
+
+
+def _add_progress_option(parser) -> None:
+    parser.add_argument("--progress", action="store_true",
+                        help="print per-run progress lines")
+
+
+def _add_cache_dir_option(parser) -> None:
+    parser.add_argument("--cache-dir", default=None,
+                        help="result cache directory (default: .lab_cache)")
+
+
+def _add_store_options(parser) -> None:
+    parser.add_argument("--no-cache", action="store_true",
+                        help="skip the on-disk result cache")
+    _add_cache_dir_option(parser)
+    parser.add_argument("--checkpoint-dir", default=None, metavar="DIR",
+                        help="autocheckpoint running simulations to DIR; "
+                             "killed/timed-out runs resume mid-simulation")
+
+
+def _add_lab_options(parser) -> None:
+    _add_workers_option(parser)
+    _add_store_options(parser)
+    _add_progress_option(parser)
+
+
+def _add_server_option(parser, what: str, caveat: str = "") -> None:
+    parser.add_argument("--server", default=None, metavar="ADDRESS",
+                        help=f"submit {what} to a 'repro serve' daemon at "
+                             f"ADDRESS (socket path or host:port) instead "
+                             f"of simulating in-process{caveat}")
+
+
+def _add_preset_option(parser) -> None:
+    parser.add_argument("--preset", choices=("fermi", "pascal"),
+                        default="fermi")
+
+
+def _add_param_option(parser) -> None:
+    parser.add_argument("--param", action="append", default=[],
+                        metavar="NAME=VALUE",
+                        help="workload parameter override (repeatable)")
+
+
+def _add_machine_options(parser) -> None:
+    """One kernel on one machine: ``run``, ``profile`` and ``fuzz``."""
+    parser.add_argument("kernel", choices=kernel_names())
+    parser.add_argument("--scheduler", choices=("lrr", "gto", "cawa"),
+                        default="gto")
+    parser.add_argument("--bows", default=None,
+                        help="'adaptive' or a fixed delay limit in cycles")
+    _add_preset_option(parser)
+    _add_param_option(parser)
+    parser.add_argument("--watchdog", type=int, default=None,
+                        help="no-progress window in cycles before the run "
+                             "is classified as hung (0 disables; fuzz "
+                             "default: budget/4)")
+    parser.add_argument("--progress-epoch", type=int, default=None,
+                        help="cycles between progress-monitor samples")
+    parser.add_argument("--invariants", action="store_true",
+                        help="enable per-epoch microarchitectural "
+                             "invariant checks (debug)")
+
+
+def _add_simulate_options(parser) -> None:
+    """One complete simulation: ``run`` and ``profile``."""
+    _add_machine_options(parser)
+    parser.add_argument("--no-ddos", action="store_true",
+                        help="use static !sib annotations instead of DDOS")
+    parser.add_argument("--engine", choices=("fast", "reference"),
+                        default="fast",
+                        help="execution engine (both are bitwise-equivalent; "
+                             "'reference' is the seed implementation)")
+    parser.add_argument("--max-cycles", type=int, default=None,
+                        help="hard simulated-cycle budget")
+
+
+def _workers(args) -> int:
+    return args.workers if args.workers > 0 else os.cpu_count() or 1
+
+
+def _make_runner(args) -> Runner:
+    """Build a lab runner from the shared --workers/--no-cache/--progress
+    flags (``fuzz`` has no cache flags: a campaign is never cached)."""
+    cache = (None if getattr(args, "no_cache", True)
+             else ResultCache(args.cache_dir))
+    return Runner(workers=_workers(args), cache=cache,
+                  progress=print if args.progress else None,
+                  checkpoint_dir=getattr(args, "checkpoint_dir", None))
+
+
+def _make_config(args) -> GPUConfig:
+    """The machine the ``_add_machine_options`` flags describe."""
+    overrides = {}
+    if getattr(args, "max_cycles", None) is not None:
+        overrides["max_cycles"] = args.max_cycles
+    if args.watchdog is not None:
+        overrides["no_progress_window"] = args.watchdog
+    if args.progress_epoch is not None:
+        overrides["progress_epoch"] = args.progress_epoch
+    if args.invariants:
+        overrides["invariant_checks"] = True
+    return GPUConfig.preset(
+        args.preset,
+        scheduler=args.scheduler,
+        bows=_parse_bows(args.bows),
+        ddos=False if getattr(args, "no_ddos", False) else None,
+        **overrides,
+    )
+
+
+def _report_failure(kernel: str, failure: RunFailure) -> int:
+    """Print a failed run and map it to the exit-code contract
+    (hang=3, validation=4, transient=5)."""
+    kind = failure.error_type
+    if failure.hung or kind in (
+            "SimulationLivelock", "SimulationDeadlock", "SimulationTimeout"):
+        verdict, code = f"HANG ({kind})", EXIT_HANG
+    elif kind == "WorkloadError":
+        verdict, code = "VALIDATION FAILED", EXIT_VALIDATION
+    elif failure.transient:
+        verdict, code = f"transient error ({kind})", EXIT_TRANSIENT
+    else:
+        verdict, code = f"FAILED ({kind})", EXIT_FAILURE
+    print(f"kernel {kernel}: {verdict}")
+    print(failure.message)
+    return code
+
+
+def _report_batch(report, start: float) -> int:
+    """Print a batch's one-line tally and map it to an exit code."""
+    print(f"\n[{report.total} runs: {report.cache_hits} cached, "
+          f"{report.executed} simulated, {len(report.failures)} failed "
+          f"in {time.time() - start:.1f}s]")
+    if report.interrupted:
+        return EXIT_INTERRUPTED
+    return EXIT_FAILURE if report.failures else EXIT_OK
 
 
 def _cmd_list(_args) -> int:
@@ -85,43 +271,11 @@ def _cmd_list(_args) -> int:
     return 0
 
 
-def _make_lab_runner(args) -> Runner:
-    """Build a lab runner from the shared --workers/--no-cache flags."""
-    import os
-
-    workers = args.workers
-    if workers is None or workers <= 0:
-        workers = os.cpu_count() or 1
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    progress = print if getattr(args, "progress", False) else None
-    return Runner(workers=workers, cache=cache, progress=progress,
-                  checkpoint_dir=getattr(args, "checkpoint_dir", None))
-
-
-def _add_lab_options(parser) -> None:
-    parser.add_argument("--workers", type=int, default=None,
-                        help="parallel worker processes (default: CPU count)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="skip the on-disk result cache")
-    parser.add_argument("--cache-dir", default=None,
-                        help="result cache directory (default: .lab_cache)")
-    parser.add_argument("--progress", action="store_true",
-                        help="print per-run progress lines")
-    parser.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                        help="autocheckpoint running simulations to DIR; "
-                             "killed/timed-out runs resume mid-simulation")
-
-
 def _cmd_experiment(args) -> int:
     name = args.name
-    if name not in ALL_EXPERIMENTS:
-        raise SystemExit(
-            f"unknown experiment {name!r}; try: "
-            f"{', '.join(sorted(ALL_EXPERIMENTS))}"
-        )
     func = ALL_EXPERIMENTS[name]
     start = time.time()
-    runner = _make_lab_runner(args)
+    runner = _make_runner(args)
     with use_runner(runner):
         if name in ("fig10", "fig11", "fig12", "fig13"):
             sweep = run_delay_sweep(scale=args.scale)
@@ -140,25 +294,6 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _parse_bows_axis(values: List[str]) -> List[object]:
-    axis: List[object] = []
-    for chunk in values:
-        for item in chunk.split(","):
-            item = item.strip()
-            if item in ("none", "off", ""):
-                axis.append(None)
-            elif item == "adaptive":
-                axis.append("adaptive")
-            else:
-                try:
-                    axis.append(int(item))
-                except ValueError:
-                    raise SystemExit(
-                        f"--bows expects 'none', 'adaptive', or an integer "
-                        f"delay in cycles, got {item!r}") from None
-    return axis or [None]
-
-
 def _cmd_sweep(args) -> int:
     if args.resume:
         return _cmd_sweep_resume(args)
@@ -169,54 +304,36 @@ def _cmd_sweep(args) -> int:
         args.name,
         kernel=kernels,
         scheduler=schedulers,
-        bows=_parse_bows_axis(args.bows or []),
+        bows=[_parse_bows(item.strip()) for chunk in args.bows
+              for item in chunk.split(",")] or [None],
     )
     sweep.axis("preset", [args.preset])
     sweep.axis("scale", [args.scale])
     if args.obs:
         sweep.axis("obs", [True])
-    for item in args.param:
-        if "=" not in item:
-            raise SystemExit(f"--param expects name=value[,value...], "
-                             f"got {item!r}")
-        name, values = item.split("=", 1)
-        try:
-            sweep.axis(name, [int(v) for v in values.split(",")])
-        except ValueError:
-            raise SystemExit(f"--param {name} values must be integers, "
-                             f"got {values!r}") from None
+    for name, values in _parse_params(args.param, axes=True).items():
+        sweep.axis(name, values)
     start = time.time()
-    if args.server:
-        result = sweep.run(journal=args.journal, server=args.server)
-    else:
-        result = sweep.run(runner=_make_lab_runner(args),
-                           journal=args.journal)
+    result = sweep.run(runner=_make_runner(args), journal=args.journal,
+                       server=args.server)
     rows = [
         {k: v for k, v in row.items() if k not in ("preset", "scale")}
         for row in result.rows()
     ]
     print(format_table(rows, title=f"sweep {args.name!r} "
                                    f"({len(rows)} runs, {args.scale} scale)"))
-    report = result.report
-    print(f"\n[{report.total} runs: {report.cache_hits} cached, "
-          f"{report.executed} simulated, {len(report.failures)} failed "
-          f"in {time.time() - start:.1f}s]")
+    code = _report_batch(result.report, start)
     if args.journal:
         print(f"[journal at {args.journal}; finish a killed sweep with "
               f"'repro sweep --resume {args.journal}']")
     if args.manifest:
         result.write_manifest(args.manifest)
         print(f"[manifest written to {args.manifest}]")
-    if report.interrupted:
-        return EXIT_INTERRUPTED
-    return EXIT_FAILURE if report.failures else EXIT_OK
+    return code
 
 
 def _cmd_sweep_resume(args) -> int:
     """Complete a crashed/killed sweep from its journal."""
-    from repro.lab import resume_sweep
-    from repro.lab.journal import JournalError, load_journal
-
     try:
         state = load_journal(args.resume)
     except JournalError as exc:
@@ -224,161 +341,62 @@ def _cmd_sweep_resume(args) -> int:
     print(f"[resuming {args.resume}: {len(state.specs)} spec(s), "
           f"{len(state.done)} already done, {len(state.pending)} pending]")
     start = time.time()
-    report = resume_sweep(args.resume, runner=_make_lab_runner(args))
-    print(f"[{report.total} runs: {report.cache_hits} cached, "
-          f"{report.executed} simulated, {len(report.failures)} failed "
-          f"in {time.time() - start:.1f}s]")
-    if report.interrupted:
-        return EXIT_INTERRUPTED
-    return EXIT_FAILURE if report.failures else EXIT_OK
+    return _report_batch(
+        resume_sweep(args.resume, runner=_make_runner(args),
+                     server=args.server), start)
 
 
-def _cmd_cache(args) -> int:
+def _cmd_cache_stats(args) -> int:
+    print(ResultCache(args.cache_dir).stats().render())
+    return EXIT_OK
+
+
+def _cmd_cache_verify(args) -> int:
+    report = ResultCache(args.cache_dir).verify(repair=args.repair)
+    print(report.render(verbose=True))
+    if report.quarantined:
+        print(f"[{len(report.quarantined)} corrupt entr(ies) moved to "
+              f"quarantine; they will be recomputed on next use]")
+    # Corrupt entries left in place are an error; after --repair the
+    # store is clean again (the defects are preserved in quarantine).
+    if report.corrupt and not args.repair:
+        return EXIT_FAILURE
+    return EXIT_OK
+
+
+def _cmd_cache_clear(args) -> int:
     cache = ResultCache(args.cache_dir)
-    if args.cache_command == "stats":
-        print(cache.stats().render())
-        return 0
-    if args.cache_command == "verify":
-        report = cache.verify(repair=args.repair)
-        print(report.render(verbose=True))
-        if report.quarantined:
-            print(f"[{len(report.quarantined)} corrupt entr(ies) moved to "
-                  f"quarantine; they will be recomputed on next use]")
-        # Corrupt entries left in place are an error; after --repair the
-        # store is clean again (the defects are preserved in quarantine).
-        if report.corrupt and not args.repair:
-            return EXIT_FAILURE
-        return EXIT_OK
-    if args.cache_command == "clear":
-        removed = cache.clear(stale_only=args.stale_only)
-        what = "stale " if args.stale_only else ""
-        print(f"removed {removed} {what}cached result(s) "
-              f"from {cache.directory}")
-        return 0
-    raise SystemExit(2)
-
-
-def _watchdog_overrides(args) -> dict:
-    """Config overrides from the shared --watchdog family of flags."""
-    overrides = {}
-    if getattr(args, "max_cycles", None) is not None:
-        overrides["max_cycles"] = args.max_cycles
-    if getattr(args, "watchdog", None) is not None:
-        overrides["no_progress_window"] = args.watchdog
-    if getattr(args, "progress_epoch", None) is not None:
-        overrides["progress_epoch"] = args.progress_epoch
-    if getattr(args, "invariants", False):
-        overrides["invariant_checks"] = True
-    return overrides
-
-
-def _add_watchdog_options(parser) -> None:
-    parser.add_argument("--max-cycles", type=int, default=None,
-                        help="hard simulated-cycle budget")
-    parser.add_argument("--watchdog", type=int, default=None,
-                        help="no-progress window in cycles before the run "
-                             "is classified as hung (0 disables)")
-    parser.add_argument("--progress-epoch", type=int, default=None,
-                        help="cycles between progress-monitor samples")
-    parser.add_argument("--invariants", action="store_true",
-                        help="enable per-epoch microarchitectural "
-                             "invariant checks (debug)")
-
-
-def _failure_exit_code(failure) -> int:
-    """Map a lab :class:`~repro.lab.results.RunFailure` to the CLI's
-    exit-code contract (hang=3, validation=4, transient=5)."""
-    if failure.hung or failure.error_type in (
-            "SimulationLivelock", "SimulationDeadlock", "SimulationTimeout"):
-        return EXIT_HANG
-    if failure.error_type == "WorkloadError":
-        return EXIT_VALIDATION
-    if failure.transient:
-        return EXIT_TRANSIENT
-    return EXIT_FAILURE
-
-
-def _cmd_run_server(args, config, params) -> int:
-    """``repro run --server``: submit the run to a serve daemon."""
-    from repro.lab.spec import RunSpec
-    from repro.serve import ServeError
-    from repro.submit import submit
-
-    spec = RunSpec(kernel=args.kernel, config=config, params=params,
-                   engine=args.engine, label=args.kernel)
-    start = time.time()
-    try:
-        handle = submit(spec, backend="server", server=args.server,
-                        client_name="run")
-        for record in handle.stream():
-            if args.progress_stream:
-                print(f"  [{record.get('kind')}] "
-                      + " ".join(f"{k}={v}" for k, v in record.items()
-                                 if k != "kind"))
-        outcome = handle.outcome()
-    except (OSError, ServeError) as exc:
-        print(f"kernel {args.kernel}: daemon unreachable "
-              f"({type(exc).__name__}): {exc}")
-        return EXIT_TRANSIENT
-    elapsed = time.time() - start
-    if not outcome.ok:
-        print(f"kernel {args.kernel}: FAILED ({outcome.error_type})")
-        print(outcome.describe())
-        return _failure_exit_code(outcome)
-    how = "cached" if outcome.from_cache else "simulated"
-    print(f"kernel {args.kernel}: {outcome.cycles} cycles "
-          f"({how} via {args.server}, {elapsed:.1f}s wall)")
-    for key, value in outcome.stats.summary().items():
-        print(f"  {key:28s}{value}")
-    if config.ddos is not None:
-        print(f"  detected SIBs: {sorted(outcome.predicted_sibs)}")
-    print("  validation: OK")
+    removed = cache.clear(stale_only=args.stale_only)
+    what = "stale " if args.stale_only else ""
+    print(f"removed {removed} {what}cached result(s) "
+          f"from {cache.directory}")
     return EXIT_OK
 
 
 def _cmd_run(args) -> int:
-    bows: object = None
-    if args.bows == "adaptive":
-        bows = True
-    elif args.bows is not None:
-        bows = int(args.bows)
-    config = GPUConfig.preset(
-        args.preset,
-        scheduler=args.scheduler,
-        bows=bows,
-        ddos=None if not args.no_ddos else False,
-    )
-    overrides = _watchdog_overrides(args)
-    if overrides:
-        config = config.replace(**overrides)
-    params = _parse_params(args.param)
-    if args.server:
-        return _cmd_run_server(args, config, params)
-    workload = build_workload(args.kernel, **params)
+    """Simulate one kernel, in-process or in the ``--server`` daemon."""
+    config = _make_config(args)
+    spec = RunSpec(kernel=args.kernel, config=config,
+                   params=_parse_params(args.param), engine=args.engine,
+                   label=args.kernel)
     start = time.time()
-    try:
-        result = simulate(workload, config=config, engine=args.engine)
-    except SimulationHang as exc:
-        print(f"kernel {args.kernel}: HANG ({type(exc).__name__})")
-        print(exc.args[0] if exc.args else str(exc))
-        return EXIT_HANG
-    except WorkloadError as exc:
-        print(f"kernel {args.kernel}: VALIDATION FAILED")
-        print(str(exc))
-        return EXIT_VALIDATION
-    except (OSError, RunTimeout, TransientRunError) as exc:
-        print(f"kernel {args.kernel}: transient error "
-              f"({type(exc).__name__}): {exc}")
-        return EXIT_TRANSIENT
-    elapsed = time.time() - start
-    stats = result.stats
-    print(f"kernel {args.kernel}: {result.cycles} cycles "
-          f"({elapsed:.1f}s wall)")
-    for key, value in stats.summary().items():
+    handle = submit(spec, server=args.server, client_name="run",
+                    stream=args.progress_stream)
+    if args.progress_stream:
+        for record in handle.stream():
+            print(f"  [{record.get('kind')}] "
+                  + " ".join(f"{k}={v}" for k, v in record.items()
+                             if k != "kind"))
+    outcome = handle.outcome()
+    if not outcome.ok:
+        return _report_failure(args.kernel, outcome)
+    how = "cached" if outcome.from_cache else "simulated"
+    print(f"kernel {args.kernel}: {outcome.cycles} cycles "
+          f"({how}, {time.time() - start:.1f}s wall)")
+    for key, value in outcome.stats.summary().items():
         print(f"  {key:28s}{value}")
-    if result.ddos_engines:
-        print(f"  detected SIBs: {sorted(result.predicted_sibs())} "
-              f"(truth: {sorted(workload.launch.program.true_sibs())})")
+    if config.ddos is not None:
+        print(f"  detected SIBs: {sorted(outcome.predicted_sibs)}")
     print("  validation: OK")
     return EXIT_OK
 
@@ -389,20 +407,7 @@ def _cmd_profile(args) -> int:
     from repro.obs.profile import build_profile
     from repro.sim.trace import Tracer
 
-    bows: object = None
-    if args.bows == "adaptive":
-        bows = True
-    elif args.bows is not None:
-        bows = int(args.bows)
-    config = GPUConfig.preset(
-        args.preset,
-        scheduler=args.scheduler,
-        bows=bows,
-        ddos=None if not args.no_ddos else False,
-    )
-    overrides = _watchdog_overrides(args)
-    if overrides:
-        config = config.replace(**overrides)
+    config = _make_config(args)
     params = _parse_params(args.param)
     if args.quick and not params:
         from repro.harness.params import QUICK_PARAMS
@@ -416,20 +421,15 @@ def _cmd_profile(args) -> int:
     tracer = Tracer(capacity=args.trace_capacity)
     start = time.time()
     try:
+        # Direct, not submitted: the report needs the live tracer and obs.
         result = simulate(workload, config=config, engine=args.engine,
                           tracer=tracer, obs=obs)
-    except SimulationHang as exc:
-        print(f"kernel {args.kernel}: HANG ({type(exc).__name__})")
-        print(exc.args[0] if exc.args else str(exc))
-        return EXIT_HANG
-    except WorkloadError as exc:
-        print(f"kernel {args.kernel}: VALIDATION FAILED")
-        print(str(exc))
-        return EXIT_VALIDATION
-    except (OSError, RunTimeout, TransientRunError) as exc:
-        print(f"kernel {args.kernel}: transient error "
-              f"({type(exc).__name__}): {exc}")
-        return EXIT_TRANSIENT
+    except (SimulationHang, WorkloadError, OSError) as exc:
+        return _report_failure(args.kernel, RunFailure(
+            spec=None, spec_hash="", error_type=type(exc).__name__,
+            message=str(exc), attempts=1,
+            transient=isinstance(exc, OSError),
+        ))
     elapsed = time.time() - start
     report = build_profile(result, tracer, workload=args.kernel,
                            scheduler=args.scheduler, engine=args.engine)
@@ -456,24 +456,10 @@ def _cmd_profile(args) -> int:
 def _cmd_fuzz(args) -> int:
     from repro.fuzz import ScheduleFuzzer
 
-    bows: object = None
-    if args.bows == "adaptive":
-        bows = True
-    elif args.bows is not None:
-        bows = int(args.bows)
-    config = GPUConfig.preset(
-        args.preset,
-        scheduler=args.scheduler,
-        bows=bows,
-    )
-    overrides = _watchdog_overrides(args)
-    if overrides:
-        config = config.replace(**overrides)
-    params = _parse_params(args.param) or None
     fuzzer = ScheduleFuzzer(
         args.kernel,
-        params=params,
-        base_config=config,
+        params=_parse_params(args.param) or None,
+        base_config=_make_config(args),
         budget_cycles=args.budget_cycles,
         watchdog=args.watchdog,
         progress_epoch=args.progress_epoch,
@@ -483,18 +469,11 @@ def _cmd_fuzz(args) -> int:
         scale=args.scale,
         sanitize=args.sanitize,
     )
-    workers = args.workers
-    if workers is None or workers <= 0:
-        workers = 1
-    runner = None if args.server else Runner(
-        workers=workers, cache=None,
-        progress=print if args.progress else None,
-    )
     seeds = list(range(args.seed_base, args.seed_base + args.seeds))
-    journal = args.resume or args.journal
-    report = fuzzer.run(seeds, runner=runner, shrink=not args.no_shrink,
-                        journal=journal, resume=bool(args.resume),
-                        server=args.server)
+    report = fuzzer.run(seeds, runner=_make_runner(args),
+                        shrink=not args.no_shrink,
+                        journal=args.resume or args.journal,
+                        resume=bool(args.resume), server=args.server)
     if args.json:
         report.write(args.json)
         print(f"[fuzz report written to {args.json}]")
@@ -509,14 +488,12 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    import json as json_mod
-
     from repro.analysis.lint import lint_all, lint_kernel
 
     if args.all == (args.kernel is not None):
         print("lint: specify exactly one of KERNEL or --all",
               file=sys.stderr)
-        return 2
+        return EXIT_USAGE
     params = _parse_params(args.param) or None
     if args.all:
         reports = lint_all(
@@ -532,7 +509,7 @@ def _cmd_lint(args) -> int:
             "kernels": {name: rep.to_dict() for name, rep in
                         sorted(reports.items())},
         }
-        text = json_mod.dumps(payload, indent=2, sort_keys=True)
+        text = json.dumps(payload, indent=2, sort_keys=True)
     else:
         text = "\n".join(rep.render() for _, rep in sorted(reports.items()))
     if args.out:
@@ -587,10 +564,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_serve(args) -> int:
     """Start (or query / stop) the resident simulation daemon."""
-    import json as json_mod
-    import os
-
-    from repro.serve import ServeClient, ServeDaemon, ServeError
+    from repro.serve import ServeClient, ServeDaemon
 
     if args.status or args.stop:
         try:
@@ -598,7 +572,7 @@ def _cmd_serve(args) -> int:
                 if args.status:
                     status = client.status()
                     status.pop("type", None)
-                    print(json_mod.dumps(status, indent=2, sort_keys=True))
+                    print(json.dumps(status, indent=2, sort_keys=True))
                 if args.stop:
                     client.shutdown_daemon(drain=not args.abort)
                     print(f"[daemon at {args.address} asked to "
@@ -608,12 +582,9 @@ def _cmd_serve(args) -> int:
             return EXIT_TRANSIENT
         return EXIT_OK
 
-    workers = args.workers
-    if workers is None or workers <= 0:
-        workers = os.cpu_count() or 1
     daemon = ServeDaemon(
         args.address,
-        workers=workers,
+        workers=_workers(args),
         mode=args.mode,
         cache=False if args.no_cache else ResultCache(args.cache_dir),
         journal=args.journal,
@@ -635,34 +606,39 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list experiments and kernels")
+    def command(name, func, into=sub, **kwargs):
+        cmd = into.add_parser(name, **kwargs)
+        cmd.set_defaults(func=func)
+        return cmd
 
-    exp = sub.add_parser("experiment", help="regenerate a paper artifact")
-    exp.add_argument("name", help="fig1..fig16 / tab1 / tab3")
-    exp.add_argument("--scale", choices=("full", "quick"), default="full")
+    command("list", _cmd_list, help="list experiments and kernels")
+
+    exp = command("experiment", _cmd_experiment,
+                  help="regenerate a paper artifact")
+    exp.add_argument("name", choices=sorted(ALL_EXPERIMENTS), metavar="NAME",
+                     help="fig1..fig16 / tab1 / tab3")
+    _add_scale_option(exp, "full")
     _add_lab_options(exp)
 
-    swp = sub.add_parser(
-        "sweep",
-        help="run a cartesian (kernel x scheduler x bows) sweep",
-    )
+    swp = command("sweep", _cmd_sweep,
+                  help="run a cartesian (kernel x scheduler x bows) sweep")
     swp.add_argument("--name", default="cli-sweep",
                      help="sweep name (manifest/reporting)")
     swp.add_argument("--kernel", action="append", default=[],
                      choices=kernel_names(), metavar="KERNEL",
                      help="kernel to include (repeatable; default: ht)")
+    # The axis-valued spellings of run's --scheduler / --bows / --param.
     swp.add_argument("--scheduler", action="append", default=[],
                      metavar="POLICY[,POLICY...]",
                      help="base scheduler axis (default: gto)")
     swp.add_argument("--bows", action="append", default=[],
                      metavar="LIMIT[,LIMIT...]",
                      help="BOWS axis: 'none', a delay limit, or 'adaptive'")
-    swp.add_argument("--preset", choices=("fermi", "pascal"),
-                     default="fermi")
-    swp.add_argument("--scale", choices=("full", "quick"), default="quick")
     swp.add_argument("--param", action="append", default=[],
                      metavar="NAME=VALUE[,VALUE...]",
                      help="workload parameter axis (repeatable)")
+    _add_preset_option(swp)
+    _add_scale_option(swp, "quick")
     swp.add_argument("--manifest", default=None,
                      help="write the sweep manifest JSON to this path")
     swp.add_argument("--journal", default=None, metavar="PATH",
@@ -671,10 +647,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     swp.add_argument("--resume", default=None, metavar="PATH",
                      help="complete a killed sweep from its journal "
                           "(finished specs come back as cache hits)")
-    swp.add_argument("--server", default=None, metavar="ADDRESS",
-                     help="submit the sweep to a 'repro serve' daemon at "
-                          "ADDRESS (socket path or host:port) instead of "
-                          "simulating in-process")
+    _add_server_option(swp, "the sweep")
     swp.add_argument("--obs", action="store_true",
                      help="collect observability (time series + events) "
                           "on every run; with --server the samples "
@@ -683,66 +656,33 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     cache = sub.add_parser("cache", help="inspect or clear the result cache")
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
-    stats = cache_sub.add_parser("stats", help="entry counts and sizes")
-    verify = cache_sub.add_parser(
-        "verify",
-        help="per-entry size + integrity scan (exit 1 on corrupt entries "
-             "unless --repair quarantines them)",
-    )
+    stats = command("stats", _cmd_cache_stats, into=cache_sub,
+                    help="entry counts and sizes")
+    verify = command("verify", _cmd_cache_verify, into=cache_sub,
+                     help="per-entry size + integrity scan (exit 1 on "
+                          "corrupt entries unless --repair quarantines them)")
     verify.add_argument("--repair", action="store_true",
                         help="move corrupt entries to quarantine/ so they "
                              "are recomputed on next use")
-    clear = cache_sub.add_parser("clear", help="delete cached results")
+    clear = command("clear", _cmd_cache_clear, into=cache_sub,
+                    help="delete cached results")
     clear.add_argument("--stale-only", action="store_true",
                        help="only drop entries from old code fingerprints")
     for sub_parser in (stats, verify, clear):
-        sub_parser.add_argument("--cache-dir", default=None,
-                                help="cache directory (default: .lab_cache)")
+        _add_cache_dir_option(sub_parser)
 
-    run = sub.add_parser("run", help="simulate one kernel")
-    run.add_argument("kernel", choices=kernel_names())
-    run.add_argument("--scheduler", choices=("lrr", "gto", "cawa"),
-                     default="gto")
-    run.add_argument("--bows", default=None,
-                     help="'adaptive' or a fixed delay limit in cycles")
-    run.add_argument("--no-ddos", action="store_true",
-                     help="use static !sib annotations instead of DDOS")
-    run.add_argument("--preset", choices=("fermi", "pascal"),
-                     default="fermi")
-    run.add_argument("--param", action="append", default=[],
-                     metavar="NAME=VALUE",
-                     help="workload parameter override (repeatable)")
-    run.add_argument("--engine", choices=("fast", "reference"),
-                     default="fast",
-                     help="execution engine (both are bitwise-equivalent; "
-                          "'reference' is the seed implementation)")
-    run.add_argument("--server", default=None, metavar="ADDRESS",
-                     help="submit the run to a 'repro serve' daemon at "
-                          "ADDRESS instead of simulating in-process")
+    run = command("run", _cmd_run, help="simulate one kernel")
+    _add_simulate_options(run)
+    _add_server_option(run, "the run")
     run.add_argument("--progress-stream", action="store_true",
-                     help="with --server, print streamed progress records "
-                          "(lifecycle marks, obs samples) as they arrive")
-    _add_watchdog_options(run)
+                     help="print progress records (lifecycle marks, obs "
+                          "samples): live with --server, replayed otherwise")
 
-    prof = sub.add_parser(
-        "profile",
-        help="simulate one kernel with full observability and report "
-             "hot spots, back-off timelines, and DDOS decisions",
-    )
-    prof.add_argument("kernel", choices=kernel_names())
-    prof.add_argument("--scheduler", choices=("lrr", "gto", "cawa"),
-                      default="gto")
-    prof.add_argument("--bows", default=None,
-                      help="'adaptive' or a fixed delay limit in cycles")
-    prof.add_argument("--no-ddos", action="store_true",
-                      help="use static !sib annotations instead of DDOS")
-    prof.add_argument("--preset", choices=("fermi", "pascal"),
-                      default="fermi")
-    prof.add_argument("--param", action="append", default=[],
-                      metavar="NAME=VALUE",
-                      help="workload parameter override (repeatable)")
-    prof.add_argument("--engine", choices=("fast", "reference"),
-                      default="fast")
+    prof = command("profile", _cmd_profile,
+                   help="simulate one kernel with full observability and "
+                        "report hot spots, back-off timelines, and DDOS "
+                        "decisions")
+    _add_simulate_options(prof)
     prof.add_argument("--quick", action="store_true",
                       help="use the quick-scale harness parameters "
                            "(CI smoke size)")
@@ -760,12 +700,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     prof.add_argument("--trace", default=None, metavar="PATH",
                       help="write Chrome trace JSON (issue timeline + "
                            "sampled counter tracks) to PATH")
-    _add_watchdog_options(prof)
 
-    bench = sub.add_parser(
-        "bench",
-        help="measure fast-engine speedup on the fixed kernel matrix",
-    )
+    bench = command("bench", _cmd_bench,
+                    help="measure fast-engine speedup on the fixed kernel "
+                         "matrix")
     bench.add_argument("--quick", action="store_true",
                        help="shrunk matrix for CI smoke runs")
     bench.add_argument("--reps", type=int, default=3,
@@ -778,16 +716,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     bench.add_argument("--baseline", default=None, metavar="PATH",
                        help="committed BENCH_hotloop.json to compare "
                             "against (prints per-entry deltas)")
-    bench.add_argument("--server", default=None, metavar="ADDRESS",
-                       help="route runs through a 'repro serve' daemon "
-                            "(smoke only: the daemon dedupes reps, so "
-                            "wall timings are not comparable)")
+    _add_server_option(bench, "the runs",
+                       caveat=" (smoke only: the daemon dedupes reps, so "
+                              "wall timings are not comparable)")
 
-    fuzz = sub.add_parser(
-        "fuzz",
-        help="hunt for schedule-dependent hangs with seeded perturbations",
-    )
-    fuzz.add_argument("kernel", choices=kernel_names())
+    fuzz = command("fuzz", _cmd_fuzz,
+                   help="hunt for schedule-dependent hangs with seeded "
+                        "perturbations")
+    _add_machine_options(fuzz)
     fuzz.add_argument("--seeds", type=int, default=16,
                       help="number of perturbation seeds to try")
     fuzz.add_argument("--seed-base", type=int, default=0,
@@ -800,30 +736,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                       help="max extra memory latency in cycles")
     fuzz.add_argument("--rotation", type=int, default=401,
                       help="warp-priority rotation period (0 disables)")
-    fuzz.add_argument("--scheduler", choices=("lrr", "gto", "cawa"),
-                      default="gto")
-    fuzz.add_argument("--bows", default=None,
-                      help="'adaptive' or a fixed delay limit in cycles")
-    fuzz.add_argument("--preset", choices=("fermi", "pascal"),
-                      default="fermi")
-    fuzz.add_argument("--scale", choices=("full", "quick"), default="quick")
-    fuzz.add_argument("--param", action="append", default=[],
-                      metavar="NAME=VALUE",
-                      help="workload parameter override (repeatable)")
-    fuzz.add_argument("--workers", type=int, default=None,
-                      help="parallel worker processes (default: 1)")
+    _add_scale_option(fuzz, "quick")
+    _add_workers_option(fuzz, default=1)
+    _add_progress_option(fuzz)
     fuzz.add_argument("--no-shrink", action="store_true",
                       help="skip shrinking the first hang")
     fuzz.add_argument("--json", default=None, metavar="PATH",
                       help="write the full fuzz report JSON to PATH")
-    fuzz.add_argument("--progress", action="store_true",
-                      help="print per-run progress lines")
-    fuzz.add_argument("--watchdog", type=int, default=None,
-                      help="no-progress window (default: budget/4)")
-    fuzz.add_argument("--progress-epoch", type=int, default=None,
-                      help="progress-monitor sample period")
-    fuzz.add_argument("--invariants", action="store_true",
-                      help="enable invariant checks during fuzz runs")
     fuzz.add_argument("--sanitize", action="store_true",
                       help="attach the dynamic sanitizer to every seed; "
                            "completed-but-racy schedules become 'race' "
@@ -834,47 +753,36 @@ def main(argv: Optional[List[str]] = None) -> int:
     fuzz.add_argument("--resume", default=None, metavar="PATH",
                       help="continue a killed campaign from its journal, "
                            "skipping seeds with a recorded outcome")
-    fuzz.add_argument("--server", default=None, metavar="ADDRESS",
-                      help="submit every seed to a 'repro serve' daemon "
-                           "at ADDRESS instead of a local worker pool")
+    _add_server_option(fuzz, "every seed")
 
-    lint = sub.add_parser(
-        "lint",
-        help="static kernel lint: spin/SIB classification, lock "
-             "discipline, divergent barriers, dataflow checks",
-    )
+    lint = command("lint", _cmd_lint,
+                   help="static kernel lint: spin/SIB classification, lock "
+                        "discipline, divergent barriers, dataflow checks")
     lint.add_argument("kernel", nargs="?", choices=kernel_names(),
                       default=None,
                       help="kernel to lint (omit with --all)")
     lint.add_argument("--all", action="store_true",
                       help="lint every registered kernel")
-    lint.add_argument("--param", action="append", default=[],
-                      metavar="NAME=VALUE",
-                      help="workload parameter override (repeatable)")
+    _add_param_option(lint)
     lint.add_argument("--format", choices=("text", "json"), default="text",
                       help="output format (json is the Table I "
                            "static-oracle source; see EXPERIMENTS.md)")
     lint.add_argument("--out", default=None, metavar="PATH",
                       help="write the report to PATH instead of stdout")
 
-    serve = sub.add_parser(
-        "serve",
-        help="run the resident simulation daemon: shared worker pool, "
-             "cache dedup, streamed progress (see docs/serve.md)",
-    )
+    serve = command("serve", _cmd_serve,
+                    help="run the resident simulation daemon: shared worker "
+                         "pool, cache dedup, streamed progress (see "
+                         "docs/serve.md)")
     serve.add_argument("address",
                        help="listen address: a Unix-socket path or "
                             "host:port")
-    serve.add_argument("--workers", type=int, default=None,
-                       help="worker pool size (default: CPU count)")
+    _add_workers_option(serve)
     serve.add_argument("--mode", choices=("process", "thread"),
                        default="process",
                        help="worker pool kind (process isolates "
                             "simulations; thread is for tests)")
-    serve.add_argument("--no-cache", action="store_true",
-                       help="skip the shared on-disk result cache")
-    serve.add_argument("--cache-dir", default=None,
-                       help="result cache directory (default: .lab_cache)")
+    _add_store_options(serve)
     serve.add_argument("--journal", default=None, metavar="PATH",
                        help="append every submission and outcome to a "
                             "durable JSONL journal (resumable via "
@@ -890,8 +798,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                        metavar="N",
                        help="fairness budget: at most N of any one "
                             "client's jobs on workers at once")
-    serve.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                       help="autocheckpoint running simulations to DIR")
     serve.add_argument("--quiet", action="store_true",
                        help="suppress per-job progress lines")
     serve.add_argument("--status", action="store_true",
@@ -902,27 +808,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="with --stop: abort without draining")
 
     args = parser.parse_args(argv)
-    if args.command == "list":
-        return _cmd_list(args)
-    if args.command == "experiment":
-        return _cmd_experiment(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "fuzz":
-        return _cmd_fuzz(args)
-    if args.command == "lint":
-        return _cmd_lint(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "cache":
-        return _cmd_cache(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    raise SystemExit(2)
+    try:
+        return args.func(args)
+    except ServeError as exc:
+        # Connect, handshake or a connection lost mid-run: infrastructure.
+        print(f"daemon unreachable ({exc})")
+        return EXIT_TRANSIENT
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -23,13 +23,17 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Union
 
+from repro.lab.journal import (JournalError, SweepJournal, load_journal,
+                               open_journal)
 from repro.lab.results import RunFailure
 from repro.lab.runner import Runner
 from repro.lab.spec import RunSpec
 from repro.sim.config import GPUConfig, PerturbConfig
+from repro.submit import submit, submit_many
 
 #: Error types counted as hangs (classification of the progress guard).
 HANG_ERRORS = ("SimulationLivelock", "SimulationDeadlock")
@@ -272,15 +276,9 @@ class ScheduleFuzzer:
         campaign then shares the daemon's cache and worker pool with
         every other client, and a re-run campaign is pure cache hits.
         """
-        import time
-
-        from repro.lab.journal import JournalError, SweepJournal, load_journal
-
         if isinstance(seeds, int):
             seeds = list(range(seeds))
         seeds = list(seeds)
-        if runner is None and server is None:
-            runner = Runner(workers=1)
         if resume and journal is not None:
             # Seeds with a journaled outcome were already fuzzed by the
             # killed campaign; only the remainder needs to run.
@@ -290,26 +288,14 @@ class ScheduleFuzzer:
                 done = set(load_journal(journal_path).done)
             except JournalError:
                 done = set()
-            if done:
-                seeds = [s for s in seeds
-                         if self.spec_for(s).content_hash() not in done]
-        owns_journal = journal is not None and not isinstance(
-            journal, SweepJournal
-        )
-        if owns_journal:
-            journal = SweepJournal(journal, resume=resume)
+            seeds = [s for s in seeds
+                     if self.spec_for(s).content_hash() not in done]
         start = time.perf_counter()
-        try:
-            if journal is not None:
-                journal.record_note(
-                    "fuzz", kernel=self.kernel, seeds=len(seeds),
-                    resume=bool(resume),
-                )
-            batch = self._execute([self.spec_for(s) for s in seeds],
-                                  runner, server, journal=journal)
-        finally:
-            if owns_journal:
-                journal.close()
+        with open_journal(journal, "fuzz", kernel=self.kernel,
+                          seeds=len(seeds), resume=bool(resume)) as journal:
+            batch = submit_many(
+                [self.spec_for(s) for s in seeds], server=server,
+                runner=runner, journal=journal, client_name="fuzz").report
 
         report = FuzzReport(
             kernel=self.kernel, params=dict(self.params),
@@ -359,16 +345,6 @@ class ScheduleFuzzer:
         return report
 
     @staticmethod
-    def _execute(specs, runner, server, journal=None):
-        """One batch through the unified submission API."""
-        from repro.submit import submit_many
-
-        if server is not None:
-            return submit_many(specs, backend="server", server=server,
-                               journal=journal, client_name="fuzz").report
-        return submit_many(specs, runner=runner, journal=journal).report
-
-    @staticmethod
     def _classify(failure: RunFailure) -> str:
         if failure.error_type in HANG_ERRORS:
             return failure.hang["kind"] if failure.hang else "livelock"
@@ -399,7 +375,8 @@ class ScheduleFuzzer:
                 continue
             candidate = dataclasses.replace(current, **{name: off})
             spec = self.spec_for(finding.seed, perturb=candidate)
-            outcome = self._execute([spec], runner, server).results[0]
+            outcome = submit(spec, server=server, runner=runner,
+                             client_name="fuzz").outcome()
             runs += 1
             if not outcome.ok and outcome.error_type in HANG_ERRORS:
                 current = candidate  # axis not needed for the hang

@@ -22,12 +22,13 @@ the batch — finished specs come back as result-cache hits (recorded as
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.lab.spec import RunSpec, _json_default
 
@@ -39,15 +40,17 @@ class JournalError(RuntimeError):
 class SweepJournal:
     """Appendable journal handle (open for the duration of a batch)."""
 
-    def __init__(self, path, resume: bool = False) -> None:
+    def __init__(self, path) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._handle = open(self.path, "a", encoding="utf-8")
         self._lock = threading.Lock()
+        # Specs an earlier writer already journaled are not re-recorded.
         self._spec_hashes = set()
-        if resume and self.path.stat().st_size:
+        if self.path.stat().st_size:
             for record in _read_records(self.path):
-                if record.get("type") == "spec" and "hash" in record:
+                if (isinstance(record, dict) and record.get("type") == "spec"
+                        and "hash" in record):
                     self._spec_hashes.add(record["hash"])
 
     # -- writing --------------------------------------------------------
@@ -114,6 +117,23 @@ class SweepJournal:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+@contextlib.contextmanager
+def open_journal(journal, note: str,
+                 **detail: Any) -> Iterator[Optional[SweepJournal]]:
+    """``journal`` — a path, a live :class:`SweepJournal`, or ``None`` —
+    as an open journal that ``note`` has been written to.
+
+    A path is opened here and closed on exit; a live journal is the
+    caller's to close, and ``None`` stays ``None``.
+    """
+    with contextlib.ExitStack() as stack:
+        if journal is not None:
+            if not isinstance(journal, SweepJournal):
+                journal = stack.enter_context(SweepJournal(journal))
+            journal.record_note(note, **detail)
+        yield journal
 
 
 @dataclass
@@ -202,4 +222,5 @@ __all__ = [
     "JournalState",
     "SweepJournal",
     "load_journal",
+    "open_journal",
 ]

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Tuple,
                     Union)
 
+from repro.lab.journal import load_journal, open_journal
 from repro.lab.results import RunFailure, RunResult
 from repro.lab.runner import BatchReport, Runner
 from repro.lab.spec import RunSpec
@@ -125,57 +126,40 @@ class Sweep:
         runner — the daemon's shared cache and in-flight dedup then
         apply across every client on the machine.
         """
-        from repro.lab import current_runner
-        from repro.lab.journal import SweepJournal
+        from repro.submit import submit_many
 
-        combos = self.combos()
-        if server is not None:
-            from repro.submit import submit_many
-
-            batch = submit_many(self.specs(factory), backend="server",
-                                server=server, journal=journal,
+        with open_journal(journal, "sweep", name=self.name) as journal:
+            batch = submit_many(self.specs(factory), server=server,
+                                runner=runner, journal=journal,
                                 client_name=f"sweep:{self.name}")
-            return SweepResult(sweep=self, combos=combos,
-                               report=batch.report)
-        runner = runner or current_runner()
-        if journal is None:
-            report = runner.run_many(self.specs(factory))
-        else:
-            if not isinstance(journal, SweepJournal):
-                journal = SweepJournal(journal)
-            with journal:
-                journal.record_note("sweep", name=self.name)
-                report = runner.run_many(self.specs(factory),
-                                         journal=journal)
-        return SweepResult(sweep=self, combos=combos, report=report)
+        return SweepResult(sweep=self, combos=self.combos(),
+                           report=batch.report)
 
 
 def resume_sweep(journal_path, runner: Optional[Runner] = None,
-                 rerun_failed: bool = True) -> BatchReport:
+                 rerun_failed: bool = True, server=None) -> BatchReport:
     """Complete a sweep whose writer crashed, from its journal alone.
 
     Rebuilds every spec recorded in the journal and re-runs the whole
-    batch through ``runner`` — with a result cache installed, specs that
-    already finished come back as cache hits (journaled as
-    ``from_cache`` done records), so only genuinely unfinished work is
-    recomputed; runs that left a checkpoint resume mid-simulation when
-    the runner has a ``checkpoint_dir``.  ``rerun_failed=False`` skips
-    specs whose last journal record is a permanent failure.
+    batch through ``runner`` or ``server`` — with a result cache behind
+    it, specs that already finished come back as cache hits (journaled
+    as ``from_cache`` done records), so only genuinely unfinished work
+    is recomputed; runs that left a checkpoint resume mid-simulation
+    when the runner has a ``checkpoint_dir``.  ``rerun_failed=False``
+    skips specs whose last journal record is a permanent failure.
     """
-    from repro.lab import current_runner
-    from repro.lab.journal import SweepJournal, load_journal
+    from repro.submit import submit_many
 
     state = load_journal(journal_path)
-    runner = runner or current_runner()
     specs = state.all_specs()
     if not rerun_failed:
         permanent = {h for h, rec in state.failed.items()
                      if not rec.get("transient") and h not in state.done}
         specs = [s for s in specs if s.content_hash() not in permanent]
-    with SweepJournal(journal_path, resume=True) as journal:
-        journal.record_note("resume", pending=len(state.pending),
-                            done=len(state.done))
-        return runner.run_many(specs, journal=journal)
+    with open_journal(journal_path, "resume", pending=len(state.pending),
+                      done=len(state.done)) as journal:
+        return submit_many(specs, server=server, runner=runner,
+                           journal=journal, client_name="resume").report
 
 
 @dataclass

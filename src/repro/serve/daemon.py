@@ -182,7 +182,7 @@ class ServeDaemon:
             self.spool_dir.mkdir(parents=True, exist_ok=True)
         if self._journal_path is not None:
             self._journal = self.core.journal = SweepJournal(
-                self._journal_path, resume=True)
+                self._journal_path)
             self._journal.record_note("serve_start", address=self.address,
                                       workers=self.workers, mode=self.mode)
         self._listener = protocol.create_listener(self.address)

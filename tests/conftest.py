@@ -45,6 +45,25 @@ def dual_sm_config() -> GPUConfig:
     )
 
 
+@pytest.fixture
+def daemon():
+    """A started thread-mode ``ServeDaemon`` with its own cache, on a
+    socket path short enough for ``sun_path`` (pytest's tmp_path is not)."""
+    import os
+    import shutil
+    import tempfile
+
+    from repro.serve import ServeDaemon
+
+    home = tempfile.mkdtemp(prefix="repro-serve-")
+    d = ServeDaemon(os.path.join(home, "serve.sock"), workers=1,
+                    mode="thread", cache=os.path.join(home, "cache"))
+    d.start()
+    yield d
+    d.close()
+    shutil.rmtree(home, ignore_errors=True)
+
+
 def run_program(source: str, config: GPUConfig, *, grid_dim: int = 1,
                 block_dim: int = 32, params=None, memory=None,
                 name: str = "test_kernel"):
@@ -61,6 +80,20 @@ def run_program(source: str, config: GPUConfig, *, grid_dim: int = 1,
         KernelLaunch(program, grid_dim, block_dim, params or {})
     )
     return result, memory
+
+
+def bare_sms(source: str, config: GPUConfig):
+    """One freshly built SM per engine, for tests that poke an SM with no
+    GPU around it: a bare ``SM(...)`` defaults to the reference engine
+    while ``GPU()`` runs the fast one, so it would test only the oracle."""
+    from repro.isa import assemble
+    from repro.memory.memsys import GlobalMemory, MemorySubsystem
+    from repro.metrics.stats import SimStats
+    from repro.sim.sm import ENGINES, SM
+
+    for engine in ENGINES:
+        yield SM(0, config, assemble(source), {}, GlobalMemory(256),
+                 MemorySubsystem(config), {}, SimStats(), engine=engine)
 
 
 def fence_first_workload():

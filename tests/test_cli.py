@@ -129,13 +129,13 @@ def test_run_hang_exits_3(capsys):
 
 
 def test_run_validation_failure_exits_4(capsys, monkeypatch):
-    import repro.cli as cli
+    import repro.api as api
     from repro.kernels import WorkloadError
 
     def rigged(workload, **kwargs):
         raise WorkloadError("answers differ")
 
-    monkeypatch.setattr(cli, "simulate", rigged)
+    monkeypatch.setattr(api, "simulate", rigged)
     code = main(["run", "vecadd", "--param", "n_threads=64",
                  "--param", "block_dim=32"])
     assert code == EXIT_VALIDATION
@@ -143,12 +143,12 @@ def test_run_validation_failure_exits_4(capsys, monkeypatch):
 
 
 def test_run_transient_error_exits_5(capsys, monkeypatch):
-    import repro.cli as cli
+    import repro.api as api
 
     def flaky(workload, **kwargs):
         raise OSError("worker vanished")
 
-    monkeypatch.setattr(cli, "simulate", flaky)
+    monkeypatch.setattr(api, "simulate", flaky)
     code = main(["run", "vecadd", "--param", "n_threads=64",
                  "--param", "block_dim=32"])
     assert code == EXIT_TRANSIENT
@@ -285,3 +285,114 @@ def test_lint_failure_exits_1(capsys, monkeypatch):
     monkeypatch.setattr("repro.analysis.lint.lint_kernel", rigged)
     assert main(["lint", "ht"]) == 1
     assert "REG001" in capsys.readouterr().out
+
+
+# ----------------------------------------------------------------------
+# One parser per flag value: a bad value is a usage error on every
+# command that takes the flag
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "ht"], ["profile", "ht"], ["fuzz", "ht"], ["lint", "ht"],
+    ["sweep", "--kernel", "ht"],
+])
+def test_bad_param_value_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--param", "n=abc"])
+    assert excinfo.value.code == 2
+    assert "--param n values must be integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "ht"], ["profile", "ht"], ["fuzz", "ht"],
+    ["sweep", "--kernel", "ht"],
+])
+def test_bad_bows_value_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--bows", "fast"])
+    assert excinfo.value.code == 2
+    assert ("--bows expects 'none', 'adaptive', or an integer"
+            in capsys.readouterr().err)
+
+
+def test_single_valued_param_rejects_a_list(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "ht", "--param", "n_threads=64,128"])
+    assert excinfo.value.code == 2
+    assert "--param n_threads takes one value" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# --server: one road switch, one answer when nobody is listening
+
+
+SERVED_COMMANDS = [
+    ["run", "vecadd"],
+    ["sweep", "--kernel", "vecadd", "--scale", "quick"],
+    ["fuzz", "vecadd", "--seeds", "1"],
+    ["bench", "--quick", "--reps", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", SERVED_COMMANDS, ids=lambda a: a[0])
+def test_unreachable_daemon_exits_5(argv, tmp_path, capsys):
+    import socket
+
+    missing = str(tmp_path / "none.sock")
+    refused = str(tmp_path / "dead.sock")
+    with socket.socket(socket.AF_UNIX) as dead:
+        dead.bind(refused)  # leaves a socket file nobody listens on
+    for address, error in ((missing, "FileNotFoundError"),
+                           (refused, "ConnectionRefusedError")):
+        assert main(argv + ["--server", address]) == EXIT_TRANSIENT
+        out = capsys.readouterr().out
+        assert f"daemon unreachable ({error}" in out
+        assert "Traceback" not in out
+
+
+@pytest.mark.parametrize("argv", SERVED_COMMANDS, ids=lambda a: a[0])
+def test_refused_handshake_exits_5(argv, capsys, monkeypatch):
+    from repro.serve import ServeError, client
+
+    def refuse(self, address, **kwargs):
+        raise ServeError("handshake refused")
+
+    monkeypatch.setattr(client.ServeClient, "__init__", refuse)
+    assert main(argv + ["--server", "/tmp/any.sock"]) == EXIT_TRANSIENT
+    assert "daemon unreachable (handshake refused)" in capsys.readouterr().out
+
+
+def test_run_prints_the_same_block_on_both_roads(daemon, capsys):
+    import re
+
+    argv = ["run", "ht", "--bows", "adaptive", "--param", "n_threads=64",
+            "--param", "n_buckets=8", "--param", "items_per_thread=1",
+            "--param", "block_dim=64", "--progress-stream"]
+    assert main(argv) == 0
+    local = capsys.readouterr().out
+    assert main(argv + ["--server", daemon.address]) == 0
+    served = capsys.readouterr().out
+
+    def block(text):
+        lines = [line for line in text.splitlines()
+                 if not line.startswith("  [")]  # --progress-stream records
+        return re.sub(r"\d+\.\d+s wall", "T wall", "\n".join(lines))
+
+    assert block(local) == block(served)
+    assert "detected SIBs" in local and "validation: OK" in local
+    # Progress records print on both roads (replayed in-process).
+    for text in (local, served):
+        assert "  [lifecycle] phase=finished" in text
+
+
+def test_sweep_resume_honours_server(daemon, tmp_path, capsys):
+    journal = str(tmp_path / "sweep.jsonl")
+    assert main(["sweep", "--kernel", "vecadd", "--bows", "none,500",
+                 "--scale", "quick", "--workers", "1", "--no-cache",
+                 "--journal", journal]) == 0
+    capsys.readouterr()
+    before = daemon.status()["counters"]["submitted"]
+    assert main(["sweep", "--resume", journal,
+                 "--server", daemon.address]) == 0
+    assert daemon.status()["counters"]["submitted"] == before + 2
+    assert "2 runs: 0 cached, 2 simulated, 0 failed" in capsys.readouterr().out

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import run_program
+from conftest import bare_sms, run_program
 from repro.isa import assemble
 from repro.memory.memsys import GlobalMemory
 from repro.sim.config import fermi_config
@@ -113,18 +113,11 @@ def test_fast_forward_preserves_cycle_accounting(tiny_config):
 
 def test_warp_ages_are_dispatch_ordered(tiny_config):
     """Later CTAs get larger age bases (GTO's 'older' = earlier)."""
-    from repro.sim.sm import SM
-    from repro.metrics.stats import SimStats
-    from repro.memory.memsys import MemorySubsystem
-
-    program = assemble("bar.sync\nexit")
-    config = tiny_config
-    sm = SM(0, config, program, {}, GlobalMemory(256),
-            MemorySubsystem(config), {}, SimStats())
-    sm.launch_cta(0, warps_per_cta=2, cta_dim=64, grid_dim=2, age_base=0)
-    sm.launch_cta(1, warps_per_cta=2, cta_dim=64, grid_dim=2, age_base=2)
-    ages = sorted(w.age for w in sm.warps.values())
-    assert ages == [0, 1, 2, 3]
+    for sm in bare_sms("bar.sync\nexit", tiny_config):
+        sm.launch_cta(0, warps_per_cta=2, cta_dim=64, grid_dim=2, age_base=0)
+        sm.launch_cta(1, warps_per_cta=2, cta_dim=64, grid_dim=2, age_base=2)
+        ages = sorted(w.age for w in sm.warps.values())
+        assert ages == [0, 1, 2, 3]
 
 
 def test_sim_result_exposes_program_and_stats(tiny_config):

@@ -14,7 +14,7 @@ import pickle
 
 import pytest
 
-from conftest import run_program
+from conftest import bare_sms, run_program
 from repro.memory.memsys import GlobalMemory
 from repro.sim.progress import (
     HangReport,
@@ -253,50 +253,35 @@ def test_hang_exception_pickles_with_report(tiny_config):
 
 def test_build_hang_report_without_context():
     """The no-event deadlock path reports with no monitor attached."""
-    from repro.isa import assemble
-    from repro.memory.memsys import MemorySubsystem
-    from repro.metrics.stats import SimStats
     from repro.sim.config import fermi_config
-    from repro.sim.sm import SM
 
     config = fermi_config(num_sms=1, max_warps_per_sm=4)
-    program = assemble("bar.sync\nexit")
-    memory = GlobalMemory(256)
-    sm = SM(0, config, program, {}, memory, MemorySubsystem(config), {},
-            SimStats())
-    sm.launch_cta(cta_id=0, warps_per_cta=1, cta_dim=32, grid_dim=1,
-                  age_base=0)
-    report = build_hang_report("deadlock", 42, [sm], reason="test")
-    assert report.kind == "deadlock"
-    assert report.warps and report.warps[0]["sm"] == 0
-    assert "SIMT-induced deadlock" in report.describe()
-    json.dumps(report.to_dict())  # must be JSON-clean with no context
+    for sm in bare_sms("bar.sync\nexit", config):
+        sm.launch_cta(cta_id=0, warps_per_cta=1, cta_dim=32, grid_dim=1,
+                      age_base=0)
+        report = build_hang_report("deadlock", 42, [sm], reason="test")
+        assert report.kind == "deadlock"
+        assert report.warps and report.warps[0]["sm"] == 0
+        assert "SIMT-induced deadlock" in report.describe()
+        json.dumps(report.to_dict())  # must be JSON-clean with no context
 
 
 def test_deadlock_classification_when_nothing_issues(tiny_config):
     """Synthetic check of the monitor's deadlock branch: warps present,
     nothing issued for a whole window."""
-    from repro.isa import assemble
-    from repro.memory.memsys import MemorySubsystem
-    from repro.metrics.stats import SimStats
     from repro.sim.config import fermi_config
     from repro.sim.progress import ProgressMonitor
-    from repro.sim.sm import SM
 
     config = fermi_config(num_sms=1, max_warps_per_sm=4,
                           no_progress_window=100, progress_epoch=50)
-    program = assemble("bar.sync\nexit")
-    memory = GlobalMemory(256)
-    stats = SimStats()
-    sm = SM(0, config, program, {}, memory, MemorySubsystem(config), {},
-            stats)
-    sm.launch_cta(cta_id=0, warps_per_cta=1, cta_dim=32, grid_dim=1,
-                  age_base=0)
-    monitor = ProgressMonitor(config, [sm], memory, stats)
-    monitor.sample(50)
-    with pytest.raises(SimulationDeadlock) as excinfo:
-        monitor.sample(200)
-    assert excinfo.value.report.kind == "deadlock"
+    for sm in bare_sms("bar.sync\nexit", config):
+        sm.launch_cta(cta_id=0, warps_per_cta=1, cta_dim=32, grid_dim=1,
+                      age_base=0)
+        monitor = ProgressMonitor(config, [sm], sm.memory, sm.stats)
+        monitor.sample(50)
+        with pytest.raises(SimulationDeadlock) as excinfo:
+            monitor.sample(200)
+        assert excinfo.value.report.kind == "deadlock"
 
 
 # ----------------------------------------------------------------------
@@ -318,48 +303,34 @@ def test_invariants_clean_on_healthy_kernel(tiny_config):
 
 
 def test_invariant_catches_bogus_scoreboard_entry(tiny_config):
-    from repro.isa import assemble
-    from repro.memory.memsys import MemorySubsystem
-    from repro.metrics.stats import SimStats
     from repro.sim.config import fermi_config
     from repro.sim.progress import InvariantChecker
-    from repro.sim.sm import SM
 
     config = fermi_config(num_sms=1, max_warps_per_sm=4,
                           invariant_checks=True)
-    program = assemble("mov %r_a, 1\nexit")
-    memory = GlobalMemory(256)
-    sm = SM(0, config, program, {}, memory, MemorySubsystem(config), {},
-            SimStats())
-    sm.launch_cta(cta_id=0, warps_per_cta=1, cta_dim=32, grid_dim=1,
-                  age_base=0)
-    checker = InvariantChecker(config)
-    checker.check(0, [sm])  # healthy
+    for sm in bare_sms("mov %r_a, 1\nexit", config):
+        sm.launch_cta(cta_id=0, warps_per_cta=1, cta_dim=32, grid_dim=1,
+                      age_base=0)
+        checker = InvariantChecker(config)
+        checker.check(0, [sm])  # healthy
 
-    warp = next(iter(sm.warps.values()))
-    warp.scoreboard.pending["%r_never_declared"] = 10
-    with pytest.raises(InvariantViolation):
-        checker.check(1, [sm])
+        warp = next(iter(sm.warps.values()))
+        warp.scoreboard.pending["%r_never_declared"] = 10
+        with pytest.raises(InvariantViolation):
+            checker.check(1, [sm])
 
 
 def test_invariant_catches_corrupt_stack_pc(tiny_config):
-    from repro.isa import assemble
-    from repro.memory.memsys import MemorySubsystem
-    from repro.metrics.stats import SimStats
     from repro.sim.config import fermi_config
     from repro.sim.progress import InvariantChecker
-    from repro.sim.sm import SM
 
     config = fermi_config(num_sms=1, max_warps_per_sm=4,
                           invariant_checks=True)
-    program = assemble("mov %r_a, 1\nexit")
-    memory = GlobalMemory(256)
-    sm = SM(0, config, program, {}, memory, MemorySubsystem(config), {},
-            SimStats())
-    sm.launch_cta(cta_id=0, warps_per_cta=1, cta_dim=32, grid_dim=1,
-                  age_base=0)
-    checker = InvariantChecker(config)
-    warp = next(iter(sm.warps.values()))
-    warp.stack.frames[0].pc = 10_000  # way outside the program
-    with pytest.raises(InvariantViolation):
-        checker.check(0, [sm])
+    for sm in bare_sms("mov %r_a, 1\nexit", config):
+        sm.launch_cta(cta_id=0, warps_per_cta=1, cta_dim=32, grid_dim=1,
+                      age_base=0)
+        checker = InvariantChecker(config)
+        warp = next(iter(sm.warps.values()))
+        warp.stack.frames[0].pc = 10_000  # way outside the program
+        with pytest.raises(InvariantViolation):
+            checker.check(0, [sm])

@@ -17,7 +17,7 @@ cap (:class:`SimulationTimeout`).  The paper's "done flag" rewrite
 
 import pytest
 
-from conftest import run_program
+from conftest import bare_sms, run_program
 from repro.memory.memsys import GlobalMemory
 from repro.sim.gpu import GPU, SimulationTimeout
 
@@ -135,24 +135,17 @@ def test_done_flag_across_warps(small_config):
 
 def test_deadlock_report_format():
     """The no-event deadlock reporter names stuck warps and the cause."""
-    from repro.isa import assemble
-    from repro.metrics.stats import SimStats
     from repro.sim.config import fermi_config
     from repro.sim.progress import build_hang_report
-    from repro.sim.sm import SM
-    from repro.memory.memsys import GlobalMemory, MemorySubsystem
 
     config = fermi_config(num_sms=1, max_warps_per_sm=4)
-    program = assemble("bar.sync\nexit")
-    memory = GlobalMemory(256)
-    sm = SM(0, config, program, {}, memory, MemorySubsystem(config), {},
-            SimStats())
-    sm.launch_cta(cta_id=0, warps_per_cta=1, cta_dim=32, grid_dim=1,
-                  age_base=0)
-    report = build_hang_report(
-        "deadlock", 123, [sm],
-        reason="no warp can ever become ready again",
-    ).describe()
-    assert "cycle 123" in report
-    assert "SM0" in report
-    assert "SIMT-induced deadlock" in report
+    for sm in bare_sms("bar.sync\nexit", config):
+        sm.launch_cta(cta_id=0, warps_per_cta=1, cta_dim=32, grid_dim=1,
+                      age_base=0)
+        report = build_hang_report(
+            "deadlock", 123, [sm],
+            reason="no warp can ever become ready again",
+        ).describe()
+        assert "cycle 123" in report
+        assert "SM0" in report
+        assert "SIMT-induced deadlock" in report

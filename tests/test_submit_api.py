@@ -1,15 +1,13 @@
-"""The unified submission API: one call shape over both backends.
+"""The unified submission API: one call shape over both roads.
 
 ``submit``/``submit_many`` are the indifference point every tool (CLI,
 sweep, bench, fuzz) goes through; these tests pin the handle contract —
 ``done`` / ``status`` / ``stream()`` / ``outcome()`` / ``result()`` —
-on the local backend and its equivalence with the server backend
+in-process and its equivalence with the served road
 (server internals get their own workout in ``test_serve.py``).
 """
 
-import os
-import shutil
-import tempfile
+import time
 
 import pytest
 
@@ -20,7 +18,6 @@ from repro.lab.results import RunFailure, RunResult
 from repro.lab.runner import BatchReport, Runner
 from repro.lab.spec import RunSpec
 from repro.obs import ObsConfig
-from repro.serve import ServeDaemon
 
 VECADD = dict(n_threads=64, per_thread=2, block_dim=32)
 
@@ -34,13 +31,12 @@ def _runner():
     return Runner(workers=1, mode="serial", cache=None, retries=0)
 
 
-# ------------------------------------------------------- local backend
+# ----------------------------------------------------------- in-process
 
 
 def test_local_submit_is_done_immediately():
     handle = submit(_spec(label="eager"), runner=_runner())
     assert isinstance(handle, RunHandle)
-    assert handle.backend == "local"
     assert handle.done
     assert handle.status == "completed"
     assert handle.wait(0)
@@ -96,38 +92,13 @@ def test_submit_many_local_preserves_order_and_report():
     assert [r.spec_hash for r in results] == hashes
 
 
-# -------------------------------------------------------- validation
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError, match="unknown backend"):
-        submit(_spec(), backend="cloud")
-
-
-def test_server_backend_requires_server():
-    with pytest.raises(ValueError, match="server="):
-        submit(_spec(), backend="server")
-
-
 # ------------------------------------------------------ server parity
-
-
-@pytest.fixture()
-def daemon():
-    tmp = tempfile.mkdtemp(prefix="repro-submit-test-")
-    d = ServeDaemon(os.path.join(tmp, "serve.sock"),
-                    workers=1, mode="thread",
-                    cache=os.path.join(tmp, "cache"))
-    d.start()
-    yield d
-    d.close()
-    shutil.rmtree(tmp, ignore_errors=True)
 
 
 def test_server_backend_matches_local(daemon):
     spec = _spec(obs=ObsConfig(sample_interval=100), label="parity")
     local = submit(spec, runner=_runner()).result()
-    handle = submit(spec, backend="server", server=daemon.address)
+    handle = submit(spec, server=daemon.address)
     kinds = [r["kind"] for r in handle.stream()]
     served = handle.result(timeout=120)
     assert "sample" in kinds
@@ -140,8 +111,58 @@ def test_server_backend_matches_local(daemon):
 def test_submit_many_server_reports_like_local(daemon):
     specs = [_spec(label=f"b{i}", params=dict(VECADD, per_thread=2 + i))
              for i in range(2)]
-    batch = submit_many(specs, backend="server", server=daemon.address)
+    batch = submit_many(specs, server=daemon.address)
     report = batch.report
     assert isinstance(report, BatchReport)
     assert report.failures == []
     assert [r.label for r in report.results] == ["b0", "b1"]
+
+
+def test_server_takes_precedence_over_runner(daemon):
+    """A tool may pass both: given ``server=``, the daemon runs the spec
+    and ``runner=`` is never asked."""
+    class Untouchable(Runner):
+        def run_many(self, specs, journal=None):
+            raise AssertionError("runner used although server= was given")
+
+    before = daemon.status()["counters"]["submitted"]
+    handle = submit(_spec(label="both"), server=daemon.address,
+                    runner=Untouchable())
+    assert handle.status in ("queued", "attached", "cached")
+    assert handle.result(timeout=120).cycles > 0
+    assert daemon.status()["counters"]["submitted"] == before + 1
+
+
+@pytest.mark.parametrize("accessor", ["results", "outcomes", "report"])
+def test_batch_closes_the_client_it_opened(daemon, accessor):
+    """Whichever accessor resolves the last handle releases the
+    connection ``submit_many`` opened from an address."""
+    specs = [_spec(label=f"c{i}", params=dict(VECADD, per_thread=2 + i))
+             for i in range(2)]
+    batch = submit_many(specs, server=daemon.address)
+    client = batch._owned_client
+    assert client is not None and not client._closed
+    resolved = getattr(batch, accessor)
+    assert len(resolved() if callable(resolved) else resolved.results) == 2
+    assert client._closed and batch._owned_client is None
+    deadline = time.monotonic() + 10
+    while daemon._conns and time.monotonic() < deadline:
+        time.sleep(0.01)  # the daemon sees the EOF on its own thread
+    assert not daemon._conns
+
+
+def test_batch_closes_its_client_when_waiting_raises(daemon):
+    batch = submit_many([_spec(label="slow", kernel="ht", params={})],
+                        server=daemon.address)
+    client = batch._owned_client
+    with pytest.raises(TimeoutError):
+        batch.outcomes(timeout=0)
+    assert client._closed
+
+
+def test_batch_leaves_a_callers_client_open(daemon):
+    from repro.serve import ServeClient
+
+    with ServeClient(daemon.address, name="mine") as client:
+        submit_many([_spec(label="kept")], server=client).results()
+        assert not client._closed and client.ping()
