@@ -41,6 +41,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic
+from repro.obs.bus import emitter_for
+from repro.obs.events import SanitizerFinding
 
 __all__ = ["Sanitizer", "SanitizerConfig", "as_sanitizer"]
 
@@ -110,7 +112,6 @@ class Sanitizer:
             "barrier_epochs": 0,
         }
         self._bus = bus
-        self._emit = None
         #: Locks held per thread: thread -> {lock addr: acquire pc}.
         self._held: Dict[_Thread, Dict[int, int]] = {}
         #: Addresses ever contended as locks (CAS !lock_try targets).
@@ -126,28 +127,14 @@ class Sanitizer:
         self.kernel = kernel
         if bus is not None:
             self._bus = bus
-        if self._bus is not None:
-            from repro.obs.events import SanitizerFinding
-
-            self._emit = self._bus.emitter(SanitizerFinding)
+        self._emit = emitter_for(self._bus, SanitizerFinding)
 
     def attach_memory(self, memory) -> None:
-        """Install the :class:`GlobalMemory` write hook (coverage)."""
+        """Install the :class:`GlobalMemory` write hook (coverage).
+
+        The hook is a bound method, so it pickles with shared identity
+        in a checkpoint."""
         memory.write_hook = self._on_raw_write
-
-    def __getstate__(self):
-        """Checkpointing: drop the emitter closure (``_bus`` itself is a
-        picklable :class:`EventBus` and rides along; the memory write
-        hook is a bound method and pickles with shared identity)."""
-        state = self.__dict__.copy()
-        state["_emit"] = None
-        return state
-
-    def _rebind_events(self) -> None:
-        if self._bus is not None:
-            from repro.obs.events import SanitizerFinding
-
-            self._emit = self._bus.emitter(SanitizerFinding)
 
     def _on_raw_write(self, n_words: int) -> None:
         self.counters["raw_writes"] += n_words
@@ -168,9 +155,8 @@ class Sanitizer:
             message=message, hint=hint, warp=warp, lane=lane, cycle=cycle,
             detail=detail,
         ))
-        if self._emit is not None:
-            self._emit(cycle=cycle, diag_id=diag_id, severity=severity,
-                       pc=pc, warp_slot=warp)
+        self._emit(cycle=cycle, diag_id=diag_id, severity=severity,
+                   pc=pc, warp_slot=warp)
 
     # -- hooks (called from SM execute paths, both engines) --------------
 

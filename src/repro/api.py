@@ -76,7 +76,6 @@ def simulate(
     scheduler: Optional[str] = None,
     params: Optional[Dict[str, int]] = None,
     memory: Optional[GlobalMemory] = None,
-    tracer=None,
     watchdog: WatchdogSpec = None,
     engine: str = "fast",
     validate: bool = True,
@@ -100,7 +99,6 @@ def simulate(
             the launch's ``ld.param`` values.
         memory: initial global-memory image for launch/program targets
             (workloads carry their own).
-        tracer: optional :class:`repro.sim.trace.Tracer` recording issues.
         watchdog: forward-progress watchdog control — ``False``/``0``
             disables it, an integer sets ``no_progress_window``, a dict
             overrides any watchdog-related config fields verbatim.
@@ -111,10 +109,11 @@ def simulate(
             whose results are intentionally not meaningful).
         obs: observability collection — ``True`` for the defaults, an
             :class:`repro.obs.ObsConfig` to tune, or a prepared
-            :class:`repro.obs.Observability`.  The collected event bus
-            and time series come back on ``result.obs``; collection
-            never changes simulated behavior (statistics stay bitwise
-            identical).
+            :class:`repro.obs.Observability` (the way to also record
+            issues: ``Observability(issue_capacity=N)``).  The collected
+            event bus and time series come back on ``result.obs``;
+            collection never changes simulated behavior (statistics
+            stay bitwise identical).
         sanitize: dynamic synchronization sanitizer — ``True`` for the
             defaults, a :class:`repro.analysis.SanitizerConfig` to tune,
             or a prepared :class:`repro.analysis.Sanitizer`.  Findings
@@ -159,8 +158,8 @@ def simulate(
                 f"repro.kernels.build({workload.name!r}, ...) for every run"
             )
         workload.consumed = True
-        gpu = GPU(config, memory=workload.memory, tracer=tracer,
-                  engine=engine, obs=obs, sanitizer=sanitize)
+        gpu = GPU(config, memory=workload.memory, engine=engine, obs=obs,
+                  sanitizer=sanitize)
         result = gpu.begin(workload.launch).run(
             checkpoint_every=checkpoint_every,
             checkpoint_path=checkpoint_path,
@@ -185,7 +184,7 @@ def simulate(
     if not isinstance(target, KernelLaunch):
         raise TypeError(f"cannot simulate target {target!r}")
 
-    gpu = GPU(config, memory=memory, tracer=tracer, engine=engine, obs=obs,
+    gpu = GPU(config, memory=memory, engine=engine, obs=obs,
               sanitizer=sanitize)
     return gpu.begin(target).run(
         checkpoint_every=checkpoint_every,

@@ -405,7 +405,6 @@ def _cmd_profile(args) -> int:
     """Run one kernel with full observability and emit a profile report."""
     from repro.obs import ObsConfig, Observability
     from repro.obs.profile import build_profile
-    from repro.sim.trace import Tracer
 
     config = _make_config(args)
     params = _parse_params(args.param)
@@ -417,13 +416,13 @@ def _cmd_profile(args) -> int:
     obs = Observability(ObsConfig(
         event_capacity=args.event_capacity,
         sample_interval=args.sample_interval,
-    ))
-    tracer = Tracer(capacity=args.trace_capacity)
+    ), issue_capacity=args.trace_capacity)
     start = time.time()
     try:
-        # Direct, not submitted: the report needs the live tracer and obs.
+        # Direct, not submitted: the report needs the live obs (a
+        # RunResult does not carry the issue ring).
         result = simulate(workload, config=config, engine=args.engine,
-                          tracer=tracer, obs=obs)
+                          obs=obs)
     except (SimulationHang, WorkloadError, OSError) as exc:
         return _report_failure(args.kernel, RunFailure(
             spec=None, spec_hash="", error_type=type(exc).__name__,
@@ -431,7 +430,7 @@ def _cmd_profile(args) -> int:
             transient=isinstance(exc, OSError),
         ))
     elapsed = time.time() - start
-    report = build_profile(result, tracer, workload=args.kernel,
+    report = build_profile(result, workload=args.kernel,
                            scheduler=args.scheduler, engine=args.engine)
     text = report.to_markdown()
     if args.out:
@@ -444,7 +443,7 @@ def _cmd_profile(args) -> int:
         report.to_json(args.json)
         print(f"[profile JSON written to {args.json}]")
     if args.trace:
-        written = tracer.export_chrome_trace(args.trace, counters=obs.series)
+        written = obs.export_chrome_trace(args.trace)
         print(f"[chrome trace ({written} issue events + counter tracks) "
               f"written to {args.trace}]")
     print(f"\n[{args.kernel} profiled in {elapsed:.1f}s: "
@@ -567,19 +566,15 @@ def _cmd_serve(args) -> int:
     from repro.serve import ServeClient, ServeDaemon
 
     if args.status or args.stop:
-        try:
-            with ServeClient(args.address, name="cli") as client:
-                if args.status:
-                    status = client.status()
-                    status.pop("type", None)
-                    print(json.dumps(status, indent=2, sort_keys=True))
-                if args.stop:
-                    client.shutdown_daemon(drain=not args.abort)
-                    print(f"[daemon at {args.address} asked to "
-                          f"{'abort' if args.abort else 'drain'}]")
-        except (OSError, ServeError) as exc:
-            print(f"serve: {exc}", file=sys.stderr)
-            return EXIT_TRANSIENT
+        with ServeClient(args.address, name="cli") as client:
+            if args.status:
+                status = client.status()
+                status.pop("type", None)
+                print(json.dumps(status, indent=2, sort_keys=True))
+            if args.stop:
+                client.shutdown_daemon(drain=not args.abort)
+                print(f"[daemon at {args.address} asked to "
+                      f"{'abort' if args.abort else 'drain'}]")
         return EXIT_OK
 
     daemon = ServeDaemon(

@@ -23,7 +23,7 @@ from collections import deque
 from typing import Deque, Iterable, Optional, Set
 
 from repro.core.adaptive import AdaptiveDelayController
-from repro.obs.bus import null_emitter
+from repro.obs.bus import emitter_for
 from repro.obs.events import AdaptiveDelayUpdate, BackoffEnter, BackoffExit
 from repro.sim.config import BOWSConfig
 from repro.sim.warp import Warp
@@ -37,14 +37,9 @@ class BOWSUnit:
         self.sm_id = sm_id
         # Pre-bound event sinks (repro.obs); all three fire only on cold
         # branches (state transitions / window ends), never per issue.
-        if bus is not None:
-            self._emit_enter = bus.emitter(BackoffEnter)
-            self._emit_exit = bus.emitter(BackoffExit)
-            self._emit_delay = bus.emitter(AdaptiveDelayUpdate)
-        else:
-            self._emit_enter = null_emitter
-            self._emit_exit = null_emitter
-            self._emit_delay = null_emitter
+        self._emit_enter = emitter_for(bus, BackoffEnter)
+        self._emit_exit = emitter_for(bus, BackoffExit)
+        self._emit_delay = emitter_for(bus, AdaptiveDelayUpdate)
         self._queue: Deque[int] = deque()
         self._queued: Set[int] = set()
         self._controller: Optional[AdaptiveDelayController] = (
@@ -55,25 +50,6 @@ class BOWSUnit:
         self._window_total = 0
         self._window_sib = 0
         self._window_stores = 0
-
-    def __getstate__(self):
-        """Checkpointing: drop the emitter closures; queue, controller,
-        and window counters pickle as-is (SM rebinds after restore)."""
-        state = self.__dict__.copy()
-        state["_emit_enter"] = None
-        state["_emit_exit"] = None
-        state["_emit_delay"] = None
-        return state
-
-    def _rebind_events(self, bus) -> None:
-        if bus is not None:
-            self._emit_enter = bus.emitter(BackoffEnter)
-            self._emit_exit = bus.emitter(BackoffExit)
-            self._emit_delay = bus.emitter(AdaptiveDelayUpdate)
-        else:
-            self._emit_enter = null_emitter
-            self._emit_exit = null_emitter
-            self._emit_delay = null_emitter
 
     # ------------------------------------------------------------------
 

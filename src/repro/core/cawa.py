@@ -42,12 +42,6 @@ class CAWAPredictor:
             assert instr.target_index is not None
             warp.cawa_ninst += float(instr.index - instr.target_index)
 
-    def charge_stall(self, warp: Warp, cycles: float) -> None:
-        warp.cawa_nstall += cycles
-
-    def charge_elapsed(self, warp: Warp, cycles: float) -> None:
-        warp.cawa_cycles += cycles
-
     @staticmethod
     def criticality(warp: Warp) -> float:
         return warp.criticality

@@ -32,7 +32,7 @@ from typing import Deque, Dict, Optional, Set, Tuple
 
 from repro.isa.instructions import Instruction
 from repro.isa.program import Program
-from repro.obs.bus import null_emitter
+from repro.obs.bus import emitter_for
 from repro.obs.events import SIBCleared, SIBDetected
 from repro.sim.config import DDOSConfig
 
@@ -105,12 +105,9 @@ class DDOSEngine:
         self.sm_id = sm_id
         # Pre-bound event sinks (repro.obs): no per-decision branch on
         # "is observability attached?" — the disabled path is a no-op.
-        if bus is not None:
-            self._emit_detected = bus.emitter(SIBDetected)
-            self._emit_cleared = bus.emitter(SIBCleared)
-        else:
-            self._emit_detected = null_emitter
-            self._emit_cleared = null_emitter
+        self._emit_detected = emitter_for(bus, SIBDetected)
+        self._emit_cleared = emitter_for(bus, SIBCleared)
+        # A module-level function: pickles by reference in a checkpoint.
         self._hash = _HASHES[config.hashing]
         self._histories: Dict[int, _WarpHistory] = {
             slot: _WarpHistory(deque(maxlen=config.history_length))
@@ -125,23 +122,6 @@ class DDOSEngine:
         # history register set.
         self._shared_owner = 0
         self._shared_epoch_end = config.time_sharing_epoch
-
-    def __getstate__(self):
-        """Checkpointing: drop the emitter closures; histories, the
-        SIB-PT, and time-sharing state pickle as-is (the ``_hash``
-        module-level function pickles by reference)."""
-        state = self.__dict__.copy()
-        state["_emit_detected"] = None
-        state["_emit_cleared"] = None
-        return state
-
-    def _rebind_events(self, bus) -> None:
-        if bus is not None:
-            self._emit_detected = bus.emitter(SIBDetected)
-            self._emit_cleared = bus.emitter(SIBCleared)
-        else:
-            self._emit_detected = null_emitter
-            self._emit_cleared = null_emitter
 
     # ------------------------------------------------------------------
     # Event hooks (called by the SM at execution)
@@ -231,13 +211,6 @@ class DDOSEngine:
     def detection_records(self) -> Dict[int, _BranchRecord]:
         """Bookkeeping for accuracy metrics (TSDR/FSDR/DPR)."""
         return dict(self._seen_branches)
-
-    def confirmed_records(self) -> Dict[int, _BranchRecord]:
-        return {
-            index: record
-            for index, record in self._seen_branches.items()
-            if record.confirmed_at is not None
-        }
 
     # ------------------------------------------------------------------
     # Internals

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class CPUModel:
@@ -47,8 +45,3 @@ class CPUModel:
 def gpu_time_us(cycles: int, frequency_ghz: float = 0.7) -> float:
     """Convert simulated GPU core cycles to microseconds (Fermi ~0.7 GHz)."""
     return cycles / (frequency_ghz * 1e3)
-
-
-def reference_insertion_count(keys: np.ndarray) -> int:
-    """Sanity helper: a serial run inserts each key exactly once."""
-    return int(keys.size)

@@ -1,14 +1,4 @@
-"""Configuration shorthand for the experiment harness.
-
-Historically this module owned both the configuration vocabulary
-(``make_config``) and workload execution (``run_workload`` /
-``run_kernel``).  The execution shims predated the :func:`repro.api.simulate`
-facade and duplicated its wiring decisions; they went through a
-deprecation cycle and are now removed — call
-``simulate(workload_or_name, config=...)`` (or, for batches,
-``repro.api.submit``/``submit_many``) instead.  Only :func:`make_config`
-remains: it is pure configuration, with no wiring to drift.
-"""
+"""Configuration shorthand for the experiment harness."""
 
 from __future__ import annotations
 

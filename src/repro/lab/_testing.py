@@ -3,7 +3,7 @@
 Process-pool ``run_fn`` injection requires module-level callables (the
 pool pickles them by reference), so the crash scenarios the resilience
 suite needs — a worker that SIGKILLs itself mid-run, a run that fails
-transiently N times, a slow run — live here rather than inline in the
+transiently N times — live here rather than inline in the
 tests.  Cross-process "have I crashed before?" state is carried by
 sentinel files named through environment variables, which survive the
 pool's worker churn.
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 import signal
-import time
 
 from repro.lab.results import RunResult
 from repro.lab.core import TransientRunError
@@ -76,12 +75,6 @@ def flaky_then_ok(spec: RunSpec) -> RunResult:
     return fabricate_result(spec)
 
 
-def slow_run(spec: RunSpec) -> RunResult:
-    """Sleep long enough to trip any sub-second timeout, then succeed."""
-    time.sleep(2.0)
-    return fabricate_result(spec)
-
-
 def instant_ok(spec: RunSpec) -> RunResult:
     return fabricate_result(spec)
 
@@ -93,5 +86,4 @@ __all__ = [
     "instant_ok",
     "kill_always",
     "kill_worker_once",
-    "slow_run",
 ]

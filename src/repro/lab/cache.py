@@ -13,8 +13,8 @@ Durability guarantees (see ``docs/robustness.md``):
   ``os.replace``, so concurrent sweep workers, parallel pytest sessions,
   and multiple Runners can share one cache directory without ever
   exposing a half-written entry.
-* **Checksummed reads** — version-2 entries embed a SHA-256 over the
-  canonical JSON body; :meth:`ResultCache.get` verifies it — once per
+* **Checksummed reads** — entries embed a SHA-256 over the canonical
+  JSON body; :meth:`ResultCache.get` verifies it — once per
   file version: a cache object remembers what it verified until the
   file's ``(inode, size, mtime)`` changes — and treats any mismatch
   (torn write, bit rot, hand-editing), and any entry filed under a hash
@@ -51,9 +51,8 @@ from repro.lab.spec import RunSpec, _json_default
 #: override with the REPRO_LAB_CACHE_DIR environment variable.
 DEFAULT_CACHE_DIR = ".lab_cache"
 
-#: Entry payload schema version.  v2 added the content checksum; v1
-#: entries (no checksum) are still readable but report ``"unchecked"``
-#: integrity in :meth:`ResultCache.verify`.
+#: Entry payload schema version.  v2 added the content checksum; an
+#: entry without one is a defect like any other.
 ENTRY_VERSION = 2
 
 #: Subdirectory corrupt entries are moved into (never deleted).
@@ -141,8 +140,8 @@ class EntryReport:
     path: str
     spec_hash: str
     size_bytes: int
-    #: ``ok`` | ``corrupt`` | ``unchecked`` (pre-checksum v1 entry) |
-    #: ``stale`` (different code fingerprint; not integrity-checked).
+    #: ``ok`` | ``corrupt`` | ``stale`` (different code fingerprint;
+    #: not integrity-checked).
     status: str
     detail: str = ""
 
@@ -229,9 +228,7 @@ class ResultCache:
             return "entry is not a result record"
         checksum = payload.get("checksum")
         if checksum is None:
-            if payload.get("version", 1) >= 2:
-                return "v2 entry is missing its checksum"
-            return None  # v1 (pre-checksum) entry: readable, unchecked
+            return "entry is missing its checksum"
         body = {k: v for k, v in payload.items()
                 if k not in ("checksum", "version")}
         actual = hashlib.sha256(_canonical_body(body)).hexdigest()
@@ -388,17 +385,15 @@ class ResultCache:
                 continue
             defect = None
             try:
-                payload, _, _ = self._load_entry(path, spec_hash)
+                self._load_entry(path, spec_hash)
             except EntryDefect as exc:
                 defect = str(exc)
             except OSError as exc:
                 defect = f"unreadable: {exc}"
             if defect is None:
-                version = payload.get("version", 1)
-                status = "ok" if version >= 2 else "unchecked"
                 report.entries.append(EntryReport(
                     path=str(path), spec_hash=spec_hash,
-                    size_bytes=size, status=status,
+                    size_bytes=size, status="ok",
                 ))
                 continue
             report.entries.append(EntryReport(

@@ -45,7 +45,7 @@ from repro.lab.spec import RunSpec
 
 
 def execute_run(spec: RunSpec, checkpoint_dir=None,
-                obs=None) -> RunResult:
+                tap=None) -> RunResult:
     """Build, simulate, validate, and score one spec (worker entry).
 
     With ``checkpoint_dir``, the simulation autocheckpoints its complete
@@ -55,12 +55,12 @@ def execute_run(spec: RunSpec, checkpoint_dir=None,
     of restarting, and a corrupt checkpoint falls back to a fresh run.
     The file is deleted once the run completes.
 
-    ``obs`` optionally supplies a prepared
-    :class:`~repro.obs.Observability` to use instead of the one built
-    from ``spec.obs`` — the serve daemon's streaming tap rides in this
-    way.  The instance MUST be built from ``spec.obs``'s config (and is
-    only meaningful when ``spec.obs`` is set): the spec hash covers the
-    obs *config*, so a divergent instance would poison the shared cache.
+    ``tap`` is an optional live consumer (``tap.on_event(event)``,
+    ``tap.on_row(row)`` — the serve daemon's progress spool), subscribed
+    on the run's :class:`~repro.obs.Observability` once that is built
+    *or restored*; a spec without ``obs`` has nothing to tap.  A
+    subscriber only reads what the spec asked to collect, so the result
+    is the same with or without one.
     """
     # Imported here so pool workers pay the import once and the lab core
     # stays import-cycle-free with the harness/api layers.
@@ -68,6 +68,7 @@ def execute_run(spec: RunSpec, checkpoint_dir=None,
 
     from repro.api import simulate
     from repro.kernels import build as build_workload
+    from repro.obs import as_observability
 
     spec_hash = spec.content_hash()
     ckpt_path: Optional[Path] = None
@@ -90,13 +91,18 @@ def execute_run(spec: RunSpec, checkpoint_dir=None,
     workload = build_workload(spec.kernel, **spec.build_params())
     built = time.perf_counter()
 
-    if resume_ckpt is not None:
-        live = resume_ckpt.restore()
-        bus = live.obs.bus if live.obs is not None else None
-        if bus is not None:
+    live = resume_ckpt.restore() if resume_ckpt is not None else None
+    obs = live.obs if live is not None else as_observability(spec.obs)
+    # Live consumers are not state (a pickle drops them), so the tap is
+    # attached here: after the Observability is built or restored,
+    # before anything more is published on it.
+    if tap is not None and obs is not None:
+        obs.subscribe(tap.on_event, tap.on_row)
+    if live is not None:
+        if obs is not None and obs.bus is not None:
             from repro.obs.events import RunResumed
 
-            bus.publish(RunResumed(
+            obs.bus.publish(RunResumed(
                 cycle=live.now, path=str(ckpt_path), spec_hash=spec_hash,
             ))
         sim = live.run(checkpoint_every=True, checkpoint_path=ckpt_path)
@@ -106,9 +112,6 @@ def execute_run(spec: RunSpec, checkpoint_dir=None,
         if spec.validate and not spec.config.magic_locks:
             workload.validate(sim.memory)
     else:
-        if obs is None and spec.obs is not None:
-            from repro.obs import Observability
-            obs = Observability(spec.obs)
         sanitizer = None
         if spec.sanitize is not None:
             from repro.analysis.sanitizer import Sanitizer

@@ -1,6 +1,7 @@
 """repro.obs — observability for the warp-scheduling simulator.
 
-Three pillars (see ``docs/observability.md``):
+The one thing the simulated machine is handed to be observed with
+(``GPU(obs=)``).  Three pillars (see ``docs/observability.md``):
 
 * **Event bus** (:mod:`repro.obs.events`, :mod:`repro.obs.bus`) —
   typed scheduler/sync decision events (DDOS confidence transitions,
@@ -14,6 +15,11 @@ Three pillars (see ``docs/observability.md``):
   per-PC hot spots, per-warp spin timelines, DDOS detection latency,
   rendered as markdown or JSON.
 
+On request (``Observability(issue_capacity=N)``) every issued warp
+instruction is recorded too, as :class:`Issue` events in a ring of its
+own: hang reports, the hot-spot table and the Chrome/Perfetto export
+read it.
+
 Entry point::
 
     from repro.api import simulate
@@ -25,10 +31,11 @@ Entry point::
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
-from repro.obs.bus import EventBus, null_emitter
+from repro.obs.bus import EventBus, emitter_for, null_emitter
 from repro.obs.events import (
     EVENT_KINDS,
     EVENT_TYPES,
@@ -40,6 +47,7 @@ from repro.obs.events import (
     CheckpointSaved,
     CorruptEntryQuarantined,
     HangSuspected,
+    Issue,
     LockAcquireFail,
     LockAcquireSuccess,
     RunResumed,
@@ -58,6 +66,7 @@ __all__ = [
     "Observability",
     "as_observability",
     "EventBus",
+    "emitter_for",
     "null_emitter",
     "EVENT_KINDS",
     "EVENT_TYPES",
@@ -76,6 +85,7 @@ __all__ = [
     "RunResumed",
     "CorruptEntryQuarantined",
     "WorkerLost",
+    "Issue",
     "event_to_dict",
     "event_from_dict",
     "format_event",
@@ -119,14 +129,53 @@ class Observability:
     ``obs=True``); the GPU wires the bus into every producer and polls
     the sampler from its cycle loop.  After the run, the same object
     hangs off ``SimResult.obs``.
+
+    ``issue_capacity`` turns on issue recording: :attr:`issues` is then
+    a second :class:`EventBus` holding the last N :class:`Issue` events.
+    It is a constructor argument and not an :class:`ObsConfig` field
+    because the ring is never serialised into a result: nothing hashed
+    or cached depends on it.
+
+    Everything held here pickles, so the object rides in a checkpoint
+    with the machine it observes — except live consumers
+    (:meth:`subscribe`), which a pickle drops.
     """
 
-    def __init__(self, config: Optional[ObsConfig] = None) -> None:
+    def __init__(self, config: Optional[ObsConfig] = None,
+                 issue_capacity: Optional[int] = None) -> None:
         self.config = config if config is not None else ObsConfig()
         self.bus: Optional[EventBus] = (
             EventBus(self.config.event_capacity) if self.config.events else None
         )
+        self.issues: Optional[EventBus] = (
+            EventBus(issue_capacity) if issue_capacity is not None else None
+        )
         self.sampler: Optional[IntervalSampler] = None
+        self._row_subscribers: List[Callable[[Dict[str, float]], None]] = []
+
+    def subscribe(self, on_event: Optional[Callable[[Any], None]] = None,
+                  on_row: Optional[Callable[[Dict[str, float]], None]] = None,
+                  ) -> None:
+        """Attach a live consumer: ``on_event(event)`` on every decision
+        event from now on, ``on_row(row)`` on every series row as the
+        sampler appends it.  A consumer is not state — a pickle drops it
+        (here and in :meth:`EventBus.__getstate__`) — so whoever
+        restores a checkpoint subscribes again."""
+        if on_event is not None and self.bus is not None:
+            self.bus.subscribe(on_event)
+        if on_row is not None:
+            self._row_subscribers.append(on_row)
+
+    def _publish_row(self, row: Dict[str, float]) -> None:
+        for fn in self._row_subscribers:
+            fn(row)
+
+    def __getstate__(self):
+        """Checkpointing: everything pickles as-is except the live row
+        consumers, which do not ride along (see :meth:`subscribe`)."""
+        state = self.__dict__.copy()
+        state["_row_subscribers"] = []
+        return state
 
     # -- GPU lifecycle -------------------------------------------------
 
@@ -136,7 +185,7 @@ class Observability:
         if self.config.sample_interval > 0:
             self.sampler = IntervalSampler(
                 stats, memsys_stats, self.config.sample_interval,
-                warp_size=warp_size,
+                warp_size=warp_size, on_row=self._publish_row,
             )
         return self.sampler
 
@@ -179,6 +228,77 @@ class Observability:
         if self.series is not None:
             payload["series"] = self.series.to_dict()
         return payload
+
+    def export_chrome_trace(self, path) -> int:
+        """Dump the issue ring as Chrome ``trace_event`` JSON.
+
+        Load the file in ``chrome://tracing`` or Perfetto to see the
+        issue timeline — one process track per SM, one thread track per
+        warp slot (named with its CTA, e.g. ``warp 03 (cta 1)``, and
+        ordered numerically via ``thread_sort_index``), one cycle mapped
+        to one microsecond.  Issues from a backed-off warp are named
+        ``<opcode> [backed-off]`` so spin and back-off phases stand out;
+        per-event args carry the PC, CTA, and active-lane count.  The
+        sampled time series, when there is one, is merged in as counter
+        tracks.  Returns the number of issue events written (counter
+        events excluded).
+        """
+        if self.issues is None:
+            raise ValueError(
+                "no issue ring to export: construct "
+                "Observability(issue_capacity=N) to record issues"
+            )
+        events: List[dict] = []
+        tracks = {}
+        for issue in self.issues:
+            tracks.setdefault((issue.sm_id, issue.warp_slot), issue.cta_id)
+            name = issue.opcode
+            if issue.backed_off:
+                name += " [backed-off]"
+            events.append({
+                "name": name,
+                "ph": "X",
+                "ts": issue.cycle,
+                "dur": 1,
+                "pid": issue.sm_id,
+                "tid": issue.warp_slot,
+                "cat": "backed-off" if issue.backed_off else "issue",
+                "args": {
+                    "pc": issue.pc,
+                    "cta": issue.cta_id,
+                    "active_lanes": issue.active_lanes,
+                    "backed_off": issue.backed_off,
+                },
+            })
+        metadata: List[dict] = []
+        for sm_id in sorted({sm for sm, _ in tracks}):
+            metadata.append({
+                "name": "process_name", "ph": "M", "pid": sm_id,
+                "args": {"name": f"SM{sm_id}"},
+            })
+        for (sm_id, slot), cta in sorted(tracks.items()):
+            metadata.append({
+                "name": "thread_name", "ph": "M", "pid": sm_id,
+                "tid": slot, "args": {"name": f"warp {slot:02d} (cta {cta})"},
+            })
+            metadata.append({
+                "name": "thread_sort_index", "ph": "M", "pid": sm_id,
+                "tid": slot, "args": {"sort_index": slot},
+            })
+        series = self.series
+        counters = series.perfetto_events() if series is not None else []
+        payload = {
+            "traceEvents": metadata + events + counters,
+            "displayTimeUnit": "ms",
+            "otherData": {
+                "source": "repro.obs.Observability.issues",
+                "time_unit": "1 ts = 1 GPU cycle",
+                "dropped_records": self.issues.dropped,
+            },
+        }
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        return len(events)
 
 
 def as_observability(

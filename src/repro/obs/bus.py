@@ -1,12 +1,11 @@
 """Event bus with pre-bound emitters and a zero-cost disabled path.
 
-The bus follows the fast engine's tracer-hoisting discipline: producers
-never test "is observability on?" per decision.  Instead they call
-:meth:`EventBus.emitter` **once at construction time** and store the
-returned callable.  When no bus is attached they store
-:func:`null_emitter` — a shared module-level no-op — so the hot path
-costs one attribute-free call either way, and nothing at all on the
-branches that never fire.
+Producers never test "is observability on?" per decision.  Instead
+they bind an emitter **once at construction time** —
+:func:`emitter_for`, which answers :meth:`EventBus.emitter` when a bus
+is attached and :func:`null_emitter`, a shared module-level no-op,
+when none is — so the hot path costs one attribute-free call either
+way, and nothing at all on the branches that never fire.
 
 An emitter is bound to one event class::
 
@@ -17,6 +16,12 @@ An emitter is bound to one event class::
 The bus keeps a bounded ring log (oldest events evicted, counted in
 :attr:`EventBus.dropped`), per-kind counts that survive eviction, and
 optional subscribers for tests/live tooling.
+
+Everything a producer holds pickles: an emitter reduces to "the emitter
+of this class on *that* bus" and the bus rides in the same graph, so a
+checkpoint needs no help from the producers.  Live consumers are the
+one thing that does not survive: :meth:`EventBus.__getstate__` drops
+the subscriber list, and whoever restores the run subscribes again.
 """
 
 from __future__ import annotations
@@ -27,6 +32,34 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 
 def null_emitter(**_fields: Any) -> None:
     """Shared no-op emitter used whenever no bus is attached."""
+
+
+class _Emitter:
+    """What :meth:`EventBus.emitter` returns.
+
+    A class rather than a closure because closures cannot pickle and
+    producers hold emitters across checkpoints: this one reduces to
+    ``(bus, event_cls)``, so the restored emitter publishes on the
+    *restored* bus — its log, counts and (fresh, empty) subscriber list.
+    """
+
+    __slots__ = ("bus", "event_cls")
+
+    def __init__(self, bus: "EventBus", event_cls: type) -> None:
+        self.bus = bus
+        self.event_cls = event_cls
+
+    def __call__(self, **fields: Any) -> None:
+        self.bus.publish(self.event_cls(**fields))
+
+    def __reduce__(self):
+        return (_Emitter, (self.bus, self.event_cls))
+
+
+def emitter_for(bus: Optional["EventBus"],
+                event_cls: type) -> Callable[..., None]:
+    """``bus.emitter(event_cls)``, or :func:`null_emitter` with no bus."""
+    return bus.emitter(event_cls) if bus is not None else null_emitter
 
 
 class EventBus:
@@ -49,29 +82,13 @@ class EventBus:
         self.dropped = 0
         self._subscribers: List[Callable[[Any], None]] = []
 
-    def emitter(self, event_cls: type) -> Callable[..., None]:
+    def emitter(self, event_cls: type) -> "_Emitter":
         """Return a callable that constructs + publishes ``event_cls``.
 
-        Bind the result once at construction time; the closure pins the
-        log/counts lookups so the per-event cost is one dataclass
-        construction and a deque append.
+        Bind the result once at construction time: the per-event cost
+        is one dataclass construction and one :meth:`publish`.
         """
-        kind = event_cls.kind
-        log = self._log
-        counts = self.counts
-        subscribers = self._subscribers
-
-        def emit(**fields: Any) -> None:
-            event = event_cls(**fields)
-            counts[kind] = counts.get(kind, 0) + 1
-            if len(log) == log.maxlen:
-                self.dropped += 1
-            log.append(event)
-            for fn in subscribers:
-                fn(event)
-
-        emit.event_cls = event_cls  # type: ignore[attr-defined]
-        return emit
+        return _Emitter(self, event_cls)
 
     def __getstate__(self):
         """Checkpointing: the ring log, counts, and drop counter pickle
@@ -82,7 +99,7 @@ class EventBus:
         return state
 
     def publish(self, event: Any) -> None:
-        """Publish an already-constructed event (slow path; tests/tools)."""
+        """Log, count and deliver one constructed event."""
         self.counts[event.kind] = self.counts.get(event.kind, 0) + 1
         if len(self._log) == self._log.maxlen:
             self.dropped += 1

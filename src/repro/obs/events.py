@@ -19,6 +19,9 @@ narrative causally, not just statistically:
   :class:`BarrierRelease` time CTA barrier episodes.
 * **Forensics** — :class:`HangSuspected` marks the forward-progress
   guard classifying (or suspecting) a hang.
+* **The issue stream** — :class:`Issue`, one per issued warp
+  instruction, recorded only on request and in a ring of its own
+  (``Observability.issues``) so it never evicts a decision event.
 
 Events are plain data: :func:`event_to_dict` / :func:`format_event`
 are the only serialization surface, used by profile reports, lab
@@ -209,6 +212,30 @@ class WorkerLost:
     requeued: bool
 
 
+@dataclass(frozen=True)
+class Issue:
+    """One issued warp instruction; ``backed_off`` is the BOWS state the
+    warp was selected in."""
+
+    kind = "issue"
+    cycle: int
+    sm_id: int
+    warp_slot: int
+    cta_id: int
+    pc: int
+    opcode: str
+    active_lanes: int
+    backed_off: bool
+
+    def __str__(self) -> str:
+        flags = " B" if self.backed_off else ""
+        return (
+            f"[{self.cycle:>8}] SM{self.sm_id} w{self.warp_slot:02d} "
+            f"cta{self.cta_id} pc={self.pc:<4} {self.opcode:<12} "
+            f"lanes={self.active_lanes}{flags}"
+        )
+
+
 #: Every event type, in taxonomy order (reporting / docs / tests).
 EVENT_TYPES: Tuple[type, ...] = (
     SIBDetected,
@@ -226,6 +253,7 @@ EVENT_TYPES: Tuple[type, ...] = (
     RunResumed,
     CorruptEntryQuarantined,
     WorkerLost,
+    Issue,
 )
 
 #: kind string -> event class (deserialization).

@@ -1,10 +1,10 @@
 """Profile reports: turn one run's observability data into an answer.
 
 :func:`build_profile` digests a :class:`~repro.sim.gpu.SimResult` (with
-observability attached) plus an optional issue :class:`Tracer` into a
-:class:`ProfileReport`:
+observability attached) into a :class:`ProfileReport`:
 
-* **hot spots** — per-PC issue counts from the tracer window, split
+* **hot spots** — per-PC issue counts from the recorded issue window
+  (``Observability(issue_capacity=N)``), split
   into sync overhead vs useful work via the program's ``!sync`` roles,
   with average active lanes and the backed-off share;
 * **warp spin timelines** — each warp's back-off episodes
@@ -99,7 +99,7 @@ class ProfileReport:
         ]
         if self.hotspots:
             lines += [
-                "## Hot spots (tracer window)",
+                "## Hot spots (issue window)",
                 "",
                 "| pc | opcode | issues | sync | backed-off | avg lanes |",
                 "|---:|:-------|-------:|-----:|-----------:|----------:|",
@@ -171,11 +171,11 @@ class ProfileReport:
         return "\n".join(lines)
 
 
-def _build_hotspots(tracer, program) -> List[Dict[str, Any]]:
-    if tracer is None or len(tracer) == 0:
+def _build_hotspots(obs, program) -> List[Dict[str, Any]]:
+    if obs is None or obs.issues is None:
         return []
     per_pc: Dict[int, Dict[str, int]] = {}
-    for rec in tracer.records():
+    for rec in obs.issues:
         agg = per_pc.setdefault(
             rec.pc, {"issues": 0, "lanes": 0, "backed_off": 0}
         )
@@ -257,15 +257,15 @@ def _build_ddos(obs, total_cycles: int) -> List[Dict[str, Any]]:
     ]
 
 
-def build_profile(result, tracer=None, *, workload: str = "",
+def build_profile(result, *, workload: str = "",
                   scheduler: str = "", engine: str = "",
                   max_events: Optional[int] = 1_000) -> ProfileReport:
     """Digest ``result`` (a :class:`~repro.sim.gpu.SimResult`) into a
     :class:`ProfileReport`.
 
-    ``tracer`` supplies the hot-spot table; without one the table is
-    empty (everything else still works).  ``max_events`` bounds the raw
-    event log embedded in the JSON payload.
+    The issue ring supplies the hot-spot table; without one the table
+    is empty (everything else still works).  ``max_events`` bounds the
+    raw event log embedded in the JSON payload.
     """
     obs = getattr(result, "obs", None)
     events: Dict[str, Any] = {}
@@ -280,7 +280,7 @@ def build_profile(result, tracer=None, *, workload: str = "",
         engine=engine,
         cycles=result.cycles,
         summary=result.stats.summary(),
-        hotspots=_build_hotspots(tracer, result.launch.program),
+        hotspots=_build_hotspots(obs, result.launch.program),
         warp_timelines=_build_warp_timelines(obs, result.cycles),
         ddos=_build_ddos(obs, result.cycles),
         events=events,

@@ -28,7 +28,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 #: Column order of one :class:`TimeSeries` row.
 SERIES_COLUMNS = (
@@ -96,7 +96,7 @@ class TimeSeries:
 
     def perfetto_events(self, pid: int = 0) -> List[Dict[str, Any]]:
         """Chrome ``trace_event`` counter ("C") events, one track per
-        metric, mergeable into :meth:`Tracer.export_chrome_trace`."""
+        metric, merged into :meth:`Observability.export_chrome_trace`."""
         events: List[Dict[str, Any]] = []
         for row in self.rows:
             ts = row["cycle"]
@@ -121,10 +121,14 @@ class IntervalSampler:
     :class:`~repro.memory.memsys.MemoryStats` (``stats.memory`` is only
     merged at end of run).  ``next_sample`` is the poll threshold for
     the GPU loop, mirroring :class:`~repro.sim.progress.ProgressMonitor`.
+    ``on_row`` is called with each row as it is appended
+    (:meth:`Observability.subscribe` delivers live consumers through it).
     """
 
     def __init__(self, stats, memsys_stats, interval: int,
-                 warp_size: int = 32) -> None:
+                 warp_size: int = 32,
+                 on_row: Optional[Callable[[Dict[str, float]], None]] = None,
+                 ) -> None:
         if interval <= 0:
             raise ValueError(f"sample interval must be positive, got {interval}")
         self.interval = interval
@@ -133,6 +137,7 @@ class IntervalSampler:
         self._stats = stats
         self._mem = memsys_stats
         self._warp_size = warp_size
+        self._on_row = on_row
         self._last_cycle = 0
         self._prev = self._snapshot()
 
@@ -160,7 +165,7 @@ class IntervalSampler:
         d = {k: cur[k] - prev[k] for k in cur}
         attempts = d["lock_success"] + d["lock_fail"]
         issued = d["warp_instructions"]
-        self.series.rows.append({
+        row = {
             "cycle": now,
             "ipc": round(issued / dt, 4),
             "simd_efficiency": round(
@@ -176,7 +181,10 @@ class IntervalSampler:
                 d["sib_warp_instructions"] / issued, 4
             ) if issued else 0.0,
             "memory_transactions": int(d["memory_transactions"]),
-        })
+        }
+        self.series.rows.append(row)
+        if self._on_row is not None:
+            self._on_row(row)
         self._prev = cur
         self._last_cycle = now
         while self.next_sample <= now:

@@ -130,9 +130,13 @@ class ServeClient:
         self.address = address
         self.name = name
         self.rpc_timeout_s = rpc_timeout_s
-        self._stream = protocol.MessageStream(
-            protocol.connect(address, timeout_s=connect_timeout_s)
-        )
+        try:
+            sock = protocol.connect(address, timeout_s=connect_timeout_s)
+        except OSError as exc:
+            # Nothing listening: the same error type a connection lost
+            # later raises, so callers handle one.
+            raise ServeError(f"{type(exc).__name__}: {exc}") from exc
+        self._stream = protocol.MessageStream(sock)
         #: Re-entrant: submit() holds it around its own _rpc().
         self._rpc_lock = threading.RLock()
         self._replies: "queue.Queue" = queue.Queue()
@@ -155,11 +159,18 @@ class ServeClient:
         self._closed = False
         # Handshake happens synchronously so a version mismatch raises
         # here, in the caller's frame, not in a background thread.
-        self._stream.send(protocol.hello_message(client=name))
-        ack = self._stream.recv()
-        if ack is not None and ack.get("type") == "error":
-            raise ServeError(ack.get("message", "handshake refused"))
-        protocol.check_hello(ack, expected_type="hello_ack")
+        try:
+            self._stream.send(protocol.hello_message(client=name))
+            ack = self._stream.recv()
+            if ack is not None and ack.get("type") == "error":
+                raise ServeError(ack.get("message", "handshake refused"))
+            protocol.check_hello(ack, expected_type="hello_ack")
+        except ServeError:
+            self._stream.close()
+            raise
+        except (protocol.ProtocolError, OSError) as exc:
+            self._stream.close()
+            raise ServeError(f"{type(exc).__name__}: {exc}") from exc
         self.server_info = ack
         self._reader = threading.Thread(
             target=self._read_loop, name="serve-client-reader", daemon=True

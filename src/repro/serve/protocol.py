@@ -104,8 +104,12 @@ def connect(address: str, timeout_s: Optional[float] = None) -> socket.socket:
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     else:
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    sock.settimeout(timeout_s)
-    sock.connect(target)
+    try:
+        sock.settimeout(timeout_s)
+        sock.connect(target)
+    except OSError:
+        sock.close()
+        raise
     sock.settimeout(None)
     return sock
 

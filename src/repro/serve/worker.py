@@ -20,26 +20,30 @@ to subscribed clients while the simulation is still running.  Records:
     Obs decision events, flushed in bounded batches on the sampler
     cadence (only when the spec requests obs).
 
-Streaming taps the exact same collection the spec asked for — a
-:class:`StreamingObservability` subclass whose sampler forwards each
-appended row — so the RunResult's embedded obs payload is unchanged by
-streaming (collection and transport are decoupled; the file is a pure
-copy).  A spec with ``obs=None`` streams lifecycle marks only: giving
-it a sampler would change the cached RunResult for every other client.
+Streaming taps the exact same collection the spec asked for — the
+:class:`ProgressWriter` subscribes to the run's
+:class:`~repro.obs.Observability` (events as the bus publishes them,
+rows as the sampler appends them) — so the RunResult's embedded obs
+payload is unchanged by streaming (collection and transport are
+decoupled; the file is a pure copy).  A subscriber is not state: a
+checkpoint never contains it, and a run resumed from one streams from
+the resume cycle on.  A spec with ``obs=None`` streams lifecycle marks
+only: giving it a sampler would change the cached RunResult for every
+other client.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import deque
 from functools import partial
-from typing import Any, Dict, Optional
+from typing import Any, Deque, Dict, Optional
 
 from repro.lab.results import RunResult
 from repro.lab.runner import _run_with_timeout, execute_run
 from repro.lab.spec import RunSpec, _json_default
-from repro.obs import Observability, event_to_dict
-from repro.obs.sampler import IntervalSampler
+from repro.obs import event_to_dict
 
 #: Cap on obs events forwarded per flush — the spool is a progress feed,
 #: not an archive (the complete bounded log still rides the RunResult).
@@ -52,11 +56,17 @@ class ProgressWriter:
     Plain buffered appends with a flush per record — the spool is
     advisory (lost lines cost a client a progress update, never a
     result), so it skips the fsync discipline of the durable journal.
+
+    :meth:`on_row` / :meth:`on_event` make it a live consumer of the
+    run's observability (``execute_run(tap=)``).
     """
 
     def __init__(self, path) -> None:
         self.path = path
         self._handle = open(path, "a", encoding="utf-8")
+        #: Events since the last flush: the newest, and how many arrived.
+        self._pending: Deque[Any] = deque(maxlen=MAX_EVENTS_PER_FLUSH)
+        self._arrived = 0
 
     def emit(self, record: Dict[str, Any]) -> None:
         try:
@@ -71,74 +81,29 @@ class ProgressWriter:
     def lifecycle(self, phase: str, **detail: Any) -> None:
         self.emit({"kind": "lifecycle", "phase": phase, **detail})
 
+    def on_row(self, row: Dict[str, Any]) -> None:
+        self.emit({"kind": "sample", "row": row})
+        self.flush_events()
+
+    def on_event(self, event: Any) -> None:
+        self._arrived += 1
+        self._pending.append(event)
+
+    def flush_events(self) -> None:
+        """Forward events that arrived since the last flush (bounded)."""
+        skipped = self._arrived - len(self._pending)
+        if skipped:
+            self.emit({"kind": "event_gap", "skipped": skipped})
+        for event in self._pending:
+            self.emit({"kind": "event", "event": event_to_dict(event)})
+        self._pending.clear()
+        self._arrived = 0
+
     def close(self) -> None:
         try:
             self._handle.close()
         except OSError:
             pass
-
-
-class _StreamingSampler(IntervalSampler):
-    """IntervalSampler that forwards every appended row to the spool."""
-
-    def __init__(self, *args, writer: ProgressWriter,
-                 obs: "StreamingObservability", **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._writer = writer
-        self._obs = obs
-        self._streamed_rows = 0
-
-    def sample(self, now: int) -> None:
-        super().sample(now)
-        rows = self.series.rows
-        while self._streamed_rows < len(rows):
-            self._writer.emit({"kind": "sample",
-                               "row": rows[self._streamed_rows]})
-            self._streamed_rows += 1
-        self._obs.flush_events()
-
-
-class StreamingObservability(Observability):
-    """Observability whose sampler mirrors rows/events into the spool.
-
-    Collection is identical to the plain :class:`Observability` built
-    from the same config — same sampler math, same bus — so results
-    stay bitwise-identical whether or not anyone is watching.
-    """
-
-    def __init__(self, config, writer: ProgressWriter) -> None:
-        super().__init__(config)
-        self._writer = writer
-        self._events_streamed = 0
-
-    def begin_run(self, stats, memsys_stats, warp_size: int = 32):
-        if self.config.sample_interval > 0:
-            self.sampler = _StreamingSampler(
-                stats, memsys_stats, self.config.sample_interval,
-                warp_size=warp_size, writer=self._writer, obs=self,
-            )
-        return self.sampler
-
-    def end_run(self, now: int) -> None:
-        super().end_run(now)
-        self.flush_events()
-
-    def flush_events(self) -> None:
-        """Forward events that arrived since the last flush (bounded)."""
-        bus = self.bus
-        if bus is None:
-            return
-        fresh = bus.total_events - self._events_streamed
-        if fresh <= 0:
-            return
-        self._events_streamed = bus.total_events
-        if fresh > MAX_EVENTS_PER_FLUSH:
-            self._writer.emit({"kind": "event_gap",
-                               "skipped": fresh - MAX_EVENTS_PER_FLUSH})
-            fresh = MAX_EVENTS_PER_FLUSH
-        for event in bus.tail(fresh):
-            self._writer.emit({"kind": "event",
-                               "event": event_to_dict(event)})
 
 
 def serve_entry(spec: RunSpec, progress_path: str,
@@ -152,15 +117,14 @@ def serve_entry(spec: RunSpec, progress_path: str,
     writer = ProgressWriter(progress_path)
     writer.lifecycle("started", pid=os.getpid(),
                      spec_hash=spec.content_hash())
-    obs = (StreamingObservability(spec.obs, writer)
-           if spec.obs is not None else None)
-    run_fn = partial(execute_run, checkpoint_dir=checkpoint_dir, obs=obs)
+    run_fn = partial(execute_run, checkpoint_dir=checkpoint_dir, tap=writer)
     try:
         result = _run_with_timeout(run_fn, spec, timeout_s)
     except BaseException as exc:
         writer.lifecycle("failed", error=type(exc).__name__)
         raise
     else:
+        writer.flush_events()  # those after the last sampler row
         writer.lifecycle("finished", cycles=result.cycles,
                          elapsed_s=round(result.elapsed_s, 3))
         return result
@@ -171,6 +135,5 @@ def serve_entry(spec: RunSpec, progress_path: str,
 __all__ = [
     "MAX_EVENTS_PER_FLUSH",
     "ProgressWriter",
-    "StreamingObservability",
     "serve_entry",
 ]

@@ -5,20 +5,31 @@ A checkpoint captures the *complete* machine state of an in-flight
 scoreboards), the memory subsystem and global-memory image, scheduler
 queues and order caches, DDOS path/value history registers, BOWS
 back-off queues and adaptive-delay controller state, progress-monitor
-witnesses, and observability sampler offsets — so a run interrupted at
-an epoch boundary can resume and produce **bitwise-identical**
-statistics to an uninterrupted run (enforced by
-``tests/test_golden_equivalence.py``).
+witnesses, and the observers with everything they collected (event
+log and counts, sampler offsets and rows, the issue ring, sanitizer
+shadow state) — so a run interrupted at an epoch boundary can resume
+and produce **bitwise-identical** statistics to an uninterrupted run
+(enforced by ``tests/test_golden_equivalence.py``).
 
 The capture mechanism is a single :mod:`pickle` of the whole simulation
 object graph: shared references (one ``SimStats`` written by every SM,
 one lock table, one global memory) survive through the pickle memo, and
 numpy register files, ``random.Random`` perturbation state, deques, and
-heaps all round-trip exactly.  The only things that cannot ride along
-are *closures* — pre-bound event-bus emitters and the fast engine's
-decoded program — which each owner drops in ``__getstate__`` and
-:class:`~repro.sim.gpu.Simulation` deterministically rebuilds in one
-rebind pass after the full graph is restored.
+heaps all round-trip exactly.  A checkpoint is that pickle and nothing
+else — there is no convention an attachment has to remember.  Two
+things are left out, each in one place:
+
+* the fast engine's *decoded program* (its handlers are closures):
+  ``SM.__getstate__`` drops it, ``Warp.__getstate__`` its cached op, and
+  :class:`~repro.sim.gpu.Simulation` re-decodes, deterministically, in
+  one pass after the full graph is restored;
+* *live consumers* — subscriber callables such as the serve daemon's
+  progress spool: ``EventBus.__getstate__`` and
+  ``Observability.__getstate__`` drop them, and whoever restores the run
+  subscribes again.
+
+Pre-bound event emitters do ride along: one pickles as "the emitter of
+this event class on that bus", and the bus is in the same graph.
 
 On-disk format (``*.ckpt``)::
 

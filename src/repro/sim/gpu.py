@@ -90,7 +90,7 @@ class GPU:
 
     def __init__(self, config: GPUConfig,
                  memory: Optional[GlobalMemory] = None,
-                 tracer=None, engine: str = "fast", obs=None,
+                 engine: str = "fast", obs=None,
                  sanitizer=None) -> None:
         if engine not in ENGINES:
             raise ValueError(
@@ -98,11 +98,10 @@ class GPU:
             )
         self.config = config
         self.memory = memory if memory is not None else GlobalMemory()
-        #: Optional :class:`repro.sim.trace.Tracer` capturing issues.
-        self.tracer = tracer
         #: Optional :class:`repro.obs.Observability` (accepts ``True``
         #: or an :class:`repro.obs.ObsConfig` as shorthand): collects
-        #: decision events and interval time series during launches.
+        #: decision events, interval time series and — when constructed
+        #: with ``issue_capacity`` — issued instructions during launches.
         self.obs = as_observability(obs)
         #: Optional :class:`repro.analysis.Sanitizer` (accepts ``True``
         #: or a :class:`repro.analysis.SanitizerConfig` as shorthand):
@@ -123,10 +122,12 @@ class GPU:
         stats = SimStats()
         memsys = MemorySubsystem(config)
         obs = self.obs
-        bus = obs.bus if obs is not None else None
         sanitizer = self.sanitizer
         if sanitizer is not None:
-            sanitizer.begin_run(launch.program.name, bus=bus)
+            sanitizer.begin_run(
+                launch.program.name,
+                bus=obs.bus if obs is not None else None,
+            )
             sanitizer.attach_memory(self.memory)
         lock_table: Dict[int, Tuple[WarpKey, int]] = {}
         sms = [
@@ -139,9 +140,8 @@ class GPU:
                 memsys=memsys,
                 lock_table=lock_table,
                 stats=stats,
-                tracer=self.tracer,
                 engine=self.engine,
-                bus=bus,
+                obs=obs,
                 sanitizer=sanitizer,
             )
             for i in range(config.num_sms)
@@ -163,7 +163,6 @@ class GPU:
             stats=stats,
             sms=sms,
             lock_table=lock_table,
-            tracer=self.tracer,
             obs=obs,
             sanitizer=sanitizer,
             engine=self.engine,
@@ -172,9 +171,7 @@ class GPU:
         sim._dispatch()
         if config.no_progress_window > 0:
             sim.monitor = ProgressMonitor(
-                config, sms, self.memory, stats, tracer=self.tracer,
-                bus=bus,
-            )
+                config, sms, self.memory, stats, obs=obs)
         if obs is not None:
             sim.sampler = obs.begin_run(
                 stats, memsys.stats, warp_size=config.warp_size
@@ -197,15 +194,14 @@ class Simulation:
     Checkpoints are only ever taken *between* loop iterations — the
     state is exactly "about to execute cycle ``now``" — which is what
     makes a resumed run bitwise-identical to an uninterrupted one.  The
-    object pickles as a whole graph: classes that hold closures
-    (pre-bound emitters, the decoded program) drop them in their own
-    ``__getstate__`` and :meth:`_rebind` rebuilds every one of them
-    after restore, so ordering hazards between partially-restored
-    objects cannot arise.
+    object pickles as a whole graph, observers included; only the
+    decoded program (closures) is dropped, by ``SM.__getstate__``, and
+    :meth:`_rebind` re-decodes it after the whole graph is restored, so
+    ordering hazards between partially-restored objects cannot arise.
     """
 
     def __init__(self, config, launch, memory, memsys, stats, sms,
-                 lock_table, tracer, obs, sanitizer, engine,
+                 lock_table, obs, sanitizer, engine,
                  warps_per_cta) -> None:
         self.config = config
         self.launch = launch
@@ -214,7 +210,6 @@ class Simulation:
         self.stats = stats
         self.sms = sms
         self.lock_table = lock_table
-        self.tracer = tracer
         self.obs = obs
         self.sanitizer = sanitizer
         self.engine = engine
@@ -311,9 +306,8 @@ class Simulation:
                     if next_now is None:
                         report = build_hang_report(
                             "deadlock", now, sms, memory=self.memory,
-                            stats=stats, tracer=self.tracer,
+                            stats=stats, obs=self.obs,
                             reason="no warp can ever become ready again",
-                            bus=self._bus(),
                         )
                         raise SimulationDeadlock(report.describe(), report)
                     dt = next_now - now
@@ -333,18 +327,14 @@ class Simulation:
         self._finish()
         return True
 
-    def _bus(self):
-        return self.obs.bus if self.obs is not None else None
-
     def _raise_timeout(self, now: int) -> None:
         if self.monitor is not None:
             report = self.monitor.timeout_report(now)
         else:
             report = build_hang_report(
                 "timeout", now, self.sms, memory=self.memory,
-                stats=self.stats, tracer=self.tracer,
+                stats=self.stats, obs=self.obs,
                 reason="exceeded max_cycles (watchdog disabled)",
-                bus=self._bus(),
             )
         raise SimulationTimeout(
             f"kernel {self.launch.program.name!r} exceeded "
@@ -430,7 +420,7 @@ class Simulation:
         """Capture + atomically write a checkpoint, emitting
         :class:`~repro.obs.events.CheckpointSaved` when a bus is attached."""
         saved = self.checkpoint().save(path)
-        bus = self._bus()
+        bus = self.obs.bus if self.obs is not None else None
         if bus is not None:
             from repro.obs.events import CheckpointSaved
 
@@ -448,15 +438,10 @@ class Simulation:
         self._rebind()
 
     def _rebind(self) -> None:
-        """Rebuild every closure dropped by ``__getstate__`` hooks.
+        """Re-decode the program ``SM.__getstate__`` dropped.
 
         Runs once, after the *entire* object graph has been restored, so
-        no hook ever touches a partially-restored peer.
+        the decode never touches a partially-restored peer.
         """
-        bus = self._bus()
         for sm in self.sms:
-            sm._rebind_events(bus)
-        if self.monitor is not None:
-            self.monitor._rebind_events(bus)
-        if self.sanitizer is not None:
-            self.sanitizer._rebind_events()
+            sm._rebind_events()

@@ -28,8 +28,9 @@ Classification raises :class:`SimulationDeadlock` or
 :class:`SimulationLivelock` carrying a structured, JSON-serializable
 :class:`HangReport`: per-SM/per-warp PC and SIMT stack, scoreboard
 pending state, barrier membership, lock-owner inference from the atomic
-trace, and the last issued instructions from an attached
-:class:`~repro.sim.trace.Tracer` ring buffer.
+trace, and — from the run's :class:`~repro.obs.Observability`, when one
+is attached — the last decision events and, if issues were recorded,
+the last issued instructions.
 
 :class:`InvariantChecker` (``config.invariant_checks``, opt-in debug
 mode) additionally asserts micro-architectural sanity every epoch.
@@ -39,6 +40,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
+
+from repro.obs.bus import emitter_for
+from repro.obs.events import HangSuspected, format_event
 
 __all__ = [
     "HangReport",
@@ -120,7 +124,8 @@ class HangReport:
     locks: List[Dict[str, Any]] = field(default_factory=list)
     #: Global memory/progress digests at classification time.
     digests: Dict[str, Any] = field(default_factory=dict)
-    #: Last-N issued instructions (stringified Tracer records).
+    #: Last-N issued instructions (stringified repro.obs ``Issue``
+    #: events) when the run recorded issues.
     trace_tail: List[str] = field(default_factory=list)
     #: Last-K scheduler/sync decision events (stringified repro.obs
     #: events) when an event bus was attached — what DDOS/BOWS and the
@@ -274,16 +279,15 @@ def build_hang_report(
     sms,
     memory=None,
     stats=None,
-    tracer=None,
     window: int = 0,
     reason: str = "",
     issued_in_window: Optional[Dict[Tuple, int]] = None,
     footprints: Optional[Dict[Tuple, Set[int]]] = None,
-    bus=None,
+    obs=None,
 ) -> HangReport:
     """Assemble a :class:`HangReport` from live simulator state.
 
-    Tolerates missing context (``memory``/``stats``/``tracer`` may be
+    Tolerates missing context (``memory``/``stats``/``obs`` may be
     None) so the no-event deadlock path can report without a monitor.
     """
     issued_in_window = issued_in_window or {}
@@ -348,13 +352,12 @@ def build_hang_report(
         digests["sync_transactions"] = memstats.sync_transactions
 
     tail: List[str] = []
-    if tracer is not None:
-        tail = [str(r) for r in tracer.tail(32)]
-
     events_tail: List[str] = []
-    if bus is not None:
-        from repro.obs.events import format_event
-        events_tail = [format_event(e) for e in bus.tail(20)]
+    if obs is not None:
+        if obs.issues is not None:
+            tail = [str(issue) for issue in obs.issues.tail(32)]
+        if obs.bus is not None:
+            events_tail = [format_event(e) for e in obs.bus.tail(20)]
 
     diagnostics: List[Dict[str, Any]] = []
     sanitizer = sms[0].san if sms else None
@@ -384,20 +387,15 @@ class ProgressMonitor:
     docstring) and a :class:`SimulationHang` subclass is raised.
     """
 
-    def __init__(self, config, sms, memory, stats, tracer=None,
-                 bus=None) -> None:
+    def __init__(self, config, sms, memory, stats, obs=None) -> None:
         self.config = config
         self.sms = sms
         self.memory = memory
         self.stats = stats
-        self.tracer = tracer
-        self.bus = bus
-        if bus is not None:
-            from repro.obs.events import HangSuspected
-            self._emit_hang = bus.emitter(HangSuspected)
-        else:
-            from repro.obs.bus import null_emitter
-            self._emit_hang = null_emitter
+        self.obs = obs
+        self._emit_hang = emitter_for(
+            obs.bus if obs is not None else None, HangSuspected
+        )
         self.window = config.no_progress_window
         self.epoch = max(1, min(config.progress_epoch, max(self.window, 1)))
         self.footprint_limit = config.hang_footprint_limit
@@ -410,22 +408,6 @@ class ProgressMonitor:
         self.last_assessment = "progressing"
         self._baseline_issued: Dict[Tuple, int] = {}
         self._reset_window(0)
-
-    def __getstate__(self):
-        """Checkpointing: drop the emitter closure; every witness
-        (baselines, footprints, window bases) pickles as-is."""
-        state = self.__dict__.copy()
-        state["_emit_hang"] = None
-        return state
-
-    def _rebind_events(self, bus) -> None:
-        self.bus = bus
-        if bus is not None:
-            from repro.obs.events import HangSuspected
-            self._emit_hang = bus.emitter(HangSuspected)
-        else:
-            from repro.obs.bus import null_emitter
-            self._emit_hang = null_emitter
 
     # ------------------------------------------------------------------
 
@@ -565,11 +547,11 @@ class ProgressMonitor:
                 issued_in_window: Dict[Tuple, int]) -> HangReport:
         return build_hang_report(
             kind, now, self.sms,
-            memory=self.memory, stats=self.stats, tracer=self.tracer,
+            memory=self.memory, stats=self.stats,
             window=window, reason=reason,
             issued_in_window=issued_in_window,
             footprints=self._footprints,
-            bus=self.bus,
+            obs=self.obs,
         )
 
     def timeout_report(self, now: int) -> HangReport:

@@ -59,6 +59,3 @@ class RegisterFile:
                    mask: np.ndarray) -> None:
         np.copyto(self.pred_values[name], values, where=mask,
                   casting="unsafe")
-
-    def register_names(self) -> Iterable[str]:
-        return self.values.keys()

@@ -50,10 +50,11 @@ from repro.isa.instructions import Instruction, Mem, Opcode
 from repro.isa.program import Program
 from repro.memory.memsys import GlobalMemory, MemorySubsystem
 from repro.metrics.stats import SimStats
-from repro.obs.bus import null_emitter
+from repro.obs.bus import emitter_for
 from repro.obs.events import (
     BarrierArrive,
     BarrierRelease,
+    Issue,
     LockAcquireFail,
     LockAcquireSuccess,
 )
@@ -89,16 +90,14 @@ class SM:
         memsys: MemorySubsystem,
         lock_table: Dict[int, Tuple[WarpKey, int]],
         stats: SimStats,
-        tracer=None,
         engine: str = "reference",
-        bus=None,
+        obs=None,
         sanitizer=None,
     ) -> None:
         if engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {engine!r}; choose from {ENGINES}"
             )
-        self.tracer = tracer
         self.sm_id = sm_id
         self.config = config
         self.program = program
@@ -116,6 +115,9 @@ class SM:
         self._cta_slots: Dict[int, List[int]] = {}
         self._barrier_pending: Dict[int, Set[int]] = {}
 
+        # ``obs`` is the run's :class:`repro.obs.Observability` or None;
+        # its decision bus feeds BOWS, DDOS and the emitters bound below.
+        bus = obs.bus if obs is not None else None
         n_sched = config.num_schedulers_per_sm
         self.schedulers = [
             make_scheduler(
@@ -138,16 +140,16 @@ class SM:
         )
         #: Pre-bound obs event sinks (no-ops when no bus is attached);
         #: all emission sites are off the per-issue critical path.
-        if bus is not None:
-            self._emit_lock_ok = bus.emitter(LockAcquireSuccess)
-            self._emit_lock_fail = bus.emitter(LockAcquireFail)
-            self._emit_bar_arrive = bus.emitter(BarrierArrive)
-            self._emit_bar_release = bus.emitter(BarrierRelease)
-        else:
-            self._emit_lock_ok = null_emitter
-            self._emit_lock_fail = null_emitter
-            self._emit_bar_arrive = null_emitter
-            self._emit_bar_release = null_emitter
+        self._emit_lock_ok = emitter_for(bus, LockAcquireSuccess)
+        self._emit_lock_fail = emitter_for(bus, LockAcquireFail)
+        self._emit_bar_arrive = emitter_for(bus, BarrierArrive)
+        self._emit_bar_release = emitter_for(bus, BarrierRelease)
+        #: Issue recorder, on the per-issue path and therefore None when
+        #: off, like ``san``: one test per issue, no arguments built.
+        self._emit_issue = (
+            obs.issues.emitter(Issue)
+            if obs is not None and obs.issues is not None else None
+        )
         self.cawa: Optional[CAWAPredictor] = (
             CAWAPredictor() if config.scheduler == "cawa" else None
         )
@@ -194,39 +196,22 @@ class SM:
     # Checkpointing
 
     def __getstate__(self):
-        """Drop the closures (emitters, decoded program) for pickling.
+        """Drop the decoded program (its handlers are closures) for
+        pickling.
 
         Everything else — warps, schedulers, ready sets (and the
         per-scheduler rows that share them), wait heap, BOWS/DDOS
-        units — pickles as-is with shared identity preserved;
+        units, emitters — pickles as-is with shared identity preserved;
         :meth:`repro.sim.gpu.Simulation._rebind` calls
         :meth:`_rebind_events` after the whole graph is restored.
         """
         state = self.__dict__.copy()
-        state["_emit_lock_ok"] = None
-        state["_emit_lock_fail"] = None
-        state["_emit_bar_arrive"] = None
-        state["_emit_bar_release"] = None
         if self._fast:
             state["_ops"] = None
         return state
 
-    def _rebind_events(self, bus) -> None:
-        """Rebuild dropped closures after a checkpoint restore."""
-        if bus is not None:
-            self._emit_lock_ok = bus.emitter(LockAcquireSuccess)
-            self._emit_lock_fail = bus.emitter(LockAcquireFail)
-            self._emit_bar_arrive = bus.emitter(BarrierArrive)
-            self._emit_bar_release = bus.emitter(BarrierRelease)
-        else:
-            self._emit_lock_ok = null_emitter
-            self._emit_lock_fail = null_emitter
-            self._emit_bar_arrive = null_emitter
-            self._emit_bar_release = null_emitter
-        if self.bows is not None:
-            self.bows._rebind_events(bus)
-        if self.ddos is not None:
-            self.ddos._rebind_events(bus)
+    def _rebind_events(self) -> None:
+        """Rebuild the decoded program after a checkpoint restore."""
         if self._fast:
             # Re-decode deterministically; each live warp's cached op is
             # re-derived from its restored PC.  The pickled _ready_from
@@ -405,8 +390,8 @@ class SM:
                     is_sib = dop.static_sib if bows is not None else False
             else:
                 is_sib = False
-            if self.tracer is not None:
-                self.tracer.record(now, warp, dop.instr, n_exec)
+            if self._emit_issue is not None:
+                self._record_issue(now, warp, dop.instr, n_exec)
 
             stats.warp_instructions += 1
             stats.thread_instructions += n_exec
@@ -587,8 +572,8 @@ class SM:
         exec_mask = warp.exec_mask(instr)
         n_exec = int(exec_mask.sum())
         is_sib = self._is_sib(instr)
-        if self.tracer is not None:
-            self.tracer.record(now, warp, instr, n_exec)
+        if self._emit_issue is not None:
+            self._record_issue(now, warp, instr, n_exec)
 
         # Bookkeeping common to all instructions.
         stats = self.stats
@@ -869,11 +854,10 @@ class SM:
             locks.lock_success += 1
             self.lock_table[addr] = (warp_key, lane)
             warp.lock_fail_addr = None
-            if self._emit_lock_ok is not null_emitter:
-                self._emit_lock_ok(
-                    cycle=now, sm_id=self.sm_id, warp_slot=warp.warp_slot,
-                    addr=addr, lane=lane,
-                )
+            self._emit_lock_ok(
+                cycle=now, sm_id=self.sm_id, warp_slot=warp.warp_slot,
+                addr=addr, lane=lane,
+            )
         else:
             holder = self.lock_table.get(addr)
             if holder is not None and holder[0] == warp_key:
@@ -885,14 +869,23 @@ class SM:
             # Hang forensics: remember which lock this warp is stuck on.
             warp.lock_fail_addr = addr
             warp.lock_fails += 1
-            if self._emit_lock_fail is not null_emitter:
-                self._emit_lock_fail(
-                    cycle=now, sm_id=self.sm_id, warp_slot=warp.warp_slot,
-                    addr=addr, lane=lane, conflict=conflict,
-                )
+            self._emit_lock_fail(
+                cycle=now, sm_id=self.sm_id, warp_slot=warp.warp_slot,
+                addr=addr, lane=lane, conflict=conflict,
+            )
 
     # ------------------------------------------------------------------
     # Helpers
+
+    def _record_issue(self, now: int, warp: Warp, instr: Instruction,
+                      n_exec: int) -> None:
+        """Called before ``bows.on_issue``, so ``backed_off`` is the
+        state the warp was selected in."""
+        self._emit_issue(
+            cycle=now, sm_id=self.sm_id, warp_slot=warp.warp_slot,
+            cta_id=warp.cta_id, pc=instr.index, opcode=instr.opcode.value,
+            active_lanes=n_exec, backed_off=warp.backed_off,
+        )
 
     def _reserve(self, warp: Warp, instr: Instruction,
                  release_cycle: int) -> None:

@@ -276,16 +276,11 @@ def submit_many(
             report=report,
         )
 
-    from repro.serve.client import ServeClient, ServeError
+    from repro.serve.client import ServeClient
 
     client = server
     if not isinstance(server, ServeClient):
-        try:
-            client = ServeClient(server, name=client_name or "submit")
-        except OSError as exc:
-            # Nothing listening: the same error type a connection lost
-            # later raises, so callers handle one.
-            raise ServeError(f"{type(exc).__name__}: {exc}") from exc
+        client = ServeClient(server, name=client_name or "submit")
     # The batch closes a connection opened here, never the caller's.
     batch = SubmitBatch([], owned_client=None if client is server else client)
     try:

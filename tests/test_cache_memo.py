@@ -120,16 +120,27 @@ def _write_as_the_parent_commit_did(cache, spec, result):
 
 
 def test_entries_written_by_earlier_versions_still_read(cache):
-    old, older = _spec(1), _spec(2)
+    old = _spec(1)
     _write_as_the_parent_commit_did(cache, old, _result(old, cycles=41))
-    path = _path(cache, older)  # v1: no version, no checksum
-    path.write_text(json.dumps({
-        "fingerprint": cache.fingerprint, "spec": older.to_dict(),
-        "result": _result(older, cycles=42).to_dict()}))
     assert cache.get(old).cycles == 41 and cache.get(old).cycles == 41
-    assert cache.get(older).cycles == 42
-    assert sorted(e.status for e in cache.verify().entries) == [
-        "ok", "unchecked"]
+    assert [e.status for e in cache.verify().entries] == ["ok"]
+
+
+def test_entry_without_a_checksum_is_a_defect(cache):
+    """No writer since the checksum was introduced leaves it out, so an
+    entry with neither ``checksum`` nor ``version`` is not an old format
+    to trust: it is a body nobody checked, here one that was edited."""
+    spec = _spec()
+    path = cache.put(spec, _result(spec, cycles=42))
+    payload = json.loads(path.read_text())
+    payload["result"]["cycles"] = 1
+    del payload["checksum"], payload["version"]
+    path.write_text(json.dumps(payload))
+
+    (entry,) = cache.verify().entries
+    assert entry.status == "corrupt" and "checksum" in entry.detail
+    assert cache.get(spec) is None
+    assert not path.exists() and cache.stats().quarantined_entries == 1
 
 
 def test_entry_schema_is_v2_and_checksums_its_canonical_body(cache):

@@ -326,11 +326,13 @@ def test_single_valued_param_rejects_a_list(capsys):
 # --server: one road switch, one answer when nobody is listening
 
 
+#: Each takes the daemon's address as its next argument.
 SERVED_COMMANDS = [
-    ["run", "vecadd"],
-    ["sweep", "--kernel", "vecadd", "--scale", "quick"],
-    ["fuzz", "vecadd", "--seeds", "1"],
-    ["bench", "--quick", "--reps", "1"],
+    ["run", "vecadd", "--server"],
+    ["sweep", "--kernel", "vecadd", "--scale", "quick", "--server"],
+    ["fuzz", "vecadd", "--seeds", "1", "--server"],
+    ["bench", "--quick", "--reps", "1", "--server"],
+    ["serve", "--status"],
 ]
 
 
@@ -344,7 +346,7 @@ def test_unreachable_daemon_exits_5(argv, tmp_path, capsys):
         dead.bind(refused)  # leaves a socket file nobody listens on
     for address, error in ((missing, "FileNotFoundError"),
                            (refused, "ConnectionRefusedError")):
-        assert main(argv + ["--server", address]) == EXIT_TRANSIENT
+        assert main(argv + [address]) == EXIT_TRANSIENT
         out = capsys.readouterr().out
         assert f"daemon unreachable ({error}" in out
         assert "Traceback" not in out
@@ -358,7 +360,7 @@ def test_refused_handshake_exits_5(argv, capsys, monkeypatch):
         raise ServeError("handshake refused")
 
     monkeypatch.setattr(client.ServeClient, "__init__", refuse)
-    assert main(argv + ["--server", "/tmp/any.sock"]) == EXIT_TRANSIENT
+    assert main(argv + ["/tmp/any.sock"]) == EXIT_TRANSIENT
     assert "daemon unreachable (handshake refused)" in capsys.readouterr().out
 
 

@@ -114,6 +114,27 @@ def _begin(kernel: str, config: GPUConfig, engine: str,
     return workload, gpu.begin(workload.launch)
 
 
+#: What :func:`_hear` was called with.  A module-level function pickles
+#: by reference, so a checkpoint that carried the subscriber along would
+#: keep filling this very list after the restore.
+_HEARD = []
+
+
+def _hear(item):
+    _HEARD.append(item)
+
+
+def _observers(mode):
+    """``(obs, sanitize)`` for one mode of the checkpoint identity loop;
+    ``observed`` attaches everything at once, issue recording included."""
+    from repro.obs import Observability
+
+    if mode == "observed":
+        return Observability(issue_capacity=100_000), True
+    return (True if mode == "obs" else None,
+            True if mode == "sanitize" else None)
+
+
 @pytest.mark.parametrize("engine", ["reference", "fast"])
 @pytest.mark.parametrize("kernel, preset_kwargs", CONFIGS)
 def test_checkpoint_resume_is_bitwise_identical(kernel, preset_kwargs,
@@ -123,18 +144,20 @@ def test_checkpoint_resume_is_bitwise_identical(kernel, preset_kwargs,
     complete machine state through bytes, and resuming in a fresh object
     graph lands on the same cycles, the same full stats summary, and a
     validating memory image as the uninterrupted run — with and without
-    observability and the sanitizer attached."""
+    observability and the sanitizer attached.  With everything attached
+    (``observed``), what the observers *collected* survives the round
+    trip too, and a live subscriber does not."""
     from repro.sim.checkpoint import checkpoint_bytes_roundtrip
 
     config = GPUConfig.preset("fermi", **preset_kwargs)
     baseline = _run(kernel, config, engine)
     mid = max(1, baseline.cycles // 2)
-    for mode in ("plain", "obs", "sanitize"):
-        workload, sim = _begin(
-            kernel, config, engine,
-            obs=True if mode == "obs" else None,
-            sanitize=True if mode == "sanitize" else None,
-        )
+    for mode in ("plain", "obs", "sanitize", "observed"):
+        obs, sanitize = _observers(mode)
+        workload, sim = _begin(kernel, config, engine, obs=obs,
+                               sanitize=sanitize)
+        if mode == "observed":
+            sim.obs.subscribe(on_event=_hear, on_row=_hear)
         sim.run_until(mid)
         assert not sim.finished, mode
         restored = checkpoint_bytes_roundtrip(sim)
@@ -146,10 +169,22 @@ def test_checkpoint_resume_is_bitwise_identical(kernel, preset_kwargs,
                 assert [tuple(map(id, row)) for row in sm._rows] == [
                     tuple(map(id, row)) for row in zip(
                         sm.schedulers, sm._ready_normal, sm._ready_backed)]
+        heard = len(_HEARD)
         result = restored.run()
         assert result.stats.summary() == baseline.stats.summary(), mode
         assert result.cycles == baseline.cycles, mode
         workload.validate(result.memory)
+        if mode == "observed":
+            assert heard > 0 and len(_HEARD) == heard
+            obs, sanitize = _observers(mode)
+            whole = _begin(kernel, config, engine, obs=obs,
+                           sanitize=sanitize)[1].run()
+            assert result.obs.bus.counts == whole.obs.bus.counts
+            assert result.obs.events() == whole.obs.events()
+            assert result.obs.series.rows == whole.obs.series.rows
+            assert result.obs.issues.events() == whole.obs.issues.events()
+            assert result.obs.issues.counts == whole.obs.issues.counts
+            assert result.sanitizer.counters == whole.sanitizer.counters
 
 
 def _fenced_before_release(sim):

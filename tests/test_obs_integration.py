@@ -160,6 +160,40 @@ def test_hang_report_without_bus_has_empty_tail(tiny_config):
     assert "last scheduler/sync decisions:" not in report.describe()
 
 
+def test_hang_report_embeds_the_last_issues(tiny_config):
+    """With issue recording on, the report's ``trace_tail`` is the last
+    32 issues, oldest first, rendered as ``Issue.__str__`` renders them;
+    with recording off (a bus, but no issue ring) it is empty."""
+    import re
+
+    config = tiny_config.replace(max_cycles=300_000,
+                                 no_progress_window=4_000,
+                                 progress_epoch=1_000)
+    program = assemble(LEAKED_LOCK, name="leaked_lock")
+    for obs in (Observability(issue_capacity=100), Observability()):
+        memory = GlobalMemory(1 << 12)
+        mutex = memory.alloc(1)
+        gpu = GPU(config, memory=memory, obs=obs)
+        with pytest.raises(SimulationLivelock) as excinfo:
+            gpu.launch(KernelLaunch(program, 4, 1, {"mutex": mutex}))
+        report = excinfo.value.report
+        if obs.issues is None:
+            assert report.trace_tail == []
+            continue
+        assert obs.issues.dropped > 0, "the ring must have wrapped"
+        assert report.trace_tail == [
+            str(issue) for issue in obs.issues.events()[-32:]]
+        assert len(report.trace_tail) == 32
+        form = re.compile(
+            r"\[ *(\d+)\] SM0 w\d\d cta\d pc=\d+ +[a-z.]+ +lanes=1( B)?")
+        cycles = [int(form.fullmatch(line).group(1))
+                  for line in report.trace_tail]
+        assert cycles == sorted(cycles) and cycles[-1] <= report.cycle
+        rebuilt = HangReport.from_dict(
+            json.loads(json.dumps(report.to_dict())))
+        assert rebuilt.trace_tail == report.trace_tail
+
+
 # ----------------------------------------------------------------------
 # Lab integration: hashing, cache round trip, manifests
 

@@ -30,16 +30,18 @@ from repro.obs.profile import (
     _build_warp_timelines,
 )
 from repro.sim.config import GPUConfig
-from repro.sim.trace import Tracer
 
 #: Same small ht shape the golden-equivalence matrix uses.
 HT = dict(n_threads=128, n_buckets=8, items_per_thread=1, block_dim=64)
 
 
-def run_ht(bows="adaptive", obs=True, tracer=None):
+def run_ht(bows="adaptive", obs=True):
     config = GPUConfig.preset("fermi", scheduler="gto", bows=bows)
-    return simulate("ht", config=config, params=dict(HT), obs=obs,
-                    tracer=tracer)
+    return simulate("ht", config=config, params=dict(HT), obs=obs)
+
+
+def recording():
+    return Observability(issue_capacity=100_000)
 
 
 class FakeBus:
@@ -60,9 +62,8 @@ class FakeObs:
 
 
 def test_profile_json_golden_shape():
-    tracer = Tracer()
-    result = run_ht(tracer=tracer)
-    report = build_profile(result, tracer, workload="ht",
+    result = run_ht(obs=recording())
+    report = build_profile(result, workload="ht",
                            scheduler="gto", engine="fast")
     data = report.to_dict()
     assert tuple(data) == PROFILE_KEYS
@@ -74,11 +75,11 @@ def test_profile_json_golden_shape():
 
 
 def test_profile_hotspots_aggregate_the_tracer_window():
-    tracer = Tracer()
-    result = run_ht(tracer=tracer)
-    report = build_profile(result, tracer)
+    result = run_ht(obs=recording())
+    report = build_profile(result)
     assert report.hotspots, "a traced run must produce hot spots"
-    assert sum(h["issues"] for h in report.hotspots) == len(tracer)
+    assert (sum(h["issues"] for h in report.hotspots)
+            == len(result.obs.issues))
     # Sorted by issue count; the lock-try CAS spin must rank as sync.
     issues = [h["issues"] for h in report.hotspots]
     assert issues == sorted(issues, reverse=True)
@@ -97,9 +98,8 @@ def test_profile_without_tracer_or_obs_still_builds():
 
 
 def test_markdown_report_has_the_expected_sections():
-    tracer = Tracer()
-    result = run_ht(tracer=tracer)
-    report = build_profile(result, tracer, workload="ht",
+    result = run_ht(obs=recording())
+    report = build_profile(result, workload="ht",
                            scheduler="gto", engine="fast")
     text = report.to_markdown()
     assert text.startswith("# Profile: ht")

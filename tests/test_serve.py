@@ -107,6 +107,122 @@ def test_submit_streams_and_matches_direct_run(daemon):
     assert a == b
 
 
+def _without(payload, *kinds):
+    """An obs payload minus the events only some roads publish
+    (``checkpoint_saved`` carries the checkpoint's path, ``run_resumed``
+    exists only after a resume)."""
+    events = dict(payload["events"])
+    events["log"] = [e for e in events["log"] if e["event"] not in kinds]
+    events["counts"] = {k: n for k, n in events["counts"].items()
+                        if k not in kinds}
+    events["total"] = sum(events["counts"].values())
+    return {**payload, "events": events}
+
+
+def _checkpointing_spec():
+    # ht at this size runs ~4 300 cycles: an epoch of 500 autocheckpoints
+    # it about eight times.
+    return RunSpec(kernel="ht", params=HT, label="ckpt-obs",
+                   config=make_config("gto", progress_epoch=500),
+                   obs=ObsConfig(sample_interval=100))
+
+
+def test_obs_run_completes_under_checkpoint_dir(serve_dir):
+    """An obs-carrying served run autocheckpoints (the spool feed is a
+    subscriber, so no open file rides in the pickle), streams, and
+    answers what a plain Runner answers."""
+    from repro.lab.runner import Runner
+
+    spec = _checkpointing_spec()
+    d = ServeDaemon(os.path.join(serve_dir, "ckpt.sock"),
+                    workers=1, mode="thread", cache=False,
+                    spool_dir=os.path.join(serve_dir, "spool"),
+                    checkpoint_dir=os.path.join(serve_dir, "ckpt"),
+                    poll_interval_s=0.01)
+    d.start()
+    try:
+        with _client(d) as client:
+            handle = client.submit(spec)
+            kinds = [m["kind"] for m in handle.stream()]
+            served = handle.outcome(timeout=120)
+    finally:
+        d.close()
+    assert isinstance(served, RunResult), served
+    assert served.attempts == 1
+    assert served.obs["events"]["counts"]["checkpoint_saved"] >= 2
+    assert "sample" in kinds and "event" in kinds
+    assert os.listdir(os.path.join(serve_dir, "ckpt")) == []
+
+    direct = Runner(workers=1).run_one(spec)
+    assert served.cycles == direct.cycles
+    assert served.stats.summary() == direct.stats.summary()
+    assert _without(served.obs, "checkpoint_saved") == direct.obs
+
+
+def test_resumed_run_streams_from_the_resume_cycle(serve_dir, monkeypatch):
+    """A first attempt cut short leaves its last autocheckpoint behind;
+    the second ``serve_entry`` resumes from it and its spool carries the
+    rows and events *after* that point — the restored Observability gets
+    the new spool as a subscriber — never a re-send from cycle 0."""
+    from repro.serve.worker import ProgressWriter, serve_entry
+
+    spec = _checkpointing_spec()
+    ckpt_dir = os.path.join(serve_dir, "ckpt")
+    spools = [os.path.join(serve_dir, f"attempt{i}.jsonl") for i in (1, 2)]
+
+    class Cut(Exception):
+        pass
+
+    def cut_after_cycle_2000(self, row):
+        if row["cycle"] >= 2_000:
+            raise Cut
+    with monkeypatch.context() as patch:
+        patch.setattr(ProgressWriter, "on_row", cut_after_cycle_2000)
+        with pytest.raises(Cut):
+            serve_entry(spec, spools[0], checkpoint_dir=ckpt_dir)
+    assert os.listdir(ckpt_dir) == [f"{spec.content_hash()}.ckpt"]
+
+    result = serve_entry(spec, spools[1], checkpoint_dir=ckpt_dir)
+    assert os.listdir(ckpt_dir) == []
+    with open(spools[1], encoding="utf-8") as handle:
+        records = [json.loads(line) for line in handle]
+    events = [r["event"] for r in records if r["kind"] == "event"]
+    rows = [r["row"] for r in records if r["kind"] == "sample"]
+    (resumed,) = [e for e in events if e["event"] == "run_resumed"]
+    assert 0 < resumed["cycle"] <= 2_000
+    assert rows and events[0] == resumed
+    assert all(row["cycle"] > resumed["cycle"] for row in rows)
+    assert all(event["cycle"] >= resumed["cycle"] for event in events)
+    # The stream is the tail of what the result holds in full, and the
+    # result is the uninterrupted run's.
+    series = result.obs["series"]["rows"]
+    assert rows == series[-len(rows):] and len(rows) < len(series)
+    direct = execute_run(spec)
+    assert result.stats.summary() == direct.stats.summary()
+    assert result.obs["series"] == direct.obs["series"]
+    assert (_without(result.obs, "checkpoint_saved", "run_resumed")
+            == direct.obs)
+
+
+def test_refused_handshake_is_a_serve_error_and_closes_the_socket(
+        daemon, monkeypatch):
+    opened = []
+    real_connect = protocol.connect
+
+    def recording_connect(address, timeout_s=None):
+        opened.append(real_connect(address, timeout_s=timeout_s))
+        return opened[-1]
+    monkeypatch.setattr(protocol, "connect", recording_connect)
+    monkeypatch.setattr(
+        protocol, "hello_message",
+        lambda client=None: {"type": "hello", "protocol": 999,
+                             "client": client})
+    with pytest.raises(ServeError, match="version"):
+        ServeClient(daemon.address, name="old")
+    (sock,) = opened
+    assert sock.fileno() == -1, "the refused connection must be closed"
+
+
 def test_cache_hit_answers_without_dispatch(daemon):
     spec = _spec()
     with _client(daemon) as client:
