@@ -13,8 +13,7 @@ operation (see ``docs/lab.md``):
 The experiment harness (``repro.harness.experiments``) executes every
 figure/table through the *current* runner, which defaults to an
 in-process serial runner with no cache.  Install a different one —
-parallel, cached, instrumented — with :func:`use_runner` or
-:func:`set_runner`:
+parallel, cached, instrumented — with :func:`use_runner`:
 
     from repro.lab import Runner, ResultCache, use_runner
     with use_runner(Runner(workers=4, cache=ResultCache())):
@@ -49,12 +48,6 @@ def current_runner() -> Runner:
     if _current_runner is None:
         _current_runner = Runner(workers=1, mode="serial")
     return _current_runner
-
-
-def set_runner(runner: Optional[Runner]) -> None:
-    """Install ``runner`` as the process-wide current runner."""
-    global _current_runner
-    _current_runner = runner
 
 
 @contextlib.contextmanager
@@ -100,6 +93,5 @@ __all__ = [
     "experiment_spec",
     "load_journal",
     "resume_sweep",
-    "set_runner",
     "use_runner",
 ]

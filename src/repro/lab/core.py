@@ -6,8 +6,13 @@ on its dispatcher thread over a ``FairScheduler``) — drive specs
 through one :class:`ExecutionCore`, so a run's fate cannot depend on
 the road it travels (``docs/robustness.md``, "Execution core"):
 
+* a task leaves the queue only when a worker can take it (one more is
+  staged behind the workers, see :meth:`ExecutionCore.pump`), so the
+  queue's order is the order runs start in and a task is in the queue,
+  in ``running``, in ``delayed`` or settled — the core alone says which;
 * the cache is re-checked at dispatch; a hit never reaches a worker;
-* a fresh result is persisted, then journaled, then announced;
+* a fresh result is persisted, then journaled, then announced — after
+  the worker it freed has been handed its next task;
 * a failure is classified once by :func:`classify`: a died pool worker
   re-queues the spec for free (once per spec, not an attempt), a
   transient error retries within the ``retries`` budget after a
@@ -66,9 +71,10 @@ PERMANENT_EXCEPTIONS = (SimulationHang,)
 
 BACKOFF_BASE_S = 0.05
 BACKOFF_CAP_S = 2.0
-#: A run in flight longer than this multiple of ``timeout_s`` is flagged
-#: a straggler (the in-worker alarm should have fired; if it could not,
-#: the flag at least makes the stall visible).
+#: A run on a worker longer than this multiple of ``timeout_s`` is
+#: flagged a straggler (the in-worker alarm should have fired; if it
+#: could not, the flag at least makes the stall visible).  The clock is
+#: ``Task.started``: time spent queued is not on it.
 STRAGGLER_FACTOR = 1.5
 
 REQUEUE, RETRY, FAIL = "requeue", "retry", "fail"
@@ -160,6 +166,7 @@ class Task:
     not_before: float = field(default=0.0, init=False)
     #: The in-flight attempt; ``None`` whenever the task is not running.
     future: Optional[Future] = field(default=None, init=False)
+    #: When a worker took the attempt in flight (``perf_counter``).
     started: float = field(default=0.0, init=False)
     straggler: bool = field(default=False, init=False)
 
@@ -170,10 +177,8 @@ class ExecutionCore:
     ``queue`` is anything with ``push / pop / job_finished / __len__``.
     ``prepare(task)`` returns the ``(fn, *args)`` to run in the pool for
     the attempt about to start.  ``listener(kind, task, detail)`` hears
-    ``"settled"`` (detail: the RunResult/RunFailure), ``"retry"`` (the
-    exception) and ``"worker_lost"`` (True when re-queued for free); a
-    front end whose queue filters on task state must make the task
-    poppable again before returning from the last two.  ``note`` gets
+    ``"settled"`` (detail: the RunResult/RunFailure) and
+    ``"worker_lost"`` (True when re-queued for free).  ``note`` gets
     one human-readable line per decision.
 
     :meth:`submit` and :meth:`begin_drain` may be called from any thread
@@ -202,7 +207,8 @@ class ExecutionCore:
         self.stragglers = self.interrupted = 0
         #: Tasks with an attempt in flight (insertion-ordered set).
         self.running: Dict[Task, None] = {}
-        self._delayed: list = []
+        #: Tasks waiting out a retry back-off, then queued again.
+        self.delayed: list = []
         self._deadline = 0.0
         self._events: "queue.SimpleQueue" = queue.SimpleQueue()
         self._pool: Optional[Executor] = None
@@ -252,27 +258,21 @@ class ExecutionCore:
 
     @property
     def idle(self) -> bool:
-        return not (self.running or self._delayed or len(self.queue))
+        return not (self.running or self.delayed or len(self.queue))
 
     def pump(self, wait_s: float = 0.5) -> None:
         """One turn: wait up to ``wait_s`` for a run to land or a wake,
-        settle everything that landed, start everything that is due."""
+        settle everything that landed, start what the workers can take."""
         now = time.monotonic()
-        horizon = min([now + wait_s] + [t.not_before for t in self._delayed]
+        horizon = min([now + wait_s] + [t.not_before for t in self.delayed]
                       + ([self._deadline] if self.draining else []))
         self._settle_landed(max(0.0, horizon - now))
         now = time.monotonic()
-        for task in [t for t in self._delayed
+        for task in [t for t in self.delayed
                      if self.draining or t.not_before <= now]:
-            self._delayed.remove(task)
+            self.delayed.remove(task)
             self.queue.push(task)
-        for task in iter(self.queue.pop, None):
-            if self.draining:  # re-read per task: a signal may set it
-                self.queue.job_finished(task.client)
-                self._interrupt(task)
-            else:
-                self._dispatch(task)
-                self._settle_landed()
+        self._fill()
         if self.draining and now >= self._deadline:
             # Grace expired: the workers may still finish, but nobody
             # waits for them and their futures will be ignored.
@@ -281,6 +281,25 @@ class ExecutionCore:
                 self._interrupt(task)
         if self.timeout_s is not None:
             self._flag_stragglers(STRAGGLER_FACTOR * self.timeout_s)
+
+    def _fill(self) -> None:
+        # A task leaves the queue only when a worker can take it, so the
+        # queue alone orders the work: its rotation and inflight budgets
+        # cannot be overtaken by a backlog parked in the pool.  The
+        # window is one wider than the workers — the pool's own prefetch
+        # depth — because a freed worker would otherwise idle until this
+        # thread has woken and dispatched again; at most that one staged
+        # task is committed ahead of the queue's decision.  A drain
+        # interrupts every queued task at once, whatever the window.
+        while self.draining or len(self.running) <= self.workers:
+            task = self.queue.pop()
+            if task is None:
+                break
+            if self.draining:  # re-read per task: a signal may set it
+                self.queue.job_finished(task.client)
+                self._interrupt(task)
+            else:
+                self._dispatch(task)
 
     def close(self) -> None:
         """Shut the pool down without waiting for abandoned runs."""
@@ -319,10 +338,13 @@ class ExecutionCore:
             future.set_exception(exc)
         task.future = future
         self.running[task] = None
-        future.add_done_callback(
-            lambda f, t=task: self._events.put((t, f, pool)))
+        if future.done():  # serial mode ran it here, inside _fill's loop
+            self._landed(task, future, pool, refill=False)
+        else:
+            future.add_done_callback(
+                lambda f, t=task: self._events.put((t, f, pool)))
 
-    def _settle_landed(self, wait_s: float = 0.0) -> None:
+    def _settle_landed(self, wait_s: float) -> None:
         """Handle every queued event, blocking ``wait_s`` for the first."""
         block = wait_s > 0
         while True:
@@ -335,11 +357,16 @@ class ExecutionCore:
                 self._landed(*event)
 
     def _release(self, task: Task) -> None:
+        if len(self.running) > self.workers:
+            # The newest task was staged behind the workers (see _fill);
+            # the worker this release frees takes it now.
+            next(reversed(self.running)).started = time.perf_counter()
         task.future = None
         del self.running[task]
         self.queue.job_finished(task.client)
 
-    def _landed(self, task: Task, future: Future, pool: Executor) -> None:
+    def _landed(self, task: Task, future: Future, pool: Executor,
+                refill: bool = True) -> None:
         if task.future is not future:
             return  # the drain deadline settled this task already
         self._release(task)
@@ -348,6 +375,10 @@ class ExecutionCore:
         if isinstance(outcome, RunResult):
             outcome.attempts = task.attempts
             outcome.label = task.spec.label
+            if refill:
+                # The freed worker's next task first: persisting is this
+                # thread's time, and a worker must not idle through it.
+                self._fill()
             # Persist now, not at batch end: if this process is killed
             # later, the completed work survives as a cache hit.
             if self.cache is not None:
@@ -376,10 +407,9 @@ class ExecutionCore:
                 task.backoff_s, self.backoff_base_s, BACKOFF_CAP_S,
                 self._rng)
             task.not_before = time.monotonic() + task.backoff_s
-            self._delayed.append(task)
+            self.delayed.append(task)
             self.note(f"{display}: transient {type(outcome).__name__}, "
                       f"retrying in {task.backoff_s:.2f}s")
-            self.listener("retry", task, outcome)
         else:
             self._finish(task, self._failure(task, outcome, elapsed))
 

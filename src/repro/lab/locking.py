@@ -52,10 +52,6 @@ class FileLock:
         self.poll_s = poll_s
         self._fd: Optional[int] = None
 
-    @property
-    def held(self) -> bool:
-        return self._fd is not None
-
     def acquire(self) -> "FileLock":
         if self._fd is not None:
             raise RuntimeError(f"lock {self.path} is already held")

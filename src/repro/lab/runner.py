@@ -66,9 +66,8 @@ def execute_run(spec: RunSpec, checkpoint_dir=None,
     # stays import-cycle-free with the harness/api layers.
     import dataclasses
 
-    from repro.api import simulate
     from repro.kernels import build as build_workload
-    from repro.obs import as_observability
+    from repro.sim.gpu import GPU
 
     spec_hash = spec.content_hash()
     ckpt_path: Optional[Path] = None
@@ -91,37 +90,33 @@ def execute_run(spec: RunSpec, checkpoint_dir=None,
     workload = build_workload(spec.kernel, **spec.build_params())
     built = time.perf_counter()
 
-    live = resume_ckpt.restore() if resume_ckpt is not None else None
-    obs = live.obs if live is not None else as_observability(spec.obs)
+    # One road from here: a Simulation — restored, or begun on the
+    # fresh build — is tapped, run, validated and scored the same way.
+    if resume_ckpt is not None:
+        live = resume_ckpt.restore()
+    else:
+        gpu = GPU(spec.config, memory=workload.memory, engine=spec.engine,
+                  obs=spec.obs, sanitizer=spec.sanitize)
+        live = gpu.begin(workload.launch)
+    obs = live.obs
     # Live consumers are not state (a pickle drops them), so the tap is
     # attached here: after the Observability is built or restored,
-    # before anything more is published on it.
+    # before anything is published on it.
     if tap is not None and obs is not None:
         obs.subscribe(tap.on_event, tap.on_row)
-    if live is not None:
-        if obs is not None and obs.bus is not None:
-            from repro.obs.events import RunResumed
+    if resume_ckpt is not None and obs is not None and obs.bus is not None:
+        from repro.obs.events import RunResumed
 
-            obs.bus.publish(RunResumed(
-                cycle=live.now, path=str(ckpt_path), spec_hash=spec_hash,
-            ))
-        sim = live.run(checkpoint_every=True, checkpoint_path=ckpt_path)
-        # The workload build is deterministic in (kernel, params, seed),
-        # so the fresh build's validator checks the resumed run exactly
-        # as api.simulate would have checked an uninterrupted one.
-        if spec.validate and not spec.config.magic_locks:
-            workload.validate(sim.memory)
-    else:
-        sanitizer = None
-        if spec.sanitize is not None:
-            from repro.analysis.sanitizer import Sanitizer
-            sanitizer = Sanitizer(spec.sanitize)
-        sim = simulate(
-            workload, config=spec.config, validate=spec.validate,
-            engine=spec.engine, obs=obs, sanitize=sanitizer,
-            checkpoint_every=True if ckpt_path else None,
-            checkpoint_path=ckpt_path,
-        )
+        obs.bus.publish(RunResumed(
+            cycle=live.now, path=str(ckpt_path), spec_hash=spec_hash,
+        ))
+    sim = live.run(checkpoint_every=True if ckpt_path else None,
+                   checkpoint_path=ckpt_path)
+    # The workload build is deterministic in (kernel, params, seed), so
+    # the fresh build's validator checks a resumed run exactly as it
+    # checks an uninterrupted one.
+    if spec.validate and not spec.config.magic_locks:
+        workload.validate(sim.memory)
     simulated = time.perf_counter()
 
     ddos_outcome = None

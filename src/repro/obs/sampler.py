@@ -49,10 +49,6 @@ class TimeSeries:
     interval: int
     rows: List[Dict[str, float]] = field(default_factory=list)
 
-    @property
-    def columns(self):
-        return SERIES_COLUMNS
-
     def __len__(self) -> int:
         return len(self.rows)
 

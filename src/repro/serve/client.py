@@ -3,8 +3,8 @@
 :class:`ServeClient` owns one connection to a :class:`~repro.serve.
 daemon.ServeDaemon` and multiplexes any number of outstanding jobs over
 it.  A background reader thread routes incoming messages: direct
-replies (``accepted``, ``status``, ``pong``, ``cancelled``,
-``shutting_down``, ``error``) resolve in-order RPC waits, while per-job
+replies (``accepted``, ``status``, ``pong``, ``shutting_down``,
+``error``) resolve in-order RPC waits, while per-job
 broadcasts (``progress``, ``result``, ``failure``) are delivered to the
 matching :class:`ServeHandle` by ``job_id``.  The correlation is safe
 because the daemon answers each request with exactly one direct reply,
@@ -236,8 +236,7 @@ class ServeClient:
 
     # -- API -----------------------------------------------------------
 
-    def submit(self, spec: RunSpec, *, stream: bool = True,
-               priority: int = 0) -> ServeHandle:
+    def submit(self, spec: RunSpec, *, stream: bool = True) -> ServeHandle:
         """Submit one :class:`RunSpec`; returns a live handle.
 
         ``stream=False`` still delivers the terminal result/failure but
@@ -252,7 +251,6 @@ class ServeClient:
                     "spec": spec.to_dict(),
                     "label": spec.label,
                     "stream": stream,
-                    "priority": priority,
                 })
                 if reply.get("type") != "accepted":
                     raise ServeError("expected 'accepted', daemon sent "
@@ -278,20 +276,14 @@ class ServeClient:
                 handle._abort(exc)
         return handle
 
-    def submit_many(self, specs, *, stream: bool = True,
-                    priority: int = 0) -> List[ServeHandle]:
-        return [self.submit(spec, stream=stream, priority=priority)
-                for spec in specs]
+    def submit_many(self, specs, *, stream: bool = True) -> List[ServeHandle]:
+        return [self.submit(spec, stream=stream) for spec in specs]
 
     def status(self) -> Dict[str, Any]:
         return self._rpc({"type": "status"})
 
     def ping(self) -> bool:
         return self._rpc({"type": "ping"}).get("type") == "pong"
-
-    def cancel(self, job_id: str) -> bool:
-        reply = self._rpc({"type": "cancel", "job_id": job_id})
-        return bool(reply.get("ok"))
 
     def shutdown_daemon(self, drain: bool = True) -> None:
         """Ask the daemon to stop (drain in-flight work by default)."""

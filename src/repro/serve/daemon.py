@@ -14,9 +14,9 @@ Lifecycle of a submission (see ``docs/serve.md``):
    spec already in flight gains a subscriber instead of a second
    simulation; a spec in the cache returns instantly with no dispatch.
 3. Fresh work enters the :class:`~repro.serve.scheduler.FairScheduler`
-   (per-client priority queues, round-robin, inflight budgets) and is
-   dispatched to the worker pool running
-   :func:`~repro.serve.worker.serve_entry`.
+   (per-client FIFOs, round-robin, inflight budgets) and leaves it for
+   the worker pool running :func:`~repro.serve.worker.serve_entry` only
+   when a worker can take it.
 4. While a run is in flight, the daemon tails its progress spool and
    streams lifecycle marks, obs time-series samples, and obs events to
    every subscribed client.
@@ -59,7 +59,7 @@ COUNTER_NAMES = (
     "attached",       # submissions deduped onto an in-flight job
     "cache_hits",     # submissions served from the cache, no dispatch
     "dispatched",     # jobs actually handed to the worker pool
-    "completed",      # jobs that produced a RunResult
+    "completed",      # jobs a worker produced a RunResult for
     "failed",         # jobs that exhausted attempts
     "retried",        # transient failures re-queued
     "worker_losses",  # in-flight jobs re-queued after a pool death
@@ -232,6 +232,14 @@ class ServeDaemon:
         with self._counters_lock:
             counters = dict(self.counters, retried=self.core.retried,
                             worker_losses=self.core.worker_losses)
+        # Where the jobs are is the core's knowledge; a job waiting out a
+        # retry back-off is on its way back into the queue.
+        jobs = {
+            "queued": len(self.scheduler) + len(self.core.delayed),
+            "running": len(self.core.running),
+            "done": counters["cache_hits"] + counters["completed"],
+            "failed": counters["failed"],
+        }
         return {
             "address": self.address,
             "protocol": protocol.PROTOCOL_VERSION,
@@ -242,7 +250,7 @@ class ServeDaemon:
             "uptime_s": round(time.monotonic() - self._started_at, 1),
             "draining": self.core.draining,
             "counters": counters,
-            "jobs": self.store.counts(),
+            "jobs": {state: n for state, n in jobs.items() if n},
             "pending_by_client": self.scheduler.pending_by_client(),
         }
 
@@ -316,11 +324,6 @@ class ServeDaemon:
             conn.send({"type": "status", **self.status()})
         elif kind == "ping":
             conn.send({"type": "pong"})
-        elif kind == "cancel":
-            job = self.store.cancel(str(message.get("job_id")))
-            conn.send({"type": "cancelled",
-                       "job_id": message.get("job_id"),
-                       "ok": job is not None})
         elif kind == "shutdown":
             conn.send({"type": "shutting_down",
                        "drain": bool(message.get("drain", True))})
@@ -346,10 +349,8 @@ class ServeDaemon:
         subscription = _Subscription(
             conn, wants_stream=bool(message.get("stream", True))
         )
-        job, status = self.store.submit(
-            spec, client=conn.name, subscriber=subscription,
-            priority=int(message.get("priority", 0)),
-        )
+        job, status = self.store.submit(spec, client=conn.name,
+                                        subscriber=subscription)
         self._count("submitted")
         if self._journal is not None:
             self._journal.record_spec(spec)
@@ -395,7 +396,6 @@ class ServeDaemon:
 
     def _pool_call(self, job: Job) -> tuple:
         """The core is about to start an attempt of ``job``."""
-        self.store.mark_running(job)
         job.progress_path = str(self.spool_dir / f"{job.id}.progress.jsonl")
         self._count("dispatched")
         job.broadcast({"type": "progress", "job_id": job.id,
@@ -408,24 +408,22 @@ class ServeDaemon:
                 self.core.timeout_s, self.checkpoint_dir)
 
     def _on_event(self, kind: str, job: Job, detail: Any) -> None:
-        """The core's listener: job states, counters, result fan-out."""
+        """The core's listener: counters and result fan-out."""
         if kind == "settled":
             self._drain_spool(job, final=True)
-            self.store.finish(job, detail)
+            self.store.finish(job)
             # Count before broadcasting: a client that queries status
             # right after receiving its result must see this outcome.
             if detail.ok:
-                if detail.from_cache:  # the dispatch-time re-check hit
-                    self._count("cache_hits")
-                self._count("completed")
+                # ``from_cache``: the dispatch-time re-check hit.
+                self._count("cache_hits" if detail.from_cache
+                            else "completed")
                 job.broadcast({"type": "result", "job_id": job.id,
                                "result": wire.result_to_wire(detail)})
             else:
                 self._count("failed")
                 job.broadcast({"type": "failure", "job_id": job.id,
                                "failure": wire.failure_to_wire(detail)})
-        elif kind == "retry" or (kind == "worker_lost" and detail):
-            self.store.mark_requeued(job)  # back in the queue: poppable
 
     # -- progress streaming -------------------------------------------
 

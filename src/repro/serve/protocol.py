@@ -13,12 +13,17 @@ Message vocabulary (``type`` field):
 client → daemon
 ================  =====================================================
 ``hello``         ``{protocol, client}`` — handshake, must come first.
-``submit``        ``{spec, label, stream, priority}`` — one RunSpec.
+``submit``        ``{spec, label, stream}`` — one RunSpec.
 ``status``        daemon counters + job states.
 ``ping``          liveness probe.
-``cancel``        ``{job_id}`` — drop a queued job.
 ``shutdown``      drain and stop the daemon (trusted local clients).
 ================  =====================================================
+
+Any other ``type`` is answered with ``error`` and a field not listed
+for a message is ignored — which is all that happens to a version-1
+peer still sending the two things this table once listed and no client
+here ever used (a message withdrawing a queued job; a per-submission
+rank within the client's queue), so :data:`PROTOCOL_VERSION` stays 1.
 
 ================  =====================================================
 daemon → client
@@ -174,10 +179,6 @@ class MessageStream:
             self._sock.close()
         except OSError:
             pass
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
 
 def hello_message(client: Optional[str] = None) -> Dict[str, Any]:

@@ -16,20 +16,21 @@ object graph: shared references (one ``SimStats`` written by every SM,
 one lock table, one global memory) survive through the pickle memo, and
 numpy register files, ``random.Random`` perturbation state, deques, and
 heaps all round-trip exactly.  A checkpoint is that pickle and nothing
-else — there is no convention an attachment has to remember.  Two
-things are left out, each in one place:
+else — there is no convention an attachment has to remember, and no
+machine object customises its own pickling.  One thing is left out, in
+one place: *live consumers* — subscriber callables such as the serve
+daemon's progress spool.  ``EventBus.__getstate__`` and
+``Observability.__getstate__`` drop them, and whoever restores the run
+subscribes again.
 
-* the fast engine's *decoded program* (its handlers are closures):
-  ``SM.__getstate__`` drops it, ``Warp.__getstate__`` its cached op, and
-  :class:`~repro.sim.gpu.Simulation` re-decodes, deterministically, in
-  one pass after the full graph is restored;
-* *live consumers* — subscriber callables such as the serve daemon's
-  progress spool: ``EventBus.__getstate__`` and
-  ``Observability.__getstate__`` drop them, and whoever restores the run
-  subscribes again.
-
-Pre-bound event emitters do ride along: one pickles as "the emitter of
-this event class on that bus", and the bus is in the same graph.
+The closures the machine does hold pickle as what they stand for, the
+thing they stand for being in the same graph: a pre-bound event emitter
+as "the emitter of this event class on that bus", a decoded instruction
+as "op *i* of the decoding of that program under this key"
+(``DecodedOp.__reduce__`` / ``DecodedProgram.__reduce__`` in
+:mod:`repro.sim.executor`; restoring goes through the per-program decode
+cache, so the SMs share one decoding again).  ``Program.__getstate__``
+drops that cache — the program is what the decoding is restored *from*.
 
 On-disk format (``*.ckpt``)::
 
@@ -204,13 +205,6 @@ class SimCheckpoint:
         return cls.from_bytes(blob, check_fingerprint=check_fingerprint)
 
 
-def load_simulation(path, check_fingerprint: bool = True):
-    """Convenience: load ``path`` and restore its simulation."""
-    return SimCheckpoint.load(
-        path, check_fingerprint=check_fingerprint
-    ).restore()
-
-
 def checkpoint_bytes_roundtrip(sim) -> Any:
     """Capture → serialize → parse → restore (test helper: exercises the
     full wire format without touching disk)."""
@@ -223,6 +217,5 @@ __all__ = [
     "FORMAT_VERSION",
     "CheckpointError",
     "SimCheckpoint",
-    "load_simulation",
     "checkpoint_bytes_roundtrip",
 ]

@@ -177,14 +177,20 @@ class DecodedOp:
     one: no handler mutates its ``exec_mask`` and :class:`SIMTStack`
     replaces masks rather than updating them in place
     (``tests/test_exec_semantics.py`` holds both to it).
+
+    The handler is a closure, so the op pickles as what it is — op
+    ``index`` of its :class:`DecodedProgram` — and a checkpoint restores
+    it from the restored program's decoding.
     """
 
     __slots__ = (
-        "instr", "index", "guard", "guard_op", "handler", "hazard_keys",
-        "is_branch", "is_sync", "is_store", "static_sib",
+        "decoded", "instr", "index", "guard", "guard_op", "handler",
+        "hazard_keys", "is_branch", "is_sync", "is_store", "static_sib",
     )
 
-    def __init__(self, instr, handler, static_sib: bool) -> None:
+    def __init__(self, decoded: "DecodedProgram", instr, handler,
+                 static_sib: bool) -> None:
+        self.decoded = decoded
         self.instr = instr
         self.index = instr.index
         #: Guard predicate name (None = unguarded) and the ufunc that
@@ -200,6 +206,13 @@ class DecodedOp:
         self.is_sync = instr.has_role("sync")
         self.is_store = instr.opcode is Opcode.ST_GLOBAL
         self.static_sib = static_sib
+
+    def __reduce__(self):
+        return _op_at, (self.decoded, self.index)
+
+
+def _op_at(decoded: "DecodedProgram", index: int) -> DecodedOp:
+    return decoded.ops[index]
 
 
 def _retire(warp, dst_key, release) -> None:
@@ -569,9 +582,10 @@ def _make_atomic_handler(instr, warp_size, params):
     return handler
 
 
-def _decode_one(instr, program: Program, warp_size: int,
+def _decode_one(decoded: "DecodedProgram", instr, warp_size: int,
                 params: Dict[str, int], alu_latency: int, sfu_latency: int,
                 static_sibs) -> DecodedOp:
+    program = decoded.program
     op = instr.opcode
     if op is Opcode.BRA:
         handler = _make_branch_handler(instr, program)
@@ -600,29 +614,45 @@ def _decode_one(instr, program: Program, warp_size: int,
         handler = _make_alu_handler(instr, warp_size, params, alu_latency,
                                     sfu_latency)
     return DecodedOp(
-        instr, handler,
+        decoded, instr, handler,
         static_sib=instr.index in static_sibs,
     )
 
 
 class DecodedProgram:
-    """A program decoded once for one (machine, params) combination."""
+    """A program decoded once for one (machine, params) combination.
 
-    __slots__ = ("program", "ops")
+    ``key`` is everything decoding bakes in — ``(warp_size, alu_latency,
+    sfu_latency, sorted params items)`` — so the object pickles as "the
+    decoding of ``program`` under ``key``": a checkpoint carries no
+    closure, and every SM restored from it shares one decoding again.
+    """
 
-    def __init__(self, program: Program, warp_size: int,
-                 params: Dict[str, int], alu_latency: int,
-                 sfu_latency: int) -> None:
+    __slots__ = ("program", "key", "ops")
+
+    def __init__(self, program: Program, key: tuple) -> None:
         self.program = program
+        self.key = key
+        warp_size, alu_latency, sfu_latency, params = key
+        params = dict(params)
         static_sibs = program.true_sibs()
         self.ops: List[DecodedOp] = [
-            _decode_one(instr, program, warp_size, params, alu_latency,
+            _decode_one(self, instr, warp_size, params, alu_latency,
                         sfu_latency, static_sibs)
             for instr in program.instructions
         ]
 
-    def __getitem__(self, index: int) -> DecodedOp:
-        return self.ops[index]
+    def __reduce__(self):
+        return _decoding, (self.program, self.key)
+
+
+def _decoding(program: Program, key: tuple) -> DecodedProgram:
+    """The decoding of ``program`` under ``key``, cached on the program."""
+    cache = program.__dict__.setdefault("_decoded_cache", {})
+    decoded = cache.get(key)
+    if decoded is None:
+        decoded = cache[key] = DecodedProgram(program, key)
+    return decoded
 
 
 def decode_program(program: Program, config: GPUConfig,
@@ -633,16 +663,7 @@ def decode_program(program: Program, config: GPUConfig,
     latencies, and the kernel parameters (``ld.param`` values are resolved
     to constant lane vectors at decode time).
     """
-    key = (
+    return _decoding(program, (
         config.warp_size, config.alu_latency, config.sfu_latency,
         tuple(sorted(params.items())),
-    )
-    cache = program.__dict__.setdefault("_decoded_cache", {})
-    decoded = cache.get(key)
-    if decoded is None:
-        decoded = DecodedProgram(
-            program, config.warp_size, params,
-            config.alu_latency, config.sfu_latency,
-        )
-        cache[key] = decoded
-    return decoded
+    ))

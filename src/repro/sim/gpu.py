@@ -194,10 +194,9 @@ class Simulation:
     Checkpoints are only ever taken *between* loop iterations — the
     state is exactly "about to execute cycle ``now``" — which is what
     makes a resumed run bitwise-identical to an uninterrupted one.  The
-    object pickles as a whole graph, observers included; only the
-    decoded program (closures) is dropped, by ``SM.__getstate__``, and
-    :meth:`_rebind` re-decodes it after the whole graph is restored, so
-    ordering hazards between partially-restored objects cannot arise.
+    object pickles as a whole graph, observers included; the decoded
+    program's closures pickle as a reference to the program they were
+    decoded from (:class:`~repro.sim.executor.DecodedOp`).
     """
 
     def __init__(self, config, launch, memory, memsys, stats, sms,
@@ -430,18 +429,3 @@ class Simulation:
                 size_bytes=saved.stat().st_size,
             ))
         return saved
-
-    # -- pickling -------------------------------------------------------
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._rebind()
-
-    def _rebind(self) -> None:
-        """Re-decode the program ``SM.__getstate__`` dropped.
-
-        Runs once, after the *entire* object graph has been restored, so
-        the decode never touches a partially-restored peer.
-        """
-        for sm in self.sms:
-            sm._rebind_events()

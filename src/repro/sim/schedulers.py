@@ -254,7 +254,3 @@ def make_scheduler(name: str, config: GPUConfig,
     if config.perturb is not None:
         scheduler = PerturbedScheduler(scheduler, config.perturb, salt)
     return scheduler
-
-
-def scheduler_names() -> List[str]:
-    return sorted(_SCHEDULERS)

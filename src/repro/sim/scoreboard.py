@@ -49,9 +49,3 @@ class Scoreboard:
                 latest = release
                 found = True
         return latest if found else None
-
-    def flush_before(self, now: int) -> None:
-        """Drop entries already released (bounds memory in long runs)."""
-        pending = self.pending
-        for name in [n for n, release in pending.items() if release <= now]:
-            del pending[name]

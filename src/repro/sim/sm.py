@@ -161,7 +161,11 @@ class SM:
         self.engine = engine
         self._fast = engine == "fast"
         if self._fast:
-            #: Pre-decoded program, indexed by PC.
+            #: Pre-decoded program, indexed by PC.  Its ops pickle by
+            #: reference to the program (``DecodedOp.__reduce__``), so
+            #: the whole SM — warps, schedulers, ready sets and the rows
+            #: that share them, wait heap, BOWS/DDOS units, emitters —
+            #: checkpoints as-is, shared identity preserved.
             self._ops = decode_program(program, config, params).ops
             #: Per-scheduler sets of slots ready to issue right now,
             #: split by BOWS state so the reference loop's per-cycle
@@ -191,40 +195,6 @@ class SM:
             # Skip the per-SM dispatch wrapper frames on the hot path.
             self.step = self._step_fast
             self.next_event = self._next_event_fast
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-
-    def __getstate__(self):
-        """Drop the decoded program (its handlers are closures) for
-        pickling.
-
-        Everything else — warps, schedulers, ready sets (and the
-        per-scheduler rows that share them), wait heap, BOWS/DDOS
-        units, emitters — pickles as-is with shared identity preserved;
-        :meth:`repro.sim.gpu.Simulation._rebind` calls
-        :meth:`_rebind_events` after the whole graph is restored.
-        """
-        state = self.__dict__.copy()
-        if self._fast:
-            state["_ops"] = None
-        return state
-
-    def _rebind_events(self) -> None:
-        """Rebuild the decoded program after a checkpoint restore."""
-        if self._fast:
-            # Re-decode deterministically; each live warp's cached op is
-            # re-derived from its restored PC.  The pickled _ready_from
-            # ints and wait-heap keys are part of the state and ride along.
-            ops = self._ops = decode_program(
-                self.program, self.config, self.params
-            ).ops
-            for warp in self.warps.values():
-                # Finished warps never issue again (the live engine stops
-                # refreshing them, and their PC may sit past the program
-                # end); leave their cache unset.
-                if not warp.finished:
-                    warp._decoded = ops[warp.stack.pc]
 
     # ------------------------------------------------------------------
     # CTA residency
@@ -482,7 +452,7 @@ class SM:
         if warp.membar_until > now:
             return False
         instr = warp.current_instruction()
-        return warp.scoreboard.ready(warp.hazard_names(instr), now)
+        return warp.scoreboard.ready(instr.hazard_keys, now)
 
     def next_event(self, now: int) -> Optional[int]:
         """Earliest cycle after ``now`` when some warp may become ready."""
@@ -502,9 +472,7 @@ class SM:
                 consider(warp.membar_until)
                 continue
             instr = warp.current_instruction()
-            release = warp.scoreboard.next_release(
-                warp.hazard_names(instr), now
-            )
+            release = warp.scoreboard.next_release(instr.hazard_keys, now)
             if release is not None:
                 consider(release)
                 continue
@@ -889,7 +857,7 @@ class SM:
 
     def _reserve(self, warp: Warp, instr: Instruction,
                  release_cycle: int) -> None:
-        name = warp.dst_name(instr)
+        name = instr.dst_key
         if name is not None:
             warp.scoreboard.reserve([name], release_cycle)
 

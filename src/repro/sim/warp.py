@@ -104,14 +104,6 @@ class Warp:
         self._decoded = None
         self._ready_from = 0
 
-    def __getstate__(self):
-        """Checkpointing: drop the cached DecodedOp (closure-bound); the
-        SM re-derives it from the restored PC in ``_rebind_events``.
-        ``_ready_from`` is a plain int and rides along."""
-        state = self.__dict__.copy()
-        state["_decoded"] = None
-        return state
-
     # ------------------------------------------------------------------
 
     @property
@@ -141,13 +133,6 @@ class Warp:
         if instr.guard_negated:
             guard = ~guard
         return np.logical_and(active, guard)
-
-    def hazard_names(self, instr: Instruction) -> tuple:
-        """Scoreboard keys read or written by ``instr`` (precomputed)."""
-        return instr.hazard_keys
-
-    def dst_name(self, instr: Instruction) -> Optional[str]:
-        return instr.dst_key
 
     # ------------------------------------------------------------------
     # CAWA accessors (Section II: criticality = nInst * CPIavg + nStall).

@@ -215,7 +215,6 @@ def submit(
     runner: Optional[Runner] = None,
     client_name: Optional[str] = None,
     stream: bool = True,
-    priority: int = 0,
 ) -> RunHandle:
     """Execute one :class:`RunSpec`.
 
@@ -233,15 +232,12 @@ def submit(
             accounting.
         stream: ask the daemon for live progress records (an in-process
             handle can always replay).
-        priority: scheduling priority within this client's queue at the
-            daemon (higher dispatches first).
 
     Returns:
         A :class:`RunHandle`.
     """
     return submit_many([spec], server=server, runner=runner,
-                       client_name=client_name, stream=stream,
-                       priority=priority).handles[0]
+                       client_name=client_name, stream=stream).handles[0]
 
 
 def submit_many(
@@ -252,7 +248,6 @@ def submit_many(
     client_name: Optional[str] = None,
     journal=None,
     stream: bool = False,
-    priority: int = 0,
 ) -> SubmitBatch:
     """Execute a batch of specs (``server`` / ``runner`` as :func:`submit`).
 
@@ -289,8 +284,7 @@ def submit_many(
                 journal.record_spec(spec)
             batch.handles.append(RunHandle(
                 spec, batch=batch,
-                serve_handle=client.submit(spec, stream=stream,
-                                           priority=priority),
+                serve_handle=client.submit(spec, stream=stream),
             ))
         if journal is not None:
             for handle in batch.handles:  # each the moment it arrives

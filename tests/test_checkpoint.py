@@ -16,8 +16,7 @@ import pytest
 
 from repro.api import resume_simulation, simulate
 from repro.kernels import build as build_workload
-from repro.sim.checkpoint import (CheckpointError, SimCheckpoint,
-                                  load_simulation)
+from repro.sim.checkpoint import CheckpointError, SimCheckpoint
 from repro.sim.config import GPUConfig
 from repro.sim.gpu import GPU
 from repro.sim.progress import SimulationTimeout
@@ -66,7 +65,7 @@ def test_save_and_load_file(tmp_path):
     path = tmp_path / "deep" / "run.ckpt"
     saved = SimCheckpoint.capture(sim).save(path)
     assert saved == path and path.is_file()
-    restored = load_simulation(path)
+    restored = SimCheckpoint.load(path).restore()
     assert restored.now == sim.now
     assert restored.run().stats.summary() == _baseline_summary()
 

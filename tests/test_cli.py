@@ -129,13 +129,13 @@ def test_run_hang_exits_3(capsys):
 
 
 def test_run_validation_failure_exits_4(capsys, monkeypatch):
-    import repro.api as api
     from repro.kernels import WorkloadError
+    from repro.sim.gpu import Simulation
 
-    def rigged(workload, **kwargs):
+    def rigged(sim, **kwargs):
         raise WorkloadError("answers differ")
 
-    monkeypatch.setattr(api, "simulate", rigged)
+    monkeypatch.setattr(Simulation, "run", rigged)
     code = main(["run", "vecadd", "--param", "n_threads=64",
                  "--param", "block_dim=32"])
     assert code == EXIT_VALIDATION
@@ -143,12 +143,12 @@ def test_run_validation_failure_exits_4(capsys, monkeypatch):
 
 
 def test_run_transient_error_exits_5(capsys, monkeypatch):
-    import repro.api as api
+    from repro.sim.gpu import Simulation
 
-    def flaky(workload, **kwargs):
+    def flaky(sim, **kwargs):
         raise OSError("worker vanished")
 
-    monkeypatch.setattr(api, "simulate", flaky)
+    monkeypatch.setattr(Simulation, "run", flaky)
     code = main(["run", "vecadd", "--param", "n_threads=64",
                  "--param", "block_dim=32"])
     assert code == EXIT_TRANSIENT

@@ -96,15 +96,6 @@ def test_next_release():
     assert sb.next_release(["r:r1"], 15) is None
 
 
-def test_flush_before():
-    sb = Scoreboard()
-    sb.reserve(["r:r1"], 10)
-    sb.reserve(["r:r2"], 100)
-    sb.flush_before(50)
-    assert sb.ready(["r:r1"], 0)  # flushed
-    assert not sb.ready(["r:r2"], 50)
-
-
 @given(
     reservations=st.lists(
         st.tuples(st.sampled_from(["a", "b", "c"]), st.integers(1, 100)),

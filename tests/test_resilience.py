@@ -380,6 +380,62 @@ def test_run_outliving_the_grace_period_is_settled_exactly_once(
     assert not caplog.records  # e.g. "exception calling callback for ..."
 
 
+def test_queue_time_is_not_on_the_straggler_or_elapsed_clock():
+    """(f) More tasks than workers, ``timeout_s`` set: a task's clock
+    starts when a worker takes it, so one that merely waited its turn is
+    no straggler and a failure's ``elapsed_s`` is the time it ran."""
+    nap_s, ran = 0.25, {}
+
+    def run_fn(spec):
+        start = time.perf_counter()
+        time.sleep(nap_s)
+        ran[spec.label] = time.perf_counter() - start
+        if spec.label == "spec3":
+            raise ValueError("fails after waiting behind three runs")
+        return _testing.fabricate_result(spec)
+
+    # Thread mode has no in-worker alarm: timeout_s only arms the
+    # straggler clock (1.5 x 0.4 s — two naps, well short of three).
+    runner = Runner(workers=1, mode="thread", run_fn=run_fn, timeout_s=0.4)
+    report = runner.run_many([_spec(i) for i in range(4)])
+    assert [r.ok for r in report.results] == [True, True, True, False]
+    assert report.stragglers == 0
+    assert report.results[3].elapsed_s < ran["spec3"] + nap_s / 2
+
+
+@pytest.mark.parametrize("mode", ["thread", "serial"])
+def test_a_freed_worker_is_refilled_before_its_result_is_persisted(
+        tmp_path, mode):
+    """(g) In a pool, the task after the staged one is dispatched (its
+    dispatch-time cache re-check is the ``get``) before the pump thread
+    spends time persisting the result that freed the worker; in serial
+    mode a dispatch *is* the run, so each result is persisted first."""
+    log = []
+
+    class Recording(ResultCache):
+        def get(self, spec):
+            log.append(("get", spec.seed))
+            return super().get(spec)
+
+        def put(self, spec, result):
+            log.append(("put", spec.seed))
+            return super().put(spec, result)
+
+    def run_fn(spec):
+        time.sleep(0.02)  # still running when ``pool.submit`` returns
+        return _testing.fabricate_result(spec)
+
+    runner = Runner(workers=1, mode=mode, cache=Recording(tmp_path),
+                    run_fn=run_fn)
+    report = runner.run_many([_spec(i) for i in range(6)])
+    assert all(r.ok for r in report.results)
+    for seed in range(4):
+        if mode == "thread":  # 0 running, 1 staged; 0 lands: 2, then 0
+            assert log.index(("get", seed + 2)) < log.index(("put", seed))
+        else:
+            assert log.index(("put", seed)) < log.index(("get", seed + 1))
+
+
 # ---------------------------------------------------------------------------
 # Parent SIGKILL -> resume without recomputation
 

@@ -9,7 +9,6 @@ from repro.sim.schedulers import (
     GTOScheduler,
     LRRScheduler,
     make_scheduler,
-    scheduler_names,
 )
 from repro.sim.warp import Warp
 
@@ -29,7 +28,7 @@ def make_warps(slots, ages=None):
 
 def test_factory():
     config = fermi_config()
-    for name in scheduler_names():
+    for name in ("cawa", "gto", "lrr"):
         scheduler = make_scheduler(name, config, [0, 1])
         assert scheduler.name == name
     with pytest.raises(ValueError, match="unknown scheduler"):

@@ -16,6 +16,9 @@ Covered guarantees (see ``docs/serve.md``):
   other subscribers, and a subscriber attaching **mid-broadcast** (or a
   second handle registering after the result overtook its ``accepted``
   reply) still gets the result;
+* the **queue decides**: a client arriving behind another's backlog is
+  served within one turn, the per-client inflight budget holds, and a
+  drain interrupts the whole backlog at once;
 * SIGTERM **drains to the journal** (subprocess test).
 """
 
@@ -34,13 +37,15 @@ import pytest
 
 import repro.serve.daemon as daemon_mod
 from repro.harness.runner import make_config
+from repro.lab._testing import fabricate_result
 from repro.lab.cache import ResultCache
-from repro.lab.results import RunResult
+from repro.lab.journal import load_journal
+from repro.lab.results import RunFailure, RunResult
 from repro.lab.runner import execute_run
 from repro.lab.spec import RunSpec
 from repro.obs import ObsConfig
 from repro.serve import ServeClient, ServeDaemon, ServeError, protocol, wire
-from repro.serve.jobstore import JobStore
+from repro.serve.jobstore import Job, JobStore
 
 VECADD = dict(n_threads=64, per_thread=2, block_dim=32)
 HT = dict(n_threads=64, n_buckets=8, items_per_thread=1, block_dim=64)
@@ -255,7 +260,6 @@ def test_settled_jobs_are_forgotten_by_client_and_store(daemon):
         assert client._handles == {}
         assert client._orphans == {}
         status = client.status()
-    assert daemon.store._jobs == {}
     assert daemon.store._active_by_hash == {}
     assert status["jobs"] == {"done": 3 + 5}
 
@@ -509,6 +513,133 @@ def test_submit_refused_while_draining(daemon, gated_worker):
         assert isinstance(running.outcome(timeout=60), RunResult)
 
 
+# ------------------------------------- the queue decides (by injection)
+
+
+@pytest.fixture()
+def gated_recorder(monkeypatch):
+    """A worker entry that notes the label it was handed, waits for the
+    gate and fabricates a result: ``(gate, started)``.  ``started`` is
+    the order runs reached a worker in — with one worker, the order the
+    core dispatched them in."""
+    gate, started = threading.Event(), []
+
+    def entry(spec, *_serve_entry_args):
+        started.append(spec.label)
+        assert gate.wait(30), "test forgot to release the worker gate"
+        return fabricate_result(spec)
+
+    monkeypatch.setattr(daemon_mod, "serve_entry", entry)
+    return gate, started
+
+
+def _backlog(client, name, n):
+    """``n`` specs no other client submits, labelled ``<name><i>``."""
+    return client.submit_many(
+        [_spec(seed=100 * ord(name) + i, label=f"{name}{i}")
+         for i in range(n)], stream=False)
+
+
+def _await(condition):
+    deadline = time.monotonic() + 10
+    while not condition():
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+
+
+@pytest.mark.parametrize("backlog", [6, 15])
+def test_late_client_waits_one_turn_not_the_backlog(
+        daemon, gated_recorder, backlog):
+    """One worker, A queues ``backlog`` jobs, then B asks for one: of
+    the dispatches made after B arrived, B's is among the first two —
+    it waits for the window (one running, one staged) and one turn of
+    A, however long A's backlog is."""
+    gate, started = gated_recorder
+    with _client(daemon, "A") as a, _client(daemon, "B") as b:
+        handles = _backlog(a, "a", backlog)
+        # The window: one job on the worker, one staged behind it.  (A
+        # job is queued just after its ``accepted`` goes out: wait.)
+        _await(lambda: daemon.status()["jobs"]
+               == {"queued": backlog - 2, "running": 2})
+        assert daemon.status()["pending_by_client"] == {"A": backlog - 2}
+        handles += _backlog(b, "b", 1)
+        _await(lambda: daemon.status()["pending_by_client"]
+               == {"A": backlog - 2, "B": 1})
+        assert daemon.status()["counters"]["dispatched"] == 2
+        gate.set()
+        for handle in handles:
+            assert isinstance(handle.outcome(timeout=60), RunResult)
+    assert sorted(started) == sorted(h.spec.label for h in handles)
+    assert "b0" in started[2:4], started
+    assert daemon.status()["jobs"] == {"done": backlog + 1}
+
+
+def test_inflight_budget_holds_with_idle_workers(serve_dir, gated_recorder):
+    """``max_inflight_per_client=1``, two workers: A's second job stays
+    queued beside an idle worker, which B's job then takes."""
+    gate, started = gated_recorder
+    d = ServeDaemon(os.path.join(serve_dir, "budget.sock"), workers=2,
+                    mode="thread", cache=False, max_inflight_per_client=1,
+                    poll_interval_s=0.01).start()
+    try:
+        with _client(d, "A") as a, _client(d, "B") as b:
+            handles = _backlog(a, "a", 3)
+            _await(lambda: d.status()["pending_by_client"] == {"A": 2})
+            handles += _backlog(b, "b", 1)
+            _await(lambda: started == ["a0", "b0"])
+            _await(lambda: d.status()["jobs"] == {"queued": 2,
+                                                  "running": 2})
+            assert d.status()["pending_by_client"] == {"A": 2}
+            gate.set()
+            for handle in handles:
+                assert isinstance(handle.outcome(timeout=60), RunResult)
+        assert started[2:] == ["a1", "a2"]
+    finally:
+        d.close()
+
+
+def test_drain_interrupts_the_whole_backlog_at_once(
+        daemon, serve_dir, gated_recorder, monkeypatch):
+    """Queued jobs settle as interrupted-transient the moment a drain
+    begins — whatever the dispatch window — each subscriber hears of it
+    exactly once, and the journal records it; the jobs already handed to
+    the pool finish inside the grace period."""
+    gate, _ = gated_recorder
+    failures = []  # (job id, subscribers the failure reached)
+    real_broadcast = Job.broadcast
+
+    def broadcast(job, message, stream_only=False):
+        delivered = real_broadcast(job, message, stream_only)
+        if message["type"] == "failure":
+            failures.append((job.id, delivered))
+        return delivered
+
+    monkeypatch.setattr(Job, "broadcast", broadcast)
+    with _client(daemon, "A") as a, _client(daemon, "B") as b:
+        handles = _backlog(a, "a", 5)
+        _await(lambda: daemon.status()["pending_by_client"] == {"A": 3})
+        shared = b.submit(handles[-1].spec, stream=False)
+        assert shared.status == "attached"
+        daemon.request_shutdown(drain=True)
+        interrupted = handles[2:] + [shared]
+        # Settled while the gate is still shut: nobody waited for a worker.
+        for handle in interrupted:
+            outcome = handle.outcome(timeout=10)
+            assert isinstance(outcome, RunFailure)
+            assert outcome.error_type == "RunInterrupted"
+            assert outcome.transient
+        gate.set()
+        for handle in handles[:2]:
+            assert isinstance(handle.outcome(timeout=60), RunResult)
+    assert daemon.join(10)
+    assert sorted(failures) == sorted(
+        [(h.job_id, 1) for h in handles[2:4]] + [(shared.job_id, 2)])
+    journal = load_journal(os.path.join(serve_dir, "journal.jsonl"))
+    assert {h: r["error_type"] for h, r in journal.failed.items()} == {
+        h.spec_hash: "RunInterrupted" for h in handles[2:]}
+    assert set(journal.done) == {h.spec_hash for h in handles[:2]}
+
+
 # ------------------------------------------------- concurrent clients
 
 
@@ -517,8 +648,6 @@ def test_concurrent_clients_every_submission_settles_once(
     """More client threads than cores push into the core's queue while
     its one pump thread dispatches and settles: every handle resolves,
     every distinct spec is simulated and completed exactly once."""
-    from repro.lab._testing import fabricate_result
-
     monkeypatch.setattr(daemon_mod, "serve_entry",
                         lambda spec, *_args: fabricate_result(spec))
     n_clients, n_specs = 8, 12
