@@ -132,12 +132,6 @@ class BOWSUnit:
     # ------------------------------------------------------------------
     # Scheduling queries
 
-    def eligible(self, warp: Warp, now: int) -> bool:
-        """May this warp issue at ``now`` given its BOWS state?"""
-        if not warp.backed_off:
-            return True
-        return now >= warp.pending_delay_until
-
     def select_backed_off(self, ready_slots: Set[int], now: int,
                           warps_by_slot) -> Optional[int]:
         """Pick the frontmost eligible backed-off warp, FIFO order."""
@@ -148,16 +142,6 @@ class BOWSUnit:
             if now >= warp.pending_delay_until:
                 return slot
         return None
-
-    def next_delay_expiry(self, now: int, warps_by_slot) -> Optional[int]:
-        """Earliest pending-delay expiry after ``now`` (for fast-forward)."""
-        expiries = [
-            warps_by_slot[slot].pending_delay_until
-            for slot in self._queue
-            if slot in warps_by_slot
-            and warps_by_slot[slot].pending_delay_until > now
-        ]
-        return min(expiries) if expiries else None
 
     # ------------------------------------------------------------------
 

@@ -279,10 +279,3 @@ class MemorySubsystem:
         self.stats.atomic_transactions += n_tx
         self._classify(n_tx, sync)
         return MemoryAccessResult(completion, n_tx)
-
-    def next_event_after(self, now: int) -> Optional[int]:
-        """Earliest queued-resource free time after ``now`` (fast-forward)."""
-        candidates = [t for t in self._bank_free if t > now]
-        if self._dram_free > now:
-            candidates.append(self._dram_free)
-        return min(candidates) if candidates else None

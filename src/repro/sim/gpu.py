@@ -1,12 +1,12 @@
 """Top-level GPU: kernel launch, CTA dispatch, and the simulation loop.
 
-The loop steps all SMs one cycle at a time; whenever no SM can issue, it
-fast-forwards directly to the earliest cycle at which any warp might
-become ready (a memory writeback, a fence completing, a BOWS back-off
-delay expiring).  Fast-forwarding is purely a host-performance
-optimization: per-cycle accounting (occupancy sampling, CAWA stall
-charging) is weighted by the skipped interval, so results are identical
-to stepping every cycle.
+The loop goes only where a warp can act: each fast SM keeps the cycle it
+can next do anything on (``SM.wake`` — a ready warp, a memory writeback,
+a fence completing, a BOWS back-off delay expiring), the loop steps the
+SMs whose wake has come and moves straight to the earliest wake.  That
+is purely a host-performance optimization: per-cycle accounting (issue
+slots, occupancy, CAWA stall charging) is weighted by the skipped
+interval, so results are identical to stepping every SM every cycle.
 
 If no warp can ever become ready again the workload has deadlocked; the
 simulator raises :class:`SimulationDeadlock` with per-warp diagnostics —
@@ -38,7 +38,7 @@ from repro.sim.progress import (  # noqa: F401
     SimulationTimeout,
     build_hang_report,
 )
-from repro.sim.sm import ENGINES, SM, WarpKey
+from repro.sim.sm import ENGINES, NEVER, SM, WarpKey
 
 
 @dataclass
@@ -255,21 +255,30 @@ class Simulation:
         sampler = self.sampler
         stats = self.stats
         fast = self.engine == "fast"
+        # A fast SM is stepped only once its ``wake`` has come: before
+        # that a step finds nothing to drain or issue.  CAWA charges
+        # stalls from readiness at every visited cycle, so under it (as
+        # on the reference engine) every SM steps on every one of them.
+        every = not fast or config.scheduler == "cawa"
+        slots = len(sms) * config.num_schedulers_per_sm
+        stop = NEVER if stop_cycle is None else stop_cycle
         now = self.now
         # Bound methods hoisted out of the cycle loop (locals only —
         # rebuilt on every call, never part of checkpointed state).
-        steps = [sm.step for sm in sms]
-        next_events = [sm.next_event for sm in sms]
+        steps = [(sm, sm.step) for sm in sms]
         # One comparison per cycle covers the three rare checks; it is
         # recomputed whenever one of them has run.
         watch = 0
         try:
             while True:
-                if stop_cycle is not None and now >= stop_cycle:
+                if now >= stop:
                     return False
                 issued = 0
-                for step in steps:
-                    issued += step(now)
+                for sm, step in steps:
+                    if every or sm.wake <= now:
+                        issued += step(now)
+                if fast:
+                    stats.issue_slots += slots  # the reference step's charge
                 # CTA slots free up, and the last warp retires, only on
                 # a cycle that issued.
                 if issued:
@@ -293,34 +302,45 @@ class Simulation:
                         watch = sampler.next_sample
                     if monitor is not None and monitor.next_sample < watch:
                         watch = monitor.next_sample
-                if issued:
-                    dt = 1
-                else:
-                    next_now = None
-                    for next_event in next_events:
-                        event = next_event(now)
-                        if event is not None and (
-                                next_now is None or event < next_now):
-                            next_now = event
-                    if next_now is None:
-                        report = build_hang_report(
-                            "deadlock", now, sms, memory=self.memory,
-                            stats=stats, obs=self.obs,
-                            reason="no warp can ever become ready again",
-                        )
-                        raise SimulationDeadlock(report.describe(), report)
-                    dt = next_now - now
+                # Where next: the earliest cycle a warp can act on.
+                next_now = NEVER
                 if fast:
                     live = backed = 0
                     for sm in sms:
+                        if sm.wake < next_now:
+                            next_now = sm.wake
                         live += sm._n_live
                         backed += sm._n_backed
+                elif not issued:
+                    for sm in sms:
+                        event = sm.next_event(now)
+                        if event is not None and event < next_now:
+                            next_now = event
+                if issued:
+                    # The reference always visits the cycle after an
+                    # issue.  When no SM wakes on it that visit is its
+                    # charge and nothing else — unless a sample, the stop
+                    # or the deadlock report falls on it.
+                    if (next_now <= now + 1 or every or next_now == NEVER
+                            or now + 1 >= watch or now + 1 >= stop):
+                        next_now = now + 1
+                    else:
+                        stats.issue_slots += slots
+                elif next_now == NEVER:
+                    report = build_hang_report(
+                        "deadlock", now, sms, memory=self.memory,
+                        stats=stats, obs=self.obs,
+                        reason="no warp can ever become ready again",
+                    )
+                    raise SimulationDeadlock(report.describe(), report)
+                dt = next_now - now
+                if fast:
                     stats.resident_warp_cycles += dt * live
                     stats.backed_off_warp_cycles += dt * backed
                 else:
                     for sm in sms:
                         sm.accumulate_occupancy(dt)
-                now += dt
+                now = next_now
         finally:
             self.now = now
         self._finish()

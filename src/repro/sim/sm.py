@@ -76,6 +76,9 @@ WarpKey = Tuple[int, int]  # (cta_id, warp_in_cta)
 #: :class:`repro.sim.gpu.GPU`.
 ENGINES = ("fast", "reference")
 
+#: ``SM.wake`` of a fast SM on which nothing is waiting.
+NEVER = 1 << 62
+
 
 class SM:
     """One streaming multiprocessor."""
@@ -139,13 +142,17 @@ class SM:
             else None
         )
         #: Pre-bound obs event sinks (no-ops when no bus is attached);
-        #: all emission sites are off the per-issue critical path.
-        self._emit_lock_ok = emitter_for(bus, LockAcquireSuccess)
-        self._emit_lock_fail = emitter_for(bus, LockAcquireFail)
+        #: both emission sites are off the per-issue critical path.
         self._emit_bar_arrive = emitter_for(bus, BarrierArrive)
         self._emit_bar_release = emitter_for(bus, BarrierRelease)
-        #: Issue recorder, on the per-issue path and therefore None when
-        #: off, like ``san``: one test per issue, no arguments built.
+        #: Lock-attempt sinks run once per *lane* of every lock attempt —
+        #: hotter than the per-issue path — and the issue recorder once
+        #: per issue, so all three are None when off, like ``san``: one
+        #: test per site, no arguments built.
+        self._emit_lock_ok = self._emit_lock_fail = None
+        if bus is not None:
+            self._emit_lock_ok = bus.emitter(LockAcquireSuccess)
+            self._emit_lock_fail = bus.emitter(LockAcquireFail)
         self._emit_issue = (
             obs.issues.emitter(Issue)
             if obs is not None and obs.issues is not None else None
@@ -192,9 +199,11 @@ class SM:
             self._rows = list(zip(
                 self.schedulers, self._ready_normal, self._ready_backed
             ))
-            # Skip the per-SM dispatch wrapper frames on the hot path.
+            #: The cycle this SM can next act on, as :meth:`_step_fast`
+            #: left it: the cycle loop steps the SM no earlier.
+            self.wake = NEVER
+            # Skip the per-SM dispatch wrapper frame on the hot path.
             self.step = self._step_fast
-            self.next_event = self._next_event_fast
 
     # ------------------------------------------------------------------
     # CTA residency
@@ -232,6 +241,7 @@ class SM:
                 warp._decoded = self._ops[warp.stack.pc]
                 self._ready_normal[self._sched_of[slot]].add(slot)
                 self._n_live += 1
+                self.wake = 0  # issuable on the next visited cycle
         for scheduler in self.schedulers:
             scheduler.invalidate_order()
 
@@ -323,7 +333,6 @@ class SM:
         stats = self.stats
         bows = self.bows
         rows = self._rows
-        stats.issue_slots += len(rows)
         issued = 0
         for scheduler, normal, backed in rows:
             # Every policy answers None for an empty set (and draws no
@@ -416,6 +425,24 @@ class SM:
                 (backed if warp.backed_off else normal).add(slot)
             else:
                 heappush(heap, (membar if membar > now else t, slot))
+        # Wake time, the cycle the reference :meth:`next_event` would
+        # report at ``now``.  The ready sets and the drained heap
+        # partition the warps its scan visits (live, not at a barrier):
+        # a ready normal warp contributes ``now + 1``, the smallest
+        # candidate there is; a ready backed-off warp its pending delay
+        # (``now + 1`` once expired); the waiting warps the heap top,
+        # every key being its warp's next-event time (:meth:`_register`).
+        # Nothing but this SM's own step or a CTA launch can move it.
+        wake = heap[0][0] if heap else NEVER
+        for _, normal, backed in rows:
+            if normal:
+                wake = now + 1
+                break
+            for slot in backed:
+                t = warps[slot].pending_delay_until
+                if t < wake:
+                    wake = t
+        self.wake = wake if wake > now else now + 1
         return issued
 
     def _register(self, warp: Warp, now: int) -> None:
@@ -455,9 +482,10 @@ class SM:
         return warp.scoreboard.ready(instr.hazard_keys, now)
 
     def next_event(self, now: int) -> Optional[int]:
-        """Earliest cycle after ``now`` when some warp may become ready."""
+        """Earliest cycle after ``now`` when some warp may become ready
+        (a fast SM answers as of its last step: its ``wake``)."""
         if self._fast:
-            return self._next_event_fast(now)
+            return self.wake if self.wake < NEVER else None
         best: Optional[int] = None
 
         def consider(t: Optional[int]) -> None:
@@ -481,39 +509,6 @@ class SM:
                 consider(warp.pending_delay_until)
             else:
                 consider(now + 1)
-        return best
-
-    def _next_event_fast(self, now: int) -> Optional[int]:
-        """Fast-engine :meth:`next_event` over the cached per-warp scalars.
-
-        Requires :meth:`_step_fast` to have drained the wait heap at
-        ``now`` (the GPU loop always steps before asking).  The ready
-        sets and the wait heap then partition exactly the warps the
-        reference scan would visit (non-finished, non-barrier), so no
-        per-warp state checks are needed:
-
-        * a ready non-backed-off warp contributes ``now + 1`` — the
-          smallest candidate any warp can contribute, so return it;
-        * a ready backed-off warp contributes its pending delay (or
-          ``now + 1`` once expired);
-        * the waiting warps contribute the heap top: every key is its
-          warp's next-event time (see :meth:`_register`), fence-first
-          quirk of the reference chain included, and after the drain
-          every key is ``> now``.
-        """
-        for ready in self._ready_normal:
-            if ready:
-                return now + 1
-        heap = self._wait_heap
-        best: Optional[int] = heap[0][0] if heap else None
-        warps = self.warps
-        for ready in self._ready_backed:
-            for slot in ready:
-                t = warps[slot].pending_delay_until
-                if t <= now:
-                    return now + 1
-                if best is None or t < best:
-                    best = t
         return best
 
     def accumulate_occupancy(self, dt: float) -> None:
@@ -822,10 +817,11 @@ class SM:
             locks.lock_success += 1
             self.lock_table[addr] = (warp_key, lane)
             warp.lock_fail_addr = None
-            self._emit_lock_ok(
-                cycle=now, sm_id=self.sm_id, warp_slot=warp.warp_slot,
-                addr=addr, lane=lane,
-            )
+            if self._emit_lock_ok is not None:
+                self._emit_lock_ok(
+                    cycle=now, sm_id=self.sm_id, warp_slot=warp.warp_slot,
+                    addr=addr, lane=lane,
+                )
         else:
             holder = self.lock_table.get(addr)
             if holder is not None and holder[0] == warp_key:
@@ -837,10 +833,11 @@ class SM:
             # Hang forensics: remember which lock this warp is stuck on.
             warp.lock_fail_addr = addr
             warp.lock_fails += 1
-            self._emit_lock_fail(
-                cycle=now, sm_id=self.sm_id, warp_slot=warp.warp_slot,
-                addr=addr, lane=lane, conflict=conflict,
-            )
+            if self._emit_lock_fail is not None:
+                self._emit_lock_fail(
+                    cycle=now, sm_id=self.sm_id, warp_slot=warp.warp_slot,
+                    addr=addr, lane=lane, conflict=conflict,
+                )
 
     # ------------------------------------------------------------------
     # Helpers

@@ -60,15 +60,9 @@ def test_eligibility_gated_by_pending_delay():
     unit.on_issue(warp, now=0, is_sib=False)
     # Warp hits the SIB again quickly.
     unit.on_sib_executed(warp, now=50)
-    assert not unit.eligible(warp, now=500)
-    assert unit.eligible(warp, now=1000)
-
-
-def test_non_backed_off_always_eligible():
-    unit = make_unit()
-    warp = make_warp(0)
-    warp.pending_delay_until = 10_000
-    assert unit.eligible(warp, now=0)
+    warps = {0: warp}
+    assert unit.select_backed_off({0}, now=500, warps_by_slot=warps) is None
+    assert unit.select_backed_off({0}, now=1000, warps_by_slot=warps) == 0
 
 
 def test_select_backed_off_respects_fifo_and_delay():
@@ -90,17 +84,6 @@ def test_select_backed_off_ignores_unready():
     warps = {0: make_warp(0)}
     unit.on_sib_executed(warps[0], now=0)
     assert unit.select_backed_off(set(), now=10, warps_by_slot=warps) is None
-
-
-def test_next_delay_expiry():
-    unit = make_unit(delay_limit=300)
-    warps = {0: make_warp(0), 1: make_warp(1)}
-    unit.on_sib_executed(warps[0], now=0)
-    unit.on_issue(warps[0], now=0, is_sib=False)   # delay until 300
-    unit.on_sib_executed(warps[0], now=10)
-    unit.on_sib_executed(warps[1], now=20)         # no pending delay
-    assert unit.next_delay_expiry(50, warps) == 300
-    assert unit.next_delay_expiry(400, warps) is None
 
 
 def test_warp_reset_clears_queue():

@@ -5,9 +5,10 @@ Python-level calls a simulated warp instruction costs can.  ``cProfile``
 counts every Python and C function call, the count repeats exactly on
 one NumPy version, and it is what PR 16 cut (44.6 -> 27.7 per
 instruction on the ledger's ``sync_sim`` round, 30.3 once the review
-put a ``len()`` back): every property hop,
-accessor or wrapper frame put back on the per-issue path shows up here
-as a ratio, whatever the machine.
+put a ``len()`` back) and PR 23 cut again (no step of an SM with nothing
+to issue, no ``next_event`` poll): every property hop, accessor or
+wrapper frame put back on the per-issue path — or empty step put back in
+the cycle loop — shows up here as a ratio, whatever the machine.
 
 Only ``Simulation.run()`` is profiled — workload build, assembly and
 decoding happen before it, in ``GPU.begin``.
@@ -33,10 +34,13 @@ from repro.sim.gpu import GPU
 #: 15 % slack is room for patch releases, not for regressions: a change
 #: that moves a number should re-measure it.
 MEASURED = {
-    ("atm", "gto"): 30.55,  # 45.81 before PR 16
-    ("atm", "bows"): 39.50,  # 56.14
-    ("ht", "gto"): 31.08,  # 46.94
-    ("ht", "bows"): 34.33,  # 49.94
+    # before PR 16 -> after it -> at PR 23's parent (the drift inside
+    # the slack that PR 23 took back: a null emitter called per lane of
+    # every lock attempt) -> with the loop going only where a warp acts
+    ("atm", "gto"): 24.56,  # 45.81 -> 30.55 -> 32.02
+    ("atm", "bows"): 32.24,  # 56.14 -> 39.50 -> 40.77
+    ("ht", "gto"): 26.09,  # 46.94 -> 31.08 -> 33.04
+    ("ht", "bows"): 29.08,  # 49.94 -> 34.33 -> 35.99
 }
 #: (Python, NumPy) major.minor the numbers were taken on.  Wrapper
 #: frames differ between releases (``np.count_nonzero`` alone is one to

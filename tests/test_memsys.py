@@ -217,13 +217,6 @@ def test_sync_vs_other_classification(memsys):
     assert memsys.stats.other_transactions == 1
 
 
-def test_next_event_after(memsys):
-    assert memsys.next_event_after(0) is None
-    memsys.atomic(0, np.array([0]), now=0)
-    event = memsys.next_event_after(0)
-    assert event is not None and event > 0
-
-
 @given(st.lists(st.integers(0, 63), min_size=1, max_size=30))
 def test_completion_never_in_the_past(line_indices):
     memsys = MemorySubsystem(fermi_config(num_sms=1))
