@@ -15,17 +15,10 @@ runner with a process pool (``REPRO_LAB_WORKERS``, default: CPU count)
 and the shared on-disk result cache, so the Figures 10-13 delay sweep is
 simulated once and every later benchmark — and every later *session*
 with unchanged code — reuses the cached results.
-
-Set ``REPRO_BENCH_ENGINE=reference`` (or ``fast``) to force every
-benchmark simulation onto one engine — the A/B switch for chasing a
-suspected fast-engine divergence.  The override disables the disk cache
-for the session, so forced-engine results never land in cache entries
-keyed for the specs' own engine choice.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from typing import Callable, Dict
 
@@ -62,31 +55,13 @@ def record(result: ExperimentResult) -> ExperimentResult:
     return result
 
 
-def _execute_with_engine_override(spec):
-    """Pool-worker entry forcing ``REPRO_BENCH_ENGINE`` onto every spec.
-
-    Module-level so it pickles into process-pool workers; the workers
-    inherit the environment variable.
-    """
-    from repro.lab.runner import execute_run
-
-    engine = os.environ["REPRO_BENCH_ENGINE"]
-    return execute_run(dataclasses.replace(spec, engine=engine))
-
-
 @pytest.fixture(scope="session", autouse=True)
 def _lab_runner():
     """Parallel, disk-cached execution for every benchmark simulation."""
     workers = int(os.environ.get("REPRO_LAB_WORKERS", "0"))
     if workers <= 0:
         workers = os.cpu_count() or 1
-    if os.environ.get("REPRO_BENCH_ENGINE"):
-        # Forced engine: bypass the cache (entries are keyed by the
-        # spec's own engine field, which the override sidesteps).
-        runner = Runner(workers=workers, cache=None,
-                        run_fn=_execute_with_engine_override)
-    else:
-        runner = Runner(workers=workers, cache=ResultCache())
+    runner = Runner(workers=workers, cache=ResultCache())
     with use_runner(runner):
         yield runner
 

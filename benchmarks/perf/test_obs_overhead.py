@@ -7,11 +7,11 @@ the same process (so absolute speed divides out):
   2.5x the plain run.  The event sinks sit on cold decision branches
   (threshold crossings, back-off transitions, lock attempts), so even
   a lock-heavy BOWS workload should pay far less than that.
-* The **disabled path** is guarded by ``test_hotloop_perf.py``:
-  producers hold :func:`repro.obs.null_emitter` and the GPU loop's
-  only addition is one ``sampler is not None`` test, so any real cost
-  shows up as a fast-engine speedup regression against the committed
-  ``BENCH_hotloop.json``.
+* The **disabled path** is guarded by the call budget in
+  ``tests/test_hotpath_budget.py``: producers hold
+  :func:`repro.obs.null_emitter` and the GPU loop's only addition is
+  one ``sampler is not None`` test, so any real cost shows up as more
+  Python-level calls per warp instruction.
 
 Run explicitly (not part of tier-1)::
 

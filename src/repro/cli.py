@@ -12,7 +12,6 @@ Usage::
     python -m repro profile ht --bows adaptive --json profile.json
     python -m repro profile ht --quick --trace trace.json
     python -m repro fuzz ht --seeds 16 --budget-cycles 50000
-    python -m repro bench --out BENCH_hotloop.json --min-speedup 2.0
     python -m repro sweep --kernel ht --kernel tsp --bows none,1000,adaptive
     python -m repro sweep --kernel ht --journal sweep.jsonl
     python -m repro sweep --resume sweep.jsonl    # finish a killed sweep
@@ -38,13 +37,14 @@ twice — or regenerating Figures 10-13, which share one delay sweep — is
 a cache hit instead of hours of re-simulation.
 
 ``serve`` starts the resident job daemon (:mod:`repro.serve`); ``run``,
-``sweep`` (``--resume`` included), ``fuzz``, and ``bench`` all take
-``--server ADDRESS`` to submit their work to it instead of simulating
-in-process — one shared worker pool, one shared cache, concurrent
-duplicate submissions deduped to a single simulation (see
-docs/serve.md).  ``run`` prints the same block either way, and each of
-the four answers a daemon that is not there with one ``daemon
-unreachable`` line and exit 5.
+``sweep`` (``--resume`` included) and ``fuzz`` all take ``--server
+ADDRESS`` to submit their work to it instead of simulating in-process —
+one shared worker pool, one shared cache, concurrent duplicate
+submissions deduped to a single simulation (see docs/serve.md).
+``run`` prints the same block either way, and each of the three answers
+a daemon that is not there with one ``daemon unreachable`` line and
+exit 5.  Every command simulates on the fast engine; the reference
+engine is the tests' oracle, not a command-line choice.
 """
 
 from __future__ import annotations
@@ -152,11 +152,11 @@ def _add_lab_options(parser) -> None:
     _add_progress_option(parser)
 
 
-def _add_server_option(parser, what: str, caveat: str = "") -> None:
+def _add_server_option(parser, what: str) -> None:
     parser.add_argument("--server", default=None, metavar="ADDRESS",
                         help=f"submit {what} to a 'repro serve' daemon at "
                              f"ADDRESS (socket path or host:port) instead "
-                             f"of simulating in-process{caveat}")
+                             "of simulating in-process")
 
 
 def _add_preset_option(parser) -> None:
@@ -195,10 +195,6 @@ def _add_simulate_options(parser) -> None:
     _add_machine_options(parser)
     parser.add_argument("--no-ddos", action="store_true",
                         help="use static !sib annotations instead of DDOS")
-    parser.add_argument("--engine", choices=("fast", "reference"),
-                        default="fast",
-                        help="execution engine (both are bitwise-equivalent; "
-                             "'reference' is the seed implementation)")
     parser.add_argument("--max-cycles", type=int, default=None,
                         help="hard simulated-cycle budget")
 
@@ -377,8 +373,7 @@ def _cmd_run(args) -> int:
     """Simulate one kernel, in-process or in the ``--server`` daemon."""
     config = _make_config(args)
     spec = RunSpec(kernel=args.kernel, config=config,
-                   params=_parse_params(args.param), engine=args.engine,
-                   label=args.kernel)
+                   params=_parse_params(args.param), label=args.kernel)
     start = time.time()
     handle = submit(spec, server=args.server, client_name="run",
                     stream=args.progress_stream)
@@ -421,8 +416,7 @@ def _cmd_profile(args) -> int:
     try:
         # Direct, not submitted: the report needs the live obs (a
         # RunResult does not carry the issue ring).
-        result = simulate(workload, config=config, engine=args.engine,
-                          obs=obs)
+        result = simulate(workload, config=config, obs=obs)
     except (SimulationHang, WorkloadError, OSError) as exc:
         return _report_failure(args.kernel, RunFailure(
             spec=None, spec_hash="", error_type=type(exc).__name__,
@@ -431,7 +425,7 @@ def _cmd_profile(args) -> int:
         ))
     elapsed = time.time() - start
     report = build_profile(result, workload=args.kernel,
-                           scheduler=args.scheduler, engine=args.engine)
+                           scheduler=args.scheduler, engine="fast")
     text = report.to_markdown()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -518,47 +512,6 @@ def _cmd_lint(args) -> int:
     else:
         print(text)
     return EXIT_FAILURE if failed else EXIT_OK
-
-
-def _cmd_bench(args) -> int:
-    from repro.bench import (BenchError, load_benchmark, run_benchmark,
-                             write_benchmark)
-
-    try:
-        payload = run_benchmark(quick=args.quick, reps=args.reps,
-                                progress=print, server=args.server)
-    except BenchError as exc:
-        print(f"bench: EQUIVALENCE FAILURE: {exc}")
-        return EXIT_VALIDATION
-    summary = payload["summary"]
-    print(f"\nspeedup: min {summary['min_speedup']:.2f}x, "
-          f"geomean {summary['geomean_speedup']:.2f}x, "
-          f"max {summary['max_speedup']:.2f}x "
-          f"(peak RSS {summary['peak_rss_mb']:.0f} MiB)")
-    if args.baseline:
-        committed = load_benchmark(args.baseline)
-        if committed is None:
-            print(f"bench: no compatible baseline at {args.baseline}")
-        else:
-            by_key = {(e["kernel"], e["mode"]): e
-                      for e in committed["entries"]}
-            for entry in payload["entries"]:
-                ref = by_key.get((entry["kernel"], entry["mode"]))
-                if ref is None:
-                    continue
-                delta = entry["speedup"] / ref["speedup"] - 1.0
-                print(f"  vs baseline {entry['kernel']}/{entry['mode']}: "
-                      f"{ref['speedup']:.2f}x -> {entry['speedup']:.2f}x "
-                      f"({delta:+.0%})")
-    if args.out:
-        write_benchmark(payload, args.out)
-        print(f"[benchmark record written to {args.out}]")
-    if (args.min_speedup is not None
-            and summary["min_speedup"] < args.min_speedup):
-        print(f"bench: FAILED — min speedup {summary['min_speedup']:.2f}x "
-              f"< required {args.min_speedup:.2f}x")
-        return EXIT_FAILURE
-    return EXIT_OK
 
 
 def _cmd_serve(args) -> int:
@@ -695,25 +648,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     prof.add_argument("--trace", default=None, metavar="PATH",
                       help="write Chrome trace JSON (issue timeline + "
                            "sampled counter tracks) to PATH")
-
-    bench = command("bench", _cmd_bench,
-                    help="measure fast-engine speedup on the fixed kernel "
-                         "matrix")
-    bench.add_argument("--quick", action="store_true",
-                       help="shrunk matrix for CI smoke runs")
-    bench.add_argument("--reps", type=int, default=3,
-                       help="repetitions per engine (min wall time kept)")
-    bench.add_argument("--out", default=None, metavar="PATH",
-                       help="write the versioned benchmark JSON to PATH")
-    bench.add_argument("--min-speedup", type=float, default=None,
-                       metavar="X",
-                       help="fail (exit 1) if any entry's speedup < X")
-    bench.add_argument("--baseline", default=None, metavar="PATH",
-                       help="committed BENCH_hotloop.json to compare "
-                            "against (prints per-entry deltas)")
-    _add_server_option(bench, "the runs",
-                       caveat=" (smoke only: the daemon dedupes reps, so "
-                              "wall timings are not comparable)")
 
     fuzz = command("fuzz", _cmd_fuzz,
                    help="hunt for schedule-dependent hangs with seeded "

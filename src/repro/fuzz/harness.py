@@ -42,6 +42,11 @@ HANG_ERRORS = ("SimulationLivelock", "SimulationDeadlock")
 VALIDATION_ERRORS = ("WorkloadError",)
 
 
+def _default_epoch(watchdog: int) -> int:
+    """The progress-monitor period a campaign uses unless told one."""
+    return max(250, watchdog // 8)
+
+
 @dataclass
 class FuzzFinding:
     """One seed that hanged, raced, or produced a wrong answer."""
@@ -83,6 +88,9 @@ class FuzzReport:
     #: still reproduce it, plus how many shrink runs were spent.
     shrink: Optional[Dict[str, Any]] = None
     elapsed_s: float = 0.0
+    #: The machine every seed ran on before its perturbation (budget,
+    #: watchdog and progress epoch applied); the repro command spells it.
+    machine: Optional[GPUConfig] = None
 
     @property
     def hangs(self) -> List[FuzzFinding]:
@@ -116,6 +124,18 @@ class FuzzReport:
             f"--mem-jitter {p.get('mem_jitter_cycles', 0)}",
             f"--rotation {p.get('rotation_period', 0)}",
         ]
+        machine = self.machine
+        if machine is not None:
+            parts.append(f"--preset {machine.name.split('-')[0]}")
+            parts.append(f"--scheduler {machine.scheduler}")
+            bows = machine.bows
+            if bows is not None:
+                limit = "adaptive" if bows.adaptive else bows.delay_limit
+                parts.append(f"--bows {limit}")
+            if machine.progress_epoch != _default_epoch(self.watchdog):
+                parts.append(f"--progress-epoch {machine.progress_epoch}")
+            if machine.invariant_checks:
+                parts.append("--invariants")
         for name, value in sorted(self.params.items()):
             parts.append(f"--param {name}={value}")
         return " ".join(parts)
@@ -211,7 +231,7 @@ class ScheduleFuzzer:
         if watchdog is None:
             watchdog = max(1000, budget_cycles // 4)
         if progress_epoch is None:
-            progress_epoch = max(250, watchdog // 8)
+            progress_epoch = _default_epoch(watchdog)
         self.kernel = kernel
         self.params = params
         self.budget_cycles = budget_cycles
@@ -234,15 +254,20 @@ class ScheduleFuzzer:
             rotation_period=self.rotation_period,
         )
 
-    def spec_for(self, seed: int,
-                 perturb: Optional[PerturbConfig] = None) -> RunSpec:
-        perturb = perturb if perturb is not None else self.perturb_for(seed)
-        config = self.base_config.replace(
-            perturb=perturb,
+    @property
+    def machine(self) -> GPUConfig:
+        """``base_config`` with the campaign's budget, watchdog and
+        progress epoch: what every seed runs on, before perturbation."""
+        return self.base_config.replace(
             max_cycles=self.budget_cycles,
             no_progress_window=self.watchdog,
             progress_epoch=self.progress_epoch,
         )
+
+    def spec_for(self, seed: int,
+                 perturb: Optional[PerturbConfig] = None) -> RunSpec:
+        perturb = perturb if perturb is not None else self.perturb_for(seed)
+        config = self.machine.replace(perturb=perturb)
         sanitize = None
         if self.sanitize:
             from repro.analysis.sanitizer import SanitizerConfig
@@ -300,7 +325,7 @@ class ScheduleFuzzer:
         report = FuzzReport(
             kernel=self.kernel, params=dict(self.params),
             budget_cycles=self.budget_cycles, watchdog=self.watchdog,
-            seeds=seeds,
+            seeds=seeds, machine=self.machine,
         )
         for seed, outcome in zip(seeds, batch.results):
             if outcome.ok:

@@ -212,7 +212,7 @@ class BatchReport:
     retried: int = 0
     #: In-flight specs re-queued for free after a pool worker died.
     worker_losses: int = 0
-    #: Pooled runs observed exceeding ``straggler_factor × timeout_s``.
+    #: Pooled runs observed exceeding ``core.STRAGGLER_FACTOR × timeout_s``.
     stragglers: int = 0
     #: The batch was drained early by SIGINT/SIGTERM.
     interrupted: bool = False

@@ -35,8 +35,8 @@ def experiment_spec(combo: Dict[str, Any]) -> RunSpec:
     """Stock factory: combo axes in the harness vocabulary.
 
     Recognized axes: ``kernel`` (required), ``scheduler``, ``bows``,
-    ``ddos``, ``preset``, ``scale``, ``seed``, ``validate``,
-    ``engine``, ``obs`` (``True`` for default collection or an
+    ``ddos``, ``preset``, ``scale``, ``seed``, ``validate``, ``obs``
+    (``True`` for default collection or an
     :class:`~repro.obs.ObsConfig`), ``sanitize`` (``True`` or a
     :class:`~repro.analysis.SanitizerConfig`); any other axis is passed
     through as a workload parameter override.
@@ -55,7 +55,6 @@ def experiment_spec(combo: Dict[str, Any]) -> RunSpec:
     )
     seed = combo.pop("seed", None)
     validate = combo.pop("validate", True)
-    engine = combo.pop("engine", "fast")
     obs = combo.pop("obs", None)
     if obs is True:
         from repro.obs import ObsConfig
@@ -70,7 +69,7 @@ def experiment_spec(combo: Dict[str, Any]) -> RunSpec:
     params = dict(registry.get(kernel, {}))
     params.update(combo)  # leftover axes are workload parameters
     return RunSpec(kernel=kernel, config=config, params=params,
-                   seed=seed, validate=validate, engine=engine,
+                   seed=seed, validate=validate,
                    obs=obs or None, sanitize=sanitize or None)
 
 
@@ -108,8 +107,8 @@ class Sweep:
         for combo in self.combos():
             spec = factory(combo)
             if spec.label is None:
-                # replace() keeps every other field (engine, obs,
-                # sanitize, ...) — the label is presentation-only.
+                # replace() keeps every other field (obs, sanitize,
+                # ...) — the label is presentation-only.
                 spec = dataclasses.replace(spec, label=_combo_label(combo))
             specs.append(spec)
         return specs

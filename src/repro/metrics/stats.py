@@ -23,7 +23,7 @@ from repro.memory.memsys import MemoryStats
 
 #: Version of the :meth:`SimStats.summary` reporting schema.  Bump this
 #: whenever a key is added, removed, renamed, or its meaning changes —
-#: downstream consumers (BENCH_hotloop.json, lab result caches, plots)
+#: downstream consumers (golden fixtures, lab result caches, plots)
 #: key on it to detect incompatible records.
 SUMMARY_SCHEMA_VERSION = 1
 

@@ -218,6 +218,10 @@ class HangReport:
             lines.append("last scheduler/sync decisions:")
             for line in self.events_tail[-8:]:
                 lines.append(f"  {line}")
+        if self.trace_tail:
+            lines.append("last issued instructions:")
+            for line in self.trace_tail[-8:]:
+                lines.append(f"  {line}")
         if self.diagnostics:
             lines.append("sanitizer findings before the hang:")
             for d in self.diagnostics[:8]:

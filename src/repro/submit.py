@@ -38,7 +38,7 @@ Served
 
 :class:`SubmitBatch` is the many-spec variant; its :attr:`~SubmitBatch.
 report` is an ordinary :class:`~repro.lab.runner.BatchReport`, so sweep
-/ bench / fuzz code consumes either road's outcomes identically.
+and fuzz code consumes either road's outcomes identically.
 """
 
 from __future__ import annotations
@@ -188,7 +188,7 @@ class SubmitBatch:
     @property
     def report(self) -> BatchReport:
         """The batch as a :class:`~repro.lab.runner.BatchReport` — the
-        shape sweep/bench/fuzz reporting already consumes.  Blocks
+        shape sweep/fuzz reporting already consumes.  Blocks
         until every handle is terminal."""
         if self._report is None:
             self._report = BatchReport(

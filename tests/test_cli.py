@@ -331,7 +331,6 @@ SERVED_COMMANDS = [
     ["run", "vecadd", "--server"],
     ["sweep", "--kernel", "vecadd", "--scale", "quick", "--server"],
     ["fuzz", "vecadd", "--seeds", "1", "--server"],
-    ["bench", "--quick", "--reps", "1", "--server"],
     ["serve", "--status"],
 ]
 

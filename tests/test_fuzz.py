@@ -100,6 +100,43 @@ def test_hang_finding_carries_forensics_and_repro():
     assert "--seed-base 1" in repro and "fuzz vecadd" in repro
 
 
+def test_repro_command_replays_the_fuzzed_machine(monkeypatch):
+    """Parsed back through the CLI, the printed command rebuilds the
+    machine the campaign fuzzed — scheduler, BOWS, preset and a
+    non-default progress epoch included — so the replayed seed is the
+    same spec."""
+    import shlex
+
+    from repro.cli import main
+    from repro.sim.config import GPUConfig
+
+    def hang(spec):
+        raise SimulationLivelock("x", _stub_report())
+
+    fuzzer = _fuzzer(base_config=GPUConfig.preset("pascal", scheduler="lrr",
+                                                  bows=500),
+                     progress_epoch=700)
+    report = fuzzer.run([3], runner=Runner(workers=1, run_fn=hang),
+                        shrink=False)
+    command = shlex.split(report.repro_command())
+    assert command[:3] == ["python", "-m", "repro"]
+
+    replayed = []
+
+    def capture(self, seeds, **kwargs):
+        replayed.append(self)
+        return FuzzReport(kernel=self.kernel, params=self.params,
+                          budget_cycles=self.budget_cycles,
+                          watchdog=self.watchdog, seeds=list(seeds))
+
+    monkeypatch.setattr(ScheduleFuzzer, "run", capture)
+    assert main(command[3:]) == 0
+    (rebuilt,) = replayed
+    spec, original = rebuilt.spec_for(3), fuzzer.spec_for(3)
+    assert spec.config == original.config
+    assert spec.content_hash() == original.content_hash()
+
+
 def test_budget_timeout_is_not_a_hang_finding():
     def slow(spec):
         raise SimulationTimeout("still going", None)

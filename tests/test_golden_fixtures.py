@@ -4,8 +4,9 @@
 other*, so a regression in a class they share (``RegisterFile``,
 ``SIMTStack``, ``GlobalMemory``/``MemorySubsystem``) moves both and stays
 invisible.  ``tests/fixtures/golden_summaries.json`` pins the absolute
-answer: for the 8 sync and 7 sync-free kernels at quick scale under
-{GTO, GTO + adaptive BOWS + DDOS} it holds the full
+answer: for the 8 sync and 7 sync-free kernels at quick scale, plus
+``ht`` / ``nw1`` / ``atm`` at full size (their builders' defaults),
+under {GTO, GTO + adaptive BOWS + DDOS} it holds the full
 ``SimStats.summary()`` and the sha256 of the final ``memory.words``.
 
 The fixture is regenerated only when the *model* changes on purpose::
@@ -33,17 +34,21 @@ CONFIGS = {
     "bows": dict(scheduler="gto", bows="adaptive", ddos=True),
 }
 
-CASES = [
-    f"{kernel}-{label}"
-    for kernel in (*QUICK_PARAMS, *QUICK_SYNC_FREE)
-    for label in CONFIGS
-]
+#: Case prefix -> (kernel, builder params): every kernel at quick scale,
+#: and the three hot-loop kernels at full size as ``<kernel>-full``.
+WORKLOADS = {
+    **{kernel: (kernel, params)
+       for kernel, params in {**QUICK_PARAMS, **QUICK_SYNC_FREE}.items()},
+    **{f"{kernel}-full": (kernel, {}) for kernel in ("ht", "nw1", "atm")},
+}
+
+CASES = [f"{name}-{label}" for name in WORKLOADS for label in CONFIGS]
 
 
 def golden_record(case: str, engine: str) -> dict:
     """``summary()`` + memory-image hash of one (kernel, config) case."""
-    kernel, label = case.rsplit("-", 1)
-    params = QUICK_PARAMS.get(kernel) or QUICK_SYNC_FREE[kernel]
+    name, label = case.rsplit("-", 1)
+    kernel, params = WORKLOADS[name]
     result = simulate(kernel, config=make_config(**CONFIGS[label]),
                       params=params, engine=engine)
     words = result.memory.words

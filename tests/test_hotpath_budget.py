@@ -46,8 +46,8 @@ MEASURED = {
 #: frames differ between releases (``np.count_nonzero`` alone is one to
 #: three frames depending on the NumPy version) and no other toolchain
 #: has been measured, so elsewhere — the Python 3.9 tier-1 leg — the
-#: count is printed and the assertion skipped; CI's ``bench-smoke`` job
-#: runs this file on 3.11.
+#: count is printed and the assertion skipped; CI's ``ledger-selftest``
+#: job runs this file on 3.11 with that NumPy minor pinned.
 MEASURED_ON = ((3, 11), (2, 4))
 SLACK = 1.15
 

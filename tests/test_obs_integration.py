@@ -162,8 +162,9 @@ def test_hang_report_without_bus_has_empty_tail(tiny_config):
 
 def test_hang_report_embeds_the_last_issues(tiny_config):
     """With issue recording on, the report's ``trace_tail`` is the last
-    32 issues, oldest first, rendered as ``Issue.__str__`` renders them;
-    with recording off (a bus, but no issue ring) it is empty."""
+    32 issues, oldest first, rendered as ``Issue.__str__`` renders them,
+    and ``describe()`` prints the last 8; with recording off (a bus, but
+    no issue ring) it is empty and ``describe()`` has no such section."""
     import re
 
     config = tiny_config.replace(max_cycles=300_000,
@@ -177,9 +178,14 @@ def test_hang_report_embeds_the_last_issues(tiny_config):
         with pytest.raises(SimulationLivelock) as excinfo:
             gpu.launch(KernelLaunch(program, 4, 1, {"mutex": mutex}))
         report = excinfo.value.report
+        text = report.describe()
         if obs.issues is None:
             assert report.trace_tail == []
+            assert "last issued instructions:" not in text
             continue
+        heading = text.index("last issued instructions:\n")
+        assert text[heading:].splitlines()[1:9] == [
+            f"  {line}" for line in report.trace_tail[-8:]]
         assert obs.issues.dropped > 0, "the ring must have wrapped"
         assert report.trace_tail == [
             str(issue) for issue in obs.issues.events()[-32:]]

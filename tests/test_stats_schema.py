@@ -1,7 +1,7 @@
 """The ``SimStats.summary()`` reporting schema is frozen and versioned.
 
-Downstream artifacts — lab result caches, sweep manifests,
-``BENCH_hotloop.json``, the plotting pipeline — key on summary dicts.
+Downstream artifacts — lab result caches, sweep manifests, the golden
+fixtures, the plotting pipeline — key on summary dicts.
 This suite pins the exact key set (and order) to ``SUMMARY_KEYS`` and
 the embedded ``schema_version`` to ``SUMMARY_SCHEMA_VERSION``: changing
 either without bumping the version is a contract break this test makes

@@ -1,7 +1,7 @@
 """The unified submission API: one call shape over both roads.
 
 ``submit``/``submit_many`` are the indifference point every tool (CLI,
-sweep, bench, fuzz) goes through; these tests pin the handle contract —
+sweep, fuzz) goes through; these tests pin the handle contract —
 ``done`` / ``status`` / ``stream()`` / ``outcome()`` / ``result()`` —
 in-process and its equivalence with the served road
 (server internals get their own workout in ``test_serve.py``).
