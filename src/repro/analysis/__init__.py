@@ -13,7 +13,7 @@ Two layers (see ``docs/analysis.md``):
   race detection on lock-protected addresses, runtime barrier
   divergence, and lock-discipline violations, with structured
   :class:`~repro.analysis.diagnostics.Diagnostic` records that ride
-  hang reports and lab manifests.
+  hang reports and lab journals.
 """
 
 from repro.analysis.diagnostics import Diagnostic, waiver_role

@@ -4,7 +4,7 @@ Every finding — static or runtime — is a :class:`Diagnostic`: a stable
 checker id (``SIB001``, ``LOCK002``, ``SAN001`` ...), a severity, the
 instruction index it anchors to, and a fix hint.  Diagnostics are plain
 data (``to_dict`` round-trips through JSON) so they can ride lab
-manifests, fuzz reports and :class:`~repro.sim.progress.HangReport`
+results, fuzz reports and :class:`~repro.sim.progress.HangReport`
 payloads unchanged.
 
 Known-intentional findings are *waived* at the source: annotating the

@@ -322,9 +322,6 @@ def _cmd_sweep(args) -> int:
     if args.journal:
         print(f"[journal at {args.journal}; finish a killed sweep with "
               f"'repro sweep --resume {args.journal}']")
-    if args.manifest:
-        result.write_manifest(args.manifest)
-        print(f"[manifest written to {args.manifest}]")
     return code
 
 
@@ -381,7 +378,7 @@ def _cmd_run(args) -> int:
         for record in handle.stream():
             print(f"  [{record.get('kind')}] "
                   + " ".join(f"{k}={v}" for k, v in record.items()
-                             if k != "kind"))
+                             if k not in ("v", "kind")))
     outcome = handle.outcome()
     if not outcome.ok:
         return _report_failure(args.kernel, outcome)
@@ -404,9 +401,9 @@ def _cmd_profile(args) -> int:
     config = _make_config(args)
     params = _parse_params(args.param)
     if args.quick and not params:
-        from repro.harness.params import QUICK_PARAMS
+        from repro.harness.params import params_for
 
-        params = dict(QUICK_PARAMS.get(args.kernel, {}))
+        params = params_for(args.kernel, "quick")
     workload = build_workload(args.kernel, **params)
     obs = Observability(ObsConfig(
         event_capacity=args.event_capacity,
@@ -571,7 +568,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     swp = command("sweep", _cmd_sweep,
                   help="run a cartesian (kernel x scheduler x bows) sweep")
     swp.add_argument("--name", default="cli-sweep",
-                     help="sweep name (manifest/reporting)")
+                     help="sweep name (journal/reporting)")
     swp.add_argument("--kernel", action="append", default=[],
                      choices=kernel_names(), metavar="KERNEL",
                      help="kernel to include (repeatable; default: ht)")
@@ -587,11 +584,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                      help="workload parameter axis (repeatable)")
     _add_preset_option(swp)
     _add_scale_option(swp, "quick")
-    swp.add_argument("--manifest", default=None,
-                     help="write the sweep manifest JSON to this path")
     swp.add_argument("--journal", default=None, metavar="PATH",
-                     help="append specs and outcomes to a durable JSONL "
-                          "journal, making the sweep resumable")
+                     help="record specs, outcomes and notes in a durable "
+                          "JSONL journal, making the sweep resumable")
     swp.add_argument("--resume", default=None, metavar="PATH",
                      help="complete a killed sweep from its journal "
                           "(finished specs come back as cache hits)")

@@ -223,11 +223,8 @@ class ScheduleFuzzer:
         if base_config is None:
             base_config = GPUConfig.preset("fermi", scheduler="gto")
         if params is None:
-            from repro.harness.params import sync_free_params, sync_params
-            registry: Dict[str, dict] = {}
-            registry.update(sync_free_params(scale))
-            registry.update(sync_params(scale))
-            params = dict(registry.get(kernel, {}))
+            from repro.harness.params import params_for
+            params = params_for(kernel, scale)
         if watchdog is None:
             watchdog = max(1000, budget_cycles // 4)
         if progress_epoch is None:

@@ -87,3 +87,9 @@ def sync_free_params(scale: str = "full") -> Dict[str, dict]:
     if scale == "quick":
         return {k: dict(v) for k, v in QUICK_SYNC_FREE.items()}
     raise ValueError(f"unknown scale {scale!r}")
+
+
+def params_for(kernel: str, scale: str = "full") -> dict:
+    """``kernel``'s parameters at ``scale`` from whichever registry (sync
+    or sync-free) names it; ``{}`` (builder defaults) if neither does."""
+    return {**sync_free_params(scale), **sync_params(scale)}.get(kernel, {})

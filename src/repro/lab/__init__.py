@@ -8,7 +8,7 @@ operation (see ``docs/lab.md``):
   retries, and structured :class:`RunFailure` records;
 * :class:`ResultCache` — on-disk content-addressed result store keyed
   by spec hash + simulator-code fingerprint;
-* :class:`Sweep` — cartesian product builder with manifest reporting.
+* :class:`Sweep` — cartesian product builder, journaled and resumable.
 
 The experiment harness (``repro.harness.experiments``) executes every
 figure/table through the *current* runner, which defaults to an

@@ -12,7 +12,8 @@ the road it travels (``docs/robustness.md``, "Execution core"):
   in ``running``, in ``delayed`` or settled — the core alone says which;
 * the cache is re-checked at dispatch; a hit never reaches a worker;
 * a fresh result is persisted, then journaled, then announced — after
-  the worker it freed has been handed its next task;
+  the worker it freed has been handed its next task; a failed write
+  (a full disk) costs durability, never the outcome (``persist``);
 * a failure is classified once by :func:`classify`: a died pool worker
   re-queues the spec for free (once per spec, not an attempt), a
   transient error retries within the ``retries`` budget after a
@@ -181,8 +182,8 @@ class ExecutionCore:
     ``"worker_lost"`` (True when re-queued for free).  ``note`` gets
     one human-readable line per decision.
 
-    :meth:`submit` and :meth:`begin_drain` may be called from any thread
-    or signal handler; everything else belongs to the pumping thread.
+    :meth:`submit`, :meth:`begin_drain` and :meth:`persist` may be called
+    from any thread; everything else belongs to the pumping thread.
     """
 
     def __init__(self, task_queue, prepare: Callable[[Task], tuple],
@@ -229,6 +230,16 @@ class ExecutionCore:
         self._deadline = deadline
         self.draining = True
         self._events.put(None)
+
+    def persist(self, write: Callable[..., Any], *args: Any,
+                **kwargs: Any) -> None:
+        """One cache put or journal append; a failed one (a full disk)
+        costs durability, never an outcome: it is noted, not raised."""
+        try:
+            write(*args, **kwargs)
+        except OSError as exc:
+            self.note(f"{write.__qualname__} failed, continuing without "
+                      f"it: {type(exc).__name__}: {exc}")
 
     @contextmanager
     def drain_on_signal(self, grace_s: float,
@@ -382,7 +393,7 @@ class ExecutionCore:
             # Persist now, not at batch end: if this process is killed
             # later, the completed work survives as a cache hit.
             if self.cache is not None:
-                self.cache.put(task.spec, outcome)
+                self.persist(self.cache.put, task.spec, outcome)
             self._finish(task, outcome)
             return
         verdict = classify(outcome, task.attempts, self.retries,
@@ -435,7 +446,7 @@ class ExecutionCore:
     def _finish(self, task: Task,
                 outcome: Union[RunResult, RunFailure]) -> None:
         if self.journal is not None:
-            self.journal.record_outcome(outcome)
+            self.persist(self.journal.record_outcome, outcome)
         if not outcome.ok:
             verdict = f"FAILED ({outcome.error_type})"
         elif outcome.from_cache:

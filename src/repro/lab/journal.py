@@ -1,20 +1,16 @@
-"""Append-only sweep journal: the durable record that makes sweeps resumable.
+"""The host record: one versioned JSONL format, one writer, one reader.
 
-A journal is a JSONL file, one self-describing record per line, written
-with flush + fsync so every completed record survives a SIGKILL of the
-writer (a torn final line is tolerated and skipped on load).  Records:
+Every JSONL line the host writes about its runs — the sweep and serve
+journals, the serve worker's per-job progress spool and the in-process
+replay of that spool — is built by :func:`record` as ``{"v": 1, "kind":
+K, ...}`` with exactly the keys :data:`RECORD_KEYS` names for ``K``.
+:meth:`SweepJournal.append` is the one writer (flush + fsync per line,
+so every completed line survives a SIGKILL of the writer; the advisory
+spool skips the fsync) and :func:`read_records` the one reader (a torn
+final line is left for the next call; a line that is not a v1 record of
+a known kind is skipped and counted).
 
-``{"type": "spec", "hash": ..., "spec": {...}, "label": ...}``
-    One per sweep item, written up front — the journal alone is enough
-    to rebuild the full spec list via :meth:`RunSpec.from_dict`.
-``{"type": "done", "hash": ..., "from_cache": bool, "cycles": int}``
-    A spec produced a result (served from cache or freshly executed).
-``{"type": "failed", "hash": ..., "error_type": ..., "transient": bool}``
-    A spec exhausted its attempts.
-``{"type": "note", ...}``
-    Free-form progress marks (interruption, resume, worker loss).
-
-``repro sweep --journal j.jsonl`` writes one; after a crash,
+``repro sweep --journal j.jsonl`` writes a journal; after a crash,
 ``repro sweep --resume j.jsonl`` rebuilds the specs from it and re-runs
 the batch — finished specs come back as result-cache hits (recorded as
 ``from_cache`` done records), so nothing completed is ever recomputed.
@@ -28,13 +24,78 @@ import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.lab.spec import RunSpec, _json_default
+
+#: Version of the record layout: readers skip any other.
+RECORD_VERSION = 1
+
+#: Exactly the keys of each record kind besides ``v`` and ``kind``.
+#: Frozen: changing a set requires a version bump.
+RECORD_KEYS: Dict[str, Tuple[str, ...]] = {
+    # The journal: a batch's specs (enough to rebuild each one), their
+    # outcomes (``hang``: the inline HangReport) and batch/daemon notes.
+    "spec": ("hash", "label", "spec"),
+    "done": ("hash", "from_cache", "cycles", "attempts", "elapsed_s"),
+    "failed": ("hash", "error_type", "message", "transient", "attempts",
+               "elapsed_s", "hang"),
+    "note": ("note", "detail"),
+    # The progress spool: worker marks, obs rows and decision events.
+    # A note's or a mark's fields vary, so they nest under ``detail``.
+    "lifecycle": ("phase", "detail"),
+    "sample": ("row",),
+    "event": ("event",),
+    "event_gap": ("skipped",),
+}
+
+_LINE_KEYS = {kind: {"v", "kind", *keys} for kind, keys in RECORD_KEYS.items()}
 
 
 class JournalError(RuntimeError):
     """The journal could not be read or does not describe a sweep."""
+
+
+def record(kind: str, **fields: Any) -> Dict[str, Any]:
+    """One v1 record of ``kind``; ``ValueError`` unless ``fields`` is
+    exactly that kind's key set."""
+    expected = set(RECORD_KEYS.get(kind, ()))
+    if not expected or fields.keys() != expected:
+        raise ValueError(
+            f"{kind!r} record: expected keys {sorted(expected)}, "
+            f"got {sorted(fields)}")
+    return {"v": RECORD_VERSION, "kind": kind, **fields}
+
+
+def read_records(path, offset: int = 0
+                 ) -> Tuple[List[Dict[str, Any]], int, int]:
+    """Read the complete lines of ``path`` from byte ``offset`` on.
+
+    Returns ``(records, end, skipped)``: the v1 records read, the offset
+    after the last complete line (a torn final line stays unconsumed for
+    the next call) and how many lines were not a v1 record of a known
+    kind.  Blank lines are ignored.
+    """
+    with open(path, "rb") as handle:
+        handle.seek(offset)
+        chunk = handle.read()
+    lines = chunk.split(b"\n")
+    torn = lines.pop()
+    records, skipped = [], 0
+    for line in lines:
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except ValueError:
+            rec = None
+        if (isinstance(rec, dict) and rec.get("v") == RECORD_VERSION
+                and isinstance(rec.get("kind"), str)
+                and rec.keys() == _LINE_KEYS.get(rec["kind"])):
+            records.append(rec)
+        else:
+            skipped += 1
+    return records, offset + len(chunk) - len(torn), skipped
 
 
 class SweepJournal:
@@ -45,68 +106,53 @@ class SweepJournal:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._handle = open(self.path, "a", encoding="utf-8")
         self._lock = threading.Lock()
+        records, end, _ = read_records(self.path)
         # Specs an earlier writer already journaled are not re-recorded.
-        self._spec_hashes = set()
-        if self.path.stat().st_size:
-            for record in _read_records(self.path):
-                if (isinstance(record, dict) and record.get("type") == "spec"
-                        and "hash" in record):
-                    self._spec_hashes.add(record["hash"])
+        self._spec_hashes = {r["hash"] for r in records
+                             if r["kind"] == "spec"}
+        if end < self.path.stat().st_size:  # a killed writer's torn line
+            self._handle.write("\n")       # ends here, not in ours
 
     # -- writing --------------------------------------------------------
 
-    def _append(self, record: Dict[str, Any]) -> None:
-        line = json.dumps(record, default=_json_default)
+    def append(self, line: Dict[str, Any], durable: bool = True) -> None:
+        """Write one :func:`record`; ``durable`` adds the fsync (the
+        progress spool is advisory and goes without)."""
+        text = json.dumps(line, separators=(",", ":"),
+                          default=_json_default) + "\n"
         # One writer at a time: the serve daemon journals from its
         # client threads and its dispatcher through one handle.
         with self._lock:
-            self._handle.write(line + "\n")
+            self._handle.write(text)
             self._handle.flush()
-            os.fsync(self._handle.fileno())
+            if durable:
+                os.fsync(self._handle.fileno())
 
     def record_spec(self, spec: RunSpec) -> None:
         """Journal the spec itself (idempotent across resumes)."""
         spec_hash = spec.content_hash()
         if spec_hash in self._spec_hashes:
             return
+        self.append(record("spec", hash=spec_hash, label=spec.label,
+                           spec=spec.to_dict()))
         self._spec_hashes.add(spec_hash)
-        self._append({
-            "type": "spec",
-            "hash": spec_hash,
-            "label": spec.label,
-            "spec": spec.to_dict(),
-        })
-
-    def record_done(self, spec_hash: str, from_cache: bool,
-                    cycles: int) -> None:
-        self._append({
-            "type": "done",
-            "hash": spec_hash,
-            "from_cache": bool(from_cache),
-            "cycles": int(cycles),
-        })
-
-    def record_failed(self, spec_hash: str, error_type: str,
-                      transient: bool) -> None:
-        self._append({
-            "type": "failed",
-            "hash": spec_hash,
-            "error_type": error_type,
-            "transient": bool(transient),
-        })
 
     def record_outcome(self, outcome) -> None:
         """Journal a terminal record: a ``RunResult`` as ``done``, a
         ``RunFailure`` as ``failed``."""
+        common = dict(hash=outcome.spec_hash, attempts=outcome.attempts,
+                      elapsed_s=round(outcome.elapsed_s, 3))
         if outcome.ok:
-            self.record_done(outcome.spec_hash, outcome.from_cache,
-                             outcome.cycles)
+            line = record("done", **common, from_cache=outcome.from_cache,
+                          cycles=outcome.cycles)
         else:
-            self.record_failed(outcome.spec_hash, outcome.error_type,
-                               outcome.transient)
+            line = record("failed", **common, error_type=outcome.error_type,
+                          message=outcome.message, hang=outcome.hang,
+                          transient=outcome.transient)
+        self.append(line)
 
     def record_note(self, note: str, **detail: Any) -> None:
-        self._append({"type": "note", "note": note, **detail})
+        self.append(record("note", note=note, detail=detail))
 
     def close(self) -> None:
         if not self._handle.closed:
@@ -143,22 +189,24 @@ class JournalState:
     path: str
     #: spec hash -> rebuilt RunSpec, in first-seen order.
     specs: Dict[str, RunSpec] = field(default_factory=dict)
-    #: spec hashes with a ``done`` record.
+    #: spec hash -> last ``done`` record.
     done: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     #: spec hash -> last ``failed`` record.
     failed: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     notes: List[Dict[str, Any]] = field(default_factory=list)
-    #: Lines that could not be parsed (at most the torn final line of a
-    #: killed writer under normal operation).
+    #: Lines that are not a readable v1 record (at most the torn final
+    #: line of a killed writer under normal operation).
     skipped_lines: int = 0
+    #: kind -> count of v1 records no journal holds (progress-spool kinds).
+    unknown_kinds: Dict[str, int] = field(default_factory=dict)
 
     @property
     def cache_hits(self) -> int:
-        return sum(1 for r in self.done.values() if r.get("from_cache"))
+        return sum(1 for r in self.done.values() if r["from_cache"])
 
     @property
     def executed(self) -> int:
-        return sum(1 for r in self.done.values() if not r.get("from_cache"))
+        return sum(1 for r in self.done.values() if not r["from_cache"])
 
     @property
     def pending(self) -> List[RunSpec]:
@@ -166,61 +214,48 @@ class JournalState:
         return [spec for spec_hash, spec in self.specs.items()
                 if spec_hash not in self.done]
 
-    def all_specs(self) -> List[RunSpec]:
-        return list(self.specs.values())
-
-
-def _read_records(path: Path):
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield json.loads(line)
-            except ValueError:
-                yield None  # torn tail from a killed writer
-
 
 def load_journal(path) -> JournalState:
-    """Parse a journal; tolerates (and counts) a torn final line."""
+    """Parse a journal; tolerates (and counts) unreadable lines."""
     path = Path(path)
     if not path.is_file():
         raise JournalError(f"no sweep journal at {path}")
-    state = JournalState(path=str(path))
-    for record in _read_records(path):
-        if record is None or not isinstance(record, dict):
-            state.skipped_lines += 1
-            continue
-        kind = record.get("type")
+    records, end, skipped = read_records(path)
+    # Read once and to the end: an unconsumed tail is a torn line.
+    state = JournalState(path=str(path), skipped_lines=skipped
+                         + (end < path.stat().st_size))
+    for rec in records:
+        kind = rec["kind"]
         if kind == "spec":
-            spec_hash = record.get("hash")
-            if spec_hash and spec_hash not in state.specs:
+            if rec["hash"] not in state.specs:
                 try:
-                    state.specs[spec_hash] = RunSpec.from_dict(
-                        record["spec"], label=record.get("label"),
-                    )
+                    state.specs[rec["hash"]] = RunSpec.from_dict(
+                        rec["spec"], label=rec["label"])
                 except (KeyError, TypeError, ValueError):
                     state.skipped_lines += 1
-        elif kind == "done":
-            state.done[record.get("hash")] = record
-        elif kind == "failed":
-            state.failed[record.get("hash")] = record
+        elif kind in ("done", "failed"):
+            getattr(state, kind)[rec["hash"]] = rec
         elif kind == "note":
-            state.notes.append(record)
+            state.notes.append(rec)
         else:
-            state.skipped_lines += 1
+            state.unknown_kinds[kind] = state.unknown_kinds.get(kind, 0) + 1
     if not state.specs:
-        raise JournalError(
-            f"{path} contains no spec records — is it a sweep journal?"
-        )
+        raise JournalError(f"{path} contains no spec records — " + (
+            f"{state.skipped_lines} unreadable line(s): a journal that "
+            f"predates record v{RECORD_VERSION} is not read; re-running the "
+            f"sweep against the same cache recomputes nothing"
+            if state.skipped_lines else "is it a sweep journal?"))
     return state
 
 
 __all__ = [
     "JournalError",
     "JournalState",
+    "RECORD_KEYS",
+    "RECORD_VERSION",
     "SweepJournal",
     "load_journal",
     "open_journal",
+    "read_records",
+    "record",
 ]

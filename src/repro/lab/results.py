@@ -108,8 +108,8 @@ class RunFailure:
     elapsed_s: float = 0.0
     transient: bool = False
     #: Inline :class:`~repro.sim.progress.HangReport` JSON when the run
-    #: hung (deadlock/livelock) or timed out; ships through manifests so
-    #: a sweep worker's hang forensics survive the process boundary.
+    #: hung (deadlock/livelock) or timed out; journaled in the ``failed``
+    #: record, so hang forensics survive the worker's process boundary.
     hang: Optional[Dict[str, Any]] = None
 
     ok = False

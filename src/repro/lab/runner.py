@@ -205,7 +205,7 @@ def _run_with_timeout(run_fn: Callable[[RunSpec], RunResult],
 
 @dataclass
 class BatchReport:
-    """Manifest of one :meth:`Runner.run_many` batch."""
+    """The outcomes of one :meth:`Runner.run_many` batch, in spec order."""
 
     results: List[Union[RunResult, RunFailure]]
     elapsed_s: float = 0.0
@@ -240,62 +240,6 @@ class BatchReport:
             raise LabError(
                 f"{len(failures)}/{self.total} runs failed:\n  {details}"
             )
-
-    def manifest(self) -> Dict[str, Any]:
-        """JSON-ready summary (one row per run, headline counters)."""
-        rows = []
-        for r in self.results:
-            if r.ok:
-                row = {
-                    "label": r.label,
-                    "spec_hash": r.spec_hash,
-                    "status": "cached" if r.from_cache else "ok",
-                    "cycles": r.cycles,
-                    "attempts": r.attempts,
-                    "elapsed_s": round(r.elapsed_s, 3),
-                }
-                if r.obs is not None:
-                    # Headline observability numbers; the full payload
-                    # stays on the RunResult itself.
-                    events = r.obs.get("events", {})
-                    series = r.obs.get("series") or {}
-                    row["obs"] = {
-                        "event_total": events.get("total", 0),
-                        "event_dropped": events.get("dropped", 0),
-                        "series_rows": len(series.get("rows", [])),
-                    }
-                if r.sanitizer is not None:
-                    row["sanitizer"] = {
-                        "ok": r.sanitizer.get("ok", True),
-                        "findings": len(r.sanitizer.get("diagnostics", [])),
-                    }
-                rows.append(row)
-            else:
-                row = {
-                    "label": r.spec.label if r.spec else None,
-                    "spec_hash": r.spec_hash,
-                    "status": "failed",
-                    "error": f"{r.error_type}: {r.message}",
-                    "attempts": r.attempts,
-                    "elapsed_s": round(r.elapsed_s, 3),
-                }
-                if r.hang is not None:
-                    # Inline HangReport JSON: the forensics survive the
-                    # manifest even after the worker process is gone.
-                    row["hang"] = r.hang
-                rows.append(row)
-        return {
-            "total": self.total,
-            "cache_hits": self.cache_hits,
-            "executed": self.executed,
-            "failed": len(self.failures),
-            "retried": self.retried,
-            "worker_losses": self.worker_losses,
-            "stragglers": self.stragglers,
-            "interrupted": self.interrupted,
-            "elapsed_s": round(self.elapsed_s, 3),
-            "runs": rows,
-        }
 
 
 class Runner:
@@ -348,16 +292,13 @@ class Runner:
         """Drive every spec to a result or failure record, in order.
 
         ``journal`` is an optional
-        :class:`~repro.lab.journal.SweepJournal`: specs and outcomes are
-        appended durably as the batch progresses, enabling
-        ``repro sweep --resume``.
+        :class:`~repro.lab.journal.SweepJournal`: specs, outcomes and a
+        closing ``batch_end`` note of the batch's counters are appended
+        durably, enabling ``repro sweep --resume``.
         """
         specs = list(specs)
         start = time.perf_counter()
         report = BatchReport(results=[None] * len(specs))
-        if journal is not None:
-            for spec in specs:
-                journal.record_spec(spec)
         slots: Dict[Task, int] = {}
         core = ExecutionCore(
             FifoQueue(), self._pool_call,
@@ -366,6 +307,9 @@ class Runner:
             journal=journal, timeout_s=self.timeout_s,
             retries=self.retries, backoff_base_s=self.backoff_base_s,
         )
+        if journal is not None:
+            for spec in specs:
+                core.persist(journal.record_spec, spec)
         for index, spec in enumerate(specs):
             task = Task(spec, client="batch")
             slots[task] = index
@@ -388,9 +332,12 @@ class Runner:
             report.worker_losses = core.worker_losses
             report.stragglers = core.stragglers
 
-        if report.interrupted and journal is not None:
-            journal.record_note("interrupted",
-                                completed=sum(r.ok for r in report.results))
+        if journal is not None:
+            core.persist(journal.record_note, "batch_end",
+                         retried=report.retried,
+                         worker_losses=report.worker_losses,
+                         stragglers=report.stragglers,
+                         interrupted=report.interrupted)
         report.elapsed_s = time.perf_counter() - start
         self.last_report = report
         return report

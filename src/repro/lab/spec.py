@@ -119,7 +119,7 @@ class RunSpec:
     #: changes the outcome, but changes what the cached result carries,
     #: so a set ``sanitize`` IS part of the hash (None keeps old hashes).
     sanitize: Optional["SanitizerConfig"] = None
-    #: Display name for progress/manifests; NOT part of the hash.
+    #: Display name for progress/journals; NOT part of the hash.
     label: Optional[str] = None
 
     def build_params(self) -> Dict[str, int]:

@@ -7,14 +7,14 @@ ordered combos.  A *spec factory* maps each combo to a
 the paper's vocabulary (scheduler/bows/preset + the canonical workload
 parameter registries).  ``Sweep.run`` fans the specs out through a
 :class:`~repro.lab.runner.Runner` and returns a :class:`SweepResult`
-pairing each combo with its outcome, plus a JSON-ready manifest.
+pairing each combo with its outcome; its journal, when given one, is
+the batch's record (``docs/lab.md``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Tuple,
                     Union)
@@ -41,7 +41,7 @@ def experiment_spec(combo: Dict[str, Any]) -> RunSpec:
     :class:`~repro.analysis.SanitizerConfig`); any other axis is passed
     through as a workload parameter override.
     """
-    from repro.harness.params import sync_free_params, sync_params
+    from repro.harness.params import params_for
     from repro.harness.runner import make_config
 
     combo = dict(combo)
@@ -63,10 +63,7 @@ def experiment_spec(combo: Dict[str, Any]) -> RunSpec:
     if sanitize is True:
         from repro.analysis.sanitizer import SanitizerConfig
         sanitize = SanitizerConfig()
-    registry: Dict[str, dict] = {}
-    registry.update(sync_free_params(scale))
-    registry.update(sync_params(scale))
-    params = dict(registry.get(kernel, {}))
+    params = params_for(kernel, scale)
     params.update(combo)  # leftover axes are workload parameters
     return RunSpec(kernel=kernel, config=config, params=params,
                    seed=seed, validate=validate,
@@ -127,7 +124,9 @@ class Sweep:
         """
         from repro.submit import submit_many
 
-        with open_journal(journal, "sweep", name=self.name) as journal:
+        axes = {k: [repr(v) for v in vs] for k, vs in self.axes.items()}
+        with open_journal(journal, "sweep", name=self.name,
+                          axes=axes) as journal:
             batch = submit_many(self.specs(factory), server=server,
                                 runner=runner, journal=journal,
                                 client_name=f"sweep:{self.name}")
@@ -150,7 +149,7 @@ def resume_sweep(journal_path, runner: Optional[Runner] = None,
     from repro.submit import submit_many
 
     state = load_journal(journal_path)
-    specs = state.all_specs()
+    specs = list(state.specs.values())
     if not rerun_failed:
         permanent = {h for h, rec in state.failed.items()
                      if not rec.get("transient") and h not in state.done}
@@ -163,7 +162,7 @@ def resume_sweep(journal_path, runner: Optional[Runner] = None,
 
 @dataclass
 class SweepResult:
-    """Combos paired with their outcomes, plus a manifest."""
+    """Combos paired with their outcomes."""
 
     sweep: Sweep
     combos: List[Dict[str, Any]]
@@ -196,16 +195,3 @@ class SweepResult:
                 })
             rows.append(row)
         return rows
-
-    def manifest(self) -> Dict[str, Any]:
-        manifest = {
-            "sweep": self.sweep.name,
-            "axes": {k: [repr(v) for v in vs]
-                     for k, vs in self.sweep.axes.items()},
-        }
-        manifest.update(self.report.manifest())
-        return manifest
-
-    def write_manifest(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.manifest(), handle, indent=2, default=str)

@@ -211,7 +211,7 @@ class Observability:
         return dict(self.bus.counts) if self.bus is not None else {}
 
     def to_dict(self, max_events: Optional[int] = None) -> Dict[str, Any]:
-        """JSON-ready payload (lab results, manifests, reports).
+        """JSON-ready payload (lab results, reports).
 
         ``max_events`` truncates the embedded event log to the last N
         (counts still reflect the full run).

@@ -24,8 +24,8 @@ narrative causally, not just statistically:
   (``Observability.issues``) so it never evicts a decision event.
 
 Events are plain data: :func:`event_to_dict` / :func:`format_event`
-are the only serialization surface, used by profile reports, lab
-manifests, and :class:`~repro.sim.progress.HangReport` tails.
+are the only serialization surface, used by profile reports, the
+progress spool, and :class:`~repro.sim.progress.HangReport` tails.
 """
 
 from __future__ import annotations

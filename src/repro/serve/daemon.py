@@ -35,7 +35,6 @@ journal, and clients.  A second signal aborts immediately.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import tempfile
@@ -46,7 +45,7 @@ from typing import Any, Dict, Optional
 
 from repro.lab.cache import ResultCache
 from repro.lab.core import ExecutionCore
-from repro.lab.journal import SweepJournal
+from repro.lab.journal import SweepJournal, read_records, record
 from repro.lab.spec import RunSpec
 from repro.serve import protocol, wire
 from repro.serve.jobstore import Job, JobStore
@@ -353,7 +352,7 @@ class ServeDaemon:
                                         subscriber=subscription)
         self._count("submitted")
         if self._journal is not None:
-            self._journal.record_spec(spec)
+            self.core.persist(self._journal.record_spec, spec)
         accepted = {"type": "accepted", "job_id": job.id,
                     "spec_hash": job.spec_hash, "status": status}
         if status == "cached":
@@ -361,7 +360,7 @@ class ServeDaemon:
             # enters the core.  Both lines leave in one socket write.
             self._count("cache_hits")
             if self._journal is not None:
-                self._journal.record_outcome(job.result)
+                self.core.persist(self._journal.record_outcome, job.result)
             conn.send(accepted,
                       {"type": "result", "job_id": job.id,
                        "result": wire.result_to_wire(job.result)})
@@ -382,8 +381,9 @@ class ServeDaemon:
             while not core.draining:
                 self._turn()
             if self._journal is not None:
-                self._journal.record_note("drain", running=len(core.running),
-                                          queued=len(self.scheduler))
+                core.persist(self._journal.record_note, "drain",
+                             running=len(core.running),
+                             queued=len(self.scheduler))
             while not core.idle:
                 self._turn()
         finally:
@@ -400,8 +400,8 @@ class ServeDaemon:
         self._count("dispatched")
         job.broadcast({"type": "progress", "job_id": job.id,
                        "spec_hash": job.spec_hash, "kind": "lifecycle",
-                       "data": {"kind": "lifecycle", "phase": "dispatched",
-                                "attempt": job.attempts}},
+                       "data": record("lifecycle", phase="dispatched",
+                                      detail={"attempt": job.attempts})},
                       stream_only=True)
         # Looked up at call time: tests substitute the worker entry.
         return (serve_entry, job.spec, job.progress_path,
@@ -433,25 +433,15 @@ class ServeDaemon:
         path = job.progress_path
         if path is None:
             return
-        try:
-            with open(path, "rb") as handle:
-                handle.seek(job.progress_offset)
-                chunk = handle.read()
+        try:  # a torn final line is left for the next poll
+            records, job.progress_offset, _ = read_records(
+                path, job.progress_offset)
         except OSError:
             return
-        lines = chunk.split(b"\n")
-        # A torn final line stays buffered for the next poll.
-        remainder = lines.pop()
-        job.progress_offset += len(chunk) - len(remainder)
-        for line in lines:
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
+        for line in records:
             job.broadcast({"type": "progress", "job_id": job.id,
-                           "spec_hash": job.spec_hash,
-                           "kind": record.get("kind", "unknown"),
-                           "data": record},
+                           "spec_hash": job.spec_hash, "kind": line["kind"],
+                           "data": line},
                           stream_only=True)
         if final:
             job.progress_path = None
@@ -482,9 +472,10 @@ class ServeDaemon:
         for conn in conns:
             conn.close()
         if self._journal is not None:
-            self._journal.record_note("serve_exit", abort=self._abort,
-                                      interrupted=self.core.interrupted)
-            self._journal.close()
+            self.core.persist(self._journal.record_note, "serve_exit",
+                              abort=self._abort,
+                              interrupted=self.core.interrupted)
+            self.core.persist(self._journal.close)
         if self._owns_spool and self.spool_dir is not None:
             shutil.rmtree(self.spool_dir, ignore_errors=True)
         self._note("stopped" + (" (abort)" if self._abort else ""))

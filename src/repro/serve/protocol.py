@@ -34,9 +34,9 @@ daemon → client
                   already in flight; this client subscribes to it), or
                   ``cached`` (result follows immediately, no dispatch).
 ``progress``      ``{job_id, spec_hash, kind, data}`` — streamed while
-                  the run is in flight: ``lifecycle`` marks, obs
-                  ``sample`` rows, obs ``event`` records, daemon
-                  ``journal`` notes.
+                  the run is in flight; ``data`` is one v1 host record
+                  (:mod:`repro.lab.journal`): ``lifecycle`` marks, obs
+                  ``sample`` rows, ``event`` / ``event_gap`` records.
 ``result``        ``{job_id, result}`` — versioned wire RunResult.
 ``failure``       ``{job_id, failure}`` — versioned wire RunFailure.
 ``status``        counters snapshot.

@@ -8,41 +8,30 @@ a result produced through the daemon is bitwise-identical to one
 produced by a direct :class:`~repro.lab.runner.Runner`.
 
 What serve adds is the *progress spool*: an append-only JSONL file per
-job that the worker writes and the daemon tails, forwarding each line
-to subscribed clients while the simulation is still running.  Records:
-
-``{"kind": "lifecycle", "phase": ..., ...}``
-    Worker start/finish marks (always written).
-``{"kind": "sample", "row": {...}}``
-    One obs :class:`~repro.obs.sampler.TimeSeries` row, written the
-    moment the interval closes (only when the spec requests obs).
-``{"kind": "event", "event": {...}}``
-    Obs decision events, flushed in bounded batches on the sampler
-    cadence (only when the spec requests obs).
-
-Streaming taps the exact same collection the spec asked for — the
-:class:`ProgressWriter` subscribes to the run's
-:class:`~repro.obs.Observability` (events as the bus publishes them,
-rows as the sampler appends them) — so the RunResult's embedded obs
-payload is unchanged by streaming (collection and transport are
-decoupled; the file is a pure copy).  A subscriber is not state: a
-checkpoint never contains it, and a run resumed from one streams from
-the resume cycle on.  A spec with ``obs=None`` streams lifecycle marks
-only: giving it a sampler would change the cached RunResult for every
-other client.
+job of host records (:mod:`repro.lab.journal`) that the worker writes
+and the daemon tails, forwarding each to subscribed clients while the
+simulation runs — ``lifecycle`` marks always, and, when the spec asks
+for obs, the ``sample`` rows and ``event`` records the run collects
+(:class:`ProgressWriter` subscribes to its Observability, so the
+result's obs payload is unchanged by streaming).  A subscriber is not
+state: a checkpoint never contains it, and a run resumed from one
+streams from the resume cycle on.  A spec with ``obs=None`` streams
+lifecycle marks only: giving it a sampler would change the cached
+RunResult for every other client.
 """
 
 from __future__ import annotations
 
-import json
+import contextlib
 import os
 from collections import deque
 from functools import partial
 from typing import Any, Deque, Dict, Optional
 
+from repro.lab.journal import SweepJournal, record
 from repro.lab.results import RunResult
 from repro.lab.runner import _run_with_timeout, execute_run
-from repro.lab.spec import RunSpec, _json_default
+from repro.lab.spec import RunSpec
 from repro.obs import event_to_dict
 
 #: Cap on obs events forwarded per flush — the spool is a progress feed,
@@ -51,38 +40,31 @@ MAX_EVENTS_PER_FLUSH = 200
 
 
 class ProgressWriter:
-    """Append-only JSONL spool the daemon tails while the run executes.
-
-    Plain buffered appends with a flush per record — the spool is
-    advisory (lost lines cost a client a progress update, never a
-    result), so it skips the fsync discipline of the durable journal.
+    """The run's obs tap, spooled for the daemon to tail.
 
     :meth:`on_row` / :meth:`on_event` make it a live consumer of the
-    run's observability (``execute_run(tap=)``).
+    run's observability (``execute_run(tap=)``).  The spool is advisory
+    — a lost line costs a client a progress update, never a result — so
+    appends skip the journal's fsync and a failed one is dropped.
     """
 
     def __init__(self, path) -> None:
-        self.path = path
-        self._handle = open(path, "a", encoding="utf-8")
+        self._spool = SweepJournal(path)
         #: Events since the last flush: the newest, and how many arrived.
         self._pending: Deque[Any] = deque(maxlen=MAX_EVENTS_PER_FLUSH)
         self._arrived = 0
 
-    def emit(self, record: Dict[str, Any]) -> None:
-        try:
-            self._handle.write(
-                json.dumps(record, separators=(",", ":"),
-                           default=_json_default) + "\n"
-            )
-            self._handle.flush()
-        except (OSError, ValueError):
-            pass  # a full disk must not kill the simulation
+    def _write(self, kind: str, **fields: Any) -> None:
+        line = record(kind, **fields)
+        # A full disk must not kill the simulation.
+        with contextlib.suppress(OSError):
+            self._spool.append(line, durable=False)
 
     def lifecycle(self, phase: str, **detail: Any) -> None:
-        self.emit({"kind": "lifecycle", "phase": phase, **detail})
+        self._write("lifecycle", phase=phase, detail=detail)
 
     def on_row(self, row: Dict[str, Any]) -> None:
-        self.emit({"kind": "sample", "row": row})
+        self._write("sample", row=row)
         self.flush_events()
 
     def on_event(self, event: Any) -> None:
@@ -93,17 +75,15 @@ class ProgressWriter:
         """Forward events that arrived since the last flush (bounded)."""
         skipped = self._arrived - len(self._pending)
         if skipped:
-            self.emit({"kind": "event_gap", "skipped": skipped})
+            self._write("event_gap", skipped=skipped)
         for event in self._pending:
-            self.emit({"kind": "event", "event": event_to_dict(event)})
+            self._write("event", event=event_to_dict(event))
         self._pending.clear()
         self._arrived = 0
 
     def close(self) -> None:
-        try:
-            self._handle.close()
-        except OSError:
-            pass
+        with contextlib.suppress(OSError):
+            self._spool.close()
 
 
 def serve_entry(spec: RunSpec, progress_path: str,

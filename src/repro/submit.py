@@ -46,6 +46,7 @@ from __future__ import annotations
 import time
 from typing import (Any, Dict, Iterator, List, Optional, Sequence, Union)
 
+from repro.lab.journal import record
 from repro.lab.results import LabError, RunFailure, RunResult
 from repro.lab.runner import BatchReport, Runner
 from repro.lab.spec import RunSpec
@@ -64,22 +65,21 @@ def _replay_progress(outcome: Union[RunResult, RunFailure]
     """Synthesize the progress feed a server client would have seen.
 
     An in-process run completes before the handle exists, so streaming
-    is a replay: lifecycle marks bracketing the obs time-series rows the
-    run actually collected (none when the spec skipped obs).
+    is a replay, in the worker's records: lifecycle marks bracketing the
+    obs time-series rows the run collected (none when the spec skipped obs).
     """
-    records: List[Dict[str, Any]] = [
-        {"kind": "lifecycle", "phase": "started",
-         "spec_hash": outcome.spec_hash},
-    ]
+    records = [record("lifecycle", phase="started",
+                      detail={"spec_hash": outcome.spec_hash})]
     if isinstance(outcome, RunResult):
         series = (outcome.obs or {}).get("series") or {}
-        for row in series.get("rows", []):
-            records.append({"kind": "sample", "row": row})
-        records.append({"kind": "lifecycle", "phase": "finished",
-                        "cycles": outcome.cycles})
+        records += [record("sample", row=row)
+                    for row in series.get("rows", [])]
+        records.append(record("lifecycle", phase="finished", detail={
+            "cycles": outcome.cycles,
+            "elapsed_s": round(outcome.elapsed_s, 3)}))
     else:
-        records.append({"kind": "lifecycle", "phase": "failed",
-                        "error": outcome.error_type})
+        records.append(record("lifecycle", phase="failed",
+                              detail={"error": outcome.error_type}))
     return records
 
 
@@ -117,8 +117,8 @@ class RunHandle:
         return "completed"
 
     def stream(self) -> Iterator[Dict[str, Any]]:
-        """Yield progress records (``kind``: ``lifecycle`` / ``sample``
-        / ``event`` / ``event_gap``) until the run is terminal."""
+        """Yield progress records (v1 host records: ``lifecycle`` /
+        ``sample`` / ``event`` / ``event_gap``) until the run is terminal."""
         if self._serve_handle is not None:
             for message in self._serve_handle.stream():
                 yield message.get("data", message)

@@ -47,8 +47,9 @@ def dual_sm_config() -> GPUConfig:
 
 @pytest.fixture
 def daemon():
-    """A started thread-mode ``ServeDaemon`` with its own cache, on a
-    socket path short enough for ``sun_path`` (pytest's tmp_path is not)."""
+    """A started thread-mode ``ServeDaemon`` with its own cache and
+    journal, on a socket path short enough for ``sun_path`` (pytest's
+    tmp_path is not)."""
     import os
     import shutil
     import tempfile
@@ -57,7 +58,8 @@ def daemon():
 
     home = tempfile.mkdtemp(prefix="repro-serve-")
     d = ServeDaemon(os.path.join(home, "serve.sock"), workers=1,
-                    mode="thread", cache=os.path.join(home, "cache"))
+                    mode="thread", cache=os.path.join(home, "cache"),
+                    journal=os.path.join(home, "journal.jsonl"))
     d.start()
     yield d
     d.close()

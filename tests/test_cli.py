@@ -66,26 +66,39 @@ def test_parse_params():
         _parse_params(["oops"])
 
 
-def test_sweep_command_runs_caches_and_writes_manifest(tmp_path, capsys):
-    import json
+def test_sweep_command_runs_caches_and_writes_journal(tmp_path, capsys):
+    from repro.lab import load_journal
 
     cache_dir = str(tmp_path / "cache")
-    manifest = str(tmp_path / "sweep.json")
+    journal = str(tmp_path / "sweep.jsonl")
     argv = [
         "sweep", "--kernel", "vecadd", "--bows", "none,500",
         "--scale", "quick", "--workers", "1",
-        "--cache-dir", cache_dir, "--manifest", manifest,
+        "--cache-dir", cache_dir, "--journal", journal,
     ]
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert "2 runs: 0 cached, 2 simulated" in out
-    payload = json.loads(open(manifest).read())
-    assert payload["total"] == 2 and payload["executed"] == 2
+    state = load_journal(journal)
+    assert len(state.specs) == 2 and state.executed == 2
 
-    # Re-run: pure cache hits.
+    # Re-run: pure cache hits, the journal's last word on each spec.
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert "2 runs: 2 cached, 0 simulated" in out
+    state = load_journal(journal)
+    assert state.cache_hits == 2 and not state.skipped_lines
+    assert [n["note"] for n in state.notes] == ["sweep", "batch_end"] * 2
+
+
+def test_profile_quick_uses_the_quick_size_of_a_sync_free_kernel(capsys):
+    from repro.api import simulate
+    from repro.harness.params import QUICK_SYNC_FREE
+
+    assert main(["profile", "vecadd", "--quick"]) == 0
+    out = capsys.readouterr().out
+    quick = simulate("vecadd", params=QUICK_SYNC_FREE["vecadd"])
+    assert "profiled in" in out and f": {quick.cycles} cycles," in out
 
 
 def test_cache_stats_and_clear_commands(tmp_path, capsys):

@@ -7,7 +7,6 @@ injected ``run_fn`` stubs so they are fast and deterministic.
 
 from __future__ import annotations
 
-import json
 import time
 
 import pytest
@@ -26,6 +25,7 @@ from repro.lab import (
     current_runner,
     use_runner,
 )
+from repro.lab.journal import SweepJournal, load_journal
 from repro.lab.results import RunResult
 from repro.lab.spec import _canonical_json
 from repro.metrics.stats import SimStats
@@ -246,7 +246,9 @@ def test_run_map_raises_on_failure():
         Runner(workers=1, run_fn=broken).run_map([vecadd_spec()])
 
 
-def test_batch_manifest_contents():
+def test_batch_journal_contents(tmp_path):
+    """The journal is the batch's record: one spec, one outcome per run
+    and a closing note with the batch's counters."""
     def selective(spec):
         if spec.kernel == "ht":
             raise ValueError("boom")
@@ -256,14 +258,20 @@ def test_batch_manifest_contents():
                     cache=None)
     specs = [vecadd_spec(), RunSpec("ht", make_config("gto"), {},
                                     label="doomed")]
-    manifest = runner.run_many(specs).manifest()
-    assert manifest["total"] == 2
-    assert manifest["executed"] == 1 and manifest["failed"] == 1
-    statuses = [row["status"] for row in manifest["runs"]]
-    assert statuses == ["ok", "failed"]
-    assert manifest["runs"][1]["label"] == "doomed"
-    assert "ValueError" in manifest["runs"][1]["error"]
-    json.dumps(manifest)  # must be JSON-serializable
+    with SweepJournal(tmp_path / "batch.jsonl") as journal:
+        runner.run_many(specs, journal=journal)
+    state = load_journal(tmp_path / "batch.jsonl")
+    ok, doomed = (spec.content_hash() for spec in specs)
+    assert list(state.specs) == [ok, doomed]
+    assert state.executed == 1 and list(state.failed) == [doomed]
+    assert state.done[ok]["attempts"] == 1
+    assert state.specs[doomed].label == "doomed"
+    failed = state.failed[doomed]
+    assert (failed["error_type"], failed["message"]) == ("ValueError", "boom")
+    (closing,) = state.notes
+    assert closing["note"] == "batch_end"
+    assert closing["detail"] == {"retried": 0, "worker_losses": 0,
+                                 "stragglers": 0, "interrupted": False}
 
 
 def test_failed_runs_are_not_cached(tmp_path):
@@ -306,24 +314,25 @@ def test_hangs_are_never_retried(hang_type):
     assert report.retried == 0
 
 
-def test_hang_report_lands_in_failure_and_manifest():
+def test_hang_report_lands_in_failure_and_journal(tmp_path):
     from repro.sim.progress import HangReport, SimulationLivelock
 
     def livelocked(spec):
         raise SimulationLivelock("spin forever", HangReport(
             kind="livelock", cycle=9_000, window=4_000, reason="stub"))
 
-    report = Runner(workers=1, run_fn=livelocked).run_many([vecadd_spec()])
+    with SweepJournal(tmp_path / "hang.jsonl") as journal:
+        report = Runner(workers=1, run_fn=livelocked).run_many(
+            [vecadd_spec()], journal=journal)
     (failure,) = report.results
     assert failure.hung
     assert failure.hang["kind"] == "livelock"
     assert "[hang: livelock at cycle 9000]" in failure.describe()
 
-    manifest = report.manifest()
-    row = manifest["runs"][0]
-    assert row["status"] == "failed"
-    assert row["hang"]["cycle"] == 9_000
-    json.dumps(manifest)  # hang forensics must stay JSON-clean
+    # The forensics survive the worker as JSON in the failed record.
+    (record,) = load_journal(tmp_path / "hang.jsonl").failed.values()
+    assert record["error_type"] == "SimulationLivelock"
+    assert record["hang"]["cycle"] == 9_000
 
 
 # ----------------------------------------------------------------------
@@ -343,23 +352,25 @@ def test_sweep_cartesian_product_order():
         sweep.axis("empty", [])
 
 
-def test_sweep_run_and_manifest(tmp_path):
+def test_sweep_run_and_journal(tmp_path):
     sweep = Sweep("tiny", kernel=["vecadd"], bows=[None, 500],
                   scale=["quick"])
-    result = sweep.run(runner=Runner(workers=1, run_fn=_fake_result))
+    journal_path = tmp_path / "sweep.jsonl"
+    result = sweep.run(runner=Runner(workers=1, run_fn=_fake_result),
+                       journal=journal_path)
     rows = result.rows()
     assert len(rows) == 2
     assert all(row["status"] == "ok" for row in rows)
     assert {row["bows"] for row in rows} == {None, 500}
 
-    manifest_path = tmp_path / "manifest.json"
-    result.write_manifest(manifest_path)
-    manifest = json.loads(manifest_path.read_text())
-    assert manifest["sweep"] == "tiny"
-    assert manifest["axes"]["bows"] == ["None", "500"]
-    assert manifest["total"] == 2
-    assert len(manifest["runs"]) == 2
-    assert all("spec_hash" in row for row in manifest["runs"])
+    state = load_journal(journal_path)
+    opening = state.notes[0]
+    assert opening["note"] == "sweep"
+    assert opening["detail"]["name"] == "tiny"
+    assert opening["detail"]["axes"]["bows"] == ["None", "500"]
+    assert [n["note"] for n in state.notes] == ["sweep", "batch_end"]
+    assert set(state.done) == {r.spec_hash for r in result.report.results}
+    assert len(state.specs) == 2 and not state.pending
 
 
 def test_sweep_specs_get_combo_labels():

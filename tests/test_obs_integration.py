@@ -201,7 +201,7 @@ def test_hang_report_embeds_the_last_issues(tiny_config):
 
 
 # ----------------------------------------------------------------------
-# Lab integration: hashing, cache round trip, manifests
+# Lab integration: hashing, cache round trip
 
 VECADD = dict(n_threads=64, per_thread=2, block_dim=32)
 
@@ -247,15 +247,3 @@ def test_runner_collects_obs_payload_and_caches_it(tmp_path):
     plain = runner.run_one(make_spec())
     assert plain.obs is None
     assert plain.stats.summary() == result.stats.summary()
-
-
-def test_manifest_summarizes_obs(tmp_path):
-    spec = make_spec(obs=ObsConfig(sample_interval=200))
-    report = Runner(workers=1).run_many([spec, make_spec()])
-    manifest = report.manifest()
-    with_obs = [row for row in manifest["runs"] if "obs" in row]
-    assert len(with_obs) == 1
-    summary = with_obs[0]["obs"]
-    assert summary["event_total"] >= 0
-    assert summary["series_rows"] > 0
-    json.dumps(manifest)  # manifests must stay JSON-clean

@@ -6,15 +6,17 @@ worker (re-queued exactly once, for free — and the fault-parity litmus:
 the same fault sequence ends the same way through ``Runner`` and
 through ``repro serve``), a SIGKILLed *parent* (sweep
 completed from its journal without recomputing finished specs), a torn
-cache write (quarantined, then recomputed), concurrent Runners sharing
-one cache directory, graceful SIGINT draining, and the SIGALRM
-save/restore contract of the per-run timeout.
+cache write (quarantined, then recomputed), a full disk (durability
+lost, never an outcome), torn and foreign lines in journals and
+progress spools, concurrent Runners sharing one cache directory,
+graceful SIGINT draining, and the SIGALRM save/restore contract of the
+per-run timeout.
 """
 
 from __future__ import annotations
 
+import errno
 import functools
-import json
 import logging
 import os
 import random
@@ -34,7 +36,9 @@ from repro.harness.runner import make_config
 from repro.lab import (FileLock, LockTimeout, ResultCache, Runner, RunSpec,
                        decorrelated_jitter, load_journal, resume_sweep)
 from repro.lab import _testing
-from repro.lab.journal import JournalError, SweepJournal
+from repro.lab.journal import (RECORD_KEYS, JournalError, SweepJournal,
+                               read_records, record)
+from repro.lab.results import RunFailure
 from repro.lab.runner import _run_with_timeout
 from repro.obs import EventBus
 from repro.serve import ServeClient, ServeDaemon
@@ -191,7 +195,64 @@ def test_cache_verify_cli_exit_codes(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# A full disk costs durability, never an outcome
+
+
+def _disk_full(*_args, **_kwargs):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+#: The two durable writes a run's settling makes.
+DURABLE_WRITES = {"cache": (ResultCache, "put"),
+                  "journal": (SweepJournal, "append")}
+
+
+@pytest.mark.parametrize("write", sorted(DURABLE_WRITES))
+def test_a_full_disk_under_a_runner_returns_a_full_report(
+        tmp_path, monkeypatch, write):
+    notes = []
+    runner = Runner(cache=ResultCache(tmp_path / "cache"),
+                    run_fn=_testing.instant_ok, progress=notes.append)
+    monkeypatch.setattr(*DURABLE_WRITES[write], _disk_full)
+    with SweepJournal(tmp_path / "sweep.jsonl") as journal:
+        report = runner.run_many([_spec(i) for i in range(3)],
+                                 journal=journal)
+    assert report.total == 3 and report.executed == 3
+    assert any("No space left on device" in note for note in notes)
+
+
+@pytest.mark.parametrize("write", sorted(DURABLE_WRITES))
+def test_a_full_disk_under_serve_settles_every_submission(
+        daemon, monkeypatch, write):
+    """ENOSPC from the cache put or a journal append (the submission's
+    ``spec`` record included) is noted; every submission still settles,
+    the same spec is answered again once the disk has room, and the
+    daemon keeps answering."""
+    notes = []
+    daemon.progress = notes.append
+    monkeypatch.setattr(daemon_mod, "serve_entry",
+                        lambda spec, *_args: _testing.fabricate_result(spec))
+    specs = [_spec(i) for i in range(3)]
+    with ServeClient(daemon.address, name="full-disk") as client:
+        with monkeypatch.context() as disk:
+            disk.setattr(*DURABLE_WRITES[write], _disk_full)
+            handles = [client.submit(spec) for spec in specs]
+            assert all(h.outcome(timeout=30).ok for h in handles)
+        again = client.submit(specs[0])
+        assert again.outcome(timeout=30).ok
+        assert again.status == ("queued" if write == "cache" else "cached")
+        assert client.ping()
+    assert any("No space left on device" in note for note in notes)
+
+
+# ---------------------------------------------------------------------------
 # Journal
+
+
+def _timed_out(spec: RunSpec) -> RunFailure:
+    return RunFailure(spec=spec, spec_hash=spec.content_hash(),
+                      error_type="RunTimeout", message="too slow",
+                      attempts=2, elapsed_s=1.25, transient=True)
 
 
 def test_journal_round_trip_and_pending(tmp_path):
@@ -201,13 +262,17 @@ def test_journal_round_trip_and_pending(tmp_path):
         for spec in specs:
             journal.record_spec(spec)
             journal.record_spec(spec)  # idempotent
-        journal.record_done(specs[0].content_hash(), from_cache=False,
-                            cycles=11)
-        journal.record_failed(specs[1].content_hash(),
-                              error_type="RunTimeout", transient=True)
+        journal.record_outcome(_testing.fabricate_result(specs[0], 11))
+        journal.record_outcome(_timed_out(specs[1]))
     state = load_journal(path)
     assert len(state.specs) == 3
     assert state.executed == 1 and state.cache_hits == 0
+    assert state.done[specs[0].content_hash()]["cycles"] == 11
+    failed = state.failed[specs[1].content_hash()]
+    assert (failed["error_type"], failed["message"], failed["attempts"],
+            failed["elapsed_s"], failed["transient"], failed["hang"]) == (
+        "RunTimeout", "too slow", 2, 1.25, True, None)
+    assert not state.skipped_lines and not state.unknown_kinds
     assert [s.content_hash() for s in state.pending] == [
         specs[1].content_hash(), specs[2].content_hash()]
     rebuilt = state.specs[specs[0].content_hash()]
@@ -219,20 +284,88 @@ def test_journal_tolerates_a_torn_final_line(tmp_path):
     path = tmp_path / "sweep.jsonl"
     with SweepJournal(path) as journal:
         journal.record_spec(_spec(0))
-        journal.record_done(_spec(0).content_hash(), from_cache=False,
-                            cycles=5)
+        journal.record_outcome(_testing.fabricate_result(_spec(0), 5))
     with open(path, "a", encoding="utf-8") as handle:
-        handle.write('{"type": "done", "hash": "abc')  # SIGKILL mid-write
+        handle.write('{"v": 1, "kind": "done", "hash": "abc')  # SIGKILL
     state = load_journal(path)
     assert state.skipped_lines == 1
     assert len(state.done) == 1
+    # The next writer ends the torn line instead of appending to it.
+    with SweepJournal(path) as journal:
+        journal.record_note("resume")
+    state = load_journal(path)
+    assert state.skipped_lines == 1
+    assert [n["note"] for n in state.notes] == ["resume"]
+
+
+def _journal_lines(path):
+    with SweepJournal(path) as journal:
+        journal.record_spec(_spec(0))
+        journal.record_outcome(_testing.fabricate_result(_spec(0)))
+
+
+def _spool_lines(path):
+    from repro.serve.worker import ProgressWriter
+
+    writer = ProgressWriter(path)
+    writer.lifecycle("started", pid=1)
+    writer.on_row({"cycle": 100})
+    writer.close()
+
+
+@pytest.mark.parametrize("write", [_journal_lines, _spool_lines],
+                         ids=["journal", "spool"])
+def test_reader_skips_blank_torn_and_foreign_lines(tmp_path, write):
+    """One reader for every host file: blank lines are ignored, a torn
+    final line is neither parsed nor consumed until it is completed (then
+    read exactly once), and an unknown kind or a pre-v1 ``type`` line is
+    skipped and counted."""
+    path = tmp_path / "records.jsonl"
+    write(path)
+    records, end, skipped = read_records(path)
+    assert len(records) == 2 and skipped == 0
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write('\n{"v": 1, "kind": "mystery", "detail": {}}\n'
+                     '{"type": "note", "note": "pre-v1"}\n'
+                     '{"v": 1, "kind": "note", "note": "late", ')
+    more, torn_at, skipped = read_records(path, end)
+    assert more == [] and skipped == 2
+    assert torn_at < path.stat().st_size  # the torn line is not consumed
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write('"detail": {}}\n')
+    more, end, skipped = read_records(path, torn_at)
+    assert more == [record("note", note="late", detail={})]
+    assert skipped == 0 and end == path.stat().st_size
+    assert read_records(path, end) == ([], end, 0)
+
+
+def test_pre_v1_journal_is_refused_by_name(tmp_path):
+    path = tmp_path / "old.jsonl"
+    path.write_text(
+        '{"type": "spec", "hash": "abc", "label": null, "spec": {}}\n'
+        '{"type": "done", "hash": "abc", "from_cache": false, "cycles": 1}\n')
+    with pytest.raises(JournalError, match="predates record v1") as excinfo:
+        load_journal(path)
+    assert "recomputes nothing" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("kind", sorted(RECORD_KEYS))
+def test_record_rejects_a_missing_or_an_extra_key(kind):
+    fields = {key: None for key in RECORD_KEYS[kind]}
+    assert record(kind, **fields) == {"v": 1, "kind": kind, **fields}
+    with pytest.raises(ValueError, match="expected keys"):
+        record(kind, **fields, extra=1)
+    fields.popitem()
+    with pytest.raises(ValueError, match="expected keys"):
+        record(kind, **fields)
 
 
 def test_empty_journal_is_an_error(tmp_path):
     with pytest.raises(JournalError):
         load_journal(tmp_path / "missing.jsonl")
     empty = tmp_path / "empty.jsonl"
-    empty.write_text('{"type": "note", "note": "hello"}\n')
+    empty.write_text('{"v": 1, "kind": "note", "note": "hello", '
+                     '"detail": {}}\n')
     with pytest.raises(JournalError, match="no spec records"):
         load_journal(empty)
 
@@ -315,7 +448,10 @@ def travel(request, tmp_path, monkeypatch):
                             (os.getpid(), signal.SIGINT)).start()
         with SweepJournal(journal_path) as journal:
             report = runner.run_many([_spec(0)], journal=journal)
-        return report.results[0], report.manifest(), journal_path
+        # The batch's closing note carries its counters.
+        (closing,) = load_journal(journal_path).notes
+        assert closing["note"] == "batch_end"
+        return report.results[0], closing["detail"], journal_path
 
     def served(run_fn, retries, drain_after_s=None):
         monkeypatch.setattr(daemon_mod, "serve_entry",
@@ -372,11 +508,10 @@ def test_run_outliving_the_grace_period_is_settled_exactly_once(
         time.sleep(1.2)  # the abandoned worker finishes its sleep
     assert not outcome.ok and outcome.error_type == "RunInterrupted"
     assert outcome.transient and outcome.attempts == 1
-    records = [json.loads(line)
-               for line in journal_path.read_text().splitlines()]
-    terminal = [r for r in records if r["type"] in ("done", "failed")
+    records, _, skipped = read_records(journal_path)
+    terminal = [r for r in records if r["kind"] in ("done", "failed")
                 and r["hash"] == _spec(0).content_hash()]
-    assert [r["type"] for r in terminal] == ["failed"]
+    assert [r["kind"] for r in terminal] == ["failed"] and not skipped
     assert not caplog.records  # e.g. "exception calling callback for ..."
 
 

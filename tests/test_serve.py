@@ -22,7 +22,6 @@ Covered guarantees (see ``docs/serve.md``):
 * SIGTERM **drains to the journal** (subprocess test).
 """
 
-import json
 import os
 import queue
 import shutil
@@ -39,7 +38,7 @@ import repro.serve.daemon as daemon_mod
 from repro.harness.runner import make_config
 from repro.lab._testing import fabricate_result
 from repro.lab.cache import ResultCache
-from repro.lab.journal import load_journal
+from repro.lab.journal import load_journal, read_records
 from repro.lab.results import RunFailure, RunResult
 from repro.lab.runner import execute_run
 from repro.lab.spec import RunSpec
@@ -189,8 +188,8 @@ def test_resumed_run_streams_from_the_resume_cycle(serve_dir, monkeypatch):
 
     result = serve_entry(spec, spools[1], checkpoint_dir=ckpt_dir)
     assert os.listdir(ckpt_dir) == []
-    with open(spools[1], encoding="utf-8") as handle:
-        records = [json.loads(line) for line in handle]
+    records, _, skipped = read_records(spools[1])
+    assert not skipped
     events = [r["event"] for r in records if r["kind"] == "event"]
     rows = [r["row"] for r in records if r["kind"] == "sample"]
     (resumed,) = [e for e in events if e["event"] == "run_resumed"]
@@ -752,15 +751,11 @@ def test_sigterm_drains_to_journal(serve_dir):
         assert proc.wait(timeout=60) == 0  # clean drain, not 130
         assert not os.path.exists(sock)    # socket file removed
 
-        records = [json.loads(line)
-                   for line in open(journal, encoding="utf-8")]
-        types = [r["type"] for r in records]
-        assert "spec" in types and "done" in types
-        notes = [r["note"] for r in records if r["type"] == "note"]
-        assert "serve_start" in notes
-        assert "drain" in notes and "serve_exit" in notes
-        done = [r for r in records if r["type"] == "done"]
-        assert done[0]["hash"] == spec.content_hash()
+        state = load_journal(journal)
+        assert list(state.specs) == list(state.done) == [spec.content_hash()]
+        assert [n["note"] for n in state.notes] == [
+            "serve_start", "drain", "serve_exit"]
+        assert not state.skipped_lines and not state.unknown_kinds
 
         # The drained daemon's cache survives it.
         d = ServeDaemon(os.path.join(serve_dir, "again.sock"),

@@ -14,6 +14,7 @@ import pytest
 from repro.api import (RunFailedError, RunHandle, SubmitBatch, submit,
                        submit_many)
 from repro.harness.runner import make_config
+from repro.lab.journal import RECORD_VERSION, record
 from repro.lab.results import RunFailure, RunResult
 from repro.lab.runner import BatchReport, Runner
 from repro.lab.spec import RunSpec
@@ -52,7 +53,7 @@ def test_local_stream_replays_lifecycle_only_without_obs():
     assert [r["kind"] for r in records] == ["lifecycle", "lifecycle"]
     assert records[0]["phase"] == "started"
     assert records[-1]["phase"] == "finished"
-    assert records[-1]["cycles"] == handle.result().cycles
+    assert records[-1]["detail"]["cycles"] == handle.result().cycles
 
 
 def test_local_stream_replays_obs_samples():
@@ -106,6 +107,22 @@ def test_server_backend_matches_local(daemon):
     for volatile in ("elapsed_s", "phases"):
         a.pop(volatile), b.pop(volatile)
     assert a == b
+
+
+@pytest.mark.parametrize("road", ["local", "served"])
+def test_stream_yields_v1_host_records(daemon, road):
+    """Both roads stream records the host record constructor accepts:
+    the replay builds them as the worker's spool does."""
+    spec = _spec(obs=ObsConfig(sample_interval=100), label="records")
+    handle = (submit(spec, runner=_runner()) if road == "local"
+              else submit(spec, server=daemon.address))
+    records = list(handle.stream())
+    assert handle.result(timeout=120).cycles > 0
+    assert {"lifecycle", "sample"} <= {r["kind"] for r in records}
+    for line in records:
+        fields = dict(line)
+        assert fields.pop("v") == RECORD_VERSION
+        assert record(fields.pop("kind"), **fields) == line
 
 
 def test_submit_many_server_reports_like_local(daemon):
