@@ -11,12 +11,11 @@ Models the GPU memory hierarchy the paper's analysis depends on:
 
 from repro.memory.cache import Cache
 from repro.memory.coalescer import coalesce
-from repro.memory.memsys import GlobalMemory, MemoryAccessResult, MemorySubsystem
+from repro.memory.memsys import GlobalMemory, MemorySubsystem
 
 __all__ = [
     "Cache",
     "GlobalMemory",
-    "MemoryAccessResult",
     "MemorySubsystem",
     "coalesce",
 ]

@@ -3,10 +3,10 @@
 Functional state (what values memory holds) is a single flat word array —
 the simulator executes instructions functionally at issue, in a global
 total order, so atomicity of read-modify-write operations is inherent.
-Timing (when a warp's destination registers become available, how many
-transactions the access generated, queueing at L2 banks and DRAM) is
-computed here and returned to the SM, which blocks the warp's scoreboard
-until the completion cycle.
+Timing (when a warp's destination registers become available, queueing
+at L2 banks and DRAM) is computed here: each access returns its
+completion cycle to the SM, which blocks the warp's scoreboard until
+then, and counts its transactions in :class:`MemoryStats`.
 
 Coherence model (Fermi-faithful, Section II of the paper):
 
@@ -19,14 +19,15 @@ Coherence model (Fermi-faithful, Section II of the paper):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.memory.cache import Cache
 from repro.memory.coalescer import coalesce
 from repro.sim.config import GPUConfig
+from repro.sim.registers import count_nonzero
 
 #: Bytes per memory word (all accesses are 32-bit).
 WORD_BYTES = 4
@@ -70,7 +71,7 @@ class GlobalMemory:
         idx = np.asarray(byte_addrs, dtype=np.int64) // WORD_BYTES
         # One comparison for both bounds: reinterpreted as unsigned, a
         # negative index is larger than any array size.
-        if np.count_nonzero(idx.view(np.uint64) >= self.words.size):
+        if count_nonzero(idx.view(np.uint64) >= self.words.size):
             raise IndexError(OUT_OF_BOUNDS)
         return idx
 
@@ -102,22 +103,21 @@ class GlobalMemory:
         if self.write_hook is not None:
             self.write_hook(1)
 
-    def store_array(self, byte_addr: int, values: Sequence[int]) -> None:
+    def _span(self, byte_addr: int, n_words: int) -> slice:
+        # A slice would clip a range that leaves memory, and a negative
+        # start would count from the end of ``words``.
         start = byte_addr // WORD_BYTES
-        self.words[start:start + len(values)] = np.asarray(values, dtype=np.int64)
+        if not 0 <= start <= start + n_words <= self.words.size:
+            raise IndexError(OUT_OF_BOUNDS)
+        return slice(start, start + n_words)
+
+    def store_array(self, byte_addr: int, values: Sequence[int]) -> None:
+        span = self._span(byte_addr, len(values))
+        self.words[span] = np.asarray(values, dtype=np.int64)
         self.version += 1
 
     def load_array(self, byte_addr: int, n_words: int) -> np.ndarray:
-        start = byte_addr // WORD_BYTES
-        return self.words[start:start + n_words].copy()
-
-
-@dataclass
-class MemoryAccessResult:
-    """Timing outcome of one warp-level memory instruction."""
-
-    completion: int
-    transactions: int
+        return self.words[self._span(byte_addr, n_words)].copy()
 
 
 @dataclass
@@ -177,18 +177,16 @@ class MemorySubsystem:
 
     # ------------------------------------------------------------------
 
-    def _l2_latency(self, line_addr: int, now: int,
-                    service: Optional[int] = None) -> int:
-        """Completion cycle of an L2 access arriving at ``now``."""
+    def _l2_latency(self, line_addr: int, now: int) -> int:
+        """Completion cycle of an L2 access arriving at ``now``
+        (:meth:`atomic` runs the same steps inline)."""
         cfg = self.config
         bank_free = self._bank_free
         bank = (line_addr // self._l2_line_bytes) % self._n_banks
         start = bank_free[bank]
         if start < now:
             start = now
-        if service is None:
-            service = cfg.l2_service_interval
-        bank_free[bank] = start + service
+        bank_free[bank] = start + cfg.l2_service_interval
         jitter = (
             self._jitter_rng.randrange(self._jitter + 1)
             if self._jitter_rng is not None else 0
@@ -214,8 +212,9 @@ class MemorySubsystem:
     # ------------------------------------------------------------------
 
     def load(self, sm_id: int, addresses: np.ndarray, now: int,
-             bypass_l1: bool = False, sync: bool = False) -> MemoryAccessResult:
-        """A warp-level load of the given active-lane byte addresses."""
+             bypass_l1: bool = False, sync: bool = False) -> int:
+        """A warp-level load of the given active-lane byte addresses;
+        returns its completion cycle."""
         lines = coalesce(addresses, self._l1_line_bytes)
         completion = now
         l1 = self.l1[sm_id]
@@ -234,11 +233,12 @@ class MemorySubsystem:
         n_tx = len(lines)
         stats.load_transactions += n_tx
         self._classify(n_tx, sync)
-        return MemoryAccessResult(completion, n_tx)
+        return completion
 
     def store(self, sm_id: int, addresses: np.ndarray, now: int,
-              sync: bool = False) -> MemoryAccessResult:
-        """Write-through, no-allocate store; evicts the local L1 lines."""
+              sync: bool = False) -> int:
+        """Write-through, no-allocate store; evicts the local L1 lines.
+        Returns the completion cycle."""
         lines = coalesce(addresses, self._l1_line_bytes)
         completion = now
         l1 = self.l1[sm_id]
@@ -250,32 +250,60 @@ class MemorySubsystem:
         n_tx = len(lines)
         self.stats.store_transactions += n_tx
         self._classify(n_tx, sync)
-        return MemoryAccessResult(completion, n_tx)
+        return completion
 
-    def atomic(self, sm_id: int, addresses: Union[np.ndarray, List[int]],
-               now: int, sync: bool = True) -> MemoryAccessResult:
+    def atomic(self, sm_id: int, addresses: List[int], now: int,
+               sync: bool = True) -> int:
         """Atomic RMW: bypasses L1, serialized per unique address at L2.
 
-        ``addresses`` is the active lanes' byte addresses, as an array
-        or as the list of Python ints the issue path already holds.
+        ``addresses`` is the active lanes' byte addresses as the list of
+        Python ints the issue path already holds; returns the completion
+        cycle.  Each unique address is one :meth:`_l2_latency` visit,
+        run inline — the same bank, jitter, L2 and DRAM steps in the
+        same order — and each L1 line is invalidated once (a hash
+        table's bucket locks share a line).
         """
         cfg = self.config
-        if isinstance(addresses, np.ndarray):
-            addresses = addresses.tolist()
         unique = sorted(set(addresses))
-        completion = now
         invalidate = self.l1[sm_id].invalidate
-        l2_latency = self._l2_latency
-        line_bytes = self._l1_line_bytes
+        l1_line_bytes = self._l1_line_bytes
+        l2_line_bytes = self._l2_line_bytes
+        n_banks = self._n_banks
+        bank_free = self._bank_free
         service = cfg.atomic_service_interval
+        l2_hit_latency = cfg.l2_hit_latency
         latency = cfg.atomic_latency
+        rng = self._jitter_rng
+        l2_access = self.l2.access
+        stats = self.stats
+        completion = now
+        last_line = None
         for addr in unique:
-            line = addr // line_bytes * line_bytes
-            invalidate(line)
-            done = l2_latency(line, now, service) + latency
+            line = addr // l1_line_bytes * l1_line_bytes
+            if line != last_line:  # ``unique`` is sorted
+                invalidate(line)
+                last_line = line
+            bank = line // l2_line_bytes % n_banks
+            start = bank_free[bank]
+            if start < now:
+                start = now
+            bank_free[bank] = start + service
+            jitter = rng.randrange(self._jitter + 1) if rng is not None else 0
+            if l2_access(line):
+                stats.l2_hits += 1
+                done = start + l2_hit_latency
+            else:
+                stats.l2_misses += 1
+                done = start + l2_hit_latency
+                if done < self._dram_free:
+                    done = self._dram_free
+                self._dram_free = done + cfg.dram_service_interval
+                stats.dram_accesses += 1
+                done += cfg.dram_latency
+            done += jitter + latency
             if done > completion:
                 completion = done
         n_tx = len(unique)
-        self.stats.atomic_transactions += n_tx
+        stats.atomic_transactions += n_tx
         self._classify(n_tx, sync)
-        return MemoryAccessResult(completion, n_tx)
+        return completion

@@ -93,7 +93,13 @@ class LockStats:
 
 @dataclass
 class SimStats:
-    """Aggregate counters for one kernel execution."""
+    """Aggregate counters for one kernel execution.
+
+    ``useful_thread_instructions`` (thread - sync), ``active_lane_sum``
+    (= thread) and ``issued_slots`` (= warp instructions) restate other
+    counters: nothing counts them per issue, a finishing run sets them
+    (``Simulation._finish``).
+    """
 
     cycles: int = 0
     # Instruction counts.

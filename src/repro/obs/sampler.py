@@ -142,7 +142,9 @@ class IntervalSampler:
         locks = stats.locks
         return {
             "warp_instructions": stats.warp_instructions,
-            "active_lane_sum": stats.active_lane_sum,
+            # ``active_lane_sum`` restates it and is derived only at
+            # the end of a run.
+            "thread_instructions": stats.thread_instructions,
             "sib_warp_instructions": stats.sib_warp_instructions,
             "backed_off_warp_cycles": stats.backed_off_warp_cycles,
             "resident_warp_cycles": stats.resident_warp_cycles,
@@ -165,7 +167,7 @@ class IntervalSampler:
             "cycle": now,
             "ipc": round(issued / dt, 4),
             "simd_efficiency": round(
-                d["active_lane_sum"] / (issued * self._warp_size), 4
+                d["thread_instructions"] / (issued * self._warp_size), 4
             ) if issued else 0.0,
             "backed_off_fraction": round(
                 d["backed_off_warp_cycles"] / d["resident_warp_cycles"], 4

@@ -25,7 +25,7 @@ from repro.isa.instructions import Imm, Mem, Opcode, Operand, Param, Pred, Reg, 
 from repro.isa.program import Program
 from repro.memory.memsys import OUT_OF_BOUNDS, WORD_BYTES
 from repro.sim.config import GPUConfig
-from repro.sim.registers import wrap_i32
+from repro.sim.registers import copyto, wrap_i32
 from repro.sim.warp import Warp
 
 
@@ -50,14 +50,15 @@ def effective_addresses(warp: Warp, mem: Mem) -> np.ndarray:
     return warp.regs.read(mem.base.name) + np.int64(mem.offset)
 
 
+# ``np.trunc`` is ``np.fix`` on floats without its Python wrapper.
 def _div(a, b):
     divisor = np.where(b == 0, 1, b)
-    return np.where(b == 0, 0, np.fix(a / divisor).astype(np.int64))
+    return np.where(b == 0, 0, np.trunc(a / divisor).astype(np.int64))
 
 
 def _rem(a, b):
     divisor = np.where(b == 0, 1, b)
-    quotient = np.fix(a / divisor).astype(np.int64)
+    quotient = np.trunc(a / divisor).astype(np.int64)
     return np.where(b == 0, a, a - quotient * divisor)
 
 
@@ -224,7 +225,7 @@ def _retire(warp, dst_key, release) -> None:
     instruction with this one call.
 
     Handlers write the way ``RegisterFile.write`` does — in place,
-    ``np.copyto(dst, values.astype(np.int32), where=exec_mask)``: the
+    ``copyto(dst, values.astype(np.int32), where=exec_mask)``: the
     int32 cast is the one 32-bit wrap and it copies, so ``values`` may
     alias the destination (``mov r1, r1``).
     """
@@ -253,8 +254,8 @@ def _make_alu_handler(instr, warp_size, params, alu_latency, sfu_latency):
             result = np.where(
                 regs.pred_values[pred_name], read_a(warp), read_b(warp)
             )
-            np.copyto(regs.values[dst_name], result.astype(np.int32),
-                      where=exec_mask)
+            copyto(regs.values[dst_name], result.astype(np.int32),
+                   where=exec_mask)
             _retire(warp, dst_key, now + latency)
 
         return handler
@@ -266,8 +267,8 @@ def _make_alu_handler(instr, warp_size, params, alu_latency, sfu_latency):
 
     def handler(sm, warp, dop, exec_mask, n_exec, now):
         result = alu_op(*[read(warp) for read in readers])
-        np.copyto(warp.regs.values[dst_name], result.astype(np.int32),
-                  where=exec_mask)
+        copyto(warp.regs.values[dst_name], result.astype(np.int32),
+               where=exec_mask)
         _retire(warp, dst_key, now + latency)
 
     return handler
@@ -283,8 +284,8 @@ def _make_setp_handler(instr, warp_size, params, alu_latency):
     def handler(sm, warp, dop, exec_mask, n_exec, now):
         a = read_a(warp)
         b = read_b(warp)
-        np.copyto(warp.regs.pred_values[dst_name], cmp_op(a, b),
-                  where=exec_mask)
+        copyto(warp.regs.pred_values[dst_name], cmp_op(a, b),
+               where=exec_mask)
         # DDOS profiles one fixed thread per warp (the first live lane).
         lane = warp.profiled_lane
         ddos = sm.ddos
@@ -397,8 +398,8 @@ def _make_clock_handler(instr, warp_size, alu_latency):
 
     def handler(sm, warp, dop, exec_mask, n_exec, now):
         values = np.full(warp_size, now, dtype=np.int64)
-        np.copyto(warp.regs.values[dst_name], values.astype(np.int32),
-                  where=exec_mask)
+        copyto(warp.regs.values[dst_name], values.astype(np.int32),
+               where=exec_mask)
         _retire(warp, dst_key, now + alu_latency)
 
     return handler
@@ -413,7 +414,7 @@ def _make_ld_param_handler(instr, warp_size, params, alu_latency):
     dst_key = instr.dst_key
 
     def handler(sm, warp, dop, exec_mask, n_exec, now):
-        np.copyto(warp.regs.values[dst_name], values, where=exec_mask)
+        copyto(warp.regs.values[dst_name], values, where=exec_mask)
         _retire(warp, dst_key, now + alu_latency)
 
     return handler
@@ -441,9 +442,9 @@ def _make_load_handler(instr):
                 sm.sm_id, warp.cta_id, warp.warp_in_cta,
                 np.nonzero(exec_mask)[0], active_addrs, index, now,
             )
-        result = sm.memsys.load(sm.sm_id, active_addrs, now,
-                                bypass_l1=bypass, sync=sync)
-        _retire(warp, dst_key, result.completion)
+        completion = sm.memsys.load(sm.sm_id, active_addrs, now,
+                                    bypass_l1=bypass, sync=sync)
+        _retire(warp, dst_key, completion)
 
     return handler
 
@@ -467,9 +468,9 @@ def _make_store_handler(instr, warp_size, params):
                 np.nonzero(exec_mask)[0], active_addrs, index, now,
                 release=lock_release,
             )
-        result = sm.memsys.store(sm.sm_id, active_addrs, now, sync=sync)
-        if result.completion > warp.last_store_completion:
-            warp.last_store_completion = result.completion
+        completion = sm.memsys.store(sm.sm_id, active_addrs, now, sync=sync)
+        if completion > warp.last_store_completion:
+            warp.last_store_completion = completion
         if lock_release:
             lock_table = sm.lock_table
             for addr in active_addrs.tolist():
@@ -485,46 +486,72 @@ _I32_BIAS = 1 << 31
 _U32_MASK = 0xFFFFFFFF
 
 
+def _lane_ints(operand, warp_size, params):
+    """An atomic's value operand as ``(ints, reader)``: an ``Imm`` or
+    ``Param`` is its lanes' Python ints, fixed at decode time (every
+    shipped lock is ``atom.cas [lock], 0, 1``), with no reader; any
+    other operand is read per issue and converted with one ``tolist()``.
+    """
+    if isinstance(operand, (Imm, Param)):
+        value = (operand.value if isinstance(operand, Imm)
+                 else params[operand.name])
+        return [int(value)] * warp_size, None
+    return None, _make_reader(operand, warp_size, params)
+
+
 def _make_atomic_handler(instr, warp_size, params):
     mem_op = instr.srcs[0]
     base_name = mem_op.base.name
-    offset = np.int64(mem_op.offset)
+    offset = int(mem_op.offset)
     op = instr.opcode
     is_cas = op is Opcode.ATOM_CAS
     # ``first``: the operand of exch/add/min/max, the compare value of
     # cas; ``second``: the value a successful cas stores.
-    read_first = _make_reader(instr.srcs[1], warp_size, params)
-    read_second = (
-        _make_reader(instr.srcs[2], warp_size, params) if is_cas else None
+    first_ints, read_first = _lane_ints(instr.srcs[1], warp_size, params)
+    second_ints, read_second = (
+        _lane_ints(instr.srcs[2], warp_size, params) if is_cas
+        else (None, None)
     )
     is_lock_try = instr.has_role("lock_try")
     lock_release = instr.has_role("lock_release")
+    lock_try = is_cas and is_lock_try  # a lock attempt per lane
     sync = instr.has_role("sync") or is_lock_try
     index = instr.index
     dst_name = instr.dst.name if instr.dst is not None else None
     dst_key = instr.dst_key
 
     def handler(sm, warp, dop, exec_mask, n_exec, now):
-        # One ``tolist()`` per lane vector, then plain Python ints: a
-        # per-lane ``int(vector[lane])`` costs more than the whole list.
-        # The lists are snapshots, so the destination register may be
-        # the base or an operand register.
+        # One pass over the lanes, in lane order, on plain Python ints:
+        # a per-lane ``int(vector[lane])`` costs more than a whole
+        # ``tolist()``, and a vector add more than the active lanes'
+        # int adds.  The lists are snapshots, so the destination
+        # register may be the base or an operand register.
         values = warp.regs.values
         lanes = exec_mask.nonzero()[0].tolist()
-        addrs = (values[base_name] + offset).tolist()
-        active_addrs = [addrs[lane] for lane in lanes]
-        first = read_first(warp).tolist()
-        second = read_second(warp).tolist() if is_cas else None
+        base = values[base_name].tolist()
+        active_addrs = [base[lane] + offset for lane in lanes]
+        first = first_ints if read_first is None else read_first(warp).tolist()
+        second = (
+            second_ints if read_second is None
+            else read_second(warp).tolist()
+        )
         dst = values[dst_name] if dst_name is not None else None
-        warp_key = (warp.cta_id, warp.warp_in_cta)
         magic = sm.config.magic_locks and is_lock_try
         memory = sm.memory
         words = memory.words
         read_word = words.item
         n_words = words.size
-        write_word = memory.write_word
-        record_lock_attempt = sm._record_lock_attempt
+        write_hook = memory.write_hook
+        lock_table = sm.lock_table
         san = sm.san
+        if lock_try:
+            # SM._record_lock_attempt, inline: the lock table moves per
+            # lane, the counters are committed once after the pass.
+            warp_key = (warp.cta_id, warp.warp_in_cta)
+            emit_ok = sm._emit_lock_ok
+            emit_fail = sm._emit_lock_fail
+            n_ok = n_intra = n_inter = 0
+            fail_addr = warp.lock_fail_addr
         for lane, addr in zip(lanes, active_addrs):
             # GlobalMemory.read_word, inline (its bounds check too: a
             # negative index would wrap to the end of memory).
@@ -532,6 +559,7 @@ def _make_atomic_handler(instr, warp_size, params):
             if not 0 <= word < n_words:
                 raise IndexError(OUT_OF_BOUNDS)
             old = read_word(word)
+            new = None
             if is_cas:
                 compare = first[lane]
                 if magic:
@@ -539,26 +567,51 @@ def _make_atomic_handler(instr, warp_size, params):
                     # once and the lock is never observed held.
                     old = compare
                 elif old == compare:
-                    write_word(addr, second[lane])
-                if is_lock_try:
-                    record_lock_attempt(
-                        addr, old == compare, warp, warp_key, lane, now,
-                    )
+                    new = second[lane]
             elif op is Opcode.ATOM_EXCH:
-                write_word(addr, first[lane])
+                new = first[lane]
             elif op is Opcode.ATOM_ADD:
-                write_word(addr, old + first[lane])
+                new = old + first[lane]
             elif op is Opcode.ATOM_MIN:
-                write_word(addr, min(old, first[lane]))
+                new = min(old, first[lane])
             elif op is Opcode.ATOM_MAX:
-                write_word(addr, max(old, first[lane]))
+                new = max(old, first[lane])
             else:  # pragma: no cover - enum is exhaustive
                 raise ValueError(f"unhandled atomic {op}")
+            if new is not None:
+                # GlobalMemory.write_word, inline.
+                words[word] = new
+                memory.version += 1
+                if write_hook is not None:
+                    write_hook(1)
             if dst is not None:
                 dst[lane] = ((old + _I32_BIAS) & _U32_MASK) - _I32_BIAS
 
+            if lock_try:
+                if old == compare:
+                    n_ok += 1
+                    lock_table[addr] = (warp_key, lane)
+                    fail_addr = None
+                    if emit_ok is not None:
+                        emit_ok(cycle=now, sm_id=sm.sm_id,
+                                warp_slot=warp.warp_slot, addr=addr,
+                                lane=lane)
+                else:
+                    holder = lock_table.get(addr)
+                    if holder is not None and holder[0] == warp_key:
+                        n_intra += 1
+                        conflict = "intra"
+                    else:
+                        n_inter += 1
+                        conflict = "inter"
+                    # Hang forensics: the lock this warp is stuck on.
+                    fail_addr = addr
+                    if emit_fail is not None:
+                        emit_fail(cycle=now, sm_id=sm.sm_id,
+                                  warp_slot=warp.warp_slot, addr=addr,
+                                  lane=lane, conflict=conflict)
             if lock_release:
-                sm.lock_table.pop(addr, None)
+                lock_table.pop(addr, None)
             if san is not None:
                 # magic mode already forced ``old = compare`` above, so
                 # the CAS-success test below covers it too.
@@ -572,12 +625,19 @@ def _make_atomic_handler(instr, warp_size, params):
                     wrote=not is_cas or (cas_hit and not magic),
                 )
 
-        result = sm.memsys.atomic(sm.sm_id, active_addrs, now, sync=sync)
+        if lock_try:
+            locks = sm.stats.locks
+            locks.lock_success += n_ok
+            locks.intra_warp_fail += n_intra
+            locks.inter_warp_fail += n_inter
+            warp.lock_fails += n_intra + n_inter
+            warp.lock_fail_addr = fail_addr
+        completion = sm.memsys.atomic(sm.sm_id, active_addrs, now, sync=sync)
         sm.stats.atomic_warp_instructions += 1
         if dst is None:
             warp.stack.advance()
         else:
-            _retire(warp, dst_key, result.completion)
+            _retire(warp, dst_key, completion)
 
     return handler
 

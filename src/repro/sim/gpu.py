@@ -365,6 +365,12 @@ class Simulation:
         stats = self.stats
         now = self.now
         stats.cycles = now
+        # The three counters that restate others (see SimStats).
+        stats.active_lane_sum = stats.thread_instructions
+        stats.useful_thread_instructions = (
+            stats.thread_instructions - stats.sync_thread_instructions
+        )
+        stats.issued_slots = stats.warp_instructions
         stats.memory.merge(self.memsys.stats)
         if self.obs is not None:
             self.obs.end_run(now)

@@ -11,6 +11,18 @@ from typing import Dict, Iterable
 
 import numpy as np
 
+# The per-issue NumPy calls, bound once to their C implementations: on
+# a 32-lane mask the public ``np.count_nonzero`` and ``np.copyto`` are
+# Python wrappers costing about 4x / 2x the C call they forward.  NumPy
+# < 2 has neither private path and gets the public names.  The C count
+# returns ``np.int64``: ``int()`` it before it reaches ``SimStats``.
+try:
+    from numpy._core.multiarray import count_nonzero
+    copyto = np.copyto._implementation
+except (ImportError, AttributeError):  # pragma: no cover - NumPy < 2
+    count_nonzero = np.count_nonzero
+    copyto = np.copyto
+
 
 def wrap_i32(values: np.ndarray) -> np.ndarray:
     """Wrap int64 lane values to signed 32-bit two's complement."""
@@ -46,7 +58,7 @@ class RegisterFile:
         # In place, wrapped exactly once: the int32 cast is the wrap
         # and ``copyto`` widens it back.  The cast also makes a copy, so
         # ``values`` may alias the destination (``mov r1, r1``).
-        np.copyto(
+        copyto(
             self.values[name],
             np.asarray(values, dtype=np.int64).astype(np.int32),
             where=mask,
@@ -57,5 +69,5 @@ class RegisterFile:
 
     def write_pred(self, name: str, values: np.ndarray,
                    mask: np.ndarray) -> None:
-        np.copyto(self.pred_values[name], values, where=mask,
-                  casting="unsafe")
+        copyto(self.pred_values[name], values, where=mask,
+               casting="unsafe")

@@ -22,6 +22,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.isa.program import RECONVERGE_AT_EXIT
+from repro.sim.registers import count_nonzero
 
 #: RPC value for the base stack entry: only "reconverges" at thread exit.
 _NO_RPC = -1
@@ -29,7 +30,7 @@ _NO_RPC = -1
 
 def _count(mask: np.ndarray) -> int:
     """Lanes set in ``mask`` as a plain ``int`` (it reaches ``SimStats``)."""
-    return int(np.count_nonzero(mask))
+    return int(count_nonzero(mask))
 
 
 @dataclass

@@ -66,6 +66,7 @@ from repro.sim.executor import (
     eval_cmp,
     read_operand,
 )
+from repro.sim.registers import count_nonzero
 from repro.sim.schedulers import make_scheduler
 from repro.sim.warp import Warp
 
@@ -286,7 +287,6 @@ class SM:
             warp = self.warps[slot]
             self._issue(warp, now)
             scheduler.notify_issue(slot, now)
-            self.stats.issued_slots += 1
             issued += 1
             if warp.finished:
                 # A finished warp never blocks its CTA's barrier: its
@@ -361,7 +361,7 @@ class SM:
                 exec_mask = dop.guard_op(
                     exec_mask, warp.regs.pred_values[dop.guard]
                 )
-                n_exec = int(np.count_nonzero(exec_mask))
+                n_exec = int(count_nonzero(exec_mask))
             if dop.is_branch:
                 if self.ddos is not None:
                     is_sib = self.ddos.is_sib(dop.index)
@@ -374,11 +374,8 @@ class SM:
 
             stats.warp_instructions += 1
             stats.thread_instructions += n_exec
-            stats.active_lane_sum += n_exec
             if dop.is_sync:
                 stats.sync_thread_instructions += n_exec
-            else:
-                stats.useful_thread_instructions += n_exec
             if is_sib:
                 stats.sib_warp_instructions += 1
                 stats.sib_thread_instructions += n_exec
@@ -395,7 +392,6 @@ class SM:
             if warp.backed_off != was_backed:
                 self._n_backed += 1 if warp.backed_off else -1
             scheduler.notify_issue(slot, now)
-            stats.issued_slots += 1
             issued += 1
             if not frames:
                 self._n_live -= 1
@@ -542,11 +538,8 @@ class SM:
         stats = self.stats
         stats.warp_instructions += 1
         stats.thread_instructions += n_exec
-        stats.active_lane_sum += n_exec
         if instr.has_role("sync"):
             stats.sync_thread_instructions += n_exec
-        else:
-            stats.useful_thread_instructions += n_exec
         if is_sib:
             stats.sib_warp_instructions += 1
             stats.sib_thread_instructions += n_exec
@@ -708,11 +701,11 @@ class SM:
                 np.nonzero(exec_mask)[0], active_addrs, instr.index, now,
             )
         bypass = instr.opcode is Opcode.LD_GLOBAL_CG
-        result = self.memsys.load(
+        completion = self.memsys.load(
             self.sm_id, active_addrs, now,
             bypass_l1=bypass, sync=instr.has_role("sync"),
         )
-        self._reserve(warp, instr, result.completion)
+        self._reserve(warp, instr, completion)
         warp.stack.advance()
 
     def _execute_store(self, warp: Warp, instr: Instruction,
@@ -729,11 +722,11 @@ class SM:
                 np.nonzero(exec_mask)[0], active_addrs, instr.index, now,
                 release=instr.has_role("lock_release"),
             )
-        result = self.memsys.store(
+        completion = self.memsys.store(
             self.sm_id, active_addrs, now, sync=instr.has_role("sync")
         )
         warp.last_store_completion = max(
-            warp.last_store_completion, result.completion
+            warp.last_store_completion, completion
         )
         if instr.has_role("lock_release"):
             for addr in active_addrs:
@@ -801,17 +794,19 @@ class SM:
 
         if instr.dst is not None:
             warp.regs.write(instr.dst.name, old_values, exec_mask)
-        result = self.memsys.atomic(
-            self.sm_id, addrs[exec_mask], now,
+        completion = self.memsys.atomic(
+            self.sm_id, addrs[exec_mask].tolist(), now,
             sync=instr.has_role("sync") or is_lock_try,
         )
         if instr.dst is not None:
-            self._reserve(warp, instr, result.completion)
+            self._reserve(warp, instr, completion)
         warp.stack.advance()
 
     def _record_lock_attempt(self, addr: int, success: bool, warp: Warp,
                              warp_key: WarpKey, lane: int,
                              now: int = 0) -> None:
+        """One lane's lock attempt (reference engine; the fast atomic
+        handler does the same inline, counters committed per warp)."""
         locks = self.stats.locks
         if success:
             locks.lock_success += 1

@@ -292,6 +292,135 @@ def test_atomic_outside_memory_is_rejected(tiny_config, engine, addr, atomic):
     assert memory.version == 0
 
 
+def run_lock_tries(config, source, engine, *, block_dim, memory, params):
+    """Run ``source`` on one engine with the obs bus and a write hook
+    attached; returns the result, the CTA's warps (which outlive their
+    retirement here), the hook's calls and the writes ``memory.version``
+    counted during the run."""
+    from repro.isa import assemble
+    from repro.sim.gpu import GPU, KernelLaunch
+
+    hook_calls = []
+    memory.write_hook = hook_calls.append
+    sim = GPU(config, memory=memory, engine=engine, obs=True).begin(
+        KernelLaunch(assemble(source, name="lock_tries"), 1, block_dim,
+                     params))
+    warps = sorted(sim.sms[0].warps.values(), key=lambda w: w.warp_in_cta)
+    version = memory.version
+    result = sim.run()
+    return result, warps, hook_calls, memory.version - version
+
+
+def lock_events(result):
+    """``(warp_slot, lane, verdict)`` of every lock event, in order."""
+    return [
+        (e.warp_slot, e.lane, getattr(e, "conflict", "ok"))
+        for e in result.obs.events()
+        if e.kind in ("lock_acquire_success", "lock_acquire_fail")
+    ]
+
+
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+def test_lanes_of_two_warps_race_for_one_lock(tiny_config, engine):
+    """One CAS, 64 lanes, one lock: lane order decides.  Warp 0's lane 0
+    wins, its other lanes fail *intra*-warp (their own warp holds it),
+    and every lane of warp 1 — issued next, by the second scheduler in
+    the same cycle — fails *inter*-warp."""
+    memory = GlobalMemory(1 << 10)
+    lock = memory.alloc(1)
+    result, warps, hook_calls, writes = run_lock_tries(
+        tiny_config, """
+        ld.param %r_l, [lock]
+        atom.cas %r_old, [%r_l], 0, 1 !lock_try
+        exit
+        """, engine, block_dim=64, memory=memory, params={"lock": lock})
+    locks = result.stats.locks
+    assert (locks.lock_success, locks.intra_warp_fail,
+            locks.inter_warp_fail) == (1, 31, 32)
+    assert [(w.lock_fails, w.lock_fail_addr) for w in warps] == [
+        (31, lock), (32, lock)]
+    assert memory.read_word(lock) == 1
+    assert writes == 1 and hook_calls == [1]
+    assert [w.regs.values["r_old"].tolist() for w in warps] == [
+        [0] + [1] * 31, [1] * 32]
+    w0, w1 = (w.warp_slot for w in warps)
+    assert lock_events(result) == (
+        [(w0, 0, "ok")] + [(w0, lane, "intra") for lane in range(1, 32)]
+        + [(w1, lane, "inter") for lane in range(32)])
+
+
+#: Lane ``l`` tries lock ``(l + 1) // 2`` with *register* compare and
+#: swap operands — compare 5 for lane 31, else 0; swap ``l + 100`` — so
+#: lanes 2k-1 and 2k share lock k, and lane 31 has lock 16 alone.
+REGISTER_CAS = """
+    ld.param %r_l, [locks]
+    add %r_k, %laneid, 1
+    shr %r_k, %r_k, 1
+    shl %r_k, %r_k, 2
+    add %r_a, %r_l, %r_k
+    setp.eq %p1, %laneid, 31
+    selp %r_cmp, 5, 0, %p1
+    add %r_new, %laneid, 100
+    atom.cas %r_old, [%r_a], %r_cmp, %r_new !lock_try
+    exit
+"""
+
+
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+def test_atom_cas_with_register_operands(tiny_config, engine):
+    """No shipped kernel passes a register compare or swap, so the
+    golden fixtures cannot see that path.  Lock 16 holds 5 and only
+    lane 31's register compare expects it; every other lock holds 0.
+    The first lane of each pair wins, its partner fails intra-warp and
+    reads the value just swapped in; the last lane's verdict (a win)
+    is the one ``lock_fail_addr`` keeps."""
+    memory = GlobalMemory(1 << 10)
+    locks = memory.alloc(17)
+    memory.write_word(locks + 16 * 4, 5)
+    result, (warp,), hook_calls, writes = run_lock_tries(
+        tiny_config, REGISTER_CAS, engine, block_dim=32, memory=memory,
+        params={"locks": locks})
+    winners = [0] + list(range(1, 31, 2)) + [31]
+    losers = list(range(2, 31, 2))
+    stats = result.stats.locks
+    assert (stats.lock_success, stats.intra_warp_fail,
+            stats.inter_warp_fail) == (17, 15, 0)
+    assert (warp.lock_fails, warp.lock_fail_addr) == (15, None)
+    assert memory.load_array(locks, 17).tolist() == [
+        lane + 100 for lane in winners]
+    assert writes == 17 and hook_calls == [1] * 17
+    old = warp.regs.values["r_old"].tolist()
+    assert old == [5 if lane == 31 else lane + 99 if lane in losers else 0
+                   for lane in range(32)]
+    slot = warp.warp_slot
+    assert lock_events(result) == [
+        (slot, lane, "intra" if lane in losers else "ok")
+        for lane in range(32)]
+
+
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+def test_magic_locks_with_register_operands(tiny_config, engine):
+    """The ideal-blocking proxy: every lane's acquire succeeds at once,
+    reads back its own compare value and writes nothing."""
+    import dataclasses
+
+    memory = GlobalMemory(1 << 10)
+    locks = memory.alloc(17)
+    memory.write_word(locks + 16 * 4, 5)
+    result, (warp,), hook_calls, writes = run_lock_tries(
+        dataclasses.replace(tiny_config, magic_locks=True), REGISTER_CAS,
+        engine, block_dim=32, memory=memory, params={"locks": locks})
+    stats = result.stats.locks
+    assert (stats.lock_success, stats.intra_warp_fail,
+            stats.inter_warp_fail) == (32, 0, 0)
+    assert (warp.lock_fails, warp.lock_fail_addr) == (0, None)
+    assert memory.load_array(locks, 17).tolist() == [0] * 16 + [5]
+    assert writes == 0 and hook_calls == []
+    assert warp.regs.values["r_old"].tolist() == [0] * 31 + [5]
+    assert lock_events(result) == [
+        (warp.warp_slot, lane, "ok") for lane in range(32)]
+
+
 def test_atom_cas_only_one_winner_per_address(tiny_config):
     memory = GlobalMemory(1 << 16)
     flag = memory.alloc(1)

@@ -6,7 +6,8 @@ counts every Python and C function call, the count repeats exactly on
 one NumPy version, and it is what PR 16 cut (44.6 -> 27.7 per
 instruction on the ledger's ``sync_sim`` round, 30.3 once the review
 put a ``len()`` back) and PR 23 cut again (no step of an SM with nothing
-to issue, no ``next_event`` poll): every property hop, accessor or
+to issue, no ``next_event`` poll), as did the one-pass atomic (25.1 ->
+21.5 on that round): every property hop, accessor or
 wrapper frame put back on the per-issue path — or empty step put back in
 the cycle loop — shows up here as a ratio, whatever the machine.
 
@@ -37,10 +38,12 @@ MEASURED = {
     # before PR 16 -> after it -> at PR 23's parent (the drift inside
     # the slack that PR 23 took back: a null emitter called per lane of
     # every lock attempt) -> with the loop going only where a warp acts
-    ("atm", "gto"): 24.56,  # 45.81 -> 30.55 -> 32.02
-    ("atm", "bows"): 32.24,  # 56.14 -> 39.50 -> 40.77
-    ("ht", "gto"): 26.09,  # 46.94 -> 31.08 -> 33.04
-    ("ht", "bows"): 29.08,  # 49.94 -> 34.33 -> 35.99
+    # -> with a warp atomic in one pass, NumPy's C entry points and no
+    # per-issue restated counters
+    ("atm", "gto"): 19.66,  # 45.81 -> 30.55 -> 32.02 -> 24.56
+    ("atm", "bows"): 26.61,  # 56.14 -> 39.50 -> 40.77 -> 32.24
+    ("ht", "gto"): 22.00,  # 46.94 -> 31.08 -> 33.04 -> 26.09
+    ("ht", "bows"): 25.30,  # 49.94 -> 34.33 -> 35.99 -> 29.08
 }
 #: (Python, NumPy) major.minor the numbers were taken on.  Wrapper
 #: frames differ between releases (``np.count_nonzero`` alone is one to
@@ -85,3 +88,30 @@ def test_calls_per_warp_instruction(kernel, config):
                     f"{per_instruction:.2f} calls per instruction, not "
                     f"asserted")
     assert per_instruction <= budget
+
+
+def test_bound_numpy_entry_points_agree_with_the_public_ones():
+    """The issue path calls ``count_nonzero`` / ``copyto`` as bound in
+    ``repro.sim.registers``: NumPy's C implementations where the private
+    path exists, the public functions elsewhere.  Either binding must
+    answer as the public functions do, on every leg that runs this."""
+    from repro.sim.registers import copyto, count_nonzero
+
+    rng = np.random.default_rng(7)
+    masks = [np.zeros(32, dtype=bool), np.ones(32, dtype=bool)] + [
+        rng.random(32) < p for p in (0.1, 0.5, 0.9)]
+    for mask in masks:
+        counted = count_nonzero(mask)
+        assert counted == np.count_nonzero(mask)
+        assert type(int(counted)) is int  # what reaches SimStats
+        values = rng.integers(-(1 << 40), 1 << 40, 32)
+        ours = rng.integers(-100, 100, 32)
+        public = ours.copy()
+        copyto(ours, values.astype(np.int32), where=mask)
+        np.copyto(public, values.astype(np.int32), where=mask)
+        assert ours.tolist() == public.tolist()
+        preds = np.zeros(32, dtype=bool)
+        public_preds = preds.copy()
+        copyto(preds, values, where=mask, casting="unsafe")
+        np.copyto(public_preds, values, where=mask, casting="unsafe")
+        assert preds.tolist() == public_preds.tolist()

@@ -97,6 +97,32 @@ def test_scalar_helpers_reject_what_the_vector_path_rejects(byte_addr):
     assert mem.version == 1  # the rejected writes wrote nothing
 
 
+@pytest.mark.parametrize("byte_addr, n_words", [
+    (-8, 2), (-4, 4), (250, 4), (60 * 4, 8), (64 * 4, 1), (0, 65),
+], ids=["negative", "straddling-start", "straddling-end-unaligned",
+        "straddling-end", "past-the-end", "longer-than-memory"])
+def test_array_helpers_reject_ranges_outside_memory(byte_addr, n_words):
+    """A slice clips a range that leaves memory and counts a negative
+    start from the end, so ``load_array`` used to return fewer (or no)
+    words and ``store_array`` to fail with a bare NumPy error."""
+    mem = GlobalMemory(64)
+    mem.store_array(0, range(64))
+    with pytest.raises(IndexError, match="out of bounds"):
+        mem.load_array(byte_addr, n_words)
+    with pytest.raises(IndexError, match="out of bounds"):
+        mem.store_array(byte_addr, [-1] * n_words)
+    assert mem.words.tolist() == list(range(64))
+    assert mem.version == 1  # the rejected store wrote nothing
+
+
+def test_array_helpers_reach_both_ends_of_memory():
+    mem = GlobalMemory(64)
+    mem.store_array(60 * 4, [1, 2, 3, 4])
+    assert mem.load_array(60 * 4, 4).tolist() == [1, 2, 3, 4]
+    assert mem.load_array(0, 64).size == 64
+    assert mem.load_array(64 * 4, 0).size == 0
+
+
 # ------------------------------------------------------------ timing model
 
 
@@ -109,17 +135,14 @@ def test_load_miss_then_hit_is_faster(memsys):
     config = memsys.config
     addrs = np.array([0, 4, 8])
     miss = memsys.load(0, addrs, now=0)
-    hit = memsys.load(0, addrs, now=miss.completion)
-    assert miss.completion > config.l1_hit_latency
-    assert (
-        hit.completion - miss.completion == config.l1_hit_latency
-    )
+    hit = memsys.load(0, addrs, now=miss)
+    assert miss > config.l1_hit_latency
+    assert hit - miss == config.l1_hit_latency
 
 
 def test_load_counts_one_transaction_per_line(memsys):
     addrs = np.array([0, 4, 128, 256])
-    result = memsys.load(0, addrs, now=0)
-    assert result.transactions == 3
+    memsys.load(0, addrs, now=0)
     assert memsys.stats.load_transactions == 3
 
 
@@ -156,58 +179,81 @@ def test_store_leaves_remote_l1_stale(memsys):
 
 
 def test_atomics_bypass_and_invalidate_l1(memsys):
-    addrs = np.array([0])
-    memsys.load(0, addrs, now=0)
-    memsys.atomic(0, addrs, now=100)
+    memsys.load(0, np.array([0]), now=0)
+    memsys.atomic(0, [0], now=100)
     assert not memsys.l1[0].probe(0)
     assert memsys.stats.atomic_transactions == 1
 
 
 def test_atomic_dedupes_same_address_lanes(memsys):
-    addrs = np.array([0, 0, 0, 4])
-    result = memsys.atomic(0, addrs, now=0)
-    assert result.transactions == 2  # two unique addresses
+    memsys.atomic(0, [0, 0, 0, 4], now=0)
+    assert memsys.stats.atomic_transactions == 2  # two unique addresses
 
 
-def test_atomic_takes_an_array_or_the_equal_list():
-    """The issue path hands ``atomic`` the Python list it already holds;
-    the timing model must not care which form the addresses come in."""
-    addrs = [256, 0, 4, 0, 4096, 256, 132]
+@pytest.mark.parametrize("jitter", [0, 7], ids=["steady", "jittered"])
+def test_atomic_is_one_l2_visit_per_unique_address(jitter):
+    """``atomic`` runs ``_l2_latency``'s steps inline: per unique
+    address in ascending order, the same bank queueing, jitter draw, L2
+    lookup and DRAM queueing, then the atomic unit's latency, and one
+    invalidation per L1 line.  A twin takes the same steps through
+    ``_l2_latency`` itself and must land in the same state.  (Both
+    service intervals are equal here so ``_l2_latency`` can stand in;
+    ``test_atomics_serialize_at_the_bank`` pins the atomic one.)"""
+    import dataclasses
+
+    from repro.sim.config import PerturbConfig
+
+    config = fermi_config(num_sms=2)
+    config = dataclasses.replace(
+        config, l2_service_interval=config.atomic_service_interval,
+        perturb=PerturbConfig(seed=3, mem_jitter_cycles=jitter)
+        if jitter else None)
+    addrs = [256, 0, 4, 0, 4096, 256, 132, 1 << 20]
+    lines = (0, 128, 256, 4096, 1 << 20)
     outcomes = []
-    for form in (np.array(addrs, dtype=np.int64), list(addrs)):
-        memsys = MemorySubsystem(fermi_config(num_sms=2))
-        memsys.load(0, np.array([0, 128, 4096]), now=0)  # lines to evict
-        result = memsys.atomic(0, form, now=50)
+    for inline in (True, False):
+        memsys = MemorySubsystem(config)
+        memsys.load(0, np.array(lines[:4]), now=0)  # L1 lines to evict
+        memsys.atomic(0, [4096], now=10)  # an L2 hit among the misses
+        if inline:
+            completion = memsys.atomic(0, addrs, now=50)
+        else:
+            completion = max(
+                memsys._l2_latency(addr // 128 * 128, 50)
+                + config.atomic_latency
+                for addr in sorted(set(addrs))
+            )
+            for line in lines:
+                memsys.l1[0].invalidate(line)
+            memsys.stats.atomic_transactions += 6
+            memsys.stats.sync_transactions += 6
         outcomes.append((
-            result.completion, result.transactions, vars(memsys.stats),
-            [memsys.l1[0].probe(line) for line in (0, 128, 4096)],
-            [memsys.l2.probe(line) for line in (0, 128, 256, 4096)],
+            completion, vars(memsys.stats),
+            [memsys.l1[0].probe(line) for line in lines],
+            [memsys.l2.probe(line) for line in lines],
             list(memsys._bank_free), memsys._dram_free,
+            memsys._jitter_rng.random() if jitter else None,
         ))
     assert outcomes[0] == outcomes[1]
-    assert outcomes[0][1] == 5  # unique addresses
+    assert outcomes[0][1]["l2_hits"] and outcomes[0][1]["dram_accesses"]
 
 
 def test_atomics_serialize_at_the_bank(memsys):
     """Back-to-back atomics to one (L2-resident) line queue up."""
-    addrs = np.array([0])
-    memsys.atomic(0, addrs, now=0)  # warm the L2 line
-    first = memsys.atomic(0, addrs, now=1000)
-    second = memsys.atomic(0, addrs, now=1000)
-    assert second.completion == (
-        first.completion + memsys.config.atomic_service_interval
-    )
+    memsys.atomic(0, [0], now=0)  # warm the L2 line
+    first = memsys.atomic(0, [0], now=1000)
+    second = memsys.atomic(0, [0], now=1000)
+    assert second == first + memsys.config.atomic_service_interval
 
 
 def test_atomic_storm_delays_loads_on_same_bank(memsys):
     """The paper's spin-traffic effect: CAS storms slow the CS's loads."""
     line = 0
     quiet = memsys.load(0, np.array([line]), now=0, bypass_l1=True)
-    quiet_latency = quiet.completion
     for _ in range(50):
-        memsys.atomic(0, np.array([line]), now=0)
+        memsys.atomic(0, [line], now=0)
     busy = memsys.load(0, np.array([line]), now=0, bypass_l1=True)
-    assert busy.completion > quiet_latency * 2
+    assert busy > quiet * 2
 
 
 def test_sync_vs_other_classification(memsys):
@@ -222,8 +268,7 @@ def test_completion_never_in_the_past(line_indices):
     memsys = MemorySubsystem(fermi_config(num_sms=1))
     now = 0
     for index in line_indices:
-        result = memsys.load(0, np.array([index * 128]), now=now)
-        assert result.completion > now
+        assert memsys.load(0, np.array([index * 128]), now=now) > now
         now += 1
 
 
@@ -231,5 +276,5 @@ def test_stats_totals():
     memsys = MemorySubsystem(fermi_config(num_sms=1))
     memsys.load(0, np.array([0]), now=0)
     memsys.store(0, np.array([128]), now=0)
-    memsys.atomic(0, np.array([256]), now=0)
+    memsys.atomic(0, [256], now=0)
     assert memsys.stats.total_transactions == 3

@@ -99,3 +99,19 @@ def test_issue_slot_accounting():
     stats = result.stats
     assert stats.issued_slots <= stats.issue_slots
     assert stats.issued_slots == stats.warp_instructions
+
+
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+def test_restated_counters_are_derived_at_the_end_of_a_run(engine):
+    """``active_lane_sum``, ``useful_thread_instructions`` and
+    ``issued_slots`` restate other counters: neither engine counts them
+    per issue, ``Simulation._finish`` derives them for both."""
+    workload = build("ht", n_threads=64, n_buckets=8, items_per_thread=1,
+                     block_dim=64)
+    stats = simulate(workload, config=make_config("gto", num_sms=1),
+                     engine=engine).stats
+    assert 0 < stats.sync_thread_instructions < stats.thread_instructions
+    assert stats.active_lane_sum == stats.thread_instructions
+    assert stats.useful_thread_instructions == (
+        stats.thread_instructions - stats.sync_thread_instructions)
+    assert stats.issued_slots == stats.warp_instructions

@@ -29,7 +29,7 @@ def test_rejects_non_positive_interval():
 def test_sample_computes_interval_deltas_not_running_totals():
     sampler, stats, mem = make_sampler(interval=100)
     stats.warp_instructions = 50
-    stats.active_lane_sum = 50 * 16
+    stats.thread_instructions = 50 * 16  # active lanes, summed
     stats.resident_warp_cycles = 400
     stats.backed_off_warp_cycles = 100
     stats.locks.lock_success = 6
