@@ -675,8 +675,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                       help="append per-seed outcomes to a durable JSONL "
                            "journal, making the campaign resumable")
     fuzz.add_argument("--resume", default=None, metavar="PATH",
-                      help="continue a killed campaign from its journal, "
-                           "skipping seeds with a recorded outcome")
+                      help="continue a killed campaign from its journal: "
+                           "seeds that completed count as clean and are not "
+                           "re-run (all are under --sanitize); the rest run")
     _add_server_option(fuzz, "every seed")
 
     lint = command("lint", _cmd_lint,

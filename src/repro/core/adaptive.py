@@ -27,7 +27,7 @@ spin-heavy kernels it also fires on merged wait/work loops (BH-ST,
 dataflow NW), whose closing branch is a SIB on *productive* iterations
 too — ramping the delay there throttles real work.  The rate-seeking
 controller needs no workload-dependent threshold.  Both controllers are
-compared by ``benchmarks/test_ablation_controllers.py``.
+compared by ``benchmarks/test_ablation_bows.py``.
 """
 
 from __future__ import annotations

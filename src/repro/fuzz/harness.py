@@ -290,8 +290,10 @@ class ScheduleFuzzer:
         With ``journal`` (a path or
         :class:`~repro.lab.journal.SweepJournal`), every spec and
         outcome is appended durably so a killed campaign can be
-        completed with ``resume=True`` — paired with a result cache on
-        the runner, already-finished seeds come back as cache hits.
+        completed with ``resume=True``: a seed with a ``done`` record is
+        reported clean without running again (under ``sanitize`` it runs:
+        it may have raced); with a result cache on the runner, a seed
+        that finished anyway comes back as a cache hit.
 
         ``server`` routes every seed through a ``repro serve`` daemon
         (address or connected client) instead of ``runner`` — the
@@ -301,22 +303,21 @@ class ScheduleFuzzer:
         if isinstance(seeds, int):
             seeds = list(range(seeds))
         seeds = list(seeds)
-        if resume and journal is not None:
-            # Seeds with a journaled outcome were already fuzzed by the
-            # killed campaign; only the remainder needs to run.
-            journal_path = (journal.path if isinstance(journal, SweepJournal)
-                            else journal)
+        skipped = set()
+        if resume and journal is not None and not self.sanitize:
+            path = journal.path if isinstance(journal, SweepJournal) else journal
             try:
-                done = set(load_journal(journal_path).done)
+                done = set(load_journal(path).done)
             except JournalError:
                 done = set()
-            seeds = [s for s in seeds
-                     if self.spec_for(s).content_hash() not in done]
+            skipped = {s for s in seeds
+                       if self.spec_for(s).content_hash() in done}
+        to_run = [s for s in seeds if s not in skipped]
         start = time.perf_counter()
         with open_journal(journal, "fuzz", kernel=self.kernel,
-                          seeds=len(seeds), resume=bool(resume)) as journal:
+                          seeds=len(to_run), resume=bool(resume)) as journal:
             batch = submit_many(
-                [self.spec_for(s) for s in seeds], server=server,
+                [self.spec_for(s) for s in to_run], server=server,
                 runner=runner, journal=journal, client_name="fuzz").report
 
         report = FuzzReport(
@@ -324,7 +325,12 @@ class ScheduleFuzzer:
             budget_cycles=self.budget_cycles, watchdog=self.watchdog,
             seeds=seeds, machine=self.machine,
         )
-        for seed, outcome in zip(seeds, batch.results):
+        outcomes = iter(batch.results)
+        for seed in seeds:
+            if seed in skipped:
+                report.clean.append(seed)
+                continue
+            outcome = next(outcomes)
             if outcome.ok:
                 diags = ((outcome.sanitizer or {}).get("diagnostics")
                          if outcome.sanitizer is not None else None)

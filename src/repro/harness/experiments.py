@@ -44,7 +44,7 @@ from repro.sim.config import DDOSConfig, GPUConfig
 BASELINES = ("lrr", "gto", "cawa")
 
 #: Back-off delay-limit sweep of Figures 10-13 (None = plain GTO,
-#: "adaptive" = the Figure 5 controller).
+#: "adaptive" = the default ``"hillclimb"`` controller, not Figure 5's).
 DELAY_SWEEP: Tuple = (None, 0, 500, 1000, 3000, 5000, "adaptive")
 
 

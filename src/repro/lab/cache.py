@@ -187,18 +187,12 @@ class VerifyReport:
 
 
 class ResultCache:
-    """Content-addressed store of :class:`RunResult` records.
-
-    ``bus`` is an optional :class:`repro.obs.EventBus`: when attached,
-    quarantine actions publish
-    :class:`~repro.obs.events.CorruptEntryQuarantined` events.
-    """
+    """Content-addressed store of :class:`RunResult` records."""
 
     def __init__(self, directory=None,
-                 fingerprint: Optional[str] = None, bus=None) -> None:
+                 fingerprint: Optional[str] = None) -> None:
         self.directory = Path(directory) if directory else default_cache_dir()
         self._fingerprint = fingerprint
-        self.bus = bus
         #: spec hash -> (file signature, ``result`` JSON text) of entries
         #: this object has verified; see :meth:`get`.
         self._verified: Dict[str, Tuple[tuple, str]] = {}
@@ -267,7 +261,7 @@ class ResultCache:
                 "misfiled: written under another code fingerprint")
         return payload, result, stat
 
-    def _quarantine(self, path: Path, reason: str) -> Optional[Path]:
+    def _quarantine(self, path: Path) -> Optional[Path]:
         """Move a corrupt entry aside (atomic; races resolve silently)."""
         dest_dir = self.directory / QUARANTINE_DIR
         dest_dir.mkdir(parents=True, exist_ok=True)
@@ -277,12 +271,6 @@ class ResultCache:
                 os.replace(path, dest)
         except (OSError, LockTimeout):
             return None  # another process already moved/removed it
-        if self.bus is not None:
-            from repro.obs.events import CorruptEntryQuarantined
-
-            self.bus.publish(CorruptEntryQuarantined(
-                cycle=0, path=str(path), reason=reason,
-            ))
         return dest
 
     # ------------------------------------------------------------------
@@ -318,8 +306,8 @@ class ResultCache:
                                    json.dumps(payload["result"]))
         except OSError:
             return None  # plain miss
-        except EntryDefect as defect:
-            self._quarantine(path, str(defect))
+        except EntryDefect:
+            self._quarantine(path)
             return None
         result.from_cache = True
         result.label = spec.label
@@ -401,7 +389,7 @@ class ResultCache:
                 status="corrupt", detail=defect,
             ))
             if repair:
-                moved = self._quarantine(path, defect)
+                moved = self._quarantine(path)
                 if moved is not None:
                     report.quarantined.append(str(moved))
         return report

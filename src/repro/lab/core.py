@@ -43,6 +43,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Union
 
+from repro.lab.journal import note_record, outcome_record
 from repro.lab.results import RunFailure, RunResult
 from repro.lab.spec import RunSpec
 from repro.sim.progress import SimulationHang
@@ -178,24 +179,23 @@ class ExecutionCore:
     ``queue`` is anything with ``push / pop / job_finished / __len__``.
     ``prepare(task)`` returns the ``(fn, *args)`` to run in the pool for
     the attempt about to start.  ``listener(kind, task, detail)`` hears
-    ``"settled"`` (detail: the RunResult/RunFailure) and
-    ``"worker_lost"`` (True when re-queued for free).  ``note`` gets
-    one human-readable line per decision.
+    ``"settled"`` (detail: the RunResult/RunFailure) and ``"note"``
+    (detail: a ``note`` record — ``worker_lost``, ``retry`` and
+    ``straggler``, journaled too, or ``write_failed``, with ``task``
+    None, never journaled and heard on whichever thread wrote).
 
     :meth:`submit`, :meth:`begin_drain` and :meth:`persist` may be called
     from any thread; everything else belongs to the pumping thread.
     """
 
     def __init__(self, task_queue, prepare: Callable[[Task], tuple],
-                 listener: Callable[[str, Task, Any], None],
-                 note: Callable[[str], None], *,
+                 listener: Callable[[str, Optional[Task], Any], None], *,
                  workers: int, mode: str, cache=None, journal=None,
                  timeout_s: Optional[float] = None, retries: int = 1,
                  backoff_base_s: float = BACKOFF_BASE_S) -> None:
         self.queue = task_queue
         self.prepare = prepare
         self.listener = listener
-        self.note = note
         self.workers = workers
         self.mode = mode
         self.cache = cache
@@ -238,8 +238,15 @@ class ExecutionCore:
         try:
             write(*args, **kwargs)
         except OSError as exc:
-            self.note(f"{write.__qualname__} failed, continuing without "
-                      f"it: {type(exc).__name__}: {exc}")
+            self._note(None, "write_failed", write=write.__qualname__,
+                       error_type=type(exc).__name__, message=str(exc))
+
+    def _note(self, task: Optional[Task], note: str, **detail: Any) -> None:
+        """Announce one decision; one about a task is journaled too."""
+        line = note_record(note, **detail)
+        if task is not None and self.journal is not None:
+            self.persist(self.journal.append, line)
+        self.listener("note", task, line)
 
     @contextmanager
     def drain_on_signal(self, grace_s: float,
@@ -398,16 +405,14 @@ class ExecutionCore:
             return
         verdict = classify(outcome, task.attempts, self.retries,
                            task.free_requeued, self.draining)
-        display = task.spec.display
         if isinstance(outcome, BrokenProcessPool):
             if pool is self._pool:
                 # Rebuilt at the next dispatch.  A loss still landing
                 # from a pool already replaced must not close its heir.
                 self.close()
             self.worker_losses += 1
-            self.note(f"{display}: worker died" + (
-                ", re-queued (free)" if verdict == REQUEUE else ""))
-            self.listener("worker_lost", task, verdict == REQUEUE)
+            self._note(task, "worker_lost", hash=task.spec.content_hash(),
+                       requeued=verdict == REQUEUE)
         if verdict == REQUEUE:
             task.free_requeued = True
             task.attempts -= 1
@@ -419,8 +424,9 @@ class ExecutionCore:
                 self._rng)
             task.not_before = time.monotonic() + task.backoff_s
             self.delayed.append(task)
-            self.note(f"{display}: transient {type(outcome).__name__}, "
-                      f"retrying in {task.backoff_s:.2f}s")
+            self._note(task, "retry", hash=task.spec.content_hash(),
+                       error_type=type(outcome).__name__,
+                       backoff_s=round(task.backoff_s, 3))
         else:
             self._finish(task, self._failure(task, outcome, elapsed))
 
@@ -446,15 +452,7 @@ class ExecutionCore:
     def _finish(self, task: Task,
                 outcome: Union[RunResult, RunFailure]) -> None:
         if self.journal is not None:
-            self.persist(self.journal.record_outcome, outcome)
-        if not outcome.ok:
-            verdict = f"FAILED ({outcome.error_type})"
-        elif outcome.from_cache:
-            verdict = "cached"
-        else:
-            verdict = (f"ok ({outcome.cycles} cycles, "
-                       f"{outcome.elapsed_s:.1f}s)")
-        self.note(f"{task.spec.display}: {verdict}")
+            self.persist(self.journal.append, outcome_record(outcome))
         self.listener("settled", task, outcome)
 
     def _flag_stragglers(self, budget_s: float) -> None:
@@ -463,9 +461,9 @@ class ExecutionCore:
             if not task.straggler and now - task.started > budget_s:
                 task.straggler = True
                 self.stragglers += 1
-                self.note(f"{task.spec.display}: straggler "
-                          f"({now - task.started:.1f}s > {budget_s:.1f}s "
-                          "budget; in-worker alarm missing?)")
+                self._note(task, "straggler", hash=task.spec.content_hash(),
+                           running_s=round(now - task.started, 3),
+                           budget_s=budget_s)
 
 
 __all__ = [

@@ -10,6 +10,9 @@ spool skips the fsync) and :func:`read_records` the one reader (a torn
 final line is left for the next call; a line that is not a v1 record of
 a known kind is skipped and counted).
 
+Whatever the host narrates is one of these records too (``done``,
+``failed`` or ``note``), and :func:`render` alone turns it into text.
+
 ``repro sweep --journal j.jsonl`` writes a journal; after a crash,
 ``repro sweep --resume j.jsonl`` rebuilds the specs from it and re-runs
 the batch — finished specs come back as result-cache hits (recorded as
@@ -65,6 +68,58 @@ def record(kind: str, **fields: Any) -> Dict[str, Any]:
             f"{kind!r} record: expected keys {sorted(expected)}, "
             f"got {sorted(fields)}")
     return {"v": RECORD_VERSION, "kind": kind, **fields}
+
+
+def note_record(note: str, **detail: Any) -> Dict[str, Any]:
+    """A ``note`` record: the fact's name and its fields."""
+    return record("note", note=note, detail=detail)
+
+
+def outcome_record(outcome) -> Dict[str, Any]:
+    """A ``RunResult`` as its ``done`` record, a ``RunFailure`` as its
+    ``failed`` record."""
+    common = dict(hash=outcome.spec_hash, attempts=outcome.attempts,
+                  elapsed_s=round(outcome.elapsed_s, 3))
+    if outcome.ok:
+        return record("done", **common, from_cache=outcome.from_cache,
+                      cycles=outcome.cycles)
+    return record("failed", **common, error_type=outcome.error_type,
+                  message=outcome.message, hang=outcome.hang,
+                  transient=outcome.transient)
+
+
+#: How a note reads on a progress line: a ``str.format`` template over
+#: its ``detail``; any other note reads as its name and ``key=value``\ s.
+NOTE_LINES: Dict[str, str] = {
+    # The execution core's decisions (the first three are journaled).
+    "worker_lost": "worker died (requeued={requeued})",
+    "retry": "transient {error_type}, retrying in {backoff_s:.2f}s",
+    "straggler": "straggler ({running_s:.1f}s > {budget_s:.1f}s budget; "
+                 "in-worker alarm missing?)",
+    "write_failed": "{write} failed, continuing without it: "
+                    "{error_type}: {message}",
+    # The front ends.
+    "signal": "signal received: draining (repeat to abort immediately)",
+    "submit": "{status} as {job} (client {client})",
+    "serve_start": "serving on {address} ({workers} {mode} workers)",
+    "serve_exit": "stopped (abort={abort}, interrupted={interrupted})",
+}
+
+
+def render(line: Dict[str, Any], name: Optional[str] = None) -> str:
+    """The one progress line for a ``done``, ``failed`` or ``note``
+    record; ``name`` is the display name of the spec it is about."""
+    if line["kind"] == "note":
+        template, detail = NOTE_LINES.get(line["note"]), line["detail"]
+        text = (template.format(**detail) if template else " ".join(
+            [line["note"], *(f"{k}={v}" for k, v in detail.items())]))
+    elif line["kind"] == "failed":
+        text = f"FAILED ({line['error_type']})"
+    elif line["from_cache"]:
+        text = "cached"
+    else:
+        text = f"ok ({line['cycles']} cycles, {line['elapsed_s']:.1f}s)"
+    return text if name is None else f"{name}: {text}"
 
 
 def read_records(path, offset: int = 0
@@ -137,23 +192,6 @@ class SweepJournal:
                            spec=spec.to_dict()))
         self._spec_hashes.add(spec_hash)
 
-    def record_outcome(self, outcome) -> None:
-        """Journal a terminal record: a ``RunResult`` as ``done``, a
-        ``RunFailure`` as ``failed``."""
-        common = dict(hash=outcome.spec_hash, attempts=outcome.attempts,
-                      elapsed_s=round(outcome.elapsed_s, 3))
-        if outcome.ok:
-            line = record("done", **common, from_cache=outcome.from_cache,
-                          cycles=outcome.cycles)
-        else:
-            line = record("failed", **common, error_type=outcome.error_type,
-                          message=outcome.message, hang=outcome.hang,
-                          transient=outcome.transient)
-        self.append(line)
-
-    def record_note(self, note: str, **detail: Any) -> None:
-        self.append(record("note", note=note, detail=detail))
-
     def close(self) -> None:
         if not self._handle.closed:
             self._handle.close()
@@ -178,7 +216,7 @@ def open_journal(journal, note: str,
         if journal is not None:
             if not isinstance(journal, SweepJournal):
                 journal = stack.enter_context(SweepJournal(journal))
-            journal.record_note(note, **detail)
+            journal.append(note_record(note, **detail))
         yield journal
 
 
@@ -251,11 +289,15 @@ def load_journal(path) -> JournalState:
 __all__ = [
     "JournalError",
     "JournalState",
+    "NOTE_LINES",
     "RECORD_KEYS",
     "RECORD_VERSION",
     "SweepJournal",
     "load_journal",
+    "note_record",
     "open_journal",
+    "outcome_record",
     "read_records",
     "record",
+    "render",
 ]

@@ -40,6 +40,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 from repro.lab.cache import ResultCache
 from repro.lab.core import (BACKOFF_BASE_S, ExecutionCore, FifoQueue,
                             RunTimeout, Task)
+from repro.lab.journal import note_record, outcome_record, render
 from repro.lab.results import LabError, RunFailure, RunResult
 from repro.lab.spec import RunSpec
 
@@ -254,7 +255,6 @@ class Runner:
         retries: int = 1,
         run_fn: Optional[Callable[[RunSpec], RunResult]] = None,
         progress: Optional[Callable[[str], None]] = None,
-        bus=None,
         checkpoint_dir=None,
         backoff_base_s: float = BACKOFF_BASE_S,
         grace_s: float = 30.0,
@@ -274,12 +274,8 @@ class Runner:
         #: The function actually executed per spec; injectable for tests
         #: (must be picklable — i.e. module-level — in process mode).
         self.run_fn = run_fn
+        #: Receives each line :func:`~repro.lab.journal.render` makes.
         self.progress = progress
-        #: Optional :class:`repro.obs.EventBus` receiving lab-level
-        #: events (worker losses, quarantines).  Shared with the cache.
-        self.bus = bus
-        if self.bus is not None and self.cache is not None:
-            self.cache.bus = self.bus
         self.checkpoint_dir = checkpoint_dir
         self.backoff_base_s = backoff_base_s
         self.grace_s = grace_s
@@ -302,7 +298,7 @@ class Runner:
         slots: Dict[Task, int] = {}
         core = ExecutionCore(
             FifoQueue(), self._pool_call,
-            partial(self._on_event, report, slots), self._note,
+            partial(self._on_event, report, slots),
             workers=self.workers, mode=self.mode, cache=self.cache,
             journal=journal, timeout_s=self.timeout_s,
             retries=self.retries, backoff_base_s=self.backoff_base_s,
@@ -319,8 +315,7 @@ class Runner:
             if repeat:
                 raise KeyboardInterrupt
             report.interrupted = True
-            self._note("signal received: draining in-flight runs "
-                       "(repeat to abort immediately)")
+            self._say(note_record("signal"))
 
         try:
             with core.drain_on_signal(self.grace_s, on_signal):
@@ -333,11 +328,11 @@ class Runner:
             report.stragglers = core.stragglers
 
         if journal is not None:
-            core.persist(journal.record_note, "batch_end",
-                         retried=report.retried,
-                         worker_losses=report.worker_losses,
-                         stragglers=report.stragglers,
-                         interrupted=report.interrupted)
+            core.persist(journal.append, note_record(
+                "batch_end", retried=report.retried,
+                worker_losses=report.worker_losses,
+                stragglers=report.stragglers,
+                interrupted=report.interrupted))
         report.elapsed_s = time.perf_counter() - start
         self.last_report = report
         return report
@@ -353,9 +348,9 @@ class Runner:
 
     # ------------------------------------------------------------------
 
-    def _note(self, message: str) -> None:
+    def _say(self, line: Dict[str, Any], task: Optional[Task] = None) -> None:
         if self.progress is not None:
-            self.progress(message)
+            self.progress(render(line, task and task.spec.display))
 
     def _pool_call(self, task: Task) -> tuple:
         run_fn = self.run_fn or partial(execute_run,
@@ -363,13 +358,8 @@ class Runner:
         return (_run_with_timeout, run_fn, task.spec, self.timeout_s)
 
     def _on_event(self, report: BatchReport, slots: Dict[Task, int],
-                  kind: str, task: Task, detail: Any) -> None:
+                  kind: str, task: Optional[Task], detail: Any) -> None:
         if kind == "settled":
             report.results[slots[task]] = detail
-        elif kind == "worker_lost" and self.bus is not None:
-            from repro.obs.events import WorkerLost
-
-            self.bus.publish(WorkerLost(
-                cycle=0, spec_hash=task.spec.content_hash(),
-                requeued=detail,
-            ))
+            detail = outcome_record(detail)
+        self._say(detail, task)

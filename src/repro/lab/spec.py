@@ -105,9 +105,9 @@ class RunSpec:
     #: Run the workload's functional validation after simulation.
     validate: bool = True
     #: Execution engine (``"fast"``/``"reference"``).  Part of the hash:
-    #: the engines are bitwise-equivalent by contract, but cache entries
-    #: must say which engine actually produced them so equivalence can be
-    #: *checked* (the benchmark harness runs both and diffs).
+    #: the engines are bitwise-equivalent by contract, but a cache entry
+    #: must say which engine produced it, or a reference run asked for by
+    #: an equivalence test would be answered from a fast one.
     engine: str = "fast"
     #: Observability collection for this run (:class:`repro.obs.ObsConfig`).
     #: Collection never changes the simulation outcome, but it changes

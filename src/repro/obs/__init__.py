@@ -45,7 +45,6 @@ from repro.obs.events import (
     BarrierArrive,
     BarrierRelease,
     CheckpointSaved,
-    CorruptEntryQuarantined,
     HangSuspected,
     Issue,
     LockAcquireFail,
@@ -54,7 +53,6 @@ from repro.obs.events import (
     SanitizerFinding,
     SIBCleared,
     SIBDetected,
-    WorkerLost,
     event_from_dict,
     event_to_dict,
     format_event,
@@ -83,8 +81,6 @@ __all__ = [
     "SanitizerFinding",
     "CheckpointSaved",
     "RunResumed",
-    "CorruptEntryQuarantined",
-    "WorkerLost",
     "Issue",
     "event_to_dict",
     "event_from_dict",

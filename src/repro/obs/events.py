@@ -190,29 +190,6 @@ class RunResumed:
 
 
 @dataclass(frozen=True)
-class CorruptEntryQuarantined:
-    """The lab cache found an entry failing its content checksum and
-    moved it aside (never served, never silently deleted).  ``cycle``
-    is 0: this is a lab-level event, not a simulated-time one."""
-
-    kind = "corrupt_entry_quarantined"
-    cycle: int
-    path: str
-    reason: str
-
-
-@dataclass(frozen=True)
-class WorkerLost:
-    """A pool worker died mid-run (SIGKILL, OOM, crash); the in-flight
-    spec was re-queued.  ``cycle`` is 0 (lab-level event)."""
-
-    kind = "worker_lost"
-    cycle: int
-    spec_hash: str
-    requeued: bool
-
-
-@dataclass(frozen=True)
 class Issue:
     """One issued warp instruction; ``backed_off`` is the BOWS state the
     warp was selected in."""
@@ -251,8 +228,6 @@ EVENT_TYPES: Tuple[type, ...] = (
     SanitizerFinding,
     CheckpointSaved,
     RunResumed,
-    CorruptEntryQuarantined,
-    WorkerLost,
     Issue,
 )
 

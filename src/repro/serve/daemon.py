@@ -45,7 +45,8 @@ from typing import Any, Dict, Optional
 
 from repro.lab.cache import ResultCache
 from repro.lab.core import ExecutionCore
-from repro.lab.journal import SweepJournal, read_records, record
+from repro.lab.journal import (SweepJournal, note_record, outcome_record,
+                               read_records, record, render)
 from repro.lab.spec import RunSpec
 from repro.serve import protocol, wire
 from repro.serve.jobstore import Job, JobStore
@@ -139,7 +140,6 @@ class ServeDaemon:
         else:
             self.cache = ResultCache(cache)
         self._journal_path = journal
-        self._journal: Optional[SweepJournal] = None
         self.grace_s = grace_s
         self.checkpoint_dir = checkpoint_dir
         self._owns_spool = spool_dir is None
@@ -150,7 +150,7 @@ class ServeDaemon:
         self.store = JobStore(cache=self.cache)
         self.scheduler = FairScheduler(max_inflight_per_client)
         self.core = ExecutionCore(
-            self.scheduler, self._pool_call, self._on_event, self._note,
+            self.scheduler, self._pool_call, self._on_event,
             workers=self.workers, mode=self.mode, cache=self.cache,
             timeout_s=timeout_s, retries=retries,
         )
@@ -179,19 +179,18 @@ class ServeDaemon:
             )
         else:
             self.spool_dir.mkdir(parents=True, exist_ok=True)
+        started = note_record("serve_start", address=self.address,
+                              workers=self.workers, mode=self.mode)
         if self._journal_path is not None:
-            self._journal = self.core.journal = SweepJournal(
-                self._journal_path)
-            self._journal.record_note("serve_start", address=self.address,
-                                      workers=self.workers, mode=self.mode)
+            self.core.journal = SweepJournal(self._journal_path)
+            self.core.journal.append(started)
         self._listener = protocol.create_listener(self.address)
         for name, target in (
             ("serve-accept", self._accept_loop),
             ("serve-dispatch", self._dispatch_loop),
         ):
             threading.Thread(target=target, name=name, daemon=True).start()
-        self._note(f"serving on {self.address} "
-                   f"({self.workers} {self.mode} workers)")
+        self._say(started)
         return self
 
     def serve_forever(self) -> int:
@@ -204,8 +203,7 @@ class ServeDaemon:
         def on_signal(repeat: bool) -> None:
             self._abort = self._abort or repeat
             if not repeat:
-                self._note("signal received: draining "
-                           "(repeat to abort immediately)")
+                self._say(note_record("signal"))
 
         with self.core.drain_on_signal(self.grace_s, on_signal):
             self._stopped.wait()
@@ -255,9 +253,9 @@ class ServeDaemon:
 
     # -- internals -----------------------------------------------------
 
-    def _note(self, message: str) -> None:
+    def _say(self, line: Dict[str, Any], name: Optional[str] = None) -> None:
         if self.progress is not None:
-            self.progress(f"[serve] {message}")
+            self.progress("[serve] " + render(line, name))
 
     def _count(self, name: str) -> None:
         with self._counters_lock:
@@ -351,16 +349,17 @@ class ServeDaemon:
         job, status = self.store.submit(spec, client=conn.name,
                                         subscriber=subscription)
         self._count("submitted")
-        if self._journal is not None:
-            self.core.persist(self._journal.record_spec, spec)
+        journal = self.core.journal
+        if journal is not None:
+            self.core.persist(journal.record_spec, spec)
         accepted = {"type": "accepted", "job_id": job.id,
                     "spec_hash": job.spec_hash, "status": status}
         if status == "cached":
             # Answered here, on the client's thread: a cache hit never
             # enters the core.  Both lines leave in one socket write.
             self._count("cache_hits")
-            if self._journal is not None:
-                self.core.persist(self._journal.record_outcome, job.result)
+            if journal is not None:
+                self.core.persist(journal.append, outcome_record(job.result))
             conn.send(accepted,
                       {"type": "result", "job_id": job.id,
                        "result": wire.result_to_wire(job.result)})
@@ -370,8 +369,9 @@ class ServeDaemon:
                 self._count("attached")
             else:
                 self.core.submit(job)
-        self._note(f"{spec.display}: {status} as {job.id} "
-                   f"(client {conn.name})")
+        if self.progress is not None:
+            self._say(note_record("submit", job=job.id, status=status,
+                                  client=conn.name), spec.display)
 
     # -- execution (all on the serve-dispatch thread) -----------------
 
@@ -380,10 +380,10 @@ class ServeDaemon:
         try:
             while not core.draining:
                 self._turn()
-            if self._journal is not None:
-                core.persist(self._journal.record_note, "drain",
-                             running=len(core.running),
-                             queued=len(self.scheduler))
+            if core.journal is not None:
+                core.persist(core.journal.append, note_record(
+                    "drain", running=len(core.running),
+                    queued=len(self.scheduler)))
             while not core.idle:
                 self._turn()
         finally:
@@ -408,22 +408,24 @@ class ServeDaemon:
                 self.core.timeout_s, self.checkpoint_dir)
 
     def _on_event(self, kind: str, job: Job, detail: Any) -> None:
-        """The core's listener: counters and result fan-out."""
-        if kind == "settled":
-            self._drain_spool(job, final=True)
-            self.store.finish(job)
-            # Count before broadcasting: a client that queries status
-            # right after receiving its result must see this outcome.
-            if detail.ok:
-                # ``from_cache``: the dispatch-time re-check hit.
-                self._count("cache_hits" if detail.from_cache
-                            else "completed")
-                job.broadcast({"type": "result", "job_id": job.id,
-                               "result": wire.result_to_wire(detail)})
-            else:
-                self._count("failed")
-                job.broadcast({"type": "failure", "job_id": job.id,
-                               "failure": wire.failure_to_wire(detail)})
+        """The core's listener: progress lines, counters, fan-out."""
+        if kind == "note":
+            self._say(detail, job and job.spec.display)
+            return
+        self._say(outcome_record(detail), job.spec.display)
+        self._drain_spool(job, final=True)
+        self.store.finish(job)
+        # Count before broadcasting: a client that queries status
+        # right after receiving its result must see this outcome.
+        if detail.ok:
+            # ``from_cache``: the dispatch-time re-check hit.
+            self._count("cache_hits" if detail.from_cache else "completed")
+            job.broadcast({"type": "result", "job_id": job.id,
+                           "result": wire.result_to_wire(detail)})
+        else:
+            self._count("failed")
+            job.broadcast({"type": "failure", "job_id": job.id,
+                           "failure": wire.failure_to_wire(detail)})
 
     # -- progress streaming -------------------------------------------
 
@@ -471,14 +473,14 @@ class ServeDaemon:
             conns = list(self._conns)
         for conn in conns:
             conn.close()
-        if self._journal is not None:
-            self.core.persist(self._journal.record_note, "serve_exit",
-                              abort=self._abort,
-                              interrupted=self.core.interrupted)
-            self.core.persist(self._journal.close)
+        exited = note_record("serve_exit", abort=self._abort,
+                             interrupted=self.core.interrupted)
+        if self.core.journal is not None:
+            self.core.persist(self.core.journal.append, exited)
+            self.core.persist(self.core.journal.close)
         if self._owns_spool and self.spool_dir is not None:
             shutil.rmtree(self.spool_dir, ignore_errors=True)
-        self._note("stopped" + (" (abort)" if self._abort else ""))
+        self._say(exited)
         self._stopped.set()
 
 

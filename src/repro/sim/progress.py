@@ -7,8 +7,8 @@ entirely and is caught by the GPU loop's no-event check, but a
 keeps issuing spin iterations forever and, without this module, burns
 silently until ``max_cycles``.
 
-:class:`ProgressMonitor` is sampled from :meth:`repro.sim.gpu.GPU.launch`
-every ``config.progress_epoch`` cycles.  Each sample is cheap: per-warp
+:class:`ProgressMonitor` is sampled by ``Simulation._advance`` every
+``config.progress_epoch`` cycles.  Each sample is cheap: per-warp
 retired-instruction counters and PCs, plus global digests (the
 functional-memory write version, lock acquisitions, warp completions).
 When *none* of the global digests move for a full
@@ -101,7 +101,7 @@ class HangReport:
     """Structured forensics for a hung (or timed-out) simulation.
 
     Everything is plain data: ``to_dict()`` round-trips through JSON, so
-    lab manifests can embed reports verbatim.
+    a journal's ``failed`` record carries the report verbatim.
     """
 
     #: "deadlock" | "livelock" | "timeout".

@@ -46,7 +46,7 @@ from __future__ import annotations
 import time
 from typing import (Any, Dict, Iterator, List, Optional, Sequence, Union)
 
-from repro.lab.journal import record
+from repro.lab.journal import outcome_record, record
 from repro.lab.results import LabError, RunFailure, RunResult
 from repro.lab.runner import BatchReport, Runner
 from repro.lab.spec import RunSpec
@@ -288,7 +288,7 @@ def submit_many(
             ))
         if journal is not None:
             for handle in batch.handles:  # each the moment it arrives
-                journal.record_outcome(handle.outcome())
+                journal.append(outcome_record(handle.outcome()))
     except BaseException:
         batch._release_client()
         raise

@@ -24,7 +24,6 @@ from repro.harness.runner import make_config
 from repro.lab import _testing, cache as cache_mod
 from repro.lab.cache import ResultCache
 from repro.lab.spec import RunSpec
-from repro.obs import EventBus
 
 
 def _spec(seed: int = 0, kernel: str = "vecadd") -> RunSpec:
@@ -40,8 +39,7 @@ def _result(spec: RunSpec, cycles: int):
 
 @pytest.fixture()
 def cache(tmp_path):
-    return ResultCache(tmp_path / "cache", fingerprint="f" * 64,
-                       bus=EventBus())
+    return ResultCache(tmp_path / "cache", fingerprint="f" * 64)
 
 
 def _path(cache: ResultCache, spec: RunSpec):
@@ -71,7 +69,6 @@ def test_entry_copied_over_another_is_a_defect(cache):
     # is kept.
     assert cache.get(asked) is None
     assert _quarantined(cache) == 1
-    assert cache.bus.counts.get("corrupt_entry_quarantined") == 1
     assert cache.get(other).cycles == 222
     assert cache.verify().ok
 

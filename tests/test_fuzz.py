@@ -170,6 +170,53 @@ def test_report_json_round_trips():
 
 
 # ----------------------------------------------------------------------
+# Resume
+
+
+def _racy_on_seeds(*racy_seeds):
+    def run_fn(spec):
+        result = _ok(spec)
+        if spec.config.perturb.seed in racy_seeds:
+            result.sanitizer = {"ok": False, "diagnostics": [
+                {"id": "SAN001", "pc": 9, "severity": "error",
+                 "message": "write-write race on @100"}]}
+        return result
+    return run_fn
+
+
+def test_resume_reports_the_whole_campaign(tmp_path):
+    """Seeds the killed campaign finished are listed clean, not dropped,
+    and only the rest run."""
+    journal = tmp_path / "fuzz.jsonl"
+    ran = []
+
+    def run_fn(spec):
+        ran.append(spec.config.perturb.seed)
+        return _ok(spec)
+
+    runner = Runner(workers=1, run_fn=run_fn)
+    _fuzzer().run([0, 1], runner=runner, journal=journal)
+    report = _fuzzer().run(4, runner=runner, journal=journal, resume=True)
+    assert ran == [0, 1, 2, 3]
+    assert report.seeds == report.clean == [0, 1, 2, 3]
+    assert "4 seed(s), 4 clean" in report.summary()
+
+
+def test_resume_under_the_sanitizer_reruns_done_seeds(tmp_path):
+    """A ``done`` record cannot tell a clean seed from a racy one, so a
+    sanitized resume runs every seed and still reports the races."""
+    journal = tmp_path / "fuzz.jsonl"
+    runner = Runner(workers=1, run_fn=_racy_on_seeds(0, 1))
+    first = _fuzzer(sanitize=True).run(2, runner=runner, journal=journal)
+    assert [f.seed for f in first.races] == [0, 1]
+    report = _fuzzer(sanitize=True).run(4, runner=runner, journal=journal,
+                                        resume=True)
+    assert report.seeds == [0, 1, 2, 3]
+    assert [f.seed for f in report.races] == [0, 1]
+    assert report.clean == [2, 3]
+
+
+# ----------------------------------------------------------------------
 # Shrink
 
 

@@ -43,9 +43,6 @@ EXAMPLES = {
                              size_bytes=123_456),
     "run_resumed": dict(cycle=25_000, path="/tmp/run.ckpt",
                         spec_hash="a" * 64),
-    "corrupt_entry_quarantined": dict(cycle=0, path=".lab_cache/x.json",
-                                      reason="checksum mismatch"),
-    "worker_lost": dict(cycle=0, spec_hash="a" * 64, requeued=True),
     "issue": dict(cycle=26, sm_id=0, warp_slot=3, cta_id=1, pc=7,
                   opcode="add", active_lanes=32, backed_off=True),
 }
@@ -56,7 +53,7 @@ def example(cls):
 
 
 def test_taxonomy_is_complete_and_consistent():
-    assert len(EVENT_TYPES) == 16
+    assert len(EVENT_TYPES) == 14
     assert set(EVENT_KINDS) == set(EXAMPLES)
     for cls in EVENT_TYPES:
         assert EVENT_KINDS[cls.kind] is cls

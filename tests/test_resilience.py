@@ -20,6 +20,7 @@ import functools
 import logging
 import os
 import random
+import re
 import shutil
 import signal
 import subprocess
@@ -36,11 +37,11 @@ from repro.harness.runner import make_config
 from repro.lab import (FileLock, LockTimeout, ResultCache, Runner, RunSpec,
                        decorrelated_jitter, load_journal, resume_sweep)
 from repro.lab import _testing
-from repro.lab.journal import (RECORD_KEYS, JournalError, SweepJournal,
-                               read_records, record)
+from repro.lab.journal import (NOTE_LINES, RECORD_KEYS, JournalError,
+                               SweepJournal, note_record, outcome_record,
+                               read_records, record, render)
 from repro.lab.results import RunFailure
 from repro.lab.runner import _run_with_timeout
-from repro.obs import EventBus
 from repro.serve import ServeClient, ServeDaemon
 from repro.sim.progress import SimulationDeadlock
 
@@ -130,8 +131,7 @@ def _entry_path(cache: ResultCache, spec: RunSpec) -> Path:
 
 
 def test_torn_write_is_quarantined_then_recomputed(tmp_path):
-    bus = EventBus()
-    cache = ResultCache(tmp_path / "cache", bus=bus)
+    cache = ResultCache(tmp_path / "cache")
     runner = Runner(cache=cache, run_fn=_testing.instant_ok)
     spec = _spec(0)
     assert runner.run_many([spec]).executed == 1
@@ -145,7 +145,7 @@ def test_torn_write_is_quarantined_then_recomputed(tmp_path):
     assert cache.get(spec) is None
     quarantined = list((tmp_path / "cache" / "quarantine").iterdir())
     assert len(quarantined) == 1
-    assert bus.counts.get("corrupt_entry_quarantined") == 1
+    assert cache.stats().quarantined_entries == 1
 
     # ...and the slot recomputes cleanly on the next batch.
     report = Runner(cache=cache, run_fn=_testing.instant_ok).run_many([spec])
@@ -262,8 +262,9 @@ def test_journal_round_trip_and_pending(tmp_path):
         for spec in specs:
             journal.record_spec(spec)
             journal.record_spec(spec)  # idempotent
-        journal.record_outcome(_testing.fabricate_result(specs[0], 11))
-        journal.record_outcome(_timed_out(specs[1]))
+        journal.append(outcome_record(
+            _testing.fabricate_result(specs[0], 11)))
+        journal.append(outcome_record(_timed_out(specs[1])))
     state = load_journal(path)
     assert len(state.specs) == 3
     assert state.executed == 1 and state.cache_hits == 0
@@ -284,7 +285,7 @@ def test_journal_tolerates_a_torn_final_line(tmp_path):
     path = tmp_path / "sweep.jsonl"
     with SweepJournal(path) as journal:
         journal.record_spec(_spec(0))
-        journal.record_outcome(_testing.fabricate_result(_spec(0), 5))
+        journal.append(outcome_record(_testing.fabricate_result(_spec(0), 5)))
     with open(path, "a", encoding="utf-8") as handle:
         handle.write('{"v": 1, "kind": "done", "hash": "abc')  # SIGKILL
     state = load_journal(path)
@@ -292,7 +293,7 @@ def test_journal_tolerates_a_torn_final_line(tmp_path):
     assert len(state.done) == 1
     # The next writer ends the torn line instead of appending to it.
     with SweepJournal(path) as journal:
-        journal.record_note("resume")
+        journal.append(note_record("resume"))
     state = load_journal(path)
     assert state.skipped_lines == 1
     assert [n["note"] for n in state.notes] == ["resume"]
@@ -301,7 +302,7 @@ def test_journal_tolerates_a_torn_final_line(tmp_path):
 def _journal_lines(path):
     with SweepJournal(path) as journal:
         journal.record_spec(_spec(0))
-        journal.record_outcome(_testing.fabricate_result(_spec(0)))
+        journal.append(outcome_record(_testing.fabricate_result(_spec(0))))
 
 
 def _spool_lines(path):
@@ -360,6 +361,59 @@ def test_record_rejects_a_missing_or_an_extra_key(kind):
         record(kind, **fields)
 
 
+#: Every note the host writes, with the detail its writer gives it.
+HOST_NOTES = {
+    # Batch marks.
+    "sweep": dict(name="cli-sweep", axes={"kernel": ["'ht'"]}),
+    "resume": dict(pending=2, done=1),
+    "fuzz": dict(kernel="ht", seeds=4, resume=False),
+    "batch_end": dict(retried=1, worker_losses=0, stragglers=0,
+                      interrupted=False),
+    # The front ends.
+    "signal": dict(),
+    "submit": dict(job="job-7", status="queued", client="cli"),
+    "serve_start": dict(address="/tmp/s.sock", workers=2, mode="process"),
+    "drain": dict(running=1, queued=0),
+    "serve_exit": dict(abort=False, interrupted=0),
+    # The execution core's decisions.
+    "worker_lost": dict(hash="a" * 64, requeued=True),
+    "retry": dict(hash="a" * 64, error_type="TransientRunError",
+                  backoff_s=0.05),
+    "straggler": dict(hash="a" * 64, running_s=3.2, budget_s=1.5),
+    "write_failed": dict(write="ResultCache.put", error_type="OSError",
+                         message="[Errno 28] No space left on device"),
+}
+
+
+def test_host_notes_lists_every_note_the_source_writes():
+    source = "\n".join(path.read_text() for path in
+                       (ROOT / "src" / "repro").rglob("*.py"))
+    written = set(re.findall(
+        r'(?:note_record\(\s*|open_journal\([\w.]+,\s*|_note\(\w+,\s*)'
+        r'"(\w+)"', source))
+    assert written == set(HOST_NOTES)
+    assert set(NOTE_LINES) <= written
+
+
+@pytest.mark.parametrize("note", sorted(HOST_NOTES))
+def test_render_gives_every_host_note_one_line(note):
+    line = record("note", note=note, detail=HOST_NOTES[note])
+    text = render(line)
+    assert text and "\n" not in text
+    assert render(line, "spec0") == f"spec0: {text}"
+
+
+def test_render_keeps_the_settled_run_lines():
+    result = _testing.fabricate_result(_spec(0), cycles=42)
+    result.elapsed_s = 1.26
+    assert render(outcome_record(result), "spec0") == (
+        "spec0: ok (42 cycles, 1.3s)")
+    result.from_cache = True
+    assert render(outcome_record(result), "spec0") == "spec0: cached"
+    assert render(outcome_record(_timed_out(_spec(0))), "spec0") == (
+        "spec0: FAILED (RunTimeout)")
+
+
 def test_empty_journal_is_an_error(tmp_path):
     with pytest.raises(JournalError):
         load_journal(tmp_path / "missing.jsonl")
@@ -377,18 +431,23 @@ def test_empty_journal_is_an_error(tmp_path):
 def test_sigkilled_worker_is_requeued_once_and_batch_completes(
         tmp_path, monkeypatch):
     monkeypatch.setenv(_testing.SENTINEL_ENV, str(tmp_path / "sentinel"))
-    bus = EventBus()
     runner = Runner(workers=2, mode="process",
                     run_fn=_testing.kill_worker_once,
-                    retries=1, backoff_base_s=0.0, bus=bus)
-    report = runner.run_many([_spec(i) for i in range(3)])
+                    retries=1, backoff_base_s=0.0)
+    with SweepJournal(tmp_path / "batch.jsonl") as journal:
+        report = runner.run_many([_spec(i) for i in range(3)],
+                                 journal=journal)
     assert [r.ok for r in report.results] == [True, True, True]
     # The victim (and any innocent in-flight specs) were re-queued for
     # free: nobody's attempt counter reflects the worker death.
     assert all(r.attempts == 1 for r in report.results)
     assert report.worker_losses >= 1
-    events = list(bus.events("worker_lost"))
-    assert events and all(e.requeued for e in events)
+    # Each loss is explained in the journal, beside the batch's count.
+    notes = load_journal(tmp_path / "batch.jsonl").notes
+    lost = [n["detail"] for n in notes if n["note"] == "worker_lost"]
+    assert len(lost) == report.worker_losses
+    assert all(detail["requeued"] for detail in lost)
+    assert notes[-1]["detail"]["worker_losses"] == report.worker_losses
 
 
 def test_repeated_worker_loss_consumes_the_retry_budget(
@@ -449,7 +508,7 @@ def travel(request, tmp_path, monkeypatch):
         with SweepJournal(journal_path) as journal:
             report = runner.run_many([_spec(0)], journal=journal)
         # The batch's closing note carries its counters.
-        (closing,) = load_journal(journal_path).notes
+        closing = load_journal(journal_path).notes[-1]
         assert closing["note"] == "batch_end"
         return report.results[0], closing["detail"], journal_path
 
@@ -496,6 +555,28 @@ def test_fault_sequence_ends_the_same_on_every_road(
     assert outcome.attempts == attempts
     assert counters["retried"] == retried
     assert counters["worker_losses"] == worker_losses
+
+
+@pytest.mark.parametrize("run_fn, decisions", [
+    (_testing.kill_worker_once, ["worker_lost"]),
+    (_testing.flaky_then_ok, ["retry"]),
+    (_kill_then_flake, ["worker_lost", "retry"]),
+], ids=["kill-once", "flaky", "kill-then-flake"])
+def test_the_journal_explains_each_fault(travel, run_fn, decisions):
+    """The core journals why a run took more than one try — a worker
+    loss, a retry — on both roads, as notes about the spec's hash."""
+    outcome, _, journal_path = travel(run_fn, 1)
+    assert outcome.ok
+    notes = [n for n in load_journal(journal_path).notes
+             if n["note"] in ("worker_lost", "retry", "straggler")]
+    assert [n["note"] for n in notes] == decisions
+    assert {n["detail"]["hash"] for n in notes} == {_spec(0).content_hash()}
+    for note in notes:
+        if note["note"] == "worker_lost":
+            assert note["detail"]["requeued"] is True
+        else:
+            assert note["detail"]["error_type"] == "TransientRunError"
+            assert note["detail"]["backoff_s"] >= 0
 
 
 def test_run_outliving_the_grace_period_is_settled_exactly_once(
