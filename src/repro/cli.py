@@ -527,6 +527,8 @@ def _cmd_serve(args) -> int:
                       f"{'abort' if args.abort else 'drain'}]")
         return EXIT_OK
 
+    if args.timeout_s is not None and not args.timeout_s > 0:
+        _usage_error(f"--timeout-s must be > 0, got {args.timeout_s}")
     daemon = ServeDaemon(
         args.address,
         workers=_workers(args),

@@ -364,7 +364,12 @@ class ResultCache:
             if path.parent.name == QUARANTINE_DIR:
                 continue
             spec_hash = path.stem
-            size = path.stat().st_size
+            # An entry another process quarantined or cleared since the
+            # listing is skipped: it is no longer in the cache at all.
+            try:
+                size = path.stat().st_size
+            except FileNotFoundError:
+                continue
             if path.parent.name != current_dir:
                 report.entries.append(EntryReport(
                     path=str(path), spec_hash=spec_hash,
@@ -376,6 +381,8 @@ class ResultCache:
                 self._load_entry(path, spec_hash)
             except EntryDefect as exc:
                 defect = str(exc)
+            except FileNotFoundError:
+                continue
             except OSError as exc:
                 defect = f"unreadable: {exc}"
             if defect is None:
@@ -402,8 +409,11 @@ class ResultCache:
                 if path.parent.name == QUARANTINE_DIR:
                     quarantined += 1
                     continue
+                try:
+                    size += path.stat().st_size
+                except FileNotFoundError:
+                    continue  # quarantined or cleared since the listing
                 entries += 1
-                size += path.stat().st_size
                 if path.parent.name == current_dir:
                     current += 1
                 else:

@@ -193,6 +193,9 @@ class ExecutionCore:
                  workers: int, mode: str, cache=None, journal=None,
                  timeout_s: Optional[float] = None, retries: int = 1,
                  backoff_base_s: float = BACKOFF_BASE_S) -> None:
+        if timeout_s is not None and not timeout_s > 0:
+            # setitimer(..., 0) disarms the alarm; a negative one raises.
+            raise ValueError(f"timeout_s must be > 0, got {timeout_s!r}")
         self.queue = task_queue
         self.prepare = prepare
         self.listener = listener

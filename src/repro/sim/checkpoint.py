@@ -9,7 +9,8 @@ witnesses, and the observers with everything they collected (event
 log and counts, sampler offsets and rows, the issue ring, sanitizer
 shadow state) — so a run interrupted at an epoch boundary can resume
 and produce **bitwise-identical** statistics to an uninterrupted run
-(enforced by ``tests/test_golden_equivalence.py``).
+(enforced by the equivalence matrix's ``resumed`` way,
+``tests/test_golden_fixtures.py``).
 
 The capture mechanism is a single :mod:`pickle` of the whole simulation
 object graph: shared references (one ``SimStats`` written by every SM,
@@ -205,17 +206,9 @@ class SimCheckpoint:
         return cls.from_bytes(blob, check_fingerprint=check_fingerprint)
 
 
-def checkpoint_bytes_roundtrip(sim) -> Any:
-    """Capture → serialize → parse → restore (test helper: exercises the
-    full wire format without touching disk)."""
-    blob = SimCheckpoint.capture(sim).to_bytes()
-    return SimCheckpoint.from_bytes(blob).restore()
-
-
 __all__ = [
     "MAGIC",
     "FORMAT_VERSION",
     "CheckpointError",
     "SimCheckpoint",
-    "checkpoint_bytes_roundtrip",
 ]

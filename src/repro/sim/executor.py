@@ -10,9 +10,8 @@ record of closure-bound operand readers and a specialized execute
 handler — so the per-issue hot path never touches ``isinstance``
 dispatch or opcode if-chains.  Handlers replicate the effects of the
 reference execution paths in :class:`repro.sim.sm.SM` in the same order;
-the golden-equivalence suite (``tests/test_golden_equivalence.py``)
-asserts the two engines produce bitwise-identical statistics and
-``tests/test_golden_fixtures.py`` holds both to committed answers.
+the equivalence matrix (``tests/test_golden_fixtures.py``) holds both
+engines to the same committed answers.
 """
 
 from __future__ import annotations

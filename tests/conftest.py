@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.config import GPUConfig, fermi_config
+from repro.sim.sm import ENGINES  # the one engine axis every test reads
 
 
 @pytest.fixture
@@ -91,7 +92,7 @@ def bare_sms(source: str, config: GPUConfig):
     from repro.isa import assemble
     from repro.memory.memsys import GlobalMemory, MemorySubsystem
     from repro.metrics.stats import SimStats
-    from repro.sim.sm import ENGINES, SM
+    from repro.sim.sm import SM
 
     for engine in ENGINES:
         yield SM(0, config, assemble(source), {}, GlobalMemory(256),

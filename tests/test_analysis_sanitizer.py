@@ -4,16 +4,18 @@ Unit tests drive the :class:`Sanitizer` hooks directly with synthetic
 thread/address traffic (one call per simulated access — no GPU needed);
 integration tests assert the two contracts the rest of the repo relies
 on: registered kernels run sanitize-clean, and turning the sanitizer on
-never changes simulated state (stats bitwise identical on both engines).
+never changes simulated state (both engines land on the frozen oracle).
 """
 
 from __future__ import annotations
 
 import pytest
 
+from conftest import ENGINES
 from repro.analysis import Sanitizer, SanitizerConfig, as_sanitizer
 from repro.api import simulate
 from repro.sim.config import GPUConfig
+from test_golden_fixtures import expect, observe
 
 HT = dict(n_threads=128, n_buckets=8, items_per_thread=1, block_dim=64)
 
@@ -187,16 +189,16 @@ def _config(**kwargs):
                             max_warps_per_sm=8, **kwargs)
 
 
-@pytest.mark.parametrize("engine", ["fast", "reference"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_sanitize_on_is_clean_and_pure(engine):
-    """The sanitizer is a pure observer: identical stats with it on,
-    and a correct lock kernel produces zero findings."""
-    config = _config()
-    off = simulate("ht", config=config, params=HT, engine=engine)
+    """The sanitizer is a pure observer: with it on, the run lands on
+    the oracle's ``ht-small-1sm`` row (the ``sanitize`` way of the
+    equivalence matrix), and a correct lock kernel produces zero
+    findings."""
     sanitizer = Sanitizer()
-    on = simulate("ht", config=config, params=HT, engine=engine,
+    on = simulate("ht", config=_config(), params=HT, engine=engine,
                   sanitize=sanitizer)
-    assert on.stats.summary() == off.stats.summary()
+    expect("ht-small-1sm", observe(on))
     assert on.sanitizer is sanitizer
     assert sanitizer.ok, sanitizer.render()
     assert sanitizer.counters["lock_acquires"] > 0

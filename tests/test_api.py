@@ -100,9 +100,8 @@ def test_config_resolution_vocabulary():
 
 
 def test_engine_selection():
-    fast = simulate("vecadd", params=VECADD, engine="fast")
-    reference = simulate("vecadd", params=VECADD, engine="reference")
-    assert fast.stats.summary() == reference.stats.summary()
+    """``engine=`` names one of ``ENGINES`` (the equivalence matrix holds
+    each to the frozen oracle); anything else is refused."""
     with pytest.raises(ValueError, match="engine"):
         simulate("vecadd", params=VECADD, engine="turbo")
 

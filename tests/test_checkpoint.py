@@ -1,11 +1,13 @@
 """Checkpoint format, corruption handling, and resume semantics.
 
 The bitwise-identity contract (every matrix config, both engines, obs
-and sanitizer on/off) lives in ``test_golden_equivalence.py``; this file
-covers the container format itself — magic, checksum, versioning, code
-fingerprint — and the ``simulate(checkpoint_every=...)`` /
-``resume_simulation`` driving surface, including resuming a run that
-exhausted its cycle budget.
+and sanitizer on/off) is the equivalence matrix's ``resumed`` way
+(``test_golden_fixtures.py``, its cases in ``test_golden_equivalence.py``);
+this file covers the container format itself — magic, checksum,
+versioning, code fingerprint — and the ``simulate(checkpoint_every=...)``
+/ ``resume_simulation`` driving surface, including resuming a run that
+exhausted its cycle budget.  A resumed run is held to the oracle's
+``ht-small-gto`` row, the shape and configuration it runs.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro.sim.checkpoint import CheckpointError, SimCheckpoint
 from repro.sim.config import GPUConfig
 from repro.sim.gpu import GPU
 from repro.sim.progress import SimulationTimeout
+from test_golden_fixtures import oracle
 
 PARAMS = dict(n_threads=128, n_buckets=8, items_per_thread=1, block_dim=64)
 
@@ -27,15 +30,15 @@ PARAMS = dict(n_threads=128, n_buckets=8, items_per_thread=1, block_dim=64)
 def _mid_run_sim(config=None, obs=None):
     config = config or GPUConfig.preset("fermi", scheduler="gto")
     workload = build_workload("ht", **PARAMS)
-    gpu = GPU(config, memory=workload.memory, engine="fast", obs=obs)
+    gpu = GPU(config, memory=workload.memory, obs=obs)
     sim = gpu.begin(workload.launch)
     sim.run_until(1_000)
     assert not sim.finished
     return workload, sim
 
 
-def _baseline_summary():
-    return simulate("ht", params=PARAMS).stats.summary()
+def _golden_summary():
+    return oracle()["ht-small-gto"]["summary"]
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +70,7 @@ def test_save_and_load_file(tmp_path):
     assert saved == path and path.is_file()
     restored = SimCheckpoint.load(path).restore()
     assert restored.now == sim.now
-    assert restored.run().stats.summary() == _baseline_summary()
+    assert restored.run().stats.summary() == _golden_summary()
 
 
 def test_bad_magic_is_rejected(tmp_path):
@@ -143,7 +146,7 @@ def test_autocheckpointing_run_matches_baseline_and_emits_events(tmp_path):
     path = tmp_path / "run.ckpt"
     result = simulate("ht", params=PARAMS, obs=True,
                       checkpoint_every=1_000, checkpoint_path=path)
-    assert result.stats.summary() == _baseline_summary()
+    assert result.stats.summary() == _golden_summary()
     # Periodic saves happened, were journaled as events, and the last
     # one is a loadable file (the lab layer removes it on success).
     saves = result.obs.bus.counts.get("checkpoint_saved", 0)
@@ -156,9 +159,9 @@ def test_resume_accepts_checkpoint_object_and_live_simulation():
     _, sim = _mid_run_sim()
     ckpt = SimCheckpoint.capture(sim)
     from_ckpt = resume_simulation(ckpt)
-    assert from_ckpt.stats.summary() == _baseline_summary()
+    assert from_ckpt.stats.summary() == _golden_summary()
     from_live = resume_simulation(sim)  # continues the original object
-    assert from_live.stats.summary() == _baseline_summary()
+    assert from_live.stats.summary() == _golden_summary()
 
 
 def test_timed_out_run_resumes_from_its_checkpoint(tmp_path):
@@ -179,6 +182,6 @@ def test_timed_out_run_resumes_from_its_checkpoint(tmp_path):
         resume_simulation(path, extend_max_cycles=100)
 
     result = resume_simulation(path, extend_max_cycles=30_000_000)
-    assert result.stats.summary() == _baseline_summary()
+    assert result.stats.summary() == _golden_summary()
     workload = build_workload("ht", **PARAMS)
     workload.validate(result.memory)

@@ -328,6 +328,19 @@ def test_bad_bows_value_is_a_usage_error(argv, capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_non_positive_serve_timeout_is_a_usage_error(value, capsys,
+                                                     monkeypatch):
+    from repro.serve import ServeDaemon
+
+    # Where the value were accepted, the command would serve, not exit.
+    monkeypatch.setattr(ServeDaemon, "serve_forever", lambda self: 0)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["serve", "unused.sock", "--no-cache", "--timeout-s", value])
+    assert excinfo.value.code == 2
+    assert "--timeout-s must be > 0" in capsys.readouterr().err
+
+
 def test_single_valued_param_rejects_a_list(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["run", "ht", "--param", "n_threads=64,128"])

@@ -9,7 +9,7 @@ just the ALU helpers).
 import numpy as np
 import pytest
 
-from conftest import run_program
+from conftest import ENGINES, run_program
 from repro.memory.memsys import GlobalMemory
 
 
@@ -267,7 +267,7 @@ def test_atom_add_accumulates(tiny_config):
     assert memory.read_word(counter) == 64
 
 
-@pytest.mark.parametrize("engine", ["fast", "reference"])
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("addr", [-4, (1 << 10) * 4],
                          ids=["negative", "past-the-end"])
 @pytest.mark.parametrize("atomic", [
@@ -320,7 +320,7 @@ def lock_events(result):
     ]
 
 
-@pytest.mark.parametrize("engine", ["fast", "reference"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_lanes_of_two_warps_race_for_one_lock(tiny_config, engine):
     """One CAS, 64 lanes, one lock: lane order decides.  Warp 0's lane 0
     wins, its other lanes fail *intra*-warp (their own warp holds it),
@@ -366,7 +366,7 @@ REGISTER_CAS = """
 """
 
 
-@pytest.mark.parametrize("engine", ["fast", "reference"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_atom_cas_with_register_operands(tiny_config, engine):
     """No shipped kernel passes a register compare or swap, so the
     golden fixtures cannot see that path.  Lock 16 holds 5 and only
@@ -398,7 +398,7 @@ def test_atom_cas_with_register_operands(tiny_config, engine):
         for lane in range(32)]
 
 
-@pytest.mark.parametrize("engine", ["fast", "reference"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_magic_locks_with_register_operands(tiny_config, engine):
     """The ideal-blocking proxy: every lane's acquire succeeds at once,
     reads back its own compare value and writes nothing."""

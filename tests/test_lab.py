@@ -30,6 +30,7 @@ from repro.lab.results import RunResult
 from repro.lab.spec import _canonical_json
 from repro.metrics.stats import SimStats
 from repro.sim.config import DDOSConfig
+from test_golden_fixtures import LAB_ROWS, check
 
 VECADD = dict(n_threads=64, per_thread=2, block_dim=32)
 
@@ -153,9 +154,10 @@ def test_runner_serial_real_run_populates_result(tmp_path):
 
 
 def test_runner_thread_mode_matches_serial():
-    serial = Runner(workers=1).run_one(vecadd_spec())
-    threaded = Runner(workers=2, mode="thread").run_one(vecadd_spec())
-    assert threaded.stats.summary() == serial.stats.summary()
+    """The ``runner-thread`` way of the equivalence matrix; its serial
+    and process siblings run in ``test_golden_fixtures.py``."""
+    for row in LAB_ROWS:
+        check("runner-thread", row)
 
 
 def test_runner_attaches_ddos_outcome():
@@ -173,6 +175,21 @@ def test_runner_attaches_ddos_outcome():
 def _fake_result(spec: RunSpec) -> RunResult:
     return RunResult(spec_hash=spec.content_hash(), cycles=42,
                      stats=SimStats(cycles=42))
+
+
+@pytest.mark.parametrize("timeout_s", [0, -1])
+def test_non_positive_timeout_is_refused(timeout_s):
+    """``setitimer(..., 0)`` disarms the alarm and a negative one raises
+    in every run: neither is a time limit, so the execution core both
+    front ends build refuses them."""
+    from repro.serve import ServeDaemon
+
+    with pytest.raises(ValueError, match="timeout_s"):
+        Runner(timeout_s=timeout_s, run_fn=_fake_result).run_one(
+            vecadd_spec())
+    with pytest.raises(ValueError, match="timeout_s"):
+        ServeDaemon("unused.sock", mode="thread", cache=False,
+                    timeout_s=timeout_s)
 
 
 def test_timeout_produces_structured_failure_and_retries():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import ENGINES
 from repro.api import simulate
 from repro.harness.runner import make_config
 from repro.kernels import build
@@ -101,7 +102,7 @@ def test_issue_slot_accounting():
     assert stats.issued_slots == stats.warp_instructions
 
 
-@pytest.mark.parametrize("engine", ["fast", "reference"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_restated_counters_are_derived_at_the_end_of_a_run(engine):
     """``active_lane_sum``, ``useful_thread_instructions`` and
     ``issued_slots`` restate other counters: neither engine counts them

@@ -5,6 +5,7 @@ the simulation and never participates in it.  Statistics must be
 bitwise-identical with obs off and on, and the reference and fast
 engines must emit the *same event stream* — the emission sites sit on
 shared decision code, so any divergence is an engine bug, not noise.
+Both hold against the frozen oracle rather than a second live run.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 
 import pytest
 
+from conftest import ENGINES
 from repro.api import simulate
 from repro.isa import assemble
 from repro.lab import ResultCache, Runner, RunSpec
@@ -21,49 +23,38 @@ from repro.obs import EVENT_KINDS, ObsConfig, Observability, as_observability
 from repro.sim.config import GPUConfig
 from repro.sim.gpu import GPU, KernelLaunch
 from repro.sim.progress import HangReport, SimulationLivelock
+from test_golden_fixtures import check, oracle
+from test_golden_fixtures import spec as golden_spec
 
 HT = dict(n_threads=128, n_buckets=8, items_per_thread=1, block_dim=64)
 
 
-def run_ht(engine="fast", obs=True, bows="adaptive"):
+def run_ht(obs=True, bows="adaptive"):
     config = GPUConfig.preset("fermi", scheduler="gto", bows=bows)
-    return simulate("ht", config=config, params=dict(HT), engine=engine,
-                    obs=obs)
+    return simulate("ht", config=config, params=dict(HT), obs=obs)
 
 
 # ----------------------------------------------------------------------
-# Zero interference + engine parity
+# Zero interference + engine parity: the ``obs`` way of the equivalence
+# matrix (``test_golden_fixtures.py``), held to the oracle's rows
 
 
-@pytest.mark.parametrize("engine", ["fast", "reference"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_collection_never_changes_the_simulation(engine):
-    off = run_ht(engine=engine, obs=None)
-    on = run_ht(engine=engine, obs=True)
-    assert on.stats.summary() == off.stats.summary()
-    assert on.cycles == off.cycles
-    assert off.obs is None and on.obs is not None
+    check("obs", "ht-small-bows", engine)
 
 
 def test_engines_emit_identical_event_streams():
-    reference = run_ht(engine="reference")
-    fast = run_ht(engine="fast")
-    assert fast.stats.summary() == reference.stats.summary()
-    ref_events = reference.obs.events()
-    fast_events = fast.obs.events()
-    assert ref_events, "a BOWS+DDOS ht run must emit events"
-    assert fast_events == ref_events
-    assert fast.obs.event_counts() == reference.obs.event_counts()
+    assert oracle()["atm-small-bows"]["event_counts"], \
+        "a BOWS+DDOS atm run must emit events"
+    for engine in ENGINES:
+        check("obs", "atm-small-bows", engine)
 
 
 def test_engines_emit_identical_barrier_events():
-    params = dict(n_threads=128, block_dim=64)
-    runs = {
-        engine: simulate("reduction", params=dict(params), engine=engine,
-                         obs=True)
-        for engine in ("reference", "fast")
-    }
-    assert runs["fast"].obs.events() == runs["reference"].obs.events()
-    assert runs["fast"].obs.event_counts().get("barrier_release", 0) > 0
+    assert oracle()["reduction-gto"]["event_counts"]["barrier_release"] > 0
+    for engine in ENGINES:
+        check("obs", "reduction-gto", engine)
 
 
 def test_a_contended_run_exercises_the_lock_and_bows_taxonomy():
@@ -203,12 +194,10 @@ def test_hang_report_embeds_the_last_issues(tiny_config):
 # ----------------------------------------------------------------------
 # Lab integration: hashing, cache round trip
 
-VECADD = dict(n_threads=64, per_thread=2, block_dim=32)
 
 
 def make_spec(obs=None):
-    config = GPUConfig.preset("fermi", scheduler="gto")
-    return RunSpec("vecadd", config, dict(VECADD), obs=obs)
+    return golden_spec("vecadd-gto", obs=obs)
 
 
 def test_spec_hash_unchanged_when_obs_is_none():
@@ -246,4 +235,4 @@ def test_runner_collects_obs_payload_and_caches_it(tmp_path):
 
     plain = runner.run_one(make_spec())
     assert plain.obs is None
-    assert plain.stats.summary() == result.stats.summary()
+    assert result.stats.summary() == oracle()["vecadd-gto"]["summary"]

@@ -44,6 +44,8 @@ from repro.lab.results import RunFailure
 from repro.lab.runner import _run_with_timeout
 from repro.serve import ServeClient, ServeDaemon
 from repro.sim.progress import SimulationDeadlock
+from test_golden_fixtures import oracle
+from test_golden_fixtures import spec as golden_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -174,6 +176,30 @@ def test_cache_verify_reports_and_repairs(tmp_path):
     assert not victim.exists()
     assert cache.verify().ok
     assert cache.stats().quarantined_entries == 1
+
+
+def test_cache_scans_skip_entries_that_vanish_mid_scan(tmp_path,
+                                                      monkeypatch):
+    """Another process sharing the directory quarantines an entry or
+    clears the cache between the listing and the stat: the entry is no
+    longer in the cache, so ``stats`` does not count it and ``verify``
+    does not report it corrupt — neither raises."""
+    cache = ResultCache(tmp_path / "cache")
+    Runner(cache=cache, run_fn=_testing.instant_ok).run_many(
+        [_spec(i) for i in range(3)])
+    listed = Path.rglob
+
+    def vanishing(self, pattern):
+        for path in listed(self, pattern):
+            path.unlink()
+            yield path
+
+    monkeypatch.setattr(Path, "rglob", vanishing)
+    stats = cache.stats()
+    assert (stats.entries, stats.size_bytes) == (0, 0)
+    Runner(cache=cache, run_fn=_testing.instant_ok).run_many([_spec(0)])
+    scan = cache.verify()
+    assert scan.entries == [] and scan.ok
 
 
 def test_cache_verify_cli_exit_codes(tmp_path):
@@ -796,14 +822,11 @@ def test_run_with_timeout_no_prior_timer_leaves_none_armed():
 # ---------------------------------------------------------------------------
 # Mid-simulation checkpoint/resume through the lab entry point
 
-PARAMS = dict(n_threads=128, n_buckets=8, items_per_thread=1, block_dim=64)
-
 
 def _sim_spec() -> RunSpec:
     from repro.obs import ObsConfig
 
-    return RunSpec(kernel="ht", config=make_config("gto"), params=PARAMS,
-                   obs=ObsConfig(), label="ht-ckpt")
+    return golden_spec("ht-small-gto", obs=ObsConfig(), label="ht-ckpt")
 
 
 def test_execute_run_resumes_from_a_live_checkpoint(tmp_path):
@@ -813,7 +836,6 @@ def test_execute_run_resumes_from_a_live_checkpoint(tmp_path):
     from repro.sim.gpu import GPU
 
     spec = _sim_spec()
-    baseline = execute_run(spec)
 
     # A previous attempt got partway and was killed: reproduce its
     # checkpoint by advancing a fresh simulation to a mid-run epoch.
@@ -827,8 +849,7 @@ def test_execute_run_resumes_from_a_live_checkpoint(tmp_path):
     sim.save_checkpoint(ckpt_dir / f"{spec.content_hash()}.ckpt")
 
     result = execute_run(spec, checkpoint_dir=ckpt_dir)
-    assert result.cycles == baseline.cycles
-    assert result.stats.summary() == baseline.stats.summary()
+    assert result.stats.summary() == oracle()["ht-small-gto"]["summary"]
     # The resume was journaled as an event and the checkpoint consumed.
     assert result.obs["events"]["counts"].get("run_resumed") == 1
     assert not (ckpt_dir / f"{spec.content_hash()}.ckpt").exists()
@@ -843,8 +864,7 @@ def test_execute_run_recovers_from_a_corrupt_checkpoint(tmp_path):
     path = ckpt_dir / f"{spec.content_hash()}.ckpt"
     path.write_bytes(b"RPCKPT01" + os.urandom(64))  # torn/garbage file
 
-    baseline = execute_run(spec)
     result = execute_run(spec, checkpoint_dir=ckpt_dir)  # falls back fresh
-    assert result.stats.summary() == baseline.stats.summary()
+    assert result.stats.summary() == oracle()["ht-small-gto"]["summary"]
     assert result.obs["events"]["counts"].get("run_resumed") is None
     assert not path.exists()

@@ -8,8 +8,8 @@ bytes and pytest tmp_path can exceed it.
 
 Covered guarantees (see ``docs/serve.md``):
 
-* results through the daemon are **bitwise-identical** to direct
-  :func:`~repro.lab.runner.execute_run` results;
+* results through the daemon, fresh or cached, land **bitwise** on the
+  frozen oracle (``tests/fixtures/golden_summaries.json``);
 * concurrent duplicate submissions trigger **exactly one** simulation;
 * a cached spec is answered with **no dispatch**;
 * a client disconnecting **mid-stream** never disturbs the job or its
@@ -45,6 +45,8 @@ from repro.lab.spec import RunSpec
 from repro.obs import ObsConfig
 from repro.serve import ServeClient, ServeDaemon, ServeError, protocol, wire
 from repro.serve.jobstore import Job, JobStore
+from test_golden_fixtures import expect, observe
+from test_golden_fixtures import spec as golden_spec
 
 VECADD = dict(n_threads=64, per_thread=2, block_dim=32)
 HT = dict(n_threads=64, n_buckets=8, items_per_thread=1, block_dim=64)
@@ -87,28 +89,27 @@ def _client(daemon, name="test"):
 
 
 def test_submit_streams_and_matches_direct_run(daemon):
-    """A served run streams samples and is bitwise-identical to a
-    direct execute_run of the same spec (minus wall-clock fields)."""
-    spec = _spec(obs=ObsConfig(sample_interval=100), label="obs-run")
-    direct = execute_run(spec)
+    """A served run streams samples and lands on the frozen oracle's row,
+    fresh and again from the daemon's cache: the served ways of the
+    equivalence matrix (``test_golden_fixtures.py``)."""
+    spec = golden_spec("ht-small-bows", obs=ObsConfig(), label="obs-run")
 
     with _client(daemon) as client:
         handle = client.submit(spec)
         assert handle.status == "queued"
         kinds = [m["kind"] for m in handle.stream()]
         served = handle.outcome()
+        cached = client.submit(spec).outcome(timeout=60)
 
     assert isinstance(served, RunResult)
-    assert served.from_cache is False
+    assert served.from_cache is False and cached.from_cache is True
     assert served.label == "obs-run"
     # The stream carried lifecycle marks and live obs samples.
     assert "lifecycle" in kinds
     assert "sample" in kinds
-    # Bitwise identity: everything but wall-clock timing matches.
-    a, b = served.to_dict(), direct.to_dict()
-    for volatile in ("elapsed_s", "phases"):
-        a.pop(volatile), b.pop(volatile)
-    assert a == b
+    for result in (served, cached):
+        assert result.spec_hash == spec.content_hash()
+        expect("ht-small-bows", observe(result))
 
 
 def _without(payload, *kinds):
@@ -123,20 +124,26 @@ def _without(payload, *kinds):
     return {**payload, "events": events}
 
 
+#: ~4 400 cycles: its epoch of 400 autocheckpoints it ten times.
+CHECKPOINTING_ROW = "nw1-small-bows-epoch400"
+
+
 def _checkpointing_spec():
-    # ht at this size runs ~4 300 cycles: an epoch of 500 autocheckpoints
-    # it about eight times.
-    return RunSpec(kernel="ht", params=HT, label="ckpt-obs",
-                   config=make_config("gto", progress_epoch=500),
-                   obs=ObsConfig(sample_interval=100))
+    return golden_spec(CHECKPOINTING_ROW, obs=ObsConfig(), label="ckpt-obs")
+
+
+def _expect_uninterrupted(result, *kinds):
+    """``result`` is the oracle's uninterrupted run once the events only
+    a checkpointing road publishes (``kinds``) are taken out."""
+    assert result.spec_hash == _checkpointing_spec().content_hash()
+    result.obs = _without(result.obs, *kinds)
+    expect(CHECKPOINTING_ROW, observe(result))
 
 
 def test_obs_run_completes_under_checkpoint_dir(serve_dir):
     """An obs-carrying served run autocheckpoints (the spool feed is a
     subscriber, so no open file rides in the pickle), streams, and
-    answers what a plain Runner answers."""
-    from repro.lab.runner import Runner
-
+    answers what the uninterrupted run answers."""
     spec = _checkpointing_spec()
     d = ServeDaemon(os.path.join(serve_dir, "ckpt.sock"),
                     workers=1, mode="thread", cache=False,
@@ -157,10 +164,7 @@ def test_obs_run_completes_under_checkpoint_dir(serve_dir):
     assert "sample" in kinds and "event" in kinds
     assert os.listdir(os.path.join(serve_dir, "ckpt")) == []
 
-    direct = Runner(workers=1).run_one(spec)
-    assert served.cycles == direct.cycles
-    assert served.stats.summary() == direct.stats.summary()
-    assert _without(served.obs, "checkpoint_saved") == direct.obs
+    _expect_uninterrupted(served, "checkpoint_saved")
 
 
 def test_resumed_run_streams_from_the_resume_cycle(serve_dir, monkeypatch):
@@ -201,11 +205,7 @@ def test_resumed_run_streams_from_the_resume_cycle(serve_dir, monkeypatch):
     # result is the uninterrupted run's.
     series = result.obs["series"]["rows"]
     assert rows == series[-len(rows):] and len(rows) < len(series)
-    direct = execute_run(spec)
-    assert result.stats.summary() == direct.stats.summary()
-    assert result.obs["series"] == direct.obs["series"]
-    assert (_without(result.obs, "checkpoint_saved", "run_resumed")
-            == direct.obs)
+    _expect_uninterrupted(result, "checkpoint_saved", "run_resumed")
 
 
 def test_refused_handshake_is_a_serve_error_and_closes_the_socket(
@@ -699,18 +699,15 @@ def test_process_mode_end_to_end(serve_dir):
                     poll_interval_s=0.01)
     d.start()
     try:
-        spec = _spec(obs=ObsConfig(sample_interval=100), label="proc")
+        spec = golden_spec("ht-small-bows", obs=ObsConfig(), label="proc")
         with _client(d) as client:
             handle = client.submit(spec)
             kinds = [m["kind"] for m in handle.stream()]
             result = handle.outcome(timeout=120)
         assert isinstance(result, RunResult)
         assert "sample" in kinds
-        direct = execute_run(spec)
-        a, b = result.to_dict(), direct.to_dict()
-        for volatile in ("elapsed_s", "phases"):
-            a.pop(volatile), b.pop(volatile)
-        assert a == b
+        assert result.spec_hash == spec.content_hash()
+        expect("ht-small-bows", observe(result))
     finally:
         d.close()
 

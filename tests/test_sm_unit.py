@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from conftest import ENGINES
 from repro.isa import assemble
 from repro.memory.memsys import GlobalMemory, MemorySubsystem
 from repro.metrics.stats import SimStats
 from repro.sim.config import fermi_config
-from repro.sim.sm import ENGINES, SM
+from repro.sim.sm import SM
 
 
 def on_each_engine(test):
@@ -136,7 +137,8 @@ def test_barriers_are_per_cta(engine):
 def test_occupancy_accumulation():
     # Reference only: the fast engine never calls accumulate_occupancy —
     # Simulation._advance integrates its live/backed-off counts, which
-    # tests/test_golden_fixtures.py holds to the reference's answers.
+    # the equivalence matrix (tests/test_golden_fixtures.py) holds to
+    # the frozen oracle.
     sm = make_sm("reference")
     sm.launch_cta(0, 2, 64, 1, 0)
     warps = list(sm.warps.values())

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import ENGINES
 from repro.api import simulate
 from repro.metrics.stats import (SUMMARY_KEYS, SUMMARY_SCHEMA_VERSION,
                                  SimStats)
@@ -48,7 +49,7 @@ def test_summary_values_are_json_plain():
     assert json.loads(json.dumps(summary)) == summary
 
 
-@pytest.mark.parametrize("engine", ["fast", "reference"])
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("kernel, params", [
     # Wait/signal kernel: the wait_exit_* counters are fed by lane
     # counts, which NumPy reductions return as NumPy scalars.
