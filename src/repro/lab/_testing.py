@@ -79,6 +79,11 @@ def instant_ok(spec: RunSpec) -> RunResult:
     return fabricate_result(spec)
 
 
+def report_pid(spec: RunSpec) -> RunResult:
+    """Succeed, carrying the executing process's pid as ``cycles``."""
+    return fabricate_result(spec, cycles=os.getpid())
+
+
 __all__ = [
     "SENTINEL_ENV",
     "fabricate_result",
@@ -86,4 +91,5 @@ __all__ = [
     "instant_ok",
     "kill_always",
     "kill_worker_once",
+    "report_pid",
 ]

@@ -121,6 +121,24 @@ def decorrelated_jitter(previous_s: float, base_s: float, cap_s: float,
     return min(cap_s, rng.uniform(base_s, upper))
 
 
+def persist(write: Callable[..., Any], *args: Any,
+            **kwargs: Any) -> Optional[Dict[str, Any]]:
+    """One cache put or journal append; a failed one (a full disk) costs
+    durability, never an outcome: its ``write_failed`` note is returned,
+    not raised (``None`` when the write landed)."""
+    try:
+        write(*args, **kwargs)
+    except OSError as exc:
+        return note_record("write_failed", write=write.__qualname__,
+                           error_type=type(exc).__name__, message=str(exc))
+    return None
+
+
+def _workers_of(pool: ProcessPoolExecutor) -> list:
+    """A snapshot of the pool's worker processes (none once shut down)."""
+    return list((pool._processes or {}).values())
+
+
 class InlineExecutor(Executor):
     """Serial mode: ``submit`` runs the call on the pumping thread (the
     main thread, where the per-run ``SIGALRM`` timeout works) and
@@ -236,18 +254,15 @@ class ExecutionCore:
 
     def persist(self, write: Callable[..., Any], *args: Any,
                 **kwargs: Any) -> None:
-        """One cache put or journal append; a failed one (a full disk)
-        costs durability, never an outcome: it is noted, not raised."""
-        try:
-            write(*args, **kwargs)
-        except OSError as exc:
-            self._note(None, "write_failed", write=write.__qualname__,
-                       error_type=type(exc).__name__, message=str(exc))
+        """:func:`persist`, its ``write_failed`` note heard by the listener."""
+        failed = persist(write, *args, **kwargs)
+        if failed is not None:
+            self.listener("note", None, failed)
 
-    def _note(self, task: Optional[Task], note: str, **detail: Any) -> None:
-        """Announce one decision; one about a task is journaled too."""
+    def _note(self, task: Task, note: str, **detail: Any) -> None:
+        """Announce and journal one decision about ``task``."""
         line = note_record(note, **detail)
-        if task is not None and self.journal is not None:
+        if self.journal is not None:
             self.persist(self.journal.append, line)
         self.listener("note", task, line)
 
@@ -322,11 +337,36 @@ class ExecutionCore:
             else:
                 self._dispatch(task)
 
+    @property
+    def pooled(self) -> bool:
+        """Workers are up: a thread or process pool :meth:`close` retires."""
+        return isinstance(self._pool, (ProcessPoolExecutor,
+                                       ThreadPoolExecutor))
+
+    @property
+    def pool_broken(self) -> bool:
+        """The process pool lost a worker while no run was in flight (an
+        idle worker killed between batches): a submit to it would read as
+        a worker loss that no spec caused."""
+        pool = self._pool
+        if not isinstance(pool, ProcessPoolExecutor):
+            return False
+        return bool(pool._broken) or any(
+            proc.exitcode is not None for proc in _workers_of(pool))
+
     def close(self) -> None:
         """Shut the pool down without waiting for abandoned runs."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+        if self._pool is None:
+            return
+        if self.pool_broken:
+            # A worker that died holding the pool's queue lock leaves the
+            # rest unable to read their stop sentinel, and a worker forked
+            # under ``drain_on_signal`` shrugs off the pool's SIGTERM: the
+            # pool would wait for them for ever.
+            for proc in _workers_of(self._pool):
+                proc.kill()
+        self._pool.shutdown(wait=False, cancel_futures=True)
+        self._pool = None
 
     def _executor(self) -> Executor:
         if self._pool is None:
@@ -478,4 +518,5 @@ __all__ = [
     "TransientRunError",
     "classify",
     "decorrelated_jitter",
+    "persist",
 ]

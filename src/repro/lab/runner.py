@@ -18,6 +18,13 @@ SIGINT/SIGTERM handlers that start a drain — and three pool modes:
 * ``serial`` — runs on the calling thread (default when
   ``workers == 1``).
 
+A runner keeps one core, and so one pool, across back-to-back batches:
+a sweep's next batch finds its workers warm (imports done, heap
+settled).  The pool retires once it has idled :data:`POOL_LINGER_S`,
+and a core that was drained, lost a worker or broke while idle is
+replaced, never lent to the next batch.  Process workers see this
+process as it was when the pool forked.
+
 Per-run wall-clock timeouts are enforced *inside* the executing process
 via ``SIGALRM`` (each pool worker's main thread), so a hung run
 surfaces as an ordinary exception and the pool stays healthy.  With
@@ -43,6 +50,12 @@ from repro.lab.core import (BACKOFF_BASE_S, ExecutionCore, FifoQueue,
 from repro.lab.journal import note_record, outcome_record, render
 from repro.lab.results import LabError, RunFailure, RunResult
 from repro.lab.spec import RunSpec
+
+#: Seconds an idle pool outlives its last batch.  Back-to-back batches
+#: of one caller are a few milliseconds apart (a sweep's next figure, a
+#: benchmark's next op), so they reuse the warm pool; a caller that has
+#: moved on is left with no worker processes a moment later.
+POOL_LINGER_S = 0.1
 
 
 def execute_run(spec: RunSpec, checkpoint_dir=None,
@@ -280,6 +293,13 @@ class Runner:
         self.backoff_base_s = backoff_base_s
         self.grace_s = grace_s
         self.last_report: Optional[BatchReport] = None
+        #: Guards the idle core, the busy flag and the retire timer.
+        self._lock = threading.Lock()
+        #: The core whose pool waits, warm, for the next batch (``None``
+        #: while a batch holds it, or once it has retired).
+        self._core: Optional[ExecutionCore] = None
+        self._busy = False
+        self._retire_timer: Optional[threading.Timer] = None
 
     # ------------------------------------------------------------------
 
@@ -290,49 +310,51 @@ class Runner:
         ``journal`` is an optional
         :class:`~repro.lab.journal.SweepJournal`: specs, outcomes and a
         closing ``batch_end`` note of the batch's counters are appended
-        durably, enabling ``repro sweep --resume``.
+        durably, enabling ``repro sweep --resume``.  One runner runs one
+        batch at a time; a concurrent call raises :class:`LabError`.
         """
         specs = list(specs)
         start = time.perf_counter()
         report = BatchReport(results=[None] * len(specs))
         slots: Dict[Task, int] = {}
-        core = ExecutionCore(
-            FifoQueue(), self._pool_call,
-            partial(self._on_event, report, slots),
-            workers=self.workers, mode=self.mode, cache=self.cache,
-            journal=journal, timeout_s=self.timeout_s,
-            retries=self.retries, backoff_base_s=self.backoff_base_s,
-        )
-        if journal is not None:
-            for spec in specs:
-                core.persist(journal.record_spec, spec)
-        for index, spec in enumerate(specs):
-            task = Task(spec, client="batch")
-            slots[task] = index
-            core.submit(task)
-
-        def on_signal(repeat: bool) -> None:
-            if repeat:
-                raise KeyboardInterrupt
-            report.interrupted = True
-            self._say(note_record("signal"))
-
+        core = self._take_core()
+        # The core outlives the batch; what belongs to the batch is wired
+        # in here, and its counters are read as deltas.
+        core.journal = journal
+        core.listener = partial(self._on_event, report, slots)
+        before = (core.retried, core.worker_losses, core.stragglers)
+        reusable = False
         try:
+            if journal is not None:
+                for spec in specs:
+                    core.persist(journal.record_spec, spec)
+            for index, spec in enumerate(specs):
+                task = Task(spec, client="batch")
+                slots[task] = index
+                core.submit(task)
+
+            def on_signal(repeat: bool) -> None:
+                if repeat:
+                    raise KeyboardInterrupt
+                report.interrupted = True
+                self._say(note_record("signal"))
+
             with core.drain_on_signal(self.grace_s, on_signal):
                 while not core.idle:
                     core.pump()
+            report.retried = core.retried - before[0]
+            report.worker_losses = core.worker_losses - before[1]
+            report.stragglers = core.stragglers - before[2]
+            if journal is not None:
+                core.persist(journal.append, note_record(
+                    "batch_end", retried=report.retried,
+                    worker_losses=report.worker_losses,
+                    stragglers=report.stragglers,
+                    interrupted=report.interrupted))
+            reusable = not (core.draining or report.worker_losses)
         finally:
-            core.close()
-            report.retried = core.retried
-            report.worker_losses = core.worker_losses
-            report.stragglers = core.stragglers
-
-        if journal is not None:
-            core.persist(journal.append, note_record(
-                "batch_end", retried=report.retried,
-                worker_losses=report.worker_losses,
-                stragglers=report.stragglers,
-                interrupted=report.interrupted))
+            core.journal = None
+            self._return_core(core, reusable)
         report.elapsed_s = time.perf_counter() - start
         self.last_report = report
         return report
@@ -347,6 +369,57 @@ class Runner:
         return self.run_map([spec])[0]
 
     # ------------------------------------------------------------------
+
+    def _take_core(self) -> ExecutionCore:
+        """The warm core, or a new one if it retired or broke idle."""
+        with self._lock:
+            if self._busy:
+                raise LabError(
+                    "this Runner is already running a batch; run_many "
+                    "one batch at a time, or give each thread a Runner")
+            if self._retire_timer is not None:
+                self._retire_timer.cancel()
+                self._retire_timer = None
+            core, self._core = self._core, None
+            if core is not None and core.pool_broken:
+                # A worker died while the pool idled: that says nothing
+                # about any spec, so no batch is charged for it.
+                core.close()
+                core = None
+            if core is None:
+                core = ExecutionCore(
+                    FifoQueue(), self._pool_call, None,  # wired per batch
+                    workers=self.workers, mode=self.mode, cache=self.cache,
+                    timeout_s=self.timeout_s, retries=self.retries,
+                    backoff_base_s=self.backoff_base_s,
+                )
+            self._busy = True
+        return core
+
+    def _return_core(self, core: ExecutionCore, reusable: bool) -> None:
+        """Park ``core`` for the next batch, its workers retiring after
+        :data:`POOL_LINGER_S` idle, or retire it now."""
+        if not reusable:
+            core.close()
+        with self._lock:
+            self._busy = False
+            if reusable:
+                self._core = core
+                if core.pooled:  # an all-cached batch may have none
+                    self._retire_timer = threading.Timer(
+                        POOL_LINGER_S, self._retire, (core,))
+                    self._retire_timer.daemon = True
+                    self._retire_timer.start()
+
+    def _retire(self, core: ExecutionCore) -> None:
+        # Under the lock, and only while parked: a batch that took the
+        # core first keeps it, and never dispatches to a shut-down pool.
+        with self._lock:
+            if self._core is not core:
+                return
+            self._core = None
+            self._retire_timer = None
+        core.close()
 
     def _say(self, line: Dict[str, Any], task: Optional[Task] = None) -> None:
         if self.progress is not None:

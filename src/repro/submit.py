@@ -46,7 +46,8 @@ from __future__ import annotations
 import time
 from typing import (Any, Dict, Iterator, List, Optional, Sequence, Union)
 
-from repro.lab.journal import outcome_record, record
+from repro.lab.core import persist
+from repro.lab.journal import outcome_record, record, render
 from repro.lab.results import LabError, RunFailure, RunResult
 from repro.lab.runner import BatchReport, Runner
 from repro.lab.spec import RunSpec
@@ -258,12 +259,14 @@ def submit_many(
     ``journal`` (an open :class:`~repro.lab.journal.SweepJournal`, as
     for ``run_many``) is given, spec/done/failed records are mirrored
     into it client-side so ``repro sweep --resume`` works on the
-    client's journal too.
+    client's journal too; a mirror write that fails (a full disk) is
+    noted on the runner's ``progress``, as the runner road notes it,
+    and never costs an outcome.
     """
+    from repro.lab import current_runner
+
     specs = list(specs)
     if server is None:
-        from repro.lab import current_runner
-
         report = (runner or current_runner()).run_many(specs, journal=journal)
         return SubmitBatch(
             [RunHandle(spec, outcome=outcome)
@@ -278,17 +281,27 @@ def submit_many(
         client = ServeClient(server, name=client_name or "submit")
     # The batch closes a connection opened here, never the caller's.
     batch = SubmitBatch([], owned_client=None if client is server else client)
+
+    def mirror(write, *args) -> None:
+        # The runner road's rule: a full disk costs the mirror, never
+        # an outcome, and is narrated where that road narrates it.
+        failed = persist(write, *args)
+        if failed is not None:
+            progress = (runner or current_runner()).progress
+            if progress is not None:
+                progress(render(failed))
+
     try:
         for spec in specs:
             if journal is not None:
-                journal.record_spec(spec)
+                mirror(journal.record_spec, spec)
             batch.handles.append(RunHandle(
                 spec, batch=batch,
                 serve_handle=client.submit(spec, stream=stream),
             ))
         if journal is not None:
             for handle in batch.handles:  # each the moment it arrives
-                journal.append(outcome_record(handle.outcome()))
+                mirror(journal.append, outcome_record(handle.outcome()))
     except BaseException:
         batch._release_client()
         raise

@@ -4,7 +4,9 @@ losing the disk.
 Covers the recovery matrix of ``docs/robustness.md``: a SIGKILLed pool
 worker (re-queued exactly once, for free — and the fault-parity litmus:
 the same fault sequence ends the same way through ``Runner`` and
-through ``repro serve``), a SIGKILLed *parent* (sweep
+through ``repro serve``), one warm pool per Runner (reused across
+batches, retired when idle, replaced after a drain or an idle worker's
+death), a SIGKILLed *parent* (sweep
 completed from its journal without recomputing finished specs), a torn
 cache write (quarantined, then recomputed), a full disk (durability
 lost, never an outcome), torn and foreign lines in journals and
@@ -18,6 +20,7 @@ from __future__ import annotations
 import errno
 import functools
 import logging
+import multiprocessing
 import os
 import random
 import re
@@ -32,6 +35,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.lab.runner as runner_mod
 import repro.serve.daemon as daemon_mod
 from repro.harness.runner import make_config
 from repro.lab import (FileLock, LockTimeout, ResultCache, Runner, RunSpec,
@@ -40,9 +44,10 @@ from repro.lab import _testing
 from repro.lab.journal import (NOTE_LINES, RECORD_KEYS, JournalError,
                                SweepJournal, note_record, outcome_record,
                                read_records, record, render)
-from repro.lab.results import RunFailure
+from repro.lab.results import LabError, RunFailure
 from repro.lab.runner import _run_with_timeout
 from repro.serve import ServeClient, ServeDaemon
+from repro.submit import submit_many
 from repro.sim.progress import SimulationDeadlock
 from test_golden_fixtures import oracle
 from test_golden_fixtures import spec as golden_spec
@@ -244,6 +249,24 @@ def test_a_full_disk_under_a_runner_returns_a_full_report(
         report = runner.run_many([_spec(i) for i in range(3)],
                                  journal=journal)
     assert report.total == 3 and report.executed == 3
+    assert any("No space left on device" in note for note in notes)
+
+
+@pytest.mark.parametrize("write", ["record_spec", "append"])
+def test_a_full_disk_under_a_served_client_journal_returns_a_full_report(
+        daemon, tmp_path, monkeypatch, write):
+    """The client's mirror of a served batch (its ``spec`` records, then
+    its outcomes) follows the runner road's rule: noted, not raised."""
+    notes = []
+    monkeypatch.setattr(daemon_mod, "serve_entry",
+                        lambda spec, *_args: _testing.fabricate_result(spec))
+    with SweepJournal(tmp_path / "client.jsonl") as journal:
+        monkeypatch.setattr(SweepJournal, write, _disk_full)
+        batch = submit_many([_spec(i) for i in range(3)],
+                            server=daemon.address, journal=journal,
+                            runner=Runner(progress=notes.append))
+        report = batch.report
+    assert report.total == 3 and not report.failures
     assert any("No space left on device" in note for note in notes)
 
 
@@ -489,6 +512,112 @@ def test_repeated_worker_loss_consumes_the_retry_budget(
     # One free re-queue + the budgeted attempts: 1 original + 1 retry.
     assert failure.attempts == 2
     assert report.worker_losses == 3
+
+
+# ---------------------------------------------------------------------------
+# One warm pool per Runner
+
+
+def _pids(report) -> set:
+    """The worker pids a ``report_pid`` batch ran in."""
+    assert all(r.ok for r in report.results)
+    return {r.cycles for r in report.results}
+
+
+def test_back_to_back_batches_share_one_pool_that_retires_when_idle():
+    runner = Runner(workers=2, mode="process", run_fn=_testing.report_pid)
+    pids = set()
+    for batch in range(3):
+        pids |= _pids(runner.run_many([_spec(i) for i in range(4)]))
+    assert len(pids) <= runner.workers  # one pool, never re-forked
+    deadline = time.monotonic() + runner_mod.POOL_LINGER_S + 1.0
+    while {proc.pid for proc in multiprocessing.active_children()} & pids:
+        assert time.monotonic() < deadline, "the idle pool outlived its linger"
+        time.sleep(0.01)
+
+
+def test_two_runners_never_share_workers():
+    first, second = (Runner(workers=2, mode="process",
+                            run_fn=_testing.report_pid) for _ in range(2))
+    specs = [_spec(i) for i in range(4)]
+    mine = _pids(first.run_many(specs))
+    theirs = _pids(second.run_many(specs))
+    mine |= _pids(first.run_many(specs))
+    assert not mine & theirs
+
+
+def _interrupt_parent(spec):
+    os.kill(os.getppid(), signal.SIGINT)
+    return _testing.report_pid(spec)
+
+
+def test_a_drained_batch_never_lends_its_pool():
+    runner = Runner(workers=1, mode="process", run_fn=_testing.report_pid)
+    warm = _pids(runner.run_many([_spec(0)]))
+    runner.run_fn = _interrupt_parent
+    drained = runner.run_many([_spec(1)])
+    assert drained.interrupted and _pids(drained) == warm
+    runner.run_fn = _testing.report_pid
+    assert not _pids(runner.run_many([_spec(2)])) & warm
+
+
+def test_a_pool_broken_while_idle_costs_the_next_batch_nothing(
+        tmp_path, monkeypatch):
+    """An idle worker SIGKILLed between two batches (an OOM kill): the
+    next batch gets a new pool before its first dispatch — no
+    ``worker_lost`` note, no attempt charged, no loss counted."""
+    monkeypatch.setattr(runner_mod, "POOL_LINGER_S", 60.0)
+    runner = Runner(workers=2, mode="process", run_fn=_testing.report_pid)
+    specs = [_spec(i) for i in range(4)]
+    before = _pids(runner.run_many(specs))
+    os.kill(next(iter(before)), signal.SIGKILL)
+    time.sleep(0.5)  # the pool notices its dead worker
+    monkeypatch.setattr(runner_mod, "POOL_LINGER_S", 0.1)
+    with SweepJournal(tmp_path / "batch.jsonl") as journal:
+        report = runner.run_many(specs, journal=journal)
+    assert not _pids(report) & before
+    assert all(r.attempts == 1 for r in report.results)
+    assert report.worker_losses == report.retried == 0
+    assert [n["note"] for n in load_journal(tmp_path / "batch.jsonl").notes
+            ] == ["batch_end"]
+
+
+@pytest.mark.parametrize("mode, batches", [("thread", 30), ("process", 8)])
+def test_the_retire_timer_never_hands_a_batch_a_shut_down_pool(
+        monkeypatch, mode, batches):
+    """With no linger, every retirement races the next batch for the
+    core; a batch that dispatched to a shut-down pool would fail its
+    runs permanently (``submit`` raises a plain ``RuntimeError``)."""
+    monkeypatch.setattr(runner_mod, "POOL_LINGER_S", 0.0)
+    runner = Runner(workers=2, mode=mode, run_fn=_testing.instant_ok)
+    for batch in range(batches):
+        report = runner.run_many([_spec(batch), _spec(batch + 1)])
+        assert not report.failures
+        assert report.worker_losses == report.retried == 0
+
+
+def test_a_concurrent_batch_on_one_runner_is_refused():
+    started, release = threading.Event(), threading.Event()
+
+    def run_fn(spec):
+        started.set()
+        release.wait(10.0)
+        return _testing.fabricate_result(spec)
+
+    runner = Runner(workers=1, mode="thread", run_fn=run_fn)
+    reports = []
+    holder = threading.Thread(
+        target=lambda: reports.append(runner.run_many([_spec(0)])))
+    holder.start()
+    try:
+        assert started.wait(10.0)
+        with pytest.raises(LabError, match="already running a batch"):
+            runner.run_many([_spec(1)])
+    finally:
+        release.set()
+        holder.join(10.0)
+    assert not holder.is_alive() and reports[0].results[0].ok
+    assert runner.run_many([_spec(1)]).results[0].ok  # free again
 
 
 # Fault-parity litmus: one fault sequence, two roads, one outcome.  Small
