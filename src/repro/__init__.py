@@ -14,8 +14,7 @@ Quickstart::
 
 :func:`repro.api.simulate` is the single simulation entry point — it also
 accepts a built :class:`Workload`, a :class:`KernelLaunch`, or a bare
-:class:`Program`.  It runs the fast engine; the bitwise-equivalent
-``reference`` engine is kept as the tests' oracle.
+:class:`Program`.
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every figure and table.

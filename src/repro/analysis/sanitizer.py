@@ -158,7 +158,7 @@ class Sanitizer:
         self._emit(cycle=cycle, diag_id=diag_id, severity=severity,
                    pc=pc, warp_slot=warp)
 
-    # -- hooks (called from SM execute paths, both engines) --------------
+    # -- hooks (called from the SM's execute handlers) ------------------
 
     def note_atomic(self, sm_id: int, cta: int, warp_in_cta: int, lane: int,
                     addr: int, pc: int, cycle: int, *, lock_try: bool,

@@ -102,9 +102,8 @@ def simulate(
         watchdog: forward-progress watchdog control — ``False``/``0``
             disables it, an integer sets ``no_progress_window``, a dict
             overrides any watchdog-related config fields verbatim.
-        engine: ``"fast"`` (default) or ``"reference"``, bitwise-identical
-            (see :mod:`repro.sim.sm`).  The reference is the tests' oracle,
-            kept only because the golden suites and the ledger pass it.
+        engine: ``"fast"``, the one engine; any other value is refused.
+            Kept only because the ledger passes it.
         validate: for workload targets, run the workload's functional
             validation after simulation (skipped under ``magic_locks``,
             whose results are intentionally not meaningful).

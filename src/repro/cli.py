@@ -43,8 +43,7 @@ one shared worker pool, one shared cache, concurrent duplicate
 submissions deduped to a single simulation (see docs/serve.md).
 ``run`` prints the same block either way, and each of the three answers
 a daemon that is not there with one ``daemon unreachable`` line and
-exit 5.  Every command simulates on the fast engine; the reference
-engine is the tests' oracle, not a command-line choice.
+exit 5.  Every command simulates on the one engine.
 """
 
 from __future__ import annotations

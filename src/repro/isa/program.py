@@ -55,7 +55,7 @@ class Program:
         self._annotate_hazards()
 
     def __getstate__(self):
-        """Checkpointing: drop the fast engine's memoized decode cache
+        """Checkpointing: drop the memoized decode cache
         (closure-bound handlers; see :func:`repro.sim.executor.
         decode_program`) — it is rebuilt deterministically on demand."""
         state = self.__dict__.copy()

@@ -104,10 +104,9 @@ class RunSpec:
     seed: Optional[int] = None
     #: Run the workload's functional validation after simulation.
     validate: bool = True
-    #: Execution engine (``"fast"``/``"reference"``).  Part of the hash:
-    #: the engines are bitwise-equivalent by contract, but a cache entry
-    #: must say which engine produced it, or a reference run asked for by
-    #: an equivalence test would be answered from a fast one.
+    #: Execution engine.  ``"fast"`` is the one that runs anything; the
+    #: field stays plain hashed data (so existing spec hashes hold) and
+    #: ``GPU`` refuses any other value when the spec runs.
     engine: str = "fast"
     #: Observability collection for this run (:class:`repro.obs.ObsConfig`).
     #: Collection never changes the simulation outcome, but it changes

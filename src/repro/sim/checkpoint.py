@@ -104,7 +104,7 @@ class SimCheckpoint:
         meta = {
             "program": sim.launch.program.name,
             "cycle": sim.now,
-            "engine": sim.engine,
+            "engine": "fast",  # the one engine; the field keeps the format
             "fingerprint": _code_fingerprint(),
         }
         return cls(meta=meta, payload=payload)

@@ -1,17 +1,15 @@
-"""Vectorized functional evaluation of ALU and compare operations.
+"""Instruction execution: opcode semantics and the decoded program.
 
-These helpers are pure: they read operand lane-vectors and produce result
-lane-vectors.  All sequencing, masking, and timing live in the SM.
+:func:`eval_alu` / :func:`eval_cmp` are pure: they read operand
+lane-vectors and produce result lane-vectors.
 
-The module also hosts the fast engine's instruction format: a
-:class:`DecodedProgram` pre-resolves every instruction once per
+A :class:`DecodedProgram` pre-resolves every instruction once per
 (program, machine, params) combination into a :class:`DecodedOp` — a
 record of closure-bound operand readers and a specialized execute
-handler — so the per-issue hot path never touches ``isinstance``
-dispatch or opcode if-chains.  Handlers replicate the effects of the
-reference execution paths in :class:`repro.sim.sm.SM` in the same order;
-the equivalence matrix (``tests/test_golden_fixtures.py``) holds both
-engines to the same committed answers.
+handler — so the per-issue hot path in :meth:`repro.sim.sm.SM.step`
+never touches ``isinstance`` dispatch or opcode if-chains.  The
+equivalence matrix (``tests/test_golden_fixtures.py``) holds every way
+of running them to one frozen oracle.
 """
 
 from __future__ import annotations
@@ -20,33 +18,12 @@ from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
-from repro.isa.instructions import Imm, Mem, Opcode, Operand, Param, Pred, Reg, Sreg
+from repro.isa.instructions import Imm, Opcode, Operand, Param, Pred, Reg, Sreg
 from repro.isa.program import Program
 from repro.memory.memsys import OUT_OF_BOUNDS, WORD_BYTES
 from repro.sim.config import GPUConfig
 from repro.sim.registers import copyto, wrap_i32
 from repro.sim.warp import Warp
-
-
-def read_operand(warp: Warp, operand: Operand,
-                 params: Dict[str, int]) -> np.ndarray:
-    """Lane vector of ``operand``'s value."""
-    if isinstance(operand, Reg):
-        return warp.regs.read(operand.name)
-    if isinstance(operand, Imm):
-        return np.full(warp.regs.warp_size, operand.value, dtype=np.int64)
-    if isinstance(operand, Sreg):
-        return warp.sregs[operand.name]
-    if isinstance(operand, Pred):
-        return warp.regs.read_pred(operand.name).astype(np.int64)
-    if isinstance(operand, Param):
-        return np.full(warp.regs.warp_size, params[operand.name], dtype=np.int64)
-    raise TypeError(f"cannot read operand {operand!r}")
-
-
-def effective_addresses(warp: Warp, mem: Mem) -> np.ndarray:
-    """Per-lane byte addresses of a ``[base + offset]`` operand."""
-    return warp.regs.read(mem.base.name) + np.int64(mem.offset)
 
 
 # ``np.trunc`` is ``np.fix`` on floats without its Python wrapper.
@@ -69,8 +46,8 @@ def _shift_amount(amount):
 
 #: Raw (pre-wrap) lane-vector computation per ALU opcode, taking the
 #: source vectors positionally — the one statement of every opcode's
-#: arithmetic: :func:`eval_alu` looks it up per call, the fast engine
-#: binds it at decode time.
+#: arithmetic: :func:`eval_alu` looks it up per call, decoding binds it
+#: once per op.
 _ALU_OPS = {
     Opcode.MOV: lambda a: a,
     Opcode.ADD: np.add,
@@ -124,7 +101,7 @@ def eval_cmp(cmp: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Pre-decoded execution records (the fast engine's instruction format).
+# Pre-decoded execution records.
 
 #: Reads one operand's lane vector from a warp.
 OperandReader = Callable[[Warp], np.ndarray]
@@ -141,7 +118,7 @@ def _frozen(vector: np.ndarray) -> np.ndarray:
 
 def _make_reader(operand: Operand, warp_size: int,
                  params: Dict[str, int]) -> OperandReader:
-    """Closure-bound equivalent of :func:`read_operand` for one operand."""
+    """Closure that reads ``operand``'s lane vector from a warp."""
     if isinstance(operand, Reg):
         name = operand.name
         return lambda warp: warp.regs.values[name]
@@ -163,14 +140,13 @@ def _make_reader(operand: Operand, warp_size: int,
 
 
 class DecodedOp:
-    """One instruction decoded for the fast engine.
+    """One decoded instruction.
 
     Everything the issue path needs is precomputed: the guard
     predicate, scoreboard keys, instruction-class flags, and a
     specialized ``handler(sm, warp, dop, exec_mask, n_exec, now)``
     (``n_exec`` = lanes set in ``exec_mask``, counted once by the issue
-    prologue) that replicates the reference ``SM._execute_*`` path for
-    this opcode.
+    prologue) that executes this opcode.
 
     ``exec_mask`` is ``guard_op(active, pred)`` for a guarded
     instruction and the TOS mask *itself*, not a copy, for an unguarded
@@ -338,10 +314,9 @@ def _make_branch_handler(instr, program: Program):
             ddos.on_backward_branch(warp.warp_slot, instr, taken_any, now)
         if sm.cawa is not None:
             sm.cawa.on_branch(warp, instr, taken_any)
-        # Re-query SIB status (``SM._is_sib`` for a branch): the
-        # backward-branch hook above may have just trained DDOS past its
-        # confidence threshold (the reference path has the same
-        # read-after-train ordering).
+        # Re-query SIB status: the backward-branch hook above may have
+        # just trained DDOS past its confidence threshold, so this read
+        # can differ from the issue prologue's.
         if taken_any and sm.bows is not None and (
                 ddos.is_sib(index) if ddos is not None
                 else dop.static_sib):
@@ -544,8 +519,8 @@ def _make_atomic_handler(instr, warp_size, params):
         lock_table = sm.lock_table
         san = sm.san
         if lock_try:
-            # SM._record_lock_attempt, inline: the lock table moves per
-            # lane, the counters are committed once after the pass.
+            # One lane's lock attempt: the lock table moves per lane,
+            # the counters are committed once after the pass.
             warp_key = (warp.cta_id, warp.warp_in_cta)
             emit_ok = sm._emit_lock_ok
             emit_fail = sm._emit_lock_fail

@@ -1,7 +1,7 @@
 """Top-level GPU: kernel launch, CTA dispatch, and the simulation loop.
 
-The loop goes only where a warp can act: each fast SM keeps the cycle it
-can next do anything on (``SM.wake`` — a ready warp, a memory writeback,
+The loop goes only where a warp can act: each SM keeps the cycle it can
+next do anything on (``SM.wake`` — a ready warp, a memory writeback,
 a fence completing, a BOWS back-off delay expiring), the loop steps the
 SMs whose wake has come and moves straight to the earliest wake.  That
 is purely a host-performance optimization: per-cycle accounting (issue
@@ -38,7 +38,7 @@ from repro.sim.progress import (  # noqa: F401
     SimulationTimeout,
     build_hang_report,
 )
-from repro.sim.sm import ENGINES, NEVER, SM, WarpKey
+from repro.sim.sm import NEVER, SM, WarpKey
 
 
 @dataclass
@@ -92,9 +92,12 @@ class GPU:
                  memory: Optional[GlobalMemory] = None,
                  engine: str = "fast", obs=None,
                  sanitizer=None) -> None:
-        if engine not in ENGINES:
+        # ``engine`` stays a parameter, with one legal value, because the
+        # ledger (``benchmarks/ledger/workloads.py``) still passes it;
+        # this is the one place that refuses any other.
+        if engine != "fast":
             raise ValueError(
-                f"unknown engine {engine!r}; choose from {ENGINES}"
+                f"unknown engine {engine!r}; the one engine is 'fast'"
             )
         self.config = config
         self.memory = memory if memory is not None else GlobalMemory()
@@ -110,11 +113,6 @@ class GPU:
         from repro.analysis.sanitizer import as_sanitizer
 
         self.sanitizer = as_sanitizer(sanitizer)
-        #: ``"fast"`` (pre-decoded, event-driven readiness — the default)
-        #: or ``"reference"`` (the seed per-cycle re-scan implementation).
-        #: Both produce bitwise-identical statistics; see
-        #: :mod:`repro.sim.sm`.
-        self.engine = engine
 
     def begin(self, launch: KernelLaunch) -> "Simulation":
         """Construct (but do not run) a resumable simulation of ``launch``."""
@@ -140,7 +138,6 @@ class GPU:
                 memsys=memsys,
                 lock_table=lock_table,
                 stats=stats,
-                engine=self.engine,
                 obs=obs,
                 sanitizer=sanitizer,
             )
@@ -165,7 +162,6 @@ class GPU:
             lock_table=lock_table,
             obs=obs,
             sanitizer=sanitizer,
-            engine=self.engine,
             warps_per_cta=warps_per_cta,
         )
         sim._dispatch()
@@ -200,8 +196,7 @@ class Simulation:
     """
 
     def __init__(self, config, launch, memory, memsys, stats, sms,
-                 lock_table, obs, sanitizer, engine,
-                 warps_per_cta) -> None:
+                 lock_table, obs, sanitizer, warps_per_cta) -> None:
         self.config = config
         self.launch = launch
         self.memory = memory
@@ -211,7 +206,6 @@ class Simulation:
         self.lock_table = lock_table
         self.obs = obs
         self.sanitizer = sanitizer
-        self.engine = engine
         self.warps_per_cta = warps_per_cta
         self.monitor: Optional[ProgressMonitor] = None
         self.sampler = None
@@ -254,12 +248,11 @@ class Simulation:
         monitor = self.monitor
         sampler = self.sampler
         stats = self.stats
-        fast = self.engine == "fast"
-        # A fast SM is stepped only once its ``wake`` has come: before
-        # that a step finds nothing to drain or issue.  CAWA charges
-        # stalls from readiness at every visited cycle, so under it (as
-        # on the reference engine) every SM steps on every one of them.
-        every = not fast or config.scheduler == "cawa"
+        # An SM is stepped only once its ``wake`` has come: before that
+        # a step finds nothing to drain or issue.  CAWA charges stalls
+        # from readiness at every visited cycle, so under it every SM
+        # steps on every one of them.
+        every = config.scheduler == "cawa"
         slots = len(sms) * config.num_schedulers_per_sm
         stop = NEVER if stop_cycle is None else stop_cycle
         now = self.now
@@ -277,8 +270,8 @@ class Simulation:
                 for sm, step in steps:
                     if every or sm.wake <= now:
                         issued += step(now)
-                if fast:
-                    stats.issue_slots += slots  # the reference step's charge
+                # One issue slot per scheduler per visited cycle.
+                stats.issue_slots += slots
                 # CTA slots free up, and the last warp retires, only on
                 # a cycle that issued.
                 if issued:
@@ -304,23 +297,17 @@ class Simulation:
                         watch = monitor.next_sample
                 # Where next: the earliest cycle a warp can act on.
                 next_now = NEVER
-                if fast:
-                    live = backed = 0
-                    for sm in sms:
-                        if sm.wake < next_now:
-                            next_now = sm.wake
-                        live += sm._n_live
-                        backed += sm._n_backed
-                elif not issued:
-                    for sm in sms:
-                        event = sm.next_event(now)
-                        if event is not None and event < next_now:
-                            next_now = event
+                live = backed = 0
+                for sm in sms:
+                    if sm.wake < next_now:
+                        next_now = sm.wake
+                    live += sm._n_live
+                    backed += sm._n_backed
                 if issued:
-                    # The reference always visits the cycle after an
-                    # issue.  When no SM wakes on it that visit is its
-                    # charge and nothing else — unless a sample, the stop
-                    # or the deadlock report falls on it.
+                    # The cycle after an issue always counts.  When no
+                    # SM wakes on it, it is charged its issue slots
+                    # without a visit — unless a sample, the stop or the
+                    # deadlock report falls on it.
                     if (next_now <= now + 1 or every or next_now == NEVER
                             or now + 1 >= watch or now + 1 >= stop):
                         next_now = now + 1
@@ -334,12 +321,8 @@ class Simulation:
                     )
                     raise SimulationDeadlock(report.describe(), report)
                 dt = next_now - now
-                if fast:
-                    stats.resident_warp_cycles += dt * live
-                    stats.backed_off_warp_cycles += dt * backed
-                else:
-                    for sm in sms:
-                        sm.accumulate_occupancy(dt)
+                stats.resident_warp_cycles += dt * live
+                stats.backed_off_warp_cycles += dt * backed
                 now = next_now
         finally:
             self.now = now

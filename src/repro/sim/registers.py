@@ -39,7 +39,7 @@ class RegisterFile:
         self.warp_size = warp_size
         #: name -> int64 lane vector / bool lane vector.  Part of the
         #: contract: both dicts and every array in them are updated in
-        #: place, never rebound, so the fast engine's handlers read and
+        #: place, never rebound, so the decoded handlers read and
         #: write them directly (a write there must wrap through int32
         #: exactly as :meth:`write` does).
         self.values: Dict[str, np.ndarray] = {

@@ -39,17 +39,13 @@ class WarpScheduler:
     def notify_issue(self, slot: int, now: int) -> None:
         self.last_issued = slot
 
-    def enable_order_cache(self) -> None:
-        """Allow the policy to cache warp-membership-derived orderings.
-
-        Only the SM's fast engine opts in: it guarantees
-        :meth:`invalidate_order` is called whenever the resident-warp
-        set changes (CTA launch/retire).  Policies without a derived
-        ordering ignore this.
-        """
-
     def invalidate_order(self) -> None:
-        """Resident-warp set changed; drop any cached ordering."""
+        """Resident-warp set changed; drop any cached ordering.
+
+        The SM calls this whenever the resident-warp set changes (CTA
+        launch/retire), so a policy may cache an ordering derived from
+        warp membership until then.  Policies without one ignore it.
+        """
 
 
 class LRRScheduler(WarpScheduler):
@@ -89,75 +85,40 @@ class GTOScheduler(WarpScheduler):
 
     def __init__(self, config: GPUConfig, slots: List[int]) -> None:
         super().__init__(config, slots)
-        self._cache_order = False
-        self._by_age: Optional[List[int]] = None
+        #: Slot -> rank in oldest-first order, built on demand from the
+        #: resident warps and dropped by :meth:`invalidate_order`.
         self._rank: Optional[Dict[int, int]] = None
 
-    def enable_order_cache(self) -> None:
-        self._cache_order = True
-        self._by_age = None
-        self._rank = None
-
     def invalidate_order(self) -> None:
-        self._by_age = None
         self._rank = None
 
     def select(self, ready: Set[int], warps: Dict[int, Warp],
                now: int) -> Optional[int]:
         if self.last_issued is not None and self.last_issued in ready:
             return self.last_issued
-        if self._cache_order:
-            # Cached-order path: "first ready slot in the rotated age
-            # order" == "ready slot minimizing rotated age rank" — an
-            # O(|ready|) min instead of a scan over all resident slots.
-            if not ready:
-                return None
-            rank = self._rank
-            if rank is None:
-                self._sort_by_age(warps)
-                rank = self._rank
-            n = len(rank)
-            period = self.config.gto_rotation_period
-            rotation = (now // period) % n if period > 0 else 0
-            best = None
-            best_rank = n
-            for slot in ready:
-                rotated = (rank[slot] - rotation) % n
-                if rotated < best_rank:
-                    best_rank = rotated
-                    best = slot
-            return best
-        order = self.priority_order(warps, now)
-        for slot in order:
-            if slot in ready:
-                return slot
-        return None
-
-    def _sort_by_age(self, warps: Dict[int, Warp]) -> None:
-        by_age = sorted(
-            (slot for slot in self.slots if slot in warps),
-            key=lambda s: warps[s].age,
-        )
-        self._by_age = by_age
-        self._rank = {slot: i for i, slot in enumerate(by_age)}
-
-    def priority_order(self, warps: Dict[int, Warp], now: int) -> List[int]:
-        """Oldest-first order, rotated every rotation period."""
-        by_age = self._by_age
-        if by_age is None:
-            if self._cache_order:
-                self._sort_by_age(warps)
-                by_age = self._by_age
-            else:
-                by_age = sorted(
-                    (slot for slot in self.slots if slot in warps),
-                    key=lambda s: warps[s].age,
-                )
-        if not by_age:
-            return []
+        if not ready:
+            return None
+        # "First ready slot in the age order rotated every rotation
+        # period" == "ready slot minimizing rotated age rank" — an
+        # O(|ready|) min instead of a scan over all resident slots.
+        rank = self._rank
+        if rank is None:
+            by_age = sorted(
+                (slot for slot in self.slots if slot in warps),
+                key=lambda s: warps[s].age,
+            )
+            rank = self._rank = {slot: i for i, slot in enumerate(by_age)}
+        n = len(rank)
         period = self.config.gto_rotation_period
-        rotation = (now // period) % len(by_age) if period > 0 else 0
-        return by_age[rotation:] + by_age[:rotation]
+        rotation = (now // period) % n if period > 0 else 0
+        best = None
+        best_rank = n
+        for slot in ready:
+            rotated = (rank[slot] - rotation) % n
+            if rotated < best_rank:
+                best_rank = rotated
+                best = slot
+        return best
 
 
 class CAWAScheduler(WarpScheduler):
@@ -222,9 +183,6 @@ class PerturbedScheduler(WarpScheduler):
     def notify_issue(self, slot: int, now: int) -> None:
         super().notify_issue(slot, now)
         self.base.notify_issue(slot, now)
-
-    def enable_order_cache(self) -> None:
-        self.base.enable_order_cache()
 
     def invalidate_order(self) -> None:
         self.base.invalidate_order()

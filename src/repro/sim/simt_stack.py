@@ -192,8 +192,8 @@ class SIMTStack:
         """Pop entries whose PC reached their reconvergence point.
 
         Every update that can move a PC onto its RPC ends here; the
-        fast engine's handler tail, which advances the TOS itself, calls
-        it when ``pc == rpc``.
+        decoded handlers' tail, which advances the TOS itself, calls it
+        when ``pc == rpc``.
 
         Every entry on the stack has a non-empty mask (a divergent
         branch pushes two non-empty halves, :meth:`exit_lanes` drops the

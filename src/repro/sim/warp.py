@@ -16,7 +16,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.isa.instructions import Instruction
 from repro.isa.program import Program
 from repro.sim.registers import RegisterFile
 from repro.sim.scoreboard import Scoreboard
@@ -92,15 +91,14 @@ class Warp:
         self.issued_instructions = 0
         self.thread_instructions = 0
 
-        # Fast-engine cache (repro.sim.sm, engine="fast").  Refreshed by
-        # the SM after each of this warp's issues — the only time its
-        # readiness inputs can change:
+        # Issue cache (repro.sim.sm).  Refreshed by the SM after each of
+        # this warp's issues — the only time its readiness inputs can
+        # change:
         #   _decoded    — DecodedOp for the current PC;
         #   _ready_from — first cycle the warp can issue: the max of
         #                 membar_until and the pending scoreboard
         #                 releases over the current instruction's hazard
         #                 keys (0 = nothing pending).
-        # The reference engine ignores both.
         self._decoded = None
         self._ready_from = 0
 
@@ -120,19 +118,6 @@ class Warp:
     @property
     def pc(self) -> int:
         return self.stack.pc
-
-    def current_instruction(self) -> Instruction:
-        return self.program[self.stack.pc]
-
-    def exec_mask(self, instr: Instruction) -> np.ndarray:
-        """Lanes that actually execute ``instr`` (active ∧ guard)."""
-        active = self.stack.active_mask
-        if instr.guard is None:
-            return active.copy()
-        guard = self.regs.read_pred(instr.guard.name)
-        if instr.guard_negated:
-            guard = ~guard
-        return np.logical_and(active, guard)
 
     # ------------------------------------------------------------------
     # CAWA accessors (Section II: criticality = nInst * CPIavg + nStall).

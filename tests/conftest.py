@@ -10,7 +10,6 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.config import GPUConfig, fermi_config
-from repro.sim.sm import ENGINES  # the one engine axis every test reads
 
 
 @pytest.fixture
@@ -85,26 +84,23 @@ def run_program(source: str, config: GPUConfig, *, grid_dim: int = 1,
     return result, memory
 
 
-def bare_sms(source: str, config: GPUConfig):
-    """One freshly built SM per engine, for tests that poke an SM with no
-    GPU around it: a bare ``SM(...)`` defaults to the reference engine
-    while ``GPU()`` runs the fast one, so it would test only the oracle."""
+def bare_sm(source: str, config: GPUConfig):
+    """A freshly built SM with no GPU around it, for tests that poke one."""
     from repro.isa import assemble
     from repro.memory.memsys import GlobalMemory, MemorySubsystem
     from repro.metrics.stats import SimStats
     from repro.sim.sm import SM
 
-    for engine in ENGINES:
-        yield SM(0, config, assemble(source), {}, GlobalMemory(256),
-                 MemorySubsystem(config), {}, SimStats(), engine=engine)
+    return SM(0, config, assemble(source), {}, GlobalMemory(256),
+              MemorySubsystem(config), {}, SimStats())
 
 
 def fence_first_workload():
     """A directed kernel that parks warps with ``now < membar_until <``
     their scoreboard release: a long-miss ``ld`` into ``%r_v``, then a
     store that hits in L2, a ``membar`` behind it, and an ``add`` that
-    needs ``%r_v``.  The reference ``next_event`` reports the fence for
-    such a warp although nothing can issue when it expires."""
+    needs ``%r_v``.  Such a warp's next event is its fence although
+    nothing can issue when it expires."""
     import numpy as np
 
     from repro.isa import assemble

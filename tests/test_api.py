@@ -100,10 +100,12 @@ def test_config_resolution_vocabulary():
 
 
 def test_engine_selection():
-    """``engine=`` names one of ``ENGINES`` (the equivalence matrix holds
-    each to the frozen oracle); anything else is refused."""
-    with pytest.raises(ValueError, match="engine"):
-        simulate("vecadd", params=VECADD, engine="turbo")
+    """``engine=`` has one legal value; anything else — the retired
+    ``reference`` engine included — is refused, naming the one engine."""
+    assert simulate("vecadd", params=VECADD, engine="fast").cycles > 0
+    for engine in ("turbo", "reference"):
+        with pytest.raises(ValueError, match="the one engine is 'fast'"):
+            simulate("vecadd", params=VECADD, engine=engine)
 
 
 def test_legacy_harness_entry_points_removed():

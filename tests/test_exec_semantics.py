@@ -9,7 +9,7 @@ just the ALU helpers).
 import numpy as np
 import pytest
 
-from conftest import ENGINES, run_program
+from conftest import run_program
 from repro.memory.memsys import GlobalMemory
 
 
@@ -267,7 +267,8 @@ def test_atom_add_accumulates(tiny_config):
     assert memory.read_word(counter) == 64
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+# The one engine, as a parameter: these cases keep their ``fast`` ids.
+@pytest.mark.parametrize("engine", ["fast"])
 @pytest.mark.parametrize("addr", [-4, (1 << 10) * 4],
                          ids=["negative", "past-the-end"])
 @pytest.mark.parametrize("atomic", [
@@ -275,7 +276,7 @@ def test_atom_add_accumulates(tiny_config):
 ], ids=["add", "cas"])
 def test_atomic_outside_memory_is_rejected(tiny_config, engine, addr, atomic):
     """An atomic on a negative address used to read and write the *last*
-    word of memory; both engines must refuse it like a load would."""
+    word of memory; it must be refused like a load would be."""
     from repro.isa import assemble
     from repro.sim.gpu import GPU, KernelLaunch
 
@@ -293,10 +294,10 @@ def test_atomic_outside_memory_is_rejected(tiny_config, engine, addr, atomic):
 
 
 def run_lock_tries(config, source, engine, *, block_dim, memory, params):
-    """Run ``source`` on one engine with the obs bus and a write hook
-    attached; returns the result, the CTA's warps (which outlive their
-    retirement here), the hook's calls and the writes ``memory.version``
-    counted during the run."""
+    """Run ``source`` with the obs bus and a write hook attached;
+    returns the result, the CTA's warps (which outlive their retirement
+    here), the hook's calls and the writes ``memory.version`` counted
+    during the run."""
     from repro.isa import assemble
     from repro.sim.gpu import GPU, KernelLaunch
 
@@ -320,7 +321,8 @@ def lock_events(result):
     ]
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+# The one engine, as a parameter: these cases keep their ``fast`` ids.
+@pytest.mark.parametrize("engine", ["fast"])
 def test_lanes_of_two_warps_race_for_one_lock(tiny_config, engine):
     """One CAS, 64 lanes, one lock: lane order decides.  Warp 0's lane 0
     wins, its other lanes fail *intra*-warp (their own warp holds it),
@@ -366,7 +368,8 @@ REGISTER_CAS = """
 """
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+# The one engine, as a parameter: these cases keep their ``fast`` ids.
+@pytest.mark.parametrize("engine", ["fast"])
 def test_atom_cas_with_register_operands(tiny_config, engine):
     """No shipped kernel passes a register compare or swap, so the
     golden fixtures cannot see that path.  Lock 16 holds 5 and only
@@ -398,7 +401,8 @@ def test_atom_cas_with_register_operands(tiny_config, engine):
         for lane in range(32)]
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+# The one engine, as a parameter: these cases keep their ``fast`` ids.
+@pytest.mark.parametrize("engine", ["fast"])
 def test_magic_locks_with_register_operands(tiny_config, engine):
     """The ideal-blocking proxy: every lane's acquire succeeds at once,
     reads back its own compare value and writes nothing."""
@@ -619,7 +623,7 @@ def test_multi_cta_dispatch(dual_sm_config):
 
 @pytest.mark.parametrize("kernel", ["ht", "st", "reduction", "nw1"])
 def test_no_handler_mutates_or_outlives_its_exec_mask(kernel):
-    """The fast engine hands an unguarded instruction the SIMT stack's
+    """The issue path hands an unguarded instruction the SIMT stack's
     TOS mask itself, not a copy.  That is sound only while nobody writes
     a mask in place, so freeze every mask a handler sees — for good: a
     later in-place write by a handler, the stack, the register file or

@@ -1,7 +1,7 @@
 """The equivalence matrix: every way of obtaining a run, held to one oracle.
 
-``tests/fixtures/golden_summaries.json`` is the oracle, written on the
-reference engine.  A row names a workload and a configuration, and
+``tests/fixtures/golden_summaries.json`` is the oracle, frozen by
+:func:`write`.  A row names a workload and a configuration, and
 holds what the ways :data:`MATRIX` runs on it observe: the full
 ``SimStats.summary()`` and a digest of every ``SimStats`` field, the
 final memory image, ``issue_slots`` and the DDOS-predicted SIBs on every
@@ -10,15 +10,15 @@ the sanitizer payload, the lab's DDOS outcome and the directed facts of
 ``test_visit_equivalence.py`` (CAWA charges at fixed stops, series
 stamps, hang reports).
 
-A *way* is one function ``(row, engine) -> observables``, and a case
+A *way* is one function ``(row) -> observables``, and a case
 passes when every observable equals the row's value for it — no case
 simulates anything to obtain its expected answer.  Cases older suites
 named keep their ids and call :func:`check` from their own files; a
 case two ids share is simulated once.
 
 The writer records every way except ``resumed-*`` (whose stop reads the
-oracle) on the reference engine, and refuses two ways that disagree on
-an observable they share.  Regenerate the fixture only when the *model*
+oracle), and refuses two ways that disagree on an observable they
+share.  Regenerate the fixture only when the *model*
 changes on purpose::
 
     PYTHONPATH=src python tests/test_golden_fixtures.py --write
@@ -35,7 +35,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import ENGINES, fence_first_workload
+from conftest import fence_first_workload
 from repro.harness.params import QUICK_PARAMS, QUICK_SYNC_FREE
 from repro.isa import assemble
 from repro.kernels import build
@@ -67,8 +67,8 @@ def barrier():
 
 #: Workload -> (kernel, builder params), or a directed kernel's builder:
 #: every kernel at quick scale, ``ht``/``nw1``/``atm`` at full size, the
-#: shapes the engine-identity cases run (``-small``), and three kernels
-#: built for one ``_advance`` condition each.
+#: small shapes the configuration cases run (``-small``), and three
+#: kernels built for one ``_advance`` condition each.
 WORKLOADS = {
     **{kernel: (kernel, params)
        for kernel, params in {**QUICK_PARAMS, **QUICK_SYNC_FREE}.items()},
@@ -164,7 +164,7 @@ def _observers(mode):
             True if mode == "sanitize" else None)
 
 
-def begin(row, engine, mode="plain", obs=None):
+def begin(row, mode="plain", obs=None):
     """A live, not yet advanced ``Simulation`` over a fresh build."""
     workload, label = ROWS[row]
     source = WORKLOADS[workload]
@@ -174,17 +174,16 @@ def begin(row, engine, mode="plain", obs=None):
         kernel, params = source
         built = build(kernel, **params)
     observers = _observers(mode)
-    return GPU(CONFIGS[label], memory=built.memory, engine=engine,
+    return GPU(CONFIGS[label], memory=built.memory,
                obs=obs or observers[0], sanitizer=observers[1]
                ).begin(built.launch)
 
 
-def spec(row, engine="fast", **fields) -> RunSpec:
+def spec(row, **fields) -> RunSpec:
     """The lab's spelling of a registered kernel's row."""
     workload, label = ROWS[row]
     kernel, params = WORKLOADS[workload]
-    return RunSpec(kernel, CONFIGS[label], dict(params), engine=engine,
-                   **fields)
+    return RunSpec(kernel, CONFIGS[label], dict(params), **fields)
 
 
 def checkpoint_bytes_roundtrip(sim):
@@ -233,8 +232,8 @@ def observe(result) -> dict:
 # The ways
 
 
-def direct(row, engine, mode="plain"):
-    return observe(begin(row, engine, mode).run())
+def direct(row, mode="plain"):
+    return observe(begin(row, mode).run())
 
 
 #: What :func:`_hear` was called with.  A module-level function pickles
@@ -247,11 +246,11 @@ def _hear(item):
     _HEARD.append(item)
 
 
-def resumed(row, engine, mode):
+def resumed(row, mode):
     """Stop mid-run, serialise the machine through bytes and resume in a
     fresh object graph.  What the observers collected survives the round
     trip; a live subscriber does not."""
-    sim = begin(row, engine, mode)
+    sim = begin(row, mode)
     if mode == "observed":
         _HEARD.clear()
         sim.obs.subscribe(on_event=_hear, on_row=_hear)
@@ -259,13 +258,12 @@ def resumed(row, engine, mode):
     assert not sim.finished
     restored = checkpoint_bytes_roundtrip(sim)
     assert restored is not sim
-    if engine == "fast":
-        # The issue loop's per-scheduler rows must still be the
-        # restored schedulers and ready sets, not copies of them.
-        for sm in restored.sms:
-            assert [tuple(map(id, r)) for r in sm._rows] == [
-                tuple(map(id, r)) for r in zip(
-                    sm.schedulers, sm._ready_normal, sm._ready_backed)]
+    # The issue loop's per-scheduler rows must still be the restored
+    # schedulers and ready sets, not copies of them.
+    for sm in restored.sms:
+        assert [tuple(map(id, r)) for r in sm._rows] == [
+            tuple(map(id, r)) for r in zip(
+                sm.schedulers, sm._ready_normal, sm._ready_backed)]
     heard = len(_HEARD)
     seen = observe(restored.run())
     if mode == "observed":
@@ -282,17 +280,17 @@ def resumed(row, engine, mode):
 
 def runner(**options):
     """A ``Runner`` road, collecting obs as the served roads do."""
-    def way(row, engine):
-        asked = spec(row, engine, obs=ObsConfig())
+    def way(row):
+        asked = spec(row, obs=ObsConfig())
         result = Runner(**options).run_one(asked)
         assert result.spec_hash == asked.content_hash()
         return observe(result)
     return way
 
 
-def cawa_stops(row, engine):
+def cawa_stops(row):
     """CAWA's per-warp counters, read off the live warps at seven stops."""
-    sim = begin(row, engine)
+    sim = begin(row)
     charges = []
     for stop in range(1_000, 7_001, 1_000):
         sim.run_until(stop)
@@ -307,18 +305,19 @@ def cawa_stops(row, engine):
 
 
 def series_every(interval):
-    def way(row, engine):
+    def way(row):
         obs = ObsConfig(sample_interval=interval)
-        series = begin(row, engine, obs=obs).run().obs.series.rows
+        series = begin(row, obs=obs).run().obs.series.rows
         assert len(series) > 50
         return {f"series_sha256_every_{interval}": digest(series)}
     return way
 
 
-def walk(row, engine):
+def walk(row):
     """Walk the run one visited cycle at a time: an empty cycle right
-    after an issuing one is what the fast loop only charges."""
-    sim = begin(row, engine)
+    after an issuing one is one the loop only charges when nothing stops
+    it there."""
+    sim = begin(row)
     visited = []
     while not sim.run_until(sim.now + 1):
         visited.append((sim.now, sim.stats.warp_instructions))
@@ -328,11 +327,11 @@ def walk(row, engine):
         if now == before + 1 and n1 > n0 and n2 == n1]}
 
 
-def hang(row, engine):
+def hang(row):
     """The report a run that cannot finish raises, and the cycles the
     progress monitor sampled at on the way.  The ``barrier`` kernel's
     barrier unit never releases."""
-    sim = begin(row, engine)
+    sim = begin(row)
     sampled = []
     if sim.monitor is not None:
         sample = sim.monitor.sample
@@ -395,24 +394,24 @@ def expect(row, seen: dict) -> None:
 
 
 @functools.lru_cache(maxsize=None)
-def _observed(way, row, engine):
-    return MATRIX[way][0](row, engine)
+def _observed(way, row):
+    return MATRIX[way][0](row)
 
 
-def check(way, row, engine="fast") -> None:
+def check(way, row) -> None:
     assert row in MATRIX[way][1], f"{way} × {row} is not in the matrix"
-    expect(row, _observed(way, row, engine))
+    expect(row, _observed(way, row))
 
 
 def write() -> dict:
-    """Every case of the matrix on the reference engine, ``resumed``
-    aside; two ways sharing an observable must agree on it."""
+    """Every case of the matrix, ``resumed`` aside; two ways sharing an
+    observable must agree on it."""
     records = {}
     for way, (how, way_rows) in MATRIX.items():
         if way.startswith("resumed-"):
             continue
         for row in way_rows:
-            seen = json.loads(json.dumps(how(row, "reference")))
+            seen = json.loads(json.dumps(how(row)))
             record = records.setdefault(row, {})
             shared = set(seen) & set(record)
             assert {k: seen[k] for k in shared} == {
@@ -429,10 +428,23 @@ def test_fixture_covers_the_matrix():
     assert sorted(oracle()) == sorted(ROWS)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("case", MATRIX["direct"][1])
-def test_engine_reproduces_golden_fixture(case, engine):
-    check("direct", case, engine)
+def test_writer_refuses_ways_that_disagree(monkeypatch):
+    """Two ways that share an observable must agree on it, or the writer
+    freezes neither."""
+    monkeypatch.setitem(globals(), "MATRIX", {
+        "one": (lambda row: {"issue_slots": 1, "cycles": 5}, ["vecadd-gto"]),
+        "other": (lambda row: {"issue_slots": 2}, ["vecadd-gto"]),
+    })
+    with pytest.raises(AssertionError, match="other"):
+        write()
+    MATRIX["other"] = (lambda row: {"issue_slots": 1}, ["vecadd-gto"])
+    assert write() == {"vecadd-gto": {"issue_slots": 1, "cycles": 5}}
+
+
+# ``-fast``: the id suffix each case had while a second engine ran.
+@pytest.mark.parametrize("case", MATRIX["direct"][1], ids="{}-fast".format)
+def test_engine_reproduces_golden_fixture(case):
+    check("direct", case)
 
 
 @pytest.mark.parametrize("way", ["runner-serial", "runner-process"])

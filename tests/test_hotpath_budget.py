@@ -1,4 +1,4 @@
-"""A machine-independent budget for the fast engine's hot path.
+"""A machine-independent budget for the simulator's hot path.
 
 Wall clock cannot be asserted on a shared runner; the number of
 Python-level calls a simulated warp instruction costs can.  ``cProfile``

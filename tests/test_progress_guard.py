@@ -14,7 +14,7 @@ import pickle
 
 import pytest
 
-from conftest import bare_sms, run_program
+from conftest import bare_sm, run_program
 from repro.memory.memsys import GlobalMemory
 from repro.sim.progress import (
     HangReport,
@@ -256,14 +256,14 @@ def test_build_hang_report_without_context():
     from repro.sim.config import fermi_config
 
     config = fermi_config(num_sms=1, max_warps_per_sm=4)
-    for sm in bare_sms("bar.sync\nexit", config):
-        sm.launch_cta(cta_id=0, warps_per_cta=1, cta_dim=32, grid_dim=1,
-                      age_base=0)
-        report = build_hang_report("deadlock", 42, [sm], reason="test")
-        assert report.kind == "deadlock"
-        assert report.warps and report.warps[0]["sm"] == 0
-        assert "SIMT-induced deadlock" in report.describe()
-        json.dumps(report.to_dict())  # must be JSON-clean with no context
+    sm = bare_sm("bar.sync\nexit", config)
+    sm.launch_cta(cta_id=0, warps_per_cta=1, cta_dim=32, grid_dim=1,
+                  age_base=0)
+    report = build_hang_report("deadlock", 42, [sm], reason="test")
+    assert report.kind == "deadlock"
+    assert report.warps and report.warps[0]["sm"] == 0
+    assert "SIMT-induced deadlock" in report.describe()
+    json.dumps(report.to_dict())  # must be JSON-clean with no context
 
 
 def test_deadlock_classification_when_nothing_issues(tiny_config):
@@ -274,14 +274,14 @@ def test_deadlock_classification_when_nothing_issues(tiny_config):
 
     config = fermi_config(num_sms=1, max_warps_per_sm=4,
                           no_progress_window=100, progress_epoch=50)
-    for sm in bare_sms("bar.sync\nexit", config):
-        sm.launch_cta(cta_id=0, warps_per_cta=1, cta_dim=32, grid_dim=1,
-                      age_base=0)
-        monitor = ProgressMonitor(config, [sm], sm.memory, sm.stats)
-        monitor.sample(50)
-        with pytest.raises(SimulationDeadlock) as excinfo:
-            monitor.sample(200)
-        assert excinfo.value.report.kind == "deadlock"
+    sm = bare_sm("bar.sync\nexit", config)
+    sm.launch_cta(cta_id=0, warps_per_cta=1, cta_dim=32, grid_dim=1,
+                  age_base=0)
+    monitor = ProgressMonitor(config, [sm], sm.memory, sm.stats)
+    monitor.sample(50)
+    with pytest.raises(SimulationDeadlock) as excinfo:
+        monitor.sample(200)
+    assert excinfo.value.report.kind == "deadlock"
 
 
 # ----------------------------------------------------------------------
@@ -308,16 +308,16 @@ def test_invariant_catches_bogus_scoreboard_entry(tiny_config):
 
     config = fermi_config(num_sms=1, max_warps_per_sm=4,
                           invariant_checks=True)
-    for sm in bare_sms("mov %r_a, 1\nexit", config):
-        sm.launch_cta(cta_id=0, warps_per_cta=1, cta_dim=32, grid_dim=1,
-                      age_base=0)
-        checker = InvariantChecker(config)
-        checker.check(0, [sm])  # healthy
+    sm = bare_sm("mov %r_a, 1\nexit", config)
+    sm.launch_cta(cta_id=0, warps_per_cta=1, cta_dim=32, grid_dim=1,
+                  age_base=0)
+    checker = InvariantChecker(config)
+    checker.check(0, [sm])  # healthy
 
-        warp = next(iter(sm.warps.values()))
-        warp.scoreboard.pending["%r_never_declared"] = 10
-        with pytest.raises(InvariantViolation):
-            checker.check(1, [sm])
+    warp = next(iter(sm.warps.values()))
+    warp.scoreboard.pending["%r_never_declared"] = 10
+    with pytest.raises(InvariantViolation):
+        checker.check(1, [sm])
 
 
 def test_invariant_catches_corrupt_stack_pc(tiny_config):
@@ -326,11 +326,11 @@ def test_invariant_catches_corrupt_stack_pc(tiny_config):
 
     config = fermi_config(num_sms=1, max_warps_per_sm=4,
                           invariant_checks=True)
-    for sm in bare_sms("mov %r_a, 1\nexit", config):
-        sm.launch_cta(cta_id=0, warps_per_cta=1, cta_dim=32, grid_dim=1,
-                      age_base=0)
-        checker = InvariantChecker(config)
-        warp = next(iter(sm.warps.values()))
-        warp.stack.frames[0].pc = 10_000  # way outside the program
-        with pytest.raises(InvariantViolation):
-            checker.check(0, [sm])
+    sm = bare_sm("mov %r_a, 1\nexit", config)
+    sm.launch_cta(cta_id=0, warps_per_cta=1, cta_dim=32, grid_dim=1,
+                  age_base=0)
+    checker = InvariantChecker(config)
+    warp = next(iter(sm.warps.values()))
+    warp.stack.frames[0].pc = 10_000  # way outside the program
+    with pytest.raises(InvariantViolation):
+        checker.check(0, [sm])

@@ -17,7 +17,7 @@ cap (:class:`SimulationTimeout`).  The paper's "done flag" rewrite
 
 import pytest
 
-from conftest import bare_sms, run_program
+from conftest import bare_sm, run_program
 from repro.memory.memsys import GlobalMemory
 from repro.sim.gpu import GPU, SimulationTimeout
 
@@ -139,13 +139,13 @@ def test_deadlock_report_format():
     from repro.sim.progress import build_hang_report
 
     config = fermi_config(num_sms=1, max_warps_per_sm=4)
-    for sm in bare_sms("bar.sync\nexit", config):
-        sm.launch_cta(cta_id=0, warps_per_cta=1, cta_dim=32, grid_dim=1,
-                      age_base=0)
-        report = build_hang_report(
-            "deadlock", 123, [sm],
-            reason="no warp can ever become ready again",
-        ).describe()
-        assert "cycle 123" in report
-        assert "SM0" in report
-        assert "SIMT-induced deadlock" in report
+    sm = bare_sm("bar.sync\nexit", config)
+    sm.launch_cta(cta_id=0, warps_per_cta=1, cta_dim=32, grid_dim=1,
+                  age_base=0)
+    report = build_hang_report(
+        "deadlock", 123, [sm],
+        reason="no warp can ever become ready again",
+    ).describe()
+    assert "cycle 123" in report
+    assert "SM0" in report
+    assert "SIMT-induced deadlock" in report

@@ -14,6 +14,7 @@ import pytest
 from repro.api import (RunFailedError, RunHandle, SubmitBatch, submit,
                        submit_many)
 from repro.harness.runner import make_config
+from repro.lab.cache import ResultCache
 from repro.lab.journal import RECORD_VERSION, record
 from repro.lab.results import RunFailure, RunResult
 from repro.lab.runner import BatchReport, Runner
@@ -77,6 +78,25 @@ def test_local_failure_surfaces_as_runfailederror():
     assert excinfo.value.failure is outcome
     # The failed replay stream says so.
     assert list(handle.stream())[-1]["phase"] == "failed"
+
+
+def test_retired_engine_settles_once_as_a_run_failure(tmp_path):
+    """``RunSpec.engine`` is plain hashed data; only when the spec runs
+    does the lab worker's ``GPU`` refuse an engine other than the one.
+    The refusal is deterministic, so it settles once: a ``RunFailure``
+    on the first attempt, not retried within the budget, not cached."""
+    cache = ResultCache(tmp_path / "cache")
+    runner = Runner(workers=1, mode="serial", cache=cache, retries=2)
+    spec = RunSpec(kernel="vecadd", config=make_config("gto"),
+                   params=VECADD, engine="reference")
+    batch = submit_many([spec], runner=runner)
+    (outcome,) = batch.report.results
+    assert isinstance(outcome, RunFailure)
+    assert outcome.error_type == "ValueError"
+    assert "the one engine is 'fast'" in outcome.message
+    assert (outcome.attempts, outcome.transient) == (1, False)
+    assert batch.report.retried == 0
+    assert cache.get(spec) is None and cache.stats().entries == 0
 
 
 def test_submit_many_local_preserves_order_and_report():

@@ -1,22 +1,19 @@
-"""Fast vs reference, directed at the cycles the fast loop does not visit.
+"""Directed probes at the cycles the cycle loop does not visit.
 
-The reference loop steps every SM on every visited cycle and always
-visits the cycle after an issue.  The fast loop steps an SM only once its
-``wake`` has come and, when no SM wakes on the cycle after an issue,
-keeps that cycle *as its issue-slot charge only* — unless a sample
-boundary (``watch``), a ``run_until`` / checkpoint stop (``stop``), the
-deadlock report (no wake left) or CAWA's per-visit stall charge (``every``)
-falls on it.  Each test here names the condition of
-``Simulation._advance`` it fails without, and holds both engines to the
-reference engine's answer as the oracle froze it: each probe is a way
-of the equivalence matrix (``test_golden_fixtures.py``).
+The loop steps an SM only once its ``wake`` has come and, when no SM
+wakes on the cycle after an issue, keeps that cycle *as its issue-slot
+charge only* — unless a sample boundary (``watch``), a ``run_until`` /
+checkpoint stop (``stop``), the deadlock report (no wake left) or CAWA's
+per-visit stall charge (``every``) falls on it.  Each test here names
+the condition of ``Simulation._advance`` it fails without, and holds the
+run to the answer the oracle froze: each probe is a way of the
+equivalence matrix (``test_golden_fixtures.py``).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from conftest import ENGINES
 from repro.harness.params import QUICK_PARAMS
 from repro.kernels import build
 from repro.sim.config import GPUConfig
@@ -30,15 +27,14 @@ from test_golden_fixtures import (begin, check, checkpoint_bytes_roundtrip,
 @pytest.mark.parametrize("kernel", ["ht", "reduction"])  # spin, barrier
 def test_issue_slots_are_charged_for_unvisited_cycles(kernel, scheduler,
                                                       bows):
-    """``issue_slots`` counts every cycle the reference visits, the ones
-    the fast loop only charges included.  Under CAWA no cycle may be
-    skipped and no SM left unstepped (``every``): its stall charge reads
-    readiness on each visit, and criticality steers the schedule."""
+    """``issue_slots`` counts every cycle after an issue, the ones the
+    loop only charges included.  Under CAWA no cycle may be skipped and
+    no SM left unstepped (``every``): its stall charge reads readiness on
+    each visit, and criticality steers the schedule."""
     workload = "ht-small" if kernel == "ht" else kernel
     label = (scheduler if bows is None
              else "bows" if scheduler == "gto" else f"{scheduler}-bows")
-    for engine in ENGINES:
-        check("direct", f"{workload}-{label}", engine)
+    check("direct", f"{workload}-{label}")
 
 
 def test_cawa_stall_charges_match_on_every_visit():
@@ -46,8 +42,7 @@ def test_cawa_stall_charges_match_on_every_visit():
     stops: a merged charge interval (an SM not stepped on a visited
     cycle, or a cycle not visited) moves ``cawa_nstall`` before it moves
     the schedule."""
-    for engine in ENGINES:
-        check("cawa-stops", "ht-small-cawa", engine)
+    check("cawa-stops", "ht-small-cawa")
 
 
 @pytest.mark.parametrize("interval", [1, 7])
@@ -55,8 +50,7 @@ def test_time_series_rows_carry_the_same_cycle_stamps(interval):
     """A sample boundary that lands on the empty cycle after an issue is
     sampled *on* it (``watch``), not on the next wake: every row — its
     ``cycle`` stamp and the deltas closed at it — matches."""
-    for engine in ENGINES:
-        check(f"series-every-{interval}", "ht-small-bows", engine)
+    check(f"series-every-{interval}", "ht-small-bows")
 
 
 @pytest.mark.parametrize("epoch", [1, 5])
@@ -66,32 +60,30 @@ def test_progress_monitor_samples_at_the_same_cycles(epoch):
     every later one and the cycle the hang is reported at."""
     row = f"naive-spin-guard-epoch{epoch}"
     assert oracle()[row]["hang"]["samples"] > 10
-    for engine in ENGINES:
-        check("hang", row, engine)
+    check("hang", row)
 
 
 def test_deadlock_report_names_the_same_cycle():
     """A barrier unit that never releases: the last arrival issues at
-    ``t`` and nothing can ever wake again, which the reference finds —
-    and reports — on the cycle after.  The fast loop must visit that
-    cycle for real rather than jump to a wake that does not exist."""
+    ``t`` and nothing can ever wake again, which is found — and
+    reported — on the cycle after.  The loop must visit that cycle for
+    real rather than jump to a wake that does not exist."""
     hang = oracle()["barrier-1sm-unguarded"]["hang"]
     assert hang["error"] == "SimulationDeadlock"
     assert hang["at"] == hang["cycle"] < 100
-    for engine in ENGINES:
-        check("hang", "barrier-1sm-unguarded", engine)
+    check("hang", "barrier-1sm-unguarded")
 
 
 def test_run_until_stops_on_a_cycle_the_loop_would_skip():
     """``run_until(c)`` returns at the same ``now`` when ``c`` is the
-    empty cycle after an issue (``stop``) — as the reference loop walked
+    empty cycle after an issue (``stop``) — as the ``walk`` way found
     them, read from the oracle — and a checkpoint taken there resumes
     bit-identically."""
     golden = oracle()["ht-small-bows"]
     empties = golden["empty_cycles_after_issue"]
     assert len(empties) > 20
 
-    sim = begin("ht-small-bows", "fast")
+    sim = begin("ht-small-bows")
     restored = None
     for cycle in empties:
         assert not sim.run_until(cycle)

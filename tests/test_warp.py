@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.isa import assemble
+from repro.sim.config import fermi_config
+from repro.sim.executor import decode_program
 from repro.sim.warp import Warp
 
 PROGRAM = assemble(
@@ -40,10 +42,20 @@ def test_partial_warp_mask():
     assert int(warp.stack.active_mask.sum()) == 8
 
 
+def exec_mask(warp, pc):
+    """The lanes that execute the op at ``pc``, as the SM's issue
+    prologue computes them: the active mask, combined with the guard
+    predicate by the decoded op's ``guard_op``."""
+    dop = decode_program(PROGRAM, fermi_config(), {}).ops[pc]
+    active = warp.stack.active_mask
+    if dop.guard is None:
+        return active
+    return dop.guard_op(active, warp.regs.pred_values[dop.guard])
+
+
 def test_exec_mask_unguarded():
     warp = make_warp()
-    instr = PROGRAM[0]
-    assert (warp.exec_mask(instr) == warp.stack.active_mask).all()
+    assert (exec_mask(warp, 0) == warp.stack.active_mask).all()
 
 
 def test_exec_mask_guarded():
@@ -51,8 +63,8 @@ def test_exec_mask_guarded():
     warp.regs.write_pred(
         "p1", np.arange(32) < 8, np.ones(32, dtype=bool)
     )
-    positive = warp.exec_mask(PROGRAM[1])
-    negative = warp.exec_mask(PROGRAM[2])
+    positive = exec_mask(warp, 1)
+    negative = exec_mask(warp, 2)
     assert int(positive.sum()) == 8
     assert int(negative.sum()) == 24
     assert not np.logical_and(positive, negative).any()
