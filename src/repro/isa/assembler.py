@@ -38,7 +38,7 @@ from repro.isa.instructions import (
     Reg,
     Sreg,
 )
-from repro.isa.program import Program
+from repro.isa.program import Memo, Program
 
 
 class AssemblyError(ValueError):
@@ -250,13 +250,28 @@ def _validate(instr: Instruction, mnemonic: str, line_no: int) -> None:
         raise AssemblyError(f"{mnemonic} first source must be a memory operand", line_no)
 
 
+#: How many ``(text, name)`` assemblies the process keeps.
+ASSEMBLY_MEMO_SIZE = 64
+
+_assembled = Memo(ASSEMBLY_MEMO_SIZE)
+
+
 def assemble(text: str, name: str = "kernel") -> Program:
     """Assemble ``text`` into a :class:`~repro.isa.program.Program`.
+
+    The process's one ``Program`` per ``(text, name)``, kept in a bounded,
+    thread-safe LRU: it and its decodings (:func:`repro.sim.executor.
+    decode_program`) are shared by every run and thread in the process
+    and never mutated after construction.
 
     Raises:
         AssemblyError: on syntax errors, duplicate labels, or unresolved
             branch targets.
     """
+    return _assembled.get((text, name), lambda: _assemble(text, name))
+
+
+def _assemble(text: str, name: str) -> Program:
     instructions: List[Instruction] = []
     labels: Dict[str, int] = {}
     pending_labels: List[str] = []

@@ -10,8 +10,11 @@ graph), exactly the information GPGPU-Sim precomputes per kernel.
 
 from __future__ import annotations
 
+import os
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 import networkx as nx
 
@@ -21,6 +24,44 @@ from repro.isa.instructions import Instruction, Opcode
 RECONVERGE_AT_EXIT = -1
 
 _VIRTUAL_EXIT = "__exit__"
+
+#: Held while a :class:`Memo` builds an entry, so concurrent misses on
+#: one key build it once; a forked child gets a fresh one.
+_build_lock = threading.RLock()
+
+
+def _fresh_build_lock() -> None:
+    global _build_lock
+    _build_lock = threading.RLock()
+
+
+os.register_at_fork(after_in_child=_fresh_build_lock)
+
+
+class Memo:
+    """A bounded, thread-safe LRU map: ``get(key, build)`` calls
+    ``build()`` once per key it keeps, dropping the least recently used
+    entry past ``maxsize``."""
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = maxsize
+        self._entries: "OrderedDict" = OrderedDict()
+
+    def get(self, key, build):
+        with _build_lock:
+            entries = self._entries
+            value = entries.get(key)
+            if value is None:
+                value = entries[key] = build()
+                if len(entries) > self.maxsize:
+                    entries.popitem(last=False)
+            else:
+                entries.move_to_end(key)
+            return value
+
+
+#: Instance attributes derived from a program and memoized on it.
+_MEMOS = ("_registers", "_predicates", "_decoded_cache")
 
 
 @dataclass
@@ -55,11 +96,12 @@ class Program:
         self._annotate_hazards()
 
     def __getstate__(self):
-        """Checkpointing: drop the memoized decode cache
-        (closure-bound handlers; see :func:`repro.sim.executor.
-        decode_program`) — it is rebuilt deterministically on demand."""
+        """Checkpointing: drop the derived memos — register names and
+        decodings (closure-bound handlers; see :func:`repro.sim.executor.
+        decode_program`) — rebuilt deterministically on demand."""
         state = self.__dict__.copy()
-        state.pop("_decoded_cache", None)
+        for memo in _MEMOS:
+            state.pop(memo, None)
         return state
 
     def __setstate__(self, state) -> None:
@@ -180,27 +222,20 @@ class Program:
             for tail, head in self.back_edges()
         }
 
-    def registers(self) -> Set[str]:
+    def registers(self) -> FrozenSet[str]:
         """Names of all general-purpose registers the program touches."""
-        from repro.isa.instructions import Mem, Reg
+        return self._names("_registers", "r:")
 
-        names: Set[str] = set()
-        for instr in self.instructions:
-            for operand in (instr.dst, *instr.srcs):
-                if isinstance(operand, Reg):
-                    names.add(operand.name)
-                elif isinstance(operand, Mem):
-                    names.add(operand.base.name)
-        return names
+    def predicates(self) -> FrozenSet[str]:
+        return self._names("_predicates", "p:")
 
-    def predicates(self) -> Set[str]:
-        from repro.isa.instructions import Pred
-
-        names: Set[str] = set()
-        for instr in self.instructions:
-            for operand in (instr.dst, instr.guard, *instr.srcs):
-                if isinstance(operand, Pred):
-                    names.add(operand.name)
+    def _names(self, memo: str, prefix: str) -> FrozenSet[str]:
+        # Every operand's name is in some instruction's hazard keys.
+        names = self.__dict__.get(memo)
+        if names is None:
+            names = self.__dict__[memo] = frozenset(
+                key[2:] for instr in self.instructions
+                for key in instr.hazard_keys if key.startswith(prefix))
         return names
 
     def to_text(self) -> str:

@@ -4,22 +4,24 @@
 lane-vectors and produce result lane-vectors.
 
 A :class:`DecodedProgram` pre-resolves every instruction once per
-(program, machine, params) combination into a :class:`DecodedOp` — a
-record of closure-bound operand readers and a specialized execute
-handler — so the per-issue hot path in :meth:`repro.sim.sm.SM.step`
-never touches ``isinstance`` dispatch or opcode if-chains.  The
+process for each (program, machine, params) combination into a
+:class:`DecodedOp` — a record of precomputed flags and a specialized
+execute handler whose operands are bound at decode (a register's name,
+a constant's frozen lane vector) — so the per-issue hot path in
+:meth:`repro.sim.sm.SM.step` never touches ``isinstance`` dispatch or
+opcode if-chains, nor calls a reader for a register or a constant.  The
 equivalence matrix (``tests/test_golden_fixtures.py``) holds every way
 of running them to one frozen oracle.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
 from repro.isa.instructions import Imm, Opcode, Operand, Param, Pred, Reg, Sreg
-from repro.isa.program import Program
+from repro.isa.program import Memo, Program
 from repro.memory.memsys import OUT_OF_BOUNDS, WORD_BYTES
 from repro.sim.config import GPUConfig
 from repro.sim.registers import copyto, wrap_i32
@@ -64,7 +66,13 @@ _ALU_OPS = {
     Opcode.SHR: lambda a, b: np.right_shift(a, _shift_amount(b)),
     Opcode.MIN: np.minimum,
     Opcode.MAX: np.maximum,
+    # The predicate arrives as the 0/1 lanes a ``Pred`` reader gives.
+    Opcode.SELP: lambda a, b, pred: np.where(pred, a, b),
 }
+
+
+#: The shifts' ufuncs, for a shift amount clipped at decode.
+_SHIFTS = {Opcode.SHL: np.left_shift, Opcode.SHR: np.right_shift}
 
 
 def _alu_op(opcode: Opcode):
@@ -116,27 +124,28 @@ def _frozen(vector: np.ndarray) -> np.ndarray:
     return vector
 
 
-def _make_reader(operand: Operand, warp_size: int,
-                 params: Dict[str, int]) -> OperandReader:
-    """Closure that reads ``operand``'s lane vector from a warp."""
-    if isinstance(operand, Reg):
-        name = operand.name
-        return lambda warp: warp.regs.values[name]
-    if isinstance(operand, Imm):
-        vector = _frozen(np.full(warp_size, operand.value, dtype=np.int64))
-        return lambda warp: vector
+def _make_reader(operand: Operand) -> OperandReader:
+    """Closure that reads a ``Sreg``/``Pred`` operand's lane vector."""
     if isinstance(operand, Sreg):
         name = operand.name
         return lambda warp: warp.sregs[name]
     if isinstance(operand, Pred):
         name = operand.name
         return lambda warp: warp.regs.pred_values[name].astype(np.int64)
-    if isinstance(operand, Param):
-        vector = _frozen(
-            np.full(warp_size, params[operand.name], dtype=np.int64)
-        )
-        return lambda warp: vector
     raise TypeError(f"cannot read operand {operand!r}")
+
+
+def _bind(operand: Operand, warp_size: int, params: Dict[str, int]):
+    """``(s, is_reg, is_fixed)``: a register's name, an ``Imm``/``Param``'s
+    frozen lanes or a ``Sreg``/``Pred`` reader, read inline by handlers as
+    ``values[s] if is_reg else s if is_fixed else s(warp)``."""
+    if isinstance(operand, Reg):
+        return operand.name, True, False
+    if isinstance(operand, (Imm, Param)):
+        value = (operand.value if isinstance(operand, Imm)
+                 else params[operand.name])
+        return _frozen(np.full(warp_size, value, dtype=np.int64)), False, True
+    return _make_reader(operand), False, False
 
 
 class DecodedOp:
@@ -156,7 +165,8 @@ class DecodedOp:
 
     The handler is a closure, so the op pickles as what it is — op
     ``index`` of its :class:`DecodedProgram` — and a checkpoint restores
-    it from the restored program's decoding.
+    it from the restored program's decoding.  Ops are shared by every
+    run and thread, so one refuses attribute assignment after ``__init__``.
     """
 
     __slots__ = (
@@ -182,6 +192,12 @@ class DecodedOp:
         self.is_sync = instr.has_role("sync")
         self.is_store = instr.opcode is Opcode.ST_GLOBAL
         self.static_sib = static_sib
+
+    def __setattr__(self, name, value):
+        # ``__init__`` sets every slot, so this refuses any later write.
+        if hasattr(self, name):
+            raise AttributeError(f"a DecodedOp is read-only: {name!r}")
+        object.__setattr__(self, name, value)
 
     def __reduce__(self):
         return _op_at, (self.decoded, self.index)
@@ -219,54 +235,79 @@ def _make_alu_handler(instr, warp_size, params, alu_latency, sfu_latency):
     dst_name = instr.dst.name
     dst_key = instr.dst_key
     latency = sfu_latency if opcode in _SFU_OPCODES else alu_latency
-    if opcode is Opcode.SELP:
-        read_a = _make_reader(instr.srcs[0], warp_size, params)
-        read_b = _make_reader(instr.srcs[1], warp_size, params)
-        pred_name = instr.srcs[2].name
+    alu_op = _alu_op(opcode)
+    bound = [_bind(src, warp_size, params) for src in instr.srcs]
+    if all(fixed for _, _, fixed in bound):
+        # Constant sources, constant result: folded here, once.
+        return _make_const_handler(
+            instr, alu_op(*[src for src, _, _ in bound]).astype(np.int32),
+            latency)
+    if opcode in _SHIFTS and bound[1][2]:
+        # A constant shift amount is clipped here, once.
+        alu_op = _SHIFTS[opcode]
+        bound[1] = (_frozen(_shift_amount(bound[1][0])), False, True)
+    (a, a_reg, a_fixed) = bound[0]
+    if len(bound) == 1:
 
         def handler(sm, warp, dop, exec_mask, n_exec, now):
-            regs = warp.regs
-            result = np.where(
-                regs.pred_values[pred_name], read_a(warp), read_b(warp)
-            )
-            copyto(regs.values[dst_name], result.astype(np.int32),
+            values = warp.regs.values
+            result = alu_op(values[a] if a_reg else a if a_fixed else a(warp))
+            copyto(values[dst_name], result.astype(np.int32),
                    where=exec_mask)
             _retire(warp, dst_key, now + latency)
 
         return handler
 
-    readers = tuple(
-        _make_reader(src, warp_size, params) for src in instr.srcs
-    )
-    alu_op = _alu_op(opcode)
+    (b, b_reg, b_fixed) = bound[1]
+    if len(bound) == 2:
+
+        def handler(sm, warp, dop, exec_mask, n_exec, now):
+            values = warp.regs.values
+            result = alu_op(
+                values[a] if a_reg else a if a_fixed else a(warp),
+                values[b] if b_reg else b if b_fixed else b(warp),
+            )
+            copyto(values[dst_name], result.astype(np.int32),
+                   where=exec_mask)
+            _retire(warp, dst_key, now + latency)
+
+        return handler
+
+    (c, c_reg, c_fixed) = bound[2]
 
     def handler(sm, warp, dop, exec_mask, n_exec, now):
-        result = alu_op(*[read(warp) for read in readers])
-        copyto(warp.regs.values[dst_name], result.astype(np.int32),
-               where=exec_mask)
+        values = warp.regs.values
+        result = alu_op(
+            values[a] if a_reg else a if a_fixed else a(warp),
+            values[b] if b_reg else b if b_fixed else b(warp),
+            values[c] if c_reg else c if c_fixed else c(warp),
+        )
+        copyto(values[dst_name], result.astype(np.int32), where=exec_mask)
         _retire(warp, dst_key, now + latency)
 
     return handler
 
 
 def _make_setp_handler(instr, warp_size, params, alu_latency):
-    read_a = _make_reader(instr.srcs[0], warp_size, params)
-    read_b = _make_reader(instr.srcs[1], warp_size, params)
+    a, a_reg, a_fixed = _bind(instr.srcs[0], warp_size, params)
+    b, b_reg, b_fixed = _bind(instr.srcs[1], warp_size, params)
     cmp_op = _CMP_OPS[instr.cmp]
     dst_name = instr.dst.name
     dst_key = instr.dst_key
 
     def handler(sm, warp, dop, exec_mask, n_exec, now):
-        a = read_a(warp)
-        b = read_b(warp)
-        copyto(warp.regs.pred_values[dst_name], cmp_op(a, b),
+        regs = warp.regs
+        values = regs.values
+        a_lanes = values[a] if a_reg else a if a_fixed else a(warp)
+        b_lanes = values[b] if b_reg else b if b_fixed else b(warp)
+        copyto(regs.pred_values[dst_name], cmp_op(a_lanes, b_lanes),
                where=exec_mask)
         # DDOS profiles one fixed thread per warp (the first live lane).
         lane = warp.profiled_lane
         ddos = sm.ddos
         if ddos is not None and lane >= 0 and exec_mask.item(lane):
-            ddos.on_setp(warp.warp_slot, instr, a.item(lane), b.item(lane),
-                         now)
+            ddos.on_setp(warp.warp_slot, instr, a_lanes.item(lane),
+                         b_lanes.item(lane), now)
         _retire(warp, dst_key, now + alu_latency)
 
     return handler
@@ -379,17 +420,16 @@ def _make_clock_handler(instr, warp_size, alu_latency):
     return handler
 
 
-def _make_ld_param_handler(instr, warp_size, params, alu_latency):
-    # Wrapped once, at decode time.
-    values = _frozen(np.full(
-        warp_size, params[instr.srcs[0].name], dtype=np.int64
-    ).astype(np.int32))
+def _make_const_handler(instr, values: np.ndarray, latency: int):
+    """``ld.param``, or an ALU op with constant sources: ``values`` is
+    the result, known (and wrapped to int32) at decode."""
+    values = _frozen(values)
     dst_name = instr.dst.name
     dst_key = instr.dst_key
 
     def handler(sm, warp, dop, exec_mask, n_exec, now):
         copyto(warp.regs.values[dst_name], values, where=exec_mask)
-        _retire(warp, dst_key, now + alu_latency)
+        _retire(warp, dst_key, now + latency)
 
     return handler
 
@@ -427,15 +467,19 @@ def _make_store_handler(instr, warp_size, params):
     mem_op = instr.dst
     base_name = mem_op.base.name
     offset = np.int64(mem_op.offset)
-    read_src = _make_reader(instr.srcs[0], warp_size, params)
+    v, v_reg, v_fixed = _bind(instr.srcs[0], warp_size, params)
     sync = instr.has_role("sync")
     lock_release = instr.has_role("lock_release")
     index = instr.index
 
     def handler(sm, warp, dop, exec_mask, n_exec, now):
-        active_addrs = (warp.regs.values[base_name] + offset)[exec_mask]
+        values = warp.regs.values
+        active_addrs = (values[base_name] + offset)[exec_mask]
         if n_exec:
-            sm.memory.write(active_addrs, read_src(warp)[exec_mask])
+            sm.memory.write(
+                active_addrs,
+                (values[v] if v_reg else v if v_fixed else v(warp))[exec_mask],
+            )
         if sm.san is not None:
             sm.san.note_store(
                 sm.sm_id, warp.cta_id, warp.warp_in_cta,
@@ -461,16 +505,22 @@ _U32_MASK = 0xFFFFFFFF
 
 
 def _lane_ints(operand, warp_size, params):
-    """An atomic's value operand as ``(ints, reader)``: an ``Imm`` or
+    """An atomic's value operand as ``(ints, bound)``: an ``Imm`` or
     ``Param`` is its lanes' Python ints, fixed at decode time (every
-    shipped lock is ``atom.cas [lock], 0, 1``), with no reader; any
-    other operand is read per issue and converted with one ``tolist()``.
+    shipped lock is ``atom.cas [lock], 0, 1``); any other operand is
+    bound (:func:`_bind`) and read per issue by :func:`_lane_list`.
     """
     if isinstance(operand, (Imm, Param)):
         value = (operand.value if isinstance(operand, Imm)
                  else params[operand.name])
         return [int(value)] * warp_size, None
-    return None, _make_reader(operand, warp_size, params)
+    return None, _bind(operand, warp_size, params)
+
+
+def _lane_list(warp, bound):
+    """A bound register/``Sreg``/``Pred`` operand's lanes as Python ints."""
+    source, is_reg, _ = bound
+    return (warp.regs.values[source] if is_reg else source(warp)).tolist()
 
 
 def _make_atomic_handler(instr, warp_size, params):
@@ -481,8 +531,8 @@ def _make_atomic_handler(instr, warp_size, params):
     is_cas = op is Opcode.ATOM_CAS
     # ``first``: the operand of exch/add/min/max, the compare value of
     # cas; ``second``: the value a successful cas stores.
-    first_ints, read_first = _lane_ints(instr.srcs[1], warp_size, params)
-    second_ints, read_second = (
+    first_ints, first_bound = _lane_ints(instr.srcs[1], warp_size, params)
+    second_ints, second_bound = (
         _lane_ints(instr.srcs[2], warp_size, params) if is_cas
         else (None, None)
     )
@@ -504,11 +554,10 @@ def _make_atomic_handler(instr, warp_size, params):
         lanes = exec_mask.nonzero()[0].tolist()
         base = values[base_name].tolist()
         active_addrs = [base[lane] + offset for lane in lanes]
-        first = first_ints if read_first is None else read_first(warp).tolist()
-        second = (
-            second_ints if read_second is None
-            else read_second(warp).tolist()
-        )
+        first = (first_ints if first_bound is None
+                 else _lane_list(warp, first_bound))
+        second = (second_ints if second_bound is None
+                  else _lane_list(warp, second_bound))
         dst = values[dst_name] if dst_name is not None else None
         magic = sm.config.magic_locks and is_lock_try
         memory = sm.memory
@@ -634,8 +683,9 @@ def _decode_one(decoded: "DecodedProgram", instr, warp_size: int,
     elif op is Opcode.CLOCK:
         handler = _make_clock_handler(instr, warp_size, alu_latency)
     elif op is Opcode.LD_PARAM:
-        handler = _make_ld_param_handler(instr, warp_size, params,
-                                         alu_latency)
+        handler = _make_const_handler(instr, np.full(
+            warp_size, params[instr.srcs[0].name], dtype=np.int64
+        ).astype(np.int32), alu_latency)
     elif op in (Opcode.LD_GLOBAL, Opcode.LD_GLOBAL_CG):
         handler = _make_load_handler(instr)
     elif op is Opcode.ST_GLOBAL:
@@ -670,23 +720,27 @@ class DecodedProgram:
         warp_size, alu_latency, sfu_latency, params = key
         params = dict(params)
         static_sibs = program.true_sibs()
-        self.ops: List[DecodedOp] = [
+        self.ops: Tuple[DecodedOp, ...] = tuple(
             _decode_one(self, instr, warp_size, params, alu_latency,
                         sfu_latency, static_sibs)
             for instr in program.instructions
-        ]
+        )
 
     def __reduce__(self):
         return _decoding, (self.program, self.key)
 
 
+#: How many decodings (machine, params combinations) a program keeps.
+DECODE_MEMO_SIZE = 16
+
+
 def _decoding(program: Program, key: tuple) -> DecodedProgram:
     """The decoding of ``program`` under ``key``, cached on the program."""
-    cache = program.__dict__.setdefault("_decoded_cache", {})
-    decoded = cache.get(key)
-    if decoded is None:
-        decoded = cache[key] = DecodedProgram(program, key)
-    return decoded
+    memo = program.__dict__.get("_decoded_cache")
+    if memo is None:
+        memo = program.__dict__.setdefault(
+            "_decoded_cache", Memo(DECODE_MEMO_SIZE))
+    return memo.get(key, lambda: DecodedProgram(program, key))
 
 
 def decode_program(program: Program, config: GPUConfig,
@@ -695,7 +749,10 @@ def decode_program(program: Program, config: GPUConfig,
 
     The cache key covers everything decoding bakes in: warp size, ALU/SFU
     latencies, and the kernel parameters (``ld.param`` values are resolved
-    to constant lane vectors at decode time).
+    to constant lane vectors at decode time).  The cache is a bounded,
+    thread-safe LRU and :func:`repro.isa.assemble` returns one program
+    per source, so a decoding is built once per process and shared by
+    every run and thread: nothing mutates it or its ops after that.
     """
     return _decoding(program, (
         config.warp_size, config.alu_latency, config.sfu_latency,

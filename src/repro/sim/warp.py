@@ -12,14 +12,25 @@ schedulers and by the paper's mechanisms:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from repro.isa.program import Program
-from repro.sim.registers import RegisterFile
+from repro.sim.registers import RegisterFile, count_nonzero
 from repro.sim.scoreboard import Scoreboard
 from repro.sim.simt_stack import SIMTStack
+
+
+@lru_cache(maxsize=1024)
+def _read_only(value: Optional[int], warp_size: int) -> np.ndarray:
+    """A frozen special-register vector shared by every warp that reads
+    it: ``value`` in every lane, or the lane ids for ``value=None``."""
+    vector = (np.arange(warp_size, dtype=np.int64) if value is None
+              else np.full(warp_size, value, dtype=np.int64))
+    vector.setflags(write=False)
+    return vector
 
 
 class Warp:
@@ -44,28 +55,30 @@ class Warp:
         self.warp_in_cta = warp_in_cta
         self.age = age
 
-        first_tid = warp_in_cta * warp_size
-        tids = first_tid + np.arange(warp_size, dtype=np.int64)
+        lane_ids = _read_only(None, warp_size)
+        tids = lane_ids + warp_in_cta * warp_size
         valid = tids < cta_dim
         self.regs = RegisterFile(
             warp_size, program.registers(), program.predicates()
         )
         self.stack = SIMTStack(warp_size, start_pc=0, initial_mask=valid)
         self.scoreboard = Scoreboard()
+        # Read-only: only ``tid`` and ``gtid`` are this warp's own.
         self.sregs = {
             "tid": tids,
-            "ntid": np.full(warp_size, cta_dim, dtype=np.int64),
-            "ctaid": np.full(warp_size, cta_id, dtype=np.int64),
-            "nctaid": np.full(warp_size, grid_dim, dtype=np.int64),
-            "laneid": np.arange(warp_size, dtype=np.int64),
-            "warpid": np.full(warp_size, warp_slot, dtype=np.int64),
+            "ntid": _read_only(cta_dim, warp_size),
+            "ctaid": _read_only(cta_id, warp_size),
+            "nctaid": _read_only(grid_dim, warp_size),
+            "laneid": lane_ids,
+            "warpid": _read_only(warp_slot, warp_size),
             "gtid": cta_id * cta_dim + tids,
         }
 
         # DDOS profiles one fixed thread per warp: the lowest-numbered
         # live lane (Section IV-A's "first active thread").  Updated
         # only when lanes exit.
-        self.profiled_lane: int = int(np.argmax(valid)) if valid.any() else -1
+        self.profiled_lane: int = (
+            int(valid.argmax()) if count_nonzero(valid) else -1)
 
         # Synchronization stalls.
         self.at_barrier = False

@@ -634,6 +634,7 @@ def test_no_handler_mutates_or_outlives_its_exec_mask(kernel):
     from repro.harness.params import QUICK_PARAMS, QUICK_SYNC_FREE
     from repro.harness.runner import make_config
     from repro.kernels import build
+    from repro.sim.executor import DecodedOp
     from repro.sim.gpu import GPU
 
     aliased = 0
@@ -657,8 +658,15 @@ def test_no_handler_mutates_or_outlives_its_exec_mask(kernel):
     gpu = GPU(make_config("gto", bows="adaptive", ddos=True),
               memory=workload.memory, obs=True, sanitizer=True)
     sim = gpu.begin(workload.launch)
-    for dop in sim.sms[0]._ops:  # one decoded program, shared by the SMs
-        dop.handler = frozen(dop.handler)
+    # Decodings are shared by every run in the process and never
+    # mutated, so wrap a copy private to this simulation: every SM's
+    # ops and every resident warp's cached op point at it.
+    ops = tuple(DecodedOp(dop.decoded, dop.instr, frozen(dop.handler),
+                          dop.static_sib) for dop in sim.sms[0]._ops)
+    for sm in sim.sms:
+        sm._ops = ops
+        for warp in sm.warps.values():
+            warp._decoded = ops[warp._decoded.index]
     result = sim.run()
     workload.validate(result.memory)
     assert aliased > 0
