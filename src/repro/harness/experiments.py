@@ -84,11 +84,6 @@ def _run_all(specs: Sequence[RunSpec]) -> List[RunResult]:
     return current_runner().run_map(specs)
 
 
-def _run(kernel: str, config: GPUConfig, params: dict,
-         validate: bool = True) -> RunResult:
-    return _run_all([_spec(kernel, config, params, validate)])[0]
-
-
 def _bows_variant(base: str, bows, preset: str = "fermi",
                   **overrides) -> GPUConfig:
     return make_config(base, bows=bows, preset=preset, **overrides)

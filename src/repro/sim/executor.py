@@ -1,8 +1,5 @@
 """Instruction execution: opcode semantics and the decoded program.
 
-:func:`eval_alu` / :func:`eval_cmp` are pure: they read operand
-lane-vectors and produce result lane-vectors.
-
 A :class:`DecodedProgram` pre-resolves every instruction once per
 process for each (program, machine, params) combination into a
 :class:`DecodedOp` — a record of precomputed flags and a specialized
@@ -16,7 +13,7 @@ of running them to one frozen oracle.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -24,7 +21,7 @@ from repro.isa.instructions import Imm, Opcode, Operand, Param, Pred, Reg, Sreg
 from repro.isa.program import Memo, Program
 from repro.memory.memsys import OUT_OF_BOUNDS, WORD_BYTES
 from repro.sim.config import GPUConfig
-from repro.sim.registers import copyto, wrap_i32
+from repro.sim.registers import copyto
 from repro.sim.warp import Warp
 
 
@@ -48,8 +45,7 @@ def _shift_amount(amount):
 
 #: Raw (pre-wrap) lane-vector computation per ALU opcode, taking the
 #: source vectors positionally — the one statement of every opcode's
-#: arithmetic: :func:`eval_alu` looks it up per call, decoding binds it
-#: once per op.
+#: arithmetic, bound once per op at decode.
 _ALU_OPS = {
     Opcode.MOV: lambda a: a,
     Opcode.ADD: np.add,
@@ -82,12 +78,6 @@ def _alu_op(opcode: Opcode):
         raise ValueError(f"not an ALU opcode: {opcode}") from None
 
 
-def eval_alu(opcode: Opcode, srcs: Sequence[np.ndarray]) -> np.ndarray:
-    """Evaluate an ALU opcode over lane vectors (32-bit wrapped)."""
-    result = _alu_op(opcode)(*srcs)
-    return wrap_i32(np.asarray(result, dtype=np.int64))
-
-
 #: ``setp`` comparison -> the ufunc that evaluates it over lane vectors.
 _CMP_OPS = {
     "eq": np.equal,
@@ -97,15 +87,6 @@ _CMP_OPS = {
     "gt": np.greater,
     "ge": np.greater_equal,
 }
-
-
-def eval_cmp(cmp: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Evaluate a ``setp`` comparison, producing a boolean lane vector."""
-    try:
-        cmp_op = _CMP_OPS[cmp]
-    except KeyError:
-        raise ValueError(f"unknown comparison {cmp!r}") from None
-    return cmp_op(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -210,17 +191,16 @@ def _op_at(decoded: "DecodedProgram", index: int) -> DecodedOp:
 def _retire(warp, dst_key, release) -> None:
     """The tail every register-writing handler ends in.
 
-    ``Scoreboard.reserve`` of the one destination key, then
-    ``SIMTStack.advance``, both inline: a handler that has written its
-    result straight into the warp's register arrays finishes the
-    instruction with this one call.
-
-    Handlers write the way ``RegisterFile.write`` does — in place,
-    ``copyto(dst, values.astype(np.int32), where=exec_mask)``: the
-    int32 cast is the one 32-bit wrap and it copies, so ``values`` may
-    alias the destination (``mov r1, r1``).
+    A handler writes its result straight into the warp's register
+    arrays, in place: ``copyto(dst, values.astype(np.int32),
+    where=exec_mask)``.  The int32 cast is the one 32-bit wrap and it
+    copies, so ``values`` may alias the destination (``mov r1, r1``).
+    This call then finishes the instruction: the destination key's
+    scoreboard entry becomes ``release`` unless a later one is already
+    pending, and the TOS moves on (``pc += 1``, popped when that reaches
+    its ``rpc``).
     """
-    pending = warp.scoreboard.pending
+    pending = warp.pending
     if release > pending.get(dst_key, 0):
         pending[dst_key] = release
     top = warp.stack.frames[-1]
@@ -314,6 +294,8 @@ def _make_setp_handler(instr, warp_size, params, alu_latency):
 
 
 def _make_branch_handler(instr, program: Program):
+    """``bra``: the one statement of the branch decision — uniform
+    taken, uniform fall-through, or divergent (split at the IPDOM)."""
     target = instr.target_index
     assert target is not None
     guarded = instr.guard is not None

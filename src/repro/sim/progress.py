@@ -252,7 +252,7 @@ def _warp_snapshot(sm, slot: int, warp,
                    footprint: Optional[Set[int]] = None) -> Dict[str, Any]:
     finished = warp.finished
     stack = [] if finished else [
-        (e.pc, e.rpc, int(e.mask.sum())) for e in warp.stack.entries()
+        (e.pc, e.rpc, e.n) for e in warp.stack.frames
     ]
     spinning = False
     if sm.ddos is not None:
@@ -271,7 +271,7 @@ def _warp_snapshot(sm, slot: int, warp,
         "issued_in_window": issued_in_window,
         "pc_footprint": sorted(footprint) if footprint else [],
         "simt_stack": stack,
-        "scoreboard": dict(warp.scoreboard.pending),
+        "scoreboard": dict(warp.pending),
         "lock_fail_addr": warp.lock_fail_addr,
         "lock_fails": warp.lock_fails,
     }
@@ -599,10 +599,9 @@ class InvariantChecker:
                 if warp.finished:
                     continue
                 if known is None:
-                    known = (
-                        set(warp.program.registers())
-                        | set(warp.program.predicates())
-                    )
+                    # The scoreboard is keyed by hazard key (``r:name``).
+                    known = {key for instr in warp.program.instructions
+                             for key in instr.hazard_keys}
                 self._check_scoreboard(now, sm, slot, warp, known)
                 self._check_stack(now, sm, slot, warp)
 
@@ -613,7 +612,7 @@ class InvariantChecker:
         )
 
     def _check_scoreboard(self, now, sm, slot, warp, known) -> None:
-        pending = warp.scoreboard.pending
+        pending = warp.pending
         if len(pending) > len(known):
             self._fail(now, sm, slot,
                        f"scoreboard holds {len(pending)} entries for "

@@ -1,6 +1,6 @@
 """Stack-based SIMT reconvergence (pre-Volta semantics).
 
-Each warp owns a stack of ``(pc, rpc, active_mask)`` entries.  The top of
+Each warp owns a stack of ``(pc, rpc, mask)`` entries.  The top of
 stack (TOS) determines the next PC and which lanes execute.  On a divergent
 conditional branch the TOS becomes the reconvergence entry (its PC is set
 to the branch's immediate post-dominator) and one entry per divergent path
@@ -81,11 +81,6 @@ class SIMTStack:
         return self.frames[-1].pc
 
     @property
-    def active_mask(self) -> np.ndarray:
-        """Boolean lane mask of the TOS entry (do not mutate)."""
-        return self.frames[-1].mask
-
-    @property
     def depth(self) -> int:
         return len(self.frames)
 
@@ -111,39 +106,15 @@ class SIMTStack:
         if pc == top.rpc:
             self.pop_reconverged()
 
-    def branch(self, taken_mask: np.ndarray, target: int, rpc: int) -> bool:
-        """Apply a (possibly divergent) conditional branch at the TOS.
-
-        Args:
-            taken_mask: lanes (within the TOS mask) that take the branch.
-            target: branch target instruction index.
-            rpc: reconvergence index from the program analysis
-                (``RECONVERGE_AT_EXIT`` maps to "never", handled by exit).
-
-        Returns:
-            True when the branch diverged (both paths non-empty).
-        """
-        top = self.frames[-1]
-        taken = np.logical_and(taken_mask, top.mask)
-        n_taken = _count(taken)
-        if n_taken == 0:
-            self.advance()
-            return False
-        if n_taken == top.n:
-            self.uniform_jump(target)
-            return False
-        self.diverge(taken, n_taken, target, rpc)
-        return True
-
     def diverge(self, taken: np.ndarray, n_taken: int, target: int,
                 rpc: int) -> None:
         """Split the TOS: ``taken`` lanes go to ``target``, the rest fall
         through, and the TOS becomes their reconvergence entry.
 
         ``taken`` must be a non-empty proper subset of the TOS mask and
-        ``n_taken`` its lane count — the caller has already counted
-        (:meth:`branch` does it for callers that have not); uniform
-        outcomes go through :meth:`uniform_jump` / :meth:`advance`.
+        ``n_taken`` its lane count; uniform outcomes go through
+        :meth:`uniform_jump` / :meth:`advance`.  The branch handler
+        (:mod:`repro.sim.executor`) makes that three-way decision.
         """
         top = self.frames[-1]
         fall = np.logical_and(top.mask, ~taken)

@@ -322,7 +322,7 @@ class SM:
             # Refresh: re-cache the decoded op and earliest issue cycle.
             dop = self._ops[frames[-1].pc]
             warp._decoded = dop
-            pending = warp.scoreboard.pending
+            pending = warp.pending
             t = 0
             if pending:
                 for key in dop.hazard_keys:

@@ -13,13 +13,12 @@ schedulers and by the paper's mechanisms:
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.isa.program import Program
 from repro.sim.registers import RegisterFile, count_nonzero
-from repro.sim.scoreboard import Scoreboard
 from repro.sim.simt_stack import SIMTStack
 
 
@@ -62,7 +61,13 @@ class Warp:
             warp_size, program.registers(), program.predicates()
         )
         self.stack = SIMTStack(warp_size, start_pc=0, initial_mask=valid)
-        self.scoreboard = Scoreboard()
+        #: The scoreboard: register key (``r:name`` / ``p:name``) -> the
+        #: cycle its pending write becomes visible.  An instruction issues
+        #: only once every one of its hazard keys is released (RAW and
+        #: WAW; the in-order front end rules out WAR).  Updated in place,
+        #: never rebound: the issue path reads it, the handlers' tail
+        #: reserves in it.
+        self.pending: Dict[str, int] = {}
         # Read-only: only ``tid`` and ``gtid`` are this warp's own.
         self.sregs = {
             "tid": tids,

@@ -8,8 +8,16 @@ paper-scale numbers live in ``benchmarks/``.
 from __future__ import annotations
 
 import pytest
+from hypothesis import Phase, settings
 
 from repro.sim.config import GPUConfig, fermi_config
+
+#: For a property whose example is a warp's worth of operands, 32 rows
+#: run as one kernel: five examples check 160 rows.  A failure is shrunk
+#: but not explained (that phase reruns the kernel per row).
+LANE_EXAMPLES = settings(max_examples=5, deadline=None,
+                         phases=[Phase.explicit, Phase.reuse, Phase.generate,
+                                 Phase.shrink])
 
 
 @pytest.fixture
@@ -84,15 +92,43 @@ def run_program(source: str, config: GPUConfig, *, grid_dim: int = 1,
     return result, memory
 
 
-def bare_sm(source: str, config: GPUConfig):
+def bare_sm(source: str, config: GPUConfig, *, params=None, memory=None):
     """A freshly built SM with no GPU around it, for tests that poke one."""
     from repro.isa import assemble
     from repro.memory.memsys import GlobalMemory, MemorySubsystem
     from repro.metrics.stats import SimStats
     from repro.sim.sm import SM
 
-    return SM(0, config, assemble(source), {}, GlobalMemory(256),
+    return SM(0, config, assemble(source), dict(params or {}),
+              memory if memory is not None else GlobalMemory(256),
               MemorySubsystem(config), {}, SimStats())
+
+
+def one_warp(source: str, *, block_dim: int = 32, params=None, memory=None):
+    """A bare SM holding ``source`` as one CTA of ``block_dim`` threads,
+    and its one warp, for tests that step ``sm.step(now)`` themselves."""
+    sm = bare_sm(source, fermi_config(num_sms=1), params=params,
+                 memory=memory)
+    sm.launch_cta(0, 1, block_dim, 1, 0)
+    (warp,) = sm.warps.values()
+    return sm, warp
+
+
+def run_warp(source: str, **kwargs):
+    """Run ``source`` as one warp (:func:`one_warp`) to its exit and
+    return the warp: its registers hold what the handlers wrote."""
+    sm, warp = one_warp(source, **kwargs)
+    while not warp.finished:
+        assert sm.wake < sm.config.max_cycles, "the warp never finished"
+        sm.step(sm.wake)
+    return warp
+
+
+def issue(sm, now: int) -> int:
+    """Step ``sm`` from cycle ``now`` until it issues; the next cycle."""
+    while not sm.step(now):
+        now += 1
+    return now + 1
 
 
 def fence_first_workload():

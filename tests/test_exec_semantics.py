@@ -642,7 +642,7 @@ def test_no_handler_mutates_or_outlives_its_exec_mask(kernel):
     def frozen(handler):
         def checked(sm, warp, dop, exec_mask, n_exec, now):
             nonlocal aliased
-            aliased += exec_mask is warp.stack.active_mask
+            aliased += exec_mask is warp.stack.frames[-1].mask
             exec_mask.flags.writeable = False
             before = exec_mask.copy()
             assert n_exec == np.count_nonzero(exec_mask), dop.instr

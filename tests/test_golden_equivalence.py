@@ -57,9 +57,10 @@ def _fenced_before_release(sim):
         for warp in sm.warps.values():
             if warp.finished or warp.at_barrier:
                 continue
-            release = warp.scoreboard.next_release(
-                warp.program[warp.pc].hazard_keys, now)
-            if release is not None and now < warp.membar_until < release:
+            release = max((warp.pending.get(key, 0)
+                           for key in warp.program[warp.pc].hazard_keys),
+                          default=0)
+            if now < warp.membar_until < release:
                 return True
     return False
 

@@ -315,9 +315,27 @@ def test_invariant_catches_bogus_scoreboard_entry(tiny_config):
     checker.check(0, [sm])  # healthy
 
     warp = next(iter(sm.warps.values()))
-    warp.scoreboard.pending["%r_never_declared"] = 10
+    warp.pending["%r_never_declared"] = 10
     with pytest.raises(InvariantViolation):
         checker.check(1, [sm])
+
+
+def test_invariants_accept_pending_writes():
+    """A write in flight is keyed by its hazard key (``r:r_a``), which
+    the checker must know."""
+    from repro.sim.config import fermi_config
+    from repro.sim.progress import InvariantChecker
+
+    config = fermi_config(num_sms=1, max_warps_per_sm=4,
+                          invariant_checks=True)
+    sm = bare_sm("mov %r_a, 1\nsetp.eq %p_a, %r_a, 1\nexit", config)
+    sm.launch_cta(cta_id=0, warps_per_cta=1, cta_dim=32, grid_dim=1,
+                  age_base=0)
+    warp = next(iter(sm.warps.values()))
+    sm.step(0)
+    sm.step(sm.wake)
+    assert set(warp.pending) == {"r:r_a", "p:p_a"}
+    InvariantChecker(config).check(sm.wake, [sm])
 
 
 def test_invariant_catches_corrupt_stack_pc(tiny_config):

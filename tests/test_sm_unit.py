@@ -189,6 +189,6 @@ def test_partial_cta_masks_invalid_lanes():
     sm = make_sm()
     sm.launch_cta(0, 2, cta_dim=40, grid_dim=1, age_base=0)
     warps = sorted(sm.warps.values(), key=lambda w: w.warp_in_cta)
-    assert int(warps[0].stack.active_mask.sum()) == 32
-    assert int(warps[1].stack.active_mask.sum()) == 8
+    assert warps[0].stack.frames[-1].n == 32
+    assert warps[1].stack.frames[-1].n == 8
     assert warps[1].profiled_lane == 0

@@ -6,6 +6,7 @@ import pytest
 from repro.isa import assemble
 from repro.sim.config import fermi_config
 from repro.sim.executor import decode_program
+from repro.sim.registers import copyto
 from repro.sim.warp import Warp
 
 PROGRAM = assemble(
@@ -39,7 +40,7 @@ def test_special_register_values():
 def test_partial_warp_mask():
     warp = make_warp(cta_dim=40, warp_in_cta=1)
     # Threads 32..39 valid; lanes 8..31 dead from the start.
-    assert int(warp.stack.active_mask.sum()) == 8
+    assert warp.stack.frames[-1].n == 8
 
 
 def exec_mask(warp, pc):
@@ -47,7 +48,7 @@ def exec_mask(warp, pc):
     prologue computes them: the active mask, combined with the guard
     predicate by the decoded op's ``guard_op``."""
     dop = decode_program(PROGRAM, fermi_config(), {}).ops[pc]
-    active = warp.stack.active_mask
+    active = warp.stack.frames[-1].mask
     if dop.guard is None:
         return active
     return dop.guard_op(active, warp.regs.pred_values[dop.guard])
@@ -55,14 +56,12 @@ def exec_mask(warp, pc):
 
 def test_exec_mask_unguarded():
     warp = make_warp()
-    assert (exec_mask(warp, 0) == warp.stack.active_mask).all()
+    assert exec_mask(warp, 0) is warp.stack.frames[-1].mask
 
 
 def test_exec_mask_guarded():
     warp = make_warp()
-    warp.regs.write_pred(
-        "p1", np.arange(32) < 8, np.ones(32, dtype=bool)
-    )
+    copyto(warp.regs.pred_values["p1"], np.arange(32) < 8)
     positive = exec_mask(warp, 1)
     negative = exec_mask(warp, 2)
     assert int(positive.sum()) == 8
