@@ -10,6 +10,11 @@ spool skips the fsync) and :func:`read_records` the one reader (a torn
 final line is left for the next call; a line that is not a v1 record of
 a known kind is skipped and counted).
 
+A run's outcome is a record wherever it goes: a result is its
+``result`` record in the cache entry and on the serve wire, a failure
+its ``failed`` record in the journal and on the wire.  :func:`check` is
+the one test of a record's version, kind and key set.
+
 Whatever the host narrates is one of these records too (``done``,
 ``failed`` or ``note``), and :func:`render` alone turns it into text.
 
@@ -43,6 +48,9 @@ RECORD_KEYS: Dict[str, Tuple[str, ...]] = {
     "done": ("hash", "from_cache", "cycles", "attempts", "elapsed_s"),
     "failed": ("hash", "error_type", "message", "transient", "attempts",
                "elapsed_s", "hang"),
+    # A result in full: the cache entry's body and the wire's payload.
+    "result": ("hash", "cycles", "stats", "predicted_sibs", "ddos",
+               "elapsed_s", "phases", "obs", "sanitizer"),
     "note": ("note", "detail"),
     # The progress spool: worker marks, obs rows and decision events.
     # A note's or a mark's fields vary, so they nest under ``detail``.
@@ -59,15 +67,34 @@ class JournalError(RuntimeError):
     """The journal could not be read or does not describe a sweep."""
 
 
+def check(line: Any, kind: Optional[str] = None) -> Dict[str, Any]:
+    """``line`` if it is a v1 record of a known kind (of ``kind``, when
+    given) with exactly that kind's keys; else ``ValueError`` naming the
+    version, the kind or the missing and extra keys."""
+    if not isinstance(line, dict):
+        raise ValueError(f"expected a v{RECORD_VERSION} record object, "
+                         f"got {type(line).__name__}")
+    if line.get("v") != RECORD_VERSION:
+        raise ValueError(f"record version {line.get('v')!r}, expected "
+                         f"{RECORD_VERSION}")
+    got = line.get("kind")
+    if kind is not None and got != kind:
+        raise ValueError(f"expected a {kind!r} record, got {got!r}")
+    expected = _LINE_KEYS.get(got) if isinstance(got, str) else None
+    if expected is None:
+        raise ValueError(f"unknown record kind {got!r}")
+    if line.keys() != expected:
+        raise ValueError(
+            f"{got!r} record: expected keys {sorted(RECORD_KEYS[got])}; "
+            f"missing {sorted(expected - line.keys())}, "
+            f"unexpected {sorted(line.keys() - expected)}")
+    return line
+
+
 def record(kind: str, **fields: Any) -> Dict[str, Any]:
     """One v1 record of ``kind``; ``ValueError`` unless ``fields`` is
     exactly that kind's key set."""
-    expected = set(RECORD_KEYS.get(kind, ()))
-    if not expected or fields.keys() != expected:
-        raise ValueError(
-            f"{kind!r} record: expected keys {sorted(expected)}, "
-            f"got {sorted(fields)}")
-    return {"v": RECORD_VERSION, "kind": kind, **fields}
+    return check({"v": RECORD_VERSION, "kind": kind, **fields}, kind)
 
 
 def note_record(note: str, **detail: Any) -> Dict[str, Any]:
@@ -141,14 +168,8 @@ def read_records(path, offset: int = 0
         if not line.strip():
             continue
         try:
-            rec = json.loads(line)
+            records.append(check(json.loads(line)))
         except ValueError:
-            rec = None
-        if (isinstance(rec, dict) and rec.get("v") == RECORD_VERSION
-                and isinstance(rec.get("kind"), str)
-                and rec.keys() == _LINE_KEYS.get(rec["kind"])):
-            records.append(rec)
-        else:
             skipped += 1
     return records, offset + len(chunk) - len(torn), skipped
 
@@ -293,6 +314,7 @@ __all__ = [
     "RECORD_KEYS",
     "RECORD_VERSION",
     "SweepJournal",
+    "check",
     "load_journal",
     "note_record",
     "open_journal",

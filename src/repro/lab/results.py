@@ -22,6 +22,7 @@ from typing import Any, Dict, List, Optional
 from repro.memory.memsys import MemoryStats
 from repro.metrics.stats import LockStats, SimStats
 
+from repro.lab.journal import check, record
 from repro.lab.spec import RunSpec, dataclass_to_dict
 
 
@@ -35,8 +36,8 @@ def stats_to_dict(stats: SimStats) -> Dict[str, Any]:
 
 def stats_from_dict(data: Dict[str, Any]) -> SimStats:
     data = dict(data)
-    data["locks"] = LockStats(**data.get("locks", {}))
-    data["memory"] = MemoryStats(**data.get("memory", {}))
+    data["locks"] = LockStats(**data["locks"])
+    data["memory"] = MemoryStats(**data["memory"])
     return SimStats(**data)
 
 
@@ -69,30 +70,30 @@ class RunResult:
     ok = True
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "spec_hash": self.spec_hash,
-            "cycles": self.cycles,
-            "stats": stats_to_dict(self.stats),
-            "predicted_sibs": list(self.predicted_sibs),
-            "ddos": self.ddos,
-            "elapsed_s": self.elapsed_s,
-            "phases": self.phases,
-            "obs": self.obs,
-            "sanitizer": self.sanitizer,
-        }
+        """This result as its ``result`` record (the cache entry's body
+        and the serve wire's payload)."""
+        return record(
+            "result", hash=self.spec_hash, cycles=self.cycles,
+            stats=stats_to_dict(self.stats),
+            predicted_sibs=list(self.predicted_sibs), ddos=self.ddos,
+            elapsed_s=self.elapsed_s, phases=self.phases, obs=self.obs,
+            sanitizer=self.sanitizer)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunResult":
+        """The inverse of :meth:`to_dict`; ``ValueError`` unless ``data``
+        is exactly a v1 ``result`` record."""
+        check(data, "result")
         return cls(
-            spec_hash=data["spec_hash"],
+            spec_hash=data["hash"],
             cycles=data["cycles"],
             stats=stats_from_dict(data["stats"]),
-            predicted_sibs=list(data.get("predicted_sibs", [])),
-            ddos=data.get("ddos"),
-            elapsed_s=data.get("elapsed_s", 0.0),
-            phases=data.get("phases"),
-            obs=data.get("obs"),
-            sanitizer=data.get("sanitizer"),
+            predicted_sibs=list(data["predicted_sibs"]),
+            ddos=data["ddos"],
+            elapsed_s=data["elapsed_s"],
+            phases=data["phases"],
+            obs=data["obs"],
+            sanitizer=data["sanitizer"],
         )
 
 
@@ -113,6 +114,18 @@ class RunFailure:
     hang: Optional[Dict[str, Any]] = None
 
     ok = False
+
+    @classmethod
+    def from_record(cls, line: Dict[str, Any],
+                    spec: Optional[RunSpec] = None) -> "RunFailure":
+        """The inverse of :func:`~repro.lab.journal.outcome_record`:
+        ``line`` must be a v1 ``failed`` record; ``spec`` reattaches the
+        spec it is about (the record holds only its hash)."""
+        check(line, "failed")
+        return cls(spec=spec, spec_hash=line["hash"],
+                   error_type=line["error_type"], message=line["message"],
+                   attempts=line["attempts"], elapsed_s=line["elapsed_s"],
+                   transient=line["transient"], hang=line["hang"])
 
     @property
     def hung(self) -> bool:

@@ -10,7 +10,7 @@ submission API that picks between in-process and daemon execution.
 Layout::
 
     protocol.py   JSON-lines framing, handshake, addresses
-    wire.py       versioned RunResult/RunFailure wire schema
+    wire.py       the ledger's names for a result's wire payload
     jobstore.py   dedup + subscription registry (the submission funnel)
     scheduler.py  per-client fair dispatch order
     worker.py     pool entry point + progress spool streaming
@@ -23,27 +23,15 @@ from repro.serve.daemon import ServeDaemon
 from repro.serve.jobstore import Job, JobStore
 from repro.serve.protocol import PROTOCOL_VERSION, ProtocolError
 from repro.serve.scheduler import FairScheduler
-from repro.serve.wire import (FAILURE_WIRE_KEYS, RESULT_WIRE_KEYS,
-                              WIRE_SCHEMA_VERSION, WireFormatError,
-                              failure_from_wire, failure_to_wire,
-                              result_from_wire, result_to_wire)
 
 __all__ = [
-    "FAILURE_WIRE_KEYS",
     "FairScheduler",
     "Job",
     "JobStore",
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "RESULT_WIRE_KEYS",
     "ServeClient",
     "ServeDaemon",
     "ServeError",
     "ServeHandle",
-    "WIRE_SCHEMA_VERSION",
-    "WireFormatError",
-    "failure_from_wire",
-    "failure_to_wire",
-    "result_from_wire",
-    "result_to_wire",
 ]

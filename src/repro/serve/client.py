@@ -34,7 +34,7 @@ from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.lab.results import RunFailure, RunResult
 from repro.lab.spec import RunSpec
-from repro.serve import protocol, wire
+from repro.serve import protocol
 
 #: Terminal marker on a handle's progress queue.
 _SENTINEL = object()
@@ -66,11 +66,22 @@ class ServeHandle:
         kind = message.get("type")
         if kind == "progress":
             self._progress.put(message)
-        elif kind == "result":
-            self._finish(wire.result_from_wire(message["result"]))
-        elif kind == "failure":
-            self._finish(wire.failure_from_wire(message["failure"],
-                                                spec=self.spec))
+        elif kind in ("result", "failure"):
+            try:
+                if kind == "result":
+                    outcome = RunResult.from_dict(message["result"])
+                    outcome.attempts = message["attempts"]
+                    outcome.from_cache = message["from_cache"]
+                    outcome.label = message["label"]
+                else:
+                    outcome = RunFailure.from_record(message["failure"],
+                                                     spec=self.spec)
+            except (KeyError, TypeError, ValueError) as exc:
+                self._abort(ServeError(
+                    f"{kind} message does not decode: "
+                    f"{type(exc).__name__}: {exc}"))
+                return
+            self._finish(outcome)
 
     def _finish(self, outcome: Union[RunResult, RunFailure]) -> None:
         if self._done.is_set():
@@ -203,10 +214,7 @@ class ServeClient:
                             self._orphans.setdefault(job_id, []).append(
                                 message)
                 for handle in handles:
-                    try:
-                        handle._deliver(message)
-                    except wire.WireFormatError as exc:
-                        handle._abort(exc)
+                    handle._deliver(message)
             else:
                 self._replies.put(message)
         # Connection gone: fail every outstanding wait.
@@ -270,10 +278,7 @@ class ServeClient:
                 with self._route_lock:
                     self._terminal = None
         for message in backlog:
-            try:
-                handle._deliver(message)
-            except wire.WireFormatError as exc:
-                handle._abort(exc)
+            handle._deliver(message)
         return handle
 
     def submit_many(self, specs, *, stream: bool = True) -> List[ServeHandle]:

@@ -21,7 +21,8 @@ Lifecycle of a submission (see ``docs/serve.md``):
    streams lifecycle marks, obs time-series samples, and obs events to
    every subscribed client.
 5. The result lands in the cache and journal, then fans out to all
-   subscribers as a versioned wire message.
+   subscribers: a result as its ``result`` record, a failure as its
+   ``failed`` record (:mod:`repro.lab.journal`).
 
 Steps 3 and 5 are the shared :class:`~repro.lab.core.ExecutionCore`
 pumped on the ``serve-dispatch`` thread — the very code a direct
@@ -48,7 +49,7 @@ from repro.lab.core import ExecutionCore
 from repro.lab.journal import (SweepJournal, note_record, outcome_record,
                                read_records, record, render)
 from repro.lab.spec import RunSpec
-from repro.serve import protocol, wire
+from repro.serve import protocol
 from repro.serve.jobstore import Job, JobStore
 from repro.serve.scheduler import FairScheduler
 from repro.serve.worker import serve_entry
@@ -65,6 +66,16 @@ COUNTER_NAMES = (
     "worker_losses",  # in-flight jobs re-queued after a pool death
     "clients",        # connections that completed the handshake
 )
+
+
+def _outcome_message(job: Job, outcome) -> Dict[str, Any]:
+    """``job``'s terminal message: a result's record with its delivery
+    fields beside it, or a failure's ``failed`` record."""
+    message = {"job_id": job.id, "label": job.spec.label}
+    if outcome.ok:
+        return {"type": "result", **message, "attempts": outcome.attempts,
+                "from_cache": outcome.from_cache, "result": outcome.to_dict()}
+    return {"type": "failure", **message, "failure": outcome_record(outcome)}
 
 
 class _Subscription:
@@ -240,7 +251,6 @@ class ServeDaemon:
         return {
             "address": self.address,
             "protocol": protocol.PROTOCOL_VERSION,
-            "wire_schema": wire.WIRE_SCHEMA_VERSION,
             "workers": self.workers,
             "mode": self.mode,
             "cache_dir": str(self.cache.directory) if self.cache else None,
@@ -292,7 +302,6 @@ class ServeDaemon:
             conn.name = str(hello["client"])
         conn.send({"type": "hello_ack",
                    "protocol": protocol.PROTOCOL_VERSION,
-                   "wire_schema": wire.WIRE_SCHEMA_VERSION,
                    "server": "repro-serve"})
         self._count("clients")
         with self._conns_lock:
@@ -360,9 +369,7 @@ class ServeDaemon:
             self._count("cache_hits")
             if journal is not None:
                 self.core.persist(journal.append, outcome_record(job.result))
-            conn.send(accepted,
-                      {"type": "result", "job_id": job.id,
-                       "result": wire.result_to_wire(job.result)})
+            conn.send(accepted, _outcome_message(job, job.result))
         else:
             conn.send(accepted)
             if status == "attached":
@@ -420,12 +427,9 @@ class ServeDaemon:
         if detail.ok:
             # ``from_cache``: the dispatch-time re-check hit.
             self._count("cache_hits" if detail.from_cache else "completed")
-            job.broadcast({"type": "result", "job_id": job.id,
-                           "result": wire.result_to_wire(detail)})
         else:
             self._count("failed")
-            job.broadcast({"type": "failure", "job_id": job.id,
-                           "failure": wire.failure_to_wire(detail)})
+        job.broadcast(_outcome_message(job, detail))
 
     # -- progress streaming -------------------------------------------
 

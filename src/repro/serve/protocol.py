@@ -20,10 +20,7 @@ client → daemon
 ================  =====================================================
 
 Any other ``type`` is answered with ``error`` and a field not listed
-for a message is ignored — which is all that happens to a version-1
-peer still sending the two things this table once listed and no client
-here ever used (a message withdrawing a queued job; a per-submission
-rank within the client's queue), so :data:`PROTOCOL_VERSION` stays 1.
+for a message is ignored.
 
 ================  =====================================================
 daemon → client
@@ -37,8 +34,10 @@ daemon → client
                   the run is in flight; ``data`` is one v1 host record
                   (:mod:`repro.lab.journal`): ``lifecycle`` marks, obs
                   ``sample`` rows, ``event`` / ``event_gap`` records.
-``result``        ``{job_id, result}`` — versioned wire RunResult.
-``failure``       ``{job_id, failure}`` — versioned wire RunFailure.
+``result``        ``{job_id, label, attempts, from_cache, result}`` —
+                  ``result`` is the run's v1 ``result`` record.
+``failure``       ``{job_id, label, failure}`` — ``failure`` is the
+                  run's v1 ``failed`` record.
 ``status``        counters snapshot.
 ``pong``          liveness reply.
 ``error``         ``{message}`` — protocol or submission error.
@@ -56,9 +55,9 @@ from typing import Any, Dict, Optional, Tuple
 from repro.lab.spec import _json_default
 
 #: Handshake protocol version; bumped on any incompatible change to the
-#: message vocabulary (payload schemas are versioned separately by
-#: :mod:`repro.serve.wire`).
-PROTOCOL_VERSION = 1
+#: messages (2: a run's outcome travels as its host record).  A record
+#: carries its own version (:func:`repro.lab.journal.check`).
+PROTOCOL_VERSION = 2
 
 #: Upper bound on one message line; a peer exceeding it is broken (or
 #: hostile) and the connection is dropped rather than buffering forever.

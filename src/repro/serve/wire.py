@@ -1,183 +1,14 @@
-"""Versioned wire format for run outcomes crossing the serve protocol.
+"""A served result's payload, under the names the benchmark ledger times.
 
-The daemon and its clients evolve independently — a client built against
-last month's package must either interoperate cleanly with today's
-daemon or fail with a message that names the incompatibility, never
-deserialize garbage.  Mirroring :meth:`repro.metrics.stats.SimStats.
-summary` (``schema_version`` + frozen key set, guarded by
-``tests/test_stats_schema.py``), every :class:`~repro.lab.results.
-RunResult` / :class:`~repro.lab.results.RunFailure` that crosses the
-socket is stamped with :data:`WIRE_SCHEMA_VERSION` and carries exactly
-:data:`RESULT_WIRE_KEYS` / :data:`FAILURE_WIRE_KEYS` — no more, no
-less.  Decoding rejects a version mismatch or a key-set drift with
-:class:`WireFormatError` before touching the payload.
-
-Bumping the version is an explicit act: add/remove a key, bump
-:data:`WIRE_SCHEMA_VERSION`, update the frozen key tuple, and extend
-``tests/test_serve_wire.py``'s golden expectations.
+A result crosses the socket as its ``result`` record
+(:meth:`~repro.lab.results.RunResult.to_dict`, checked on the way back
+by :meth:`~repro.lab.results.RunResult.from_dict`); the layout and its
+one checker live in :mod:`repro.lab.journal`.
 """
 
-from __future__ import annotations
+from repro.lab.results import RunResult
 
-from typing import Any, Dict
+result_to_wire = RunResult.to_dict
+result_from_wire = RunResult.from_dict
 
-from repro.lab.results import RunFailure, RunResult, stats_from_dict
-
-#: Version of the result/failure wire layout.  Clients refuse to decode
-#: any other version (see :func:`check_wire_version`).
-WIRE_SCHEMA_VERSION = 1
-
-#: Exactly the keys of one serialized :class:`RunResult` on the wire.
-#: Extends :meth:`RunResult.to_dict` with the delivery metadata a client
-#: needs (``attempts``, ``from_cache``, ``label``) plus the version
-#: stamp.  Frozen: changing this set requires a version bump.
-RESULT_WIRE_KEYS = (
-    "schema_version",
-    "spec_hash",
-    "cycles",
-    "stats",
-    "predicted_sibs",
-    "ddos",
-    "elapsed_s",
-    "phases",
-    "obs",
-    "sanitizer",
-    "attempts",
-    "from_cache",
-    "label",
-)
-
-#: Exactly the keys of one serialized :class:`RunFailure` on the wire.
-#: The spec itself does not travel (the submitting client already holds
-#: it); ``label`` preserves the human name for reporting.
-FAILURE_WIRE_KEYS = (
-    "schema_version",
-    "spec_hash",
-    "error_type",
-    "message",
-    "attempts",
-    "elapsed_s",
-    "transient",
-    "hang",
-    "label",
-)
-
-
-class WireFormatError(RuntimeError):
-    """The payload does not speak this module's wire schema."""
-
-
-def check_wire_version(data: Dict[str, Any], what: str) -> None:
-    """Reject anything but exactly :data:`WIRE_SCHEMA_VERSION`."""
-    if not isinstance(data, dict):
-        raise WireFormatError(f"{what}: expected an object, "
-                              f"got {type(data).__name__}")
-    version = data.get("schema_version")
-    if version != WIRE_SCHEMA_VERSION:
-        raise WireFormatError(
-            f"{what}: wire schema_version {version!r} is not supported "
-            f"by this client/daemon (expected {WIRE_SCHEMA_VERSION}); "
-            f"upgrade the older side so both speak the same schema"
-        )
-
-
-def _check_keys(data: Dict[str, Any], expected, what: str) -> None:
-    actual = set(data)
-    expected = set(expected)
-    if actual != expected:
-        missing = sorted(expected - actual)
-        extra = sorted(actual - expected)
-        detail = []
-        if missing:
-            detail.append(f"missing {missing}")
-        if extra:
-            detail.append(f"unexpected {extra}")
-        raise WireFormatError(
-            f"{what}: key set does not match wire schema "
-            f"v{WIRE_SCHEMA_VERSION} ({'; '.join(detail)})"
-        )
-
-
-def result_to_wire(result: RunResult) -> Dict[str, Any]:
-    """Serialize a :class:`RunResult` for the socket (versioned)."""
-    data = result.to_dict()
-    data["schema_version"] = WIRE_SCHEMA_VERSION
-    data["attempts"] = result.attempts
-    data["from_cache"] = result.from_cache
-    data["label"] = result.label
-    _check_keys(data, RESULT_WIRE_KEYS, "result_to_wire")
-    return data
-
-
-def result_from_wire(data: Dict[str, Any]) -> RunResult:
-    """Decode a wire result; :class:`WireFormatError` on any mismatch."""
-    check_wire_version(data, "result")
-    _check_keys(data, RESULT_WIRE_KEYS, "result")
-    try:
-        result = RunResult(
-            spec_hash=data["spec_hash"],
-            cycles=data["cycles"],
-            stats=stats_from_dict(data["stats"]),
-            predicted_sibs=list(data["predicted_sibs"] or []),
-            ddos=data["ddos"],
-            elapsed_s=data["elapsed_s"],
-            phases=data["phases"],
-            obs=data["obs"],
-            sanitizer=data["sanitizer"],
-            attempts=data["attempts"],
-            from_cache=bool(data["from_cache"]),
-            label=data["label"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WireFormatError(f"result payload malformed: {exc}") from exc
-    return result
-
-
-def failure_to_wire(failure: RunFailure) -> Dict[str, Any]:
-    """Serialize a :class:`RunFailure` for the socket (versioned)."""
-    data = {
-        "schema_version": WIRE_SCHEMA_VERSION,
-        "spec_hash": failure.spec_hash,
-        "error_type": failure.error_type,
-        "message": failure.message,
-        "attempts": failure.attempts,
-        "elapsed_s": failure.elapsed_s,
-        "transient": failure.transient,
-        "hang": failure.hang,
-        "label": failure.spec.label if failure.spec is not None else None,
-    }
-    _check_keys(data, FAILURE_WIRE_KEYS, "failure_to_wire")
-    return data
-
-
-def failure_from_wire(data: Dict[str, Any],
-                      spec=None) -> RunFailure:
-    """Decode a wire failure; ``spec`` reattaches the client's copy."""
-    check_wire_version(data, "failure")
-    _check_keys(data, FAILURE_WIRE_KEYS, "failure")
-    try:
-        return RunFailure(
-            spec=spec,
-            spec_hash=data["spec_hash"],
-            error_type=data["error_type"],
-            message=data["message"],
-            attempts=data["attempts"],
-            elapsed_s=data["elapsed_s"],
-            transient=bool(data["transient"]),
-            hang=data["hang"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise WireFormatError(f"failure payload malformed: {exc}") from exc
-
-
-__all__ = [
-    "FAILURE_WIRE_KEYS",
-    "RESULT_WIRE_KEYS",
-    "WIRE_SCHEMA_VERSION",
-    "WireFormatError",
-    "check_wire_version",
-    "failure_from_wire",
-    "failure_to_wire",
-    "result_from_wire",
-    "result_to_wire",
-]
+__all__ = ["result_from_wire", "result_to_wire"]

@@ -100,13 +100,14 @@ def test_entry_from_another_fingerprint_is_a_defect(cache, tmp_path):
 # Schema: still v2, both directions
 
 
-def _write_as_the_parent_commit_did(cache, spec, result):
-    """``put`` as it was before the body was written in one pass: the
-    checksummed body re-parsed, version and checksum appended, streamed
-    out with ``json.dump``'s default separators."""
+def _write_as_the_parent_commit_did(cache, spec, line):
+    """``put`` of the ``result`` record ``line`` as it was before the
+    body was written in one pass: the checksummed body re-parsed,
+    version and checksum appended, streamed out with ``json.dump``'s
+    default separators."""
     canonical = cache_mod._canonical_body({
         "fingerprint": cache.fingerprint, "spec": spec.to_dict(),
-        "result": result.to_dict()})
+        "result": line})
     payload = dict(json.loads(canonical))
     payload["version"] = 2
     payload["checksum"] = hashlib.sha256(canonical).hexdigest()
@@ -118,9 +119,34 @@ def _write_as_the_parent_commit_did(cache, spec, result):
 
 def test_entries_written_by_earlier_versions_still_read(cache):
     old = _spec(1)
-    _write_as_the_parent_commit_did(cache, old, _result(old, cycles=41))
+    _write_as_the_parent_commit_did(cache, old,
+                                    _result(old, cycles=41).to_dict())
     assert cache.get(old).cycles == 41 and cache.get(old).cycles == 41
     assert [e.status for e in cache.verify().entries] == ["ok"]
+
+
+#: How a checksummed entry's ``result`` record can drift from v1.
+DRIFTS = {
+    "extra_key": lambda line: line.update(surprise=1),
+    "version_2": lambda line: line.update(v=2),
+    "missing_obs": lambda line: line.pop("obs"),
+}
+
+
+@pytest.mark.parametrize("drift", sorted(DRIFTS))
+def test_an_entry_whose_result_record_drifted_is_never_served(cache, drift):
+    """The checksum says the body is whole, not that it is a v1 result:
+    a drifted record is a miss and is quarantined, never a result with
+    a key quietly defaulted."""
+    spec = _spec()
+    line = _result(spec, cycles=43).to_dict()
+    DRIFTS[drift](line)
+    _write_as_the_parent_commit_did(cache, spec, line)
+    (entry,) = cache.verify().entries
+    assert entry.status == "corrupt"
+    assert cache.get(spec) is None
+    assert _quarantined(cache) == 1
+    assert cache.get(spec) is None
 
 
 def test_entry_without_a_checksum_is_a_defect(cache):

@@ -43,7 +43,7 @@ from repro.lab.results import RunFailure, RunResult
 from repro.lab.runner import execute_run
 from repro.lab.spec import RunSpec
 from repro.obs import ObsConfig
-from repro.serve import ServeClient, ServeDaemon, ServeError, protocol, wire
+from repro.serve import ServeClient, ServeDaemon, ServeError, protocol
 from repro.serve.jobstore import Job, JobStore
 from test_golden_fixtures import expect, observe
 from test_golden_fixtures import spec as golden_spec
@@ -424,20 +424,11 @@ def test_subscriber_attached_during_a_broadcast_is_kept():
     assert late.got == ["result"]
 
 
-def test_result_overtaking_accepted_reaches_the_second_handle(monkeypatch):
-    """The daemon's result broadcast and a resubmission's ``accepted``
-    reply race on the socket; scripted here in the losing order: the
-    second handle registers after the reader already routed the result
-    to the first, and must still resolve."""
-    spec = _spec(label="twice")
-    result = wire.result_to_wire(execute_run(spec))
-    accepted = {"type": "accepted", "job_id": "j1",
-                "spec_hash": spec.content_hash()}
-    replies = iter([
-        [{**accepted, "status": "queued"}],
-        [{"type": "result", "job_id": "j1", "result": result},
-         {**accepted, "status": "attached"}],
-    ])
+def _scripted_client(monkeypatch, replies):
+    """A :class:`ServeClient` whose daemon is a script: each message the
+    client sends after ``hello`` puts the next list of ``replies`` on
+    its inbox."""
+    replies = iter(replies)
 
     class ScriptedStream:
         def __init__(self, _sock):
@@ -457,7 +448,27 @@ def test_result_overtaking_accepted_reaches_the_second_handle(monkeypatch):
 
     monkeypatch.setattr(protocol, "connect", lambda *a, **kw: None)
     monkeypatch.setattr(protocol, "MessageStream", ScriptedStream)
-    with ServeClient("scripted") as client:
+    return ServeClient("scripted")
+
+
+def _result_message(job_id, result):
+    return {"type": "result", "job_id": job_id, "label": result.label,
+            "attempts": 1, "from_cache": False, "result": result.to_dict()}
+
+
+def test_result_overtaking_accepted_reaches_the_second_handle(monkeypatch):
+    """The daemon's result broadcast and a resubmission's ``accepted``
+    reply race on the socket; scripted here in the losing order: the
+    second handle registers after the reader already routed the result
+    to the first, and must still resolve."""
+    spec = _spec(label="twice")
+    accepted = {"type": "accepted", "job_id": "j1",
+                "spec_hash": spec.content_hash()}
+    with _scripted_client(monkeypatch, [
+        [{**accepted, "status": "queued"}],
+        [_result_message("j1", execute_run(spec)),
+         {**accepted, "status": "attached"}],
+    ]) as client:
         first = client.submit(spec)
         second = client.submit(spec)
         assert second.status == "attached"
@@ -466,6 +477,26 @@ def test_result_overtaking_accepted_reaches_the_second_handle(monkeypatch):
         # The late handle was settled from the seen-terminal record and
         # must not stay registered for a message that will never come.
         assert client._handles == {}
+
+
+def test_a_drifted_result_aborts_only_its_handle(monkeypatch):
+    """A ``result`` record that is not exactly v1 fails the handle it
+    was for with a ServeError naming the drift; the connection and the
+    other jobs on it carry on."""
+    bad, good = _spec(seed=1), _spec(seed=2)
+    drifted = _result_message("j1", fabricate_result(bad, cycles=7))
+    drifted["result"]["surprise"] = 1
+    with _scripted_client(monkeypatch, [
+        [{"type": "accepted", "job_id": "j1", "status": "queued",
+          "spec_hash": bad.content_hash()}],
+        [{"type": "accepted", "job_id": "j2", "status": "queued",
+          "spec_hash": good.content_hash()}, drifted,
+         _result_message("j2", fabricate_result(good, cycles=9))],
+    ]) as client:
+        first, second = client.submit(bad), client.submit(good)
+        with pytest.raises(ServeError, match="surprise"):
+            first.outcome(timeout=10)
+        assert second.outcome(timeout=10).cycles == 9
 
 
 # ----------------------------------------------------------- protocol

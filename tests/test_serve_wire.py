@@ -1,20 +1,33 @@
-"""Golden tests for the versioned serve wire format.
+"""Golden tests for a run outcome's encoding: the one layout the cache,
+the journal and the serve wire share.
 
-The wire layout is a compatibility contract between daemons and clients
-that may be built from different checkouts.  These tests freeze the
-schema: changing :data:`~repro.serve.wire.RESULT_WIRE_KEYS` /
-:data:`~repro.serve.wire.FAILURE_WIRE_KEYS` without bumping
-:data:`~repro.serve.wire.WIRE_SCHEMA_VERSION` (and updating the golden
-tuples below) must fail here before it corrupts a socket.
+A result is its ``result`` record and a failure its ``failed`` record
+(:mod:`repro.lab.journal`), checked by :func:`~repro.lab.journal.check`
+on every way back in.  The layout is a compatibility contract between
+daemons and clients that may be built from different checkouts, and
+between a cache and the code that reads it.  These tests freeze it:
+changing :data:`~repro.lab.journal.RECORD_KEYS` without bumping
+:data:`~repro.lab.journal.RECORD_VERSION` (and updating the golden
+tuples below) must fail here before it corrupts a socket or a cache.
 """
+
+import dataclasses
+import json
 
 import pytest
 
+import repro.serve.daemon as daemon_mod
+from repro.analysis import SanitizerConfig
 from repro.harness.runner import make_config
-from repro.lab.results import RunFailure
+from repro.lab import cache as cache_mod
+from repro.lab import journal, results
+from repro.lab.results import RunFailure, RunResult
 from repro.lab.runner import execute_run
 from repro.lab.spec import RunSpec
-from repro.serve import wire
+from repro.obs import ObsConfig
+from repro.serve import protocol
+from repro.serve.jobstore import Job
+from test_serve import _scripted_client
 
 VECADD = dict(n_threads=64, per_thread=2, block_dim=32)
 
@@ -22,10 +35,10 @@ VECADD = dict(n_threads=64, per_thread=2, block_dim=32)
 @pytest.fixture(scope="module")
 def result():
     spec = RunSpec(kernel="vecadd", config=make_config("gto"),
-                   params=VECADD, label="wire-test")
-    run = execute_run(spec)
-    run.label = spec.label
-    return run
+                   params=VECADD, label="wire-test",
+                   obs=ObsConfig(sample_interval=50),
+                   sanitize=SanitizerConfig())
+    return execute_run(spec)
 
 
 @pytest.fixture()
@@ -35,24 +48,35 @@ def failure():
     return RunFailure(
         spec=spec, spec_hash=spec.content_hash(),
         error_type="SimulationTimeout", message="budget exhausted",
-        attempts=2, elapsed_s=1.5, transient=True,
+        attempts=2, elapsed_s=1.5004, transient=True,
         hang={"kind": "timeout"},
     )
+
+
+def _decoders(result, failure):
+    """Each way back in, with a record it accepts: ``(decode, line)``."""
+    return [(RunResult.from_dict, result.to_dict()),
+            (RunFailure.from_record, journal.outcome_record(failure)),
+            (journal.check, result.to_dict())]
 
 
 # ---------------------------------------------------------- golden sets
 
 
 def test_wire_schema_version_golden():
-    assert wire.WIRE_SCHEMA_VERSION == 1
+    # One record version for every outcome; the handshake's version
+    # moved to 2 when outcomes began to travel as records; the cache
+    # entry's envelope is versioned on its own.
+    assert journal.RECORD_VERSION == 1
+    assert protocol.PROTOCOL_VERSION == 2
+    assert cache_mod.ENTRY_VERSION == 2
 
 
 def test_result_wire_keys_golden():
-    # Frozen for wire schema v1.  Adding or removing a key requires a
-    # WIRE_SCHEMA_VERSION bump and an update here.
-    assert wire.RESULT_WIRE_KEYS == (
-        "schema_version",
-        "spec_hash",
+    # Frozen for record v1.  Adding or removing a key requires a
+    # RECORD_VERSION bump and an update here.
+    assert journal.RECORD_KEYS["result"] == (
+        "hash",
         "cycles",
         "stats",
         "predicted_sibs",
@@ -61,23 +85,18 @@ def test_result_wire_keys_golden():
         "phases",
         "obs",
         "sanitizer",
-        "attempts",
-        "from_cache",
-        "label",
     )
 
 
 def test_failure_wire_keys_golden():
-    assert wire.FAILURE_WIRE_KEYS == (
-        "schema_version",
-        "spec_hash",
+    assert journal.RECORD_KEYS["failed"] == (
+        "hash",
         "error_type",
         "message",
+        "transient",
         "attempts",
         "elapsed_s",
-        "transient",
         "hang",
-        "label",
     )
 
 
@@ -85,75 +104,97 @@ def test_failure_wire_keys_golden():
 
 
 def test_result_roundtrip(result):
-    data = wire.result_to_wire(result)
-    assert set(data) == set(wire.RESULT_WIRE_KEYS)
-    assert data["schema_version"] == wire.WIRE_SCHEMA_VERSION
-    decoded = wire.result_from_wire(data)
-    assert decoded.to_dict() == result.to_dict()
-    assert decoded.attempts == result.attempts
-    assert decoded.from_cache == result.from_cache
-    assert decoded.label == "wire-test"
+    assert result.obs and result.sanitizer  # both payloads travel
+    data = result.to_dict()
+    assert data == journal.check(data, "result")
+    decoded = RunResult.from_dict(json.loads(json.dumps(data)))
+    # Field-equal; the delivery fields travel beside the record.
+    assert decoded == dataclasses.replace(
+        result, attempts=1, from_cache=False, label=None)
 
 
 def test_failure_roundtrip(failure):
-    data = wire.failure_to_wire(failure)
-    assert set(data) == set(wire.FAILURE_WIRE_KEYS)
-    assert data["label"] == "wire-fail"
-    decoded = wire.failure_from_wire(data, spec=failure.spec)
+    line = journal.outcome_record(failure)
+    decoded = RunFailure.from_record(json.loads(json.dumps(line)),
+                                     spec=failure.spec)
     assert decoded.spec is failure.spec
-    assert decoded.error_type == "SimulationTimeout"
-    assert decoded.attempts == 2
-    assert decoded.transient is True
-    assert decoded.hang == {"kind": "timeout"}
+    # Field-equal, but the record keeps elapsed_s to the millisecond.
+    assert decoded.elapsed_s == pytest.approx(failure.elapsed_s, abs=1e-3)
+    assert decoded == dataclasses.replace(failure,
+                                          elapsed_s=decoded.elapsed_s)
+
+
+def test_served_failure_carries_label_and_the_clients_spec(
+        failure, monkeypatch):
+    spec = failure.spec
+    job = Job(spec=spec, client="c", id="j1", spec_hash=failure.spec_hash)
+    message = daemon_mod._outcome_message(job, failure)
+    assert message["label"] == "wire-fail"
+    with _scripted_client(monkeypatch, [
+        [{"type": "accepted", "job_id": "j1", "status": "queued",
+          "spec_hash": failure.spec_hash}, message],
+    ]) as client:
+        served = client.submit(spec).outcome(timeout=10)
+    assert served.spec is spec and served.spec.label == "wire-fail"
+    assert served.error_type == "SimulationTimeout"
+    assert served.hang == {"kind": "timeout"}
 
 
 # ------------------------------------------------------------ rejection
 
 
-def test_version_mismatch_rejected(result):
-    data = wire.result_to_wire(result)
-    data["schema_version"] = wire.WIRE_SCHEMA_VERSION + 1
-    with pytest.raises(wire.WireFormatError, match="schema_version"):
-        wire.result_from_wire(data)
+def test_version_mismatch_rejected(result, failure):
+    for decode, line in _decoders(result, failure):
+        with pytest.raises(ValueError, match="record version 2"):
+            decode(dict(line, v=2))
 
 
-def test_missing_version_rejected(result):
-    data = wire.result_to_wire(result)
-    del data["schema_version"]
-    with pytest.raises(wire.WireFormatError, match="schema_version"):
-        wire.result_from_wire(data)
+def test_missing_version_rejected(result, failure):
+    for decode, line in _decoders(result, failure):
+        del line["v"]
+        with pytest.raises(ValueError, match="record version None"):
+            decode(line)
 
 
-def test_extra_key_rejected(result):
-    data = wire.result_to_wire(result)
-    data["surprise"] = 1
-    with pytest.raises(wire.WireFormatError, match="unexpected"):
-        wire.result_from_wire(data)
+def test_extra_key_rejected(result, failure):
+    for decode, line in _decoders(result, failure):
+        with pytest.raises(ValueError, match=r"unexpected \['surprise'\]"):
+            decode(dict(line, surprise=1))
 
 
-def test_missing_key_rejected(result):
-    data = wire.result_to_wire(result)
-    del data["cycles"]
-    with pytest.raises(wire.WireFormatError, match="missing"):
-        wire.result_from_wire(data)
+def test_missing_key_rejected(result, failure):
+    for decode, line in _decoders(result, failure):
+        del line["elapsed_s"]
+        with pytest.raises(ValueError, match=r"missing \['elapsed_s'\]"):
+            decode(line)
 
 
 def test_failure_version_mismatch_rejected(failure):
-    data = wire.failure_to_wire(failure)
-    data["schema_version"] = 99
-    with pytest.raises(wire.WireFormatError, match="99"):
-        wire.failure_from_wire(data)
+    line = dict(journal.outcome_record(failure), v=99)
+    with pytest.raises(ValueError, match="99"):
+        RunFailure.from_record(line)
 
 
-def test_non_object_rejected():
-    with pytest.raises(wire.WireFormatError, match="expected an object"):
-        wire.check_wire_version([], "result")
+def test_wrong_kind_rejected(result, failure):
+    done = journal.outcome_record(result)
+    with pytest.raises(ValueError, match="expected a 'failed' record"):
+        RunFailure.from_record(done)
+    with pytest.raises(ValueError, match="expected a 'result' record"):
+        RunResult.from_dict(journal.outcome_record(failure))
+    with pytest.raises(ValueError, match="unknown record kind"):
+        journal.check(dict(done, kind="verdict"))
+
+
+def test_non_object_rejected(result, failure):
+    for decode, _ in _decoders(result, failure):
+        with pytest.raises(ValueError, match="expected a v1 record object"):
+            decode([])
 
 
 def test_encoding_enforces_frozen_set(result, monkeypatch):
-    # A drifted encoder (new to_dict key) must fail at encode time, not
-    # silently ship a payload every v1 client rejects.
-    drifted = dict(result.to_dict(), novel=True)
-    monkeypatch.setattr(type(result), "to_dict", lambda self: dict(drifted))
-    with pytest.raises(wire.WireFormatError, match="novel"):
-        wire.result_to_wire(result)
+    # A drifted encoder (a new key in to_dict) must fail at encode
+    # time, not silently ship a payload every v1 reader rejects.
+    monkeypatch.setattr(results, "record", lambda kind, **fields:
+                        journal.record(kind, **fields, novel=True))
+    with pytest.raises(ValueError, match="novel"):
+        result.to_dict()
