@@ -620,7 +620,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_server_option(run, "the run")
     run.add_argument("--progress-stream", action="store_true",
                      help="print progress records (lifecycle marks, obs "
-                          "samples): live with --server, replayed otherwise")
+                          "samples): live with --server, at the end otherwise")
 
     prof = command("profile", _cmd_profile,
                    help="simulate one kernel with full observability and "

@@ -34,10 +34,11 @@ from repro.lab.locking import FileLock, LockTimeout
 from repro.lab.results import LabError, RunFailure, RunResult
 from repro.lab.core import (RunInterrupted, RunTimeout, TransientRunError,
                             decorrelated_jitter)
-from repro.lab.runner import BatchReport, Runner, execute_run
+from repro.lab.runner import BatchReport, Runner
 from repro.lab.spec import RunSpec, config_from_dict, config_to_dict
 from repro.lab.sweep import (Sweep, SweepResult, experiment_spec,
                              resume_sweep)
+from repro.lab.worker import execute_run
 
 _current_runner: Optional[Runner] = None
 

@@ -1,9 +1,9 @@
 """The host record: one versioned JSONL format, one writer, one reader.
 
 Every JSONL line the host writes about its runs — the sweep and serve
-journals, the serve worker's per-job progress spool and the in-process
-replay of that spool — is built by :func:`record` as ``{"v": 1, "kind":
-K, ...}`` with exactly the keys :data:`RECORD_KEYS` names for ``K``.
+journals and the worker's per-job progress spool — is built by
+:func:`record` as ``{"v": 1, "kind": K, ...}`` with exactly the keys
+:data:`RECORD_KEYS` names for ``K``.
 :meth:`SweepJournal.append` is the one writer (flush + fsync per line,
 so every completed line survives a SIGKILL of the writer; the advisory
 spool skips the fsync) and :func:`read_records` the one reader (a torn
@@ -182,11 +182,12 @@ class SweepJournal:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._handle = open(self.path, "a", encoding="utf-8")
         self._lock = threading.Lock()
-        records, end, _ = read_records(self.path)
+        size = self._handle.tell()
+        records, end, _ = read_records(self.path) if size else ([], 0, 0)
         # Specs an earlier writer already journaled are not re-recorded.
         self._spec_hashes = {r["hash"] for r in records
                              if r["kind"] == "spec"}
-        if end < self.path.stat().st_size:  # a killed writer's torn line
+        if end < size:                      # a killed writer's torn line
             self._handle.write("\n")       # ends here, not in ours
 
     # -- writing --------------------------------------------------------

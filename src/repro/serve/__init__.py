@@ -10,19 +10,15 @@ submission API that picks between in-process and daemon execution.
 Layout::
 
     protocol.py   JSON-lines framing, handshake, addresses
-    wire.py       the ledger's names for a result's wire payload
-    jobstore.py   dedup + subscription registry (the submission funnel)
-    scheduler.py  per-client fair dispatch order
-    worker.py     pool entry point + progress spool streaming
-    daemon.py     the ServeDaemon itself
+    daemon.py     the ServeDaemon: transport over the lab's engine
     client.py     ServeClient / ServeHandle
+    wire.py, jobstore.py, scheduler.py   re-exports the ledger imports
 """
 
+from repro.lab.core import FairScheduler, Job, JobStore
 from repro.serve.client import ServeClient, ServeError, ServeHandle
 from repro.serve.daemon import ServeDaemon
-from repro.serve.jobstore import Job, JobStore
 from repro.serve.protocol import PROTOCOL_VERSION, ProtocolError
-from repro.serve.scheduler import FairScheduler
 
 __all__ = [
     "FairScheduler",

@@ -72,7 +72,8 @@ class ServeHandle:
                     outcome = RunResult.from_dict(message["result"])
                     outcome.attempts = message["attempts"]
                     outcome.from_cache = message["from_cache"]
-                    outcome.label = message["label"]
+                    outcome.label = (self.spec.label if self.spec is not None
+                                     else message["label"])  # its own
                 else:
                     outcome = RunFailure.from_record(message["failure"],
                                                      spec=self.spec)

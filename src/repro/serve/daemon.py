@@ -10,51 +10,43 @@ Lifecycle of a submission (see ``docs/serve.md``):
 
 1. A client connects (:mod:`repro.serve.protocol` handshake) and sends
    ``submit`` messages carrying serialized RunSpecs.
-2. The :class:`~repro.serve.jobstore.JobStore` dedupes: an identical
-   spec already in flight gains a subscriber instead of a second
-   simulation; a spec in the cache returns instantly with no dispatch.
-3. Fresh work enters the :class:`~repro.serve.scheduler.FairScheduler`
-   (per-client FIFOs, round-robin, inflight budgets) and leaves it for
-   the worker pool running :func:`~repro.serve.worker.serve_entry` only
-   when a worker can take it.
-4. While a run is in flight, the daemon tails its progress spool and
-   streams lifecycle marks, obs time-series samples, and obs events to
-   every subscribed client.
+2. The engine dedupes: an identical spec already in flight gains a
+   subscriber instead of a second simulation; a spec in the cache
+   returns instantly with no dispatch.
+3. Fresh work waits in the fair queue (per-client FIFOs, round-robin,
+   inflight budgets) until a worker can take it.
+4. While a run is in flight, the lifecycle marks, obs samples and obs
+   events its worker spools stream to every subscribed client.
 5. The result lands in the cache and journal, then fans out to all
    subscribers: a result as its ``result`` record, a failure as its
    ``failed`` record (:mod:`repro.lab.journal`).
 
-Steps 3 and 5 are the shared :class:`~repro.lab.core.ExecutionCore`
-pumped on the ``serve-dispatch`` thread — the very code a direct
-``lab.Runner`` runs, so retry, worker-loss re-queue and settle-once
-policy cannot differ between the two roads.  The first SIGTERM/SIGINT
-*drains*: new submissions are refused, queued jobs are journaled as
-interrupted-transient (a resubmitted sweep completes them from cache
-hits), in-flight runs get ``grace_s`` to finish and still reach cache,
-journal, and clients.  A second signal aborts immediately.
+Steps 2–5 are the shared :class:`~repro.lab.core.ExecutionCore`
+pumped on the ``serve-dispatch`` thread — the very engine a local
+``lab.Runner`` batch pumps on its caller's thread, so the two roads
+differ only in transport, which is what this module adds.  The first
+SIGTERM/SIGINT *drains*: new submissions are refused, queued jobs are
+journaled as interrupted-transient (a resubmitted sweep completes them
+from cache hits), in-flight runs get ``grace_s`` to finish and still
+reach cache, journal, and clients.  A second signal aborts immediately.
 """
 
 from __future__ import annotations
 
 import os
-import shutil
-import tempfile
 import threading
 import time
-from pathlib import Path
 from typing import Any, Dict, Optional
 
 from repro.lab.cache import ResultCache
-from repro.lab.core import ExecutionCore
-from repro.lab.journal import (SweepJournal, note_record, outcome_record,
-                               read_records, record, render)
+from repro.lab.core import ExecutionCore, Job
+from repro.lab.journal import SweepJournal, note_record, outcome_record, render
 from repro.lab.spec import RunSpec
 from repro.serve import protocol
-from repro.serve.jobstore import Job, JobStore
-from repro.serve.scheduler import FairScheduler
-from repro.serve.worker import serve_entry
 
-#: Counter names exposed by ``status`` (all start at zero).
+#: Counter names exposed by ``status`` (all start at zero): the
+#: transport's (``submitted``, ``attached``, ``clients``, submit-time
+#: ``cache_hits``) plus the engine's attributes of the same names.
 COUNTER_NAMES = (
     "submitted",      # submit messages accepted
     "attached",       # submissions deduped onto an in-flight job
@@ -79,16 +71,41 @@ def _outcome_message(job: Job, outcome) -> Dict[str, Any]:
 
 
 class _Subscription:
-    """One client's interest in one job (transport adapter)."""
+    """One client's interest in one job: the engine's subscriber."""
 
-    __slots__ = ("conn", "wants_stream")
+    __slots__ = ("daemon", "conn", "wants_stream")
+    #: ``(job, outcome, message)`` last fanned out: a job's subscribers
+    #: share one message (read into a local: a race only rebuilds it).
+    _last: tuple = (None, None, None)
 
-    def __init__(self, conn: "_ClientConn", wants_stream: bool) -> None:
-        self.conn = conn
-        self.wants_stream = wants_stream
+    def __init__(self, daemon: "ServeDaemon", conn: "_ClientConn",
+                 wants_stream: bool) -> None:
+        self.daemon, self.conn, self.wants_stream = daemon, conn, wants_stream
 
-    def send(self, message: Dict[str, Any]) -> bool:
-        return self.conn.send(message)
+    def accepted(self, job: Job, status: str) -> None:
+        # Counted before the reply: a client reading ``status`` right
+        # after its answer must see this submission.
+        self.daemon._count("submitted")
+        if status != "queued":
+            self.daemon._count(
+                "attached" if status == "attached" else "cache_hits")
+        messages = [{"type": "accepted", "job_id": job.id,
+                     "spec_hash": job.spec_hash, "status": status}]
+        if status == "cached":  # both lines leave in one socket write
+            messages.append(_outcome_message(job, job.result))
+        self.conn.send(*messages)
+
+    def send(self, job: Job, item) -> bool:
+        if isinstance(item, dict):
+            return self.conn.send({
+                "type": "progress", "job_id": job.id,
+                "spec_hash": job.spec_hash, "kind": item["kind"],
+                "data": item})
+        last = _Subscription._last
+        if last[0] is not job or last[1] is not item:
+            last = _Subscription._last = (job, item,
+                                          _outcome_message(job, item))
+        return self.conn.send(last[2])
 
 
 class _ClientConn:
@@ -139,33 +156,25 @@ class ServeDaemon:
             raise ValueError(f"unknown worker mode {mode!r}")
         self.address = address
         self.workers = workers if workers and workers > 0 else (
-            os.cpu_count() or 1
-        )
+            os.cpu_count() or 1)
         self.mode = mode
-        if cache is False:
-            self.cache: Optional[ResultCache] = None
-        elif cache is None:
-            self.cache = ResultCache()
-        elif isinstance(cache, ResultCache):
-            self.cache = cache
-        else:
-            self.cache = ResultCache(cache)
+        self.cache: Optional[ResultCache] = (
+            None if cache is False else cache
+            if isinstance(cache, ResultCache) else ResultCache(cache))
         self._journal_path = journal
         self.grace_s = grace_s
-        self.checkpoint_dir = checkpoint_dir
-        self._owns_spool = spool_dir is None
-        self.spool_dir = Path(spool_dir) if spool_dir else None
         self.poll_interval_s = poll_interval_s
         self.progress = progress
 
-        self.store = JobStore(cache=self.cache)
-        self.scheduler = FairScheduler(max_inflight_per_client)
         self.core = ExecutionCore(
-            self.scheduler, self._pool_call, self._on_event,
             workers=self.workers, mode=self.mode, cache=self.cache,
             timeout_s=timeout_s, retries=retries,
-        )
-        self.counters: Dict[str, int] = {n: 0 for n in COUNTER_NAMES}
+            checkpoint_dir=checkpoint_dir, spool_dir=spool_dir,
+            max_inflight_per_client=max_inflight_per_client,
+            narrate=self._say)
+        self.store, self.scheduler = self.core.store, self.core.queue
+        self.counters: Dict[str, int] = dict.fromkeys(
+            ("submitted", "attached", "cache_hits", "clients"), 0)
         self._counters_lock = threading.Lock()
 
         self._abort = False
@@ -184,12 +193,6 @@ class ServeDaemon:
         if self._started:
             return self
         self._started = True
-        if self.spool_dir is None:
-            self.spool_dir = Path(
-                tempfile.mkdtemp(prefix="repro-serve-spool-")
-            )
-        else:
-            self.spool_dir.mkdir(parents=True, exist_ok=True)
         started = note_record("serve_start", address=self.address,
                               workers=self.workers, mode=self.mode)
         if self._journal_path is not None:
@@ -238,8 +241,9 @@ class ServeDaemon:
 
     def status(self) -> Dict[str, Any]:
         with self._counters_lock:
-            counters = dict(self.counters, retried=self.core.retried,
-                            worker_losses=self.core.worker_losses)
+            counters = {name: self.counters.get(name, 0)
+                        + getattr(self.core, name, 0)
+                        for name in COUNTER_NAMES}
         # Where the jobs are is the core's knowledge; a job waiting out a
         # retry back-off is on its way back into the queue.
         jobs = {
@@ -352,30 +356,10 @@ class ServeDaemon:
             conn.send({"type": "error",
                        "message": f"bad spec: {type(exc).__name__}: {exc}"})
             return
-        subscription = _Subscription(
-            conn, wants_stream=bool(message.get("stream", True))
-        )
-        job, status = self.store.submit(spec, client=conn.name,
-                                        subscriber=subscription)
-        self._count("submitted")
-        journal = self.core.journal
-        if journal is not None:
-            self.core.persist(journal.record_spec, spec)
-        accepted = {"type": "accepted", "job_id": job.id,
-                    "spec_hash": job.spec_hash, "status": status}
-        if status == "cached":
-            # Answered here, on the client's thread: a cache hit never
-            # enters the core.  Both lines leave in one socket write.
-            self._count("cache_hits")
-            if journal is not None:
-                self.core.persist(journal.append, outcome_record(job.result))
-            conn.send(accepted, _outcome_message(job, job.result))
-        else:
-            conn.send(accepted)
-            if status == "attached":
-                self._count("attached")
-            else:
-                self.core.submit(job)
+        # A cache hit is answered here, on the client's thread, and never
+        # reaches the queue.
+        job, status = self.core.submit(spec, conn.name, _Subscription(
+            self, conn, wants_stream=bool(message.get("stream", True))))
         if self.progress is not None:
             self._say(note_record("submit", job=job.id, status=status,
                                   client=conn.name), spec.display)
@@ -386,75 +370,15 @@ class ServeDaemon:
         core = self.core
         try:
             while not core.draining:
-                self._turn()
+                core.pump(self.poll_interval_s)
             if core.journal is not None:
                 core.persist(core.journal.append, note_record(
                     "drain", running=len(core.running),
                     queued=len(self.scheduler)))
             while not core.idle:
-                self._turn()
+                core.pump(self.poll_interval_s)
         finally:
             self._stop()
-
-    def _turn(self) -> None:
-        self.core.pump(self.poll_interval_s)
-        for job in self.core.running:
-            self._drain_spool(job)
-
-    def _pool_call(self, job: Job) -> tuple:
-        """The core is about to start an attempt of ``job``."""
-        job.progress_path = str(self.spool_dir / f"{job.id}.progress.jsonl")
-        self._count("dispatched")
-        job.broadcast({"type": "progress", "job_id": job.id,
-                       "spec_hash": job.spec_hash, "kind": "lifecycle",
-                       "data": record("lifecycle", phase="dispatched",
-                                      detail={"attempt": job.attempts})},
-                      stream_only=True)
-        # Looked up at call time: tests substitute the worker entry.
-        return (serve_entry, job.spec, job.progress_path,
-                self.core.timeout_s, self.checkpoint_dir)
-
-    def _on_event(self, kind: str, job: Job, detail: Any) -> None:
-        """The core's listener: progress lines, counters, fan-out."""
-        if kind == "note":
-            self._say(detail, job and job.spec.display)
-            return
-        self._say(outcome_record(detail), job.spec.display)
-        self._drain_spool(job, final=True)
-        self.store.finish(job)
-        # Count before broadcasting: a client that queries status
-        # right after receiving its result must see this outcome.
-        if detail.ok:
-            # ``from_cache``: the dispatch-time re-check hit.
-            self._count("cache_hits" if detail.from_cache else "completed")
-        else:
-            self._count("failed")
-        job.broadcast(_outcome_message(job, detail))
-
-    # -- progress streaming -------------------------------------------
-
-    def _drain_spool(self, job: Job, final: bool = False) -> None:
-        """Forward new spool lines to subscribers (ordered vs result:
-        the final drain runs before the result broadcast)."""
-        path = job.progress_path
-        if path is None:
-            return
-        try:  # a torn final line is left for the next poll
-            records, job.progress_offset, _ = read_records(
-                path, job.progress_offset)
-        except OSError:
-            return
-        for line in records:
-            job.broadcast({"type": "progress", "job_id": job.id,
-                           "spec_hash": job.spec_hash, "kind": line["kind"],
-                           "data": line},
-                          stream_only=True)
-        if final:
-            job.progress_path = None
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
 
     # -- shutdown ------------------------------------------------------
 
@@ -482,8 +406,6 @@ class ServeDaemon:
         if self.core.journal is not None:
             self.core.persist(self.core.journal.append, exited)
             self.core.persist(self.core.journal.close)
-        if self._owns_spool and self.spool_dir is not None:
-            shutil.rmtree(self.spool_dir, ignore_errors=True)
         self._say(exited)
         self._stopped.set()
 

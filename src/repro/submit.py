@@ -17,24 +17,14 @@ stand in for any ``runner=``; otherwise the given or ambient
 :class:`Runner`.  A tool can therefore pass both straight through
 without asking which applies.
 
-Either way the caller gets a :class:`RunHandle` with the same three
-affordances — ``.done``, ``.stream()`` (progress records), and
-``.result()`` / ``.outcome()`` — and, by construction, the same
-payload: both roads execute through
-:func:`repro.lab.runner.execute_run` against the same content-addressed
-cache, so a result is bitwise-identical whichever road it traveled.
-
-In-process
-    Synchronous-eager: the spec runs to completion (cache, retries,
-    timeouts included) before :func:`submit` returns.  The handle is
-    already done; ``stream()`` replays the run's obs time-series from
-    the result.
-
-Served
-    The spec travels to a ``repro serve`` daemon (address or live
-    :class:`~repro.serve.client.ServeClient`), which dedupes it against
-    the shared cache and all in-flight work, executes at most once, and
-    streams progress back live.
+The roads differ only in transport.  A :class:`Runner` is the daemon's
+engine (:class:`~repro.lab.core.ExecutionCore`) without a socket: the
+same dedup, queue, worker entry, progress spool and settle-once policy.
+Either way the caller gets a :class:`RunHandle` — ``.done``,
+``.status``, ``.stream()`` (the progress records the run spooled),
+``.result()`` / ``.outcome()`` — and the same payload.  In-process is
+synchronous-eager: the spec runs to completion on the caller's thread
+before :func:`submit` returns.  Served, progress streams back live.
 
 :class:`SubmitBatch` is the many-spec variant; its :attr:`~SubmitBatch.
 report` is an ordinary :class:`~repro.lab.runner.BatchReport`, so sweep
@@ -47,7 +37,7 @@ import time
 from typing import (Any, Dict, Iterator, List, Optional, Sequence, Union)
 
 from repro.lab.core import persist
-from repro.lab.journal import outcome_record, record, render
+from repro.lab.journal import outcome_record, render
 from repro.lab.results import LabError, RunFailure, RunResult
 from repro.lab.runner import BatchReport, Runner
 from repro.lab.spec import RunSpec
@@ -61,76 +51,44 @@ class RunFailedError(LabError):
         self.failure = failure
 
 
-def _replay_progress(outcome: Union[RunResult, RunFailure]
-                     ) -> List[Dict[str, Any]]:
-    """Synthesize the progress feed a server client would have seen.
-
-    An in-process run completes before the handle exists, so streaming
-    is a replay, in the worker's records: lifecycle marks bracketing the
-    obs time-series rows the run collected (none when the spec skipped obs).
-    """
-    records = [record("lifecycle", phase="started",
-                      detail={"spec_hash": outcome.spec_hash})]
-    if isinstance(outcome, RunResult):
-        series = (outcome.obs or {}).get("series") or {}
-        records += [record("sample", row=row)
-                    for row in series.get("rows", [])]
-        records.append(record("lifecycle", phase="finished", detail={
-            "cycles": outcome.cycles,
-            "elapsed_s": round(outcome.elapsed_s, 3)}))
-    else:
-        records.append(record("lifecycle", phase="failed",
-                              detail={"error": outcome.error_type}))
-    return records
-
-
 class RunHandle:
     """One submitted run, whichever road it took.
 
-    ``done`` / ``stream()`` / ``outcome()`` / ``result()`` behave
-    identically whether the run executed in-process (already complete)
-    or is simulating in a daemon right now (progress arrives live).
+    ``done`` / ``status`` / ``stream()`` / ``outcome()`` / ``result()``
+    behave identically over an in-process run's (already complete)
+    :class:`~repro.lab.runner.Inbox` and a daemon's live
+    :class:`~repro.serve.client.ServeHandle`.
     """
 
-    def __init__(self, spec: RunSpec, *,
-                 outcome: Optional[Union[RunResult, RunFailure]] = None,
-                 serve_handle=None, batch: "Optional[SubmitBatch]" = None
-                 ) -> None:
+    def __init__(self, spec: RunSpec, handle,
+                 batch: "SubmitBatch") -> None:
         self.spec = spec
-        self._outcome = outcome
-        self._serve_handle = serve_handle
-        #: The batch a served handle was submitted in: it owns the
+        self._handle = handle
+        self._outcome: Optional[Union[RunResult, RunFailure]] = None
+        #: The batch this handle was submitted in: it may own the
         #: connection and is told when this handle resolves.
         self._batch = batch
 
     @property
     def done(self) -> bool:
-        if self._outcome is not None:
-            return True
-        return self._serve_handle is not None and self._serve_handle.done
+        return self._handle.done
 
     @property
     def status(self) -> str:
-        """Submission status: ``completed`` (in-process) or the daemon's
-        ``queued`` / ``attached`` / ``cached``."""
-        if self._serve_handle is not None:
-            return self._serve_handle.status
-        return "completed"
+        """Submission status: ``queued``, ``attached`` or ``cached``."""
+        return self._handle.status
 
     def stream(self) -> Iterator[Dict[str, Any]]:
         """Yield progress records (v1 host records: ``lifecycle`` /
         ``sample`` / ``event`` / ``event_gap``) until the run is terminal."""
-        if self._serve_handle is not None:
-            for message in self._serve_handle.stream():
-                yield message.get("data", message)
-            return
-        yield from _replay_progress(self._outcome)
+        for message in self._handle.stream():  # a served one wraps it
+            yield message.get("data", message)
 
     def outcome(self, timeout: Optional[float] = None
                 ) -> Union[RunResult, RunFailure]:
         """Block for the terminal record — a result *or* a failure."""
         if self._outcome is None:
-            self._outcome = self._serve_handle.outcome(timeout)
+            self._outcome = self._handle.outcome(timeout)
             self._batch._handle_resolved()
         return self._outcome
 
@@ -143,9 +101,7 @@ class RunHandle:
         return outcome
 
     def wait(self, timeout: Optional[float] = None) -> bool:
-        if self._outcome is not None:
-            return True
-        return self._serve_handle.wait(timeout)
+        return self._handle.wait(timeout)
 
 
 class SubmitBatch:
@@ -223,19 +179,14 @@ def submit(
         spec: the fully-described simulation to run.
         server: daemon address (Unix-socket path or ``host:port``) or a
             connected :class:`~repro.serve.client.ServeClient`.  Given,
-            the spec is submitted to that daemon and the handle resolves
-            as it reports back — ``runner`` is then not used; ``None``,
-            the spec runs in this process, synchronously, and the handle
-            returns already done.
+            the spec is submitted to that daemon and ``runner`` is not
+            used; ``None``, the spec runs in this process.
         runner: the :class:`Runner` for an in-process run (defaults to
             the ambient :func:`repro.lab.current_runner`).
         client_name: client identity for the daemon's fairness
             accounting.
         stream: ask the daemon for live progress records (an in-process
-            handle can always replay).
-
-    Returns:
-        A :class:`RunHandle`.
+            handle always has the records its run spooled).
     """
     return submit_many([spec], server=server, runner=runner,
                        client_name=client_name, stream=stream).handles[0]
@@ -252,8 +203,9 @@ def submit_many(
 ) -> SubmitBatch:
     """Execute a batch of specs (``server`` / ``runner`` as :func:`submit`).
 
-    In-process the batch is one :meth:`Runner.run_many` call — cache,
-    retries, journal, and drain semantics are exactly the runner's.
+    In-process the batch is one :meth:`Runner.run_many` call — dedup,
+    cache, retries, journal, and drain semantics are exactly the
+    engine's, as they are served.
     Served, every spec goes out over one connection (the daemon
     dedupes and schedules fairly against other clients) and, when
     ``journal`` (an open :class:`~repro.lab.journal.SweepJournal`, as
@@ -268,11 +220,10 @@ def submit_many(
     specs = list(specs)
     if server is None:
         report = (runner or current_runner()).run_many(specs, journal=journal)
-        return SubmitBatch(
-            [RunHandle(spec, outcome=outcome)
-             for spec, outcome in zip(specs, report.results)],
-            report=report,
-        )
+        batch = SubmitBatch([], report=report)
+        batch.handles = [RunHandle(spec, inbox, batch)
+                         for spec, inbox in zip(specs, report.handles)]
+        return batch
 
     from repro.serve.client import ServeClient
 
@@ -296,9 +247,7 @@ def submit_many(
             if journal is not None:
                 mirror(journal.record_spec, spec)
             batch.handles.append(RunHandle(
-                spec, batch=batch,
-                serve_handle=client.submit(spec, stream=stream),
-            ))
+                spec, client.submit(spec, stream=stream), batch))
         if journal is not None:
             for handle in batch.handles:  # each the moment it arrives
                 mirror(journal.append, outcome_record(handle.outcome()))

@@ -7,6 +7,7 @@ injected ``run_fn`` stubs so they are fast and deterministic.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import pytest
@@ -25,7 +26,7 @@ from repro.lab import (
     current_runner,
     use_runner,
 )
-from repro.lab.journal import SweepJournal, load_journal
+from repro.lab.journal import SweepJournal, load_journal, read_records
 from repro.lab.results import RunResult
 from repro.lab.spec import _canonical_json
 from repro.metrics.stats import SimStats
@@ -289,6 +290,35 @@ def test_batch_journal_contents(tmp_path):
     assert closing["note"] == "batch_end"
     assert closing["detail"] == {"retried": 0, "worker_losses": 0,
                                  "stragglers": 0, "interrupted": False}
+
+
+@pytest.mark.parametrize("mode, workers", [("thread", 2), ("serial", 1)])
+def test_identical_specs_in_one_batch_simulate_once(tmp_path, mode, workers):
+    """A batch is one client of the serve engine: a spec already in
+    flight gains a subscriber instead of a second run, with no cache to
+    catch it; each slot keeps its own label, in spec order."""
+    runs = []
+
+    def counting(spec):
+        runs.append(spec.content_hash())
+        return _fake_result(spec)
+
+    a, b = vecadd_spec(), vecadd_spec(bows=1000)
+    specs = [dataclasses.replace(a, label="a1"),
+             dataclasses.replace(a, label="a2"), b]
+    runner = Runner(workers=workers, mode=mode, run_fn=counting, cache=None)
+    with SweepJournal(tmp_path / "batch.jsonl") as journal:
+        report = runner.run_many(specs, journal=journal)
+    hashes = [spec.content_hash() for spec in specs]
+    assert sorted(runs) == sorted({*hashes})
+    assert [r.ok for r in report.results] == [True] * 3
+    assert [r.spec_hash for r in report.results] == hashes
+    assert [r.label for r in report.results] == ["a1", "a2", None]
+    assert [h.status for h in report.handles] == [
+        "queued", "attached", "queued"]
+    records, _, _ = read_records(tmp_path / "batch.jsonl")
+    outcomes = [r["hash"] for r in records if r["kind"] in ("done", "failed")]
+    assert sorted(outcomes) == sorted({*hashes})
 
 
 def test_failed_runs_are_not_cached(tmp_path):

@@ -16,7 +16,6 @@ import pytest
 
 from repro.harness import experiments as E
 from repro.lab import ResultCache, Runner, RunSpec, use_runner
-from repro.lab.runner import execute_run
 
 KERNELS = ["ht", "tsp"]
 DELAYS = (None, 0, "adaptive")

@@ -36,7 +36,7 @@ from pathlib import Path
 import pytest
 
 import repro.lab.runner as runner_mod
-import repro.serve.daemon as daemon_mod
+import repro.lab.core as core_mod
 from repro.harness.runner import make_config
 from repro.lab import (FileLock, LockTimeout, ResultCache, Runner, RunSpec,
                        decorrelated_jitter, load_journal, resume_sweep)
@@ -45,7 +45,7 @@ from repro.lab.journal import (NOTE_LINES, RECORD_KEYS, JournalError,
                                SweepJournal, note_record, outcome_record,
                                read_records, record, render)
 from repro.lab.results import LabError, RunFailure
-from repro.lab.runner import _run_with_timeout
+from repro.lab.worker import _run_with_timeout
 from repro.serve import ServeClient, ServeDaemon
 from repro.submit import submit_many
 from repro.sim.progress import SimulationDeadlock
@@ -258,7 +258,7 @@ def test_a_full_disk_under_a_served_client_journal_returns_a_full_report(
     """The client's mirror of a served batch (its ``spec`` records, then
     its outcomes) follows the runner road's rule: noted, not raised."""
     notes = []
-    monkeypatch.setattr(daemon_mod, "serve_entry",
+    monkeypatch.setattr(core_mod, "serve_entry",
                         lambda spec, *_args: _testing.fabricate_result(spec))
     with SweepJournal(tmp_path / "client.jsonl") as journal:
         monkeypatch.setattr(SweepJournal, write, _disk_full)
@@ -279,7 +279,7 @@ def test_a_full_disk_under_serve_settles_every_submission(
     daemon keeps answering."""
     notes = []
     daemon.progress = notes.append
-    monkeypatch.setattr(daemon_mod, "serve_entry",
+    monkeypatch.setattr(core_mod, "serve_entry",
                         lambda spec, *_args: _testing.fabricate_result(spec))
     specs = [_spec(i) for i in range(3)]
     with ServeClient(daemon.address, name="full-disk") as client:
@@ -355,7 +355,7 @@ def _journal_lines(path):
 
 
 def _spool_lines(path):
-    from repro.serve.worker import ProgressWriter
+    from repro.lab.worker import ProgressWriter
 
     writer = ProgressWriter(path)
     writer.lifecycle("started", pid=1)
@@ -668,7 +668,7 @@ def travel(request, tmp_path, monkeypatch):
         return report.results[0], closing["detail"], journal_path
 
     def served(run_fn, retries, drain_after_s=None):
-        monkeypatch.setattr(daemon_mod, "serve_entry",
+        monkeypatch.setattr(core_mod, "serve_entry",
                             functools.partial(_entry_without_spool, run_fn))
         sock_dir = tempfile.mkdtemp(prefix="repro-litmus-")  # short path
         daemon = ServeDaemon(os.path.join(sock_dir, "s.sock"), workers=1,
@@ -778,7 +778,8 @@ def test_queue_time_is_not_on_the_straggler_or_elapsed_clock():
 def test_a_freed_worker_is_refilled_before_its_result_is_persisted(
         tmp_path, mode):
     """(g) In a pool, the task after the staged one is dispatched (its
-    dispatch-time cache re-check is the ``get``) before the pump thread
+    dispatch-time cache re-check is its last ``get``; the first is the
+    submission's) before the pump thread
     spends time persisting the result that freed the worker; in serial
     mode a dispatch *is* the run, so each result is persisted first."""
     log = []
@@ -800,11 +801,12 @@ def test_a_freed_worker_is_refilled_before_its_result_is_persisted(
                     run_fn=run_fn)
     report = runner.run_many([_spec(i) for i in range(6)])
     assert all(r.ok for r in report.results)
+    at = {entry: index for index, entry in enumerate(log)}  # the last
     for seed in range(4):
         if mode == "thread":  # 0 running, 1 staged; 0 lands: 2, then 0
-            assert log.index(("get", seed + 2)) < log.index(("put", seed))
+            assert at[("get", seed + 2)] < at[("put", seed)]
         else:
-            assert log.index(("put", seed)) < log.index(("get", seed + 1))
+            assert at[("put", seed)] < at[("get", seed + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -960,7 +962,7 @@ def _sim_spec() -> RunSpec:
 
 def test_execute_run_resumes_from_a_live_checkpoint(tmp_path):
     from repro.kernels import build as build_workload
-    from repro.lab.runner import execute_run
+    from repro.lab.worker import execute_run
     from repro.obs import Observability
     from repro.sim.gpu import GPU
 
@@ -985,7 +987,7 @@ def test_execute_run_resumes_from_a_live_checkpoint(tmp_path):
 
 
 def test_execute_run_recovers_from_a_corrupt_checkpoint(tmp_path):
-    from repro.lab.runner import execute_run
+    from repro.lab.worker import execute_run
 
     spec = _sim_spec()
     ckpt_dir = tmp_path / "ckpts"

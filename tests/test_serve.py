@@ -22,6 +22,7 @@ Covered guarantees (see ``docs/serve.md``):
 * SIGTERM **drains to the journal** (subprocess test).
 """
 
+import dataclasses
 import os
 import queue
 import shutil
@@ -34,13 +35,14 @@ import time
 
 import pytest
 
+import repro.lab.core as core_mod
 import repro.serve.daemon as daemon_mod
 from repro.harness.runner import make_config
 from repro.lab._testing import fabricate_result
 from repro.lab.cache import ResultCache
 from repro.lab.journal import load_journal, read_records
 from repro.lab.results import RunFailure, RunResult
-from repro.lab.runner import execute_run
+from repro.lab.worker import execute_run
 from repro.lab.spec import RunSpec
 from repro.obs import ObsConfig
 from repro.serve import ServeClient, ServeDaemon, ServeError, protocol
@@ -172,7 +174,7 @@ def test_resumed_run_streams_from_the_resume_cycle(serve_dir, monkeypatch):
     the second ``serve_entry`` resumes from it and its spool carries the
     rows and events *after* that point — the restored Observability gets
     the new spool as a subscriber — never a re-send from cycle 0."""
-    from repro.serve.worker import ProgressWriter, serve_entry
+    from repro.lab.worker import ProgressWriter, serve_entry
 
     spec = _checkpointing_spec()
     ckpt_dir = os.path.join(serve_dir, "ckpt")
@@ -291,13 +293,13 @@ def gated_worker(monkeypatch):
     """Block the worker entry until released — makes in-flight windows
     deterministic instead of racing real simulations."""
     gate = threading.Event()
-    real = daemon_mod.serve_entry
+    real = core_mod.serve_entry
 
     def gated(spec, *args, **kwargs):
         assert gate.wait(30), "test forgot to release the worker gate"
         return real(spec, *args, **kwargs)
 
-    monkeypatch.setattr(daemon_mod, "serve_entry", gated)
+    monkeypatch.setattr(core_mod, "serve_entry", gated)
     return gate
 
 
@@ -312,13 +314,14 @@ def test_concurrent_duplicates_simulate_exactly_once(daemon, gated_worker):
         while daemon.status()["counters"]["dispatched"] < 1:
             assert time.monotonic() < deadline
             time.sleep(0.01)
-        hb = b.submit(spec)
+        hb = b.submit(dataclasses.replace(spec, label="dup-b"))
         assert hb.status == "attached"
         gated_worker.set()
         ra, rb = ha.outcome(timeout=60), hb.outcome(timeout=60)
 
     assert isinstance(ra, RunResult) and isinstance(rb, RunResult)
     assert ra.cycles == rb.cycles
+    assert (ra.label, rb.label) == ("dup", "dup-b")  # each keeps its own
     counters = daemon.status()["counters"]
     assert counters["dispatched"] == 1      # exactly one simulation
     assert counters["attached"] == 1
@@ -400,18 +403,19 @@ def test_subscriber_attached_during_a_broadcast_is_kept():
         def __init__(self, blocks=False):
             self.blocks, self.got = blocks, []
 
-        def send(self, message):
-            if self.blocks and message["type"] == "progress":
+        def send(self, job, item):
+            kind = "progress" if isinstance(item, dict) else "result"
+            if self.blocks and kind == "progress":
                 entered.set()
                 assert release.wait(10)
-            self.got.append(message["type"])
+            self.got.append(kind)
             return True
 
     store = JobStore(cache=None)
     slow, late = Subscriber(blocks=True), Subscriber()
     job, _ = store.submit(_spec(), client="a", subscriber=slow)
     sender = threading.Thread(target=job.broadcast,
-                              args=({"type": "progress"},), daemon=True)
+                              args=({"kind": "lifecycle"},), daemon=True)
     sender.start()
     assert entered.wait(10)
     _, status = store.submit(_spec(), client="b", subscriber=late)
@@ -419,7 +423,7 @@ def test_subscriber_attached_during_a_broadcast_is_kept():
     release.set()
     sender.join(10)
     assert not sender.is_alive()
-    job.broadcast({"type": "result"})
+    job.broadcast(fabricate_result(job.spec))
     assert slow.got == ["progress", "result"]
     assert late.got == ["result"]
 
@@ -559,7 +563,7 @@ def gated_recorder(monkeypatch):
         assert gate.wait(30), "test forgot to release the worker gate"
         return fabricate_result(spec)
 
-    monkeypatch.setattr(daemon_mod, "serve_entry", entry)
+    monkeypatch.setattr(core_mod, "serve_entry", entry)
     return gate, started
 
 
@@ -638,9 +642,9 @@ def test_drain_interrupts_the_whole_backlog_at_once(
     failures = []  # (job id, subscribers the failure reached)
     real_broadcast = Job.broadcast
 
-    def broadcast(job, message, stream_only=False):
-        delivered = real_broadcast(job, message, stream_only)
-        if message["type"] == "failure":
+    def broadcast(job, item, stream_only=False):
+        delivered = real_broadcast(job, item, stream_only)
+        if isinstance(item, RunFailure):
             failures.append((job.id, delivered))
         return delivered
 
@@ -678,7 +682,7 @@ def test_concurrent_clients_every_submission_settles_once(
     """More client threads than cores push into the core's queue while
     its one pump thread dispatches and settles: every handle resolves,
     every distinct spec is simulated and completed exactly once."""
-    monkeypatch.setattr(daemon_mod, "serve_entry",
+    monkeypatch.setattr(core_mod, "serve_entry",
                         lambda spec, *_args: fabricate_result(spec))
     n_clients, n_specs = 8, 12
     specs = [_spec(seed=i, label=f"s{i}") for i in range(n_specs)]

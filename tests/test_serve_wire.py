@@ -22,7 +22,7 @@ from repro.harness.runner import make_config
 from repro.lab import cache as cache_mod
 from repro.lab import journal, results
 from repro.lab.results import RunFailure, RunResult
-from repro.lab.runner import execute_run
+from repro.lab.worker import execute_run
 from repro.lab.spec import RunSpec
 from repro.obs import ObsConfig
 from repro.serve import protocol

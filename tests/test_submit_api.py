@@ -40,7 +40,7 @@ def test_local_submit_is_done_immediately():
     handle = submit(_spec(label="eager"), runner=_runner())
     assert isinstance(handle, RunHandle)
     assert handle.done
-    assert handle.status == "completed"
+    assert handle.status == "queued"  # the engine's verdict, as served
     assert handle.wait(0)
     result = handle.result()
     assert isinstance(result, RunResult)
@@ -48,12 +48,19 @@ def test_local_submit_is_done_immediately():
     assert result.label == "eager"
 
 
+def _phases(handle):
+    """A stream as ``(kind, phase)`` pairs (``phase`` of lifecycle marks)."""
+    return [(r["kind"], r.get("phase")) for r in handle.stream()]
+
+
 def test_local_stream_replays_lifecycle_only_without_obs():
+    """The stream is what the run spooled: the engine's dispatch mark,
+    then the worker's lifecycle marks, and no samples without obs."""
     handle = submit(_spec(), runner=_runner())
+    assert _phases(handle) == [("lifecycle", "dispatched"),
+                               ("lifecycle", "started"),
+                               ("lifecycle", "finished")]
     records = list(handle.stream())
-    assert [r["kind"] for r in records] == ["lifecycle", "lifecycle"]
-    assert records[0]["phase"] == "started"
-    assert records[-1]["phase"] == "finished"
     assert records[-1]["detail"]["cycles"] == handle.result().cycles
 
 
@@ -67,6 +74,19 @@ def test_local_stream_replays_obs_samples():
     assert kinds.count("sample") == len(rows)
 
 
+@pytest.mark.parametrize("obs", [None, ObsConfig(sample_interval=100)],
+                         ids=["no-obs", "obs"])
+def test_local_and_served_streams_carry_the_same_marks(daemon, obs):
+    """Both roads spool through the one worker entry and fan out through
+    the one engine: the same spec streams the same ``(kind, phase)``."""
+    spec = _spec(obs=obs, params=dict(VECADD, per_thread=3))
+    local = submit(spec, runner=_runner())
+    served = submit(spec, server=daemon.address)
+    assert served.status == local.status == "queued"
+    assert _phases(served) == _phases(local)
+    assert served.result(timeout=120).cycles == local.result().cycles
+
+
 def test_local_failure_surfaces_as_runfailederror():
     bad = _spec(params=dict(VECADD, per_thread=-1))
     handle = submit(bad, runner=_runner())
@@ -76,7 +96,7 @@ def test_local_failure_surfaces_as_runfailederror():
     with pytest.raises(RunFailedError) as excinfo:
         handle.result()
     assert excinfo.value.failure is outcome
-    # The failed replay stream says so.
+    # The worker spooled the failure before the engine settled it.
     assert list(handle.stream())[-1]["phase"] == "failed"
 
 
@@ -132,7 +152,7 @@ def test_server_backend_matches_local(daemon):
 @pytest.mark.parametrize("road", ["local", "served"])
 def test_stream_yields_v1_host_records(daemon, road):
     """Both roads stream records the host record constructor accepts:
-    the replay builds them as the worker's spool does."""
+    the worker's spool, fanned out by the one engine."""
     spec = _spec(obs=ObsConfig(sample_interval=100), label="records")
     handle = (submit(spec, runner=_runner()) if road == "local"
               else submit(spec, server=daemon.address))
