@@ -17,7 +17,9 @@ behind a socket — so a run's fate cannot depend on the road it travels
   alone says which;
 * the cache is re-checked at dispatch; a hit never reaches a worker;
 * every attempt runs the one worker entry, :func:`~repro.lab.worker.
-  serve_entry`, whose progress spool the pump tails and fans out;
+  serve_entry`, whose progress spool the pump tails and fans out — a
+  job is spooled only if a subscriber present at its dispatch wants
+  the stream;
 * a fresh result is persisted, then journaled, then announced — after
   the worker it freed has been handed its next job; a failed write (a
   full disk) costs durability, never the outcome (``persist``);
@@ -183,7 +185,8 @@ class Job:
     subscribers: List[Any] = field(default_factory=list)
     #: Set only on a ``"cached"`` submission: the entry that answered it.
     result: Optional[RunResult] = None
-    #: Progress spool the worker writes and the pump tails.
+    #: Progress spool the worker writes and the pump tails (``None``
+    #: while nobody streams the job).
     progress_path: Optional[str] = None
     #: Bytes of the spool already fanned out to subscribers.
     progress_offset: int = 0
@@ -369,8 +372,8 @@ class ExecutionCore:
         self.run_fn = run_fn
         self.checkpoint_dir = checkpoint_dir
         #: Where the workers spool progress (their writer makes the given
-        #: directory), or one made at the first dispatch and removed by
-        #: :meth:`close`.
+        #: directory), or one made at the first spooled dispatch and
+        #: removed by :meth:`close`.
         self.spool_dir = spool_dir
         self._owns_spool = spool_dir is None
         self.narrate = narrate
@@ -567,10 +570,12 @@ class ExecutionCore:
             return
         job.attempts += 1
         job.straggler = False
-        if self.spool_dir is None:
-            self.spool_dir = tempfile.mkdtemp(prefix="repro-spool-")
-        job.progress_path = os.path.join(self.spool_dir,
-                                         f"{job.id}.progress.jsonl")
+        if job.progress_path is None and any(
+                sub.wants_stream for sub in job.subscribers):
+            if self.spool_dir is None:
+                self.spool_dir = tempfile.mkdtemp(prefix="repro-spool-")
+            job.progress_path = os.path.join(self.spool_dir,
+                                             f"{job.id}.progress.jsonl")
         self.dispatched += 1
         job.broadcast(record("lifecycle", phase="dispatched",
                              detail={"attempt": job.attempts}),

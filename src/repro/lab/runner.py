@@ -36,7 +36,8 @@ import dataclasses
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Union)
 
 from repro.lab.cache import ResultCache
 from repro.lab.core import BACKOFF_BASE_S, ExecutionCore
@@ -51,46 +52,117 @@ from repro.lab.spec import RunSpec
 POOL_LINGER_S = 0.1
 
 
-class Inbox:
-    """One spec of a local batch: the in-process subscriber to its job,
-    then its handle (a :class:`~repro.serve.client.ServeHandle`'s shape)
-    over the records the run spooled and the outcome object itself."""
+class RunFailedError(LabError):
+    """`.result()` was asked for a run that failed; carries the record."""
 
-    wants_stream = True
+    def __init__(self, failure: RunFailure) -> None:
+        super().__init__(failure.describe())
+        self.failure = failure
 
-    def __init__(self, spec: RunSpec) -> None:
+
+class RunHandle:
+    """One submitted run, whichever road it took: the subscriber to its
+    job — fed by the engine of a :class:`Runner` batch, or by the serve
+    client's reader — and the caller's thread-safe view of it."""
+
+    def __init__(self, spec: RunSpec, wants_stream: bool = True) -> None:
         self.spec = spec
+        #: The caller asked for progress records; a job none of whose
+        #: subscribers asks for them at dispatch is not spooled.
+        self.wants_stream = wants_stream
         #: The engine's verdict at submission: queued, attached or cached.
         self.status: Optional[str] = None
-        self.records: List[Dict[str, Any]] = []
-        self.result: Optional[Union[RunResult, RunFailure]] = None
+        self.job_id: Optional[str] = None
+        self.spec_hash: Optional[str] = None
+        self._records: List[Dict[str, Any]] = []
+        #: The outcome, or the exception that lost it (served only).
+        self._outcome: Any = None
+        self._changed = threading.Condition(threading.Lock())
+        #: A :class:`~repro.submit.SubmitBatch` told when this resolves.
+        self._batch = None
+
+    # -- the subscriber's side -----------------------------------------
 
     def accepted(self, job, status: str) -> None:
-        self.status, self.result = status, job.result  # set if cached
+        self.job_id, self.spec_hash = job.id, job.spec_hash
+        self.status = status
+        if job.result is not None:  # cached: settled at submission
+            self.send(job, job.result)
 
     def send(self, job, item) -> bool:
-        if isinstance(item, dict):
-            self.records.append(item)
-        elif item.ok and item.label != self.spec.label:
-            # A duplicate attached to the job keeps its own label.
-            self.result = dataclasses.replace(item, label=self.spec.label)
-        else:
-            self.result = item
+        """``item``: a progress record (a ``dict``), then the outcome — a
+        :class:`RunResult`, a :class:`RunFailure`, or the exception that
+        lost it."""
+        with self._changed:
+            if isinstance(item, dict):
+                self._records.append(item)
+            elif self._outcome is None:
+                # An attached duplicate's outcome is about its own spec.
+                if isinstance(item, RunResult) \
+                        and item.label != self.spec.label:
+                    item = dataclasses.replace(item, label=self.spec.label)
+                elif isinstance(item, RunFailure) \
+                        and item.spec is not self.spec:
+                    item = dataclasses.replace(item, spec=self.spec)
+                self._outcome = item
+            self._changed.notify_all()
         return True
+
+    # -- the caller's side ---------------------------------------------
 
     @property
     def done(self) -> bool:
-        return self.result is not None
+        return self._outcome is not None
 
     def wait(self, timeout: Optional[float] = None) -> bool:
-        return self.done
+        with self._changed:
+            return self._changed.wait_for(lambda: self.done, timeout)
 
-    def stream(self):
-        return iter(self.records)
+    def stream(self) -> Iterator[Dict[str, Any]]:
+        """Yield the run's progress records (v1 host records:
+        ``lifecycle`` / ``sample`` / ``event`` / ``event_gap``), from the
+        first on every call, until the run is terminal."""
+        seen = 0
+        while True:
+            with self._changed:
+                self._changed.wait_for(
+                    lambda: self.done or len(self._records) > seen)
+                fresh, finished = self._records[seen:], self.done
+            seen += len(fresh)
+            yield from fresh
+            if finished:
+                return
 
     def outcome(self, timeout: Optional[float] = None
                 ) -> Union[RunResult, RunFailure]:
-        return self.result
+        """Block for the terminal record — a result *or* a failure."""
+        if not self.wait(timeout):
+            raise TimeoutError(
+                f"job {self.job_id} did not complete within {timeout}s")
+        if isinstance(self._outcome, Exception):
+            raise self._outcome
+        with self._changed:  # the batch hears of each handle once
+            batch, self._batch = self._batch, None
+        if batch is not None:
+            batch._handle_resolved()
+        return self._outcome
+
+    def result(self, timeout: Optional[float] = None) -> RunResult:
+        """Block for the :class:`RunResult`; a failed run raises
+        :class:`RunFailedError` carrying the failure record."""
+        outcome = self.outcome(timeout)
+        if isinstance(outcome, RunFailure):
+            raise RunFailedError(outcome)
+        return outcome
+
+
+class _Lent(list):
+    """A batch's specs with the handles their caller made for them
+    (``submit_many``'s, carrying its ``stream`` flag)."""
+
+    def __init__(self, handles: List[RunHandle]) -> None:
+        super().__init__(handle.spec for handle in handles)
+        self.handles = handles
 
 
 @dataclass
@@ -106,8 +178,8 @@ class BatchReport:
     stragglers: int = 0
     #: The batch was drained early by SIGINT/SIGTERM.
     interrupted: bool = False
-    #: Each spec's :class:`Inbox`, in spec order (a local batch's).
-    handles: List[Inbox] = field(default_factory=list, repr=False)
+    #: Each spec's :class:`RunHandle`, in spec order (a local batch's).
+    handles: List[RunHandle] = field(default_factory=list, repr=False)
 
     @property
     def total(self) -> int:
@@ -192,8 +264,10 @@ class Runner:
         batch at a time; a concurrent call raises :class:`LabError`.
         """
         start = time.perf_counter()
-        report = BatchReport(results=[],
-                             handles=[Inbox(spec) for spec in specs])
+        # Nobody streams a plain batch's runs, so none is spooled.
+        report = BatchReport(results=[], handles=(
+            specs.handles if isinstance(specs, _Lent) else
+            [RunHandle(spec, wants_stream=False) for spec in specs]))
         core = self._take_core()
         # The core outlives the batch; what belongs to the batch is wired
         # in here, and its counters are read as deltas.
@@ -201,8 +275,8 @@ class Runner:
         before = (core.retried, core.worker_losses, core.stragglers)
         reusable = False
         try:
-            for inbox in report.handles:
-                core.submit(inbox.spec, "batch", inbox)
+            for handle in report.handles:
+                core.submit(handle.spec, "batch", handle)
 
             def on_signal(repeat: bool) -> None:
                 if repeat:
@@ -213,7 +287,7 @@ class Runner:
             with core.drain_on_signal(self.grace_s, on_signal):
                 while not core.idle:
                     core.pump()
-            report.results = [inbox.outcome() for inbox in report.handles]
+            report.results = [handle.outcome() for handle in report.handles]
             report.retried = core.retried - before[0]
             report.worker_losses = core.worker_losses - before[1]
             report.stragglers = core.stragglers - before[2]

@@ -2,12 +2,13 @@
 
 :func:`serve_entry` is the execution core's one worker entry, whichever
 front end dispatched the run.  It runs :func:`execute_run` (or a
-``Runner(run_fn=)``) under the per-run ``SIGALRM`` timeout and writes
-the run's *progress spool*, a JSONL file of host records
-(:mod:`repro.lab.journal`) the core tails: ``lifecycle`` marks always
-and, when the spec asks for obs, the ``sample`` rows and ``event``
-records it collects.  A spec with ``obs=None`` streams lifecycle marks
-only: giving it a sampler would change the cached RunResult.
+``Runner(run_fn=)``) under the per-run ``SIGALRM`` timeout and, when
+someone streams the run, writes its *progress spool*, a JSONL file of
+host records (:mod:`repro.lab.journal`) the core tails: ``lifecycle``
+marks always and, when the spec asks for obs, the ``sample`` rows and
+``event`` records it collects.  A spec with ``obs=None`` streams
+lifecycle marks only: giving it a sampler would change the cached
+RunResult.
 """
 
 from __future__ import annotations
@@ -243,14 +244,18 @@ class ProgressWriter:
             self._spool.close()
 
 
-def serve_entry(spec: RunSpec, progress_path: str,
+def serve_entry(spec: RunSpec, progress_path: Optional[str],
                 timeout_s: Optional[float] = None, checkpoint_dir=None,
                 run_fn: Optional[Callable[[RunSpec], RunResult]] = None
                 ) -> RunResult:
-    """Execute one job, spooling progress to ``progress_path``.
+    """Execute one job, spooling progress to ``progress_path`` (``None``:
+    nobody streams the job, so nothing is spooled).
 
     ``run_fn`` stands in for :func:`execute_run` (then nothing taps the
     run's obs).  Exceptions propagate to the execution core."""
+    if progress_path is None:
+        return _run_with_timeout(run_fn or partial(
+            execute_run, checkpoint_dir=checkpoint_dir), spec, timeout_s)
     writer = ProgressWriter(progress_path)
     writer.lifecycle("started", pid=os.getpid(),
                      spec_hash=spec.content_hash())

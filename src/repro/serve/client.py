@@ -4,133 +4,86 @@
 daemon.ServeDaemon` and multiplexes any number of outstanding jobs over
 it.  A background reader thread routes incoming messages: direct
 replies (``accepted``, ``status``, ``pong``, ``shutting_down``,
-``error``) resolve in-order RPC waits, while per-job
-broadcasts (``progress``, ``result``, ``failure``) are delivered to the
-matching :class:`ServeHandle` by ``job_id``.  The correlation is safe
-because the daemon answers each request with exactly one direct reply,
-in request order, on the connection it arrived on.
+``error``) resolve in-order RPC waits, while per-job broadcasts
+(``progress``, ``result``, ``failure``) are decoded once and sent to
+the job's :class:`~repro.lab.runner.RunHandle`\\ s — the handle a local
+batch's engine feeds — by ``job_id``.  The correlation is safe because
+the daemon answers each request with exactly one direct reply, in
+request order, on the connection it arrived on.
 
 Typical use::
 
     with ServeClient("/tmp/repro.sock", name="sweep") as client:
         handles = [client.submit(spec) for spec in specs]
         for handle in handles:
-            for record in handle.stream():
+            for message in handle.stream():
                 ...                       # live samples/events
             outcome = handle.outcome()    # RunResult or RunFailure
 
-Handles are also safe to resolve without streaming: ``handle.outcome()``
-blocks until the daemon broadcasts the terminal message.  Losing the
-connection fails every outstanding handle with :class:`ServeError` —
-the daemon keeps running the jobs (their results still reach the shared
-cache), so resubmitting after reconnect completes from cache hits.
+A handle submitted with ``stream=False`` gets no progress;
+``handle.outcome()`` blocks until the daemon broadcasts the terminal
+message, streamed or not.  Losing the connection fails
+every outstanding handle with :class:`ServeError` — the daemon keeps
+running the jobs (their results still reach the shared cache), so
+resubmitting after reconnect completes from cache hits.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional
 
+from repro.lab.core import Job
 from repro.lab.results import RunFailure, RunResult
+from repro.lab.runner import RunHandle
 from repro.lab.spec import RunSpec
 from repro.serve import protocol
-
-#: Terminal marker on a handle's progress queue.
-_SENTINEL = object()
 
 
 class ServeError(RuntimeError):
     """The daemon refused a request or the connection was lost."""
 
 
-class ServeHandle:
-    """One submitted job as seen by the client."""
-
-    def __init__(self, client: "ServeClient", job_id: str, spec_hash: str,
-                 status: str, spec: Optional[RunSpec] = None) -> None:
-        self.client = client
-        self.job_id = job_id
-        self.spec_hash = spec_hash
-        #: Submission status: ``queued``, ``attached``, or ``cached``.
-        self.status = status
-        self.spec = spec
-        self._progress: "queue.Queue" = queue.Queue()
-        self._done = threading.Event()
-        self._outcome: Optional[Union[RunResult, RunFailure]] = None
-        self._error: Optional[Exception] = None
-
-    # -- reader-thread side -------------------------------------------
-
-    def _deliver(self, message: Dict[str, Any]) -> None:
-        kind = message.get("type")
-        if kind == "progress":
-            self._progress.put(message)
-        elif kind in ("result", "failure"):
-            try:
-                if kind == "result":
-                    outcome = RunResult.from_dict(message["result"])
-                    outcome.attempts = message["attempts"]
-                    outcome.from_cache = message["from_cache"]
-                    outcome.label = (self.spec.label if self.spec is not None
-                                     else message["label"])  # its own
-                else:
-                    outcome = RunFailure.from_record(message["failure"],
-                                                     spec=self.spec)
-            except (KeyError, TypeError, ValueError) as exc:
-                self._abort(ServeError(
-                    f"{kind} message does not decode: "
-                    f"{type(exc).__name__}: {exc}"))
-                return
-            self._finish(outcome)
-
-    def _finish(self, outcome: Union[RunResult, RunFailure]) -> None:
-        if self._done.is_set():
-            return
-        self._outcome = outcome
-        self._done.set()
-        self._progress.put(_SENTINEL)
-
-    def _abort(self, error: Exception) -> None:
-        if self._done.is_set():
-            return
-        self._error = error
-        self._done.set()
-        self._progress.put(_SENTINEL)
-
-    # -- consumer side -------------------------------------------------
-
-    @property
-    def done(self) -> bool:
-        return self._done.is_set()
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        return self._done.wait(timeout)
+class ServeHandle(RunHandle):
+    """:meth:`ServeClient.submit`'s handle: :meth:`stream` re-wraps each
+    record as its wire ``progress`` message, whose ``data`` the ledger
+    reads."""
 
     def stream(self) -> Iterator[Dict[str, Any]]:
-        """Yield ``progress`` messages until the job reaches a terminal
-        state (then call :meth:`outcome` for the result)."""
-        while True:
-            item = self._progress.get()
-            if item is _SENTINEL:
-                # Re-arm so a second stream() consumer also terminates.
-                self._progress.put(_SENTINEL)
-                return
-            yield item
+        for item in super().stream():
+            yield {"type": "progress", "job_id": self.job_id,
+                   "spec_hash": self.spec_hash, "kind": item["kind"],
+                   "data": item}
 
-    def outcome(self, timeout: Optional[float] = None
-                ) -> Union[RunResult, RunFailure]:
-        """Block for the terminal outcome (result *or* failure record)."""
-        if not self._done.wait(timeout):
-            raise TimeoutError(
-                f"job {self.job_id} did not complete within {timeout}s"
-            )
-        if self._error is not None:
-            raise ServeError(
-                f"job {self.job_id} outcome lost: {self._error}"
-            ) from self._error
-        assert self._outcome is not None
-        return self._outcome
+
+def _decode(message: Dict[str, Any]):
+    """A job's broadcast as the item its handles are sent: a progress
+    record, the outcome, or the :class:`ServeError` of a message that
+    does not decode."""
+    kind = message["type"]
+    try:
+        if kind == "progress":
+            return message["data"]
+        if kind == "failure":
+            return RunFailure.from_record(message["failure"])
+        outcome = RunResult.from_dict(message["result"])
+        outcome.attempts = message["attempts"]
+        outcome.from_cache = message["from_cache"]
+        outcome.label = message["label"]
+        return outcome
+    except (KeyError, TypeError, ValueError) as exc:
+        return ServeError(f"{kind} message does not decode: "
+                          f"{type(exc).__name__}: {exc}")
+
+
+def _fan_out(job: Job, item, handles) -> None:
+    """Send ``item`` to ``handles`` of ``job``; progress only to those
+    that asked for it."""
+    progress = isinstance(item, dict)
+    for handle in handles:
+        if handle.wants_stream or not progress:
+            handle.send(job, item)
 
 
 class ServeClient:
@@ -152,21 +105,19 @@ class ServeClient:
         #: Re-entrant: submit() holds it around its own _rpc().
         self._rpc_lock = threading.RLock()
         self._replies: "queue.Queue" = queue.Queue()
-        #: job_id -> every handle still waiting on it.  A list, not a
-        #: single handle: resubmitting a spec this client already has in
-        #: flight attaches to the same daemon job (same job_id), and
-        #: both handles must resolve.  The entry goes when the job's
-        #: terminal message is routed, so a long-lived client holds only
-        #: its outstanding handles.
-        self._handles: Dict[str, List[ServeHandle]] = {}
-        #: Broadcasts that arrived before submit() registered the handle
-        #: (the cached-path result can beat the accepted bookkeeping).
+        #: job_id -> the daemon's job as this client sees it: its
+        #: subscribers are every handle still waiting on it (a spec
+        #: resubmitted while in flight attaches to the same job).  The
+        #: entry goes when the job's terminal message is routed, so a
+        #: long-lived client holds only its outstanding handles.
+        self._jobs: Dict[str, Job] = {}
+        #: Progress that arrived before submit() registered the job.
         self._orphans: Dict[str, List[Dict[str, Any]]] = {}
-        #: While a submit is in progress: job_id -> terminal message
-        #: seen since the request went out.  A result can overtake the
+        #: While a submit is in progress: job_id -> terminal item seen
+        #: since the request went out.  A result can overtake the
         #: ``accepted`` reply of a resubmission that attached to its
         #: job; the late handle finds it here.  ``None`` between submits.
-        self._terminal: Optional[Dict[str, Dict[str, Any]]] = None
+        self._terminal: Optional[Dict[str, Any]] = None
         self._route_lock = threading.Lock()
         self._closed = False
         # Handshake happens synchronously so a version mismatch raises
@@ -197,34 +148,36 @@ class ServeClient:
             try:
                 message = self._stream.recv()
             except (protocol.ProtocolError, OSError, ValueError) as exc:
-                error = exc if isinstance(exc, Exception) else error
+                error = exc
                 break
             if message is None:
                 break
             job_id = message.get("job_id")
             if message.get("type") in ("progress", "result", "failure") \
                     and job_id is not None:
-                with self._route_lock:
-                    if message["type"] != "progress":
-                        handles = self._handles.pop(job_id, [])
-                        if self._terminal is not None:
-                            self._terminal[job_id] = message
-                    else:
-                        handles = list(self._handles.get(job_id, ()))
-                        if not handles:
-                            self._orphans.setdefault(job_id, []).append(
-                                message)
-                for handle in handles:
-                    handle._deliver(message)
+                self._route(job_id, _decode(message))
             else:
                 self._replies.put(message)
         # Connection gone: fail every outstanding wait.
-        self._replies.put({"type": "error",
-                           "message": f"connection lost: {error}"})
+        lost = ServeError(f"connection lost: {error}")
+        self._replies.put({"type": "error", "message": str(lost)})
         with self._route_lock:
-            handles = [h for hs in self._handles.values() for h in hs]
-        for handle in handles:
-            handle._abort(ServeError(f"connection lost: {error}"))
+            jobs = list(self._jobs.values())
+        for job in jobs:
+            _fan_out(job, lost, job.subscribers)
+
+    def _route(self, job_id: str, item) -> None:
+        with self._route_lock:
+            if isinstance(item, dict):
+                job = self._jobs.get(job_id)
+                if job is None:
+                    self._orphans.setdefault(job_id, []).append(item)
+            else:
+                job = self._jobs.pop(job_id, None)
+                if self._terminal is not None:
+                    self._terminal[job_id] = item
+            handles = list(job.subscribers) if job is not None else ()
+        _fan_out(job, item, handles)
 
     def _rpc(self, message: Dict[str, Any]) -> Dict[str, Any]:
         with self._rpc_lock:
@@ -249,8 +202,15 @@ class ServeClient:
         """Submit one :class:`RunSpec`; returns a live handle.
 
         ``stream=False`` still delivers the terminal result/failure but
-        skips per-run progress traffic (cheaper for large sweeps).
-        """
+        no progress (cheaper for large sweeps)."""
+        return self._submit(ServeHandle(spec, wants_stream=stream))
+
+    def submit_many(self, specs, *, stream: bool = True) -> List[ServeHandle]:
+        return [self.submit(spec, stream=stream) for spec in specs]
+
+    def _submit(self, handle: RunHandle) -> RunHandle:
+        """Submit ``handle.spec`` and subscribe ``handle`` to its job."""
+        spec = handle.spec
         with self._rpc_lock:
             with self._route_lock:
                 self._terminal = {}
@@ -259,31 +219,31 @@ class ServeClient:
                     "type": "submit",
                     "spec": spec.to_dict(),
                     "label": spec.label,
-                    "stream": stream,
+                    "stream": handle.wants_stream,
                 })
                 if reply.get("type") != "accepted":
                     raise ServeError("expected 'accepted', daemon sent "
                                      f"{reply.get('type')!r}")
                 job_id = reply["job_id"]
-                handle = ServeHandle(self, job_id, reply["spec_hash"],
-                                     reply["status"], spec=spec)
                 with self._route_lock:
+                    job = self._jobs.get(job_id) or Job(
+                        spec=spec, client=self.name, id=job_id,
+                        spec_hash=reply["spec_hash"])
+                    handle.accepted(job, reply["status"])
                     backlog = self._orphans.pop(job_id, [])
                     if job_id in self._terminal:
                         # Settled before it could be registered: nothing
                         # further will be routed to this handle.
                         backlog.append(self._terminal[job_id])
                     else:
-                        self._handles.setdefault(job_id, []).append(handle)
+                        job.subscribers.append(handle)
+                        self._jobs[job_id] = job
             finally:
                 with self._route_lock:
                     self._terminal = None
-        for message in backlog:
-            handle._deliver(message)
+        for item in backlog:
+            _fan_out(job, item, [handle])
         return handle
-
-    def submit_many(self, specs, *, stream: bool = True) -> List[ServeHandle]:
-        return [self.submit(spec, stream=stream) for spec in specs]
 
     def status(self) -> Dict[str, Any]:
         return self._rpc({"type": "status"})

@@ -97,10 +97,15 @@ class _Subscription:
 
     def send(self, job: Job, item) -> bool:
         if isinstance(item, dict):
+            # A connection hears a job's progress once, however many of
+            # its submissions stream it: the client fans it out.
+            if self.conn.streams.setdefault(job.id, self) is not self:
+                return True
             return self.conn.send({
                 "type": "progress", "job_id": job.id,
                 "spec_hash": job.spec_hash, "kind": item["kind"],
                 "data": item})
+        self.conn.streams.pop(job.id, None)
         last = _Subscription._last
         if last[0] is not job or last[1] is not item:
             last = _Subscription._last = (job, item,
@@ -116,6 +121,8 @@ class _ClientConn:
         self.peer = peer
         self.name = peer
         self.alive = True
+        #: job id -> the subscription carrying its progress here.
+        self.streams: Dict[str, _Subscription] = {}
 
     def send(self, *messages: Dict[str, Any]) -> bool:
         if not self.alive:

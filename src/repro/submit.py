@@ -20,11 +20,16 @@ without asking which applies.
 The roads differ only in transport.  A :class:`Runner` is the daemon's
 engine (:class:`~repro.lab.core.ExecutionCore`) without a socket: the
 same dedup, queue, worker entry, progress spool and settle-once policy.
-Either way the caller gets a :class:`RunHandle` — ``.done``,
-``.status``, ``.stream()`` (the progress records the run spooled),
-``.result()`` / ``.outcome()`` — and the same payload.  In-process is
-synchronous-eager: the spec runs to completion on the caller's thread
-before :func:`submit` returns.  Served, progress streams back live.
+Either way the caller gets the one :class:`~repro.lab.runner.RunHandle`
+— subscribed to the run's job by the engine itself, or by the client
+that decodes the daemon's messages — with ``.done``, ``.status``,
+``.stream()`` (the progress records the run spooled, from the first on
+every call), ``.result()`` / ``.outcome()`` and the same payload.
+``stream=False`` means no progress on either road: a job that no
+subscriber streams when it is dispatched writes no spool.  In-process
+is synchronous-eager: the spec runs to completion on the caller's
+thread before :func:`submit` returns.  Served, progress streams back
+live.
 
 :class:`SubmitBatch` is the many-spec variant; its :attr:`~SubmitBatch.
 report` is an ordinary :class:`~repro.lab.runner.BatchReport`, so sweep
@@ -34,74 +39,14 @@ and fuzz code consumes either road's outcomes identically.
 from __future__ import annotations
 
 import time
-from typing import (Any, Dict, Iterator, List, Optional, Sequence, Union)
+from typing import Iterator, List, Optional, Sequence, Union
 
 from repro.lab.core import persist
 from repro.lab.journal import outcome_record, render
-from repro.lab.results import LabError, RunFailure, RunResult
-from repro.lab.runner import BatchReport, Runner
+from repro.lab.results import RunFailure, RunResult
+from repro.lab.runner import (BatchReport, RunFailedError, RunHandle,
+                              Runner, _Lent)
 from repro.lab.spec import RunSpec
-
-
-class RunFailedError(LabError):
-    """`.result()` was asked for a run that failed; carries the record."""
-
-    def __init__(self, failure: RunFailure) -> None:
-        super().__init__(failure.describe())
-        self.failure = failure
-
-
-class RunHandle:
-    """One submitted run, whichever road it took.
-
-    ``done`` / ``status`` / ``stream()`` / ``outcome()`` / ``result()``
-    behave identically over an in-process run's (already complete)
-    :class:`~repro.lab.runner.Inbox` and a daemon's live
-    :class:`~repro.serve.client.ServeHandle`.
-    """
-
-    def __init__(self, spec: RunSpec, handle,
-                 batch: "SubmitBatch") -> None:
-        self.spec = spec
-        self._handle = handle
-        self._outcome: Optional[Union[RunResult, RunFailure]] = None
-        #: The batch this handle was submitted in: it may own the
-        #: connection and is told when this handle resolves.
-        self._batch = batch
-
-    @property
-    def done(self) -> bool:
-        return self._handle.done
-
-    @property
-    def status(self) -> str:
-        """Submission status: ``queued``, ``attached`` or ``cached``."""
-        return self._handle.status
-
-    def stream(self) -> Iterator[Dict[str, Any]]:
-        """Yield progress records (v1 host records: ``lifecycle`` /
-        ``sample`` / ``event`` / ``event_gap``) until the run is terminal."""
-        for message in self._handle.stream():  # a served one wraps it
-            yield message.get("data", message)
-
-    def outcome(self, timeout: Optional[float] = None
-                ) -> Union[RunResult, RunFailure]:
-        """Block for the terminal record — a result *or* a failure."""
-        if self._outcome is None:
-            self._outcome = self._handle.outcome(timeout)
-            self._batch._handle_resolved()
-        return self._outcome
-
-    def result(self, timeout: Optional[float] = None) -> RunResult:
-        """Block for the :class:`RunResult`; a failed run raises
-        :class:`RunFailedError` carrying the failure record."""
-        outcome = self.outcome(timeout)
-        if isinstance(outcome, RunFailure):
-            raise RunFailedError(outcome)
-        return outcome
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        return self._handle.wait(timeout)
 
 
 class SubmitBatch:
@@ -185,8 +130,8 @@ def submit(
             the ambient :func:`repro.lab.current_runner`).
         client_name: client identity for the daemon's fairness
             accounting.
-        stream: ask the daemon for live progress records (an in-process
-            handle always has the records its run spooled).
+        stream: ask for the run's progress records; without it the
+            handle's ``stream()`` yields none, on either road.
     """
     return submit_many([spec], server=server, runner=runner,
                        client_name=client_name, stream=stream).handles[0]
@@ -203,9 +148,9 @@ def submit_many(
 ) -> SubmitBatch:
     """Execute a batch of specs (``server`` / ``runner`` as :func:`submit`).
 
-    In-process the batch is one :meth:`Runner.run_many` call — dedup,
-    cache, retries, journal, and drain semantics are exactly the
-    engine's, as they are served.
+    In-process the batch is one :meth:`Runner.run_many` call over this
+    batch's handles — dedup, cache, retries, journal, and drain
+    semantics are exactly the engine's, as they are served.
     Served, every spec goes out over one connection (the daemon
     dedupes and schedules fairly against other clients) and, when
     ``journal`` (an open :class:`~repro.lab.journal.SweepJournal`, as
@@ -217,13 +162,11 @@ def submit_many(
     """
     from repro.lab import current_runner
 
-    specs = list(specs)
+    handles = [RunHandle(spec, wants_stream=stream) for spec in specs]
     if server is None:
-        report = (runner or current_runner()).run_many(specs, journal=journal)
-        batch = SubmitBatch([], report=report)
-        batch.handles = [RunHandle(spec, inbox, batch)
-                         for spec, inbox in zip(specs, report.handles)]
-        return batch
+        report = (runner or current_runner()).run_many(_Lent(handles),
+                                                        journal=journal)
+        return SubmitBatch(handles, report=report)
 
     from repro.serve.client import ServeClient
 
@@ -231,7 +174,8 @@ def submit_many(
     if not isinstance(server, ServeClient):
         client = ServeClient(server, name=client_name or "submit")
     # The batch closes a connection opened here, never the caller's.
-    batch = SubmitBatch([], owned_client=None if client is server else client)
+    batch = SubmitBatch(handles,
+                        owned_client=None if client is server else client)
 
     def mirror(write, *args) -> None:
         # The runner road's rule: a full disk costs the mirror, never
@@ -243,11 +187,11 @@ def submit_many(
                 progress(render(failed))
 
     try:
-        for spec in specs:
+        for handle in handles:
             if journal is not None:
-                mirror(journal.record_spec, spec)
-            batch.handles.append(RunHandle(
-                spec, client.submit(spec, stream=stream), batch))
+                mirror(journal.record_spec, handle.spec)
+            handle._batch = batch
+            client._submit(handle)
         if journal is not None:
             for handle in batch.handles:  # each the moment it arrives
                 mirror(journal.append, outcome_record(handle.outcome()))

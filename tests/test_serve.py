@@ -258,7 +258,7 @@ def test_settled_jobs_are_forgotten_by_client_and_store(daemon):
         assert [h.status for h in handles[3:]] == ["cached"] * 5
         for handle in handles:
             assert isinstance(handle.outcome(timeout=60), RunResult)
-        assert client._handles == {}
+        assert client._jobs == {}
         assert client._orphans == {}
         status = client.status()
     assert daemon.store._active_by_hash == {}
@@ -326,6 +326,33 @@ def test_concurrent_duplicates_simulate_exactly_once(daemon, gated_worker):
     assert counters["dispatched"] == 1      # exactly one simulation
     assert counters["attached"] == 1
     assert counters["completed"] == 1
+
+
+def test_duplicates_on_one_connection_get_each_record_once(
+        daemon, gated_worker):
+    """Three submissions of one spec on one connection share a job: the
+    daemon sends its progress once on that connection and the client
+    hands each record to every handle that streams it, once, and to no
+    other."""
+    spec = _spec(obs=ObsConfig(sample_interval=100), label="thrice")
+    with _client(daemon) as client:
+        first = client.submit(spec)
+        next(first.stream())  # the dispatch mark: the job is in flight
+        second, quiet = client.submit(spec), client.submit(spec,
+                                                           stream=False)
+        assert (second.status, quiet.status) == ("attached", "attached")
+        gated_worker.set()
+        rows = first.outcome(timeout=60).obs["series"]["rows"]
+        got = {name: [m["data"] for m in handle.stream()] for name, handle
+               in (("first", first), ("second", second), ("quiet", quiet))}
+    marks = {name: [r["phase"] for r in records if r["kind"] == "lifecycle"]
+             for name, records in got.items()}
+    assert marks == {"first": ["dispatched", "started", "finished"],
+                     "second": ["started", "finished"], "quiet": []}
+    # The second attached before its worker started: it missed only the
+    # dispatch mark.
+    assert got["second"] == got["first"][1:]
+    assert [r["row"] for r in got["first"] if r["kind"] == "sample"] == rows
 
 
 def test_duplicate_while_queued_attaches(daemon, gated_worker):
@@ -480,7 +507,7 @@ def test_result_overtaking_accepted_reaches_the_second_handle(monkeypatch):
         assert second.outcome().cycles == first.outcome().cycles
         # The late handle was settled from the seen-terminal record and
         # must not stay registered for a message that will never come.
-        assert client._handles == {}
+        assert client._jobs == {}
 
 
 def test_a_drifted_result_aborts_only_its_handle(monkeypatch):

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+import repro.lab.core as core_mod
 from repro.api import (RunFailedError, RunHandle, SubmitBatch, submit,
                        submit_many)
 from repro.harness.runner import make_config
@@ -131,6 +132,35 @@ def test_submit_many_local_preserves_order_and_report():
     assert [r.label for r in results] == ["s0", "s1", "s2"]
     hashes = [h.spec.content_hash() for h in batch]
     assert [r.spec_hash for r in results] == hashes
+
+
+@pytest.mark.parametrize("road", ["local", "served"])
+def test_a_run_nobody_streams_is_not_spooled(daemon, monkeypatch, road):
+    """``stream=False`` reaches the engine on both roads: no subscriber
+    wants the stream at dispatch, so the worker entry gets no spool path,
+    the core makes no spool directory and the handle streams nothing."""
+    paths = []
+    real = core_mod.serve_entry
+
+    def entry(spec, progress_path, *args):
+        paths.append(progress_path)
+        return real(spec, progress_path, *args)
+
+    monkeypatch.setattr(core_mod, "serve_entry", entry)
+    specs = [_spec(label=f"q{i}", params=dict(VECADD, per_thread=4 + i))
+             for i in range(2)]
+    if road == "local":
+        runner = Runner(workers=2, mode="thread")
+        handles = submit_many(specs, runner=runner).handles
+        core = runner._core
+    else:
+        handles = [submit(specs[0], server=daemon.address, stream=False)]
+        core = daemon.core
+    for handle in handles:
+        assert handle.result(timeout=120).cycles > 0
+        assert list(handle.stream()) == []
+    assert paths == [None] * len(handles)
+    assert core.spool_dir is None
 
 
 # ------------------------------------------------------ server parity
