@@ -58,10 +58,11 @@ from typing import List, Optional
 from repro.api import simulate, submit
 from repro.harness.experiments import ALL_EXPERIMENTS, run_delay_sweep
 from repro.harness.reporting import format_table
+from repro.harness.sweep import Sweep, resume_sweep
 from repro.kernels import build as build_workload, kernel_names
 from repro.kernels.base import WorkloadError
 from repro.lab import (JournalError, ResultCache, RunFailure, Runner, RunSpec,
-                       Sweep, load_journal, resume_sweep, use_runner)
+                       load_journal, use_runner)
 from repro.serve.client import ServeError
 from repro.sim.config import GPUConfig
 from repro.sim.progress import SimulationHang

@@ -22,13 +22,16 @@ Warp spinning states feed a per-SM *spin-inducing branch prediction table*
 a backward branch taken by a non-spinning warp loses confidence (guarding
 against hash aliasing).  A branch is predicted spin-inducing while its
 confidence is at or above the threshold.
+
+:func:`score_result` scores the engines' detection records against the
+kernel's ``!sib`` annotations (Table I's per-kernel :class:`DetectionOutcome`).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.isa.instructions import Instruction
 from repro.isa.program import Program
@@ -278,3 +281,80 @@ class DDOSEngine:
         entry = _BranchRecord(confidence=0)
         self.sib_pt[branch_index] = entry
         return entry
+
+
+@dataclass
+class DetectionOutcome:
+    """Per-kernel detection scoring."""
+
+    kernel: str
+    true_sibs: int
+    detected_true: int
+    false_candidates: int
+    detected_false: int
+    true_dprs: List[float] = field(default_factory=list)
+    false_dprs: List[float] = field(default_factory=list)
+
+    @property
+    def tsdr(self) -> Optional[float]:
+        if self.true_sibs == 0:
+            return None
+        return self.detected_true / self.true_sibs
+
+    @property
+    def fsdr(self) -> Optional[float]:
+        if self.false_candidates == 0:
+            return None
+        return self.detected_false / self.false_candidates
+
+
+def score_result(kernel: str, result) -> DetectionOutcome:
+    """Score a finished run's (a :class:`~repro.sim.gpu.SimResult`) DDOS
+    predictions against the program's ``!sib`` ground truth.
+
+    A branch counts as detected if *any* SM's DDOS engine confirmed it.
+    Candidate set for false detections = all backward branches executed
+    that are not annotated ``!sib``.
+    """
+    program = result.launch.program
+    truth = program.true_sibs()
+
+    confirmed: Dict[int, Tuple[int, int, int]] = {}
+    seen: Dict[int, Tuple[int, int]] = {}
+    for engine in result.ddos_engines:
+        for index, record in engine.detection_records().items():
+            first, last = record.first_seen, record.last_seen
+            if index in seen:
+                first = min(first, seen[index][0])
+                last = max(last, seen[index][1])
+            seen[index] = (first, last)
+            if record.confirmed_at is not None:
+                if (
+                    index not in confirmed
+                    or record.confirmed_at < confirmed[index][0]
+                ):
+                    confirmed[index] = (record.confirmed_at, first, last)
+
+    outcome = DetectionOutcome(
+        kernel=kernel,
+        true_sibs=len(truth),
+        detected_true=0,
+        false_candidates=0,
+        detected_false=0,
+    )
+    for index, (first, last) in seen.items():
+        is_true = index in truth
+        detected = index in confirmed
+        if is_true:
+            if detected:
+                outcome.detected_true += 1
+        else:
+            outcome.false_candidates += 1
+            if detected:
+                outcome.detected_false += 1
+        if detected:
+            confirmed_at = confirmed[index][0]
+            span = max(last - first, 1)
+            dpr = max(confirmed_at - first, 0) / span
+            (outcome.true_dprs if is_true else outcome.false_dprs).append(dpr)
+    return outcome

@@ -1,7 +1,9 @@
 """DDOS detection-accuracy evaluation (paper Table I metrics).
 
-Runs workloads under a given DDOS configuration and scores the SIB-PT
-predictions against the kernels' ground-truth ``!sib`` annotations:
+Runs workloads under a given DDOS configuration and averages the scores
+of their SIB-PT predictions against the kernels' ground-truth ``!sib``
+annotations (:func:`repro.core.ddos.score_result`, computed in the lab
+worker):
 
 * **TSDR** (true spin detection rate): fraction of true spin-inducing
   branches that were confirmed;
@@ -14,88 +16,13 @@ predictions against the kernels' ground-truth ``!sib`` annotations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence
 
+from repro.core.ddos import DetectionOutcome
 from repro.harness.runner import make_config
+from repro.lab import RunSpec, current_runner
 from repro.sim.config import DDOSConfig, GPUConfig
-from repro.sim.gpu import SimResult
-
-
-@dataclass
-class DetectionOutcome:
-    """Per-kernel detection scoring."""
-
-    kernel: str
-    true_sibs: int
-    detected_true: int
-    false_candidates: int
-    detected_false: int
-    true_dprs: List[float] = field(default_factory=list)
-    false_dprs: List[float] = field(default_factory=list)
-
-    @property
-    def tsdr(self) -> Optional[float]:
-        if self.true_sibs == 0:
-            return None
-        return self.detected_true / self.true_sibs
-
-    @property
-    def fsdr(self) -> Optional[float]:
-        if self.false_candidates == 0:
-            return None
-        return self.detected_false / self.false_candidates
-
-
-def score_result(kernel: str, result: SimResult) -> DetectionOutcome:
-    """Score one simulation's DDOS predictions against ground truth.
-
-    A branch counts as detected if *any* SM's DDOS engine confirmed it.
-    Candidate set for false detections = all backward branches executed
-    that are not annotated ``!sib``.
-    """
-    program = result.launch.program
-    truth = program.true_sibs()
-
-    confirmed: Dict[int, Tuple[int, int, int]] = {}
-    seen: Dict[int, Tuple[int, int]] = {}
-    for engine in result.ddos_engines:
-        for index, record in engine.detection_records().items():
-            first, last = record.first_seen, record.last_seen
-            if index in seen:
-                first = min(first, seen[index][0])
-                last = max(last, seen[index][1])
-            seen[index] = (first, last)
-            if record.confirmed_at is not None:
-                if (
-                    index not in confirmed
-                    or record.confirmed_at < confirmed[index][0]
-                ):
-                    confirmed[index] = (record.confirmed_at, first, last)
-
-    outcome = DetectionOutcome(
-        kernel=kernel,
-        true_sibs=len(truth),
-        detected_true=0,
-        false_candidates=0,
-        detected_false=0,
-    )
-    for index, (first, last) in seen.items():
-        is_true = index in truth
-        detected = index in confirmed
-        if is_true:
-            if detected:
-                outcome.detected_true += 1
-        else:
-            outcome.false_candidates += 1
-            if detected:
-                outcome.detected_false += 1
-        if detected:
-            confirmed_at = confirmed[index][0]
-            span = max(last - first, 1)
-            dpr = max(confirmed_at - first, 0) / span
-            (outcome.true_dprs if is_true else outcome.false_dprs).append(dpr)
-    return outcome
 
 
 @dataclass
@@ -148,10 +75,6 @@ def evaluate_ddos(
     per-kernel :class:`DetectionOutcome` is computed inside the worker
     and travels back (and through the result cache) as plain data.
     """
-    # Imported lazily: the lab executes through this module's
-    # score_result, so a top-level import would be circular.
-    from repro.lab import RunSpec, current_runner
-
     kernel_params = kernel_params or {}
     specs = []
     for name in kernels:

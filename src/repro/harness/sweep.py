@@ -5,8 +5,9 @@ A :class:`Sweep` names a set of axes (``kernel``, ``scheduler``,
 ordered combos.  A *spec factory* maps each combo to a
 :class:`RunSpec`; :func:`experiment_spec` is the stock factory speaking
 the paper's vocabulary (scheduler/bows/preset + the canonical workload
-parameter registries).  ``Sweep.run`` fans the specs out through a
-:class:`~repro.lab.runner.Runner` and returns a :class:`SweepResult`
+parameter registries).  ``Sweep.run`` fans the specs out through
+:func:`~repro.submit.submit_many` — a :class:`~repro.lab.runner.Runner`
+or a ``repro serve`` daemon — and returns a :class:`SweepResult`
 pairing each combo with its outcome; its journal, when given one, is
 the batch's record (``docs/lab.md``).
 """
@@ -19,10 +20,15 @@ from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Tuple,
                     Union)
 
+from repro.analysis.sanitizer import SanitizerConfig
+from repro.harness.params import params_for
+from repro.harness.runner import make_config
 from repro.lab.journal import load_journal, open_journal
 from repro.lab.results import RunFailure, RunResult
 from repro.lab.runner import BatchReport, Runner
 from repro.lab.spec import RunSpec
+from repro.obs import ObsConfig
+from repro.submit import submit_many
 
 SpecFactory = Callable[[Dict[str, Any]], RunSpec]
 
@@ -41,9 +47,6 @@ def experiment_spec(combo: Dict[str, Any]) -> RunSpec:
     :class:`~repro.analysis.SanitizerConfig`); any other axis is passed
     through as a workload parameter override.
     """
-    from repro.harness.params import params_for
-    from repro.harness.runner import make_config
-
     combo = dict(combo)
     kernel = combo.pop("kernel")
     scale = combo.pop("scale", "full")
@@ -57,11 +60,9 @@ def experiment_spec(combo: Dict[str, Any]) -> RunSpec:
     validate = combo.pop("validate", True)
     obs = combo.pop("obs", None)
     if obs is True:
-        from repro.obs import ObsConfig
         obs = ObsConfig()
     sanitize = combo.pop("sanitize", None)
     if sanitize is True:
-        from repro.analysis.sanitizer import SanitizerConfig
         sanitize = SanitizerConfig()
     params = params_for(kernel, scale)
     params.update(combo)  # leftover axes are workload parameters
@@ -122,8 +123,6 @@ class Sweep:
         runner — the daemon's shared cache and in-flight dedup then
         apply across every client on the machine.
         """
-        from repro.submit import submit_many
-
         axes = {k: [repr(v) for v in vs] for k, vs in self.axes.items()}
         with open_journal(journal, "sweep", name=self.name,
                           axes=axes) as journal:
@@ -146,8 +145,6 @@ def resume_sweep(journal_path, runner: Optional[Runner] = None,
     when the runner has a ``checkpoint_dir``.  ``rerun_failed=False``
     skips specs whose last journal record is a permanent failure.
     """
-    from repro.submit import submit_many
-
     state = load_journal(journal_path)
     specs = list(state.specs.values())
     if not rerun_failed:

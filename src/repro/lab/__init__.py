@@ -7,13 +7,13 @@ operation (see ``docs/lab.md``):
 * :class:`Runner` — parallel fan-out with per-run timeouts, bounded
   retries, and structured :class:`RunFailure` records;
 * :class:`ResultCache` — on-disk content-addressed result store keyed
-  by spec hash + simulator-code fingerprint;
-* :class:`Sweep` — cartesian product builder, journaled and resumable.
+  by spec hash + simulator-code fingerprint.
 
-The experiment harness (``repro.harness.experiments``) executes every
-figure/table through the *current* runner, which defaults to an
-in-process serial runner with no cache.  Install a different one —
-parallel, cached, instrumented — with :func:`use_runner`:
+The harness above the lab (``repro.harness.experiments`` and the sweeps
+of ``repro.harness.sweep``) executes every figure, table and sweep
+through the *current* runner, which defaults to an in-process serial
+runner with no cache.  Install a different one — parallel, cached,
+instrumented — with :func:`use_runner`:
 
     from repro.lab import Runner, ResultCache, use_runner
     with use_runner(Runner(workers=4, cache=ResultCache())):
@@ -26,8 +26,7 @@ import contextlib
 from typing import Iterator, Optional
 
 from repro.lab.cache import (CacheStats, EntryReport, ResultCache,
-                             VerifyReport, code_fingerprint,
-                             default_cache_dir)
+                             VerifyReport, default_cache_dir)
 from repro.lab.journal import (JournalError, JournalState, SweepJournal,
                                load_journal)
 from repro.lab.locking import FileLock, LockTimeout
@@ -36,9 +35,8 @@ from repro.lab.core import (RunInterrupted, RunTimeout, TransientRunError,
                             decorrelated_jitter)
 from repro.lab.runner import BatchReport, Runner
 from repro.lab.spec import RunSpec, config_from_dict, config_to_dict
-from repro.lab.sweep import (Sweep, SweepResult, experiment_spec,
-                             resume_sweep)
 from repro.lab.worker import execute_run
+from repro.sim.checkpoint import code_fingerprint
 
 _current_runner: Optional[Runner] = None
 
@@ -79,9 +77,7 @@ __all__ = [
     "RunSpec",
     "RunTimeout",
     "Runner",
-    "Sweep",
     "SweepJournal",
-    "SweepResult",
     "TransientRunError",
     "VerifyReport",
     "code_fingerprint",
@@ -91,8 +87,6 @@ __all__ = [
     "decorrelated_jitter",
     "default_cache_dir",
     "execute_run",
-    "experiment_spec",
     "load_journal",
-    "resume_sweep",
     "use_runner",
 ]

@@ -2,10 +2,12 @@
 
 Entries live under ``<cache_dir>/<code_fingerprint>/<spec_hash>.json``.
 The spec hash covers everything that determines a simulation's outcome
-(kernel, params, seed, full GPU config); the code fingerprint covers the
-simulator itself — a SHA-256 over every ``.py`` file of the ``repro``
-package — so editing any simulator source invalidates prior results
-wholesale rather than serving stale numbers.
+(kernel, params, seed, full GPU config); the code fingerprint
+(:func:`repro.sim.checkpoint.code_fingerprint`) covers the code that
+computes it — a SHA-256 over the simulator layer and the lab modules
+that run a spec and encode its result — so editing any of that source
+invalidates prior results wholesale rather than serving stale numbers,
+while an edit above it (the daemon, the CLI, the harness) keeps them.
 
 Durability guarantees (see ``docs/robustness.md``):
 
@@ -46,6 +48,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.lab.locking import FileLock, LockTimeout
 from repro.lab.results import RunResult
 from repro.lab.spec import RunSpec, _json_default
+from repro.sim.checkpoint import code_fingerprint
 
 #: Default cache location (relative to the current working directory);
 #: override with the REPRO_LAB_CACHE_DIR environment variable.
@@ -63,8 +66,6 @@ QUARANTINE_DIR = "quarantine"
 #: an obs-heavy result is simply verified on every read.
 MEMO_ENTRIES = 512
 MEMO_MAX_BYTES = 32 * 1024
-
-_fingerprint_memo: Optional[str] = None
 
 
 def _canonical_body(body) -> bytes:
@@ -90,21 +91,6 @@ def _signature(stat: os.stat_result) -> Tuple[int, int, int]:
 
 def default_cache_dir() -> Path:
     return Path(os.environ.get("REPRO_LAB_CACHE_DIR", DEFAULT_CACHE_DIR))
-
-
-def code_fingerprint() -> str:
-    """SHA-256 over the sources of the ``repro`` package (memoized)."""
-    global _fingerprint_memo
-    if _fingerprint_memo is None:
-        package_root = Path(__file__).resolve().parent.parent
-        digest = hashlib.sha256()
-        for path in sorted(package_root.rglob("*.py")):
-            digest.update(str(path.relative_to(package_root)).encode())
-            digest.update(b"\0")
-            digest.update(path.read_bytes())
-            digest.update(b"\0")
-        _fingerprint_memo = digest.hexdigest()
-    return _fingerprint_memo
 
 
 @dataclass

@@ -14,6 +14,7 @@ RunResult.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import os
 import signal
 import threading
@@ -23,10 +24,15 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Deque, Dict, Optional
 
+from repro.core.ddos import score_result
+from repro.kernels import build as build_workload
 from repro.lab.journal import SweepJournal, record
 from repro.lab.results import RunResult
 from repro.lab.spec import RunSpec
 from repro.obs import event_to_dict
+from repro.obs.events import RunResumed
+from repro.sim.checkpoint import CheckpointError, SimCheckpoint
+from repro.sim.gpu import GPU
 
 
 class RunTimeout(RuntimeError):
@@ -51,19 +57,10 @@ def execute_run(spec: RunSpec, checkpoint_dir=None,
     subscriber only reads what the spec asked to collect, so the result
     is the same with or without one.
     """
-    # Imported here so pool workers pay the import once and the lab core
-    # stays import-cycle-free with the harness/api layers.
-    import dataclasses
-
-    from repro.kernels import build as build_workload
-    from repro.sim.gpu import GPU
-
     spec_hash = spec.content_hash()
     ckpt_path: Optional[Path] = None
     resume_ckpt = None
     if checkpoint_dir is not None:
-        from repro.sim.checkpoint import CheckpointError, SimCheckpoint
-
         ckpt_path = Path(checkpoint_dir) / f"{spec_hash}.ckpt"
         if ckpt_path.is_file():
             try:
@@ -94,8 +91,6 @@ def execute_run(spec: RunSpec, checkpoint_dir=None,
     if tap is not None and obs is not None:
         obs.subscribe(tap.on_event, tap.on_row)
     if resume_ckpt is not None and obs is not None and obs.bus is not None:
-        from repro.obs.events import RunResumed
-
         obs.bus.publish(RunResumed(
             cycle=live.now, path=str(ckpt_path), spec_hash=spec_hash,
         ))
@@ -110,7 +105,6 @@ def execute_run(spec: RunSpec, checkpoint_dir=None,
 
     ddos_outcome = None
     if spec.config.ddos is not None:
-        from repro.harness.ddos_eval import score_result
         ddos_outcome = dataclasses.asdict(score_result(spec.kernel, sim))
     end = time.perf_counter()
 

@@ -39,10 +39,11 @@ On-disk format (``*.ckpt``)::
     32 bytes  SHA-256 over the body
     N bytes   body: pickle of {"format": int, "meta": dict, "sim": bytes}
 
-``meta`` records the kernel name, capture cycle, engine, and the repro
-code fingerprint; loading verifies magic, checksum, format version, and
-(by default) that the fingerprint matches the current source tree, so a
-checkpoint can never silently resume under different simulator code.
+``meta`` records the kernel name, capture cycle, engine, and the
+:func:`code_fingerprint`; loading verifies magic, checksum, format
+version, and (by default) that the fingerprint matches the current
+source tree, so a checkpoint can never silently resume under different
+simulator code.
 All failures raise :class:`CheckpointError` — a corrupt checkpoint is a
 diagnosable condition, never an arbitrary unpickling crash.
 """
@@ -55,7 +56,7 @@ import pickle
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 #: File magic; the trailing two digits version the *container* layout.
 MAGIC = b"RPCKPT01"
@@ -66,15 +67,44 @@ FORMAT_VERSION = 1
 _CHECKSUM_BYTES = 32
 
 
+#: The code a run's result is computed by, relative to the ``repro``
+#: package: the simulator layer, and the lab modules that run a spec and
+#: encode its result.  Nothing else can change a result or a checkpoint,
+#: so an edit elsewhere (the daemon, the CLI, the harness) keeps both.
+#: ``tests/test_layers.py`` checks that it covers everything they import.
+FINGERPRINTED = ("sim", "core", "memory", "isa", "kernels", "metrics",
+                 "energy", "obs", "analysis", "lab/worker.py",
+                 "lab/results.py", "lab/spec.py", "lab/journal.py")
+
+_fingerprint_memo: Optional[str] = None
+
+
 class CheckpointError(RuntimeError):
     """A checkpoint could not be captured, written, read, or restored."""
 
 
-def _code_fingerprint() -> str:
-    # Late import: repro.lab depends on repro.sim, not the reverse.
-    from repro.lab.cache import code_fingerprint
+def _fingerprint(package_root: Path) -> str:
+    """SHA-256 over the :data:`FINGERPRINTED` files of ``package_root``."""
+    paths = []
+    for name in FINGERPRINTED:
+        path = package_root / name
+        paths.extend(path.rglob("*.py") if path.is_dir() else [path])
+    digest = hashlib.sha256()
+    for path in sorted(paths):
+        digest.update(str(path.relative_to(package_root)).encode())
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
 
-    return code_fingerprint()
+
+def code_fingerprint() -> str:
+    """SHA-256 over the code that computes a result (memoized); it keys
+    the lab's result cache and every checkpoint."""
+    global _fingerprint_memo
+    if _fingerprint_memo is None:
+        _fingerprint_memo = _fingerprint(Path(__file__).resolve().parents[1])
+    return _fingerprint_memo
 
 
 @dataclass
@@ -105,7 +135,7 @@ class SimCheckpoint:
             "program": sim.launch.program.name,
             "cycle": sim.now,
             "engine": "fast",  # the one engine; the field keeps the format
-            "fingerprint": _code_fingerprint(),
+            "fingerprint": code_fingerprint(),
         }
         return cls(meta=meta, payload=payload)
 
@@ -162,7 +192,7 @@ class SimCheckpoint:
                 f"(this build reads format {FORMAT_VERSION})"
             )
         if check_fingerprint:
-            current = _code_fingerprint()
+            current = code_fingerprint()
             recorded = meta.get("fingerprint")
             if recorded != current:
                 raise CheckpointError(
@@ -208,7 +238,9 @@ class SimCheckpoint:
 
 __all__ = [
     "MAGIC",
+    "FINGERPRINTED",
     "FORMAT_VERSION",
     "CheckpointError",
     "SimCheckpoint",
+    "code_fingerprint",
 ]

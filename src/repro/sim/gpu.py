@@ -27,17 +27,8 @@ from repro.memory.memsys import GlobalMemory, MemorySubsystem
 from repro.metrics.stats import SimStats
 from repro.obs import Observability, as_observability
 from repro.sim.config import GPUConfig
-# Re-exported here for backwards compatibility: these were defined in
-# this module before the forward-progress guard existed.
-from repro.sim.progress import (  # noqa: F401
-    HangReport,
-    ProgressMonitor,
-    SimulationDeadlock,
-    SimulationHang,
-    SimulationLivelock,
-    SimulationTimeout,
-    build_hang_report,
-)
+from repro.sim.progress import (ProgressMonitor, SimulationDeadlock,
+                                SimulationTimeout, build_hang_report)
 from repro.sim.sm import NEVER, SM, WarpKey
 
 

@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.harness.ddos_eval import (
-    AccuracySummary,
-    DetectionOutcome,
-    summarize,
-)
+from repro.core.ddos import DetectionOutcome
+from repro.harness.ddos_eval import AccuracySummary, summarize
 
 
 def outcome(**kwargs) -> DetectionOutcome:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.harness.ddos_eval import evaluate_ddos, score_result
+from repro.core.ddos import score_result
+from repro.harness.ddos_eval import evaluate_ddos
 from repro.api import simulate
 from repro.harness.runner import make_config
 from repro.kernels import build

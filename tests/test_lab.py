@@ -13,13 +13,13 @@ import time
 import pytest
 
 from repro.harness.runner import make_config
+from repro.harness.sweep import Sweep
 from repro.kernels import WorkloadReuseError, build
 from repro.lab import (
     LabError,
     ResultCache,
     Runner,
     RunSpec,
-    Sweep,
     TransientRunError,
     config_from_dict,
     config_to_dict,

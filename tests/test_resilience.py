@@ -38,8 +38,9 @@ import pytest
 import repro.lab.runner as runner_mod
 import repro.lab.core as core_mod
 from repro.harness.runner import make_config
+from repro.harness.sweep import resume_sweep
 from repro.lab import (FileLock, LockTimeout, ResultCache, Runner, RunSpec,
-                       decorrelated_jitter, load_journal, resume_sweep)
+                       decorrelated_jitter, load_journal)
 from repro.lab import _testing
 from repro.lab.journal import (NOTE_LINES, RECORD_KEYS, JournalError,
                                SweepJournal, note_record, outcome_record,

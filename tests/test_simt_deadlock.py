@@ -19,7 +19,7 @@ import pytest
 
 from conftest import bare_sm, run_program
 from repro.memory.memsys import GlobalMemory
-from repro.sim.gpu import GPU, SimulationTimeout
+from repro.sim.progress import SimulationTimeout
 
 NAIVE_SPIN = """
     ld.param %r_m, [mutex]
