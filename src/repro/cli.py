@@ -28,7 +28,8 @@ without parsing output: 0 success, 1 generic failure, 2 usage error
 (a bad flag value included), 3 hang (deadlock/livelock/cycle-cap
 timeout), 4 validation mismatch, 5 transient/infrastructure error
 (worth retrying; an unreachable ``--server`` daemon is one), 130
-interrupted (a drained SIGINT/SIGTERM; see docs/robustness.md).
+interrupted (a drained SIGINT/SIGTERM; see docs/robustness.md), 141
+stdout closed by its reader (128 + SIGPIPE).
 
 ``experiment`` and ``sweep`` execute through :mod:`repro.lab`: runs fan
 out over a process pool and completed simulations land in the on-disk
@@ -75,6 +76,7 @@ EXIT_HANG = 3
 EXIT_VALIDATION = 4
 EXIT_TRANSIENT = 5
 EXIT_INTERRUPTED = 130
+EXIT_BROKEN_PIPE = 141
 
 
 def _usage_error(message: str):
@@ -736,11 +738,19 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except ServeError as exc:
-        # Connect, handshake or a connection lost mid-run: infrastructure.
-        print(f"daemon unreachable ({exc})")
-        return EXIT_TRANSIENT
+        try:
+            status = args.func(args)
+        except ServeError as exc:
+            # Connect, handshake or a connection lost mid-run: infrastructure.
+            print(f"daemon unreachable ({exc})")
+            status = EXIT_TRANSIENT
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # Nobody reads stdout (`repro run ... | head -4`): exit quietly,
+        # with fd 1 on /dev/null so the interpreter's last flush succeeds.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":  # pragma: no cover

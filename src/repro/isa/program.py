@@ -4,8 +4,8 @@ Stack-based SIMT hardware (pre-Volta NVIDIA, AMD GCN) reconverges divergent
 warps at the *immediate post-dominator* (IPDOM) of the divergent branch.
 The assembler-produced :class:`Program` computes each conditional branch's
 reconvergence instruction index at build time using a post-dominator
-analysis over the CFG (networkx's ``immediate_dominators`` on the reversed
-graph), exactly the information GPGPU-Sim precomputes per kernel.
+analysis over the CFG (:func:`immediate_dominators` on the reversed graph),
+exactly the information GPGPU-Sim precomputes per kernel.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Set, Tuple
-
-import networkx as nx
+from typing import Dict, FrozenSet, Hashable, List, Set, Tuple
 
 from repro.isa.instructions import Instruction, Opcode
 
@@ -58,6 +56,39 @@ class Memo:
             else:
                 entries.move_to_end(key)
             return value
+
+
+def immediate_dominators(succ: Dict[Hashable, List[Hashable]],
+                         root: Hashable) -> Dict[Hashable, Hashable]:
+    """Each node's immediate dominator in the graph ``succ`` (node →
+    successor list), for the nodes reachable from ``root``; ``root``
+    itself has none and is left out.
+
+    The dominator sets are the greatest fixpoint of ``dom(n) = {n} ∪
+    ⋂ dom(p)`` over ``n``'s reachable predecessors ``p``.  A node's
+    strict dominators form a chain, so its immediate dominator is the
+    one with the most dominators of its own.
+    """
+    reach, stack = {root: []}, [root]  # reachable node -> predecessors
+    while stack:
+        node = stack.pop()
+        for succ_node in succ[node]:
+            if succ_node not in reach:
+                reach[succ_node] = []
+                stack.append(succ_node)
+            reach[succ_node].append(node)
+    dom = {node: set(reach) for node in reach}
+    dom[root] = {root}
+    changed = True
+    while changed:
+        changed = False
+        for node, preds in reach.items():
+            if node != root:
+                new = set.intersection(*(dom[p] for p in preds)) | {node}
+                if new != dom[node]:
+                    dom[node], changed = new, True
+    return {node: max(dom[node] - {node}, key=lambda d: len(dom[d]))
+            for node in reach if node != root}
 
 
 #: Instance attributes derived from a program and memoized on it.
@@ -157,8 +188,7 @@ class Program:
         answer.  Unreachable blocks have no dominator and contribute no
         back edges.
         """
-        graph = self._cfg()
-        idom = nx.immediate_dominators(graph, 0)
+        idom = immediate_dominators(self._cfg(), 0)
         edges: Set[Tuple[int, int]] = set()
         for block in self.blocks:
             for succ in block.successors:
@@ -173,10 +203,9 @@ class Program:
         while True:
             if node == a:
                 return True
-            parent = idom.get(node)
-            if parent is None or parent == node:
+            node = idom.get(node)
+            if node is None:
                 return False
-            node = parent
 
     def loop_back_branches(self) -> Set[int]:
         """Instruction indices of branches that close a natural loop.
@@ -324,31 +353,30 @@ class Program:
             else:
                 instr.dst_key = None
 
-    def _cfg(self) -> nx.DiGraph:
-        graph = nx.DiGraph()
-        graph.add_node(_VIRTUAL_EXIT)
+    def _cfg(self) -> Dict[Hashable, List[Hashable]]:
+        """Block index → successor list; an ``exit`` block also points
+        to the virtual exit node."""
+        graph: Dict[Hashable, List[Hashable]] = {_VIRTUAL_EXIT: []}
         for block in self.blocks:
-            graph.add_node(block.index)
-            for succ in block.successors:
-                graph.add_edge(block.index, succ)
-            last = self.instructions[block.end]
-            if last.opcode is Opcode.EXIT:
-                graph.add_edge(block.index, _VIRTUAL_EXIT)
-            # A guarded exit falls through as well (lanes whose guard is
-            # false continue); the block already has that successor.
+            graph[block.index] = list(block.successors)
+            if self.instructions[block.end].opcode is Opcode.EXIT:
+                graph[block.index].append(_VIRTUAL_EXIT)
         return graph
 
     def _compute_reconvergence(self) -> None:
-        graph = self._cfg()
         # Post-dominators = dominators of the reversed CFG rooted at exit.
-        reversed_graph = graph.reverse(copy=True)
-        ipdom = nx.immediate_dominators(reversed_graph, _VIRTUAL_EXIT)
+        graph = self._cfg()
+        reversed_graph = {node: [] for node in graph}
+        for node, succs in graph.items():
+            for succ in succs:
+                reversed_graph[succ].append(node)
+        ipdom = immediate_dominators(reversed_graph, _VIRTUAL_EXIT)
         for block in self.blocks:
             last = self.instructions[block.end]
             if not last.is_conditional_branch:
                 continue
             node = ipdom.get(block.index)
-            if node is None or node == _VIRTUAL_EXIT or node == block.index:
+            if node is None or node == _VIRTUAL_EXIT:
                 self.reconvergence[block.end] = RECONVERGE_AT_EXIT
             else:
                 self.reconvergence[block.end] = self.blocks[node].start

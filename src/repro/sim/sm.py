@@ -299,7 +299,6 @@ class SM:
                 stats.sib_warp_instructions += 1
                 stats.sib_thread_instructions += n_exec
             warp.issued_instructions += 1
-            warp.thread_instructions += n_exec
             if self.cawa is not None:
                 self.cawa.on_issue(warp, dop.instr, now)
             if bows is not None:

@@ -107,7 +107,6 @@ class Warp:
 
         # Stats.
         self.issued_instructions = 0
-        self.thread_instructions = 0
 
         # Issue cache (repro.sim.sm).  Refreshed by the SM after each of
         # this warp's issues — the only time its readiness inputs can

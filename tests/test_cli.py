@@ -1,9 +1,25 @@
 """Command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.cli import (EXIT_HANG, EXIT_TRANSIENT, EXIT_VALIDATION,
-                       _parse_params, main)
+from repro.cli import (EXIT_BROKEN_PIPE, EXIT_HANG, EXIT_TRANSIENT,
+                       EXIT_VALIDATION, _parse_params, main)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _python(*argv, **kwargs) -> subprocess.CompletedProcess:
+    """``python *argv`` in a fresh interpreter that imports this ``src``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC),
+                                         env.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, *argv], env=env, text=True,
+                          timeout=120, **kwargs)
 
 
 def test_list(capsys):
@@ -387,6 +403,28 @@ def test_refused_handshake_exits_5(argv, capsys, monkeypatch):
     monkeypatch.setattr(client.ServeClient, "__init__", refuse)
     assert main(argv + ["/tmp/any.sock"]) == EXIT_TRANSIENT
     assert "daemon unreachable (handshake refused)" in capsys.readouterr().out
+
+
+def test_closed_stdout_exits_141_without_a_traceback(tmp_path):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # nobody will ever read the child's stdout
+    try:
+        proc = _python("-m", "repro", "run", "vecadd",
+                       "--param", "n_threads=64", "--param", "per_thread=2",
+                       "--param", "block_dim=32", cwd=tmp_path,
+                       stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_BROKEN_PIPE == 141
+    assert "Traceback" not in proc.stderr, proc.stderr
+
+
+def test_importing_the_cli_does_not_load_networkx():
+    proc = _python("-c", "import sys, repro.cli; "
+                         "print('networkx' in sys.modules)",
+                   capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_run_prints_the_same_block_on_both_roads(daemon, capsys):

@@ -1,9 +1,12 @@
 """Program analysis: basic blocks, CFG, reconvergence points."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from repro.harness.params import params_for, sync_free_params, sync_params
 from repro.isa import assemble
-from repro.isa.program import RECONVERGE_AT_EXIT
+from repro.isa.program import RECONVERGE_AT_EXIT, immediate_dominators
+from repro.kernels import build
 
 IF_ELSE = """
     setp.eq %p1, %r1, 0
@@ -210,3 +213,103 @@ def test_loop_back_branches_subset_of_backward_on_all_kernels():
         # Every natural loop's head must be a member of its own body.
         for (tail, head), body in program.natural_loops().items():
             assert head in body and tail in body, (name, tail, head)
+
+
+#: Each shipped kernel's branch analysis at both parameter scales, as
+#: ``(reconvergence, back_edges(), loop_back_branches())``.  Pinned from
+#: networkx's ``immediate_dominators``, which the in-repo pass replaced.
+PINNED_BRANCHES = {
+    ("atm", "quick"): ({26: 43, 30: 43, 44: 45, 47: 48},
+                       {(7, 2), (8, 1)}, {44, 47}),
+    ("ds", "quick"): ({27: 44, 31: 44, 45: 46, 48: 49},
+                      {(7, 2), (8, 1)}, {45, 48}),
+    ("histogram", "quick"): ({15: 16}, {(1, 1)}, {15}),
+    ("hl", "quick"): ({12: 13}, {(1, 1)}, {12}),
+    ("ht", "quick"): ({20: 32, 33: 34, 36: 37}, {(5, 2), (6, 1)}, {33, 36}),
+    ("kmeans", "quick"): ({14: 15}, {(1, 1)}, {14}),
+    ("ms", "quick"): ({18: 19}, {(1, 1)}, {18}),
+    ("nw1", "quick"): ({22: 23, 61: 71, 65: 66, 73: 74},
+                       {(2, 2), (5, 5), (7, 1)}, {22, 65, 73}),
+    ("nw2", "quick"): ({22: 23, 61: 71, 65: 66, 73: 74},
+                       {(2, 2), (5, 5), (7, 1)}, {22, 65, 73}),
+    ("reduction", "quick"): ({9: 16, 19: 20, 21: 26}, {(3, 1)}, {19}),
+    ("st", "quick"): ({6: 47, 11: 46, 34: 45, 42: 45}, {(7, 1)}, {46}),
+    ("stencil", "quick"): ({17: 18}, {(1, 1)}, {17}),
+    ("tb", "quick"): ({21: 34, 35: 36, 38: 39}, {(5, 2), (6, 1)}, {35, 38}),
+    ("tsp", "quick"): ({17: 18, 20: 31, 23: 24, 26: 29, 33: 34},
+                       {(1, 1), (4, 4), (8, 3)}, {17, 23, 33}),
+    ("vecadd", "quick"): ({16: 17}, {(1, 1)}, {16}),
+    ("atm", "full"): ({26: 43, 30: 43, 44: 45, 47: 48},
+                      {(7, 2), (8, 1)}, {44, 47}),
+    ("ds", "full"): ({27: 44, 31: 44, 45: 46, 48: 49},
+                     {(7, 2), (8, 1)}, {45, 48}),
+    ("histogram", "full"): ({15: 16}, {(1, 1)}, {15}),
+    ("hl", "full"): ({12: 13}, {(1, 1)}, {12}),
+    ("ht", "full"): ({20: 32, 33: 34, 36: 37}, {(5, 2), (6, 1)}, {33, 36}),
+    ("kmeans", "full"): ({14: 15}, {(1, 1)}, {14}),
+    ("ms", "full"): ({18: 19}, {(1, 1)}, {18}),
+    ("nw1", "full"): ({22: 23, 109: 119, 113: 114, 121: 122},
+                      {(2, 2), (5, 5), (7, 1)}, {22, 113, 121}),
+    ("nw2", "full"): ({22: 23, 109: 119, 113: 114, 121: 122},
+                      {(2, 2), (5, 5), (7, 1)}, {22, 113, 121}),
+    ("reduction", "full"): ({9: 16, 19: 20, 21: 26}, {(3, 1)}, {19}),
+    ("st", "full"): ({6: 55, 11: 54, 42: 53, 50: 53}, {(7, 1)}, {54}),
+    ("stencil", "full"): ({17: 18}, {(1, 1)}, {17}),
+    ("tb", "full"): ({21: 34, 35: 36, 38: 39}, {(5, 2), (6, 1)}, {35, 38}),
+    ("tsp", "full"): ({17: 18, 20: 31, 23: 24, 26: 29, 33: 34},
+                      {(1, 1), (4, 4), (8, 3)}, {17, 23, 33}),
+    ("vecadd", "full"): ({16: 17}, {(1, 1)}, {16}),
+}
+
+
+@pytest.mark.parametrize("scale", ["full", "quick"])
+@pytest.mark.parametrize("kernel",
+                         sorted({*sync_params(), *sync_free_params()}))
+def test_shipped_kernel_branch_analysis_is_pinned(kernel, scale):
+    program = build(kernel, **params_for(kernel, scale)).launch.program
+    assert (program.reconvergence, program.back_edges(),
+            program.loop_back_branches()) == PINNED_BRANCHES[kernel, scale]
+
+
+@st.composite
+def graphs(draw):
+    """A random digraph of at most 16 nodes and a root: self-loops,
+    unreachable nodes, several exits and a root with predecessors all
+    occur."""
+    n = draw(st.integers(1, 16))
+    node = st.integers(0, n - 1)
+    succ = {v: [] for v in range(n)}
+    for tail, head in draw(st.lists(st.tuples(node, node), max_size=3 * n)):
+        succ[tail].append(head)
+    return succ, draw(node)
+
+
+def _reachable(succ, root, removed=None):
+    seen, stack = {root}, [root]
+    while stack:
+        for nxt in succ[stack.pop()]:
+            if nxt not in seen and nxt != removed:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
+@settings(max_examples=500, deadline=None)
+@given(graphs())
+@example(({0: [1, 2], 1: [1, 3], 2: [0, 4], 3: [], 4: [], 5: [3]}, 0))
+def test_immediate_dominators_match_the_definition(graph):
+    # d dominates n iff n is unreachable from the root once d is removed;
+    # walking n's idom chain up to the root must visit exactly those d.
+    succ, root = graph
+    reach = _reachable(succ, root)
+    idom = immediate_dominators(succ, root)
+    assert set(idom) == reach - {root}
+    for node in reach - {root}:
+        chain, up = set(), node
+        while up != root:
+            up = idom[up]
+            assert up not in chain, "the idom map has a cycle"
+            chain.add(up)
+        assert chain == {root} | {
+            d for d in reach - {root, node}
+            if node not in _reachable(succ, root, removed=d)}
