@@ -321,7 +321,10 @@ class Program:
                 if last.guard is not None and block.end + 1 < n:
                     succs.append(start_to_block[block.end + 1])
             elif last.opcode is Opcode.EXIT:
-                pass  # edge to the virtual exit is added in the CFG
+                # The edge to the virtual exit is added in the CFG; the
+                # lanes a guarded exit leaves behind fall through.
+                if last.guard is not None and block.end + 1 < n:
+                    succs.append(start_to_block[block.end + 1])
             elif block.end + 1 < n:
                 succs.append(start_to_block[block.end + 1])
             block.successors = tuple(dict.fromkeys(succs))

@@ -83,6 +83,31 @@ class EntryDefect(Exception):
     """A file in the store is not an intact entry for its slot."""
 
 
+@dataclass(frozen=True)
+class CachedRecord:
+    """A verified entry's ``result`` record (:meth:`ResultCache.lookup`):
+    its compact JSON ``text``, which the serve daemon splices into its
+    reply as it stands, and what the journal's ``done`` record needs —
+    :func:`~repro.lab.journal.outcome_record` reads it as the cached
+    :class:`RunResult` it describes."""
+
+    spec_hash: str
+    cycles: int
+    elapsed_s: float
+    text: str
+
+    ok = True
+    from_cache = True
+    attempts = 1
+
+    def result(self, label: Optional[str] = None) -> RunResult:
+        """The record as a fresh :class:`RunResult`."""
+        result = RunResult.from_dict(json.loads(self.text))
+        result.from_cache = True
+        result.label = label
+        return result
+
+
 def _signature(stat: os.stat_result) -> Tuple[int, int, int]:
     """What identifies one version of an entry file: ``os.replace``
     brings a new inode, an in-place rewrite a new size or mtime."""
@@ -179,9 +204,9 @@ class ResultCache:
                  fingerprint: Optional[str] = None) -> None:
         self.directory = Path(directory) if directory else default_cache_dir()
         self._fingerprint = fingerprint
-        #: spec hash -> (file signature, ``result`` JSON text) of entries
-        #: this object has verified; see :meth:`get`.
-        self._verified: Dict[str, Tuple[tuple, str]] = {}
+        #: spec hash -> (file signature, record) of entries this object
+        #: has verified; see :meth:`lookup`.
+        self._verified: Dict[str, Tuple[tuple, CachedRecord]] = {}
         self._verified_lock = threading.Lock()
 
     @property
@@ -262,7 +287,18 @@ class ResultCache:
     # ------------------------------------------------------------------
 
     def get(self, spec: RunSpec) -> Optional[RunResult]:
-        """Return the cached result for ``spec``, or ``None`` on a miss.
+        """Return the cached result for ``spec``, or ``None`` on a miss:
+        :meth:`lookup`'s record, parsed.  Every hit is a fresh parse:
+        callers share nothing with the memo or with each other."""
+        found = self._read(spec)
+        if found is None:
+            return None
+        entry, result = found
+        return entry.result(spec.label) if result is None else result
+
+    def lookup(self, spec: RunSpec) -> Optional[CachedRecord]:
+        """The verified ``result`` record cached for ``spec``, or
+        ``None`` on a miss.
 
         A corrupt or unreadable entry counts as a miss — never a crash,
         never a silently wrong result.  Entries failing their content
@@ -270,41 +306,50 @@ class ResultCache:
         defect stays diagnosable and the slot is free for the fresh
         recompute.
 
-        An entry is verified once per file version: the ``result`` text
-        of one that passed is kept with the file's signature, and while
-        a ``stat`` still shows that signature a hit is parsed from the
-        kept text.  A re-``put``, another process's ``os.replace``, a
+        An entry is verified once per file version: the record of one
+        that passed is kept with the file's signature, and while a
+        ``stat`` still shows that signature it is answered from the
+        memo.  A re-``put``, another process's ``os.replace``, a
         quarantine or a ``clear`` changes or removes the file and so
-        falls back to the full verified read.  Every hit is a fresh
-        parse: callers share nothing with the memo or with each other.
+        falls back to the full verified read.
         """
+        found = self._read(spec)
+        return None if found is None else found[0]
+
+    def _read(self, spec: RunSpec
+              ) -> Optional[Tuple[CachedRecord, Optional[RunResult]]]:
+        """:meth:`lookup`'s record, and the :class:`RunResult` the
+        verification built when this call read the file (else None)."""
         spec_hash = spec.content_hash()
         path = self._entry_path(spec_hash)
         with self._verified_lock:
             memo = self._verified.get(spec_hash)
         try:
             if memo is not None and memo[0] == _signature(os.stat(path)):
-                result = RunResult.from_dict(json.loads(memo[1]))
-            else:
-                payload, result, stat = self._load_entry(path, spec_hash)
-                if stat.st_size <= MEMO_MAX_BYTES:
-                    self._remember(spec_hash, _signature(stat),
-                                   json.dumps(payload["result"]))
+                return memo[1], None
+            payload, result, stat = self._load_entry(path, spec_hash)
         except OSError:
             return None  # plain miss
         except EntryDefect:
             self._quarantine(path)
             return None
+        entry = CachedRecord(
+            spec_hash=spec_hash, cycles=result.cycles,
+            elapsed_s=result.elapsed_s,
+            text=json.dumps(payload["result"], separators=(",", ":")))
+        if stat.st_size <= MEMO_MAX_BYTES:
+            self._remember(spec_hash, _signature(stat), entry)
         result.from_cache = True
         result.label = spec.label
-        return result
+        return entry, result
 
-    def _remember(self, spec_hash: str, signature: tuple, text: str) -> None:
+    def _remember(self, spec_hash: str, signature: tuple,
+                  entry: CachedRecord) -> None:
         with self._verified_lock:
             self._verified.pop(spec_hash, None)  # re-inserted as newest
             while len(self._verified) >= MEMO_ENTRIES:
                 del self._verified[next(iter(self._verified))]
-            self._verified[spec_hash] = (signature, text)
+            self._verified[spec_hash] = (signature, entry)
 
     def put(self, spec: RunSpec, result: RunResult) -> Path:
         """Persist ``result`` under the spec's content hash (atomic,

@@ -65,6 +65,7 @@ from dataclasses import dataclass, field
 from typing import (Any, Callable, Deque, Dict, List, Optional, Tuple,
                     Union)
 
+from repro.lab.cache import CachedRecord
 from repro.lab.journal import (note_record, outcome_record, read_records,
                                record)
 from repro.lab.results import RunFailure, RunResult
@@ -183,8 +184,10 @@ class Job:
     id: str
     spec_hash: str
     subscribers: List[Any] = field(default_factory=list)
-    #: Set only on a ``"cached"`` submission: the entry that answered it.
-    result: Optional[RunResult] = None
+    #: Set only on a ``"cached"`` submission: the verified record of
+    #: the entry that answered it (a consumer that needs a
+    #: :class:`RunResult` parses it).
+    cached: Optional[CachedRecord] = None
     #: Progress spool the worker writes and the pump tails (``None``
     #: while nobody streams the job).
     progress_path: Optional[str] = None
@@ -239,8 +242,8 @@ class JobStore:
         """Register one submission; returns ``(job, status)``.
 
         ``status`` is ``"attached"`` (joined a job in flight),
-        ``"cached"`` (``job.result`` is already populated from the
-        cache; terminal), or ``"queued"`` (fresh work for the
+        ``"cached"`` (``job.cached`` holds the cache entry's verified
+        record; terminal), or ``"queued"`` (fresh work for the
         scheduler).  Atomic under the store lock: two concurrent
         submissions of one spec can never both come back ``"queued"``.
         """
@@ -251,11 +254,12 @@ class JobStore:
                 if subscriber is not None:
                     active.subscribers.append(subscriber)
                 return active, "attached"
-            cached = self.cache.get(spec) if self.cache is not None else None
+            cached = (self.cache.lookup(spec) if self.cache is not None
+                      else None)
             job = Job(
                 id=f"j{next(self._ids)}-{spec_hash[:8]}",
                 spec=spec, spec_hash=spec_hash, client=client,
-                result=cached,
+                cached=cached,
             )
             if subscriber is not None:
                 job.subscribers.append(subscriber)
@@ -396,13 +400,13 @@ class ExecutionCore:
                subscriber: Any) -> Tuple[Job, str]:
         """One submission; ``(job, status)`` as :meth:`JobStore.submit`.
         The subscriber hears ``accepted`` before the job can be
-        dispatched; a cached job is settled here (``job.result``)."""
+        dispatched; a cached job is settled here (``job.cached``)."""
         if self.journal is not None:
             self.persist(self.journal.record_spec, spec)
         job, status = self.store.submit(spec, client=client,
                                         subscriber=subscriber)
         if status == "cached":
-            self._log(outcome_record(job.result), job)
+            self._log(outcome_record(job.cached), job)
         subscriber.accepted(job, status)
         if status == "queued":
             self.queue.push(job)

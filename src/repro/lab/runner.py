@@ -86,8 +86,8 @@ class RunHandle:
     def accepted(self, job, status: str) -> None:
         self.job_id, self.spec_hash = job.id, job.spec_hash
         self.status = status
-        if job.result is not None:  # cached: settled at submission
-            self.send(job, job.result)
+        if job.cached is not None:  # cached: settled at submission
+            self.send(job, job.cached.result(job.spec.label))
 
     def send(self, job, item) -> bool:
         """``item``: a progress record (a ``dict``), then the outcome — a

@@ -162,23 +162,31 @@ class RunSpec:
         )
 
     def content_hash(self) -> str:
-        """Stable SHA-256 over everything that affects the simulation.
+        """Stable SHA-256 over everything that affects the simulation."""
+        return self._canonical()[1]
 
-        Computed once per spec and kept on the instance, outside the
-        dataclass fields: ``replace``, ``==``, ``repr`` and ``from_dict``
-        never see it, a pickle carries it to the pool worker.  Every
-        field is frozen except the ``params`` dict, so the memo is kept
-        with the ``repr`` of the params it hashed and is only as good as
-        that still matching.
+    def canonical_json(self) -> str:
+        """The canonical JSON text :meth:`content_hash` digests: the
+        :meth:`to_dict` of this spec, keys sorted, no whitespace."""
+        return self._canonical()[2]
+
+    def _canonical(self) -> Tuple[str, str, str]:
+        """``(params repr, hash, canonical text)``, computed once per
+        spec and kept on the instance, outside the dataclass fields:
+        ``replace``, ``==``, ``repr`` and ``from_dict`` never see it, a
+        pickle carries it to the pool worker.  Every field is frozen
+        except the ``params`` dict, so the memo is kept with the
+        ``repr`` of the params it hashed and is only as good as that
+        still matching.
         """
         params = repr(self.params)
         memo = self.__dict__.get("_hash_memo")
         if memo is None or memo[0] != params:
-            memo = (params, hashlib.sha256(
-                _canonical_json(self.to_dict()).encode("utf-8")
-            ).hexdigest())
+            text = _canonical_json(self.to_dict())
+            memo = (params, hashlib.sha256(text.encode("utf-8")).hexdigest(),
+                    text)
             object.__setattr__(self, "_hash_memo", memo)
-        return memo[1]
+        return memo
 
     @property
     def display(self) -> str:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import queue
 import threading
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.lab.core import Job
 from repro.lab.results import RunFailure, RunResult
@@ -128,11 +128,11 @@ class ServeClient:
             if ack is not None and ack.get("type") == "error":
                 raise ServeError(ack.get("message", "handshake refused"))
             protocol.check_hello(ack, expected_type="hello_ack")
-        except ServeError:
+        except (ServeError, protocol.ProtocolError, OSError) as exc:
             self._stream.close()
-            raise
-        except (protocol.ProtocolError, OSError) as exc:
-            self._stream.close()
+            self._stream.close_reader()
+            if isinstance(exc, ServeError):
+                raise
             raise ServeError(f"{type(exc).__name__}: {exc}") from exc
         self.server_info = ack
         self._reader = threading.Thread(
@@ -158,6 +158,7 @@ class ServeClient:
                 self._route(job_id, _decode(message))
             else:
                 self._replies.put(message)
+        self._stream.close_reader()
         # Connection gone: fail every outstanding wait.
         lost = ServeError(f"connection lost: {error}")
         self._replies.put({"type": "error", "message": str(lost)})
@@ -179,7 +180,10 @@ class ServeClient:
             handles = list(job.subscribers) if job is not None else ()
         _fan_out(job, item, handles)
 
-    def _rpc(self, message: Dict[str, Any]) -> Dict[str, Any]:
+    def _rpc(self, message: Union[Dict[str, Any], bytes],
+             kind: Optional[str] = None) -> Dict[str, Any]:
+        """Send ``message`` (a ``bytes`` one is an encoded line of type
+        ``kind``) and wait for its direct reply."""
         with self._rpc_lock:
             try:
                 self._stream.send(message)
@@ -189,7 +193,7 @@ class ServeClient:
                 reply = self._replies.get(timeout=self.rpc_timeout_s)
             except queue.Empty:
                 raise ServeError(
-                    f"no reply to {message.get('type')!r} within "
+                    f"no reply to {kind or message['type']!r} within "
                     f"{self.rpc_timeout_s}s"
                 ) from None
         if reply.get("type") == "error":
@@ -215,12 +219,12 @@ class ServeClient:
             with self._route_lock:
                 self._terminal = {}
             try:
-                reply = self._rpc({
-                    "type": "submit",
-                    "spec": spec.to_dict(),
-                    "label": spec.label,
-                    "stream": handle.wants_stream,
-                })
+                # The spec goes out as the canonical text its hash was
+                # computed over: serialized once per spec, not per submit.
+                reply = self._rpc(protocol.splice(
+                    {"type": "submit", "label": spec.label,
+                     "stream": handle.wants_stream},
+                    "spec", spec.canonical_json()), "submit")
                 if reply.get("type") != "accepted":
                     raise ServeError("expected 'accepted', daemon sent "
                                      f"{reply.get('type')!r}")

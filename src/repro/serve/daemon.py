@@ -36,9 +36,9 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Union
 
-from repro.lab.cache import ResultCache
+from repro.lab.cache import CachedRecord, ResultCache
 from repro.lab.core import ExecutionCore, Job
 from repro.lab.journal import SweepJournal, note_record, outcome_record, render
 from repro.lab.spec import RunSpec
@@ -60,10 +60,22 @@ COUNTER_NAMES = (
 )
 
 
-def _outcome_message(job: Job, outcome) -> Dict[str, Any]:
+#: Bounds of the daemon's memo of the specs it built for submissions
+#: the cache answered: how many it holds (oldest dropped first) and the
+#: longest submit line it keeps.
+SPEC_MEMO_ENTRIES = 256
+SPEC_MEMO_MAX_BYTES = 16 * 1024
+
+
+def _outcome_message(job: Job, outcome) -> Union[Dict[str, Any], bytes]:
     """``job``'s terminal message: a result's record with its delivery
-    fields beside it, or a failure's ``failed`` record."""
+    fields beside it, or a failure's ``failed`` record.  A cache entry's
+    verified record goes out as the text it is, spliced into the line."""
     message = {"job_id": job.id, "label": job.spec.label}
+    if isinstance(outcome, CachedRecord):
+        return protocol.splice(
+            {"type": "result", **message, "attempts": outcome.attempts,
+             "from_cache": outcome.from_cache}, "result", outcome.text)
     if outcome.ok:
         return {"type": "result", **message, "attempts": outcome.attempts,
                 "from_cache": outcome.from_cache, "result": outcome.to_dict()}
@@ -92,7 +104,7 @@ class _Subscription:
         messages = [{"type": "accepted", "job_id": job.id,
                      "spec_hash": job.spec_hash, "status": status}]
         if status == "cached":  # both lines leave in one socket write
-            messages.append(_outcome_message(job, job.result))
+            messages.append(_outcome_message(job, job.cached))
         self.conn.send(*messages)
 
     def send(self, job: Job, item) -> bool:
@@ -124,7 +136,7 @@ class _ClientConn:
         #: job id -> the subscription carrying its progress here.
         self.streams: Dict[str, _Subscription] = {}
 
-    def send(self, *messages: Dict[str, Any]) -> bool:
+    def send(self, *messages: Union[Dict[str, Any], bytes]) -> bool:
         if not self.alive:
             return False
         try:
@@ -183,6 +195,10 @@ class ServeDaemon:
         self.counters: Dict[str, int] = dict.fromkeys(
             ("submitted", "attached", "cache_hits", "clients"), 0)
         self._counters_lock = threading.Lock()
+        #: submit line -> the spec built from it, for lines whose
+        #: submission the cache answered; see :meth:`_handle_submit`.
+        self._specs: Dict[bytes, RunSpec] = {}
+        self._specs_lock = threading.Lock()
 
         self._abort = False
         self._stopping = False
@@ -304,39 +320,39 @@ class ServeDaemon:
     def _client_loop(self, conn: _ClientConn) -> None:
         stream = conn.stream
         try:
-            hello = protocol.check_hello(stream.recv())
-        except protocol.ProtocolError as exc:
-            conn.send({"type": "error", "message": str(exc)})
-            conn.close()
-            return
-        if hello.get("client"):
-            conn.name = str(hello["client"])
-        conn.send({"type": "hello_ack",
-                   "protocol": protocol.PROTOCOL_VERSION,
-                   "server": "repro-serve"})
-        self._count("clients")
-        with self._conns_lock:
-            self._conns.add(conn)
-        try:
+            try:
+                hello = protocol.check_hello(stream.recv())
+            except protocol.ProtocolError as exc:
+                conn.send({"type": "error", "message": str(exc)})
+                return
+            if hello.get("client"):
+                conn.name = str(hello["client"])
+            conn.send({"type": "hello_ack",
+                       "protocol": protocol.PROTOCOL_VERSION,
+                       "server": "repro-serve"})
+            self._count("clients")
+            with self._conns_lock:
+                self._conns.add(conn)
             while conn.alive:
                 try:
-                    message = stream.recv()
+                    received = stream.recv_line()
                 except (protocol.ProtocolError, OSError) as exc:
                     conn.send({"type": "error", "message": str(exc)})
                     break
-                if message is None:
+                if received is None:
                     break
-                self._handle_message(conn, message)
+                self._handle_message(conn, *received)
         finally:
             conn.close()
+            stream.close_reader()
             with self._conns_lock:
                 self._conns.discard(conn)
 
-    def _handle_message(self, conn: _ClientConn,
-                        message: Dict[str, Any]) -> None:
+    def _handle_message(self, conn: _ClientConn, message: Dict[str, Any],
+                        line: bytes) -> None:
         kind = message.get("type")
         if kind == "submit":
-            self._handle_submit(conn, message)
+            self._handle_submit(conn, message, line)
         elif kind == "status":
             conn.send({"type": "status", **self.status()})
         elif kind == "ping":
@@ -349,27 +365,43 @@ class ServeDaemon:
             conn.send({"type": "error",
                        "message": f"unknown message type {kind!r}"})
 
-    def _handle_submit(self, conn: _ClientConn,
-                       message: Dict[str, Any]) -> None:
+    def _handle_submit(self, conn: _ClientConn, message: Dict[str, Any],
+                       line: bytes) -> None:
         if self.core.draining:
             conn.send({"type": "error",
                        "message": "daemon is draining; "
                                   "resubmit to a fresh daemon"})
             return
-        try:
-            spec = RunSpec.from_dict(message["spec"],
-                                     label=message.get("label"))
-        except (KeyError, TypeError, ValueError) as exc:
-            conn.send({"type": "error",
-                       "message": f"bad spec: {type(exc).__name__}: {exc}"})
-            return
+        # A line this daemon has received before, byte for byte, holds
+        # the same spec and label: the spec built (and hashed) from it
+        # then is reused.  The key is what arrived, never a hash the
+        # client claims.
+        with self._specs_lock:
+            spec = self._specs.get(line)
+        if spec is None:
+            try:
+                spec = RunSpec.from_dict(message["spec"],
+                                         label=message.get("label"))
+            except (KeyError, TypeError, ValueError) as exc:
+                conn.send({"type": "error", "message":
+                           f"bad spec: {type(exc).__name__}: {exc}"})
+                return
         # A cache hit is answered here, on the client's thread, and never
         # reaches the queue.
         job, status = self.core.submit(spec, conn.name, _Subscription(
             self, conn, wants_stream=bool(message.get("stream", True))))
+        if status == "cached" and len(line) <= SPEC_MEMO_MAX_BYTES:
+            self._remember_spec(line, spec)
         if self.progress is not None:
             self._say(note_record("submit", job=job.id, status=status,
                                   client=conn.name), spec.display)
+
+    def _remember_spec(self, line: bytes, spec: RunSpec) -> None:
+        with self._specs_lock:
+            self._specs.pop(line, None)  # re-inserted as newest
+            while len(self._specs) >= SPEC_MEMO_ENTRIES:
+                del self._specs[next(iter(self._specs))]
+            self._specs[line] = spec
 
     # -- execution (all on the serve-dispatch thread) -----------------
 

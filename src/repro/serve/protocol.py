@@ -50,7 +50,7 @@ import json
 import os
 import socket
 import threading
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.lab.spec import _json_default
 
@@ -118,12 +118,27 @@ def connect(address: str, timeout_s: Optional[float] = None) -> socket.socket:
     return sock
 
 
+def encode(message: Dict[str, Any]) -> bytes:
+    """One message as its line, without the newline."""
+    return json.dumps(message, separators=(",", ":"),
+                      default=_json_default).encode("utf-8")
+
+
+def splice(message: Dict[str, Any], key: str, text: str) -> bytes:
+    """``message`` (not empty) encoded with one more key, ``key``, last,
+    whose value is ``text``: JSON that is already encoded and goes in
+    verbatim.  The caller vouches that ``text`` is one JSON value."""
+    return b"%s,%s:%s}" % (encode(message)[:-1], encode(key),
+                           text.encode("utf-8"))
+
+
 class MessageStream:
     """Thread-safe JSON-lines framing over one connected socket.
 
-    Reads happen from a single thread (the owner's reader loop); writes
-    may come from any thread and are serialized by a lock — a streamed
-    sample and a result broadcast never interleave mid-line.
+    Reads happen from a single thread (the owner's reader loop), which
+    calls :meth:`close_reader` when its loop ends; writes may come from
+    any thread and are serialized by a lock — a streamed sample and a
+    result broadcast never interleave mid-line.
     """
 
     def __init__(self, sock: socket.socket) -> None:
@@ -132,18 +147,24 @@ class MessageStream:
         self._write_lock = threading.Lock()
         self._closed = False
 
-    def send(self, *messages: Dict[str, Any]) -> None:
-        """Write the messages, one line each, in one ``sendall``;
-        raises ``OSError`` on a dead peer."""
+    def send(self, *messages: Union[Dict[str, Any], bytes]) -> None:
+        """Write the messages, one line each, in one ``sendall``; a
+        ``bytes`` message is a line already encoded (:func:`splice`).
+        Raises ``OSError`` on a dead peer."""
         lines = b"".join(
-            json.dumps(message, separators=(",", ":"),
-                       default=_json_default).encode("utf-8") + b"\n"
-            for message in messages)
+            (message if isinstance(message, bytes) else encode(message))
+            + b"\n" for message in messages)
         with self._write_lock:
             self._sock.sendall(lines)
 
     def recv(self) -> Optional[Dict[str, Any]]:
         """Read one message; ``None`` on EOF (peer closed cleanly)."""
+        received = self.recv_line()
+        return received and received[0]
+
+    def recv_line(self) -> Optional[Tuple[Dict[str, Any], bytes]]:
+        """Read one message and the line it was parsed from; ``None`` on
+        EOF (peer closed cleanly)."""
         line = self._reader.readline(MAX_LINE_BYTES + 1)
         if not line:
             return None
@@ -157,7 +178,7 @@ class MessageStream:
             raise ProtocolError(f"message is not valid JSON: {exc}") from exc
         if not isinstance(message, dict) or "type" not in message:
             raise ProtocolError("message must be an object with a 'type'")
-        return message
+        return message, line
 
     def close(self) -> None:
         """Tear down the connection (safe from any thread).
@@ -178,6 +199,13 @@ class MessageStream:
             self._sock.close()
         except OSError:
             pass
+
+    def close_reader(self) -> None:
+        """Close the buffered reader: the reading thread's last call,
+        once its loop has ended.  The reader holds the socket's
+        descriptor open past :meth:`close`, and only the thread that
+        reads may close it (see :meth:`close`)."""
+        self._reader.close()
 
 
 def hello_message(client: Optional[str] = None) -> Dict[str, Any]:
@@ -212,6 +240,8 @@ __all__ = [
     "check_hello",
     "connect",
     "create_listener",
+    "encode",
     "hello_message",
     "parse_address",
+    "splice",
 ]

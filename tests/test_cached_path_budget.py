@@ -30,6 +30,7 @@ from repro.lab import _testing
 from repro.lab import spec as spec_mod
 from repro.lab.cache import ResultCache
 from repro.lab.journal import SweepJournal
+from repro.lab.results import RunResult
 from repro.lab.runner import Runner
 from repro.lab.spec import RunSpec
 from repro.serve import ServeClient, ServeDaemon
@@ -55,6 +56,9 @@ class Work:
         self._wrap(monkeypatch, spec_mod, "_canonical_json",
                    "canonicalisations")
         self._wrap(monkeypatch, dataclasses, "asdict", "asdict calls")
+        self._wrap(monkeypatch, RunResult, "from_dict", "result parses")
+        self._wrap(monkeypatch, RunResult, "to_dict", "result encodes")
+        self._wrap(monkeypatch, os, "fsync", "fsyncs")
         for owner in (builtins, io):
             self._wrap(monkeypatch, owner, "open", "entry opens",
                        only_entries=True)
@@ -118,10 +122,10 @@ def test_cached_submission_budget_on_the_daemon(home, monkeypatch):
     work.threads = set()
     real_submit = ServeDaemon._handle_submit
 
-    def handle_submit(daemon, conn, message):
+    def handle_submit(daemon, *args):
         work.threads.add(threading.get_ident())
         try:
-            return real_submit(daemon, conn, message)
+            return real_submit(daemon, *args)
         finally:
             handled.release()
 
@@ -145,8 +149,13 @@ def test_cached_submission_budget_on_the_daemon(home, monkeypatch):
             for spec in _specs() * 3:
                 work.reset()
                 submit(spec)
-                work.check(canonicalisations=1, asdict_calls=0,
-                           entry_opens=0, entry_stats=1)
+                # The spec built for the same line is reused and the
+                # entry's verified text is spliced into the reply; the
+                # journal's ``done`` record is still fsynced.
+                work.check(canonicalisations=0, asdict_calls=0,
+                           entry_opens=0, entry_stats=1, result_parses=0,
+                           result_encodes=0)
+                assert work.count("fsyncs") == 1
         assert daemon.status()["counters"]["cache_hits"] == 16
         assert daemon.status()["counters"]["dispatched"] == 0
     finally:

@@ -106,6 +106,70 @@ def test_paths_that_only_meet_at_exit():
     assert program.reconvergence_point(1) == RECONVERGE_AT_EXIT
 
 
+GUARDED_EXIT = """
+    setp.eq %p1, %r1, 0
+    @%p1 exit
+    mov %r2, 1
+    exit
+"""
+
+LOOP_AFTER_GUARDED_EXIT = """
+    setp.eq %p1, %r1, 0
+    @%p1 exit
+    mov %r_i, 0
+LOOP:
+    add %r_i, %r_i, 1
+    bra BODY
+BODY:
+    setp.lt %p2, %r_i, 10
+    @%p2 bra LOOP
+    exit
+"""
+
+BRANCH_BEFORE_GUARDED_EXIT = """
+    setp.eq %p0, %r1, 0
+    @%p0 bra J
+    setp.eq %p1, %r2, 0
+    @%p1 exit
+    mov %r3, 1
+J:
+    mov %r4, 2
+    exit
+"""
+
+
+def _blocks(program):
+    return [(b.start, b.end, b.successors) for b in program.blocks]
+
+
+def test_guarded_exit_falls_through():
+    # The lanes whose guard is false run on: block 0 reaches block 1.
+    program = assemble(GUARDED_EXIT)
+    assert _blocks(program) == [(0, 1, (1,)), (2, 3, ())]
+
+
+def test_loop_after_a_guarded_exit_is_a_loop():
+    program = assemble(LOOP_AFTER_GUARDED_EXIT)
+    assert _blocks(program) == [(0, 1, (1,)), (2, 2, (2,)), (3, 4, (3,)),
+                                (5, 6, (2, 4)), (7, 7, ())]
+    assert program.back_edges() == {(3, 2)}
+    assert program.loop_back_branches() == program.backward_branches() == {6}
+    assert program.reconvergence == {6: 7}
+
+
+def test_branch_before_a_guarded_exit_reconverges_at_exit():
+    # The guarded exit block now falls through to ``mov %r3`` and keeps
+    # its edge to the virtual exit.  Lanes that exit there never reach
+    # J, so J does not post-dominate the branch: the two paths of the
+    # branch meet only at the exit, with the fall-through edge or
+    # without it.
+    program = assemble(BRANCH_BEFORE_GUARDED_EXIT)
+    assert _blocks(program) == [(0, 1, (3, 1)), (2, 3, (2,)), (4, 4, (3,)),
+                                (5, 6, ())]
+    assert program.reconvergence_point(1) == RECONVERGE_AT_EXIT
+    assert program.back_edges() == set()
+
+
 def test_true_sibs_from_annotation():
     program = assemble(
         """
