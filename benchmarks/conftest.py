@@ -10,7 +10,7 @@ round): the interesting output is the regenerated table, and the
 benchmark timing records how long the regeneration takes.
 
 Simulations execute through :mod:`repro.lab` (and thence through the
-:func:`repro.api.simulate` facade): a session-scoped fixture installs a
+:func:`repro.simulate` road): a session-scoped fixture installs a
 runner with a process pool (``REPRO_LAB_WORKERS``, default: CPU count)
 and the shared on-disk result cache, so the Figures 10-13 delay sweep is
 simulated once and every later benchmark — and every later *session*

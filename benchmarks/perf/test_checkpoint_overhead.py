@@ -21,8 +21,8 @@ import time
 
 import pytest
 
-from repro.api import simulate
 from repro.sim.config import GPUConfig
+from repro.sim.run import simulate
 
 PARAMS = {
     "ht": dict(n_threads=256, n_buckets=8, items_per_thread=1,

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import time
 
-from repro.api import simulate
 from repro.obs import ObsConfig
 from repro.sim.config import GPUConfig
+from repro.sim.run import simulate
 
 #: Lock-heavy enough that events actually stream (BOWS + DDOS on).
 HT = dict(n_threads=256, n_buckets=8, items_per_thread=1, block_dim=128)

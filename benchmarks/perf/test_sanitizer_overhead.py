@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import time
 
-from repro.api import simulate
 from repro.sim.config import GPUConfig
+from repro.sim.run import simulate
 
 HT = dict(n_threads=256, n_buckets=8, items_per_thread=1, block_dim=128)
 

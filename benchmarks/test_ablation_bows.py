@@ -15,10 +15,9 @@ from conftest import record, run_once
 
 from repro.harness.experiments import ExperimentResult
 from repro.harness.params import sync_params
-from repro.api import simulate
-from repro.harness.runner import make_config
 from repro.kernels import build
-from repro.sim.config import BOWSConfig
+from repro.sim.config import BOWSConfig, GPUConfig
+from repro.sim.run import simulate
 
 
 def _time(kernel, params, config):
@@ -31,13 +30,13 @@ def _ablation() -> ExperimentResult:
     rows = []
     for kernel in kernels:
         p = params[kernel]
-        base = _time(kernel, p, make_config("gto"))
-        depri = _time(kernel, p, make_config("gto", bows=0))
-        fixed = _time(kernel, p, make_config("gto", bows=2000))
-        paper = _time(kernel, p, make_config(
-            "gto", bows=BOWSConfig(adaptive=True, controller="paper")))
-        hill = _time(kernel, p, make_config("gto", bows=True))
-        static = _time(kernel, p, make_config("gto", bows=True,
+        base = _time(kernel, p, GPUConfig.preset("fermi"))
+        depri = _time(kernel, p, GPUConfig.preset("fermi", bows=0))
+        fixed = _time(kernel, p, GPUConfig.preset("fermi", bows=2000))
+        paper = _time(kernel, p, GPUConfig.preset(
+            "fermi", bows=BOWSConfig(adaptive=True, controller="paper")))
+        hill = _time(kernel, p, GPUConfig.preset("fermi", bows=True))
+        static = _time(kernel, p, GPUConfig.preset("fermi", bows=True,
                                               ddos=False))
         rows.append({
             "kernel": kernel,

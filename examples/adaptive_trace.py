@@ -16,7 +16,7 @@ tracks the sweet spot") made visible.
 Run:  python examples/adaptive_trace.py
 """
 
-from repro import build_workload, make_config, simulate
+from repro import GPUConfig, build_workload, simulate
 
 CASES = {
     "ht": dict(n_threads=1024, n_buckets=16, items_per_thread=2,
@@ -42,9 +42,9 @@ def sparkline(values, width=60):
 def main() -> None:
     for kernel, params in CASES.items():
         baseline = simulate(build_workload(kernel, **params),
-                            config=make_config("gto"))
+                            config=GPUConfig.preset("fermi"))
         result = simulate(build_workload(kernel, **params),
-                          config=make_config("gto", bows=True))
+                          config=GPUConfig.preset("fermi", bows=True))
         print(f"\n== {kernel}: {baseline.cycles} -> {result.cycles} cycles "
               f"({baseline.cycles / result.cycles:.2f}x)")
         for sm in result.sms:

@@ -9,7 +9,7 @@ HQL proxy).
 Run:  python examples/contention_sweep.py
 """
 
-from repro import build_workload, make_config, simulate
+from repro import GPUConfig, build_workload, simulate
 from repro.harness.reporting import print_table
 
 PARAMS = dict(n_threads=512, items_per_thread=1, block_dim=256)
@@ -21,12 +21,12 @@ def main() -> None:
     for n_buckets in BUCKETS:
         params = dict(PARAMS, n_buckets=n_buckets)
         base = simulate(build_workload("ht", **params),
-                        config=make_config("gto"))
+                        config=GPUConfig.preset("fermi"))
         bows = simulate(build_workload("ht", **params),
-                        config=make_config("gto", bows=True))
+                        config=GPUConfig.preset("fermi", bows=True))
         # magic locks break mutual exclusion, so skip validation
         ideal = simulate(build_workload("ht", **params),
-                         config=make_config("gto", magic_locks=True),
+                         config=GPUConfig.preset("fermi", magic_locks=True),
                          validate=False)
         base_instr = base.stats.thread_instructions
         rows.append({

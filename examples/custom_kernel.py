@@ -3,7 +3,7 @@
 
 Demonstrates the full public authoring path: write assembly text with a
 spin lock (annotated for the metrics layer), assemble it, set up global
-memory by hand, launch on a GPU instance, and inspect both the final
+memory by hand, launch it with ``simulate``, and inspect both the final
 memory image and the scheduler statistics — including DDOS finding your
 spin loop without being told where it is.
 
@@ -14,11 +14,11 @@ Run:  python examples/custom_kernel.py
 """
 
 from repro import (
-    GPU,
+    GPUConfig,
     GlobalMemory,
     KernelLaunch,
     assemble,
-    make_config,
+    simulate,
 )
 
 SOURCE = r"""
@@ -70,8 +70,8 @@ def main() -> None:
         params={"lock": lock, "top": top, "stack": stack},
     )
 
-    gpu = GPU(make_config("gto", bows=True), memory=memory)
-    result = gpu.launch(launch)
+    result = simulate(launch, config=GPUConfig.preset("fermi", bows=True),
+                      memory=memory)
 
     pushed = sorted(int(v) for v in memory.load_array(stack, N_THREADS))
     assert memory.read_word(top) == N_THREADS, "lost pushes!"

@@ -18,7 +18,7 @@ time.  The kernel ships with its spin-loop ground truth annotated:
 Run:  python examples/quickstart.py
 """
 
-from repro import build_workload, make_config, simulate
+from repro import GPUConfig, build_workload, simulate
 
 
 def main() -> None:
@@ -29,9 +29,9 @@ def main() -> None:
     print("Simulating hashtable insertion "
           "(1024 threads x 2 keys, 16 buckets; ~15s)...")
     baseline = simulate(build_workload("ht", **params),
-                        config=make_config("gto"))
+                        config=GPUConfig.preset("fermi"))
     bows = simulate(build_workload("ht", **params),
-                    config=make_config("gto", bows=True))
+                    config=GPUConfig.preset("fermi", bows=True))
 
     base_stats = baseline.stats
     bows_stats = bows.stats

@@ -9,7 +9,7 @@ shape of the paper's Figure 9a.
 Run:  python examples/scheduler_comparison.py
 """
 
-from repro import build_workload, make_config, simulate
+from repro import GPUConfig, build_workload, simulate
 from repro.harness.params import KERNEL_ORDER, sync_params
 from repro.harness.reporting import geomean, print_table
 
@@ -31,7 +31,8 @@ def main() -> None:
         for sched, bows in SCHEMES:
             label = f"{sched}+bows" if bows else sched
             result = simulate(build_workload(kernel, **params[kernel]),
-                              config=make_config(sched, bows=bows))
+                              config=GPUConfig.preset(
+                                  "fermi", scheduler=sched, bows=bows))
             cycles_by_scheme[label] = result.cycles
             if lrr_cycles is None:
                 lrr_cycles = result.cycles

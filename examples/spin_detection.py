@@ -24,11 +24,11 @@ default, so ``DDOSConfig()`` with no arguments reproduces Table I:
 Run:  python examples/spin_detection.py
 """
 
-from repro import DDOSConfig, build_workload, make_config, simulate
+from repro import DDOSConfig, GPUConfig, build_workload, simulate
 
 
 def detect(kernel: str, ddos: DDOSConfig, **params):
-    config = make_config("gto", ddos=ddos)
+    config = GPUConfig.preset("fermi", ddos=ddos)
     result = simulate(build_workload(kernel, **params), config=config)
     program = result.launch.program
     return {

@@ -12,9 +12,10 @@ Quickstart::
     bows = simulate("ht", config=GPUConfig.preset("fermi", bows=True))
     print(baseline.cycles / bows.cycles)  # BOWS speedup
 
-:func:`repro.api.simulate` is the single simulation entry point — it also
-accepts a built :class:`Workload`, a :class:`KernelLaunch`, or a bare
-:class:`Program`.
+:func:`simulate` (:mod:`repro.sim.run`) is the single simulation entry
+point — it also accepts a built :class:`Workload`, a :class:`KernelLaunch`,
+or a bare :class:`Program`.  This root loads only the simulator layer:
+import the lab, the daemon and :mod:`repro.submit` from their modules.
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every figure and table.
@@ -29,12 +30,10 @@ from repro.analysis import (
     lint_kernel,
     lint_program,
 )
-from repro.api import simulate
 from repro.core import hardware_cost
 from repro.core.adaptive import AdaptiveDelayController
 from repro.core.bows import BOWSUnit
 from repro.core.ddos import DDOSEngine, hash_modulo, hash_xor
-from repro.harness.runner import make_config
 from repro.isa import AssemblyError, Program, assemble
 from repro.kernels import (
     SYNC_FREE_KERNELS,
@@ -65,6 +64,7 @@ from repro.sim.progress import (
     SimulationLivelock,
     SimulationTimeout,
 )
+from repro.sim.run import resume_simulation, simulate
 
 __version__ = "1.0.0"
 
@@ -105,8 +105,8 @@ __all__ = [
     "lint_all",
     "lint_kernel",
     "lint_program",
-    "make_config",
     "pascal_config",
+    "resume_simulation",
     "simulate",
     "__version__",
 ]

@@ -56,7 +56,6 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.api import simulate, submit
 from repro.harness.experiments import ALL_EXPERIMENTS, run_delay_sweep
 from repro.harness.reporting import format_table
 from repro.harness.sweep import Sweep, resume_sweep
@@ -67,6 +66,8 @@ from repro.lab import (JournalError, ResultCache, RunFailure, Runner, RunSpec,
 from repro.serve.client import ServeError
 from repro.sim.config import GPUConfig
 from repro.sim.progress import SimulationHang
+from repro.sim.run import simulate
+from repro.submit import submit
 
 #: Exit codes for machine consumers (CI, the fuzzer's repro command).
 EXIT_OK = 0

@@ -1,6 +1,2 @@
-"""Experiment harness: configuration shorthand, runners, and the code
-that regenerates every table and figure of the paper's evaluation."""
-
-from repro.harness.runner import make_config
-
-__all__ = ["make_config"]
+"""Experiment harness: the specs and sweeps that regenerate every table
+and figure of the paper's evaluation."""

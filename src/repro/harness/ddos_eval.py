@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.ddos import DetectionOutcome
-from repro.harness.runner import make_config
 from repro.lab import RunSpec, current_runner
 from repro.sim.config import DDOSConfig, GPUConfig
 
@@ -78,7 +77,7 @@ def evaluate_ddos(
     kernel_params = kernel_params or {}
     specs = []
     for name in kernels:
-        config = (base_config or make_config("gto")).replace(ddos=ddos)
+        config = (base_config or GPUConfig.preset("fermi")).replace(ddos=ddos)
         specs.append(RunSpec(
             kernel=name, config=config,
             params=dict(kernel_params.get(name, {})),

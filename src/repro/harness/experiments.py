@@ -34,7 +34,6 @@ from repro.harness.params import (
     sync_params,
 )
 from repro.harness.reporting import format_table, geomean
-from repro.harness.runner import make_config
 from repro.core.cost import hardware_cost
 from repro.lab import RunResult, RunSpec, current_runner
 from repro.metrics.stats import SimStats
@@ -86,7 +85,7 @@ def _run_all(specs: Sequence[RunSpec]) -> List[RunResult]:
 
 def _bows_variant(base: str, bows, preset: str = "fermi",
                   **overrides) -> GPUConfig:
-    return make_config(base, bows=bows, preset=preset, **overrides)
+    return GPUConfig.preset(preset, scheduler=base, bows=bows, **overrides)
 
 
 # ----------------------------------------------------------------------
@@ -110,11 +109,11 @@ def fig1(scale: str = "full",
     specs = []
     for n_buckets in buckets:
         p = dict(params, n_buckets=n_buckets)
-        specs.append(_spec("ht", make_config("gto"), p,
+        specs.append(_spec("ht", GPUConfig.preset("fermi"), p,
                            label=f"ht buckets={n_buckets}"))
         specs.append(_spec(
             "ht",
-            make_config("gto", num_sms=1, max_warps_per_sm=1),
+            GPUConfig.preset("fermi", num_sms=1, max_warps_per_sm=1),
             dict(p, n_threads=32, block_dim=32),
             label=f"ht buckets={n_buckets} single-warp",
         ))
@@ -178,8 +177,8 @@ def fig2(scale: str = "full",
     params = sync_params(scale)
     kernels = list(kernels or KERNEL_ORDER)
     specs = [
-        _spec(kernel, make_config(scheme), params[kernel],
-              label=f"{kernel} {scheme}")
+        _spec(kernel, GPUConfig.preset("fermi", scheduler=scheme),
+              params[kernel], label=f"{kernel} {scheme}")
         for kernel in kernels for scheme in BASELINES
     ]
     runs = iter(_run_all(specs))
@@ -226,13 +225,13 @@ def fig3(scale: str = "full",
     specs = []
     for factor in delay_factors:
         if factor == 0:
-            specs.append(_spec("ht", make_config("gto"), params,
+            specs.append(_spec("ht", GPUConfig.preset("fermi"), params,
                                label="ht no-delay"))
         else:
-            specs.append(_spec("ht_backoff", make_config("gto"),
+            specs.append(_spec("ht_backoff", GPUConfig.preset("fermi"),
                                dict(params, delay_factor=factor),
                                label=f"ht sw-delay({factor})"))
-    specs.append(_spec("ht", make_config("gto", bows=True), params,
+    specs.append(_spec("ht", GPUConfig.preset("fermi", bows=True), params,
                        label="ht bows"))
     *delay_runs, bows = _run_all(specs)
     rows = []
@@ -295,7 +294,7 @@ def tab1(scale: str = "full") -> ExperimentResult:
     average TSDR / FSDR / detection-phase ratio over the kernel set.
     """
     kernels, kparams = _ddos_kernel_set(scale)
-    base = make_config("gto", ddos=True)
+    base = GPUConfig.preset("fermi", ddos=True)
 
     def evaluate(ddos: DDOSConfig) -> Dict[str, float]:
         summary = ddos_eval.evaluate_ddos(
@@ -435,11 +434,11 @@ def run_delay_sweep(
     for kernel in kernels:
         for delay in delays:
             if delay is None:
-                config = make_config("gto")
+                config = GPUConfig.preset("fermi")
             elif delay == "adaptive":
-                config = make_config("gto", bows=True)
+                config = GPUConfig.preset("fermi", bows=True)
             else:
-                config = make_config("gto", bows=int(delay))
+                config = GPUConfig.preset("fermi", bows=int(delay))
             keys.append((kernel, delay))
             specs.append(_spec(kernel, config, params[kernel],
                                label=f"{kernel} delay={delay}"))
@@ -580,16 +579,17 @@ def fig14(scale: str = "full",
     largest = delays[-1]
     specs = []
     for kernel in kernels:
-        specs.append(_spec(kernel, make_config("gto"), free[kernel],
+        specs.append(_spec(kernel, GPUConfig.preset("fermi"), free[kernel],
                            label=f"{kernel} gto"))
         for delay in delays:
-            modulo = make_config(
-                "gto", bows=int(delay),
+            modulo = GPUConfig.preset(
+                "fermi", bows=int(delay),
                 ddos=DDOSConfig(hashing="modulo"),
             )
             specs.append(_spec(kernel, modulo, free[kernel],
                                label=f"{kernel} modulo({delay})"))
-        specs.append(_spec(kernel, make_config("gto", bows=int(largest)),
+        specs.append(_spec(kernel,
+                           GPUConfig.preset("fermi", bows=int(largest)),
                            free[kernel], label=f"{kernel} xor({largest})"))
     runs = iter(_run_all(specs))
     rows = []
@@ -632,11 +632,12 @@ def fig16(scale: str = "full",
     specs = []
     for n_buckets in buckets:
         p = dict(params, n_buckets=n_buckets)
-        specs.append(_spec("ht", make_config("gto"), p,
+        specs.append(_spec("ht", GPUConfig.preset("fermi"), p,
                            label=f"ht buckets={n_buckets} gto"))
-        specs.append(_spec("ht", make_config("gto", bows=True), p,
+        specs.append(_spec("ht", GPUConfig.preset("fermi", bows=True), p,
                            label=f"ht buckets={n_buckets} bows"))
-        specs.append(_spec("ht", make_config("gto", magic_locks=True), p,
+        specs.append(_spec("ht", GPUConfig.preset("fermi", magic_locks=True),
+                           p,
                            validate=False,
                            label=f"ht buckets={n_buckets} ideal"))
     runs = iter(_run_all(specs))
@@ -678,7 +679,7 @@ def fig16(scale: str = "full",
 
 def tab3() -> ExperimentResult:
     """Table III: per-SM storage for DDOS + BOWS."""
-    config = make_config("gto", bows=True)
+    config = GPUConfig.preset("fermi", bows=True)
     cost = hardware_cost(config)
     rows = [
         {"component": "SIB-PT", "bits": cost.sib_pt_bits,

@@ -1,4 +1,9 @@
-"""Configuration shorthand for the experiment harness."""
+"""Old configuration shorthand, kept only for the ledger.
+
+``benchmarks/ledger/workloads.py`` imports :func:`make_config` from
+here; ROADMAP item 7(b) spells it ``GPUConfig.preset`` there, and this
+module goes with it.  Everything else calls :meth:`GPUConfig.preset`.
+"""
 
 from __future__ import annotations
 

@@ -22,12 +22,12 @@ from typing import (Any, Callable, Dict, Iterable, List, Optional, Tuple,
 
 from repro.analysis.sanitizer import SanitizerConfig
 from repro.harness.params import params_for
-from repro.harness.runner import make_config
 from repro.lab.journal import load_journal, open_journal
 from repro.lab.results import RunFailure, RunResult
 from repro.lab.runner import BatchReport, Runner
 from repro.lab.spec import RunSpec
 from repro.obs import ObsConfig
+from repro.sim.config import GPUConfig
 from repro.submit import submit_many
 
 SpecFactory = Callable[[Dict[str, Any]], RunSpec]
@@ -50,11 +50,11 @@ def experiment_spec(combo: Dict[str, Any]) -> RunSpec:
     combo = dict(combo)
     kernel = combo.pop("kernel")
     scale = combo.pop("scale", "full")
-    config = make_config(
-        combo.pop("scheduler", "gto"),
+    config = GPUConfig.preset(
+        combo.pop("preset", "fermi"),
+        scheduler=combo.pop("scheduler", "gto"),
         bows=combo.pop("bows", None),
         ddos=combo.pop("ddos", None),
-        preset=combo.pop("preset", "fermi"),
     )
     seed = combo.pop("seed", None)
     validate = combo.pop("validate", True)

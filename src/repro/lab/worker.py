@@ -32,7 +32,7 @@ from repro.lab.spec import RunSpec
 from repro.obs import event_to_dict
 from repro.obs.events import RunResumed
 from repro.sim.checkpoint import CheckpointError, SimCheckpoint
-from repro.sim.gpu import GPU
+from repro.sim.run import begin_simulation
 
 
 class RunTimeout(RuntimeError):
@@ -81,9 +81,9 @@ def execute_run(spec: RunSpec, checkpoint_dir=None,
     if resume_ckpt is not None:
         live = resume_ckpt.restore()
     else:
-        gpu = GPU(spec.config, memory=workload.memory, engine=spec.engine,
-                  obs=spec.obs, sanitizer=spec.sanitize)
-        live = gpu.begin(workload.launch)
+        live = begin_simulation(workload, config=spec.config,
+                                engine=spec.engine, obs=spec.obs,
+                                sanitize=spec.sanitize)
     obs = live.obs
     # Live consumers are not state (a pickle drops them), so the tap is
     # attached here: after the Observability is built or restored,

@@ -1,7 +1,8 @@
 """repro.obs — observability for the warp-scheduling simulator.
 
 The one thing the simulated machine is handed to be observed with
-(``GPU(obs=)``).  Three pillars (see ``docs/observability.md``):
+(the ``obs=`` argument of :func:`repro.simulate`).  Three pillars (see
+``docs/observability.md``):
 
 * **Event bus** (:mod:`repro.obs.events`, :mod:`repro.obs.bus`) —
   typed scheduler/sync decision events (DDOS confidence transitions,
@@ -22,8 +23,9 @@ read it.
 
 Entry point::
 
-    from repro.api import simulate
-    result = simulate("ht", scheduler="bows", obs=True)
+    from repro import GPUConfig, simulate
+    result = simulate("ht", config=GPUConfig.preset("fermi", bows=True),
+                      obs=True)
     result.obs.series.to_csv("ht_bows.csv")
     for event in result.obs.events("sib_detected"):
         print(event)
@@ -121,7 +123,7 @@ class ObsConfig:
 class Observability:
     """One run's worth of collected events + time series.
 
-    Pass to :func:`repro.api.simulate` via ``obs=`` (or just
+    Pass to :func:`repro.simulate` via ``obs=`` (or just
     ``obs=True``); the GPU wires the bus into every producer and polls
     the sampler from its cycle loop.  After the run, the same object
     hangs off ``SimResult.obs``.

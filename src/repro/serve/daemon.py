@@ -33,7 +33,9 @@ reach cache, journal, and clients.  A second signal aborts immediately.
 
 from __future__ import annotations
 
+import contextlib
 import os
+import socket
 import threading
 import time
 from typing import Any, Dict, Optional, Union
@@ -425,10 +427,12 @@ class ServeDaemon:
         """Tear down once the core has settled every job."""
         self._stopping = True
         if self._listener is not None:
-            try:
+            # close() alone leaves the accept thread blocked in accept();
+            # shutdown() wakes it.
+            with contextlib.suppress(OSError):
+                self._listener.shutdown(socket.SHUT_RDWR)
+            with contextlib.suppress(OSError):
                 self._listener.close()
-            except OSError:
-                pass
             family, target = protocol.parse_address(self.address)
             if family == "unix":
                 try:

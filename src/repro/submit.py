@@ -7,7 +7,7 @@ daemon shared with every other tool on the machine.  :func:`submit` and
 :func:`submit_many` are that indifference point, and the one place the
 road is chosen:
 
-    from repro.api import submit
+    from repro.submit import submit
 
     handle = submit(spec)                             # in-process
     handle = submit(spec, server="/tmp/repro.sock")   # via the daemon

@@ -179,10 +179,10 @@ def test_static_oracle_agrees_with_ddos(kernel):
     """Paper Table I, XOR m=k=8 (the default DDOS config): runtime
     detections score TSDR 1.0 / FSDR 0.0 against the *static* oracle —
     i.e. the CFG-derived ground truth and DDOS agree exactly."""
-    from repro.api import simulate
-    from repro.harness.runner import make_config
+    from repro.sim.config import GPUConfig
+    from repro.sim.run import simulate
 
-    config = make_config("gto", ddos=True, num_sms=1,
+    config = GPUConfig.preset("fermi", ddos=True, num_sms=1,
                          max_warps_per_sm=8, max_cycles=5_000_000)
     result = simulate(kernel, config=config, params=DDOS_SUITE[kernel])
     program = result.launch.program

@@ -12,8 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import Sanitizer, SanitizerConfig, as_sanitizer
-from repro.api import simulate
 from repro.sim.config import GPUConfig
+from repro.sim.run import simulate
 from test_golden_fixtures import expect, observe
 
 HT = dict(n_threads=128, n_buckets=8, items_per_thread=1, block_dim=64)

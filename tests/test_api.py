@@ -1,9 +1,9 @@
-"""The :func:`repro.api.simulate` facade: one entry point, four targets.
+"""``simulate`` (:mod:`repro.sim.run`): one entry point, four targets.
 
 Covers target dispatch (name / Workload / KernelLaunch / Program),
-config resolution (presets by name, scheduler override, watchdog
-vocabulary), argument validation, the single-use workload guard, and
-the deprecation path of the old harness entry points.
+config resolution (presets by name), argument validation, the
+single-use workload guard, and the removal of the old harness entry
+points from the package root.
 """
 
 from __future__ import annotations
@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import _resolve_config, simulate
 from repro.isa import assemble
 from repro.kernels import build as build_workload
 from repro.kernels.base import WorkloadReuseError
 from repro.memory.memsys import GlobalMemory
 from repro.sim.config import GPUConfig
 from repro.sim.gpu import KernelLaunch, SimResult
+from repro.sim.run import _resolve_config, simulate
 
 VECADD = dict(n_threads=64, per_thread=2, block_dim=64)
 
@@ -83,20 +83,22 @@ def test_simulate_rejects_unknown_targets_and_configs():
 
 
 def test_config_resolution_vocabulary():
-    assert _resolve_config(None, None, None) == GPUConfig.preset("fermi")
-    assert _resolve_config("pascal", None, None) == \
-        GPUConfig.preset("pascal")
-    assert _resolve_config(None, "lrr", None).scheduler == "lrr"
-    assert _resolve_config(None, None, False).no_progress_window == 0
-    assert _resolve_config(None, None, 12345).no_progress_window == 12345
-    base = GPUConfig.preset("fermi")
-    assert _resolve_config(base, None, True) == base
-    overridden = _resolve_config(
-        None, None, {"no_progress_window": 99, "progress_epoch": 7})
-    assert overridden.no_progress_window == 99
-    assert overridden.progress_epoch == 7
+    assert _resolve_config(None) == GPUConfig.preset("fermi")
+    assert _resolve_config("pascal") == GPUConfig.preset("pascal")
+    base = GPUConfig.preset("fermi", scheduler="lrr")
+    assert _resolve_config(base) is base
     with pytest.raises(TypeError):
-        _resolve_config(None, None, 1.5)
+        _resolve_config(1.5)
+
+
+def test_config_is_the_one_way_to_choose_scheduler_and_watchdog():
+    """A scheduler or a watchdog window is a config field, set through
+    ``GPUConfig.preset(...)``; ``simulate`` takes no shortcut for them."""
+    for shortcut in ({"scheduler": "lrr"}, {"watchdog": False}):
+        with pytest.raises(TypeError):
+            simulate("vecadd", params=VECADD, **shortcut)
+    config = GPUConfig.preset("fermi", scheduler="lrr", no_progress_window=0)
+    assert simulate("vecadd", params=VECADD, config=config).cycles > 0
 
 
 def test_engine_selection():
@@ -109,16 +111,16 @@ def test_engine_selection():
 
 
 def test_legacy_harness_entry_points_removed():
-    """The deprecated run_workload/run_kernel shims are gone for good;
-    make_config survives (pure configuration, no wiring to drift)."""
+    """The deprecated run_workload/run_kernel shims are gone for good,
+    and the package root no longer exports the make_config shorthand:
+    a configuration is ``GPUConfig.preset(...)``."""
     import repro
     import repro.harness
     import repro.harness.runner as runner
 
-    config = runner.make_config("gto")
-    assert config == GPUConfig.preset("fermi", scheduler="gto")
+    for name in ("run_workload", "run_kernel", "make_config"):
+        assert not hasattr(repro, name)
+        assert name not in repro.__all__
+        assert not hasattr(repro.harness, name)
     for name in ("run_workload", "run_kernel"):
         assert not hasattr(runner, name)
-        assert not hasattr(repro, name)
-        assert name not in repro.harness.__all__
-    assert "run_workload" not in repro.__all__

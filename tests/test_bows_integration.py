@@ -2,17 +2,17 @@
 
 import pytest
 
-from repro.api import simulate
-from repro.harness.runner import make_config
 from repro.kernels import build
+from repro.sim.config import GPUConfig
+from repro.sim.run import simulate
 
 HT = dict(n_threads=256, n_buckets=8, items_per_thread=1, block_dim=128)
 TB = dict(n_threads=128, n_cells=8, items_per_thread=1, block_dim=64)
 
 
 def run_ht(bows=None, ddos=None, scheduler="gto", **config_overrides):
-    config = make_config(
-        scheduler, bows=bows, ddos=ddos,
+    config = GPUConfig.preset(
+        "fermi", scheduler=scheduler, bows=bows, ddos=ddos,
         num_sms=1, max_warps_per_sm=8, max_cycles=8_000_000,
         **config_overrides,
     )
@@ -86,9 +86,9 @@ def test_larger_delays_cut_more_spin():
 
 def test_tb_barrier_throttling_mutes_bows():
     """Paper: TB's own barrier throttling leaves little for BOWS."""
-    config = make_config("gto", num_sms=1, max_warps_per_sm=8)
+    config = GPUConfig.preset("fermi", num_sms=1, max_warps_per_sm=8)
     base = simulate(build("tb", **TB), config=config)
-    config_bows = make_config("gto", bows=True, num_sms=1,
+    config_bows = GPUConfig.preset("fermi", bows=True, num_sms=1,
                               max_warps_per_sm=8)
     bows = simulate(build("tb", **TB), config=config_bows)
     # At this tiny scale the adaptive walk is noisy; TB must merely
@@ -103,9 +103,9 @@ def test_tb_barrier_throttling_mutes_bows():
 def test_bows_does_not_affect_sync_free_kernels_with_xor():
     """No detections -> scheduling identical to the baseline."""
     params = dict(n_threads=64, per_thread=8, block_dim=32)
-    config = make_config("gto", num_sms=1, max_warps_per_sm=8)
+    config = GPUConfig.preset("fermi", num_sms=1, max_warps_per_sm=8)
     base = simulate(build("vecadd", **params), config=config)
-    config_bows = make_config("gto", bows=5000, num_sms=1,
+    config_bows = GPUConfig.preset("fermi", bows=5000, num_sms=1,
                               max_warps_per_sm=8)
     bows = simulate(build("vecadd", **params), config=config_bows)
     assert bows.cycles == base.cycles
@@ -121,7 +121,7 @@ def test_sib_instructions_counted():
 
 def test_magic_locks_mode():
     """Ideal-blocking proxy: one acquire per critical section."""
-    config = make_config("gto", magic_locks=True, num_sms=1,
+    config = GPUConfig.preset("fermi", magic_locks=True, num_sms=1,
                          max_warps_per_sm=8)
     result = simulate(build("ht", **HT), config=config, validate=False)
     locks = result.stats.locks

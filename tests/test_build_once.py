@@ -17,7 +17,6 @@ import sys
 import pytest
 
 from repro.harness.params import QUICK_PARAMS, QUICK_SYNC_FREE
-from repro.harness.runner import make_config
 from repro.isa import assembler
 from repro.isa.assembler import ASSEMBLY_MEMO_SIZE, assemble
 from repro.isa.program import Memo, Program
@@ -25,6 +24,7 @@ from repro.kernels import build, kernel_names
 from repro.lab.runner import Runner
 from repro.lab.spec import RunSpec
 from repro.sim import executor
+from repro.sim.config import GPUConfig
 from repro.sim.executor import DECODE_MEMO_SIZE, DecodedOp, decode_program
 from repro.sim.gpu import GPU
 
@@ -36,8 +36,8 @@ def quick_params(kernel):
 
 
 CONFIGS = {
-    "gto": lambda: make_config("gto"),
-    "bows": lambda: make_config("gto", bows="adaptive", ddos=True),
+    "gto": lambda: GPUConfig.preset("fermi"),
+    "bows": lambda: GPUConfig.preset("fermi", bows="adaptive", ddos=True),
 }
 
 TINY = """
@@ -56,7 +56,7 @@ def begin(kernel, config):
 
 @pytest.mark.parametrize("kernel", kernel_names())
 def test_two_builds_share_one_program_and_one_decoding(kernel):
-    config = make_config("gto")
+    config = GPUConfig.preset("fermi")
     first = build(kernel, **quick_params(kernel)).launch
     second = build(kernel, **quick_params(kernel)).launch
     assert second.program is first.program
@@ -91,7 +91,7 @@ def test_a_run_leaves_the_shared_kernel_as_it_found_it(kernel, config):
 
 def test_a_decoded_op_refuses_assignment():
     program = assemble(TINY, name="refuses")
-    dop = decode_program(program, make_config("gto"), {"n": 3}).ops[0]
+    dop = decode_program(program, GPUConfig.preset("fermi"), {"n": 3}).ops[0]
     handler = dop.handler
     with pytest.raises(AttributeError):
         dop.handler = lambda *args: None
@@ -112,7 +112,7 @@ def test_the_assembly_memo_evicts_its_oldest_entry(monkeypatch):
 
 def test_the_decode_memo_evicts_its_oldest_entry():
     program = assemble(TINY, name="decode-evict")
-    config = make_config("gto")
+    config = GPUConfig.preset("fermi")
     decodings = [decode_program(program, config, {"n": n})
                  for n in range(DECODE_MEMO_SIZE + 1)]
     assert decode_program(program, config,
@@ -122,11 +122,12 @@ def test_the_decode_memo_evicts_its_oldest_entry():
 
 
 SHARED_CONFIGS = [
-    make_config("gto"), make_config("lrr"), make_config("cawa"),
-    make_config("gto", bows=500), make_config("gto", ddos=True),
-    make_config("gto", bows="adaptive", ddos=True),
-    make_config("lrr", bows=500, ddos=True),
-    make_config("cawa", bows="adaptive", ddos=True),
+    GPUConfig.preset("fermi"), GPUConfig.preset("fermi", scheduler="lrr"),
+    GPUConfig.preset("fermi", scheduler="cawa"),
+    GPUConfig.preset("fermi", bows=500), GPUConfig.preset("fermi", ddos=True),
+    GPUConfig.preset("fermi", bows="adaptive", ddos=True),
+    GPUConfig.preset("fermi", scheduler="lrr", bows=500, ddos=True),
+    GPUConfig.preset("fermi", scheduler="cawa", bows="adaptive", ddos=True),
 ]
 
 

@@ -20,14 +20,14 @@ import time
 
 import pytest
 
-from repro.harness.runner import make_config
 from repro.lab import _testing, cache as cache_mod
 from repro.lab.cache import ResultCache
 from repro.lab.spec import RunSpec
+from repro.sim.config import GPUConfig
 
 
 def _spec(seed: int = 0, kernel: str = "vecadd") -> RunSpec:
-    return RunSpec(kernel=kernel, config=make_config("gto"), seed=seed,
+    return RunSpec(kernel=kernel, config=GPUConfig.preset("fermi"), seed=seed,
                    label=f"{kernel}{seed}")
 
 

@@ -25,7 +25,6 @@ import traceback
 
 import pytest
 
-from repro.harness.runner import make_config
 from repro.lab import _testing
 from repro.lab import spec as spec_mod
 from repro.lab.cache import ResultCache
@@ -34,6 +33,7 @@ from repro.lab.results import RunResult
 from repro.lab.runner import Runner
 from repro.lab.spec import RunSpec
 from repro.serve import ServeClient, ServeDaemon
+from repro.sim.config import GPUConfig
 
 PARAMS = dict(n_threads=64, per_thread=2, block_dim=32)
 
@@ -41,7 +41,8 @@ PARAMS = dict(n_threads=64, per_thread=2, block_dim=32)
 def _specs():
     """Fresh spec objects (no hash memo) for the same four simulations."""
     return [RunSpec(kernel="vecadd", params=dict(PARAMS), seed=seed,
-                    config=make_config("gto", bows=bows), label=f"s{seed}")
+                    config=GPUConfig.preset("fermi", bows=bows),
+                    label=f"s{seed}")
             for seed in (1, 2) for bows in (None, "adaptive")]
 
 

@@ -20,7 +20,6 @@ import tempfile
 import pytest
 
 import repro.serve.daemon as daemon_mod
-from repro.harness.runner import make_config
 from repro.lab import _testing
 from repro.lab import cache as cache_mod
 from repro.lab.cache import ResultCache
@@ -30,13 +29,14 @@ from repro.lab.results import RunResult
 from repro.lab.spec import RunSpec
 from repro.obs import ObsConfig
 from repro.serve import ServeClient, ServeDaemon, protocol
+from repro.sim.config import GPUConfig
 from test_cache_memo import DRIFTS, _write_as_the_parent_commit_did
 
 VECADD = dict(n_threads=64, per_thread=2, block_dim=32)
 
 
 def _spec(seed=None, label=None, obs=None) -> RunSpec:
-    return RunSpec(kernel="vecadd", config=make_config("gto"),
+    return RunSpec(kernel="vecadd", config=GPUConfig.preset("fermi"),
                    params=dict(VECADD), seed=seed, label=label, obs=obs)
 
 

@@ -16,12 +16,12 @@ import pickle
 
 import pytest
 
-from repro.api import resume_simulation, simulate
 from repro.kernels import build as build_workload
 from repro.sim.checkpoint import CheckpointError, SimCheckpoint
 from repro.sim.config import GPUConfig
 from repro.sim.gpu import GPU
 from repro.sim.progress import SimulationTimeout
+from repro.sim.run import resume_simulation, simulate
 from test_golden_fixtures import oracle
 
 PARAMS = dict(n_threads=128, n_buckets=8, items_per_thread=1, block_dim=64)

@@ -108,8 +108,8 @@ def test_sweep_command_runs_caches_and_writes_journal(tmp_path, capsys):
 
 
 def test_profile_quick_uses_the_quick_size_of_a_sync_free_kernel(capsys):
-    from repro.api import simulate
     from repro.harness.params import QUICK_SYNC_FREE
+    from repro.sim.run import simulate
 
     assert main(["profile", "vecadd", "--quick"]) == 0
     out = capsys.readouterr().out

@@ -1,11 +1,17 @@
-"""Configuration presets, make_config shorthand, reporting helpers."""
+"""Configuration presets, the ``GPUConfig.preset`` vocabulary, reporting
+helpers.
+
+``harness.runner.make_config`` survives only for the benchmark ledger
+(ROADMAP 7(b) deletes it).  Until then each ``test_make_config_*`` test
+builds its config through both the shim and ``GPUConfig.preset`` and
+checks that they agree, then checks the preset's vocabulary.
+"""
 
 import pytest
 from hypothesis import given, strategies as st
 
+import repro.harness.runner as runner
 from repro.harness.reporting import format_table, geomean
-from repro.api import simulate
-from repro.harness.runner import make_config
 from repro.sim.config import (
     BOWSConfig,
     DDOSConfig,
@@ -13,6 +19,7 @@ from repro.sim.config import (
     fermi_config,
     pascal_config,
 )
+from repro.sim.run import simulate
 
 # ---------------------------------------------------------------- config
 
@@ -54,30 +61,41 @@ def test_max_threads_per_sm():
     assert config.max_threads_per_sm == 320
 
 
-# ------------------------------------------------------------ make_config
+# ------------------------------------------------- GPUConfig.preset vocabulary
+
+# Looked up by name: nothing but the ledger and these tests calls the shim.
+_shim = getattr(runner, "make_config")
+
+
+def _preset(name="fermi", **kwargs):
+    """``GPUConfig.preset(name, **kwargs)``, checked against the shim."""
+    config = GPUConfig.preset(name, **kwargs)
+    assert _shim(preset=name, **kwargs) == config
+    return config
 
 
 def test_make_config_defaults():
-    config = make_config()
+    config = _preset("fermi")
+    assert config == _shim()
     assert config.scheduler == "gto"
     assert config.bows is None
     assert config.ddos is None
 
 
 def test_make_config_bows_true_is_adaptive_with_ddos():
-    config = make_config("gto", bows=True)
+    config = _preset("fermi", bows=True)
     assert config.bows is not None and config.bows.adaptive
     assert config.ddos is not None
 
 
 def test_make_config_bows_int_is_fixed_delay():
-    config = make_config("gto", bows=1234)
+    config = _preset("fermi", bows=1234)
     assert config.bows.delay_limit == 1234
     assert not config.bows.adaptive
 
 
 def test_make_config_bows_without_ddos():
-    config = make_config("gto", bows=500, ddos=False)
+    config = _preset("fermi", bows=500, ddos=False)
     assert config.bows is not None
     assert config.ddos is None
 
@@ -85,27 +103,33 @@ def test_make_config_bows_without_ddos():
 def test_make_config_explicit_objects():
     bows = BOWSConfig(delay_limit=42)
     ddos = DDOSConfig(hashing="modulo")
-    config = make_config("lrr", bows=bows, ddos=ddos)
+    config = _preset("fermi", scheduler="lrr", bows=bows, ddos=ddos)
+    assert config.scheduler == "lrr"
     assert config.bows is bows
     assert config.ddos is ddos
+    assert _shim("lrr", bows, ddos) == config
 
 
 def test_make_config_pascal_preset():
-    config = make_config("gto", preset="pascal")
+    config = _preset("pascal", num_sms=3)
     assert config.name.startswith("pascal")
+    assert config.num_sms == 3
 
 
 def test_make_config_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        make_config(preset="volta")
-    with pytest.raises(TypeError):
-        make_config(bows=3.14)
-    with pytest.raises(TypeError):
-        make_config(ddos="yes")
+        GPUConfig.preset("volta")
+    with pytest.raises(ValueError):
+        _shim(preset="volta")
+    for build in (GPUConfig.preset, _shim):
+        with pytest.raises(TypeError):
+            build(bows=3.14)
+        with pytest.raises(TypeError):
+            build(ddos="yes")
 
 
 def test_simulate_by_name_one_shot():
-    config = make_config("gto", num_sms=1, max_warps_per_sm=4)
+    config = GPUConfig.preset("fermi", num_sms=1, max_warps_per_sm=4)
     result = simulate(
         "vecadd", config=config,
         params=dict(n_threads=64, per_thread=2, block_dim=32),

@@ -4,10 +4,9 @@ import pytest
 
 from repro.core.ddos import score_result
 from repro.harness.ddos_eval import evaluate_ddos
-from repro.api import simulate
-from repro.harness.runner import make_config
 from repro.kernels import build
-from repro.sim.config import DDOSConfig
+from repro.sim.config import DDOSConfig, GPUConfig
+from repro.sim.run import simulate
 
 SYNC_CASES = {
     "ht": dict(n_threads=128, n_buckets=8, items_per_thread=1,
@@ -33,8 +32,8 @@ FREE_CASES = {
 
 
 def run_with_ddos(kernel, params, **ddos_overrides):
-    config = make_config(
-        "gto", ddos=DDOSConfig(**ddos_overrides),
+    config = GPUConfig.preset(
+        "fermi", ddos=DDOSConfig(**ddos_overrides),
         num_sms=1, max_warps_per_sm=8, max_cycles=5_000_000,
     )
     workload = build(kernel, **params)
@@ -82,13 +81,13 @@ def test_narrow_hash_aliases():
         DDOSConfig(path_bits=2, value_bits=2),
         ["ms", "hl", "kmeans"],
         {k: FREE_CASES[k] for k in ("ms", "hl", "kmeans")},
-        base_config=make_config("gto", num_sms=1, max_warps_per_sm=8),
+        base_config=GPUConfig.preset("fermi", num_sms=1, max_warps_per_sm=8),
     )
     wide = evaluate_ddos(
         DDOSConfig(path_bits=8, value_bits=8),
         ["ms", "hl", "kmeans"],
         {k: FREE_CASES[k] for k in ("ms", "hl", "kmeans")},
-        base_config=make_config("gto", num_sms=1, max_warps_per_sm=8),
+        base_config=GPUConfig.preset("fermi", num_sms=1, max_warps_per_sm=8),
     )
     assert summary.avg_fsdr >= wide.avg_fsdr
 
@@ -118,7 +117,7 @@ def test_evaluate_ddos_summary_shape():
         DDOSConfig(),
         ["ht", "kmeans"],
         {"ht": SYNC_CASES["ht"], "kmeans": FREE_CASES["kmeans"]},
-        base_config=make_config("gto", num_sms=1, max_warps_per_sm=8),
+        base_config=GPUConfig.preset("fermi", num_sms=1, max_warps_per_sm=8),
     )
     row = summary.as_row()
     assert set(row) == {"TSDR", "DPR(true)", "FSDR", "DPR(false)"}

@@ -632,8 +632,8 @@ def test_no_handler_mutates_or_outlives_its_exec_mask(kernel):
     standard: after every issue, every stack entry's ``n`` is its
     mask's count."""
     from repro.harness.params import QUICK_PARAMS, QUICK_SYNC_FREE
-    from repro.harness.runner import make_config
     from repro.kernels import build
+    from repro.sim.config import GPUConfig
     from repro.sim.executor import DecodedOp
     from repro.sim.gpu import GPU
 
@@ -655,7 +655,7 @@ def test_no_handler_mutates_or_outlives_its_exec_mask(kernel):
 
     params = QUICK_PARAMS.get(kernel) or QUICK_SYNC_FREE[kernel]
     workload = build(kernel, **params)
-    gpu = GPU(make_config("gto", bows="adaptive", ddos=True),
+    gpu = GPU(GPUConfig.preset("fermi", bows="adaptive", ddos=True),
               memory=workload.memory, obs=True, sanitizer=True)
     sim = gpu.begin(workload.launch)
     # Decodings are shared by every run in the process and never

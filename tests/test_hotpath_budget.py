@@ -30,8 +30,8 @@ import numpy as np
 import pytest
 
 from repro.harness.params import QUICK_PARAMS, QUICK_SYNC_FREE
-from repro.harness.runner import make_config
 from repro.kernels import build
+from repro.sim.config import GPUConfig
 from repro.sim.gpu import GPU
 
 #: Calls per warp instruction measured at this commit on the toolchain
@@ -69,8 +69,8 @@ MEASURED_ON = ((3, 11), (2, 4))
 SLACK = 1.15
 
 CONFIGS = {
-    "gto": lambda: make_config("gto"),
-    "bows": lambda: make_config("gto", bows="adaptive", ddos=True),
+    "gto": lambda: GPUConfig.preset("fermi"),
+    "bows": lambda: GPUConfig.preset("fermi", bows="adaptive", ddos=True),
 }
 
 
@@ -110,7 +110,7 @@ def skip_off_toolchain(measured: str) -> None:
 @pytest.mark.parametrize("kernel", sorted(MEASURED_SETUP))
 def test_calls_per_run_setup(kernel):
     params = QUICK_PARAMS.get(kernel) or QUICK_SYNC_FREE[kernel]
-    config = make_config("gto")
+    config = GPUConfig.preset("fermi")
 
     def setup():
         workload = build(kernel, **params)

@@ -9,9 +9,9 @@ workload parameters; each case fully simulates the kernel.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.api import simulate
-from repro.harness.runner import make_config
 from repro.kernels import build
+from repro.sim.config import GPUConfig
+from repro.sim.run import simulate
 
 SLOW = settings(
     max_examples=8,
@@ -21,7 +21,7 @@ SLOW = settings(
 
 
 def config(scheduler="gto", bows=None):
-    return make_config(scheduler, bows=bows, num_sms=1,
+    return GPUConfig.preset("fermi", scheduler=scheduler, bows=bows, num_sms=1,
                        max_warps_per_sm=4, max_cycles=8_000_000)
 
 

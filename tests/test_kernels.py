@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.api import simulate
-from repro.harness.runner import make_config
 from repro.kernels import (
     SYNC_FREE_KERNELS,
     SYNC_KERNELS,
@@ -12,6 +10,8 @@ from repro.kernels import (
     build,
     kernel_names,
 )
+from repro.sim.config import GPUConfig
+from repro.sim.run import simulate
 
 TINY = {
     "ht": dict(n_threads=128, n_buckets=8, items_per_thread=1,
@@ -36,7 +36,7 @@ TINY = {
 
 
 def config():
-    return make_config("gto", num_sms=1, max_warps_per_sm=8,
+    return GPUConfig.preset("fermi", num_sms=1, max_warps_per_sm=8,
                        max_cycles=5_000_000)
 
 

@@ -12,7 +12,6 @@ import time
 
 import pytest
 
-from repro.harness.runner import make_config
 from repro.harness.sweep import Sweep
 from repro.kernels import WorkloadReuseError, build
 from repro.lab import (
@@ -30,14 +29,14 @@ from repro.lab.journal import SweepJournal, load_journal, read_records
 from repro.lab.results import RunResult
 from repro.lab.spec import _canonical_json
 from repro.metrics.stats import SimStats
-from repro.sim.config import DDOSConfig
+from repro.sim.config import DDOSConfig, GPUConfig
 from test_golden_fixtures import LAB_ROWS, check
 
 VECADD = dict(n_threads=64, per_thread=2, block_dim=32)
 
 
 def vecadd_spec(**config_kwargs) -> RunSpec:
-    return RunSpec("vecadd", make_config("gto", **config_kwargs),
+    return RunSpec("vecadd", GPUConfig.preset("fermi", **config_kwargs),
                    dict(VECADD))
 
 
@@ -46,8 +45,9 @@ def vecadd_spec(**config_kwargs) -> RunSpec:
 
 
 def test_content_hash_is_stable_and_order_independent():
-    a = RunSpec("ht", make_config("gto"), {"n_threads": 64, "n_buckets": 8})
-    b = RunSpec("ht", make_config("gto"), {"n_buckets": 8, "n_threads": 64})
+    fermi = GPUConfig.preset("fermi")
+    a = RunSpec("ht", fermi, {"n_threads": 64, "n_buckets": 8})
+    b = RunSpec("ht", fermi, {"n_buckets": 8, "n_threads": 64})
     assert a.content_hash() == b.content_hash()
     assert len(a.content_hash()) == 64
 
@@ -56,24 +56,23 @@ def test_content_hash_covers_simulation_inputs():
     base = vecadd_spec()
     assert base.content_hash() != vecadd_spec(bows=1000).content_hash()
     assert base.content_hash() != RunSpec(
-        "vecadd", make_config("gto"), dict(VECADD, per_thread=3)
+        "vecadd", GPUConfig.preset("fermi"), dict(VECADD, per_thread=3)
     ).content_hash()
     assert base.content_hash() != RunSpec(
-        "vecadd", make_config("gto"), dict(VECADD), seed=7
+        "vecadd", GPUConfig.preset("fermi"), dict(VECADD), seed=7
     ).content_hash()
     assert base.content_hash() != RunSpec(
-        "vecadd", make_config("gto"), dict(VECADD), validate=False
+        "vecadd", GPUConfig.preset("fermi"), dict(VECADD), validate=False
     ).content_hash()
     # Labels are presentation-only.
-    labelled = RunSpec("vecadd", make_config("gto"), dict(VECADD),
+    labelled = RunSpec("vecadd", GPUConfig.preset("fermi"), dict(VECADD),
                        label="pretty")
     assert base.content_hash() == labelled.content_hash()
 
 
 def test_config_round_trip():
-    config = make_config("cawa", bows=1500,
-                         ddos=DDOSConfig(hashing="modulo"),
-                         preset="pascal", num_sms=3)
+    config = GPUConfig.preset("pascal", scheduler="cawa", bows=1500,
+                         ddos=DDOSConfig(hashing="modulo"), num_sms=3)
     rebuilt = config_from_dict(config_to_dict(config))
     assert rebuilt == config
     assert (_canonical_json(config_to_dict(rebuilt))
@@ -81,7 +80,7 @@ def test_config_round_trip():
 
 
 def test_spec_round_trip():
-    spec = RunSpec("ht", make_config("gto", bows=True),
+    spec = RunSpec("ht", GPUConfig.preset("fermi", bows=True),
                    {"n_threads": 128}, seed=3, validate=False)
     rebuilt = RunSpec.from_dict(spec.to_dict())
     assert rebuilt.content_hash() == spec.content_hash()
@@ -162,7 +161,8 @@ def test_runner_thread_mode_matches_serial():
 
 
 def test_runner_attaches_ddos_outcome():
-    spec = RunSpec("vecadd", make_config("gto", ddos=True), dict(VECADD))
+    spec = RunSpec("vecadd", GPUConfig.preset("fermi", ddos=True),
+                   dict(VECADD))
     result = Runner().run_one(spec)
     assert result.ddos is not None
     assert result.ddos["kernel"] == "vecadd"
@@ -248,7 +248,7 @@ def test_one_bad_run_does_not_sink_the_batch():
         return _fake_result(spec)
 
     specs = [vecadd_spec(),
-             RunSpec("ht", make_config("gto"), {"n_threads": 64}),
+             RunSpec("ht", GPUConfig.preset("fermi"), {"n_threads": 64}),
              vecadd_spec(bows=1000)]
     report = Runner(workers=1, run_fn=selective).run_many(specs)
     assert [r.ok for r in report.results] == [True, False, True]
@@ -274,7 +274,7 @@ def test_batch_journal_contents(tmp_path):
 
     runner = Runner(workers=1, run_fn=selective,
                     cache=None)
-    specs = [vecadd_spec(), RunSpec("ht", make_config("gto"), {},
+    specs = [vecadd_spec(), RunSpec("ht", GPUConfig.preset("fermi"), {},
                                     label="doomed")]
     with SweepJournal(tmp_path / "batch.jsonl") as journal:
         runner.run_many(specs, journal=journal)
@@ -452,9 +452,9 @@ def test_use_runner_scopes_the_current_runner():
 
 
 def test_workload_reuse_raises():
-    from repro.api import simulate
+    from repro.sim.run import simulate
 
     workload = build("vecadd", **VECADD)
-    simulate(workload, config=make_config("gto"))
+    simulate(workload, config=GPUConfig.preset("fermi"))
     with pytest.raises(WorkloadReuseError, match="fresh"):
-        simulate(workload, config=make_config("gto"))
+        simulate(workload, config=GPUConfig.preset("fermi"))

@@ -106,9 +106,9 @@ def test_evaluate_ddos_through_cache_is_stable(tmp_path):
 def test_lab_failure_surfaces_as_lab_error():
     """A spec the simulator rejects becomes a structured LabError."""
     from repro.lab import LabError
-    from repro.harness.runner import make_config
+    from repro.sim.config import GPUConfig
 
-    bad = RunSpec("ht", make_config("gto"),
+    bad = RunSpec("ht", GPUConfig.preset("fermi"),
                   {"n_threads": 100, "block_dim": 64})  # not a multiple
     runner = Runner(workers=1)
     with pytest.raises(LabError, match="ValueError"):

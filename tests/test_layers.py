@@ -3,7 +3,9 @@
 Bottom up: the simulator layer, ``lab/``, ``serve/`` with ``submit.py``,
 ``api.py`` with ``harness/`` and ``fuzz/``, then ``cli.py``.  A module
 imports only from its own layer or those below it — at top level or
-inside a function.  Only then can the result cache and every checkpoint
+inside a function.  The package root imports only the simulator
+layer, so importing a module in a fresh interpreter loads nothing above
+its layer either.  Only then can the result cache and every checkpoint
 be keyed on the bottom of the stack (``repro.sim.checkpoint``'s
 ``FINGERPRINTED``) rather than on the whole package.
 """
@@ -11,7 +13,11 @@ be keyed on the bottom of the stack (``repro.sim.checkpoint``'s
 from __future__ import annotations
 
 import ast
+import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple
 
@@ -67,14 +73,40 @@ def test_no_module_imports_above_its_layer():
     upward = []
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC)
-        mine = _layer(rel)
-        if mine is None:  # the package's own __init__/__main__
+        # The package root is the simulator's; __main__ is the CLI's.
+        mine = 0 if rel == Path("__init__.py") else _layer(rel)
+        if mine is None:
             continue
         for line, name in _imports(path):
             theirs = RANK[name.split(".")[1]]
             if theirs > mine:
                 upward.append(f"{rel}:{line} imports {name}")
     assert not upward, "imports above their layer:\n" + "\n".join(upward)
+
+
+def _loaded_above(module: str) -> List[str]:
+    """Modules above ``module``'s layer that importing it, in a fresh
+    interpreter, leaves in ``sys.modules``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    script = (f"import json, sys, {module}\n"
+              "print(json.dumps(sorted(name for name in sys.modules\n"
+              "                        if name.startswith('repro.'))))")
+    loaded = json.loads(subprocess.run(
+        [sys.executable, "-c", script], env=env, check=True,
+        capture_output=True, text=True, timeout=60).stdout)
+    mine = RANK[module.split(".")[1]]
+    return [name for name in loaded
+            if RANK.get(name.split(".")[1], 0) > mine]
+
+
+def test_the_simulator_loads_nothing_above_it():
+    assert _loaded_above("repro.sim.gpu") == []
+    assert _loaded_above("repro.sim.run") == []
+
+
+def test_the_lab_worker_loads_nothing_above_the_lab():
+    assert _loaded_above("repro.lab.worker") == []
 
 
 def _hashed(rel: Path) -> bool:

@@ -2,14 +2,13 @@
 
 import pytest
 
-from repro.api import simulate
-from repro.harness.runner import make_config
 from repro.kernels import build
-from repro.sim.config import DDOSConfig
+from repro.sim.config import DDOSConfig, GPUConfig
+from repro.sim.run import simulate
 
 
 def test_pascal_preset_runs_sync_kernel():
-    config = make_config("gto", preset="pascal", num_sms=2,
+    config = GPUConfig.preset("pascal", num_sms=2,
                          max_warps_per_sm=8)
     result = simulate(
         build("ht", n_threads=256, n_buckets=8, items_per_thread=1,
@@ -19,8 +18,8 @@ def test_pascal_preset_runs_sync_kernel():
 
 
 def test_pascal_has_more_schedulers_fewer_warps_each():
-    fermi = make_config("gto")
-    pascal = make_config("gto", preset="pascal")
+    fermi = GPUConfig.preset("fermi")
+    pascal = GPUConfig.preset("pascal")
     fermi_per_sched = fermi.max_warps_per_sm / fermi.num_schedulers_per_sm
     pascal_per_sched = (
         pascal.max_warps_per_sm / pascal.num_schedulers_per_sm
@@ -33,7 +32,7 @@ def test_simulation_is_deterministic():
     for _ in range(2):
         workload = build("ht", n_threads=128, n_buckets=8,
                          items_per_thread=1, block_dim=64, seed=3)
-        config = make_config("gto", bows=True, num_sms=1,
+        config = GPUConfig.preset("fermi", bows=True, num_sms=1,
                              max_warps_per_sm=8)
         results.append(simulate(workload, config=config))
     assert results[0].cycles == results[1].cycles
@@ -51,7 +50,7 @@ def test_software_backoff_delay_loop_not_flagged_by_ddos():
     be a *sustained* prediction once the clock values flow."""
     workload = build("ht_backoff", n_threads=128, n_buckets=8,
                      items_per_thread=1, block_dim=64, delay_factor=50)
-    config = make_config("gto", ddos=DDOSConfig(), num_sms=1,
+    config = GPUConfig.preset("fermi", ddos=DDOSConfig(), num_sms=1,
                          max_warps_per_sm=8)
     result = simulate(workload, config=config)
     truth = workload.launch.program.true_sibs()
@@ -71,14 +70,15 @@ def test_lrr_and_cawa_complete_every_sync_kernel():
     }
     for scheduler in ("lrr", "cawa"):
         for kernel, params in cases.items():
-            config = make_config(scheduler, num_sms=1, max_warps_per_sm=4)
+            config = GPUConfig.preset("fermi", scheduler=scheduler,
+                                      num_sms=1, max_warps_per_sm=4)
             simulate(build(kernel, **params), config=config)
 
 
 def test_multi_sm_lock_contention_is_tracked_globally():
     """Inter-warp failure classification works across SM boundaries."""
     workload = build("tsp", n_threads=128, eval_iters=4, block_dim=64)
-    config = make_config("gto", num_sms=2, max_warps_per_sm=2)
+    config = GPUConfig.preset("fermi", num_sms=2, max_warps_per_sm=2)
     result = simulate(workload, config=config)
     # The single global lock is contended across SMs.
     assert result.stats.locks.inter_warp_fail > 0
@@ -87,14 +87,14 @@ def test_multi_sm_lock_contention_is_tracked_globally():
 
 def test_energy_populated_on_results():
     workload = build("vecadd", n_threads=64, per_thread=2, block_dim=32)
-    result = simulate(workload, config=make_config("gto", num_sms=1,
+    result = simulate(workload, config=GPUConfig.preset("fermi", num_sms=1,
                                                 max_warps_per_sm=4))
     assert result.stats.dynamic_energy_pj > 0
 
 
 def test_issue_slot_accounting():
     workload = build("vecadd", n_threads=64, per_thread=2, block_dim=32)
-    result = simulate(workload, config=make_config("gto", num_sms=1,
+    result = simulate(workload, config=GPUConfig.preset("fermi", num_sms=1,
                                                 max_warps_per_sm=4))
     stats = result.stats
     assert stats.issued_slots <= stats.issue_slots
@@ -109,7 +109,7 @@ def test_restated_counters_are_derived_at_the_end_of_a_run(engine):
     issue, ``Simulation._finish`` derives them."""
     workload = build("ht", n_threads=64, n_buckets=8, items_per_thread=1,
                      block_dim=64)
-    stats = simulate(workload, config=make_config("gto", num_sms=1),
+    stats = simulate(workload, config=GPUConfig.preset("fermi", num_sms=1),
                      engine=engine).stats
     assert 0 < stats.sync_thread_instructions < stats.thread_instructions
     assert stats.active_lane_sum == stats.thread_instructions

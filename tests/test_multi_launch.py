@@ -1,8 +1,8 @@
 """Multiple kernel launches against one GPU / one memory image."""
 
-from repro.harness.runner import make_config
 from repro.kernels import build
 from repro.memory.memsys import GlobalMemory
+from repro.sim.config import GPUConfig
 from repro.sim.gpu import GPU
 
 
@@ -37,7 +37,8 @@ def test_relaunching_same_program_is_idempotent_for_stats(tiny_config):
 
 def test_ddos_state_does_not_leak_across_launches():
     """A fresh launch starts with an empty SIB-PT."""
-    config = make_config("gto", bows=True, num_sms=1, max_warps_per_sm=8)
+    config = GPUConfig.preset("fermi", bows=True, num_sms=1,
+                              max_warps_per_sm=8)
     memory = GlobalMemory(1 << 18)
     spin = build("ht", n_threads=128, n_buckets=8, items_per_thread=1,
                  block_dim=64, memory=memory)

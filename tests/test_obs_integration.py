@@ -13,7 +13,6 @@ import json
 
 import pytest
 
-from repro.api import simulate
 from repro.isa import assemble
 from repro.lab import ResultCache, Runner, RunSpec
 from repro.memory.memsys import GlobalMemory
@@ -21,6 +20,7 @@ from repro.obs import EVENT_KINDS, ObsConfig, Observability, as_observability
 from repro.sim.config import GPUConfig
 from repro.sim.gpu import GPU, KernelLaunch
 from repro.sim.progress import HangReport, SimulationLivelock
+from repro.sim.run import simulate
 from test_golden_fixtures import check, oracle
 from test_golden_fixtures import spec as golden_spec
 

@@ -12,7 +12,6 @@ import json
 
 import pytest
 
-from repro.api import simulate
 from repro.kernels import build
 from repro.obs import (
     BackoffEnter,
@@ -30,6 +29,7 @@ from repro.obs.profile import (
     _build_warp_timelines,
 )
 from repro.sim.config import GPUConfig
+from repro.sim.run import simulate
 
 #: Same small ht shape the golden-equivalence matrix uses.
 HT = dict(n_threads=128, n_buckets=8, items_per_thread=1, block_dim=64)

@@ -37,8 +37,8 @@ import pytest
 
 import repro.lab.runner as runner_mod
 import repro.lab.core as core_mod
-from repro.harness.runner import make_config
 from repro.harness.sweep import resume_sweep
+from repro.sim.config import GPUConfig
 from repro.lab import (FileLock, LockTimeout, ResultCache, Runner, RunSpec,
                        decorrelated_jitter, load_journal)
 from repro.lab import _testing
@@ -48,8 +48,8 @@ from repro.lab.journal import (NOTE_LINES, RECORD_KEYS, JournalError,
 from repro.lab.results import LabError, RunFailure
 from repro.lab.worker import _run_with_timeout
 from repro.serve import ServeClient, ServeDaemon
-from repro.submit import submit_many
 from repro.sim.progress import SimulationDeadlock
+from repro.submit import submit_many
 from test_golden_fixtures import oracle
 from test_golden_fixtures import spec as golden_spec
 
@@ -58,7 +58,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def _spec(seed: int = 0) -> RunSpec:
     """Tiny distinct specs (the injected run_fns never build them)."""
-    return RunSpec(kernel="ht", config=make_config("gto"), seed=seed,
+    return RunSpec(kernel="ht", config=GPUConfig.preset("fermi"), seed=seed,
                    label=f"spec{seed}")
 
 
@@ -819,12 +819,12 @@ def test_sigkilled_sweep_is_completed_by_resume_without_recompute(tmp_path):
     journal_path = tmp_path / "sweep.jsonl"
     crasher = _python(
         "import os, signal, sys\n"
-        "from repro.harness.runner import make_config\n"
+        "from repro.sim.config import GPUConfig\n"
         "from repro.lab import ResultCache, Runner, RunSpec\n"
         "from repro.lab.journal import SweepJournal\n"
         "from repro.lab._testing import instant_ok\n"
-        "specs = [RunSpec(kernel='ht', config=make_config('gto'), seed=i,\n"
-        "                 label=f'spec{i}') for i in range(4)]\n"
+        "specs = [RunSpec(kernel='ht', config=GPUConfig.preset('fermi'),\n"
+        "                 seed=i, label=f'spec{i}') for i in range(4)]\n"
         "done = 0\n"
         "def note(message):\n"
         "    global done\n"
@@ -869,11 +869,11 @@ def test_concurrent_runners_share_one_cache_without_torn_entries(tmp_path):
     cache_dir = tmp_path / "cache"
     worker_code = (
         "import sys\n"
-        "from repro.harness.runner import make_config\n"
+        "from repro.sim.config import GPUConfig\n"
         "from repro.lab import ResultCache, Runner, RunSpec\n"
         "from repro.lab._testing import instant_ok\n"
-        "specs = [RunSpec(kernel='ht', config=make_config('gto'), seed=i,\n"
-        "                 label=f'spec{i}') for i in range(6)]\n"
+        "specs = [RunSpec(kernel='ht', config=GPUConfig.preset('fermi'),\n"
+        "                 seed=i, label=f'spec{i}') for i in range(6)]\n"
         "report = Runner(cache=ResultCache(sys.argv[1]),\n"
         "                run_fn=instant_ok).run_many(specs)\n"
         "assert not report.failures\n"

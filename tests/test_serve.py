@@ -37,16 +37,16 @@ import pytest
 
 import repro.lab.core as core_mod
 import repro.serve.daemon as daemon_mod
-from repro.harness.runner import make_config
 from repro.lab._testing import fabricate_result
 from repro.lab.cache import ResultCache
 from repro.lab.journal import load_journal, read_records
 from repro.lab.results import RunFailure, RunResult
-from repro.lab.worker import execute_run
 from repro.lab.spec import RunSpec
+from repro.lab.worker import execute_run
 from repro.obs import ObsConfig
 from repro.serve import ServeClient, ServeDaemon, ServeError, protocol
 from repro.serve.jobstore import Job, JobStore
+from repro.sim.config import GPUConfig
 from test_golden_fixtures import expect, observe
 from test_golden_fixtures import spec as golden_spec
 
@@ -55,8 +55,8 @@ HT = dict(n_threads=64, n_buckets=8, items_per_thread=1, block_dim=64)
 
 
 def _spec(kernel="vecadd", params=VECADD, obs=None, label=None, **kw):
-    return RunSpec(kernel=kernel, config=make_config("gto"), params=params,
-                   obs=obs, label=label, **kw)
+    return RunSpec(kernel=kernel, config=GPUConfig.preset("fermi"),
+                   params=params, obs=obs, label=label, **kw)
 
 
 @pytest.fixture()
@@ -848,14 +848,14 @@ def test_sigterm_drains_to_journal(serve_dir):
 #: when the collector gets to it, a ResourceWarning under ``-X dev``.
 CLOSE_SCRIPT = """
 import gc, os, socket, sys, threading
-from repro.harness.runner import make_config
 from repro.lab._testing import fabricate_result
 from repro.lab.cache import ResultCache
 from repro.lab.spec import RunSpec
 from repro.serve import ServeClient, ServeDaemon
+from repro.sim.config import GPUConfig
 
 home = sys.argv[1]
-spec = RunSpec(kernel="vecadd", config=make_config("gto"),
+spec = RunSpec(kernel="vecadd", config=GPUConfig.preset("fermi"),
                params=dict(n_threads=64, per_thread=2, block_dim=32))
 cache = ResultCache(os.path.join(home, "cache"))
 cache.put(spec, fabricate_result(spec, cycles=7))
@@ -885,3 +885,24 @@ def test_a_closed_connection_leaves_no_socket_to_the_collector(serve_dir):
     # A warning raised in a finalizer is printed, not raised.
     assert proc.returncode == 0, proc.stderr
     assert "ResourceWarning" not in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("address", ["unix", "tcp"])
+def test_close_ends_every_service_thread(serve_dir, address):
+    """A stopped daemon leaves no thread behind: not the dispatcher, not
+    a client's, and not the accept thread blocked in ``accept()``."""
+    before = set(threading.enumerate())
+    d = ServeDaemon(
+        os.path.join(serve_dir, "serve.sock") if address == "unix"
+        else "127.0.0.1:0",
+        workers=1, mode="thread", cache=False).start()
+    if address == "unix":
+        with _client(d) as client:
+            assert client.ping()
+    d.close()
+    deadline = time.monotonic() + 2.0
+    mine = [t for t in threading.enumerate()
+            if t not in before and t.name.startswith("serve-")]
+    for thread in mine:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    assert not [t.name for t in mine if t.is_alive()]

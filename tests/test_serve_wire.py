@@ -18,15 +18,15 @@ import pytest
 
 import repro.serve.daemon as daemon_mod
 from repro.analysis import SanitizerConfig
-from repro.harness.runner import make_config
 from repro.lab import cache as cache_mod
 from repro.lab import journal, results
 from repro.lab.results import RunFailure, RunResult
-from repro.lab.worker import execute_run
 from repro.lab.spec import RunSpec
+from repro.lab.worker import execute_run
 from repro.obs import ObsConfig
 from repro.serve import protocol
 from repro.serve.jobstore import Job
+from repro.sim.config import GPUConfig
 from test_serve import _scripted_client
 
 VECADD = dict(n_threads=64, per_thread=2, block_dim=32)
@@ -34,7 +34,7 @@ VECADD = dict(n_threads=64, per_thread=2, block_dim=32)
 
 @pytest.fixture(scope="module")
 def result():
-    spec = RunSpec(kernel="vecadd", config=make_config("gto"),
+    spec = RunSpec(kernel="vecadd", config=GPUConfig.preset("fermi"),
                    params=VECADD, label="wire-test",
                    obs=ObsConfig(sample_interval=50),
                    sanitize=SanitizerConfig())
@@ -43,7 +43,7 @@ def result():
 
 @pytest.fixture()
 def failure():
-    spec = RunSpec(kernel="vecadd", config=make_config("gto"),
+    spec = RunSpec(kernel="vecadd", config=GPUConfig.preset("fermi"),
                    params=VECADD, label="wire-fail")
     return RunFailure(
         spec=spec, spec_hash=spec.content_hash(),

@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.sanitizer import SanitizerConfig
-from repro.harness.runner import make_config
 from repro.lab import spec as spec_mod
 from repro.lab.results import stats_to_dict
 from repro.lab.spec import RunSpec, config_to_dict
@@ -31,20 +30,21 @@ HT = dict(n_threads=64, n_buckets=8, items_per_thread=1, block_dim=64)
 
 PINNED = {
     "gto": (
-        lambda: RunSpec(kernel="ht", config=make_config("gto"),
+        lambda: RunSpec(kernel="ht", config=GPUConfig.preset("fermi"),
                         params=dict(HT)),
         "3f57ed991642e1903cea0cfb9418ed1589d8ee22b2f4cc72286f53cc0056679b",
     ),
     "bows+ddos+seed": (
         lambda: RunSpec(kernel="ht",
-                        config=make_config("gto", bows="adaptive", ddos=True),
+                        config=GPUConfig.preset("fermi", bows="adaptive",
+                                                ddos=True),
                         params=dict(HT), seed=7),
         "ee19ab2cb52bba44ca074aa6c3a00588316bcba26e5faab69506de0ea5cf4e9d",
     ),
     "perturb+obs+sanitize": (
         lambda: RunSpec(
             kernel="vecadd",
-            config=make_config("gto", bows=500, perturb=PerturbConfig(
+            config=GPUConfig.preset("fermi", bows=500, perturb=PerturbConfig(
                 seed=3, sched_jitter=0.25, mem_jitter_cycles=4,
                 rotation_period=100)),
             params=dict(n_threads=64, per_thread=2, block_dim=32),
@@ -180,7 +180,7 @@ def test_mutating_params_after_hashing_rehashes():
     spec = PINNED["gto"][0]()
     before = spec.content_hash()
     spec.params["n_threads"] = 128
-    fresh = RunSpec(kernel="ht", config=make_config("gto"),
+    fresh = RunSpec(kernel="ht", config=GPUConfig.preset("fermi"),
                     params=dict(HT, n_threads=128))
     assert spec.content_hash() == fresh.content_hash() != before
     # JSON tells 64 from 64.0 from True; so must the memo.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import simulate
+from repro.sim.run import simulate
 from repro.metrics.stats import (SUMMARY_KEYS, SUMMARY_SCHEMA_VERSION,
                                  SimStats)
 from repro.sim.config import GPUConfig

@@ -12,22 +12,22 @@ import time
 import pytest
 
 import repro.lab.core as core_mod
-from repro.api import (RunFailedError, RunHandle, SubmitBatch, submit,
-                       submit_many)
-from repro.harness.runner import make_config
+from repro.submit import (RunFailedError, RunHandle, SubmitBatch, submit,
+                          submit_many)
 from repro.lab.cache import ResultCache
 from repro.lab.journal import RECORD_VERSION, record
 from repro.lab.results import RunFailure, RunResult
 from repro.lab.runner import BatchReport, Runner
 from repro.lab.spec import RunSpec
 from repro.obs import ObsConfig
+from repro.sim.config import GPUConfig
 
 VECADD = dict(n_threads=64, per_thread=2, block_dim=32)
 
 
 def _spec(obs=None, label=None, kernel="vecadd", params=VECADD):
-    return RunSpec(kernel=kernel, config=make_config("gto"), params=params,
-                   obs=obs, label=label)
+    return RunSpec(kernel=kernel, config=GPUConfig.preset("fermi"),
+                   params=params, obs=obs, label=label)
 
 
 def _runner():
@@ -108,7 +108,7 @@ def test_retired_engine_settles_once_as_a_run_failure(tmp_path):
     on the first attempt, not retried within the budget, not cached."""
     cache = ResultCache(tmp_path / "cache")
     runner = Runner(workers=1, mode="serial", cache=cache, retries=2)
-    spec = RunSpec(kernel="vecadd", config=make_config("gto"),
+    spec = RunSpec(kernel="vecadd", config=GPUConfig.preset("fermi"),
                    params=VECADD, engine="reference")
     batch = submit_many([spec], runner=runner)
     (outcome,) = batch.report.results

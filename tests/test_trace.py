@@ -111,13 +111,14 @@ def test_export_chrome_trace(tiny_config, tmp_path):
 def test_export_chrome_trace_marks_backed_off_issues(tmp_path):
     import json
 
-    from repro.harness.runner import make_config
     from repro.kernels import build
+    from repro.sim.config import GPUConfig
 
     obs = recording()
     workload = build("ht", n_threads=64, n_buckets=8, items_per_thread=1,
                      block_dim=64)
-    gpu = GPU(make_config("gto", bows=1000, num_sms=1, max_warps_per_sm=8),
+    gpu = GPU(GPUConfig.preset("fermi", bows=1000, num_sms=1,
+                               max_warps_per_sm=8),
               memory=workload.memory, obs=obs)
     gpu.launch(workload.launch)
     path = tmp_path / "trace.json"
@@ -141,14 +142,14 @@ def test_rejects_non_positive_capacity():
 def test_export_thread_names_carry_cta_and_sort_index(tmp_path):
     import json
 
-    from repro.harness.runner import make_config
     from repro.kernels import build
+    from repro.sim.config import GPUConfig
 
     obs = recording()
     # Two CTAs on one SM so distinct warp slots map to distinct CTAs.
     workload = build("ht", n_threads=128, n_buckets=8, items_per_thread=1,
                      block_dim=64)
-    gpu = GPU(make_config("gto", num_sms=1, max_warps_per_sm=8),
+    gpu = GPU(GPUConfig.preset("fermi", num_sms=1, max_warps_per_sm=8),
               memory=workload.memory, obs=obs)
     gpu.launch(workload.launch)
     path = tmp_path / "trace.json"
