@@ -254,14 +254,15 @@ def _report_failure(kernel: str, failure: RunFailure) -> int:
     return code
 
 
-def _report_batch(report, start: float) -> int:
+def _report_batch(batch, start: float) -> int:
     """Print a batch's one-line tally and map it to an exit code."""
-    print(f"\n[{report.total} runs: {report.cache_hits} cached, "
-          f"{report.executed} simulated, {len(report.failures)} failed "
+    failures = batch.failures
+    print(f"\n[{batch.total} runs: {batch.cache_hits} cached, "
+          f"{batch.executed} simulated, {len(failures)} failed "
           f"in {time.time() - start:.1f}s]")
-    if report.interrupted:
+    if batch.interrupted:
         return EXIT_INTERRUPTED
-    return EXIT_FAILURE if report.failures else EXIT_OK
+    return EXIT_FAILURE if failures else EXIT_OK
 
 
 def _cmd_list(_args) -> int:
@@ -284,11 +285,9 @@ def _cmd_experiment(args) -> int:
         else:
             result = func(scale=args.scale)
     print(result.render())
-    report = runner.last_report
-    detail = ""
-    if report is not None:
-        detail = (f"; {report.total} runs, {report.cache_hits} cached, "
-                  f"{report.executed} simulated")
+    totals = runner.totals
+    detail = (f"; {totals['runs']} runs, {totals['cache_hits']} cached, "
+              f"{totals['executed']} simulated" if totals else "")
     print(f"\n[{name} regenerated in {time.time() - start:.1f}s{detail}]")
     return 0
 
@@ -321,7 +320,7 @@ def _cmd_sweep(args) -> int:
     ]
     print(format_table(rows, title=f"sweep {args.name!r} "
                                    f"({len(rows)} runs, {args.scale} scale)"))
-    code = _report_batch(result.report, start)
+    code = _report_batch(result.batch, start)
     if args.journal:
         print(f"[journal at {args.journal}; finish a killed sweep with "
               f"'repro sweep --resume {args.journal}']")

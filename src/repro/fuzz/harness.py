@@ -7,10 +7,10 @@ Models"; Stuart & Owens catalog the lock idioms that deadlock under the
 wrong scheduler).  :class:`ScheduleFuzzer` hunts for those orders: it
 runs one kernel across a batch of seeded :class:`~repro.sim.config.
 PerturbConfig`\\ s — scheduler tie-break jitter, randomized
-memory-latency spreads, warp-priority rotation — through the
-:mod:`repro.lab` runner, with the forward-progress watchdog
-(:mod:`repro.sim.progress`) tightened to the fuzz budget so hangs
-surface in thousands of cycles, not millions.
+memory-latency spreads, warp-priority rotation — as one
+:func:`~repro.submit.submit_many` batch, with the forward-progress
+watchdog (:mod:`repro.sim.progress`) tightened to the fuzz budget so
+hangs surface in thousands of cycles, not millions.
 
 Every perturbation is a pure function of its seed, so any finding
 reproduces deterministically from the :class:`FuzzReport`'s seed and
@@ -318,14 +318,14 @@ class ScheduleFuzzer:
                           seeds=len(to_run), resume=bool(resume)) as journal:
             batch = submit_many(
                 [self.spec_for(s) for s in to_run], server=server,
-                runner=runner, journal=journal, client_name="fuzz").report
+                runner=runner, journal=journal, client_name="fuzz")
 
         report = FuzzReport(
             kernel=self.kernel, params=dict(self.params),
             budget_cycles=self.budget_cycles, watchdog=self.watchdog,
             seeds=seeds, machine=self.machine,
         )
-        outcomes = iter(batch.results)
+        outcomes = iter(batch.outcomes())
         for seed in seeds:
             if seed in skipped:
                 report.clean.append(seed)

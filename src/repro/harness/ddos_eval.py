@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.ddos import DetectionOutcome
-from repro.lab import RunSpec, current_runner
+from repro.lab import RunSpec
 from repro.sim.config import DDOSConfig, GPUConfig
+from repro.submit import submit_many
 
 
 @dataclass
@@ -70,7 +71,7 @@ def evaluate_ddos(
 ) -> AccuracySummary:
     """Run ``kernels`` with DDOS enabled (no BOWS) and score detections.
 
-    Execution fans out through the current :mod:`repro.lab` runner; the
+    Execution fans out through :func:`~repro.submit.submit_many`; the
     per-kernel :class:`DetectionOutcome` is computed inside the worker
     and travels back (and through the result cache) as plain data.
     """
@@ -84,7 +85,7 @@ def evaluate_ddos(
             label=f"ddos {name}",
         ))
     outcomes = []
-    for run in current_runner().run_map(specs):
+    for run in submit_many(specs).results():
         assert run.ddos is not None, "DDOS scoring missing from run result"
         outcomes.append(DetectionOutcome(**run.ddos))
     return summarize(outcomes)

@@ -10,15 +10,15 @@ Figures 10-13 share one parameter sweep (the same GTO+BOWS delay-limit
 runs); :func:`run_delay_sweep` executes it once and the four figure
 functions project different columns out of it.
 
-Execution goes through :mod:`repro.lab`: every figure/table expands its
-simulations into :class:`~repro.lab.RunSpec` batches and drives them
-through the *current* lab runner (``repro.lab.current_runner()``).  The
-default runner is serial and uncached — identical behaviour to the old
-in-line loops — but installing a parallel, disk-cached runner (as the
-CLI and ``benchmarks/`` do) fans each figure out across worker
-processes and makes re-runs cache hits.  Results come back as
-:class:`~repro.lab.RunResult` records exposing the same ``.cycles`` and
-``.stats`` the figures read.
+Execution goes through :func:`repro.submit.submit_many`: every
+figure/table expands its simulations into :class:`~repro.lab.RunSpec`
+batches and submits them to the *current* lab runner (installed with
+``repro.lab.use_runner``).  The default runner is serial and uncached —
+identical behaviour to the old in-line loops — but installing a
+parallel, disk-cached runner (as the CLI and ``benchmarks/`` do) fans
+each figure out across worker processes and makes re-runs cache hits.
+Results come back as :class:`~repro.lab.RunResult` records exposing the
+same ``.cycles`` and ``.stats`` the figures read.
 """
 
 from __future__ import annotations
@@ -35,9 +35,10 @@ from repro.harness.params import (
 )
 from repro.harness.reporting import format_table, geomean
 from repro.core.cost import hardware_cost
-from repro.lab import RunResult, RunSpec, current_runner
+from repro.lab import RunResult, RunSpec
 from repro.metrics.stats import SimStats
 from repro.sim.config import DDOSConfig, GPUConfig
+from repro.submit import submit_many
 
 #: Scheduler set of Figures 2, 9, 15.
 BASELINES = ("lrr", "gto", "cawa")
@@ -79,8 +80,8 @@ def _spec(kernel: str, config: GPUConfig, params: dict,
 
 
 def _run_all(specs: Sequence[RunSpec]) -> List[RunResult]:
-    """Execute a batch through the current lab runner (raises on failure)."""
-    return current_runner().run_map(specs)
+    """Execute a batch on the current lab runner (raises on failure)."""
+    return submit_many(specs).results()
 
 
 def _bows_variant(base: str, bows, preset: str = "fermi",

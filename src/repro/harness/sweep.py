@@ -8,7 +8,8 @@ the paper's vocabulary (scheduler/bows/preset + the canonical workload
 parameter registries).  ``Sweep.run`` fans the specs out through
 :func:`~repro.submit.submit_many` — a :class:`~repro.lab.runner.Runner`
 or a ``repro serve`` daemon — and returns a :class:`SweepResult`
-pairing each combo with its outcome; its journal, when given one, is
+pairing each combo with its outcome in the one
+:class:`~repro.lab.runner.Batch`; its journal, when given one, is
 the batch's record (``docs/lab.md``).
 """
 
@@ -24,7 +25,7 @@ from repro.analysis.sanitizer import SanitizerConfig
 from repro.harness.params import params_for
 from repro.lab.journal import load_journal, open_journal
 from repro.lab.results import RunFailure, RunResult
-from repro.lab.runner import BatchReport, Runner
+from repro.lab.runner import Batch, Runner
 from repro.lab.spec import RunSpec
 from repro.obs import ObsConfig
 from repro.sim.config import GPUConfig
@@ -129,12 +130,11 @@ class Sweep:
             batch = submit_many(self.specs(factory), server=server,
                                 runner=runner, journal=journal,
                                 client_name=f"sweep:{self.name}")
-        return SweepResult(sweep=self, combos=self.combos(),
-                           report=batch.report)
+        return SweepResult(sweep=self, combos=self.combos(), batch=batch)
 
 
 def resume_sweep(journal_path, runner: Optional[Runner] = None,
-                 rerun_failed: bool = True, server=None) -> BatchReport:
+                 rerun_failed: bool = True, server=None) -> Batch:
     """Complete a sweep whose writer crashed, from its journal alone.
 
     Rebuilds every spec recorded in the journal and re-runs the whole
@@ -154,7 +154,7 @@ def resume_sweep(journal_path, runner: Optional[Runner] = None,
     with open_journal(journal_path, "resume", pending=len(state.pending),
                       done=len(state.done)) as journal:
         return submit_many(specs, server=server, runner=runner,
-                           journal=journal, client_name="resume").report
+                           journal=journal, client_name="resume")
 
 
 @dataclass
@@ -163,11 +163,11 @@ class SweepResult:
 
     sweep: Sweep
     combos: List[Dict[str, Any]]
-    report: BatchReport
+    batch: Batch
 
     def items(self) -> List[Tuple[Dict[str, Any],
                                   Union[RunResult, RunFailure]]]:
-        return list(zip(self.combos, self.report.results))
+        return list(zip(self.combos, self.batch.outcomes()))
 
     def rows(self) -> List[Dict[str, Any]]:
         """Flat table rows (combo axes + headline outcome columns)."""

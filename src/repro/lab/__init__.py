@@ -5,15 +5,17 @@ operation (see ``docs/lab.md``):
 
 * :class:`RunSpec` — one simulation, content-hashed;
 * :class:`Runner` — parallel fan-out with per-run timeouts, bounded
-  retries, and structured :class:`RunFailure` records;
+  retries, and structured :class:`RunFailure` records, filling a
+  :class:`Batch` (the handles, outcomes and tallies of one batch);
 * :class:`ResultCache` — on-disk content-addressed result store keyed
   by spec hash + simulator-code fingerprint.
 
 The harness above the lab (``repro.harness.experiments`` and the sweeps
-of ``repro.harness.sweep``) executes every figure, table and sweep
-through the *current* runner, which defaults to an in-process serial
-runner with no cache.  Install a different one — parallel, cached,
-instrumented — with :func:`use_runner`:
+of ``repro.harness.sweep``) submits every figure, table and sweep
+through :func:`repro.submit.submit_many`, which runs a batch on the
+*current* runner unless given a runner or a daemon; it defaults to an
+in-process serial runner with no cache.  Install a different one —
+parallel, cached, instrumented — with :func:`use_runner`:
 
     from repro.lab import Runner, ResultCache, use_runner
     with use_runner(Runner(workers=4, cache=ResultCache())):
@@ -33,7 +35,7 @@ from repro.lab.locking import FileLock, LockTimeout
 from repro.lab.results import LabError, RunFailure, RunResult
 from repro.lab.core import (RunInterrupted, RunTimeout, TransientRunError,
                             decorrelated_jitter)
-from repro.lab.runner import BatchReport, Runner
+from repro.lab.runner import Batch, Runner
 from repro.lab.spec import RunSpec, config_from_dict, config_to_dict
 from repro.lab.worker import execute_run
 from repro.sim.checkpoint import code_fingerprint
@@ -62,7 +64,7 @@ def use_runner(runner: Runner) -> Iterator[Runner]:
 
 
 __all__ = [
-    "BatchReport",
+    "Batch",
     "CacheStats",
     "EntryReport",
     "FileLock",

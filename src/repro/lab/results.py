@@ -10,7 +10,7 @@ A :class:`RunFailure` is the structured alternative when a run could not
 produce a result: it records the error, how many attempts were made, and
 whether the failure was classified transient.  A sweep never raises out
 of a single bad run; callers that need all results use
-:meth:`~repro.lab.runner.Runner.run_map`, which raises a summarizing
+:meth:`~repro.lab.runner.Batch.results`, which raises a summarizing
 :class:`LabError` only after the whole batch has been driven.
 """
 

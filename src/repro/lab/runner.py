@@ -8,13 +8,13 @@ without a socket: ``run_many`` submits the batch, as one client, to an
 :class:`~repro.lab.core.ExecutionCore` and pumps it on the caller's
 thread, so dedup (identical specs of a batch simulate once), the queue,
 retry, worker-loss, straggler and drain policy, the worker entry and its
-progress spool are the daemon's.  The runner adds the batch shape —
-results in spec order, a :class:`BatchReport`, the SIGINT/SIGTERM
-handlers that start a drain — and picks the pool: ``process`` (default
-when ``workers > 1``; each worker ships back only the light-weight
-result record), ``thread`` (no isolation, but an injected ``run_fn``
-shares memory with the caller) or ``serial`` (the caller's thread,
-default when ``workers == 1``).
+progress spool are the daemon's.  The runner fills the :class:`Batch`
+it is handed (handles in spec order, the engine's counters), installs
+the SIGINT/SIGTERM handlers that start a drain, and picks the pool:
+``process`` (default when ``workers > 1``; each worker ships back only
+the light-weight result record), ``thread`` (no isolation, but an
+injected ``run_fn`` shares memory with the caller) or ``serial`` (the
+caller's thread, default when ``workers == 1``).
 
 A runner keeps one core, and so one pool, across back-to-back batches:
 a sweep's next batch finds its workers warm (imports done, heap
@@ -35,7 +35,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-from dataclasses import dataclass, field
+from collections import Counter
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Union)
 
@@ -53,10 +53,12 @@ POOL_LINGER_S = 0.1
 
 
 class RunFailedError(LabError):
-    """`.result()` was asked for a run that failed; carries the record."""
+    """`.result()` was asked for a run that failed; carries the record
+    (a batch's first failure, its message listing them all)."""
 
-    def __init__(self, failure: RunFailure) -> None:
-        super().__init__(failure.describe())
+    def __init__(self, failure: RunFailure,
+                 message: Optional[str] = None) -> None:
+        super().__init__(message or failure.describe())
         self.failure = failure
 
 
@@ -78,7 +80,7 @@ class RunHandle:
         #: The outcome, or the exception that lost it (served only).
         self._outcome: Any = None
         self._changed = threading.Condition(threading.Lock())
-        #: A :class:`~repro.submit.SubmitBatch` told when this resolves.
+        #: A served :class:`Batch` told when this resolves.
         self._batch = None
 
     # -- the subscriber's side -----------------------------------------
@@ -156,54 +158,92 @@ class RunHandle:
         return outcome
 
 
-class _Lent(list):
-    """A batch's specs with the handles their caller made for them
-    (``submit_many``'s, carrying its ``stream`` flag)."""
+class Batch:
+    """A batch of submissions, whichever road it took: each spec's
+    :class:`RunHandle` in spec order, the outcomes' tallies and the
+    engine's counters.
 
-    def __init__(self, handles: List[RunHandle]) -> None:
-        super().__init__(handle.spec for handle in handles)
-        self.handles = handles
+    :meth:`Runner.run_many` fills a local batch's counters.  A served
+    batch's read 0 (``interrupted`` false): the daemon's ``status``
+    counts retries and worker losses over every client, and its
+    journal notes stragglers.  A batch that opened its own daemon
+    connection closes it when its last handle resolves, and when
+    waiting raises.
+    """
 
+    def __init__(self, specs: Sequence[RunSpec], *, stream: bool = False,
+                 client=None) -> None:
+        self.handles = [RunHandle(spec, wants_stream=stream)
+                        for spec in specs]
+        self.retried = 0
+        #: In-flight specs re-queued for free after a pool worker died.
+        self.worker_losses = 0
+        #: Pooled runs observed exceeding
+        #: ``core.STRAGGLER_FACTOR × timeout_s``.
+        self.stragglers = 0
+        #: The batch was drained early by SIGINT/SIGTERM.
+        self.interrupted = False
+        #: Seconds the runner took to settle the batch.
+        self.elapsed_s = 0.0
+        #: The connection this batch opened and must release (served).
+        self._client = client
+        self._resolved = 0
 
-@dataclass
-class BatchReport:
-    """The outcomes of one :meth:`Runner.run_many` batch, in spec order."""
+    def outcomes(self, timeout: Optional[float] = None
+                 ) -> List[Union[RunResult, RunFailure]]:
+        """Every outcome, in spec order; ``timeout`` bounds the call."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        try:
+            return [handle.outcome(None if deadline is None else
+                                   max(0.0, deadline - time.monotonic()))
+                    for handle in self.handles]
+        finally:
+            self._release()
 
-    results: List[Union[RunResult, RunFailure]]
-    elapsed_s: float = 0.0
-    retried: int = 0
-    #: In-flight specs re-queued for free after a pool worker died.
-    worker_losses: int = 0
-    #: Pooled runs observed exceeding ``core.STRAGGLER_FACTOR × timeout_s``.
-    stragglers: int = 0
-    #: The batch was drained early by SIGINT/SIGTERM.
-    interrupted: bool = False
-    #: Each spec's :class:`RunHandle`, in spec order (a local batch's).
-    handles: List[RunHandle] = field(default_factory=list, repr=False)
+    def results(self, timeout: Optional[float] = None) -> List[RunResult]:
+        """All-or-error: waits for every run, then raises
+        :class:`RunFailedError` (the first failure, all of them listed)
+        if any failed."""
+        outcomes = self.outcomes(timeout)
+        failures = [o for o in outcomes if not o.ok]
+        if failures:
+            details = "\n  ".join(f.describe() for f in failures)
+            raise RunFailedError(failures[0], f"{len(failures)}/"
+                                 f"{len(outcomes)} runs failed:\n  {details}")
+        return outcomes
 
     @property
     def total(self) -> int:
-        return len(self.results)
+        return len(self.handles)
 
     @property
     def cache_hits(self) -> int:
-        return sum(1 for r in self.results if r.ok and r.from_cache)
+        return sum(1 for r in self.outcomes() if r.ok and r.from_cache)
 
     @property
     def executed(self) -> int:
-        return sum(1 for r in self.results if r.ok and not r.from_cache)
+        return sum(1 for r in self.outcomes() if r.ok and not r.from_cache)
 
     @property
     def failures(self) -> List[RunFailure]:
-        return [r for r in self.results if not r.ok]
+        return [r for r in self.outcomes() if not r.ok]
 
-    def raise_on_failure(self) -> None:
-        failures = self.failures
-        if failures:
-            details = "\n  ".join(f.describe() for f in failures)
-            raise LabError(
-                f"{len(failures)}/{self.total} runs failed:\n  {details}"
-            )
+    @property
+    def report(self) -> "Batch":
+        # Read only by the benchmark ledger (``.interrupted``,
+        # ``.retried``, ``.worker_losses``); ROADMAP item 7, which moves
+        # the ledger onto public names, deletes it.
+        return self
+
+    def _handle_resolved(self) -> None:
+        self._resolved += 1
+        if self._resolved == len(self.handles):
+            self._release()
+
+    def _release(self) -> None:
+        if self._client is not None:
+            self._client.close()
+            self._client = None
 
 
 class Runner:
@@ -242,7 +282,10 @@ class Runner:
         self.checkpoint_dir = checkpoint_dir
         self.backoff_base_s = backoff_base_s
         self.grace_s = grace_s
-        self.last_report: Optional[BatchReport] = None
+        #: Summed over every batch this runner ran (``runs``,
+        #: ``cache_hits``, ``executed``): the tally of a caller that ran
+        #: many, such as ``repro experiment``.
+        self.totals: Counter = Counter()
         #: Guards the core, the busy flag and the retire timer.
         self._lock = threading.Lock()
         #: The engine every batch is pumped through; its pool waits, warm,
@@ -253,9 +296,11 @@ class Runner:
 
     # ------------------------------------------------------------------
 
-    def run_many(self, specs: Sequence[RunSpec],
-                 journal=None) -> BatchReport:
-        """Drive every spec to a result or failure record, in order.
+    def run_many(self, batch: Union[Batch, Sequence[RunSpec]],
+                 journal=None) -> Batch:
+        """Drive every run of ``batch`` (a :class:`Batch`, or specs to
+        make one of) to a result or failure record, and fill in the
+        batch's counters.
 
         ``journal`` is an optional
         :class:`~repro.lab.journal.SweepJournal`: specs, outcomes and a
@@ -263,11 +308,9 @@ class Runner:
         durably, enabling ``repro sweep --resume``.  One runner runs one
         batch at a time; a concurrent call raises :class:`LabError`.
         """
+        if not isinstance(batch, Batch):
+            batch = Batch(batch)  # nobody streams it: none is spooled
         start = time.perf_counter()
-        # Nobody streams a plain batch's runs, so none is spooled.
-        report = BatchReport(results=[], handles=(
-            specs.handles if isinstance(specs, _Lent) else
-            [RunHandle(spec, wants_stream=False) for spec in specs]))
         core = self._take_core()
         # The core outlives the batch; what belongs to the batch is wired
         # in here, and its counters are read as deltas.
@@ -275,44 +318,35 @@ class Runner:
         before = (core.retried, core.worker_losses, core.stragglers)
         reusable = False
         try:
-            for handle in report.handles:
+            for handle in batch.handles:
                 core.submit(handle.spec, "batch", handle)
 
             def on_signal(repeat: bool) -> None:
                 if repeat:
                     raise KeyboardInterrupt
-                report.interrupted = True
+                batch.interrupted = True
                 self._say(note_record("signal"))
 
             with core.drain_on_signal(self.grace_s, on_signal):
                 while not core.idle:
                     core.pump()
-            report.results = [handle.outcome() for handle in report.handles]
-            report.retried = core.retried - before[0]
-            report.worker_losses = core.worker_losses - before[1]
-            report.stragglers = core.stragglers - before[2]
+            batch.retried = core.retried - before[0]
+            batch.worker_losses = core.worker_losses - before[1]
+            batch.stragglers = core.stragglers - before[2]
             if journal is not None:
                 core.persist(journal.append, note_record(
-                    "batch_end", retried=report.retried,
-                    worker_losses=report.worker_losses,
-                    stragglers=report.stragglers,
-                    interrupted=report.interrupted))
-            reusable = not (core.draining or report.worker_losses)
+                    "batch_end", retried=batch.retried,
+                    worker_losses=batch.worker_losses,
+                    stragglers=batch.stragglers,
+                    interrupted=batch.interrupted))
+            reusable = not (core.draining or batch.worker_losses)
         finally:
             core.journal = None
             self._return_core(core, reusable)
-        report.elapsed_s = time.perf_counter() - start
-        self.last_report = report
-        return report
-
-    def run_map(self, specs: Sequence[RunSpec]) -> List[RunResult]:
-        """Like :meth:`run_many`, but all-or-error: raises on any failure."""
-        report = self.run_many(specs)
-        report.raise_on_failure()
-        return list(report.results)
-
-    def run_one(self, spec: RunSpec) -> RunResult:
-        return self.run_map([spec])[0]
+        batch.elapsed_s = time.perf_counter() - start
+        self.totals.update(runs=batch.total, cache_hits=batch.cache_hits,
+                           executed=batch.executed)
+        return batch
 
     # ------------------------------------------------------------------
 

@@ -209,9 +209,6 @@ class ServeClient:
         no progress (cheaper for large sweeps)."""
         return self._submit(ServeHandle(spec, wants_stream=stream))
 
-    def submit_many(self, specs, *, stream: bool = True) -> List[ServeHandle]:
-        return [self.submit(spec, stream=stream) for spec in specs]
-
     def _submit(self, handle: RunHandle) -> RunHandle:
         """Submit ``handle.spec`` and subscribe ``handle`` to its job."""
         spec = handle.spec

@@ -31,83 +31,20 @@ is synchronous-eager: the spec runs to completion on the caller's
 thread before :func:`submit` returns.  Served, progress streams back
 live.
 
-:class:`SubmitBatch` is the many-spec variant; its :attr:`~SubmitBatch.
-report` is an ordinary :class:`~repro.lab.runner.BatchReport`, so sweep
-and fuzz code consumes either road's outcomes identically.
+A batch of specs is one :class:`~repro.lab.runner.Batch` on either
+road: the handles in spec order, ``outcomes()``, the all-or-error
+``results()`` and the tallies, so sweep, fuzz and figure code consumes
+either road's batch identically.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Iterator, List, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from repro.lab.core import persist
 from repro.lab.journal import outcome_record, render
-from repro.lab.results import RunFailure, RunResult
-from repro.lab.runner import (BatchReport, RunFailedError, RunHandle,
-                              Runner, _Lent)
+from repro.lab.runner import Batch, RunFailedError, RunHandle, Runner
 from repro.lab.spec import RunSpec
-
-
-class SubmitBatch:
-    """Handles for a batch of submissions, resolvable as a report.
-
-    A batch that opened its own daemon connection closes it when its
-    last handle resolves — through :meth:`outcomes`, :meth:`results`,
-    :attr:`report` or the handles themselves — and when waiting raises.
-    """
-
-    def __init__(self, handles: List[RunHandle], *,
-                 report: Optional[BatchReport] = None,
-                 owned_client=None) -> None:
-        self.handles = handles
-        self._report = report
-        self._owned_client = owned_client
-        self._resolved = 0
-        self._submitted_at = time.perf_counter()
-
-    def __len__(self) -> int:
-        return len(self.handles)
-
-    def __iter__(self) -> Iterator[RunHandle]:
-        return iter(self.handles)
-
-    def outcomes(self, timeout: Optional[float] = None
-                 ) -> List[Union[RunResult, RunFailure]]:
-        """Every outcome, in submission order (blocks until all done)."""
-        try:
-            return [h.outcome(timeout) for h in self.handles]
-        finally:
-            self._release_client()
-
-    def results(self, timeout: Optional[float] = None) -> List[RunResult]:
-        """All results; raises :class:`RunFailedError` on any failure."""
-        try:
-            return [h.result(timeout) for h in self.handles]
-        finally:
-            self._release_client()
-
-    @property
-    def report(self) -> BatchReport:
-        """The batch as a :class:`~repro.lab.runner.BatchReport` — the
-        shape sweep/fuzz reporting already consumes.  Blocks
-        until every handle is terminal."""
-        if self._report is None:
-            self._report = BatchReport(
-                results=self.outcomes(),
-                elapsed_s=time.perf_counter() - self._submitted_at,
-            )
-        return self._report
-
-    def _handle_resolved(self) -> None:
-        self._resolved += 1
-        if self._resolved == len(self.handles):
-            self._release_client()
-
-    def _release_client(self) -> None:
-        if self._owned_client is not None:
-            self._owned_client.close()
-            self._owned_client = None
 
 
 def submit(
@@ -145,12 +82,12 @@ def submit_many(
     client_name: Optional[str] = None,
     journal=None,
     stream: bool = False,
-) -> SubmitBatch:
+) -> Batch:
     """Execute a batch of specs (``server`` / ``runner`` as :func:`submit`).
 
-    In-process the batch is one :meth:`Runner.run_many` call over this
-    batch's handles — dedup, cache, retries, journal, and drain
-    semantics are exactly the engine's, as they are served.
+    In-process the batch is one :meth:`Runner.run_many` call — dedup,
+    cache, retries, journal, and drain semantics are exactly the
+    engine's, as they are served.
     Served, every spec goes out over one connection (the daemon
     dedupes and schedules fairly against other clients) and, when
     ``journal`` (an open :class:`~repro.lab.journal.SweepJournal`, as
@@ -158,15 +95,14 @@ def submit_many(
     into it client-side so ``repro sweep --resume`` works on the
     client's journal too; a mirror write that fails (a full disk) is
     noted on the runner's ``progress``, as the runner road notes it,
-    and never costs an outcome.
+    and never costs an outcome.  A served batch's engine counters read
+    0: the daemon's ``status`` holds them.
     """
     from repro.lab import current_runner
 
-    handles = [RunHandle(spec, wants_stream=stream) for spec in specs]
     if server is None:
-        report = (runner or current_runner()).run_many(_Lent(handles),
-                                                        journal=journal)
-        return SubmitBatch(handles, report=report)
+        return (runner or current_runner()).run_many(
+            Batch(specs, stream=stream), journal=journal)
 
     from repro.serve.client import ServeClient
 
@@ -174,8 +110,8 @@ def submit_many(
     if not isinstance(server, ServeClient):
         client = ServeClient(server, name=client_name or "submit")
     # The batch closes a connection opened here, never the caller's.
-    batch = SubmitBatch(handles,
-                        owned_client=None if client is server else client)
+    batch = Batch(specs, stream=stream,
+                  client=None if client is server else client)
 
     def mirror(write, *args) -> None:
         # The runner road's rule: a full disk costs the mirror, never
@@ -187,7 +123,7 @@ def submit_many(
                 progress(render(failed))
 
     try:
-        for handle in handles:
+        for handle in batch.handles:
             if journal is not None:
                 mirror(journal.record_spec, handle.spec)
             handle._batch = batch
@@ -196,15 +132,15 @@ def submit_many(
             for handle in batch.handles:  # each the moment it arrives
                 mirror(journal.append, outcome_record(handle.outcome()))
     except BaseException:
-        batch._release_client()
+        batch._release()
         raise
     return batch
 
 
 __all__ = [
+    "Batch",
     "RunFailedError",
     "RunHandle",
-    "SubmitBatch",
     "submit",
     "submit_many",
 ]

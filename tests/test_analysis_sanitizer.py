@@ -248,10 +248,11 @@ def test_runspec_sanitize_field_hashes_only_when_set():
 
 def test_lab_run_carries_sanitizer_payload():
     from repro.lab import RunSpec, Runner
+    from repro.submit import submit_many
 
     spec = RunSpec(kernel="ht", config=_config(), params=dict(HT),
                    sanitize=SanitizerConfig())
-    (run,) = Runner(workers=1).run_map([spec])
+    (run,) = submit_many([spec], runner=Runner(workers=1)).results()
     assert run.ok and run.sanitizer is not None
     assert run.sanitizer["ok"] is True
     assert run.sanitizer["counters"]["lock_acquires"] > 0

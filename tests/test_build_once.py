@@ -155,10 +155,10 @@ def test_threads_share_one_kernel_and_agree_with_serial(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert assembled == ["ht"]
-    assert [r.stats.summary() for r in threaded.results] == [
-        r.stats.summary() for r in serial.results]
-    assert [r.predicted_sibs for r in threaded.results] == [
-        r.predicted_sibs for r in serial.results]
+    assert [r.stats.summary() for r in threaded.outcomes()] == [
+        r.stats.summary() for r in serial.outcomes()]
+    assert [r.predicted_sibs for r in threaded.outcomes()] == [
+        r.predicted_sibs for r in serial.outcomes()]
 
 
 class _Recorder(pickle.Pickler):

@@ -137,6 +137,19 @@ def test_experiment_no_cache_flag(tmp_path, capsys):
     assert "0 cached" in out
 
 
+def test_experiment_tallies_every_batch_it_submitted(tmp_path, capsys):
+    """Table I is 19 DDOS settings × 11 kernels, one batch per setting:
+    the closing tally counts all 209 runs, not the last batch's 11.
+    Settings that repeat the default DDOS configuration are answered
+    from the cache the first batch filled; a re-run is all cache hits."""
+    argv = ["experiment", "tab1", "--scale", "quick", "--workers", "1",
+            "--cache-dir", str(tmp_path / "cache")]
+    assert main(argv) == 0
+    assert "; 209 runs, 55 cached, 154 simulated]" in capsys.readouterr().out
+    assert main(argv) == 0
+    assert "; 209 runs, 209 cached, 0 simulated]" in capsys.readouterr().out
+
+
 # ----------------------------------------------------------------------
 # Exit codes (hang=3, validation=4, transient=5) and the fuzz command
 

@@ -47,6 +47,7 @@ from repro.sim.checkpoint import SimCheckpoint
 from repro.sim.config import GPUConfig, PerturbConfig
 from repro.sim.gpu import GPU, KernelLaunch
 from repro.sim.progress import SimulationDeadlock, SimulationLivelock
+from repro.submit import submit_many
 from test_simt_deadlock import NAIVE_SPIN
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_summaries.json"
@@ -282,7 +283,7 @@ def runner(**options):
     """A ``Runner`` road, collecting obs as the served roads do."""
     def way(row):
         asked = spec(row, obs=ObsConfig())
-        result = Runner(**options).run_one(asked)
+        (result,) = submit_many([asked], runner=Runner(**options)).results()
         assert result.spec_hash == asked.content_hash()
         return observe(result)
     return way

@@ -27,9 +27,11 @@ from repro.lab import (
 )
 from repro.lab.journal import SweepJournal, load_journal, read_records
 from repro.lab.results import RunResult
+from repro.lab.runner import RunFailedError
 from repro.lab.spec import _canonical_json
 from repro.metrics.stats import SimStats
 from repro.sim.config import DDOSConfig, GPUConfig
+from repro.submit import submit_many
 from test_golden_fixtures import LAB_ROWS, check
 
 VECADD = dict(n_threads=64, per_thread=2, block_dim=32)
@@ -141,16 +143,16 @@ def test_cache_stats_and_clear(tmp_path):
 
 def test_runner_serial_real_run_populates_result(tmp_path):
     runner = Runner(workers=1, cache=ResultCache(tmp_path / "c"))
-    result = runner.run_one(vecadd_spec())
+    (result,) = submit_many([vecadd_spec()], runner=runner).results()
     assert result.ok and not result.from_cache
     assert result.cycles > 0
     assert result.stats.thread_instructions > 0
-    again = runner.run_one(vecadd_spec())
+    batch = submit_many([vecadd_spec()], runner=runner)
+    (again,) = batch.results()
     assert again.from_cache
     assert again.cycles == result.cycles
     assert again.stats.summary() == result.stats.summary()
-    report = runner.last_report
-    assert report.cache_hits == 1 and report.executed == 0
+    assert batch.cache_hits == 1 and batch.executed == 0
 
 
 def test_runner_thread_mode_matches_serial():
@@ -163,7 +165,7 @@ def test_runner_thread_mode_matches_serial():
 def test_runner_attaches_ddos_outcome():
     spec = RunSpec("vecadd", GPUConfig.preset("fermi", ddos=True),
                    dict(VECADD))
-    result = Runner().run_one(spec)
+    (result,) = submit_many([spec], runner=Runner()).results()
     assert result.ddos is not None
     assert result.ddos["kernel"] == "vecadd"
     assert "detected_false" in result.ddos
@@ -186,8 +188,8 @@ def test_non_positive_timeout_is_refused(timeout_s):
     from repro.serve import ServeDaemon
 
     with pytest.raises(ValueError, match="timeout_s"):
-        Runner(timeout_s=timeout_s, run_fn=_fake_result).run_one(
-            vecadd_spec())
+        Runner(timeout_s=timeout_s, run_fn=_fake_result).run_many(
+            [vecadd_spec()])
     with pytest.raises(ValueError, match="timeout_s"):
         ServeDaemon("unused.sock", mode="thread", cache=False,
                     timeout_s=timeout_s)
@@ -200,7 +202,7 @@ def test_timeout_produces_structured_failure_and_retries():
 
     runner = Runner(workers=1, timeout_s=0.05, retries=1, run_fn=sleepy)
     report = runner.run_many([vecadd_spec()])
-    (failure,) = report.results
+    (failure,) = report.outcomes()
     assert not failure.ok
     assert failure.error_type == "RunTimeout"
     assert failure.transient
@@ -219,7 +221,7 @@ def test_transient_failure_is_retried_to_success():
 
     runner = Runner(workers=1, retries=2, run_fn=flaky)
     report = runner.run_many([vecadd_spec()])
-    (result,) = report.results
+    (result,) = report.outcomes()
     assert result.ok
     assert result.attempts == 3
     assert report.retried == 2 and report.executed == 1
@@ -234,7 +236,7 @@ def test_permanent_failure_fails_fast_without_retry():
 
     runner = Runner(workers=1, retries=3, run_fn=broken)
     report = runner.run_many([vecadd_spec()])
-    (failure,) = report.results
+    (failure,) = report.outcomes()
     assert not failure.ok and failure.attempts == 1
     assert calls["n"] == 1
     assert failure.error_type == "ValueError"
@@ -251,17 +253,23 @@ def test_one_bad_run_does_not_sink_the_batch():
              RunSpec("ht", GPUConfig.preset("fermi"), {"n_threads": 64}),
              vecadd_spec(bows=1000)]
     report = Runner(workers=1, run_fn=selective).run_many(specs)
-    assert [r.ok for r in report.results] == [True, False, True]
+    assert [r.ok for r in report.outcomes()] == [True, False, True]
     with pytest.raises(LabError, match="1/3 runs failed"):
-        report.raise_on_failure()
+        report.results()
 
 
 def test_run_map_raises_on_failure():
+    """``Batch.results()`` is all-or-error: a failed run raises a
+    :class:`LabError` carrying its record."""
     def broken(spec):
         raise ValueError("nope")
 
-    with pytest.raises(LabError):
-        Runner(workers=1, run_fn=broken).run_map([vecadd_spec()])
+    batch = submit_many([vecadd_spec()],
+                        runner=Runner(workers=1, run_fn=broken))
+    with pytest.raises(LabError) as excinfo:
+        batch.results()
+    assert isinstance(excinfo.value, RunFailedError)
+    assert excinfo.value.failure is batch.outcomes()[0]
 
 
 def test_batch_journal_contents(tmp_path):
@@ -311,9 +319,9 @@ def test_identical_specs_in_one_batch_simulate_once(tmp_path, mode, workers):
         report = runner.run_many(specs, journal=journal)
     hashes = [spec.content_hash() for spec in specs]
     assert sorted(runs) == sorted({*hashes})
-    assert [r.ok for r in report.results] == [True] * 3
-    assert [r.spec_hash for r in report.results] == hashes
-    assert [r.label for r in report.results] == ["a1", "a2", None]
+    assert [r.ok for r in report.outcomes()] == [True] * 3
+    assert [r.spec_hash for r in report.outcomes()] == hashes
+    assert [r.label for r in report.outcomes()] == ["a1", "a2", None]
     assert [h.status for h in report.handles] == [
         "queued", "attached", "queued"]
     records, _, _ = read_records(tmp_path / "batch.jsonl")
@@ -353,7 +361,7 @@ def test_hangs_are_never_retried(hang_type):
 
     runner = Runner(workers=1, retries=3, run_fn=hangs)
     report = runner.run_many([vecadd_spec()])
-    (failure,) = report.results
+    (failure,) = report.outcomes()
     assert not failure.ok
     assert calls["n"] == 1 and failure.attempts == 1
     assert not failure.transient
@@ -371,7 +379,7 @@ def test_hang_report_lands_in_failure_and_journal(tmp_path):
     with SweepJournal(tmp_path / "hang.jsonl") as journal:
         report = Runner(workers=1, run_fn=livelocked).run_many(
             [vecadd_spec()], journal=journal)
-    (failure,) = report.results
+    (failure,) = report.outcomes()
     assert failure.hung
     assert failure.hang["kind"] == "livelock"
     assert "[hang: livelock at cycle 9000]" in failure.describe()
@@ -416,7 +424,7 @@ def test_sweep_run_and_journal(tmp_path):
     assert opening["detail"]["name"] == "tiny"
     assert opening["detail"]["axes"]["bows"] == ["None", "500"]
     assert [n["note"] for n in state.notes] == ["sweep", "batch_end"]
-    assert set(state.done) == {r.spec_hash for r in result.report.results}
+    assert set(state.done) == {r.spec_hash for r in result.batch.outcomes()}
     assert len(state.specs) == 2 and not state.pending
 
 

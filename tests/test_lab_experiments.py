@@ -16,6 +16,7 @@ import pytest
 
 from repro.harness import experiments as E
 from repro.lab import ResultCache, Runner, RunSpec, use_runner
+from repro.submit import submit_many
 
 KERNELS = ["ht", "tsp"]
 DELAYS = (None, 0, "adaptive")
@@ -55,9 +56,8 @@ def test_parallel_sweep_matches_serial_and_reruns_from_cache(tmp_path):
         parallel_sweep = E.run_delay_sweep("quick", KERNELS, DELAYS)
         parallel_figs = _fig_rows(parallel_sweep)
 
-    report = parallel_runner.last_report
-    assert report.total == len(KERNELS) * len(DELAYS)
-    assert report.executed == report.total and report.cache_hits == 0
+    assert len(parallel_sweep) == len(KERNELS) * len(DELAYS)
+    assert not any(result.from_cache for result in parallel_sweep.values())
 
     # Row-for-row identical figure values, serial vs parallel.
     assert parallel_figs == serial_figs
@@ -69,9 +69,7 @@ def test_parallel_sweep_matches_serial_and_reruns_from_cache(tmp_path):
         cached_sweep = E.run_delay_sweep("quick", KERNELS, DELAYS)
         cached_figs = _fig_rows(cached_sweep)
 
-    report = probe_runner.last_report
-    assert report.executed == 0
-    assert report.cache_hits == report.total == len(KERNELS) * len(DELAYS)
+    assert len(cached_sweep) == len(KERNELS) * len(DELAYS)
     assert all(result.from_cache for result in cached_sweep.values())
     assert cached_figs == serial_figs
 
@@ -112,7 +110,7 @@ def test_lab_failure_surfaces_as_lab_error():
                   {"n_threads": 100, "block_dim": 64})  # not a multiple
     runner = Runner(workers=1)
     with pytest.raises(LabError, match="ValueError"):
-        runner.run_map([bad])
-    # run_many keeps the structured record instead of raising.
-    (failure,) = runner.run_many([bad]).results
+        submit_many([bad], runner=runner).results()
+    # outcomes() keeps the structured record instead of raising.
+    (failure,) = submit_many([bad], runner=runner).outcomes()
     assert not failure.ok and failure.attempts == 1

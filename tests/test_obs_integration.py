@@ -21,6 +21,7 @@ from repro.sim.config import GPUConfig
 from repro.sim.gpu import GPU, KernelLaunch
 from repro.sim.progress import HangReport, SimulationLivelock
 from repro.sim.run import simulate
+from repro.submit import submit_many
 from test_golden_fixtures import check, oracle
 from test_golden_fixtures import spec as golden_spec
 
@@ -219,17 +220,17 @@ def test_spec_obs_survives_dict_round_trip():
 def test_runner_collects_obs_payload_and_caches_it(tmp_path):
     spec = make_spec(obs=ObsConfig(sample_interval=200))
     runner = Runner(workers=1, cache=ResultCache(tmp_path / "c"))
-    result = runner.run_one(spec)
+    (result,) = submit_many([spec], runner=runner).results()
     assert result.obs is not None
     assert result.obs["config"]["sample_interval"] == 200
     assert result.obs["series"]["rows"]
     log = result.obs["events"]["log"]
     assert len(log) <= 2_000
     assert result.obs["events"]["total"] >= len(log)
-    cached = runner.run_one(spec)
+    (cached,) = submit_many([spec], runner=runner).results()
     assert cached.from_cache
     assert cached.obs == result.obs
 
-    plain = runner.run_one(make_spec())
+    (plain,) = submit_many([make_spec()], runner=runner).results()
     assert plain.obs is None
     assert result.stats.summary() == oracle()["vecadd-gto"]["summary"]

@@ -266,8 +266,7 @@ def test_a_full_disk_under_a_served_client_journal_returns_a_full_report(
         batch = submit_many([_spec(i) for i in range(3)],
                             server=daemon.address, journal=journal,
                             runner=Runner(progress=notes.append))
-        report = batch.report
-    assert report.total == 3 and not report.failures
+    assert batch.total == 3 and not batch.failures
     assert any("No space left on device" in note for note in notes)
 
 
@@ -487,10 +486,10 @@ def test_sigkilled_worker_is_requeued_once_and_batch_completes(
     with SweepJournal(tmp_path / "batch.jsonl") as journal:
         report = runner.run_many([_spec(i) for i in range(3)],
                                  journal=journal)
-    assert [r.ok for r in report.results] == [True, True, True]
+    assert [r.ok for r in report.outcomes()] == [True, True, True]
     # The victim (and any innocent in-flight specs) were re-queued for
     # free: nobody's attempt counter reflects the worker death.
-    assert all(r.attempts == 1 for r in report.results)
+    assert all(r.attempts == 1 for r in report.outcomes())
     assert report.worker_losses >= 1
     # Each loss is explained in the journal, beside the batch's count.
     notes = load_journal(tmp_path / "batch.jsonl").notes
@@ -506,7 +505,7 @@ def test_repeated_worker_loss_consumes_the_retry_budget(
     runner = Runner(workers=1, mode="process", run_fn=_testing.kill_always,
                     retries=1, backoff_base_s=0.0)
     report = runner.run_many([_spec(0)])
-    (failure,) = report.results
+    (failure,) = report.outcomes()
     assert not failure.ok
     assert failure.error_type == "BrokenProcessPool"
     assert failure.transient
@@ -521,8 +520,8 @@ def test_repeated_worker_loss_consumes_the_retry_budget(
 
 def _pids(report) -> set:
     """The worker pids a ``report_pid`` batch ran in."""
-    assert all(r.ok for r in report.results)
-    return {r.cycles for r in report.results}
+    assert all(r.ok for r in report.outcomes())
+    return {r.cycles for r in report.outcomes()}
 
 
 def test_back_to_back_batches_share_one_pool_that_retires_when_idle():
@@ -577,7 +576,7 @@ def test_a_pool_broken_while_idle_costs_the_next_batch_nothing(
     with SweepJournal(tmp_path / "batch.jsonl") as journal:
         report = runner.run_many(specs, journal=journal)
     assert not _pids(report) & before
-    assert all(r.attempts == 1 for r in report.results)
+    assert all(r.attempts == 1 for r in report.outcomes())
     assert report.worker_losses == report.retried == 0
     assert [n["note"] for n in load_journal(tmp_path / "batch.jsonl").notes
             ] == ["batch_end"]
@@ -617,8 +616,8 @@ def test_a_concurrent_batch_on_one_runner_is_refused():
     finally:
         release.set()
         holder.join(10.0)
-    assert not holder.is_alive() and reports[0].results[0].ok
-    assert runner.run_many([_spec(1)]).results[0].ok  # free again
+    assert not holder.is_alive() and reports[0].outcomes()[0].ok
+    assert runner.run_many([_spec(1)]).outcomes()[0].ok  # free again
 
 
 # Fault-parity litmus: one fault sequence, two roads, one outcome.  Small
@@ -666,7 +665,7 @@ def travel(request, tmp_path, monkeypatch):
         # The batch's closing note carries its counters.
         closing = load_journal(journal_path).notes[-1]
         assert closing["note"] == "batch_end"
-        return report.results[0], closing["detail"], journal_path
+        return report.outcomes()[0], closing["detail"], journal_path
 
     def served(run_fn, retries, drain_after_s=None):
         monkeypatch.setattr(core_mod, "serve_entry",
@@ -770,9 +769,9 @@ def test_queue_time_is_not_on_the_straggler_or_elapsed_clock():
     # straggler clock (1.5 x 0.4 s — two naps, well short of three).
     runner = Runner(workers=1, mode="thread", run_fn=run_fn, timeout_s=0.4)
     report = runner.run_many([_spec(i) for i in range(4)])
-    assert [r.ok for r in report.results] == [True, True, True, False]
+    assert [r.ok for r in report.outcomes()] == [True, True, True, False]
     assert report.stragglers == 0
-    assert report.results[3].elapsed_s < ran["spec3"] + nap_s / 2
+    assert report.outcomes()[3].elapsed_s < ran["spec3"] + nap_s / 2
 
 
 @pytest.mark.parametrize("mode", ["thread", "serial"])
@@ -801,7 +800,7 @@ def test_a_freed_worker_is_refilled_before_its_result_is_persisted(
     runner = Runner(workers=1, mode=mode, cache=Recording(tmp_path),
                     run_fn=run_fn)
     report = runner.run_many([_spec(i) for i in range(6)])
-    assert all(r.ok for r in report.results)
+    assert all(r.ok for r in report.outcomes())
     at = {entry: index for index, entry in enumerate(log)}  # the last
     for seed in range(4):
         if mode == "thread":  # 0 running, 1 staged; 0 lands: 2, then 0
@@ -907,8 +906,8 @@ def test_first_sigint_drains_and_records_the_rest_as_interrupted():
     report = Runner(run_fn=run_fn).run_many([_spec(i) for i in range(3)])
     assert calls == ["spec0"]  # in-flight run finished, rest never ran
     assert report.interrupted
-    assert report.results[0].ok
-    for failure in report.results[1:]:
+    assert report.outcomes()[0].ok
+    for failure in report.outcomes()[1:]:
         assert not failure.ok
         assert failure.error_type == "RunInterrupted"
         assert failure.transient

@@ -47,6 +47,7 @@ from repro.obs import ObsConfig
 from repro.serve import ServeClient, ServeDaemon, ServeError, protocol
 from repro.serve.jobstore import Job, JobStore
 from repro.sim.config import GPUConfig
+from repro.submit import submit_many
 from test_golden_fixtures import expect, observe
 from test_golden_fixtures import spec as golden_spec
 
@@ -251,10 +252,10 @@ def test_settled_jobs_are_forgotten_by_client_and_store(daemon):
     ``status`` still tallies every one of them."""
     novel = [_spec(params=dict(VECADD, per_thread=n)) for n in (2, 3, 4)]
     with _client(daemon) as client:
-        handles = client.submit_many(novel, stream=False)
+        handles = submit_many(novel, server=client).handles
         for handle in handles:
             assert isinstance(handle.outcome(timeout=60), RunResult)
-        handles += client.submit_many(novel + novel[:2], stream=False)
+        handles += submit_many(novel + novel[:2], server=client).handles
         assert [h.status for h in handles[3:]] == ["cached"] * 5
         for handle in handles:
             assert isinstance(handle.outcome(timeout=60), RunResult)
@@ -602,9 +603,9 @@ def gated_recorder(monkeypatch):
 
 def _backlog(client, name, n):
     """``n`` specs no other client submits, labelled ``<name><i>``."""
-    return client.submit_many(
+    return submit_many(
         [_spec(seed=100 * ord(name) + i, label=f"{name}{i}")
-         for i in range(n)], stream=False)
+         for i in range(n)], server=client).handles
 
 
 def _await(condition):

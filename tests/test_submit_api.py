@@ -7,17 +7,19 @@ in-process and its equivalence with the served road
 (server internals get their own workout in ``test_serve.py``).
 """
 
+import threading
 import time
 
 import pytest
 
 import repro.lab.core as core_mod
-from repro.submit import (RunFailedError, RunHandle, SubmitBatch, submit,
+from repro.submit import (Batch, RunFailedError, RunHandle, submit,
                           submit_many)
+from repro.lab._testing import fabricate_result
 from repro.lab.cache import ResultCache
 from repro.lab.journal import RECORD_VERSION, record
 from repro.lab.results import RunFailure, RunResult
-from repro.lab.runner import BatchReport, Runner
+from repro.lab.runner import Runner
 from repro.lab.spec import RunSpec
 from repro.obs import ObsConfig
 from repro.sim.config import GPUConfig
@@ -111,12 +113,12 @@ def test_retired_engine_settles_once_as_a_run_failure(tmp_path):
     spec = RunSpec(kernel="vecadd", config=GPUConfig.preset("fermi"),
                    params=VECADD, engine="reference")
     batch = submit_many([spec], runner=runner)
-    (outcome,) = batch.report.results
+    (outcome,) = batch.outcomes()
     assert isinstance(outcome, RunFailure)
     assert outcome.error_type == "ValueError"
     assert "the one engine is 'fast'" in outcome.message
     assert (outcome.attempts, outcome.transient) == (1, False)
-    assert batch.report.retried == 0
+    assert batch.retried == 0
     assert cache.get(spec) is None and cache.stats().entries == 0
 
 
@@ -125,12 +127,12 @@ def test_submit_many_local_preserves_order_and_report():
                    params=dict(VECADD, per_thread=2 + i))
              for i in range(3)]
     batch = submit_many(specs, runner=_runner())
-    assert isinstance(batch, SubmitBatch)
-    assert len(batch) == 3
-    assert isinstance(batch.report, BatchReport)
+    assert isinstance(batch, Batch)
+    assert batch.total == 3
+    assert batch.report is batch
     results = batch.results()
     assert [r.label for r in results] == ["s0", "s1", "s2"]
-    hashes = [h.spec.content_hash() for h in batch]
+    hashes = [h.spec.content_hash() for h in batch.handles]
     assert [r.spec_hash for r in results] == hashes
 
 
@@ -199,10 +201,87 @@ def test_submit_many_server_reports_like_local(daemon):
     specs = [_spec(label=f"b{i}", params=dict(VECADD, per_thread=2 + i))
              for i in range(2)]
     batch = submit_many(specs, server=daemon.address)
-    report = batch.report
-    assert isinstance(report, BatchReport)
-    assert report.failures == []
-    assert [r.label for r in report.results] == ["b0", "b1"]
+    assert isinstance(batch, Batch)
+    assert batch.failures == []
+    assert [r.label for r in batch.outcomes()] == ["b0", "b1"]
+
+
+def test_both_roads_return_the_same_batch(daemon, tmp_path, monkeypatch):
+    """One batch — a spec already cached, a novel one, and its duplicate
+    within the batch — tallies and resolves alike on both roads."""
+    cached = _spec(label="cached", params=dict(VECADD, per_thread=5))
+    novel = _spec(label="novel", params=dict(VECADD, per_thread=6))
+    specs = [cached, novel, _spec(label="dup", params=novel.params)]
+    runner = Runner(workers=1, mode="thread",
+                    cache=ResultCache(tmp_path / "cache"))
+    submit_many([cached], runner=runner).results()
+    local = submit_many(specs, runner=runner)
+
+    submit(cached, server=daemon.address).result(timeout=120)
+    # Hold the daemon's worker until the whole batch is in, so the
+    # duplicate attaches to the novel run as it does locally.
+    gate, real = threading.Event(), core_mod.serve_entry
+
+    def entry(*args):
+        assert gate.wait(30), "the test never released the worker"
+        return real(*args)
+
+    monkeypatch.setattr(core_mod, "serve_entry", entry)
+    served = submit_many(specs, server=daemon.address)
+    gate.set()
+
+    def tally(batch):
+        return (batch.total, batch.cache_hits, batch.executed,
+                batch.failures)
+
+    assert isinstance(local, Batch) and isinstance(served, Batch)
+    assert tally(served) == tally(local) == (3, 1, 2, [])
+    assert [h.status for h in served.handles] == [
+        h.status for h in local.handles] == [
+        "cached", "queued", "attached"]
+    assert [(o.label, o.from_cache, o.cycles)
+            for o in served.outcomes(timeout=120)] == [
+        (o.label, o.from_cache, o.cycles) for o in local.outcomes()]
+
+
+def test_a_batch_timeout_bounds_the_whole_call():
+    """Three runs that never settle: ``timeout`` is one deadline for
+    the call, not one per handle."""
+    batch = Batch([_spec(label=f"never{i}") for i in range(3)])
+    start = time.monotonic()
+    with pytest.raises(TimeoutError):
+        batch.outcomes(timeout=0.2)
+    assert time.monotonic() - start < 0.4
+
+
+def test_a_batch_timeout_is_not_renewed_per_handle():
+    """Runs settling 0.15 s apart each beat a per-handle 0.2 s wait,
+    but not one 0.2 s deadline."""
+    batch = Batch([_spec(label=f"late{i}") for i in range(3)])
+    timers = [threading.Timer(0.15 * (i + 1), handle.send,
+                              (None, fabricate_result(handle.spec)))
+              for i, handle in enumerate(batch.handles)]
+    for timer in timers:
+        timer.start()
+    start = time.monotonic()
+    with pytest.raises(TimeoutError):
+        batch.results(timeout=0.2)
+    assert time.monotonic() - start < 0.4
+    assert len(batch.results(timeout=5)) == 3
+
+
+def test_batch_results_waits_for_every_run_then_lists_the_failures():
+    """All-or-error: ``results()`` raises one :class:`RunFailedError`
+    carrying the first failure and naming every one."""
+    specs = [_spec(label="bad0", params=dict(VECADD, per_thread=-1)),
+             _spec(label="good"),
+             _spec(label="bad1", params=dict(VECADD, per_thread=-2))]
+    batch = submit_many(specs, runner=_runner())
+    with pytest.raises(RunFailedError, match=r"2/3 runs failed") as excinfo:
+        batch.results()
+    first, good, second = batch.outcomes()
+    assert excinfo.value.failure is first and good.ok
+    assert "bad0" in str(excinfo.value) and "bad1" in str(excinfo.value)
 
 
 def test_server_takes_precedence_over_runner(daemon):
@@ -227,11 +306,12 @@ def test_batch_closes_the_client_it_opened(daemon, accessor):
     specs = [_spec(label=f"c{i}", params=dict(VECADD, per_thread=2 + i))
              for i in range(2)]
     batch = submit_many(specs, server=daemon.address)
-    client = batch._owned_client
+    client = batch._client
     assert client is not None and not client._closed
     resolved = getattr(batch, accessor)
-    assert len(resolved() if callable(resolved) else resolved.results) == 2
-    assert client._closed and batch._owned_client is None
+    assert len(resolved() if callable(resolved)
+               else resolved.outcomes()) == 2
+    assert client._closed and batch._client is None
     deadline = time.monotonic() + 10
     while daemon._conns and time.monotonic() < deadline:
         time.sleep(0.01)  # the daemon sees the EOF on its own thread
@@ -241,7 +321,7 @@ def test_batch_closes_the_client_it_opened(daemon, accessor):
 def test_batch_closes_its_client_when_waiting_raises(daemon):
     batch = submit_many([_spec(label="slow", kernel="ht", params={})],
                         server=daemon.address)
-    client = batch._owned_client
+    client = batch._client
     with pytest.raises(TimeoutError):
         batch.outcomes(timeout=0)
     assert client._closed
